@@ -4,10 +4,18 @@ Coordinates are continuous pixels with the origin at the image's top-left
 corner. Boxes are closed regions in center form (cx, cy, w, h) with
 area = w * h (no +1 convention). The COCO top-left [x, y, w, h] layout is
 accepted and emitted only at module boundaries.
+
+Inside the region path boxes travel as (N, 4) float64 arrays of the same
+center-form rows. Corners are always cx -/+ w/2 and areas w*h, the very
+expressions of the Box properties, so an array result equals the scalar
+one bit for bit. `box_array` turns a list of Box into rows and
+``Box(*row)`` turns a row back; the scalar `encode`, `decode` and
+`Box.clip` wrap the array code, so each formula exists once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -15,12 +23,17 @@ import numpy as np
 
 __all__ = [
     "Box",
-    "Anchor",
     "BoxDelta",
     "AnchorConfig",
+    "box_array",
+    "corners",
     "iou",
+    "pairwise_iou",
     "encode",
     "decode",
+    "encode_boxes",
+    "decode_boxes",
+    "clip_boxes",
     "generate_anchors",
     "nms",
     "LOG_EXTENT_CAP",
@@ -29,6 +42,10 @@ __all__ = [
 # |tw| and |th| are capped here when decoding so a wild regression output
 # cannot produce a box with overflowing area.
 LOG_EXTENT_CAP = math.log(1000.0)
+
+# rows of the sorted boxes tested against the rest per NMS block: bounds the
+# over-threshold block at 64 x N instead of a dense N x N matrix
+NMS_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -78,22 +95,10 @@ class Box:
 
     def clip(self, width: float, height: float) -> "Box":
         """Intersect with the image rectangle [0,width] x [0,height]."""
-        x1 = min(max(self.x1, 0.0), width)
-        y1 = min(max(self.y1, 0.0), height)
-        x2 = min(max(self.x2, 0.0), width)
-        y2 = min(max(self.y2, 0.0), height)
-        if x2 <= x1 or y2 <= y1:
+        clipped, inside = clip_boxes(box_array([self]), width, height)
+        if not inside[0]:
             raise ValueError("box lies entirely outside the image")
-        return Box.from_corners(x1, y1, x2, y2)
-
-
-@dataclass(frozen=True)
-class Anchor:
-    """A reference box tied to a pyramid level and its flat grid index."""
-
-    box: Box
-    level: int
-    index: int
+        return Box(*clipped[0].tolist())
 
 
 @dataclass(frozen=True)
@@ -144,6 +149,24 @@ class AnchorConfig:
         return 2 ** level
 
 
+def box_array(boxes) -> np.ndarray:
+    """(N, 4) center-form rows from a sequence of Box or an (N, 4) array."""
+    if not isinstance(boxes, np.ndarray):
+        boxes = [(b.cx, b.cy, b.w, b.h) for b in boxes]
+    arr = np.asarray(boxes, dtype=np.float64)
+    if arr.size == 0:
+        return np.zeros((0, 4))
+    if arr.ndim != 2 or arr.shape[1] != 4:
+        raise ValueError(f"box array must have shape (N, 4), got {arr.shape}")
+    return arr
+
+
+def corners(boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """x1, y1, x2, y2 columns of center-form rows."""
+    cx, cy, w, h = boxes.T
+    return cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0
+
+
 def iou(a: Box, b: Box) -> float:
     """Intersection area over union area, in [0, 1]."""
     ix = min(a.x2, b.x2) - max(a.x1, b.x1)
@@ -154,103 +177,126 @@ def iou(a: Box, b: Box) -> float:
     return inter / (a.area + b.area - inter)
 
 
-def encode(anchor: Anchor | Box, target: Box) -> BoxDelta:
-    """Offsets of target relative to the anchor: centers are normalized by
-    the anchor extents, extents become log ratios."""
-    a = anchor.box if isinstance(anchor, Anchor) else anchor
-    return BoxDelta(
-        tx=(target.cx - a.cx) / a.w,
-        ty=(target.cy - a.cy) / a.h,
-        tw=math.log(target.w / a.w),
-        th=math.log(target.h / a.h),
-    )
+def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(N, M) IoU of every row of a against every row of b, computed with
+    iou()'s expressions so each entry equals iou() exactly."""
+    ax1, ay1, ax2, ay2 = (c[:, None] for c in corners(a))
+    bx1, by1, bx2, by2 = corners(b)
+    ix = np.minimum(ax2, bx2) - np.maximum(ax1, bx1)
+    iy = np.minimum(ay2, by2) - np.maximum(ay1, by1)
+    inter = np.where((ix > 0) & (iy > 0), ix * iy, 0.0)
+    return inter / ((a[:, 2] * a[:, 3])[:, None] + b[:, 2] * b[:, 3] - inter)
 
 
-def decode(anchor: Anchor | Box, delta: BoxDelta) -> Box:
-    """Inverse of encode; log-extent components are capped at log(1000)."""
-    a = anchor.box if isinstance(anchor, Anchor) else anchor
-    tw = min(max(delta.tw, -LOG_EXTENT_CAP), LOG_EXTENT_CAP)
-    th = min(max(delta.th, -LOG_EXTENT_CAP), LOG_EXTENT_CAP)
-    return Box(
-        cx=delta.tx * a.w + a.cx,
-        cy=delta.ty * a.h + a.cy,
-        w=a.w * math.exp(tw),
-        h=a.h * math.exp(th),
-    )
+def encode_boxes(anchors: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """(N, 4) offsets (tx, ty, tw, th) of each target row relative to its
+    anchor row: centers are normalized by the anchor extents, extents
+    become log ratios."""
+    acx, acy, aw, ah = anchors.T
+    cx, cy, w, h = targets.T
+    return np.stack([(cx - acx) / aw, (cy - acy) / ah, np.log(w / aw), np.log(h / ah)], axis=1)
 
 
-def generate_anchors(level_shapes: dict[int, tuple[int, int]], cfg: AnchorConfig) -> list[Anchor]:
-    """Tile anchors over feature grids.
+def decode_boxes(anchors: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """Inverse of encode_boxes; log-extent components are capped at log(1000)."""
+    acx, acy, aw, ah = anchors.T
+    tx, ty, tw, th = deltas.T
+    tw, th = (np.clip(t, -LOG_EXTENT_CAP, LOG_EXTENT_CAP) for t in (tw, th))
+    return np.stack([tx * aw + acx, ty * ah + acy, aw * np.exp(tw), ah * np.exp(th)], axis=1)
+
+
+def encode(anchor: Box, target: Box) -> BoxDelta:
+    """encode_boxes for one anchor and one target."""
+    return BoxDelta(*encode_boxes(box_array([anchor]), box_array([target]))[0].tolist())
+
+
+def decode(anchor: Box, delta: BoxDelta) -> Box:
+    """decode_boxes for one anchor and one delta."""
+    d = np.array([[delta.tx, delta.ty, delta.tw, delta.th]])
+    return Box(*decode_boxes(box_array([anchor]), d)[0].tolist())
+
+
+def clip_boxes(boxes: np.ndarray, width: float, height: float) -> tuple[np.ndarray, np.ndarray]:
+    """Intersect every row with the image rectangle [0,width] x [0,height].
+
+    Returns the clipped rows and a mask of the rows whose intersection has
+    positive extent; the other rows are meaningless and must be dropped.
+    """
+    x1, y1, x2, y2 = corners(boxes)
+    x1, x2 = np.clip(x1, 0.0, width), np.clip(x2, 0.0, width)
+    y1, y2 = np.clip(y1, 0.0, height), np.clip(y2, 0.0, height)
+    clipped = np.stack([(x1 + x2) / 2.0, (y1 + y2) / 2.0, x2 - x1, y2 - y1], axis=1)
+    return clipped, (x2 > x1) & (y2 > y1)
+
+
+def generate_anchors(level_shapes: dict[int, tuple[int, int]], cfg: AnchorConfig) -> np.ndarray:
+    """Tile anchors over feature grids as a read-only (N, 4) array.
 
     level_shapes maps pyramid level -> (H, W) of its feature map. Each cell
     centers len(ratios) anchors at ((col+0.5)*stride, (row+0.5)*stride);
-    levels are emitted in ascending order, cells in row-major order.
+    levels are emitted in ascending order, cells in row-major order. The
+    grid is cached per (level shapes, config).
     """
-    ratios = cfg.effective_ratios()
-    anchors: list[Anchor] = []
-    index = 0
-    for level in sorted(level_shapes):
+    return _anchor_grid(tuple(sorted(level_shapes.items())), cfg)
+
+
+@functools.lru_cache(maxsize=16)
+def _anchor_grid(shapes: tuple, cfg: AnchorConfig) -> np.ndarray:
+    roots = np.sqrt(np.array(cfg.effective_ratios()))
+    parts = [np.zeros((0, 4))]
+    for level, (h, w) in shapes:
         if level not in cfg.levels:
             raise ValueError(f"no anchor scale configured for level {level}")
-        h, w = level_shapes[level]
         stride = cfg.stride_for(level)
         scale = cfg.scale_for(level)
-        for row in range(h):
-            cy = (row + 0.5) * stride
-            for col in range(w):
-                cx = (col + 0.5) * stride
-                for ratio in ratios:
-                    root = math.sqrt(ratio)
-                    anchors.append(
-                        Anchor(Box(cx, cy, scale / root, scale * root), level, index)
-                    )
-                    index += 1
+        grid = np.empty((h, w, roots.size, 4))
+        grid[..., 0] = ((np.arange(w) + 0.5) * stride)[None, :, None]
+        grid[..., 1] = ((np.arange(h) + 0.5) * stride)[:, None, None]
+        grid[..., 2] = scale / roots
+        grid[..., 3] = scale * roots
+        parts.append(grid.reshape(-1, 4))
+    anchors = np.concatenate(parts)
+    anchors.setflags(write=False)
     return anchors
 
 
 def nms(
-    boxes: list[Box],
+    boxes,
     scores,
     iou_threshold: float,
     score_threshold: float = 0.5,
 ) -> list[int]:
-    """Greedy non-maximum suppression.
+    """Greedy non-maximum suppression over a list of Box or (N, 4) rows.
 
     Drops boxes scoring below score_threshold, then repeatedly keeps the
     highest-scoring survivor and suppresses everything overlapping it above
     iou_threshold. Score ties resolve to the lower original index. Returns
     kept indices ordered by descending score.
+
+    The overlap test runs in blocks of NMS_BLOCK sorted rows against every
+    later row, skipping rows that are already suppressed.
     """
+    boxes = box_array(boxes)
     scores = np.asarray(scores, dtype=np.float64)
-    if len(boxes) != scores.shape[0]:
+    if boxes.shape[0] != scores.shape[0]:
         raise ValueError("boxes and scores must have equal length")
-    if len(boxes) == 0:
-        return []
 
     alive = np.flatnonzero(scores >= score_threshold)
-    if alive.size == 0:
-        return []
     # stable sort on negated scores: ties keep original index order
     order = alive[np.argsort(-scores[alive], kind="stable")]
-
-    x1 = np.array([boxes[i].x1 for i in order])
-    y1 = np.array([boxes[i].y1 for i in order])
-    x2 = np.array([boxes[i].x2 for i in order])
-    y2 = np.array([boxes[i].y2 for i in order])
+    x1, y1, x2, y2 = (c[order] for c in corners(boxes))
     areas = (x2 - x1) * (y2 - y1)
 
-    keep: list[int] = []
     active = np.ones(order.size, dtype=bool)
-    for i in range(order.size):
-        if not active[i]:
+    for lo in range(0, order.size, NMS_BLOCK):
+        rows = np.flatnonzero(active[lo : lo + NMS_BLOCK]) + lo
+        if rows.size == 0:
             continue
-        keep.append(int(order[i]))
-        rest = np.flatnonzero(active[i + 1 :]) + i + 1
-        if rest.size == 0:
-            continue
-        ix = np.minimum(x2[i], x2[rest]) - np.maximum(x1[i], x1[rest])
-        iy = np.minimum(y2[i], y2[rest]) - np.maximum(y1[i], y1[rest])
+        ix = np.minimum(x2[rows, None], x2[lo:]) - np.maximum(x1[rows, None], x1[lo:])
+        iy = np.minimum(y2[rows, None], y2[lo:]) - np.maximum(y1[rows, None], y1[lo:])
         inter = np.clip(ix, 0.0, None) * np.clip(iy, 0.0, None)
-        ious = inter / (areas[i] + areas[rest] - inter)
-        active[rest[ious > iou_threshold]] = False
-    return keep
+        over = inter / (areas[rows, None] + areas[lo:] - inter) > iou_threshold
+        for i, row in zip(rows, over):
+            if active[i]:
+                active[i + 1 :] &= ~row[i + 1 - lo :]
+    return order[active].tolist()

@@ -212,7 +212,7 @@ def _roi_cases(seed: int, eps: float, tol: float) -> list:
     # random box in a 32px image, at least 4px on a side
     x1 = rng.uniform(0, 20)
     y1 = rng.uniform(0, 20)
-    box = Box(x1, y1, x1 + rng.uniform(4, 11), y1 + rng.uniform(4, 11))
+    box = Box.from_corners(x1, y1, x1 + rng.uniform(4, 11), y1 + rng.uniform(4, 11))
     proj_rng = np.random.default_rng(np.random.PCG64(seed + 2))
 
     cases = []

@@ -16,6 +16,7 @@ import time
 
 import numpy as np
 
+from .attention import VARIANTS
 from .checks import MODULES, run_checks
 from .coco_io import CocoFormatError, load_detections, load_gt, save_json
 from .metrics import COCO_SWEEP, format_table, map_report
@@ -24,8 +25,6 @@ from .synth import SynthSpec, dataset_hash, synth_dataset, to_ground_truth
 from .train import TrainConfig, train, write_trace_csv
 
 __all__ = ["cli", "main"]
-
-VARIANTS = ("none", "se", "eca", "cbam")
 
 
 class CLIError(ValueError):

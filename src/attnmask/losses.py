@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import Anchor, Box, BoxDelta, iou
+from .boxes import BoxDelta, box_array, pairwise_iou
 from .tensor import Tensor, clamp, log, log_softmax, smooth_l1
 
 __all__ = [
@@ -66,8 +66,8 @@ class AnchorAssignment:
 
 
 def assign_anchor_labels(
-    anchors: list[Anchor],
-    gt_boxes: list[Box],
+    anchors,
+    gt_boxes,
     rng: np.random.Generator,
     pos_iou: float = 0.7,
     neg_iou: float = 0.3,
@@ -79,13 +79,15 @@ def assign_anchor_labels(
     An anchor is positive when its best IoU reaches pos_iou or it is the
     best anchor for some ground-truth box; negative when its best IoU is
     at most neg_iou; ignored in between. At most batch*pos_fraction
-    positives are sampled, negatives fill the rest of the batch.
+    positives are sampled, negatives fill the rest of the batch. anchors
+    and gt_boxes are lists of Box or (N, 4) center-form rows.
     """
-    n = len(anchors)
+    anchors, gt_boxes = box_array(anchors), box_array(gt_boxes)
+    n = anchors.shape[0]
     labels = np.full(n, IGNORE, dtype=np.int8)
     matched = np.full(n, -1, dtype=np.int64)
-    if gt_boxes:
-        mat = np.array([[iou(a.box, g) for g in gt_boxes] for a in anchors])
+    if gt_boxes.shape[0]:
+        mat = pairwise_iou(anchors, gt_boxes)
         best = mat.max(axis=1)
         arg = mat.argmax(axis=1)
         labels[best <= neg_iou] = NEGATIVE

@@ -31,10 +31,12 @@ from .backbone import (
     init_fpn,
     stride_of,
 )
-from .boxes import Anchor, AnchorConfig, Box, BoxDelta, decode, generate_anchors, nms
+from .boxes import AnchorConfig, Box, box_array, clip_boxes, decode_boxes, generate_anchors, nms
 from .metrics import Detection
 from .roi_align import ROIAlignConfig, assign_level, roi_align
-from .tensor import Tensor, concat, conv2d, linear, log_softmax, relu, sigmoid, upsample_nearest
+from .tensor import (
+    Tensor, concat, conv2d, gather_rows, linear, log_softmax, relu, sigmoid, upsample_nearest,
+)
 
 __all__ = [
     "ModelConfig",
@@ -224,18 +226,27 @@ def objectness(obj: Tensor) -> Tensor:
 
 
 def extract_roi_features(
-    pyramid: dict[int, Tensor], boxes: list[Box], resolution: int, aggregation: str = "max"
+    pyramid: dict[int, Tensor], boxes, resolution: int, aggregation: str = "max"
 ) -> Tensor:
-    """Stack per-region features into (R, C, p, p), each region pooled from
-    the pyramid level chosen by its scale."""
+    """Pool regions into (R, C, p, p), each from the pyramid level chosen by
+    its scale (clamped to the levels present, P6 excluded).
+
+    boxes is a list of Box or (R, 4) center-form rows; regions are pooled
+    in one batch per level and returned in input order.
+    """
+    boxes = box_array(boxes)
     cfg = ROIAlignConfig(resolution=resolution, aggregation=aggregation)
     levels = [lvl for lvl in sorted(pyramid) if lvl <= 5]
-    feats = []
-    for box in boxes:
-        lvl = min(max(assign_level(box), levels[0]), levels[-1])
-        f = roi_align(pyramid[lvl], float(stride_of(lvl)), box, cfg)
-        feats.append(f.reshape(1, *f.shape))
-    return concat(feats, axis=0)
+    routed = np.clip(assign_level(boxes), levels[0], levels[-1])
+    parts, order = [], []
+    for lvl in levels:
+        idx = np.flatnonzero(routed == lvl)
+        if idx.size:
+            parts.append(roi_align(pyramid[lvl], float(stride_of(lvl)), boxes[idx], cfg))
+            order.append(idx)
+    if len(parts) == 1:
+        return parts[0]
+    return gather_rows(concat(parts, axis=0), np.argsort(np.concatenate(order)))
 
 
 def box_head_forward(model: Model, feats: Tensor) -> tuple[Tensor, Tensor]:
@@ -258,24 +269,37 @@ def mask_head_forward(model: Model, feat: Tensor) -> Tensor:
 
 
 def _clip_or_none(box: Box, width: float, height: float) -> Box | None:
-    if box.x2 <= 0 or box.y2 <= 0 or box.x1 >= width or box.y1 >= height:
+    try:
+        return box.clip(width, height)
+    except ValueError:
         return None
-    return box.clip(width, height)
+
+
+def _refine(
+    boxes: np.ndarray, deltas: np.ndarray, width: float, height: float, min_size: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Apply offsets (each component capped at +-10), clip to the image and
+    drop results under min_size on a side: the kept boxes and their rows."""
+    refined, inside = clip_boxes(decode_boxes(boxes, np.clip(deltas, -10.0, 10.0)), width, height)
+    kept = np.flatnonzero(inside & (refined[:, 2] >= min_size) & (refined[:, 3] >= min_size))
+    return refined[kept], kept
 
 
 def propose(
     model: Model,
     pyramid: dict[int, Tensor],
-    anchors: list[Anchor],
+    anchors,
     rpn_out: dict[int, tuple[Tensor, Tensor]],
     image_hw: tuple[int, int],
     pre_nms: int = 1000,
     post_nms: int = 100,
     nms_iou: float = 0.7,
     min_size: float = 1.0,
-) -> list[Box]:
-    """Decode and filter RPN outputs into at most post_nms proposal boxes.
+) -> np.ndarray:
+    """Decode and filter RPN outputs into at most post_nms proposals, as
+    (N, 4) center-form rows in descending score order.
 
+    anchors are generate_anchors' rows (or a list of Box) in RPN order.
     Runs on raw values; no gradient flows through proposal coordinates.
     """
     h, w = image_hw
@@ -287,21 +311,14 @@ def propose(
         delta_parts.append(reg.data)
     scores = np.concatenate(scores_parts)
     deltas = np.concatenate(delta_parts)
-    if len(anchors) != scores.shape[0]:
-        raise ValueError(f"{len(anchors)} anchors vs {scores.shape[0]} RPN positions")
+    anchors = box_array(anchors)
+    if anchors.shape[0] != scores.shape[0]:
+        raise ValueError(f"{anchors.shape[0]} anchors vs {scores.shape[0]} RPN positions")
 
     order = np.argsort(-scores, kind="stable")[:pre_nms]
-    boxes, kept_scores = [], []
-    for i in order:
-        d = BoxDelta(*np.clip(deltas[i], -10.0, 10.0))
-        box = _clip_or_none(decode(anchors[i].box, d), w, h)
-        if box is not None and box.w >= min_size and box.h >= min_size:
-            boxes.append(box)
-            kept_scores.append(scores[i])
-    if not boxes:
-        return []
-    keep = nms(boxes, kept_scores, nms_iou, score_threshold=0.0)
-    return [boxes[i] for i in keep[:post_nms]]
+    boxes, kept = _refine(anchors[order], deltas[order], w, h, min_size)
+    keep = nms(boxes, scores[order][kept], nms_iou, score_threshold=0.0)
+    return boxes[keep[:post_nms]]
 
 
 def paste_mask(probs: np.ndarray, box: Box, height: int, width: int, threshold: float = 0.5) -> np.ndarray:
@@ -346,6 +363,10 @@ def paste_mask(probs: np.ndarray, box: Box, height: int, width: int, threshold: 
     return out
 
 
+# detections whose mask features are pooled in one batch during inference
+MASK_CHUNK = 16
+
+
 @dataclass
 class InstancePrediction:
     detection: Detection
@@ -374,43 +395,35 @@ def infer(
         model, pyramid, anchors, rpn_out, (height, width),
         pre_nms=pre_nms, post_nms=post_nms, nms_iou=rpn_nms_iou,
     )
-    if not proposals:
+    if proposals.shape[0] == 0:
         return []
     feats = extract_roi_features(pyramid, proposals, model.cfg.box_resolution)
     logits, deltas = box_head_forward(model, feats)
     probs = np.exp(log_softmax(logits).data)
-    dd = deltas.data
+    refined, kept = _refine(proposals, deltas.data, float(width), float(height), 1.0)
 
-    candidates: dict[int, list[tuple[Box, float]]] = {}
-    for r, prop in enumerate(proposals):
-        refined = decode(prop, BoxDelta(*np.clip(dd[r], -10.0, 10.0)))
-        clipped = _clip_or_none(refined, float(width), float(height))
-        if clipped is None or clipped.w < 1.0 or clipped.h < 1.0:
-            continue
-        for k in range(1, model.cfg.num_classes + 1):
-            score = float(probs[r, k])
-            if score >= conf_threshold:
-                candidates.setdefault(k, []).append((clipped, score))
-
-    final: list[tuple[int, Box, float]] = []
-    for k in sorted(candidates):
-        boxes = [b for b, _ in candidates[k]]
-        scores = [s for _, s in candidates[k]]
+    final: list[tuple[int, np.ndarray, float]] = []
+    for k in range(1, model.cfg.num_classes + 1):
+        scores = probs[kept, k]
+        fire = np.flatnonzero(scores >= conf_threshold)
+        boxes, scores = refined[fire], scores[fire]
         for i in nms(boxes, scores, det_nms_iou, score_threshold=0.0):
-            final.append((k, boxes[i], scores[i]))
+            final.append((k, boxes[i], float(scores[i])))
     final.sort(key=lambda t: -t[2])
     final = final[:max_dets]
 
     preds = []
-    levels = [lvl for lvl in sorted(pyramid) if lvl <= 5]
-    mask_cfg = ROIAlignConfig(resolution=model.cfg.mask_resolution)
-    for k, box, score in final:
-        lvl = min(max(assign_level(box), levels[0]), levels[-1])
-        mfeat = roi_align(pyramid[lvl], float(stride_of(lvl)), box, mask_cfg)
-        mprobs = mask_head_forward(model, mfeat).data[k - 1]
-        mask = paste_mask(mprobs, box, height, width)
-        det = Detection(image_id=image_id, class_id=k, box=box, score=score)
-        preds.append(InstancePrediction(detection=det, mask=mask))
+    for lo in range(0, len(final), MASK_CHUNK):
+        chunk = final[lo : lo + MASK_CHUNK]
+        mfeats = extract_roi_features(
+            pyramid, np.array([row for _, row, _ in chunk]), model.cfg.mask_resolution
+        )
+        for (k, row, score), mfeat in zip(chunk, mfeats.data):
+            mprobs = mask_head_forward(model, Tensor(mfeat)).data[k - 1]
+            box = Box(*row.tolist())
+            mask = paste_mask(mprobs, box, height, width)
+            det = Detection(image_id=image_id, class_id=k, box=box, score=score)
+            preds.append(InstancePrediction(detection=det, mask=mask))
     return preds
 
 

@@ -8,31 +8,32 @@ integer + 0.5, reads outside the map return 0), and the bin keeps the max
 of its four samples. Mean aggregation is available behind the config for
 comparison. The max backward follows the first-winner tie rule used by
 the rest of the tensor core.
+
+Bilinear sampling is separable. Along each axis a region's 2p quarter
+points read the map through a (2p, H) or (2p, W) interpolation matrix, so
+the 2p x 2p sample grid of a (C, H, W) map F is Ay F Ax^T and its
+gradient is Ay^T G Ax: two batched matrix products per chunk of regions,
+forward and backward alike, and no scatter.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import Box
+from .boxes import Box, box_array, corners
 from .tensor import Tensor, _accum
 
-__all__ = ["ROI", "ROIAlignConfig", "assign_level", "roi_align"]
+__all__ = ["ROIAlignConfig", "assign_level", "roi_align"]
 
-# bin-relative (dy, dx) sample offsets; order fixes the max tie rule
-_SAMPLE_OFFSETS = ((0.25, 0.25), (0.25, 0.75), (0.75, 0.25), (0.75, 0.75))
+# (row, col) offsets of the four samples of a bin, as halves of the bin:
+# (0.25, 0.25), (0.25, 0.75), (0.75, 0.25), (0.75, 0.75). The order fixes
+# the max tie rule.
+_SAMPLES = ((0, 0), (0, 1), (1, 0), (1, 1))
 
-
-@dataclass(frozen=True)
-class ROI:
-    """A region routed to a pyramid level within one image."""
-
-    box: Box
-    image_id: int = 0
-    level: int = 2
+# regions per batched product; bounds the four (R, p*C, p) sample grids
+CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -49,75 +50,90 @@ class ROIAlignConfig:
             raise ValueError(f"unknown aggregation {self.aggregation!r}")
 
 
-def assign_level(box: Box, k0: int = 4) -> int:
-    """Route a region to a pyramid level by its scale.
+def assign_level(boxes, k0: int = 4):
+    """Route regions to pyramid levels by their scale.
 
     level = clamp(floor(k0 + log2(sqrt(area)/224)), 2, 5): a 224-pixel
-    square lands on level k0, halving the extent drops one level.
+    square lands on level k0, halving the extent drops one level. Takes a
+    Box (returns an int) or (R, 4) center-form rows (returns R ints).
     """
-    level = math.floor(k0 + math.log2(math.sqrt(box.area) / 224.0))
-    return min(max(level, 2), 5)
+    rows = box_array([boxes] if isinstance(boxes, Box) else boxes)
+    level = np.floor(k0 + np.log2(np.sqrt(rows[:, 2] * rows[:, 3]) / 224.0))
+    levels = np.clip(level, 2, 5).astype(np.intp)
+    return int(levels[0]) if isinstance(boxes, Box) else levels
 
 
-def roi_align(feature: Tensor, stride: float, box: Box, cfg: ROIAlignConfig) -> Tensor:
-    """Extract a (C, p, p) grid from a (C, H, W) feature map for one region.
+def _axis_weights(coords: np.ndarray, n: int) -> np.ndarray:
+    """(..., n) bilinear weights of sample coordinates over n cells whose
+    centers sit at integer + 0.5; cells off the map get no weight."""
+    v = coords - 0.5
+    i0 = np.floor(v)
+    f = (v - i0)[..., None]
+    cells = np.arange(n)
+    return (cells == i0[..., None]) * (1.0 - f) + (cells == i0[..., None] + 1.0) * f
 
-    box is in image coordinates; stride converts it to feature coordinates.
+
+def roi_align(feature: Tensor, stride: float, boxes, cfg: ROIAlignConfig) -> Tensor:
+    """Pool p x p grids from a (C, H, W) feature map.
+
+    boxes is one Box, giving a (C, p, p) result, or (R, 4) center-form
+    rows, giving (R, C, p, p) in row order. Boxes are in image coordinates;
+    stride converts them to feature coordinates.
     """
+    single = isinstance(boxes, Box)
+    rows = box_array([boxes] if single else boxes)
     c, h, w = feature.shape
     p = cfg.resolution
-    x1, y1 = box.x1 / stride, box.y1 / stride
-    bw, bh = box.w / stride / p, box.h / stride / p
-    if bw <= 0 or bh <= 0:
+    x1, y1, _, _ = corners(rows)
+    bw = rows[:, 2] / stride / p
+    bh = rows[:, 3] / stride / p
+    if not ((bw > 0) & (bh > 0)).all():
         raise ValueError("zero-area region")
 
-    # sample coordinates, shape (4, p, p)
-    rows = np.arange(p)
-    sy = np.stack([y1 + (rows[:, None] + dy) * bh + np.zeros(p) for dy, _ in _SAMPLE_OFFSETS])
-    sx = np.stack([x1 + (rows[None, :] + dx) * bw + np.zeros((p, 1)) for _, dx in _SAMPLE_OFFSETS])
+    # quarter points along one axis, first half of every bin then second:
+    # 0.25, 1.25, ..., p - 0.75, 0.75, 1.75, ..., p - 0.25
+    frac = np.tile(np.arange(p), 2) + np.repeat([0.25, 0.75], p)
+    ay = _axis_weights(y1[:, None] / stride + frac * bh[:, None], h).reshape(-1, 2, p, h)
+    ax = _axis_weights(x1[:, None] / stride + frac * bw[:, None], w).reshape(-1, 2, p, w)
+    # (H, C*W): one product contracts the rows of every channel at once
+    fmap = feature.data.transpose(1, 0, 2).reshape(h, c * w)
 
-    # bilinear neighborhoods relative to cell centers at integer + 0.5
-    u = sx - 0.5
-    v = sy - 0.5
-    x0 = np.floor(u).astype(np.intp)
-    y0 = np.floor(v).astype(np.intp)
-    fx = u - x0
-    fy = v - y0
+    n_roi = rows.shape[0]
+    out = np.empty((n_roi, p * c, p))
+    arg = np.zeros((n_roi, p * c, p), dtype=np.int8) if cfg.aggregation == "max" else None
+    for lo in range(0, n_roi, CHUNK):
+        n = min(CHUNK, n_roi - lo)
+        ay_c, ax_c = ay[lo : lo + n], ax[lo : lo + n]
+        # rows (half, region, bin row) x cols (channel, x): (2, n, p*C, W)
+        part = (ay_c.transpose(1, 0, 2, 3).reshape(2 * n * p, h) @ fmap).reshape(2, n, p * c, w)
+        # one (n, p*C, p) grid per sample: (bin row, channel, bin col)
+        cols = [part @ ax_c[:, dx].transpose(0, 2, 1) for dx in (0, 1)]
+        samples = [cols[dx][dy] for dy, dx in _SAMPLES]
+        if arg is None:
+            out[lo : lo + n] = (samples[0] + samples[1] + samples[2] + samples[3]) / 4.0
+            continue
+        # first winner on ties; arithmetic instead of masked writes, which
+        # are several times slower on a random mask
+        best, pick = samples[0], arg[lo : lo + n]
+        for s in range(1, 4):
+            pick += (samples[s] > best) * (s - pick)
+            best = np.maximum(best, samples[s])
+        out[lo : lo + n] = best
 
-    corner_ix, corner_iy, corner_w = [], [], []
-    for dy, dx, wgt in (
-        (0, 0, (1 - fy) * (1 - fx)),
-        (0, 1, (1 - fy) * fx),
-        (1, 0, fy * (1 - fx)),
-        (1, 1, fy * fx),
-    ):
-        cxi = x0 + dx
-        cyi = y0 + dy
-        valid = (cxi >= 0) & (cxi < w) & (cyi >= 0) & (cyi < h)
-        corner_ix.append(np.clip(cxi, 0, w - 1))
-        corner_iy.append(np.clip(cyi, 0, h - 1))
-        corner_w.append(np.where(valid, wgt, 0.0))
-
-    samples = np.zeros((4, c, p, p))
-    for iy, ix, wgt in zip(corner_iy, corner_ix, corner_w):
-        samples += feature.data[:, iy, ix].transpose(1, 0, 2, 3) * wgt[:, None]
-
-    if cfg.aggregation == "max":
-        arg = samples.argmax(axis=0)
-        out = np.take_along_axis(samples, arg[None], axis=0)[0]
-    else:
-        arg = None
-        out = samples.mean(axis=0)
-
-    def bwd(g, feat=feature, arg=arg):
+    def bwd(g, feat=feature, ay=ay, ax=ax, arg=arg):
         if not feat.requires_grad:
             return
-        dfeat = np.zeros_like(feat.data)
-        chan = np.arange(c)[:, None, None]
-        for s in range(4):
-            gsel = g * (arg == s) if arg is not None else g / 4.0
-            for iy, ix, wgt in zip(corner_iy, corner_ix, corner_w):
-                np.add.at(dfeat, (chan, iy[s][None], ix[s][None]), gsel * wgt[s][None])
-        _accum(feat, dfeat)
+        g = (g[None] if single else g).transpose(0, 2, 1, 3).reshape(n_roi, p * c, p)
+        dmap = np.zeros((h, c * w))
+        for lo in range(0, n_roi, CHUNK):
+            n = min(CHUNK, n_roi - lo)
+            ay_c, ax_c, gc = ay[lo : lo + n], ax[lo : lo + n], g[lo : lo + n]
+            dpart = np.zeros((2, n, p * c, w))
+            for s, (dy, dx) in enumerate(_SAMPLES):
+                gs = gc / 4.0 if arg is None else gc * (arg[lo : lo + n] == s)
+                dpart[dy] += gs @ ax_c[:, dx]
+            dmap += ay_c.transpose(1, 0, 2, 3).reshape(2 * n * p, h).T @ dpart.reshape(2 * n * p, c * w)
+        _accum(feat, dmap.reshape(h, c, w).transpose(1, 0, 2))
 
-    return Tensor(out, _parents=(feature,), _backward=bwd)
+    result = out.reshape(n_roi, p, c, p).transpose(0, 2, 1, 3)
+    return Tensor(result[0] if single else result, _parents=(feature,), _backward=bwd)

@@ -28,7 +28,7 @@ from decimal import Decimal
 
 import numpy as np
 
-from .boxes import Box, encode, generate_anchors, iou
+from .boxes import Box, box_array, clip_boxes, encode_boxes, generate_anchors, pairwise_iou
 from .losses import (
     MaskTarget,
     assign_anchor_labels,
@@ -47,8 +47,6 @@ from .model import (
     pyramid_forward,
     rpn_forward,
 )
-from .roi_align import ROIAlignConfig, assign_level, roi_align
-from .backbone import stride_of
 from .synth import Sample, augment
 from .tensor import Tensor, concat, gather_rows
 
@@ -155,22 +153,23 @@ def mask_target_grid(mask: np.ndarray, box: Box, m: int) -> np.ndarray:
 
 
 def _sample_rois(
-    proposals: list[Box],
-    gt_boxes: list[Box],
+    proposals: np.ndarray,
+    gt_boxes: np.ndarray,
     gt_classes: list[int],
     rng: np.random.Generator,
     cfg: TrainConfig,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Label proposals against ground truth and pick the training subset.
+    """Label proposal rows against ground-truth rows and pick the training
+    subset.
 
     Returns (kept indices, class labels with 0 = background, matched
     ground-truth index or -1) all aligned with the kept subset.
     """
-    n = len(proposals)
+    n = proposals.shape[0]
     labels = np.zeros(n, dtype=np.int64)
     matched = np.full(n, -1, dtype=np.int64)
-    if gt_boxes:
-        mat = np.array([[iou(p, g) for g in gt_boxes] for p in proposals])
+    if gt_boxes.shape[0]:
+        mat = pairwise_iou(proposals, gt_boxes)
         best = mat.max(axis=1)
         arg = mat.argmax(axis=1)
         fg = best >= cfg.roi_pos_iou
@@ -193,21 +192,18 @@ def _image_loss(
     sample: Sample,
     rng: np.random.Generator,
     cfg: TrainConfig,
-    anchor_cache: dict,
 ) -> tuple[Tensor, np.ndarray]:
     """Differentiable total loss for one image plus its (cls, reg, mask) parts."""
     x = Tensor(sample.image)
     height, width = x.shape[1], x.shape[2]
     pyramid = pyramid_forward(model, x)
     level_shapes = {lvl: (f.shape[1], f.shape[2]) for lvl, f in pyramid.items()}
-    key = tuple(sorted(level_shapes.items()))
-    if key not in anchor_cache:
-        anchor_cache[key] = generate_anchors(level_shapes, model.cfg.anchors)
-    anchors = anchor_cache[key]
+    anchors = generate_anchors(level_shapes, model.cfg.anchors)
     rpn_out = rpn_forward(model, pyramid)
+    gt = box_array(sample.boxes)
 
     asg = assign_anchor_labels(
-        anchors, sample.boxes, rng,
+        anchors, gt, rng,
         batch=cfg.rpn_batch, pos_fraction=cfg.rpn_pos_fraction,
     )
     probs = concat([objectness(rpn_out[lvl][0]) for lvl in sorted(rpn_out)], axis=0)
@@ -218,18 +214,11 @@ def _image_loss(
 
     zero = Tensor(np.zeros(()))
     rpn_reg = zero
-    if asg.sampled_pos.size:
+    pos = asg.sampled_pos
+    if pos.size:
         all_reg = concat([rpn_out[lvl][1] for lvl in sorted(rpn_out)], axis=0)
-        pred = gather_rows(all_reg, asg.sampled_pos)
-        targets = np.array(
-            [
-                [d.tx, d.ty, d.tw, d.th]
-                for d in (
-                    encode(anchors[i].box, sample.boxes[asg.matched_gt[i]])
-                    for i in asg.sampled_pos
-                )
-            ]
-        )
+        pred = gather_rows(all_reg, pos)
+        targets = encode_boxes(anchors[pos], gt[asg.matched_gt[pos]])
         rpn_reg = reg_loss(pred, targets).sum()
 
     # position-count normalization leaves the offset term orders of magnitude
@@ -242,38 +231,29 @@ def _image_loss(
         model, pyramid, anchors, rpn_out, (height, width),
         pre_nms=cfg.train_pre_nms, post_nms=cfg.train_post_nms,
     )
-    proposals = proposals + [b.clip(float(width), float(height)) for b in sample.boxes]
-    if proposals:
-        keep, labels, matched = _sample_rois(proposals, sample.boxes, sample.class_ids, rng, cfg)
-        rois = [proposals[i] for i in keep]
+    gt_clipped, inside = clip_boxes(gt, float(width), float(height))
+    proposals = np.concatenate([proposals, gt_clipped[inside]])
+    if proposals.shape[0]:
+        keep, labels, matched = _sample_rois(proposals, gt, sample.class_ids, rng, cfg)
+        rois = proposals[keep]
         feats = extract_roi_features(pyramid, rois, model.cfg.box_resolution)
         logits, deltas = box_head_forward(model, feats)
         l_cls = l_cls + softmax_ce(logits, labels).sum() * (1.0 / len(rois))
         pos_rows = np.flatnonzero(labels > 0)
         if pos_rows.size:
             pred = gather_rows(deltas, pos_rows)
-            targets = np.array(
-                [
-                    [d.tx, d.ty, d.tw, d.th]
-                    for d in (
-                        encode(rois[r], sample.boxes[matched[r]]) for r in pos_rows
-                    )
-                ]
-            )
+            targets = encode_boxes(rois[pos_rows], gt[matched[pos_rows]])
             l_reg = l_reg + reg_loss(pred, targets).sum() * (1.0 / len(rois))
 
-            mask_cfg = ROIAlignConfig(resolution=model.cfg.mask_resolution)
-            roi_levels = [lvl for lvl in sorted(pyramid) if lvl <= 5]
+            m = model.cfg.mask_out
+            mfeats = extract_roi_features(pyramid, rois[pos_rows], model.cfg.mask_resolution)
             terms = []
-            for r in pos_rows:
-                box = rois[r]
-                lvl = min(max(assign_level(box), roi_levels[0]), roi_levels[-1])
-                feat = roi_align(pyramid[lvl], float(stride_of(lvl)), box, mask_cfg)
+            for i, r in enumerate(pos_rows):
+                feat = gather_rows(mfeats, np.array([i])).reshape(mfeats.shape[1:])
                 grids = mask_head_forward(model, feat)
                 k = int(labels[r]) - 1
-                m = model.cfg.mask_out
                 channel = gather_rows(grids.reshape(grids.shape[0], m * m), np.array([k]))
-                target = mask_target_grid(sample.masks[matched[r]], box, m)
+                target = mask_target_grid(sample.masks[matched[r]], Box(*rois[r].tolist()), m)
                 terms.append(mask_loss(MaskTarget(y=channel.reshape(m, m), y_star=target)))
             l_mask = concat([t.reshape(1) for t in terms], axis=0).sum() * (1.0 / len(terms))
 
@@ -302,7 +282,6 @@ def train(model: Model, dataset: list[Sample], cfg: TrainConfig) -> TrainResult:
     rng = np.random.default_rng(np.random.PCG64(cfg.seed))
     params = model.named_params()
     velocities = {name: np.zeros_like(p.data) for name, p in params}
-    anchor_cache: dict = {}
     result = TrainResult()
     n = len(dataset)
     default_batches = math.ceil(n / cfg.batch_size)
@@ -323,7 +302,7 @@ def train(model: Model, dataset: list[Sample], cfg: TrainConfig) -> TrainResult:
                 s = dataset[int(i)]
                 if rng.random() < cfg.hflip_prob:
                     s = augment(s, "hflip")
-                loss, p3 = _image_loss(model, s, rng, cfg, anchor_cache)
+                loss, p3 = _image_loss(model, s, rng, cfg)
                 (loss * (1.0 / idxs.size)).backward()
                 parts += p3 / idxs.size
             _sgd_step(params, velocities, lr, cfg)

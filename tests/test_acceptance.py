@@ -115,9 +115,10 @@ def test_criterion_03_geometry_oracles(capsys):
     cfg = AnchorConfig()
     anchors = generate_anchors({2: (4, 6), 3: (2, 3)}, cfg)
     count_ok = len(anchors) == 3 * (4 * 6 + 2 * 3)
+    levels = [2] * (3 * 4 * 6) + [3] * (3 * 2 * 3)
     area_err = max(
-        abs(a.box.area - cfg.scale_for(a.level) ** 2) / cfg.scale_for(a.level) ** 2
-        for a in anchors
+        abs(w * h - cfg.scale_for(lvl) ** 2) / cfg.scale_for(lvl) ** 2
+        for (_, _, w, h), lvl in zip(anchors, levels)
     )
     ok = nms_agree and round_err < 1e-9 and iou_err <= 1e-12 and count_ok and area_err <= 1e-6
     _verdict(capsys, 3, "geometry oracles", ok,

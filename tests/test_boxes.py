@@ -4,18 +4,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from attnmask.boxes import (
     LOG_EXTENT_CAP,
-    Anchor,
+    NMS_BLOCK,
     AnchorConfig,
     Box,
     BoxDelta,
+    box_array,
     decode,
     encode,
     generate_anchors,
     iou,
     nms,
+    pairwise_iou,
 )
 from oracles import nms_bruteforce
 
@@ -82,22 +86,25 @@ def test_generate_anchors_count_and_order():
     shapes = {2: (3, 4), 3: (2, 2)}
     anchors = generate_anchors(shapes, cfg)
     assert len(anchors) == 3 * (3 * 4 + 2 * 2)
-    assert [a.index for a in anchors] == list(range(len(anchors)))
+    # one row per anchor: the three ratios of a cell, then the next column
+    assert (anchors[:3, :2] == anchors[0, :2]).all()
+    assert anchors[3, 0] == anchors[0, 0] + 4.0 and anchors[3, 1] == anchors[0, 1]
     # ascending level, then row-major cells, then ratios
-    assert anchors[0].level == 2
-    assert anchors[3 * 12].level == 3
-    first = anchors[0].box
-    assert (first.cx, first.cy) == (0.5 * 4, 0.5 * 4)  # stride 4 at level 2
+    assert anchors[0, 2] * anchors[0, 3] == pytest.approx(cfg.scale_for(2) ** 2)
+    assert anchors[3 * 12, 2] * anchors[3 * 12, 3] == pytest.approx(cfg.scale_for(3) ** 2)
+    first = anchors[0]
+    assert (first[0], first[1]) == (0.5 * 4, 0.5 * 4)  # stride 4 at level 2
 
 
 def test_anchor_areas_equal_scale_squared():
     cfg = AnchorConfig(extended_ratios=True)
     anchors = generate_anchors({3: (2, 3), 5: (1, 1)}, cfg)
     assert len(anchors) == 5 * (6 + 1)
-    for a in anchors:
-        scale = cfg.scale_for(a.level)
-        assert abs(a.box.area - scale * scale) <= 1e-6 * scale * scale
-        want_ratio = a.box.h / a.box.w
+    levels = [3] * (5 * 6) + [5] * 5
+    for (_, _, w, h), level in zip(anchors, levels):
+        scale = cfg.scale_for(level)
+        assert abs(w * h - scale * scale) <= 1e-6 * scale * scale
+        want_ratio = h / w
         assert any(abs(want_ratio - r) < 1e-9 for r in cfg.EXTENDED_RATIOS)
 
 
@@ -150,3 +157,37 @@ def test_nms_matches_bruteforce_500_instances():
         got = nms(boxes, scores, thr, score_threshold=0.3)
         want = nms_bruteforce(xyxy, scores, thr, score_threshold=0.3)
         assert got == want, f"case {case}: {got} != {want}"
+
+
+# coordinates on a half-pixel grid make touching, nested and duplicate
+# boxes common; the float draws cover everything in between
+_coord = st.one_of(st.integers(-20, 60).map(lambda v: v / 2.0), st.floats(-10.0, 30.0))
+_extent = st.one_of(st.integers(1, 40).map(lambda v: v / 2.0), st.floats(0.01, 20.0))
+_boxes = st.lists(st.builds(Box, _coord, _coord, _extent, _extent), min_size=1, max_size=12)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_boxes, _boxes)
+def test_pairwise_iou_equals_scalar_iou(a, b):
+    got = pairwise_iou(box_array(a), box_array(b))
+    assert got.tolist() == [[iou(x, y) for y in b] for x in a]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 3 * NMS_BLOCK),
+    seed=st.integers(0, 2**32 - 1),
+    grid=st.sampled_from([0.5, 2.0, 8.0]),
+    thr=st.floats(0.1, 0.9),
+)
+def test_array_nms_matches_bruteforce_with_ties(n, seed, grid, thr):
+    rng = np.random.default_rng(seed)
+    # coarse grids repeat boxes; two-decimal scores repeat scores
+    xy = np.round(rng.uniform(0, 60, (n, 2)) / grid) * grid
+    wh = np.round(rng.uniform(grid, 30, (n, 2)) / grid) * grid
+    rows = np.column_stack([xy + wh / 2.0, wh])
+    scores = np.round(rng.uniform(0, 1, n), 2)
+    boxes = [Box(*row) for row in rows.tolist()]
+    want = nms_bruteforce([(b.x1, b.y1, b.x2, b.y2) for b in boxes], scores, thr, 0.2)
+    assert nms(rows, scores, thr, score_threshold=0.2) == want
+    assert nms(boxes, scores, thr, score_threshold=0.2) == want

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from attnmask.boxes import Anchor, Box, BoxDelta, encode
+from attnmask.boxes import Box, BoxDelta, encode
 from attnmask.losses import (
     IGNORE,
     NEGATIVE,
@@ -19,10 +19,6 @@ from attnmask.losses import (
     total_loss,
 )
 from attnmask.tensor import Tensor, grad_check
-
-
-def _anchor(cx, cy, w, h, idx=0):
-    return Anchor(Box(cx, cy, w, h), level=2, index=idx)
 
 
 def test_cls_loss_half_is_ln2():
@@ -165,11 +161,11 @@ def test_loss_gradients(seed):
 def test_assignment_thresholds_and_ignore_band():
     gt = [Box(10.0, 10.0, 10.0, 10.0)]
     anchors = [
-        _anchor(10.0, 10.0, 10.0, 10.0, 0),  # IoU 1.0 -> positive
-        _anchor(11.0, 10.0, 10.0, 10.0, 1),  # IoU ~0.82 -> positive
-        _anchor(16.0, 10.0, 10.0, 10.0, 2),  # IoU 0.25 -> negative
-        _anchor(10.0, 14.0, 10.0, 12.0, 3),  # IoU ~0.47: the ignore band
-        _anchor(80.0, 80.0, 10.0, 10.0, 4),  # IoU 0 -> negative
+        Box(10.0, 10.0, 10.0, 10.0),  # IoU 1.0 -> positive
+        Box(11.0, 10.0, 10.0, 10.0),  # IoU ~0.82 -> positive
+        Box(16.0, 10.0, 10.0, 10.0),  # IoU 0.25 -> negative
+        Box(10.0, 14.0, 10.0, 12.0),  # IoU ~0.47: the ignore band
+        Box(80.0, 80.0, 10.0, 10.0),  # IoU 0 -> negative
     ]
     out = assign_anchor_labels(anchors, gt, np.random.default_rng(0))
     assert out.labels[0] == POSITIVE
@@ -185,8 +181,8 @@ def test_assignment_rescue_low_iou_argmax():
     # nothing reaches 0.7, but the best anchor per box is still positive
     gt = [Box(10.0, 10.0, 8.0, 8.0)]
     anchors = [
-        _anchor(17.0, 10.0, 8.0, 8.0, 0),  # IoU ~0.067, the best available
-        _anchor(40.0, 40.0, 8.0, 8.0, 1),  # zero overlap
+        Box(17.0, 10.0, 8.0, 8.0),  # IoU ~0.067, the best available
+        Box(40.0, 40.0, 8.0, 8.0),  # zero overlap
     ]
     out = assign_anchor_labels(anchors, gt, np.random.default_rng(0))
     assert out.labels[0] == POSITIVE
@@ -197,9 +193,9 @@ def test_assignment_rescue_low_iou_argmax():
 def test_assignment_rescue_includes_ties_but_never_zero_iou():
     gt = [Box(10.0, 10.0, 8.0, 8.0), Box(100.0, 100.0, 8.0, 8.0)]
     anchors = [
-        _anchor(16.0, 10.0, 8.0, 8.0, 0),  # ties with the next for box 0
-        _anchor(4.0, 10.0, 8.0, 8.0, 1),
-        _anchor(50.0, 50.0, 8.0, 8.0, 2),  # zero IoU with both boxes
+        Box(16.0, 10.0, 8.0, 8.0),  # ties with the next for box 0
+        Box(4.0, 10.0, 8.0, 8.0),
+        Box(50.0, 50.0, 8.0, 8.0),  # zero IoU with both boxes
     ]
     out = assign_anchor_labels(anchors, gt, np.random.default_rng(0))
     assert out.labels[0] == POSITIVE and out.labels[1] == POSITIVE
@@ -208,7 +204,7 @@ def test_assignment_rescue_includes_ties_but_never_zero_iou():
 
 
 def test_assignment_no_gt_all_negative():
-    anchors = [_anchor(5.0, 5.0, 4.0, 4.0, i) for i in range(6)]
+    anchors = [Box(5.0, 5.0, 4.0, 4.0) for _ in range(6)]
     out = assign_anchor_labels(anchors, [], np.random.default_rng(0))
     assert (out.labels == NEGATIVE).all()
     assert out.sampled_pos.size == 0
@@ -220,10 +216,9 @@ def test_minibatch_caps_and_composition():
     gt = [Box(32.0, 32.0, 16.0, 16.0)]
     # a dense grid produces plenty of positives and negatives
     anchors = [
-        _anchor(32.0 + dx, 32.0 + dy, 16.0, 16.0, i)
-        for i, (dx, dy) in enumerate(
-            (a, b) for a in np.linspace(-24, 24, 16) for b in np.linspace(-24, 24, 16)
-        )
+        Box(32.0 + dx, 32.0 + dy, 16.0, 16.0)
+        for dx in np.linspace(-24, 24, 16)
+        for dy in np.linspace(-24, 24, 16)
     ]
     out = assign_anchor_labels(anchors, gt, rng, batch=32, pos_fraction=0.5)
     assert out.sampled_pos.size <= 16
@@ -236,8 +231,9 @@ def test_minibatch_caps_and_composition():
 def test_minibatch_sampling_is_seeded():
     gt = [Box(32.0, 32.0, 16.0, 16.0)]
     anchors = [
-        _anchor(32.0 + dx, 32.0 + dy, 16.0, 16.0, i)
-        for i, (dx, dy) in enumerate((a, b) for a in range(-8, 9, 2) for b in range(-8, 9, 2))
+        Box(32.0 + dx, 32.0 + dy, 16.0, 16.0)
+        for dx in range(-8, 9, 2)
+        for dy in range(-8, 9, 2)
     ]
     a = assign_anchor_labels(anchors, gt, np.random.default_rng(5), batch=8)
     b = assign_anchor_labels(anchors, gt, np.random.default_rng(5), batch=8)
@@ -246,7 +242,7 @@ def test_minibatch_sampling_is_seeded():
 
 def test_positive_targets_encode_against_matched_box():
     gt = [Box(12.0, 10.0, 10.0, 10.0)]
-    anchors = [_anchor(10.0, 10.0, 10.0, 10.0, 0)]
+    anchors = [Box(10.0, 10.0, 10.0, 10.0)]
     out = assign_anchor_labels(anchors, gt, np.random.default_rng(0))
     gi = out.matched_gt[0]
     delta = encode(anchors[0], gt[gi])

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from attnmask.boxes import AnchorConfig, Box, generate_anchors
+from attnmask.backbone import stride_of
+from attnmask.boxes import AnchorConfig, Box, box_array, generate_anchors
 from attnmask.model import (
     InstancePrediction,
     ModelConfig,
@@ -21,6 +24,7 @@ from attnmask.model import (
     rpn_forward,
     save_checkpoint,
 )
+from attnmask.roi_align import ROIAlignConfig, assign_level, roi_align
 from attnmask.tensor import Tensor
 
 
@@ -86,9 +90,9 @@ def test_rpn_flatten_order_matches_anchor_order():
     assert obj.shape == (fh * fw * a, 2)
 
     anchors = generate_anchors({2: (fh, fw)}, model.cfg.anchors)
-    for n, anchor in enumerate(anchors):
-        row = int(anchor.box.cy / 4 - 0.5)
-        col = int(anchor.box.cx / 4 - 0.5)
+    for n, (cx, cy, _, _) in enumerate(anchors):
+        row = int(cy / 4 - 0.5)
+        col = int(cx / 4 - 0.5)
         assert obj.data[n, 1] == pytest.approx(feat[0, row, col])
 
 
@@ -116,7 +120,7 @@ def test_propose_respects_caps_and_bounds():
     rpn_out = rpn_forward(model, pyramid)
     props = propose(model, pyramid, anchors, rpn_out, (64, 64), post_nms=12, min_size=2.0)
     assert 0 < len(props) <= 12
-    for b in props:
+    for b in (Box(*row) for row in props):
         assert 0.0 <= b.x1 <= b.x2 <= 64.0
         assert 0.0 <= b.y1 <= b.y2 <= 64.0
         assert b.w >= 2.0 and b.h >= 2.0
@@ -138,6 +142,27 @@ def test_extract_roi_features_shapes_and_level_clamp():
     boxes = [Box(10.0, 10.0, 4.0, 4.0), Box(32.0, 32.0, 60.0, 60.0)]
     feats = extract_roi_features(pyramid, boxes, resolution=7)
     assert feats.shape == (2, model.cfg.fpn_dim, 7, 7)
+
+
+_PYRAMID = {
+    lvl: Tensor(np.random.default_rng(lvl).standard_normal((4, 64 >> lvl, 64 >> lvl)))
+    for lvl in (2, 3, 4, 5, 6)
+}
+# sides from 8 to 600 px route to every level from P2 to P5
+_region = st.builds(
+    Box, st.floats(0.0, 64.0), st.floats(0.0, 64.0), st.floats(8.0, 600.0), st.floats(8.0, 600.0)
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.lists(_region, min_size=1, max_size=12))
+def test_extract_roi_features_keeps_input_order_across_levels(boxes):
+    feats = extract_roi_features(_PYRAMID, box_array(boxes), 3)
+    assert feats.shape == (len(boxes), 4, 3, 3)
+    for row, box in zip(feats.data, boxes):
+        lvl = assign_level(box)
+        want = roi_align(_PYRAMID[lvl], float(stride_of(lvl)), box, ROIAlignConfig(3))
+        np.testing.assert_array_equal(row, want.data)
 
 
 def test_head_output_shapes():

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from attnmask.boxes import Box
-from attnmask.roi_align import ROIAlignConfig, assign_level, roi_align
+from attnmask.boxes import Box, box_array
+from attnmask.roi_align import CHUNK, ROIAlignConfig, assign_level, roi_align
 from attnmask.tensor import Tensor, grad_check
 from oracles import roi_align_dense
 
@@ -86,3 +88,76 @@ def test_gradient_scatters_only_into_touched_cells():
     touched = np.abs(feature.grad[0]) > 0
     assert touched[:3, :3].any()
     assert not touched[3:, :].any() and not touched[:, 3:].any()
+
+
+# a 3 x 6 x 7 map at stride 4 covers [0, 28] x [0, 24] in image pixels;
+# each of these crosses one edge of it: left, right, top, bottom
+_EDGE_BOXES = [
+    Box.from_corners(-6.0, 5.0, 7.0, 15.0),
+    Box.from_corners(20.0, 3.0, 33.0, 12.0),
+    Box.from_corners(9.0, -5.0, 18.0, 6.0),
+    Box.from_corners(2.0, 17.0, 16.0, 29.0),
+]
+_corner = st.floats(-10.0, 30.0)
+_side = st.floats(0.5, 20.0)
+_roi = st.builds(lambda x, y, w, h: Box.from_corners(x, y, x + w, y + h), _corner, _corner, _side, _side)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    extra=st.lists(_roi, max_size=CHUNK + 4),
+    seed=st.integers(0, 2**32 - 1),
+    res=st.integers(1, 5),
+    agg=st.sampled_from(["max", "avg"]),
+)
+def test_batched_equals_per_box_and_dense_oracle(extra, seed, res, agg):
+    boxes = _EDGE_BOXES + extra
+    rng = np.random.default_rng(seed)
+    feature = rng.standard_normal((3, 6, 7))
+    cfg = ROIAlignConfig(res, agg)
+    leaf = Tensor(feature, requires_grad=True)
+    batched = roi_align(leaf, 4.0, box_array(boxes), cfg)
+    assert batched.shape == (len(boxes), 3, res, res)
+    pw = rng.standard_normal(batched.shape)
+    (batched * pw).sum().backward()
+
+    grad_sum = np.zeros_like(feature)
+    for i, box in enumerate(boxes):
+        one_leaf = Tensor(feature, requires_grad=True)
+        one = roi_align(one_leaf, 4.0, box, cfg)
+        np.testing.assert_array_equal(batched.data[i], one.data)
+        want = roi_align_dense(feature, 4.0, (box.x1, box.y1, box.x2, box.y2), res, agg)
+        assert np.abs(one.data - want).max() < 1e-9
+        (one * pw[i]).sum().backward()
+        grad_sum += one_leaf.grad
+    # the batched backward is the sum of the per-region backwards
+    assert np.allclose(leaf.grad, grad_sum, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("agg", ["max", "avg"])
+@pytest.mark.parametrize("seed", range(3))
+def test_gradients_of_several_regions_on_one_map(seed, agg):
+    rng = np.random.default_rng(100 + seed)
+    feature = rng.standard_normal((2, 6, 7))
+    boxes = box_array(_EDGE_BOXES + [Box.from_corners(3.0 + seed, 4.0, 19.0, 20.0)])
+    pw = rng.standard_normal((len(boxes), 2, 3, 3))
+
+    def fn(t):
+        return (roi_align(t, 4.0, boxes, ROIAlignConfig(3, agg)) * pw).sum()
+
+    assert grad_check(fn, Tensor(feature)).ok(1e-3)
+
+
+def test_max_ties_send_gradient_to_first_sample():
+    # quarter points at dyadic cell fractions read a constant map exactly,
+    # so the four samples of the bin tie and the whole bin gradient goes to
+    # the (0.25, 0.25) sample's bilinear neighbours
+    feature = Tensor(np.ones((1, 10, 10)), requires_grad=True)
+    box = Box.from_corners(0.75, 1.25, 8.75, 9.25)
+    out = roi_align(feature, 1.0, box, ROIAlignConfig(1, "max"))
+    assert out.data[0, 0, 0] == 1.0
+    out.sum().backward()
+    sy, sx = box.y1 + 0.25 * box.h, box.x1 + 0.25 * box.w
+    hat_y = np.maximum(0.0, 1.0 - np.abs(sy - (np.arange(10) + 0.5)))
+    hat_x = np.maximum(0.0, 1.0 - np.abs(sx - (np.arange(10) + 0.5)))
+    np.testing.assert_array_equal(feature.grad[0], np.outer(hat_y, hat_x))
