@@ -20,7 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import BoxDelta, box_array, pairwise_iou
+# iou is not called here but stays bound: the benchmark's tracer
+# (bench/layers.py) wraps boxes.iou in every module that imports it
+from .boxes import BoxDelta, iou, pairwise_iou  # noqa: F401
 from .tensor import Tensor, clamp, log, log_softmax, smooth_l1
 
 __all__ = [
@@ -66,8 +68,8 @@ class AnchorAssignment:
 
 
 def assign_anchor_labels(
-    anchors,
-    gt_boxes,
+    anchors: np.ndarray,
+    gt_boxes: np.ndarray,
     rng: np.random.Generator,
     pos_iou: float = 0.7,
     neg_iou: float = 0.3,
@@ -80,9 +82,8 @@ def assign_anchor_labels(
     best anchor for some ground-truth box; negative when its best IoU is
     at most neg_iou; ignored in between. At most batch*pos_fraction
     positives are sampled, negatives fill the rest of the batch. anchors
-    and gt_boxes are lists of Box or (N, 4) center-form rows.
+    and gt_boxes are (N, 4) center-form rows.
     """
-    anchors, gt_boxes = box_array(anchors), box_array(gt_boxes)
     n = anchors.shape[0]
     labels = np.full(n, IGNORE, dtype=np.int8)
     matched = np.full(n, -1, dtype=np.int64)

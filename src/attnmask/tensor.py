@@ -40,6 +40,7 @@ __all__ = [
     "upsample_nearest",
     "concat",
     "gather_rows",
+    "split_rows",
     "log_softmax",
     "grad_check",
 ]
@@ -542,6 +543,25 @@ def gather_rows(x: Tensor, indices: np.ndarray) -> Tensor:
         _accum(a, d)
 
     return Tensor(out, _parents=(x,), _backward=bwd)
+
+
+def split_rows(x: Tensor) -> list[Tensor]:
+    """The N rows of a (N, ...) tensor as N tensors.
+
+    The rows' gradients are written into one shared (N, ...) buffer that
+    reaches x once, so the backward costs O(x.size) in all, where a
+    gather_rows per row would fill a zero array of x's size for each row.
+    """
+    hub = Tensor(x.data, _parents=(x,), _backward=lambda g, a=x: _accum(a, g))
+
+    def bwd(g, i):
+        if hub.grad is None:
+            hub.grad = np.zeros_like(hub.data)
+        hub.grad[i] += g
+
+    return [
+        Tensor(row, _parents=(hub,), _backward=lambda g, i=i: bwd(g, i)) for i, row in enumerate(x.data)
+    ]
 
 
 def log_softmax(x: Tensor) -> Tensor:

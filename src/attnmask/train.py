@@ -48,7 +48,7 @@ from .model import (
     rpn_forward,
 )
 from .synth import Sample, augment
-from .tensor import Tensor, concat, gather_rows
+from .tensor import Tensor, concat, gather_rows, split_rows
 
 __all__ = [
     "TrainConfig",
@@ -248,8 +248,7 @@ def _image_loss(
             m = model.cfg.mask_out
             mfeats = extract_roi_features(pyramid, rois[pos_rows], model.cfg.mask_resolution)
             terms = []
-            for i, r in enumerate(pos_rows):
-                feat = gather_rows(mfeats, np.array([i])).reshape(mfeats.shape[1:])
+            for r, feat in zip(pos_rows, split_rows(mfeats)):
                 grids = mask_head_forward(model, feat)
                 k = int(labels[r]) - 1
                 channel = gather_rows(grids.reshape(grids.shape[0], m * m), np.array([k]))

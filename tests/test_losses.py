@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from attnmask.boxes import Box, BoxDelta, encode
+from attnmask.boxes import Box, BoxDelta, box_array, encode
 from attnmask.losses import (
     IGNORE,
     NEGATIVE,
@@ -167,7 +167,7 @@ def test_assignment_thresholds_and_ignore_band():
         Box(10.0, 14.0, 10.0, 12.0),  # IoU ~0.47: the ignore band
         Box(80.0, 80.0, 10.0, 10.0),  # IoU 0 -> negative
     ]
-    out = assign_anchor_labels(anchors, gt, np.random.default_rng(0))
+    out = assign_anchor_labels(box_array(anchors), box_array(gt), np.random.default_rng(0))
     assert out.labels[0] == POSITIVE
     assert out.labels[1] == POSITIVE
     assert out.labels[2] == NEGATIVE
@@ -184,7 +184,7 @@ def test_assignment_rescue_low_iou_argmax():
         Box(17.0, 10.0, 8.0, 8.0),  # IoU ~0.067, the best available
         Box(40.0, 40.0, 8.0, 8.0),  # zero overlap
     ]
-    out = assign_anchor_labels(anchors, gt, np.random.default_rng(0))
+    out = assign_anchor_labels(box_array(anchors), box_array(gt), np.random.default_rng(0))
     assert out.labels[0] == POSITIVE
     assert out.matched_gt[0] == 0
     assert out.labels[1] == NEGATIVE
@@ -197,7 +197,7 @@ def test_assignment_rescue_includes_ties_but_never_zero_iou():
         Box(4.0, 10.0, 8.0, 8.0),
         Box(50.0, 50.0, 8.0, 8.0),  # zero IoU with both boxes
     ]
-    out = assign_anchor_labels(anchors, gt, np.random.default_rng(0))
+    out = assign_anchor_labels(box_array(anchors), box_array(gt), np.random.default_rng(0))
     assert out.labels[0] == POSITIVE and out.labels[1] == POSITIVE
     # the zero-overlap anchor must not be rescued for the far-away box
     assert out.labels[2] == NEGATIVE
@@ -205,7 +205,7 @@ def test_assignment_rescue_includes_ties_but_never_zero_iou():
 
 def test_assignment_no_gt_all_negative():
     anchors = [Box(5.0, 5.0, 4.0, 4.0) for _ in range(6)]
-    out = assign_anchor_labels(anchors, [], np.random.default_rng(0))
+    out = assign_anchor_labels(box_array(anchors), np.zeros((0, 4)), np.random.default_rng(0))
     assert (out.labels == NEGATIVE).all()
     assert out.sampled_pos.size == 0
     assert out.sampled_neg.size == 6
@@ -220,7 +220,7 @@ def test_minibatch_caps_and_composition():
         for dx in np.linspace(-24, 24, 16)
         for dy in np.linspace(-24, 24, 16)
     ]
-    out = assign_anchor_labels(anchors, gt, rng, batch=32, pos_fraction=0.5)
+    out = assign_anchor_labels(box_array(anchors), box_array(gt), rng, batch=32, pos_fraction=0.5)
     assert out.sampled_pos.size <= 16
     assert out.sampled_pos.size + out.sampled_neg.size <= 32
     assert set(out.labels[out.sampled_pos]) == {POSITIVE}
@@ -235,15 +235,15 @@ def test_minibatch_sampling_is_seeded():
         for dx in range(-8, 9, 2)
         for dy in range(-8, 9, 2)
     ]
-    a = assign_anchor_labels(anchors, gt, np.random.default_rng(5), batch=8)
-    b = assign_anchor_labels(anchors, gt, np.random.default_rng(5), batch=8)
+    a = assign_anchor_labels(box_array(anchors), box_array(gt), np.random.default_rng(5), batch=8)
+    b = assign_anchor_labels(box_array(anchors), box_array(gt), np.random.default_rng(5), batch=8)
     assert np.array_equal(a.sampled, b.sampled)
 
 
 def test_positive_targets_encode_against_matched_box():
     gt = [Box(12.0, 10.0, 10.0, 10.0)]
     anchors = [Box(10.0, 10.0, 10.0, 10.0)]
-    out = assign_anchor_labels(anchors, gt, np.random.default_rng(0))
+    out = assign_anchor_labels(box_array(anchors), box_array(gt), np.random.default_rng(0))
     gi = out.matched_gt[0]
     delta = encode(anchors[0], gt[gi])
     assert delta.tx == pytest.approx(0.2)

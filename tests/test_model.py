@@ -132,7 +132,7 @@ def test_propose_checks_anchor_alignment():
     pyramid = pyramid_forward(model, x)
     rpn_out = rpn_forward(model, pyramid)
     with pytest.raises(ValueError):
-        propose(model, pyramid, [], rpn_out, (64, 64))
+        propose(model, pyramid, np.zeros((0, 4)), rpn_out, (64, 64))
 
 
 def test_extract_roi_features_shapes_and_level_clamp():
@@ -140,7 +140,7 @@ def test_extract_roi_features_shapes_and_level_clamp():
     x = Tensor(np.random.default_rng(2).uniform(size=(3, 64, 64)))
     pyramid = pyramid_forward(model, x)
     boxes = [Box(10.0, 10.0, 4.0, 4.0), Box(32.0, 32.0, 60.0, 60.0)]
-    feats = extract_roi_features(pyramid, boxes, resolution=7)
+    feats = extract_roi_features(pyramid, box_array(boxes), resolution=7)
     assert feats.shape == (2, model.cfg.fpn_dim, 7, 7)
 
 
@@ -160,9 +160,9 @@ def test_extract_roi_features_keeps_input_order_across_levels(boxes):
     feats = extract_roi_features(_PYRAMID, box_array(boxes), 3)
     assert feats.shape == (len(boxes), 4, 3, 3)
     for row, box in zip(feats.data, boxes):
-        lvl = assign_level(box)
+        lvl = assign_level(box_array([box]))[0]
         want = roi_align(_PYRAMID[lvl], float(stride_of(lvl)), box, ROIAlignConfig(3))
-        np.testing.assert_array_equal(row, want.data)
+        np.testing.assert_allclose(row, want.data, rtol=0.0, atol=1e-12)
 
 
 def test_head_output_shapes():
@@ -183,7 +183,7 @@ def test_fresh_model_class_probs_near_uniform():
     model = _toy_model("cbam")
     x = Tensor(np.random.default_rng(4).uniform(size=(3, 64, 64)))
     pyramid = pyramid_forward(model, x)
-    feats = extract_roi_features(pyramid, [Box(20.0, 20.0, 12.0, 12.0)], 7)
+    feats = extract_roi_features(pyramid, box_array([Box(20.0, 20.0, 12.0, 12.0)]), 7)
     logits, deltas = box_head_forward(model, feats)
     probs = np.exp(logits.data - logits.data.max())
     probs /= probs.sum()

@@ -58,12 +58,12 @@ def test_config_validation():
 
 def test_assign_level_scale_rule():
     # a 224px square sits at k0; halving the side drops one level
-    assert assign_level(Box(0, 0, 224, 224)) == 4
-    assert assign_level(Box(0, 0, 112, 112)) == 3
-    assert assign_level(Box(0, 0, 448, 448)) == 5
-    assert assign_level(Box(0, 0, 4, 4)) == 2  # clamped at the bottom
-    assert assign_level(Box(0, 0, 4096, 4096)) == 5  # clamped at the top
-    assert assign_level(Box(0, 0, 224, 224), k0=3) == 3
+    assert assign_level(box_array([Box(0, 0, 224, 224)]))[0] == 4
+    assert assign_level(box_array([Box(0, 0, 112, 112)]))[0] == 3
+    assert assign_level(box_array([Box(0, 0, 448, 448)]))[0] == 5
+    assert assign_level(box_array([Box(0, 0, 4, 4)]))[0] == 2  # clamped at the bottom
+    assert assign_level(box_array([Box(0, 0, 4096, 4096)]))[0] == 5  # clamped at the top
+    assert assign_level(box_array([Box(0, 0, 224, 224)]), k0=3)[0] == 3
 
 
 @pytest.mark.parametrize("agg", ["max", "avg"])
@@ -125,7 +125,9 @@ def test_batched_equals_per_box_and_dense_oracle(extra, seed, res, agg):
     for i, box in enumerate(boxes):
         one_leaf = Tensor(feature, requires_grad=True)
         one = roi_align(one_leaf, 4.0, box, cfg)
-        np.testing.assert_array_equal(batched.data[i], one.data)
+        # a region's window length follows the widest region of its chunk,
+        # and a longer window may round its sums differently in the last ulp
+        np.testing.assert_allclose(batched.data[i], one.data, rtol=0.0, atol=1e-12)
         want = roi_align_dense(feature, 4.0, (box.x1, box.y1, box.x2, box.y2), res, agg)
         assert np.abs(one.data - want).max() < 1e-9
         (one * pw[i]).sum().backward()
@@ -161,3 +163,32 @@ def test_max_ties_send_gradient_to_first_sample():
     hat_y = np.maximum(0.0, 1.0 - np.abs(sy - (np.arange(10) + 0.5)))
     hat_x = np.maximum(0.0, 1.0 - np.abs(sx - (np.arange(10) + 0.5)))
     np.testing.assert_array_equal(feature.grad[0], np.outer(hat_y, hat_x))
+
+
+@pytest.mark.parametrize("agg", ["max", "avg"])
+@pytest.mark.parametrize("with_wide", [False, True])
+def test_windows_follow_regions_on_a_large_map(agg, with_wide):
+    # regions much smaller than the map, of mixed spans in one chunk, next
+    # to every edge and past the far ones: each reads only its own window.
+    # The wide region spans over half the map's width, so with it the
+    # chunk reads whole rows and windows only along y.
+    rng = np.random.default_rng(7)
+    feature = rng.standard_normal((2, 24, 28))
+    boxes = [
+        Box.from_corners(0.5, 0.5, 3.0, 2.5),
+        Box.from_corners(52.0, 44.0, 57.0, 49.0),
+        Box.from_corners(54.5, 3.0, 56.0, 6.5),
+        Box.from_corners(1.0, 45.5, 4.0, 47.5),
+        Box.from_corners(26.0, 20.0, 27.5, 21.0),
+    ] + ([Box.from_corners(10.0, 8.0, 42.0, 14.0)] if with_wide else [])
+    cfg = ROIAlignConfig(3, agg)
+    out = roi_align(Tensor(feature), 2.0, box_array(boxes), cfg)
+    for got, box in zip(out.data, boxes):
+        want = roi_align_dense(feature, 2.0, (box.x1, box.y1, box.x2, box.y2), 3, agg)
+        assert np.abs(got - want).max() < 1e-9
+    pw = rng.standard_normal(out.shape)
+
+    def fn(t):
+        return (roi_align(t, 2.0, box_array(boxes), cfg) * pw).sum()
+
+    assert grad_check(fn, Tensor(feature)).ok(1e-3)

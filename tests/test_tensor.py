@@ -19,6 +19,7 @@ from attnmask.tensor import (
     relu,
     sigmoid,
     smooth_l1,
+    split_rows,
     upsample_nearest,
 )
 
@@ -217,4 +218,21 @@ def test_reduction_and_gather_gradients(seed):
     def fn(t):
         return (gather_rows(log_softmax(t), idx) * pw).sum()
 
+    assert grad_check(fn, Tensor(x)).ok(1e-3)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_split_rows_gradients(seed):
+    # rows feed separate subgraphs, some twice and one not at all, as the
+    # per-region mask head uses them
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((4, 2, 3))
+    pw = rng.standard_normal((4, 2, 3))
+
+    def fn(t):
+        rows = split_rows(sigmoid(t))
+        terms = [(rows[i] * pw[i]).sum() for i in (0, 2, 3, 0)]
+        return concat([r.reshape(1) for r in terms], axis=0).sum()
+
+    assert [r.shape for r in split_rows(Tensor(x))] == [(2, 3)] * 4
     assert grad_check(fn, Tensor(x)).ok(1e-3)
