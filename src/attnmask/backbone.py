@@ -36,13 +36,7 @@ __all__ = [
     "bottleneck_forward",
     "backbone_forward",
     "fpn_fuse",
-    "stride_of",
 ]
-
-
-def stride_of(level: int) -> int:
-    """Stride of pyramid level i relative to the input image (2^i)."""
-    return 2 ** level
 
 
 @dataclass

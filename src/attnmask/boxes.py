@@ -36,6 +36,7 @@ __all__ = [
     "clip_boxes",
     "generate_anchors",
     "nms",
+    "stride_of",
     "LOG_EXTENT_CAP",
 ]
 
@@ -144,9 +145,10 @@ class AnchorConfig:
     def scale_for(self, level: int) -> float:
         return self.scales[self.levels.index(level)]
 
-    @staticmethod
-    def stride_for(level: int) -> int:
-        return 2 ** level
+
+def stride_of(level: int) -> int:
+    """Stride of pyramid level i relative to the input image (2^i)."""
+    return 2 ** level
 
 
 def box_array(boxes) -> np.ndarray:
@@ -247,7 +249,7 @@ def _anchor_grid(shapes: tuple, cfg: AnchorConfig) -> np.ndarray:
     for level, (h, w) in shapes:
         if level not in cfg.levels:
             raise ValueError(f"no anchor scale configured for level {level}")
-        stride = cfg.stride_for(level)
+        stride = stride_of(level)
         scale = cfg.scale_for(level)
         grid = np.empty((h, w, roots.size, 4))
         grid[..., 0] = ((np.arange(w) + 0.5) * stride)[None, :, None]

@@ -3,13 +3,16 @@
 Ground truth is an object with `images`, `annotations`, and `categories`
 arrays; detections are a flat array of records. Boxes use the COCO
 top-left `[x, y, w, h]` pixel convention and are converted to center
-form internally. Validation errors always name the offending record so
-CLI diagnostics can point at the exact array index and id.
+form internally. Every section must be an array of objects, ids must
+convert to integers, and bbox components and scores must be finite
+numbers. Validation errors always name the offending record (array index
+and id) and field, so CLI diagnostics can point at them.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .boxes import Box
@@ -45,10 +48,35 @@ def _require(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _records(items, name: str):
+    """(location, record) pairs of a JSON array whose entries are objects."""
+    if not isinstance(items, list):
+        raise CocoFormatError(f"{name} must be a JSON array, got {type(items).__name__}")
+    for i, rec in enumerate(items):
+        where = f"{name}[{i}]"
+        if not isinstance(rec, dict):
+            raise CocoFormatError(f"{where}: must be an object, got {rec!r}")
+        yield where, rec
+
+
+def _int_field(obj: dict, key: str, where: str) -> int:
+    value = _require(obj, key, where)
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise CocoFormatError(f"{where}: {key} must be an integer, got {value!r}") from None
+
+
 def _box_from_coco(bbox, where: str) -> Box:
     if not isinstance(bbox, (list, tuple)) or len(bbox) != 4:
         raise CocoFormatError(f"{where}: bbox must be a 4-element [x, y, w, h] array, got {bbox!r}")
-    x, y, w, h = (float(v) for v in bbox)
+    try:
+        x, y, w, h = (float(v) for v in bbox)
+        finite = math.isfinite(x) and math.isfinite(y) and math.isfinite(w) and math.isfinite(h)
+    except (TypeError, ValueError):
+        finite = False
+    if not finite:
+        raise CocoFormatError(f"{where}: bbox must hold four finite numbers, got {bbox!r}")
     if w <= 0 or h <= 0:
         raise CocoFormatError(f"{where}: bbox extents must be positive, got w={w}, h={h}")
     return Box.from_coco((x, y, w, h))
@@ -59,32 +87,29 @@ def parse_gt(doc) -> GroundTruth:
     if not isinstance(doc, dict):
         raise CocoFormatError(f"ground truth must be a JSON object, got {type(doc).__name__}")
     images: dict[int, tuple[int, int]] = {}
-    for i, img in enumerate(doc.get("images", [])):
-        where = f"images[{i}]"
-        iid = int(_require(img, "id", where))
+    for where, img in _records(doc.get("images", []), "images"):
+        iid = _int_field(img, "id", where)
         if iid in images:
             raise CocoFormatError(f"{where}: duplicate image id {iid}")
-        images[iid] = (int(_require(img, "width", where)), int(_require(img, "height", where)))
+        images[iid] = (_int_field(img, "width", where), _int_field(img, "height", where))
     categories: dict[int, str] = {}
-    for i, cat in enumerate(doc.get("categories", [])):
-        where = f"categories[{i}]"
-        cid = int(_require(cat, "id", where))
+    for where, cat in _records(doc.get("categories", []), "categories"):
+        cid = _int_field(cat, "id", where)
         if cid in categories:
             raise CocoFormatError(f"{where}: duplicate category id {cid}")
         categories[cid] = str(_require(cat, "name", where))
     records: list[GTRecord] = []
     seen_ann: set[int] = set()
-    for i, ann in enumerate(doc.get("annotations", [])):
-        where = f"annotations[{i}]"
-        aid = int(_require(ann, "id", where))
-        where = f"annotations[{i}] (id={aid})"
+    for where, ann in _records(doc.get("annotations", []), "annotations"):
+        aid = _int_field(ann, "id", where)
+        where = f"{where} (id={aid})"
         if aid in seen_ann:
             raise CocoFormatError(f"{where}: duplicate annotation id")
         seen_ann.add(aid)
-        img_id = int(_require(ann, "image_id", where))
+        img_id = _int_field(ann, "image_id", where)
         if images and img_id not in images:
             raise CocoFormatError(f"{where}: unknown image_id {img_id}")
-        cat_id = int(_require(ann, "category_id", where))
+        cat_id = _int_field(ann, "category_id", where)
         if categories and cat_id not in categories:
             raise CocoFormatError(f"{where}: unknown category_id {cat_id}")
         box = _box_from_coco(_require(ann, "bbox", where), where)
@@ -96,20 +121,19 @@ def parse_gt(doc) -> GroundTruth:
 
 def parse_detections(doc, categories: dict[int, str] | None = None) -> list[Detection]:
     """Validate a parsed detection array; optionally check category ids."""
-    if not isinstance(doc, list):
-        raise CocoFormatError(f"detections must be a JSON array, got {type(doc).__name__}")
     dets: list[Detection] = []
-    for i, rec in enumerate(doc):
-        where = f"detections[{i}]"
-        if not isinstance(rec, dict):
-            raise CocoFormatError(f"{where}: must be an object, got {rec!r}")
-        img_id = int(_require(rec, "image_id", where))
-        cat_id = int(_require(rec, "category_id", where))
+    for where, rec in _records(doc, "detections"):
+        img_id = _int_field(rec, "image_id", where)
+        cat_id = _int_field(rec, "category_id", where)
         if categories is not None and cat_id not in categories:
             raise CocoFormatError(f"{where}: unknown category_id {cat_id}")
-        score = float(_require(rec, "score", where))
+        value = _require(rec, "score", where)
+        try:
+            score = float(value)
+        except (TypeError, ValueError):
+            score = math.nan
         if not 0.0 <= score <= 1.0:
-            raise CocoFormatError(f"{where}: score must be in [0,1], got {score}")
+            raise CocoFormatError(f"{where}: score must be in [0,1], got {value!r}")
         box = _box_from_coco(_require(rec, "bbox", where), where)
         dets.append(Detection(image_id=img_id, class_id=cat_id, box=box, score=score))
     return dets
@@ -142,7 +166,7 @@ def gt_to_dict(gt: GroundTruth) -> dict:
                 "id": i + 1,
                 "image_id": r.image_id,
                 "category_id": r.class_id,
-                "bbox": [r.box.x1, r.box.y1, r.box.w, r.box.h],
+                "bbox": r.box.to_coco(),
                 "area": r.box.area,
                 "iscrowd": int(r.iscrowd),
             }
@@ -157,7 +181,7 @@ def detections_to_list(dets: list[Detection]) -> list[dict]:
         {
             "image_id": d.image_id,
             "category_id": d.class_id,
-            "bbox": [d.box.x1, d.box.y1, d.box.w, d.box.h],
+            "bbox": d.box.to_coco(),
             "score": d.score,
         }
         for d in dets

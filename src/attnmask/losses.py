@@ -6,9 +6,11 @@ multi-class region head), regression is a per-component smooth L1 over
 the four box offsets of positive samples, and the mask term is average
 binary cross entropy over a p x p grid of the matched class's channel.
 
-The total is (1/N_cls) * sum(cls) + (1/N_reg) * sum(reg) + mask with no
-extra balance weight by default; ``reg_weight`` exists as a stability
-knob for small-scale training.
+The total is (1/N_cls) * sum(cls) + (lambda/N_reg) * sum(reg) + mask,
+and `total_loss` is the only place it is composed. Training calls it once
+for the RPN terms, with N_cls the sampled anchors, N_reg the anchor
+positions and lambda the configured offset weight, and once for the
+region heads, with both counts the sampled regions and lambda 1.
 
 Probabilities are clamped to [1e-7, 1 - 1e-7] before any log, so perfect
 and catastrophic predictions both stay finite.
@@ -46,6 +48,9 @@ EPS = 1e-7
 POSITIVE = 1
 NEGATIVE = 0
 IGNORE = -1
+# best-IoU bounds of positive and negative anchors
+POS_IOU = 0.7
+NEG_IOU = 0.3
 
 
 @dataclass
@@ -71,16 +76,14 @@ def assign_anchor_labels(
     anchors: np.ndarray,
     gt_boxes: np.ndarray,
     rng: np.random.Generator,
-    pos_iou: float = 0.7,
-    neg_iou: float = 0.3,
     batch: int = 256,
     pos_fraction: float = 0.5,
 ) -> AnchorAssignment:
     """Label anchors against ground truth and sample a training minibatch.
 
-    An anchor is positive when its best IoU reaches pos_iou or it is the
+    An anchor is positive when its best IoU reaches POS_IOU or it is the
     best anchor for some ground-truth box; negative when its best IoU is
-    at most neg_iou; ignored in between. At most batch*pos_fraction
+    at most NEG_IOU; ignored in between. At most batch*pos_fraction
     positives are sampled, negatives fill the rest of the batch. anchors
     and gt_boxes are (N, 4) center-form rows.
     """
@@ -91,8 +94,8 @@ def assign_anchor_labels(
         mat = pairwise_iou(anchors, gt_boxes)
         best = mat.max(axis=1)
         arg = mat.argmax(axis=1)
-        labels[best <= neg_iou] = NEGATIVE
-        pos = best >= pos_iou
+        labels[best <= NEG_IOU] = NEGATIVE
+        pos = best >= POS_IOU
         # rescue: every ground-truth box keeps its best-overlap anchor(s)
         for gi in range(len(gt_boxes)):
             col = mat[:, gi]
@@ -117,14 +120,12 @@ def assign_anchor_labels(
     return AnchorAssignment(labels=labels, matched_gt=matched, sampled_pos=pos_idx, sampled_neg=neg_idx)
 
 
-def cls_loss(p: Tensor | float, p_star) -> Tensor:
+def cls_loss(p: Tensor, p_star) -> Tensor:
     """Binary classification loss -log[p*y + (1-y)(1-p)], elementwise.
 
-    p holds foreground probabilities, p_star the {0,1} labels; both may be
-    scalars or equal-shape arrays. Probabilities are clamped before the log.
+    p holds foreground probabilities, p_star the {0,1} labels of the same
+    shape. Probabilities are clamped before the log.
     """
-    if not isinstance(p, Tensor):
-        p = Tensor(np.asarray(p, dtype=np.float64))
     y = np.asarray(p_star, dtype=np.float64)
     if y.shape != p.shape:
         raise ValueError(f"label shape {y.shape} != probability shape {p.shape}")
@@ -169,9 +170,8 @@ def reg_loss(t, t_star) -> Tensor:
 class MaskTarget:
     """A p x p binary target grid with the predictions for one class channel."""
 
-    y: Tensor | np.ndarray
+    y: Tensor
     y_star: np.ndarray
-    class_id: int = 0
 
     def __post_init__(self):
         ys = np.asarray(self.y_star)
@@ -179,24 +179,19 @@ class MaskTarget:
             raise ValueError("mask targets must be binary")
 
 
-def mask_loss(target: MaskTarget, log_complement: bool = True) -> Tensor:
+def mask_loss(target: MaskTarget) -> Tensor:
     """Average binary cross entropy over the mask grid.
 
     The 1/p^2 normalization makes the value invariant under grid
-    refinement with identical per-cell terms. log_complement=False swaps
-    the -log(1-y) background term for the raw product (1-y*)(1-y); it is
-    kept only for comparison and is not a training loss.
+    refinement with identical per-cell terms.
     """
-    y = target.y if isinstance(target.y, Tensor) else Tensor(np.asarray(target.y, dtype=np.float64))
+    y = target.y
     ys = np.asarray(target.y_star, dtype=np.float64)
     if ys.shape != y.shape:
         raise ValueError(f"target shape {ys.shape} != prediction shape {y.shape}")
     yc = clamp(y, EPS, 1.0 - EPS)
     fg = log(yc) * ys
-    if log_complement:
-        bg = log(1.0 - yc) * (1.0 - ys)
-    else:
-        bg = (1.0 - yc) * (1.0 - ys)
+    bg = log(1.0 - yc) * (1.0 - ys)
     return -((fg + bg).mean())
 
 
@@ -208,8 +203,6 @@ class LossReport:
     l_reg: float
     l_mask: float
     l_total: float
-    n_cls: int
-    n_reg: int
 
 
 def total_loss(
@@ -220,7 +213,7 @@ def total_loss(
     n_reg: int,
     reg_weight: float = 1.0,
 ) -> tuple[Tensor, LossReport]:
-    """Compose (1/N_cls)*sum(cls) + (1/N_reg)*sum(reg) + mask.
+    """Compose (1/N_cls)*sum(cls) + (reg_weight/N_reg)*sum(reg) + mask.
 
     Returns the differentiable total plus a report of the three normalized
     components. Missing parts contribute exactly zero.
@@ -232,12 +225,4 @@ def total_loss(
     )
     mask_part = mask_term if mask_term is not None else zero
     total = cls_part + reg_part + mask_part
-    report = LossReport(
-        l_cls=cls_part.item(),
-        l_reg=reg_part.item(),
-        l_mask=mask_part.item(),
-        l_total=total.item(),
-        n_cls=n_cls,
-        n_reg=n_reg,
-    )
-    return total, report
+    return total, LossReport(cls_part.item(), reg_part.item(), mask_part.item(), total.item())

@@ -6,18 +6,18 @@ ground-truth box of highest IoU if that IoU reaches the threshold.
 Crowd-flagged ground truth acts as an ignore region: a detection whose
 only qualifying overlap is a crowd box is dropped from scoring.
 
-AP is the 101-point interpolation of the precision envelope (a trapezoid
-variant sits behind a flag). mAP averages AP over the classes that have
-at least one non-crowd ground-truth box; the sweep aggregate averages the
-10 thresholds 0.50, 0.55, ..., 0.95. Detections are capped at 100 per
-(image, class) by score before matching. Area-range breakdowns and mask
-overlap are not computed; only box mAP is reported.
+AP is the 101-point interpolation of the precision envelope. mAP averages
+AP over the classes that have at least one non-crowd ground-truth box; the
+sweep aggregate averages the 10 thresholds 0.50, 0.55, ..., 0.95.
+Detections are capped at 100 per (image, class) by score before matching.
+Area-range breakdowns and mask overlap are not computed; only box mAP is
+reported.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -141,21 +141,12 @@ def _envelope(precision: np.ndarray) -> np.ndarray:
     return np.maximum.accumulate(precision[::-1])[::-1]
 
 
-def average_precision(curve: PRCurve, interpolation: str = "points101") -> float:
-    """Area under the P-R curve after taking the precision envelope.
-
-    points101 samples the envelope at recalls {0, 0.01, ..., 1.00} and
-    averages; trapezoid integrates the envelope over recall directly.
-    """
-    if interpolation not in ("points101", "trapezoid"):
-        raise ValueError(f"unknown interpolation {interpolation!r}")
+def average_precision(curve: PRCurve) -> float:
+    """Area under the P-R curve after taking the precision envelope: the
+    envelope sampled at recalls {0, 0.01, ..., 1.00} and averaged."""
     if curve.recall.size == 0:
         return 0.0
     env = _envelope(curve.precision)
-    if interpolation == "trapezoid":
-        r = np.concatenate([[0.0], curve.recall])
-        p = np.concatenate([[env[0]], env])
-        return float(np.trapezoid(p, r))
     # precision at the first curve point whose recall reaches each sample
     idx = np.searchsorted(curve.recall, RECALL_POINTS, side="left")
     sampled = np.where(idx < env.size, env[np.minimum(idx, env.size - 1)], 0.0)
@@ -175,8 +166,6 @@ class EvalReport:
     map50: float | None = None
     map75: float | None = None
     map_coco: float | None = None
-    interpolation: str = "points101"
-    extras: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
         return {
@@ -188,8 +177,6 @@ class EvalReport:
             "map50": self.map50,
             "map75": self.map75,
             "map_coco": self.map_coco,
-            "interpolation": self.interpolation,
-            **self.extras,
         }
 
 
@@ -209,7 +196,6 @@ def map_report(
     gts: list[GTRecord],
     thresholds=None,
     max_dets: int = 100,
-    interpolation: str = "points101",
 ) -> EvalReport:
     """Evaluate detections against ground truth at one or more IoU thresholds.
 
@@ -259,7 +245,7 @@ def map_report(
                 flags = np.zeros(0, dtype=np.int8)
             curve = pr_curve(flags, class_gt_counts[cid])
             curves[(thr, cid)] = curve
-            ap[thr][cid] = average_precision(curve, interpolation)
+            ap[thr][cid] = average_precision(curve)
             tp_all += curve.tp
             fp_all += curve.fp
         n_gt_all = sum(class_gt_counts[c] for c in class_ids)
@@ -273,7 +259,6 @@ def map_report(
         curves=curves,
         map_by_thr=map_by_thr,
         counts=counts,
-        interpolation=interpolation,
     )
     if 0.5 in map_by_thr:
         report.map50 = map_by_thr[0.5]

@@ -29,9 +29,8 @@ from .backbone import (
     init_backbone,
     init_conv,
     init_fpn,
-    stride_of,
 )
-from .boxes import AnchorConfig, Box, clip_boxes, decode_boxes, generate_anchors, nms
+from .boxes import AnchorConfig, Box, clip_boxes, decode_boxes, generate_anchors, nms, stride_of
 from .metrics import Detection
 from .roi_align import ROIAlignConfig, assign_level, roi_align
 from .tensor import (
@@ -225,15 +224,13 @@ def objectness(obj: Tensor) -> Tensor:
     return sigmoid((obj * signs).sum(axis=1))
 
 
-def extract_roi_features(
-    pyramid: dict[int, Tensor], boxes: np.ndarray, resolution: int, aggregation: str = "max"
-) -> Tensor:
+def extract_roi_features(pyramid: dict[int, Tensor], boxes: np.ndarray, resolution: int) -> Tensor:
     """Pool (R, 4) center-form rows into (R, C, p, p), each region from the
     pyramid level chosen by its scale (clamped to the levels present, P6
     excluded). Regions are pooled in one batch per level and returned in
     input order.
     """
-    cfg = ROIAlignConfig(resolution=resolution, aggregation=aggregation)
+    cfg = ROIAlignConfig(resolution=resolution)
     levels = [lvl for lvl in sorted(pyramid) if lvl <= 5]
     routed = np.clip(assign_level(boxes), levels[0], levels[-1])
     parts, order = [], []
@@ -273,29 +270,35 @@ def _clip_or_none(box: Box, width: float, height: float) -> Box | None:
         return None
 
 
+# smallest side in pixels of a proposal or a refined detection, the IoU above
+# which NMS drops a lower-scored proposal or same-class detection, and the
+# number of detections (best scores first) that infer keeps per image
+MIN_SIZE = 1.0
+RPN_NMS_IOU = 0.7
+DET_NMS_IOU = 0.5
+MAX_DETS = 100
+
+
 def _refine(
-    boxes: np.ndarray, deltas: np.ndarray, width: float, height: float, min_size: float
+    boxes: np.ndarray, deltas: np.ndarray, width: float, height: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Apply offsets (each component capped at +-10), clip to the image and
-    drop results under min_size on a side: the kept boxes and their rows."""
+    drop results under MIN_SIZE on a side: the kept boxes and their rows."""
     refined, inside = clip_boxes(decode_boxes(boxes, np.clip(deltas, -10.0, 10.0)), width, height)
-    kept = np.flatnonzero(inside & (refined[:, 2] >= min_size) & (refined[:, 3] >= min_size))
+    kept = np.flatnonzero(inside & (refined[:, 2] >= MIN_SIZE) & (refined[:, 3] >= MIN_SIZE))
     return refined[kept], kept
 
 
 def propose(
-    model: Model,
-    pyramid: dict[int, Tensor],
     anchors: np.ndarray,
     rpn_out: dict[int, tuple[Tensor, Tensor]],
     image_hw: tuple[int, int],
-    pre_nms: int = 1000,
-    post_nms: int = 100,
-    nms_iou: float = 0.7,
-    min_size: float = 1.0,
+    pre_nms: int,
+    post_nms: int,
 ) -> np.ndarray:
     """Decode and filter RPN outputs into at most post_nms proposals, as
-    (N, 4) center-form rows in descending score order.
+    (N, 4) center-form rows in descending score order: the pre_nms best
+    anchors are refined, and NMS at RPN_NMS_IOU picks among them.
 
     anchors are generate_anchors' rows in RPN order.
     Runs on raw values; no gradient flows through proposal coordinates.
@@ -313,13 +316,13 @@ def propose(
         raise ValueError(f"{anchors.shape[0]} anchors vs {scores.shape[0]} RPN positions")
 
     order = np.argsort(-scores, kind="stable")[:pre_nms]
-    boxes, kept = _refine(anchors[order], deltas[order], w, h, min_size)
-    keep = nms(boxes, scores[order][kept], nms_iou, score_threshold=0.0)
+    boxes, kept = _refine(anchors[order], deltas[order], w, h)
+    keep = nms(boxes, scores[order][kept], RPN_NMS_IOU, score_threshold=0.0)
     return boxes[keep[:post_nms]]
 
 
-def paste_mask(probs: np.ndarray, box: Box, height: int, width: int, threshold: float = 0.5) -> np.ndarray:
-    """Resample a mask grid over the box's pixels and threshold it.
+def paste_mask(probs: np.ndarray, box: Box, height: int, width: int) -> np.ndarray:
+    """Resample a mask grid over the box's pixels and threshold it at 0.5.
 
     The grid cell (i, j) is centered at box fraction ((i+0.5)/m, (j+0.5)/m);
     pixel centers inside the clipped box sample the grid bilinearly with
@@ -356,7 +359,7 @@ def paste_mask(probs: np.ndarray, box: Box, height: int, width: int, threshold: 
     )
     inside_y = (ys >= clipped.y1) & (ys <= clipped.y2)
     inside_x = (xs >= clipped.x1) & (xs <= clipped.x2)
-    out[r0:r1, c0:c1] = (patch >= threshold) & inside_y[:, None] & inside_x[None, :]
+    out[r0:r1, c0:c1] = (patch >= 0.5) & inside_y[:, None] & inside_x[None, :]
     return out
 
 
@@ -372,44 +375,32 @@ class InstancePrediction:
     mask: np.ndarray
 
 
-def infer(
-    model: Model,
-    image,
-    image_id: int = 0,
-    conf_threshold: float = 0.5,
-    pre_nms: int = 1000,
-    post_nms: int = 100,
-    rpn_nms_iou: float = 0.7,
-    det_nms_iou: float = 0.5,
-    max_dets: int = 100,
-) -> list[InstancePrediction]:
-    """Full detection pass on one 3xHxW image in [0,1]."""
+def infer(model: Model, image, image_id: int = 0, conf_threshold: float = 0.5) -> list[InstancePrediction]:
+    """Full detection pass on one 3xHxW image in [0,1]: up to 100 proposals
+    from the 1000 best anchors, then at most MAX_DETS detections."""
     x = image if isinstance(image, Tensor) else Tensor(np.asarray(image, dtype=np.float64))
     height, width = x.shape[1], x.shape[2]
     pyramid = pyramid_forward(model, x)
     level_shapes = {lvl: (f.shape[1], f.shape[2]) for lvl, f in pyramid.items()}
     anchors = generate_anchors(level_shapes, model.cfg.anchors)
     rpn_out = rpn_forward(model, pyramid)
-    proposals = propose(
-        model, pyramid, anchors, rpn_out, (height, width),
-        pre_nms=pre_nms, post_nms=post_nms, nms_iou=rpn_nms_iou,
-    )
+    proposals = propose(anchors, rpn_out, (height, width), pre_nms=1000, post_nms=100)
     if proposals.shape[0] == 0:
         return []
     feats = extract_roi_features(pyramid, proposals, model.cfg.box_resolution)
     logits, deltas = box_head_forward(model, feats)
     probs = np.exp(log_softmax(logits).data)
-    refined, kept = _refine(proposals, deltas.data, float(width), float(height), 1.0)
+    refined, kept = _refine(proposals, deltas.data, float(width), float(height))
 
     final: list[tuple[int, np.ndarray, float]] = []
     for k in range(1, model.cfg.num_classes + 1):
         scores = probs[kept, k]
         fire = np.flatnonzero(scores >= conf_threshold)
         boxes, scores = refined[fire], scores[fire]
-        for i in nms(boxes, scores, det_nms_iou, score_threshold=0.0):
+        for i in nms(boxes, scores, DET_NMS_IOU, score_threshold=0.0):
             final.append((k, boxes[i], float(scores[i])))
     final.sort(key=lambda t: -t[2])
-    final = final[:max_dets]
+    final = final[:MAX_DETS]
 
     preds = []
     for lo in range(0, len(final), MASK_CHUNK):
@@ -432,15 +423,20 @@ def save_checkpoint(model: Model, path: str) -> None:
 
 
 def load_checkpoint(model: Model, path: str) -> None:
-    """Copy stored arrays into the model's parameters in place."""
+    """Copy stored arrays into the model's parameters in place. Every array
+    must match its parameter's shape and be finite; otherwise nothing is
+    copied."""
     with np.load(path) as archive:
         params = dict(model.named_params())
         missing = set(params) - set(archive.files)
         extra = set(archive.files) - set(params)
         if missing or extra:
             raise ValueError(f"checkpoint mismatch: missing {sorted(missing)}, extra {sorted(extra)}")
-        for name, tensor in params.items():
-            stored = archive[name]
-            if stored.shape != tensor.data.shape:
-                raise ValueError(f"{name}: stored shape {stored.shape} != model {tensor.data.shape}")
-            tensor.data = stored.astype(np.float64)
+        stored = {name: archive[name] for name in params}
+    for name, tensor in params.items():
+        if stored[name].shape != tensor.data.shape:
+            raise ValueError(f"{name}: stored shape {stored[name].shape} != model {tensor.data.shape}")
+        if not np.isfinite(stored[name]).all():
+            raise ValueError(f"{name}: stored array holds non-finite values")
+    for name, tensor in params.items():
+        tensor.data = stored[name].astype(np.float64)

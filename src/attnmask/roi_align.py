@@ -52,13 +52,13 @@ class ROIAlignConfig:
             raise ValueError(f"unknown aggregation {self.aggregation!r}")
 
 
-def assign_level(boxes: np.ndarray, k0: int = 4) -> np.ndarray:
+def assign_level(boxes: np.ndarray) -> np.ndarray:
     """Route (R, 4) center-form rows to pyramid levels by their scale.
 
-    level = clamp(floor(k0 + log2(sqrt(area)/224)), 2, 5): a 224-pixel
-    square lands on level k0, halving the extent drops one level.
+    level = clamp(floor(4 + log2(sqrt(area)/224)), 2, 5): a 224-pixel
+    square lands on level 4, halving the extent drops one level.
     """
-    level = np.floor(k0 + np.log2(np.sqrt(boxes[:, 2] * boxes[:, 3]) / 224.0))
+    level = np.floor(4 + np.log2(np.sqrt(boxes[:, 2] * boxes[:, 3]) / 224.0))
     return np.clip(level, 2, 5).astype(np.intp)
 
 

@@ -28,7 +28,7 @@ __all__ = [
     "SynthSpec",
     "Sample",
     "synth_dataset",
-    "augment",
+    "hflip",
     "tight_box",
     "dataset_hash",
     "to_ground_truth",
@@ -230,53 +230,15 @@ def synth_dataset(spec: SynthSpec, seed: int, n: int) -> list[Sample]:
     return [_synth_one(rng, spec) for _ in range(n)]
 
 
-def augment(sample: Sample, op: str, region: tuple[int, int, int, int] | None = None) -> Sample:
-    """Apply hflip, rot90 (counterclockwise), or crop(region=(x0,y0,w,h)).
-
-    Boxes and masks transform with the image. A crop keeps an object only
-    if at least 25 percent of its mask area survives; surviving boxes are
-    re-tightened around the clipped masks.
-    """
-    img = sample.image
-    h, w = img.shape[1], img.shape[2]
-    if op == "hflip":
-        boxes = [Box(w - b.cx, b.cy, b.w, b.h) for b in sample.boxes]
-        return Sample(
-            image=img[:, :, ::-1].copy(),
-            boxes=boxes,
-            class_ids=list(sample.class_ids),
-            masks=sample.masks[:, :, ::-1].copy(),
-        )
-    if op == "rot90":
-        boxes = [Box(b.cy, w - b.cx, b.h, b.w) for b in sample.boxes]
-        return Sample(
-            image=np.rot90(img, axes=(1, 2)).copy(),
-            boxes=boxes,
-            class_ids=list(sample.class_ids),
-            masks=np.rot90(sample.masks, axes=(1, 2)).copy() if len(sample.masks) else
-            np.zeros((0, w, h), dtype=bool),
-        )
-    if op == "crop":
-        if region is None:
-            raise ValueError("crop requires a region")
-        x0, y0, cw, ch = (int(v) for v in region)
-        if x0 < 0 or y0 < 0 or cw < 1 or ch < 1 or x0 + cw > w or y0 + ch > h:
-            raise ValueError(f"crop region {region} outside {w}x{h} canvas")
-        boxes, ids, masks = [], [], []
-        for b, cid, m in zip(sample.boxes, sample.class_ids, sample.masks):
-            clipped = m[y0 : y0 + ch, x0 : x0 + cw]
-            if clipped.sum() >= 0.25 * m.sum():
-                boxes.append(tight_box(clipped))
-                ids.append(cid)
-                masks.append(clipped)
-        mask_arr = np.stack(masks) if masks else np.zeros((0, ch, cw), dtype=bool)
-        return Sample(
-            image=img[:, y0 : y0 + ch, x0 : x0 + cw].copy(),
-            boxes=boxes,
-            class_ids=ids,
-            masks=mask_arr,
-        )
-    raise ValueError(f"unknown augmentation {op!r}")
+def hflip(sample: Sample) -> Sample:
+    """Mirror a scene left to right; boxes and masks move with the image."""
+    w = sample.image.shape[2]
+    return Sample(
+        image=sample.image[:, :, ::-1].copy(),
+        boxes=[Box(w - b.cx, b.cy, b.w, b.h) for b in sample.boxes],
+        class_ids=list(sample.class_ids),
+        masks=sample.masks[:, :, ::-1].copy(),
+    )
 
 
 def dataset_hash(samples: list[Sample]) -> str:

@@ -98,9 +98,6 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other):

@@ -6,10 +6,11 @@ a 26-epoch run. The schedule is evaluated in decimal arithmetic so the
 recorded rates are exactly the literals 0.002, 0.0002, and 0.00002.
 
 Each step accumulates gradients over a small image batch. Per image the
-loss combines the anchor-level objectness and offset terms (normalized
-by the sampled anchor count and by the total anchor-position count),
-the region head's class and offset terms (normalized by the sampled
-region count), and the mean mask cross entropy over positive regions.
+loss is the sum of two `losses.total_loss` compositions: the anchor-level
+objectness and offset terms (normalized by the sampled anchor count and
+by the total anchor-position count), and the region head's class and
+offset terms (normalized by the sampled region count) with the mean mask
+cross entropy over positive regions.
 Region proposals are treated as constants: no gradient flows through
 their coordinates, and ground-truth boxes are appended to the proposal
 set so the region heads always see positives once the dataset has them.
@@ -36,6 +37,7 @@ from .losses import (
     mask_loss,
     reg_loss,
     softmax_ce,
+    total_loss,
 )
 from .model import (
     Model,
@@ -47,7 +49,7 @@ from .model import (
     pyramid_forward,
     rpn_forward,
 )
-from .synth import Sample, augment
+from .synth import Sample, hflip
 from .tensor import Tensor, concat, gather_rows, split_rows
 
 __all__ = [
@@ -209,41 +211,37 @@ def _image_loss(
     probs = concat([objectness(rpn_out[lvl][0]) for lvl in sorted(rpn_out)], axis=0)
     sampled = asg.sampled
     rpn_cls = cls_loss(gather_rows(probs, sampled), asg.labels[sampled])
-    n_cls = sampled.size
-    n_reg = sum(h * w for h, w in level_shapes.values())
-
-    zero = Tensor(np.zeros(()))
-    rpn_reg = zero
+    rpn_reg = None
     pos = asg.sampled_pos
     if pos.size:
         all_reg = concat([rpn_out[lvl][1] for lvl in sorted(rpn_out)], axis=0)
         pred = gather_rows(all_reg, pos)
-        targets = encode_boxes(anchors[pos], gt[asg.matched_gt[pos]])
-        rpn_reg = reg_loss(pred, targets).sum()
-
+        rpn_reg = reg_loss(pred, encode_boxes(anchors[pos], gt[asg.matched_gt[pos]]))
     # position-count normalization leaves the offset term orders of magnitude
     # below the objectness term; the weight restores a comparable scale
-    l_cls = rpn_cls.sum() * (1.0 / n_cls)
-    l_reg = rpn_reg * (cfg.rpn_reg_weight / n_reg)
-    l_mask = zero
+    n_positions = sum(h * w for h, w in level_shapes.values())
+    rpn_total, rpn_parts = total_loss(
+        rpn_cls, rpn_reg, None, sampled.size, n_positions, cfg.rpn_reg_weight
+    )
 
     proposals = propose(
-        model, pyramid, anchors, rpn_out, (height, width),
-        pre_nms=cfg.train_pre_nms, post_nms=cfg.train_post_nms,
+        anchors, rpn_out, (height, width), pre_nms=cfg.train_pre_nms, post_nms=cfg.train_post_nms
     )
     gt_clipped, inside = clip_boxes(gt, float(width), float(height))
     proposals = np.concatenate([proposals, gt_clipped[inside]])
+    roi_cls = roi_reg = l_mask = None
+    n_rois = 0
     if proposals.shape[0]:
         keep, labels, matched = _sample_rois(proposals, gt, sample.class_ids, rng, cfg)
         rois = proposals[keep]
+        n_rois = len(rois)
         feats = extract_roi_features(pyramid, rois, model.cfg.box_resolution)
         logits, deltas = box_head_forward(model, feats)
-        l_cls = l_cls + softmax_ce(logits, labels).sum() * (1.0 / len(rois))
+        roi_cls = softmax_ce(logits, labels)
         pos_rows = np.flatnonzero(labels > 0)
         if pos_rows.size:
             pred = gather_rows(deltas, pos_rows)
-            targets = encode_boxes(rois[pos_rows], gt[matched[pos_rows]])
-            l_reg = l_reg + reg_loss(pred, targets).sum() * (1.0 / len(rois))
+            roi_reg = reg_loss(pred, encode_boxes(rois[pos_rows], gt[matched[pos_rows]]))
 
             m = model.cfg.mask_out
             mfeats = extract_roi_features(pyramid, rois[pos_rows], model.cfg.mask_resolution)
@@ -254,10 +252,11 @@ def _image_loss(
                 channel = gather_rows(grids.reshape(grids.shape[0], m * m), np.array([k]))
                 target = mask_target_grid(sample.masks[matched[r]], Box(*rois[r].tolist()), m)
                 terms.append(mask_loss(MaskTarget(y=channel.reshape(m, m), y_star=target)))
-            l_mask = concat([t.reshape(1) for t in terms], axis=0).sum() * (1.0 / len(terms))
+            l_mask = concat([t.reshape(1) for t in terms], axis=0).mean()
+    roi_total, roi_parts = total_loss(roi_cls, roi_reg, l_mask, n_rois, n_rois)
 
-    total = l_cls + l_reg + l_mask
-    return total, np.array([l_cls.item(), l_reg.item(), l_mask.item()])
+    parts = np.array([[r.l_cls, r.l_reg, r.l_mask] for r in (rpn_parts, roi_parts)]).sum(axis=0)
+    return rpn_total + roi_total, parts
 
 
 def _sgd_step(params, velocities, lr: float, cfg: TrainConfig) -> None:
@@ -300,7 +299,7 @@ def train(model: Model, dataset: list[Sample], cfg: TrainConfig) -> TrainResult:
             for i in idxs:
                 s = dataset[int(i)]
                 if rng.random() < cfg.hflip_prob:
-                    s = augment(s, "hflip")
+                    s = hflip(s)
                 loss, p3 = _image_loss(model, s, rng, cfg)
                 (loss * (1.0 / idxs.size)).backward()
                 parts += p3 / idxs.size

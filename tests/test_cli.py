@@ -58,6 +58,14 @@ def test_evaluate_rejects_unknown_category(tmp_path, capsys):
     assert "detections[0]" in capsys.readouterr().err
 
 
+def test_evaluate_rejects_non_object_record(tmp_path, capsys):
+    _, det = _write_eval_pair(tmp_path)
+    gt = tmp_path / "badrecord.json"
+    gt.write_text(json.dumps({"images": [{"id": 0, "width": 64, "height": 64}], "annotations": [5]}))
+    assert cli(["evaluate", "--gt", str(gt), "--det", det]) == 2
+    assert "annotations[0]: must be an object" in capsys.readouterr().err
+
+
 def test_evaluate_rejects_bad_thresholds(tmp_path, capsys):
     gt, det = _write_eval_pair(tmp_path)
     assert cli(["evaluate", "--gt", gt, "--det", det, "--thresholds", "0.5,high"]) == 2

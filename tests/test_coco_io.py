@@ -94,6 +94,31 @@ def test_parse_detections_happy_path_and_checks():
         parse_detections([doc[0], 5])
 
 
+_DET = {"image_id": 0, "category_id": 1, "score": 0.5, "bbox": [1, 2, 3, 4]}
+
+
+@pytest.mark.parametrize(
+    "parse, doc, message",
+    [
+        (parse_gt, {**_gt_doc(), "annotations": [5]}, r"annotations\[0\]: must be an object, got 5"),
+        (parse_gt, {**_gt_doc(), "images": "oops"}, r"images must be a JSON array, got str"),
+        (parse_detections, [_DET, {**_DET, "bbox": [float("nan"), 0, 1, 1]}],
+         r"detections\[1\]: bbox must hold four finite numbers, got \[nan, 0, 1, 1\]"),
+        (parse_detections, [{**_DET, "bbox": [0, 0, float("inf"), 1]}],
+         r"detections\[0\]: bbox must hold four finite numbers, got \[0, 0, inf, 1\]"),
+        (parse_detections, [{**_DET, "bbox": ["a", 0, 1, 1]}],
+         r"detections\[0\]: bbox must hold four finite numbers, got \['a', 0, 1, 1\]"),
+        (parse_detections, [{**_DET, "image_id": "x"}],
+         r"detections\[0\]: image_id must be an integer, got 'x'"),
+        (parse_detections, [{**_DET, "score": "x"}], r"detections\[0\]: score must be in \[0,1\], got 'x'"),
+    ],
+    ids=["record-not-object", "section-not-array", "nan-bbox", "inf-bbox", "text-bbox", "text-id", "text-score"],
+)
+def test_malformed_input_names_record_and_field(parse, doc, message):
+    with pytest.raises(CocoFormatError, match=message):
+        parse(doc)
+
+
 def test_load_reports_file_and_json_errors(tmp_path):
     with pytest.raises(CocoFormatError, match="nope.json"):
         load_gt(str(tmp_path / "nope.json"))

@@ -21,18 +21,22 @@ from attnmask.losses import (
 from attnmask.tensor import Tensor, grad_check
 
 
+def _cls(p: float, y: float) -> float:
+    return cls_loss(Tensor(np.array(p)), y).item()
+
+
 def test_cls_loss_half_is_ln2():
-    assert abs(cls_loss(0.5, 1.0).item() - math.log(2.0)) <= 1e-12
-    assert abs(cls_loss(0.5, 0.0).item() - math.log(2.0)) <= 1e-12
+    assert abs(_cls(0.5, 1.0) - math.log(2.0)) <= 1e-12
+    assert abs(_cls(0.5, 0.0) - math.log(2.0)) <= 1e-12
 
 
 def test_cls_loss_direction_and_clamp():
-    assert cls_loss(0.9, 1.0).item() < cls_loss(0.1, 1.0).item()
-    assert cls_loss(0.9, 0.0).item() > cls_loss(0.1, 0.0).item()
+    assert _cls(0.9, 1.0) < _cls(0.1, 1.0)
+    assert _cls(0.9, 0.0) > _cls(0.1, 0.0)
     # exact 0/1 predictions stay finite through the clamp
-    assert np.isfinite(cls_loss(0.0, 1.0).item())
-    assert np.isfinite(cls_loss(1.0, 0.0).item())
-    assert cls_loss(1.0, 1.0).item() == pytest.approx(0.0, abs=1e-6)
+    assert np.isfinite(_cls(0.0, 1.0))
+    assert np.isfinite(_cls(1.0, 0.0))
+    assert _cls(1.0, 1.0) == pytest.approx(0.0, abs=1e-6)
 
 
 def test_cls_loss_shape_mismatch():
@@ -87,15 +91,9 @@ def test_mask_loss_binary_validation_and_perfect_prediction():
     ys = np.array([[1.0, 0.0], [0.0, 1.0]])
     near = mask_loss(MaskTarget(Tensor(np.where(ys == 1, 0.999999, 0.000001)), ys)).item()
     assert near == pytest.approx(0.0, abs=1e-5)
-
-
-def test_mask_loss_log_complement_variant_differs():
-    y = Tensor(np.full((2, 2), 0.3))
-    ys = np.zeros((2, 2))
-    strict = mask_loss(MaskTarget(y, ys), log_complement=True).item()
-    raw = mask_loss(MaskTarget(y, ys), log_complement=False).item()
-    assert strict == pytest.approx(-math.log(0.7))
-    assert raw == pytest.approx(-0.7)
+    # an all-background grid costs the -log(1 - y) term in every cell
+    background = mask_loss(MaskTarget(Tensor(np.full((2, 2), 0.3)), np.zeros((2, 2)))).item()
+    assert background == pytest.approx(-math.log(0.7))
 
 
 def test_total_loss_hand_composition():

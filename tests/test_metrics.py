@@ -104,15 +104,6 @@ def test_ap_empty_curve_is_zero():
     assert average_precision(curve) == 0.0
 
 
-def test_ap_interpolation_flag():
-    curve = pr_curve(np.array([1, 0, 1]), n_gt=2)
-    p101 = average_precision(curve, "points101")
-    trap = average_precision(curve, "trapezoid")
-    assert p101 != trap  # same envelope, different integration
-    with pytest.raises(ValueError):
-        average_precision(curve, "simpson")
-
-
 def test_map_report_perfect_predictions_all_ones():
     gts, dets = [], []
     rng = np.random.default_rng(0)

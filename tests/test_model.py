@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from attnmask.backbone import stride_of
-from attnmask.boxes import AnchorConfig, Box, box_array, generate_anchors
+from attnmask.boxes import Box, box_array, generate_anchors, stride_of
 from attnmask.model import (
+    MAX_DETS,
+    MIN_SIZE,
     InstancePrediction,
     ModelConfig,
     _clip_or_none,
@@ -118,12 +119,22 @@ def test_propose_respects_caps_and_bounds():
     shapes = {lvl: (f.shape[1], f.shape[2]) for lvl, f in pyramid.items()}
     anchors = generate_anchors(shapes, model.cfg.anchors)
     rpn_out = rpn_forward(model, pyramid)
-    props = propose(model, pyramid, anchors, rpn_out, (64, 64), post_nms=12, min_size=2.0)
+    props = propose(anchors, rpn_out, (64, 64), pre_nms=300, post_nms=12)
     assert 0 < len(props) <= 12
     for b in (Box(*row) for row in props):
         assert 0.0 <= b.x1 <= b.x2 <= 64.0
         assert 0.0 <= b.y1 <= b.y2 <= 64.0
-        assert b.w >= 2.0 and b.h >= 2.0
+        assert b.w >= MIN_SIZE and b.h >= MIN_SIZE
+
+    # the minimum side is 1 px: shrunk to 8*e^-3 = 0.40 px the best anchor
+    # is dropped, at 8*e^-2 = 1.08 px the next one stays
+    anchors = box_array([Box(10.0, 10.0, 8.0, 8.0), Box(30.0, 30.0, 8.0, 8.0), Box(50.0, 50.0, 8.0, 8.0)])
+    obj = Tensor(np.array([[0.0, 3.0], [0.0, 2.0], [0.0, 1.0]]))
+    reg = Tensor(np.array([[0.0, 0.0, -3.0, -3.0], [0.0, 0.0, -2.0, -2.0], [0.0, 0.0, 0.0, 0.0]]))
+    props = propose(anchors, {2: (obj, reg)}, (64, 64), pre_nms=3, post_nms=3)
+    assert MIN_SIZE == 1.0
+    assert props[:, :2].tolist() == [[30.0, 30.0], [50.0, 50.0]]
+    assert props[0, 2] == pytest.approx(8.0 * np.exp(-2.0))
 
 
 def test_propose_checks_anchor_alignment():
@@ -132,7 +143,7 @@ def test_propose_checks_anchor_alignment():
     pyramid = pyramid_forward(model, x)
     rpn_out = rpn_forward(model, pyramid)
     with pytest.raises(ValueError):
-        propose(model, pyramid, np.zeros((0, 4)), rpn_out, (64, 64))
+        propose(np.zeros((0, 4)), rpn_out, (64, 64), pre_nms=1000, post_nms=100)
 
 
 def test_extract_roi_features_shapes_and_level_clamp():
@@ -225,15 +236,17 @@ def test_paste_mask_clips_to_canvas():
 def test_infer_structure_and_caps():
     model = _toy_model("cbam")
     image = np.random.default_rng(5).uniform(size=(3, 64, 64))
-    # fresh heads score everything near 1/4, so a low threshold fires
-    preds = infer(model, image, image_id=9, conf_threshold=0.2, max_dets=7)
-    assert len(preds) <= 7
-    assert preds, "chance-level scores should clear a 0.2 threshold"
+    # fresh heads score every class near 1/4, so at conf 0 all of the
+    # 139 detections that survive NMS here fire and the cap keeps 100
+    preds = infer(model, image, image_id=9, conf_threshold=0.0)
+    assert MAX_DETS == 100
+    assert len(preds) == MAX_DETS
+    scores = [p.detection.score for p in preds]
+    assert scores == sorted(scores, reverse=True)
     for p in preds:
         assert isinstance(p, InstancePrediction)
         assert p.detection.image_id == 9
         assert 1 <= p.detection.class_id <= model.cfg.num_classes
-        assert p.detection.score >= 0.2
         assert p.mask.shape == (64, 64) and p.mask.dtype == bool
 
     # stricter threshold than chance yields nothing on a fresh model
@@ -272,3 +285,21 @@ def test_checkpoint_key_and_shape_mismatch(tmp_path):
     np.savez(tmp_path / "bad.npz", **bad)
     with pytest.raises(ValueError, match="shape"):
         load_checkpoint(model, str(tmp_path / "bad.npz"))
+
+
+def test_checkpoint_rejects_non_finite_arrays(tmp_path):
+    model = _toy_model()
+    path = str(tmp_path / "model.npz")
+    save_checkpoint(model, path)
+    with np.load(path) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    arrays["box_head.cls_w"][1, 2] = np.nan
+    np.savez(path, **arrays)
+
+    target = _toy_model(seed=1)
+    before = {name: t.data.copy() for name, t in target.named_params()}
+    with pytest.raises(ValueError, match=r"box_head\.cls_w.*non-finite"):
+        load_checkpoint(target, path)
+    # a rejected checkpoint leaves every parameter as it was
+    for name, t in target.named_params():
+        assert np.array_equal(t.data, before[name]), name

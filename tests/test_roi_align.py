@@ -57,13 +57,12 @@ def test_config_validation():
 
 
 def test_assign_level_scale_rule():
-    # a 224px square sits at k0; halving the side drops one level
+    # a 224px square sits at level 4; halving the side drops one level
     assert assign_level(box_array([Box(0, 0, 224, 224)]))[0] == 4
     assert assign_level(box_array([Box(0, 0, 112, 112)]))[0] == 3
     assert assign_level(box_array([Box(0, 0, 448, 448)]))[0] == 5
     assert assign_level(box_array([Box(0, 0, 4, 4)]))[0] == 2  # clamped at the bottom
     assert assign_level(box_array([Box(0, 0, 4096, 4096)]))[0] == 5  # clamped at the top
-    assert assign_level(box_array([Box(0, 0, 224, 224)]), k0=3)[0] == 3
 
 
 @pytest.mark.parametrize("agg", ["max", "avg"])

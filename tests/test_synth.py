@@ -1,14 +1,13 @@
-"""Synthetic scenes: determinism, geometry invariants, augmentation."""
+"""Synthetic scenes: determinism, geometry invariants, horizontal flip."""
 
 import numpy as np
 import pytest
 
 from attnmask.boxes import Box
 from attnmask.synth import (
-    Sample,
     SynthSpec,
-    augment,
     dataset_hash,
+    hflip,
     synth_dataset,
     tight_box,
     to_ground_truth,
@@ -97,8 +96,8 @@ def test_occlusion_produces_overlaps_somewhere():
 
 def test_hflip_is_an_involution():
     for s in synth_dataset(SynthSpec(), 21, 4):
-        f = augment(s, "hflip")
-        ff = augment(f, "hflip")
+        f = hflip(s)
+        ff = hflip(f)
         assert np.array_equal(ff.image, s.image)
         assert np.array_equal(ff.masks, s.masks)
         assert all(_boxes_close(a, b) for a, b in zip(ff.boxes, s.boxes))
@@ -110,70 +109,9 @@ def test_hflip_is_an_involution():
 
 def test_hflip_keeps_boxes_tight():
     for s in synth_dataset(SynthSpec(), 22, 4):
-        f = augment(s, "hflip")
+        f = hflip(s)
         for box, mask in zip(f.boxes, f.masks):
             assert _boxes_close(box, tight_box(mask))
-
-
-def test_rot90_four_times_is_identity():
-    for s in synth_dataset(SynthSpec(), 23, 4):
-        r = s
-        for _ in range(4):
-            r = augment(r, "rot90")
-        assert np.array_equal(r.image, s.image)
-        assert np.array_equal(r.masks, s.masks)
-        assert all(_boxes_close(a, b) for a, b in zip(r.boxes, s.boxes))
-
-
-def test_rot90_keeps_boxes_tight():
-    for s in synth_dataset(SynthSpec(), 24, 4):
-        r = augment(s, "rot90")
-        for box, mask in zip(r.boxes, r.masks):
-            assert _boxes_close(box, tight_box(mask))
-
-
-def _square_sample():
-    # 4x4 solid square occupying rows 0-3, cols 0-3 of an 8x8 canvas
-    mask = np.zeros((8, 8), dtype=bool)
-    mask[0:4, 0:4] = True
-    return Sample(
-        image=np.zeros((3, 8, 8)),
-        boxes=[tight_box(mask)],
-        class_ids=[1],
-        masks=mask[None],
-    )
-
-
-def test_crop_survival_rule_at_quarter_area():
-    s = _square_sample()
-    # 8 of 16 mask pixels survive: kept and re-tightened to the crop frame
-    kept = augment(s, "crop", region=(2, 0, 6, 8))
-    assert len(kept.boxes) == 1
-    assert _boxes_close(kept.boxes[0], Box.from_coco((0.0, 0.0, 2.0, 4.0)))
-    assert kept.image.shape == (3, 8, 6)
-
-    # exactly 25 percent survives: still kept
-    edge = augment(s, "crop", region=(3, 0, 5, 8))
-    assert len(edge.boxes) == 1
-
-    # zero percent survives: dropped, empty mask stack keeps canvas dims
-    gone = augment(s, "crop", region=(4, 0, 4, 8))
-    assert len(gone.boxes) == 0
-    assert gone.masks.shape == (0, 8, 4)
-
-
-def test_crop_region_validation():
-    s = _square_sample()
-    with pytest.raises(ValueError):
-        augment(s, "crop")
-    for region in [(-1, 0, 4, 4), (0, 0, 9, 8), (6, 6, 4, 4), (0, 0, 0, 4)]:
-        with pytest.raises(ValueError):
-            augment(s, "crop", region=region)
-
-
-def test_unknown_augmentation_rejected():
-    with pytest.raises(ValueError):
-        augment(_square_sample(), "vflip")
 
 
 def test_to_ground_truth_mapping():

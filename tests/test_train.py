@@ -12,6 +12,7 @@ from attnmask.tensor import Tensor
 from attnmask.train import (
     StepRecord,
     TrainConfig,
+    _image_loss,
     _sgd_step,
     lr_at,
     mask_target_grid,
@@ -74,6 +75,29 @@ def test_mask_target_grid_nearest_sampling():
     grid = mask_target_grid(mask, Box.from_corners(-4.0, 0.0, 4.0, 8.0), 4)
     assert np.array_equal(grid[:, :2], np.zeros((4, 2), dtype=np.int64))
     assert np.array_equal(grid[0:2, 2:4], np.ones((2, 2), dtype=np.int64))
+
+
+def test_image_loss_on_an_empty_scene():
+    # no objects: neither the anchor nor the region batch has positives, so
+    # both offset terms and the mask term are absent and contribute zero
+    sample = synth_dataset(SynthSpec(n_objects=(0, 0)), 5, 1)[0]
+    assert sample.boxes == []
+    model = build_model(ModelConfig.toy("none"), seed=0)
+    rng = np.random.default_rng(0)
+    total, parts = _image_loss(model, sample, rng, TrainConfig.toy())
+    assert parts[0] > 0.0
+    assert parts[1] == 0.0 and parts[2] == 0.0
+    assert total.item() == pytest.approx(parts.sum(), abs=1e-12)
+    total.backward()
+    assert model.box_head.cls_w.grad is not None
+
+
+def test_image_loss_parts_sum_to_total():
+    sample = synth_dataset(SynthSpec(n_objects=(2, 3)), 6, 1)[0]
+    model = build_model(ModelConfig.toy("none"), seed=0)
+    total, parts = _image_loss(model, sample, np.random.default_rng(0), TrainConfig.toy())
+    assert (parts > 0.0).all()
+    assert total.item() == pytest.approx(parts.sum(), abs=1e-12)
 
 
 def _short_run(seed=0, epochs=2):
