@@ -91,9 +91,15 @@ def test_mask_loss_binary_validation_and_perfect_prediction():
     ys = np.array([[1.0, 0.0], [0.0, 1.0]])
     near = mask_loss(MaskTarget(Tensor(np.where(ys == 1, 0.999999, 0.000001)), ys)).item()
     assert near == pytest.approx(0.0, abs=1e-5)
-    # an all-background grid costs the -log(1 - y) term in every cell
-    background = mask_loss(MaskTarget(Tensor(np.full((2, 2), 0.3)), np.zeros((2, 2)))).item()
+
+
+def test_mask_loss_log_complement_variant_differs():
+    # an all-background grid costs the -log(1 - y) term in every cell,
+    # not the raw complement -(1 - y)
+    y = Tensor(np.full((2, 2), 0.3))
+    background = mask_loss(MaskTarget(y, np.zeros((2, 2)))).item()
     assert background == pytest.approx(-math.log(0.7))
+    assert background != pytest.approx(-0.7)
 
 
 def test_total_loss_hand_composition():
