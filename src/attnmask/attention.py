@@ -1,10 +1,11 @@
-"""Channel and spatial feature gating blocks.
+"""Channel and spatial feature gating blocks, listed once in `GATES`.
 
-All blocks are pure functions of (input, params) mapping (C,H,W) to
-(C,H,W); the gates go through a sigmoid so every multiplier lies strictly
-in (0,1). With all parameters zero each gate is exactly 0.5, which gives
-the handy closed forms 0.5*F for a single gate and 0.25*F for the
-channel+spatial cascade.
+`GATES` maps each variant name to its parameter container, which builds
+itself through its `init` classmethod, and to its gate function. Gates are
+pure functions of (input, params) mapping (C,H,W) to (C,H,W); they go
+through a sigmoid so every multiplier lies strictly in (0,1). With all
+parameters zero each gate is exactly 0.5, which gives the handy closed
+forms 0.5*F for a single gate and 0.25*F for the channel+spatial cascade.
 
 Defaults the surrounding literature settles and this config exposes:
 MLP reduction ratio r (default 16), ReLU between the MLP layers, and the
@@ -21,11 +22,12 @@ import numpy as np
 from .tensor import Tensor, concat, conv1d, conv2d, linear, pool, relu, sigmoid
 
 __all__ = [
+    "GATES",
+    "VARIANTS",
     "AttentionConfig",
-    "ChannelAttentionParams",
+    "MLPParams",
     "SpatialAttentionParams",
     "CBAMParams",
-    "SEParams",
     "ECAParams",
     "channel_attention",
     "spatial_attention",
@@ -38,8 +40,6 @@ __all__ = [
     "init_uniform",
 ]
 
-VARIANTS = ("none", "se", "eca", "cbam")
-
 
 @dataclass(frozen=True)
 class AttentionConfig:
@@ -47,10 +47,10 @@ class AttentionConfig:
 
     channels: C of the map the block gates.
     reduction: bottleneck ratio r of the squeeze MLP; must divide C.
-    variant: one of "none", "se", "eca", "cbam".
+    variant: one of VARIANTS; "none" builds no gate.
     eca_kernel: odd kernel size for the cross-channel conv, or "adaptive".
-    init: "fan_in_uniform" (symmetric uniform scaled by fan-in, keeps the
-    sigmoid pre-activations near 0) or "zeros".
+    init: any `init_uniform` scheme; "fan_in_uniform" keeps the sigmoid
+    pre-activations near 0, and `init_backbone` passes "he_uniform".
     """
 
     channels: int
@@ -62,8 +62,6 @@ class AttentionConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.variant in ("se", "cbam") and self.channels % self.reduction != 0:
-            raise ValueError(f"channels {self.channels} not divisible by reduction {self.reduction}")
         if isinstance(self.eca_kernel, int) and self.eca_kernel % 2 == 0:
             raise ValueError("eca kernel must be odd")
 
@@ -97,13 +95,26 @@ def eca_kernel_size(channels: int) -> int:
 
 
 @dataclass
-class ChannelAttentionParams:
-    """Shared two-layer MLP (C -> C/r -> C) applied to both pooled vectors."""
+class MLPParams:
+    """The C -> C/r -> C MLP of the SE gate and of CBAM's channel gate."""
 
     w1: Tensor
     b1: Tensor
     w2: Tensor
     b2: Tensor
+
+    @classmethod
+    def init(cls, cfg: AttentionConfig, rng: np.random.Generator) -> "MLPParams":
+        c, r = cfg.channels, cfg.reduction
+        mid = c // r
+        if c % r or mid < 1:
+            raise ValueError(f"reduction {r} must divide channels {c} and leave hidden units")
+        return cls(
+            init_uniform((mid, c), c, rng, cfg.init),
+            init_uniform((mid,), c, rng, cfg.init),
+            init_uniform((c, mid), mid, rng, cfg.init),
+            init_uniform((c,), mid, rng, cfg.init),
+        )
 
 
 @dataclass
@@ -113,21 +124,22 @@ class SpatialAttentionParams:
     w: Tensor  # (1, 2, 7, 7)
     b: Tensor  # (1,)
 
+    @classmethod
+    def init(cls, cfg: AttentionConfig, rng: np.random.Generator) -> "SpatialAttentionParams":
+        return cls(
+            w=init_uniform((1, 2, 7, 7), 2 * 49, rng, cfg.init),
+            b=init_uniform((1,), 2 * 49, rng, cfg.init),
+        )
+
 
 @dataclass
 class CBAMParams:
-    cam: ChannelAttentionParams
+    cam: MLPParams
     sam: SpatialAttentionParams
 
-
-@dataclass
-class SEParams:
-    """Squeeze-excitation MLP, same C -> C/r -> C layout as the channel gate."""
-
-    w1: Tensor
-    b1: Tensor
-    w2: Tensor
-    b2: Tensor
+    @classmethod
+    def init(cls, cfg: AttentionConfig, rng: np.random.Generator) -> "CBAMParams":
+        return cls(MLPParams.init(cfg, rng), SpatialAttentionParams.init(cfg, rng))
 
 
 @dataclass
@@ -140,59 +152,20 @@ class ECAParams:
     def kernel(self) -> int:
         return self.w.shape[0]
 
-
-def _init_mlp(cfg: AttentionConfig, rng: np.random.Generator):
-    c, r = cfg.channels, cfg.reduction
-    mid = c // r
-    if mid < 1:
-        raise ValueError(f"reduction {r} leaves no hidden units for {c} channels")
-    return (
-        init_uniform((mid, c), c, rng, cfg.init),
-        init_uniform((mid,), c, rng, cfg.init),
-        init_uniform((c, mid), mid, rng, cfg.init),
-        init_uniform((c,), mid, rng, cfg.init),
-    )
-
-
-def init_channel_attention(cfg: AttentionConfig, rng: np.random.Generator) -> ChannelAttentionParams:
-    return ChannelAttentionParams(*_init_mlp(cfg, rng))
-
-
-def init_spatial_attention(cfg: AttentionConfig, rng: np.random.Generator) -> SpatialAttentionParams:
-    return SpatialAttentionParams(
-        w=init_uniform((1, 2, 7, 7), 2 * 49, rng, cfg.init),
-        b=init_uniform((1,), 2 * 49, rng, cfg.init),
-    )
-
-
-def init_se(cfg: AttentionConfig, rng: np.random.Generator) -> SEParams:
-    return SEParams(*_init_mlp(cfg, rng))
-
-
-def init_eca(cfg: AttentionConfig, rng: np.random.Generator) -> ECAParams:
-    k = eca_kernel_size(cfg.channels) if cfg.eca_kernel == "adaptive" else int(cfg.eca_kernel)
-    return ECAParams(w=init_uniform((k,), k, rng, cfg.init))
-
-
-def make_attention(cfg: AttentionConfig, rng: np.random.Generator):
-    """Build the parameter container for cfg.variant (None for "none")."""
-    if cfg.variant == "none":
-        return None
-    if cfg.variant == "cbam":
-        return CBAMParams(init_channel_attention(cfg, rng), init_spatial_attention(cfg, rng))
-    if cfg.variant == "se":
-        return init_se(cfg, rng)
-    return init_eca(cfg, rng)
+    @classmethod
+    def init(cls, cfg: AttentionConfig, rng: np.random.Generator) -> "ECAParams":
+        k = eca_kernel_size(cfg.channels) if cfg.eca_kernel == "adaptive" else int(cfg.eca_kernel)
+        return cls(w=init_uniform((k,), k, rng, cfg.init))
 
 
 # -- forward passes ------------------------------------------------------------
 
 
-def _mlp(vec: Tensor, p) -> Tensor:
+def _mlp(vec: Tensor, p: MLPParams) -> Tensor:
     return linear(relu(linear(vec, p.w1, p.b1)), p.w2, p.b2)
 
 
-def channel_attention(x: Tensor, params: ChannelAttentionParams) -> Tensor:
+def channel_attention(x: Tensor, params: MLPParams) -> Tensor:
     """Gate channels by sigmoid(MLP(avg pool) + MLP(max pool))."""
     c = x.shape[0]
     avg = pool(x, "spatial", "avg").reshape(c)
@@ -213,7 +186,7 @@ def cbam(x: Tensor, params: CBAMParams) -> Tensor:
     return spatial_attention(channel_attention(x, params.cam), params.sam)
 
 
-def se_block(x: Tensor, params: SEParams) -> Tensor:
+def se_block(x: Tensor, params: MLPParams) -> Tensor:
     """Channel gate from the spatially averaged descriptor alone."""
     c = x.shape[0]
     squeezed = pool(x, "spatial", "avg").reshape(c)
@@ -230,14 +203,28 @@ def eca_block(x: Tensor, params: ECAParams) -> Tensor:
     return x * gate
 
 
+# -- the variant table -----------------------------------------------------------
+
+# name -> (parameter container, gate); each container type appears once
+GATES = {
+    "se": (MLPParams, se_block),
+    "eca": (ECAParams, eca_block),
+    "cbam": (CBAMParams, cbam),
+}
+VARIANTS = ("none",) + tuple(GATES)
+
+
+def make_attention(cfg: AttentionConfig, rng: np.random.Generator):
+    """Build the parameter container for cfg.variant; None when it has no gate."""
+    entry = GATES.get(cfg.variant)
+    return None if entry is None else entry[0].init(cfg, rng)
+
+
 def apply_attention(x: Tensor, params) -> Tensor:
-    """Dispatch on the parameter container type; None is the identity."""
+    """Run the gate whose container type params has; None is the identity."""
     if params is None:
         return x
-    if isinstance(params, CBAMParams):
-        return cbam(x, params)
-    if isinstance(params, SEParams):
-        return se_block(x, params)
-    if isinstance(params, ECAParams):
-        return eca_block(x, params)
+    for container, gate in GATES.values():
+        if type(params) is container:
+            return gate(x, params)
     raise TypeError(f"unknown attention params {type(params).__name__}")

@@ -105,7 +105,7 @@ def init_bottleneck(
     cin: int,
     cout: int,
     stride: int,
-    attn_cfg: AttentionConfig | None,
+    attn_cfg: AttentionConfig,
     rng: np.random.Generator,
     scheme: str = "he_uniform",
 ) -> BottleneckParams:
@@ -116,7 +116,7 @@ def init_bottleneck(
         conv2=init_conv(mid, mid, 3, rng, scheme),
         conv3=init_conv(cout, mid, 1, rng, scheme),
         proj=init_conv(cout, cin, 1, rng, scheme) if needs_proj else None,
-        attn=make_attention(attn_cfg, rng) if attn_cfg is not None else None,
+        attn=make_attention(attn_cfg, rng),
         stride=stride,
     )
 
@@ -151,14 +151,9 @@ def init_backbone(
     cin = cfg.stem_channels
     for stage_idx, (n_blocks, width) in enumerate(zip(cfg.blocks, cfg.widths)):
         blocks = []
+        attn_cfg = AttentionConfig(width, reduction, variant, eca_kernel, init=scheme)
         for block_idx in range(n_blocks):
             stride = 2 if stage_idx > 0 and block_idx == 0 else 1
-            attn_cfg = None
-            if variant != "none":
-                attn_cfg = AttentionConfig(
-                    channels=width, reduction=reduction, variant=variant,
-                    eca_kernel=eca_kernel, init=scheme,
-                )
             blocks.append(init_bottleneck(cin, width, stride, attn_cfg, rng, scheme))
             cin = width
         stages.append(blocks)

@@ -15,22 +15,13 @@ neither hides a real gradient bug.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import (
-    AttentionConfig,
-    CBAMParams,
-    ChannelAttentionParams,
-    ECAParams,
-    SEParams,
-    cbam,
-    eca_block,
-    make_attention,
-    se_block,
-)
+from .attention import GATES, AttentionConfig, make_attention
 from .backbone import bottleneck_forward, fpn_fuse, init_bottleneck, init_fpn
 from .boxes import Box
 from .losses import MaskTarget, cls_loss, mask_loss, reg_loss
@@ -111,7 +102,7 @@ def _attention_cases(seed: int, eps: float, tol: float) -> list:
     c, h, w = 8, 5, 5
     x = rng.standard_normal((c, h, w))
     cases = []
-    for variant, fwd in (("cbam", cbam), ("se", se_block), ("eca", eca_block)):
+    for variant, (_, fwd) in GATES.items():
         prng = np.random.default_rng(np.random.PCG64(seed + 1))
         params = make_attention(
             AttentionConfig(channels=c, reduction=4, variant=variant), prng
@@ -125,30 +116,25 @@ def _attention_cases(seed: int, eps: float, tol: float) -> list:
         cases.append(_case("attention", variant, seed, fn, Tensor(x), eps, tol))
 
         # same block, gradient w.r.t. the first gate weight instead
-        def fn_w(t, variant=variant, fwd=fwd, params=params, pw=pw):
-            patched = _swap_first_weight(variant, params, t)
-            return (fwd(Tensor(x), patched) * pw).sum()
+        def fn_w(t, fwd=fwd, params=params, pw=pw):
+            return (fwd(Tensor(x), _swap_first_weight(params, t)) * pw).sum()
 
-        w0 = _first_weight(variant, params)
+        w0 = _first_weight(params)
         cases.append(_case("attention", f"{variant}-weights", seed, fn_w, w0.data, eps, tol))
     return cases
 
 
-def _first_weight(variant: str, params) -> Tensor:
-    if variant == "cbam":
-        return params.cam.w1
-    if variant == "se":
-        return params.w1
-    return params.w
+def _first_weight(params) -> Tensor:
+    first = getattr(params, dataclasses.fields(params)[0].name)
+    return first if isinstance(first, Tensor) else _first_weight(first)
 
 
-def _swap_first_weight(variant: str, params, t: Tensor):
-    if variant == "cbam":
-        cam = ChannelAttentionParams(t, params.cam.b1, params.cam.w2, params.cam.b2)
-        return CBAMParams(cam, params.sam)
-    if variant == "se":
-        return SEParams(t, params.b1, params.w2, params.b2)
-    return ECAParams(t)
+def _swap_first_weight(params, t: Tensor):
+    """A copy of params with the tensor `_first_weight` finds replaced by t."""
+    name = dataclasses.fields(params)[0].name
+    first = getattr(params, name)
+    swapped = t if isinstance(first, Tensor) else _swap_first_weight(first, t)
+    return dataclasses.replace(params, **{name: swapped})
 
 
 # -- backbone --------------------------------------------------------------

@@ -3,10 +3,11 @@
 Ground truth is an object with `images`, `annotations`, and `categories`
 arrays; detections are a flat array of records. Boxes use the COCO
 top-left `[x, y, w, h]` pixel convention and are converted to center
-form internally. Every section must be an array of objects, ids must
-convert to integers, and bbox components and scores must be finite
-numbers. Validation errors always name the offending record (array index
-and id) and field, so CLI diagnostics can point at them.
+form internally. Every section must be an array of objects, ids and
+image sizes must be integral numbers (not booleans), and bbox components
+and scores must be finite numbers. Validation errors always name the
+offending record (array index and id) and field, and the loaders prefix
+the file path, so CLI diagnostics can point at them.
 """
 
 from __future__ import annotations
@@ -61,10 +62,12 @@ def _records(items, name: str):
 
 def _int_field(obj: dict, key: str, where: str) -> int:
     value = _require(obj, key, where)
-    try:
+    if type(value) is int:
+        return value
+    # int() would read true as 1 and 3.7 as 3
+    if type(value) is float and value.is_integer():
         return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise CocoFormatError(f"{where}: {key} must be an integer, got {value!r}") from None
+    raise CocoFormatError(f"{where}: {key} must be an integer, got {value!r}")
 
 
 def _box_from_coco(bbox, where: str) -> Box:
@@ -128,10 +131,7 @@ def parse_detections(doc, categories: dict[int, str] | None = None) -> list[Dete
         if categories is not None and cat_id not in categories:
             raise CocoFormatError(f"{where}: unknown category_id {cat_id}")
         value = _require(rec, "score", where)
-        try:
-            score = float(value)
-        except (TypeError, ValueError):
-            score = math.nan
+        score = float(value) if type(value) in (int, float) else math.nan
         if not 0.0 <= score <= 1.0:
             raise CocoFormatError(f"{where}: score must be in [0,1], got {value!r}")
         box = _box_from_coco(_require(rec, "bbox", where), where)
@@ -139,22 +139,26 @@ def parse_detections(doc, categories: dict[int, str] | None = None) -> list[Dete
     return dets
 
 
-def _load_json(path: str):
+def _load(path: str, parse, *args):
+    """parse(document, *args) of the JSON file at path; errors name the file."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
+        return parse(doc, *args)
     except OSError as e:
         raise CocoFormatError(f"{path}: {e.strerror or e}") from e
     except json.JSONDecodeError as e:
         raise CocoFormatError(f"{path}: invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from e
+    except CocoFormatError as e:
+        raise CocoFormatError(f"{path}: {e}") from None
 
 
 def load_gt(path: str) -> GroundTruth:
-    return parse_gt(_load_json(path))
+    return _load(path, parse_gt)
 
 
 def load_detections(path: str, categories: dict[int, str] | None = None) -> list[Detection]:
-    return parse_detections(_load_json(path), categories)
+    return _load(path, parse_detections, categories)
 
 
 def gt_to_dict(gt: GroundTruth) -> dict:

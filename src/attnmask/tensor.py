@@ -420,46 +420,31 @@ def pool(x: Tensor, axis: str, mode: str) -> Tensor:
     """
     if x.ndim != 3:
         raise ValueError("pool expects a (C,H,W) tensor")
-    c, h, w = x.shape
-    if axis == "spatial":
-        flat = x.data.reshape(c, h * w)
-        if mode == "avg":
-            out = flat.mean(axis=1).reshape(c, 1, 1)
-
-            def bwd(g, a=x):
-                _accum(a, np.broadcast_to(g / (h * w), a.shape).copy())
-
-        elif mode == "max":
-            arg = flat.argmax(axis=1)
-            out = flat[np.arange(c), arg].reshape(c, 1, 1)
-
-            def bwd(g, a=x, arg=arg):
-                d = np.zeros((c, h * w))
-                d[np.arange(c), arg] = g.reshape(c)
-                _accum(a, d.reshape(a.shape))
-
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
-    elif axis == "channel":
-        if mode == "avg":
-            out = x.data.mean(axis=0, keepdims=True)
-
-            def bwd(g, a=x):
-                _accum(a, np.broadcast_to(g / c, a.shape).copy())
-
-        elif mode == "max":
-            arg = x.data.argmax(axis=0)
-            out = np.take_along_axis(x.data, arg[None], axis=0)
-
-            def bwd(g, a=x, arg=arg):
-                d = np.zeros_like(a.data)
-                np.put_along_axis(d, arg[None], g, axis=0)
-                _accum(a, d)
-
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
-    else:
+    if axis not in ("spatial", "channel"):
         raise ValueError(f"unknown axis {axis!r}")
+    c, h, w = x.shape
+    spatial = axis == "spatial"
+    # one row of the (C, H*W) view, or of its transpose, per output value
+    flat = x.data.reshape(c, h * w)
+    rows, shape = (flat, (c, 1, 1)) if spatial else (flat.T, (1, h, w))
+    if mode == "avg":
+        n = rows.shape[1]
+        out = rows.mean(axis=1).reshape(shape)
+
+        def bwd(g, a=x):
+            _accum(a, np.broadcast_to(g / n, a.shape).copy())
+
+    elif mode == "max":
+        pick = (np.arange(rows.shape[0]), rows.argmax(axis=1))
+        out = rows[pick].reshape(shape)
+
+        def bwd(g, a=x, pick=pick):
+            d = np.zeros((c, h * w))
+            (d if spatial else d.T)[pick] = g.reshape(-1)
+            _accum(a, d.reshape(a.shape))
+
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
     return Tensor(out, _parents=(x,), _backward=bwd)
 
 
@@ -494,13 +479,6 @@ def upsample_nearest(x: Tensor, factor: int) -> Tensor:
     """Replicate each pixel of a (C,H,W) map into a factor x factor block."""
     if factor < 1:
         raise ValueError("factor must be >= 1")
-    if factor == 1:
-        out = x.data
-
-        def bwd(g, a=x):
-            _accum(a, g)
-
-        return Tensor(out, _parents=(x,), _backward=bwd)
     c, h, w = x.shape
     out = np.repeat(np.repeat(x.data, factor, axis=1), factor, axis=2)
 

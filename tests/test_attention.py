@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from attnmask.attention import (
+    GATES,
+    VARIANTS,
     AttentionConfig,
     CBAMParams,
     ECAParams,
-    SEParams,
+    MLPParams,
     apply_attention,
     cbam,
     channel_attention,
@@ -18,6 +20,7 @@ from attnmask.attention import (
     se_block,
     spatial_attention,
 )
+from attnmask.model import ModelConfig, build_model
 from attnmask.tensor import Tensor
 
 
@@ -89,15 +92,55 @@ def test_make_attention_dispatch_and_none():
     rng = np.random.default_rng(0)
     assert make_attention(AttentionConfig(channels=8, reduction=4, variant="none"), rng) is None
     assert isinstance(make_attention(AttentionConfig(channels=8, reduction=4, variant="cbam"), rng), CBAMParams)
-    assert isinstance(make_attention(AttentionConfig(channels=8, reduction=4, variant="se"), rng), SEParams)
+    assert isinstance(make_attention(AttentionConfig(channels=8, reduction=4, variant="se"), rng), MLPParams)
     assert isinstance(make_attention(AttentionConfig(channels=8, reduction=4, variant="eca"), rng), ECAParams)
     x = Tensor(np.ones((2, 2, 2)))
     assert apply_attention(x, None) is x
+    assert VARIANTS == ("none", "se", "eca", "cbam")
+    with pytest.raises(TypeError):
+        apply_attention(x, object())
+
+
+# attn.* parameter names of one gated block, in walk order: checkpoint keys
+_ATTN_KEYS = {
+    "none": [],
+    "se": ["w1", "b1", "w2", "b2"],
+    "eca": ["w"],
+    "cbam": ["cam.w1", "cam.b1", "cam.w2", "cam.b2", "sam.w", "sam.b"],
+}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_variant_table_builds_applies_and_names_params(variant):
+    params = make_attention(AttentionConfig(channels=8, reduction=4, variant=variant), np.random.default_rng(0))
+    x = Tensor(np.random.default_rng(1).standard_normal((8, 5, 5)))
+    if variant == "none":
+        assert params is None and apply_attention(x, params) is x
+    else:
+        container, gate = GATES[variant]
+        assert type(params) is container
+        assert np.array_equal(apply_attention(x, params).data, gate(x, params).data)
+
+    model = build_model(ModelConfig.toy(variant), seed=0)
+    per_block: dict[str, list] = {}
+    for name, _ in model.named_params():
+        if ".attn." in name:
+            block, key = name.split(".attn.")
+            per_block.setdefault(block, []).append(key)
+    blocks = [f"backbone.stages.{s}.0" for s in range(4)] if _ATTN_KEYS[variant] else []
+    assert list(per_block) == blocks
+    assert all(keys == _ATTN_KEYS[variant] for keys in per_block.values())
 
 
 def test_reduction_must_leave_hidden_units():
     with pytest.raises(ValueError):
         make_attention(AttentionConfig(channels=4, reduction=8, variant="se"), np.random.default_rng(0))
+    # 12 channels leave a hidden unit at r=8, but r must also divide C; the
+    # cross-channel conv has no MLP, so the same reduction is fine there
+    for variant in ("se", "cbam"):
+        with pytest.raises(ValueError, match="must divide channels 12"):
+            make_attention(AttentionConfig(channels=12, reduction=8, variant=variant), np.random.default_rng(0))
+    make_attention(AttentionConfig(channels=12, reduction=8, variant="eca"), np.random.default_rng(0))
 
 
 def test_init_uniform_schemes():

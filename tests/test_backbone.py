@@ -16,6 +16,10 @@ from attnmask.backbone import (
 from attnmask.tensor import Tensor
 
 
+def _no_gate(channels):
+    return AttentionConfig(channels=channels, variant="none")
+
+
 def test_stage_config_validation():
     with pytest.raises(ValueError):
         StageConfig(blocks=(1, 1, 1), widths=(8, 16, 32, 64))
@@ -29,20 +33,20 @@ def test_stage_config_validation():
 
 def test_bottleneck_identity_skip_vs_projection():
     rng = np.random.default_rng(0)
-    same = init_bottleneck(8, 8, 1, None, rng)
+    same = init_bottleneck(8, 8, 1, _no_gate(8), rng)
     assert same.proj is None  # identity skip when shape is preserved
-    strided = init_bottleneck(8, 8, 2, None, rng)
+    strided = init_bottleneck(8, 8, 2, _no_gate(8), rng)
     assert strided.proj is not None
-    widened = init_bottleneck(8, 16, 1, None, rng)
+    widened = init_bottleneck(8, 16, 1, _no_gate(16), rng)
     assert widened.proj is not None
 
 
 def test_bottleneck_shapes_and_nonnegative_output():
     rng = np.random.default_rng(1)
     x = Tensor(np.random.default_rng(2).standard_normal((8, 8, 8)))
-    p1 = init_bottleneck(8, 16, 1, None, rng)
+    p1 = init_bottleneck(8, 16, 1, _no_gate(16), rng)
     assert bottleneck_forward(x, p1).shape == (16, 8, 8)
-    p2 = init_bottleneck(8, 16, 2, None, rng)
+    p2 = init_bottleneck(8, 16, 2, _no_gate(16), rng)
     out = bottleneck_forward(x, p2)
     assert out.shape == (16, 4, 4)
     assert (out.data >= 0).all()  # final relu
@@ -51,7 +55,7 @@ def test_bottleneck_shapes_and_nonnegative_output():
 def test_bottleneck_attention_gate_attenuates():
     rng = np.random.default_rng(3)
     x = Tensor(np.abs(np.random.default_rng(4).standard_normal((8, 6, 6))))
-    plain = init_bottleneck(8, 8, 1, None, rng, scheme="zeros")
+    plain = init_bottleneck(8, 8, 1, _no_gate(8), rng, scheme="zeros")
     gated = init_bottleneck(
         8, 8, 1, AttentionConfig(channels=8, reduction=4, variant="cbam", init="zeros"), rng,
         scheme="zeros",

@@ -63,7 +63,7 @@ def test_evaluate_rejects_non_object_record(tmp_path, capsys):
     gt = tmp_path / "badrecord.json"
     gt.write_text(json.dumps({"images": [{"id": 0, "width": 64, "height": 64}], "annotations": [5]}))
     assert cli(["evaluate", "--gt", str(gt), "--det", det]) == 2
-    assert "annotations[0]: must be an object" in capsys.readouterr().err
+    assert "badrecord.json: annotations[0]: must be an object" in capsys.readouterr().err
 
 
 def test_evaluate_rejects_bad_thresholds(tmp_path, capsys):

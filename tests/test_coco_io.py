@@ -83,6 +83,7 @@ def test_parse_detections_happy_path_and_checks():
     doc = [{"image_id": 0, "category_id": 1, "score": 0.75, "bbox": [1, 2, 3, 4]}]
     dets = parse_detections(doc)
     assert dets[0].score == 0.75 and dets[0].class_id == 1
+    assert parse_detections([{**doc[0], "image_id": 2.0}])[0].image_id == 2  # integral float
 
     with pytest.raises(CocoFormatError, match="must be a JSON array"):
         parse_detections({"a": 1})
@@ -111,8 +112,15 @@ _DET = {"image_id": 0, "category_id": 1, "score": 0.5, "bbox": [1, 2, 3, 4]}
         (parse_detections, [{**_DET, "image_id": "x"}],
          r"detections\[0\]: image_id must be an integer, got 'x'"),
         (parse_detections, [{**_DET, "score": "x"}], r"detections\[0\]: score must be in \[0,1\], got 'x'"),
+        (parse_detections, [{**_DET, "image_id": 3.7}], r"detections\[0\]: image_id must be an integer, got 3\.7"),
+        (parse_detections, [{**_DET, "category_id": True}],
+         r"detections\[0\]: category_id must be an integer, got True"),
+        (parse_gt, {**_gt_doc(), "images": [{"id": 0, "width": 64, "height": 2.5}]},
+         r"images\[0\]: height must be an integer, got 2\.5"),
+        (parse_detections, [{**_DET, "score": True}], r"detections\[0\]: score must be in \[0,1\], got True"),
     ],
-    ids=["record-not-object", "section-not-array", "nan-bbox", "inf-bbox", "text-bbox", "text-id", "text-score"],
+    ids=["record-not-object", "section-not-array", "nan-bbox", "inf-bbox", "text-bbox", "text-id", "text-score",
+         "fractional-id", "bool-id", "fractional-height", "bool-score"],
 )
 def test_malformed_input_names_record_and_field(parse, doc, message):
     with pytest.raises(CocoFormatError, match=message):

@@ -150,6 +150,24 @@ def test_pool_modes():
     assert np.allclose(pool(Tensor(x), "channel", "max").data, x.max(axis=0, keepdims=True))
 
 
+@pytest.mark.parametrize("axis", ["spatial", "channel"])
+@pytest.mark.parametrize("mode", ["avg", "max"])
+def test_pool_gradients(axis, mode):
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((3, 4, 5))
+    pw = rng.standard_normal(pool(Tensor(x), axis, mode).shape)
+    assert grad_check(lambda t: (pool(t, axis, mode) * pw).sum(), Tensor(x)).ok(1e-3)
+
+
+def test_pool_max_ties_go_to_first_element():
+    for axis, first in (("spatial", (slice(None), 0, 0)), ("channel", (0,))):
+        t = Tensor(np.ones((2, 3, 2)), requires_grad=True)
+        pool(t, axis, "max").sum().backward()
+        want = np.zeros((2, 3, 2))
+        want[first] = 1.0
+        assert np.array_equal(t.grad, want), axis
+
+
 def test_max_pool2d_values_and_tie_rule():
     x = np.array([[[1.0, 2.0], [2.0, 0.0]]])
     t = Tensor(x, requires_grad=True)
