@@ -9,8 +9,8 @@ Inside the region path boxes travel as (N, 4) float64 arrays of the same
 center-form rows. Corners are always cx -/+ w/2 and areas w*h, the very
 expressions of the Box properties, so an array result equals the scalar
 one bit for bit. `box_array` turns a list of Box into rows and
-``Box(*row)`` turns a row back; the scalar `encode`, `decode` and
-`Box.clip` wrap the array code, so each formula exists once.
+``Box(*row)`` turns a row back; the scalar `encode` and `decode` wrap the
+array code, so each formula exists once.
 """
 
 from __future__ import annotations
@@ -93,13 +93,6 @@ class Box:
 
     def to_coco(self) -> list[float]:
         return [self.x1, self.y1, self.w, self.h]
-
-    def clip(self, width: float, height: float) -> "Box":
-        """Intersect with the image rectangle [0,width] x [0,height]."""
-        clipped, inside = clip_boxes(box_array([self]), width, height)
-        if not inside[0]:
-            raise ValueError("box lies entirely outside the image")
-        return Box(*clipped[0].tolist())
 
 
 @dataclass(frozen=True)

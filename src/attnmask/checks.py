@@ -23,7 +23,7 @@ import numpy as np
 
 from .attention import GATES, AttentionConfig, make_attention
 from .backbone import bottleneck_forward, fpn_fuse, init_bottleneck, init_fpn
-from .boxes import Box
+from .boxes import Box, box_array
 from .losses import MaskTarget, cls_loss, mask_loss, reg_loss
 from .roi_align import ROIAlignConfig, roi_align
 from .tensor import Tensor, grad_check, sigmoid
@@ -198,13 +198,13 @@ def _roi_cases(seed: int, eps: float, tol: float) -> list:
     # random box in a 32px image, at least 4px on a side
     x1 = rng.uniform(0, 20)
     y1 = rng.uniform(0, 20)
-    box = Box.from_corners(x1, y1, x1 + rng.uniform(4, 11), y1 + rng.uniform(4, 11))
+    box = box_array([Box.from_corners(x1, y1, x1 + rng.uniform(4, 11), y1 + rng.uniform(4, 11))])
     proj_rng = np.random.default_rng(np.random.PCG64(seed + 2))
 
     cases = []
     for agg in ("max", "avg"):
         cfg = ROIAlignConfig(resolution=3, aggregation=agg)
-        pw = proj_rng.standard_normal((6, 3, 3))
+        pw = proj_rng.standard_normal((1, 6, 3, 3))
 
         def fn(t, cfg=cfg, pw=pw):
             return (roi_align(t, 4.0, box, cfg) * pw).sum()

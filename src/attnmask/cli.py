@@ -1,7 +1,8 @@
 """Command-line front end: evaluate, train-toy, compare, gradcheck.
 
-Exit codes: 0 success, 1 failed checks or failed smoke thresholds,
-2 malformed inputs (diagnostic names the offending file/record/field).
+Exit codes: 0 success, 1 failed checks or diverged training, 2 malformed
+inputs (the diagnostic names the offending file, record or section, and
+field).
 The ATTNMASK_SEED environment variable overrides any --seed flag.
 """
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -34,20 +36,47 @@ class CLIError(ValueError):
 # -- config plumbing -----------------------------------------------------------
 
 
-def _replace_checked(obj, overrides: dict, where: str):
-    """dataclasses.replace with unknown-field diagnostics and list->tuple."""
-    names = {f.name for f in dataclasses.fields(obj)}
+def _fits(kind: str, value) -> bool:
+    """Whether a JSON value is of one annotation term: int, float, str, bool
+    or None. A float must be finite and an int may stand for it; booleans
+    are not numbers. Nested configs (StageConfig, AnchorConfig) have no
+    JSON form and fit nothing."""
+    if kind == "float":
+        return type(value) is int or (type(value) is float and math.isfinite(value))
+    return type(value) is {"int": int, "str": str, "bool": bool, "None": type(None)}.get(kind)
+
+
+def _checked_value(annotation: str, value, where: str):
+    """value, a list turned into a tuple, if it fits the field annotation
+    ("int | None", "tuple[float, float]", "tuple[str, ...]"); otherwise a
+    CLIError naming where."""
+    for kind in annotation.split(" | "):
+        if kind.startswith("tuple[") and isinstance(value, list):
+            kinds = kind[6:-1].split(", ")
+            if kinds[-1] == "...":
+                kinds = kinds[:1] * len(value)
+            if len(kinds) == len(value) and all(map(_fits, kinds, value)):
+                return tuple(value)
+        elif _fits(kind, value):
+            return value
+    raise CLIError(f"{where} must be {annotation}, got {value!r}")
+
+
+def _replace_checked(obj, overrides: dict, where: str, section: str | None = None):
+    """dataclasses.replace after checking every override against its field's
+    annotation. where names the config file; section is "model" or "train",
+    or None for top-level fields."""
+    dot = f"{section}." if section else ""
+    types = {f.name: f.type for f in dataclasses.fields(obj)}
     fixed = {}
     for key, value in overrides.items():
-        if key not in names:
-            raise CLIError(f"{where}: unknown field {key!r}")
-        if isinstance(value, list):
-            value = tuple(tuple(v) if isinstance(v, list) else v for v in value)
-        fixed[key] = value
+        if key not in types:
+            raise CLIError(f"{where}: unknown field {dot + key!r}")
+        fixed[key] = _checked_value(types[key], value, f"{where}: {dot}{key}")
     try:
         return dataclasses.replace(obj, **fixed)
     except (TypeError, ValueError) as exc:
-        raise CLIError(f"{where}: {exc}") from exc
+        raise CLIError(f"{where}: {section}: {exc}" if section else f"{where}: {exc}") from exc
 
 
 def _load_config(path: str | None) -> dict:
@@ -65,12 +94,10 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-_RUN_KEYS = ("train_images", "val_images", "train_seed", "val_seed", "conf_threshold")
-
-
 def _split_config(cfg: dict, path: str) -> tuple[SynthSpec, dict, dict, dict]:
     """A config file carries synth fields at top level plus optional
-    "model"/"train" sections and run-scale knobs."""
+    "model"/"train" sections and run-scale knobs. The sections are checked
+    when they are applied, by _train_one."""
     run = {"train_images": 24, "val_images": 8, "train_seed": 1001, "val_seed": 2002,
            "conf_threshold": 0.5}
     model_overrides = cfg.pop("model", {})
@@ -79,9 +106,10 @@ def _split_config(cfg: dict, path: str) -> tuple[SynthSpec, dict, dict, dict]:
         raise CLIError(f"config {path}: \"model\" must be an object")
     if not isinstance(train_overrides, dict):
         raise CLIError(f"config {path}: \"train\" must be an object")
-    for key in _RUN_KEYS:
+    for key, default in run.items():
         if key in cfg:
-            run[key] = cfg.pop(key)
+            # each knob takes the type of its default
+            run[key] = _checked_value(type(default).__name__, cfg.pop(key), f"config {path}: {key}")
     spec = _replace_checked(SynthSpec(), cfg, f"config {path}")
     return spec, model_overrides, train_overrides, run
 
@@ -141,12 +169,13 @@ def _self_evaluate(model: Model, val_ds, spec: SynthSpec, conf: float):
     return map_report(dets, gt.records), len(dets)
 
 
-def _train_one(variant: str, seed: int, spec, model_overrides, train_overrides, run):
+def _train_one(variant: str, seed: int, path: str, spec, model_overrides, train_overrides, run):
+    where = f"config {path}"
+    mcfg = ModelConfig.toy(variant, num_classes=spec.num_classes)
+    mcfg = _replace_checked(mcfg, model_overrides, where, "model")
+    tcfg = _replace_checked(TrainConfig.toy(seed=seed), train_overrides, where, "train")
     train_ds = synth_dataset(spec, run["train_seed"], run["train_images"])
     val_ds = synth_dataset(spec, run["val_seed"], run["val_images"])
-    mcfg = ModelConfig.toy(variant, num_classes=spec.num_classes)
-    mcfg = _replace_checked(mcfg, model_overrides, "config model")
-    tcfg = _replace_checked(TrainConfig.toy(seed=seed), train_overrides, "config train")
     model = build_model(mcfg, seed=seed)
     result = train(model, train_ds, tcfg)
     report, n_dets = _self_evaluate(model, val_ds, spec, run["conf_threshold"])
@@ -155,11 +184,12 @@ def _train_one(variant: str, seed: int, spec, model_overrides, train_overrides, 
 
 def _cmd_train_toy(args) -> int:
     seed = _resolve_seed(args.seed)
-    spec, model_overrides, train_overrides, run = _split_config(_load_config(args.config), args.config or "<default>")
+    path = args.config or "<default>"
+    spec, model_overrides, train_overrides, run = _split_config(_load_config(args.config), path)
     os.makedirs(args.out, exist_ok=True)
     t0 = time.perf_counter()
     model, result, report, n_dets, ds_hash = _train_one(
-        args.attention, seed, spec, model_overrides, train_overrides, run
+        args.attention, seed, path, spec, model_overrides, train_overrides, run
     )
     elapsed = time.perf_counter() - t0
 
@@ -179,7 +209,8 @@ def _cmd_train_toy(args) -> int:
 
 def _cmd_compare(args) -> int:
     seed = _resolve_seed(args.seed)
-    spec, model_overrides, train_overrides, run = _split_config(_load_config(args.config), args.config or "<default>")
+    path = args.config or "<default>"
+    spec, model_overrides, train_overrides, run = _split_config(_load_config(args.config), path)
     os.makedirs(args.out, exist_ok=True)
     rows = []
     summary = {}
@@ -187,7 +218,7 @@ def _cmd_compare(args) -> int:
     for variant in VARIANTS:
         t0 = time.perf_counter()
         model, result, report, n_dets, ds_hash = _train_one(
-            variant, seed, spec, model_overrides, train_overrides, run
+            variant, seed, path, spec, model_overrides, train_overrides, run
         )
         elapsed = time.perf_counter() - t0
         hashes.add(ds_hash)
@@ -256,13 +287,12 @@ def cli(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (CLIError, CocoFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, FloatingPointError) as exc:
+    except FloatingPointError as exc:
+        # configs, COCO files and checkpoints reject non-finite numbers, so
+        # these come from a diverged run, not from malformed input
+        print(f"error: training diverged: {exc}", file=sys.stderr)
+        return 1
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

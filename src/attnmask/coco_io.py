@@ -70,13 +70,18 @@ def _int_field(obj: dict, key: str, where: str) -> int:
     raise CocoFormatError(f"{where}: {key} must be an integer, got {value!r}")
 
 
+_NUMBER_TYPES = frozenset((int, float))
+
+
 def _box_from_coco(bbox, where: str) -> Box:
     if not isinstance(bbox, (list, tuple)) or len(bbox) != 4:
         raise CocoFormatError(f"{where}: bbox must be a 4-element [x, y, w, h] array, got {bbox!r}")
     try:
-        x, y, w, h = (float(v) for v in bbox)
+        x, y, w, h = map(float, bbox)
         finite = math.isfinite(x) and math.isfinite(y) and math.isfinite(w) and math.isfinite(h)
-    except (TypeError, ValueError):
+        # float() alone would read true as 1.0 and "2" as 2.0
+        finite = finite and _NUMBER_TYPES.issuperset(map(type, bbox))
+    except (TypeError, ValueError, OverflowError):
         finite = False
     if not finite:
         raise CocoFormatError(f"{where}: bbox must hold four finite numbers, got {bbox!r}")

@@ -3,8 +3,10 @@
 Classification uses the binary form -log[p*p_star + (1-p_star)(1-p)] on
 foreground probabilities (with a softmax cross-entropy extension for the
 multi-class region head), regression is a per-component smooth L1 over
-the four box offsets of positive samples, and the mask term is average
-binary cross entropy over a p x p grid of the matched class's channel.
+the four box offsets of positive samples, given as (N, 4) arrays, and the
+mask term is average binary cross entropy over a p x p grid of the
+matched class's channel. Anchor labelling and region sampling draw their
+minibatches through one sampler, `sample_minibatch`.
 
 The total is (1/N_cls) * sum(cls) + (lambda/N_reg) * sum(reg) + mask,
 and `total_loss` is the only place it is composed. Training calls it once
@@ -24,7 +26,7 @@ import numpy as np
 
 # iou is not called here but stays bound: the benchmark's tracer
 # (bench/layers.py) wraps boxes.iou in every module that imports it
-from .boxes import BoxDelta, iou, pairwise_iou  # noqa: F401
+from .boxes import iou, pairwise_iou  # noqa: F401
 from .tensor import Tensor, clamp, log, log_softmax, smooth_l1
 
 __all__ = [
@@ -36,6 +38,7 @@ __all__ = [
     "MaskTarget",
     "LossReport",
     "assign_anchor_labels",
+    "sample_minibatch",
     "cls_loss",
     "softmax_ce",
     "reg_loss",
@@ -109,15 +112,25 @@ def assign_anchor_labels(
     else:
         labels[:] = NEGATIVE
 
-    pos_idx = np.flatnonzero(labels == POSITIVE)
-    neg_idx = np.flatnonzero(labels == NEGATIVE)
-    max_pos = int(batch * pos_fraction)
+    pos_idx, neg_idx = sample_minibatch(
+        np.flatnonzero(labels == POSITIVE), np.flatnonzero(labels == NEGATIVE),
+        int(batch * pos_fraction), batch, rng,
+    )
+    return AnchorAssignment(labels=labels, matched_gt=matched, sampled_pos=pos_idx, sampled_neg=neg_idx)
+
+
+def sample_minibatch(
+    pos_idx: np.ndarray, neg_idx: np.ndarray, max_pos: int, batch: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """At most max_pos positives, then negatives filling the batch. A set
+    larger than its share is cut to a random subset in ascending order;
+    the positives draw from rng first, then the negatives."""
     if pos_idx.size > max_pos:
         pos_idx = np.sort(rng.permutation(pos_idx)[:max_pos])
     n_neg = batch - pos_idx.size
     if neg_idx.size > n_neg:
         neg_idx = np.sort(rng.permutation(neg_idx)[:n_neg])
-    return AnchorAssignment(labels=labels, matched_gt=matched, sampled_pos=pos_idx, sampled_neg=neg_idx)
+    return pos_idx, neg_idx
 
 
 def cls_loss(p: Tensor, p_star) -> Tensor:
@@ -143,27 +156,17 @@ def softmax_ce(logits: Tensor, labels) -> Tensor:
     return -((lsm * onehot).sum(axis=1))
 
 
-def _delta_array(d) -> np.ndarray:
-    if isinstance(d, BoxDelta):
-        return np.array([d.tx, d.ty, d.tw, d.th])
-    return np.asarray(d, dtype=np.float64)
-
-
-def reg_loss(t, t_star) -> Tensor:
+def reg_loss(t: Tensor, t_star) -> Tensor:
     """Smooth L1 summed over the four offset components.
 
-    t may be a Tensor of shape (4,) or (N,4) (predictions) or a BoxDelta;
-    t_star is the matching target. Returns a scalar for a single delta,
-    (N,) for a batch.
+    t holds predicted offsets, (N, 4) rows or one (4,) row, and t_star the
+    targets of the same shape. Returns (N,) per-row terms, or a scalar for
+    one row.
     """
-    if not isinstance(t, Tensor):
-        t = Tensor(_delta_array(t))
-    target = _delta_array(t_star)
+    target = np.asarray(t_star, dtype=np.float64)
     if target.shape != t.shape:
         raise ValueError(f"target shape {target.shape} != prediction shape {t.shape}")
-    diff = t + Tensor(-target)
-    per_component = smooth_l1(diff)
-    return per_component.sum(axis=-1 if t.ndim > 1 else None)
+    return smooth_l1(t + Tensor(-target)).sum(axis=-1)
 
 
 @dataclass

@@ -180,17 +180,6 @@ class EvalReport:
         }
 
 
-def _cap_per_group(dets: list[Detection], max_dets: int) -> list[Detection]:
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, d in enumerate(dets):
-        groups.setdefault((d.image_id, d.class_id), []).append(i)
-    keep: list[int] = []
-    for idxs in groups.values():
-        ranked = sorted(idxs, key=lambda i: (-dets[i].score, i))
-        keep.extend(ranked[:max_dets])
-    return [dets[i] for i in sorted(keep)]
-
-
 def map_report(
     dets: list[Detection],
     gts: list[GTRecord],
@@ -204,7 +193,6 @@ def map_report(
     were evaluated; 0.5/0.75 aggregates only when those thresholds were.
     """
     thresholds = tuple(round(float(t), 2) for t in (thresholds or COCO_SWEEP))
-    dets = _cap_per_group(dets, max_dets)
     class_gt_counts: dict[int, int] = {}
     for g in gts:
         if not g.iscrowd:
@@ -214,6 +202,10 @@ def map_report(
     by_group_d: dict[tuple[int, int], list[Detection]] = {}
     for d in dets:
         by_group_d.setdefault((d.image_id, d.class_id), []).append(d)
+    # the max_dets best of each group; the stable sort keeps score ties in input order
+    for grp in by_group_d.values():
+        grp.sort(key=lambda d: -d.score)
+        del grp[max_dets:]
     by_group_g: dict[tuple[int, int], list[GTRecord]] = {}
     for g in gts:
         by_group_g.setdefault((g.image_id, g.class_id), []).append(g)

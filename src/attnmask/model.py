@@ -7,6 +7,9 @@ features come from quantization-free ROI pooling at 7x7 for the box head
 offsets) and 14x14 for the mask head (two 3x3 convs, 2x upsample, and a
 per-class 1x1 producing 28x28 sigmoid grids).
 
+Regions travel as (N, 4) center-form rows from the anchors to the pasted
+masks; `infer` builds a `Box` only for each returned `Detection`.
+
 Parameters live in nested dataclasses; named_params walks them in a
 fixed order so training and checkpointing are deterministic.
 """
@@ -30,7 +33,9 @@ from .backbone import (
     init_conv,
     init_fpn,
 )
-from .boxes import AnchorConfig, Box, clip_boxes, decode_boxes, generate_anchors, nms, stride_of
+from .boxes import (
+    AnchorConfig, Box, clip_boxes, corners, decode_boxes, generate_anchors, nms, stride_of,
+)
 from .metrics import Detection
 from .roi_align import ROIAlignConfig, assign_level, roi_align
 from .tensor import (
@@ -263,13 +268,6 @@ def mask_head_forward(model: Model, feat: Tensor) -> Tensor:
     return sigmoid(conv2d(h, model.mask_head.out.w, model.mask_head.out.b))
 
 
-def _clip_or_none(box: Box, width: float, height: float) -> Box | None:
-    try:
-        return box.clip(width, height)
-    except ValueError:
-        return None
-
-
 # smallest side in pixels of a proposal or a refined detection, the IoU above
 # which NMS drops a lower-scored proposal or same-class detection, and the
 # number of detections (best scores first) that infer keeps per image
@@ -321,19 +319,22 @@ def propose(
     return boxes[keep[:post_nms]]
 
 
-def paste_mask(probs: np.ndarray, box: Box, height: int, width: int) -> np.ndarray:
-    """Resample a mask grid over the box's pixels and threshold it at 0.5.
+def paste_mask(probs: np.ndarray, box: np.ndarray, height: int, width: int) -> np.ndarray:
+    """Resample a mask grid over the pixels of a center-form box row and
+    threshold it at 0.5.
 
     The grid cell (i, j) is centered at box fraction ((i+0.5)/m, (j+0.5)/m);
     pixel centers inside the clipped box sample the grid bilinearly with
     edge clamping.
     """
     out = np.zeros((height, width), dtype=bool)
-    clipped = _clip_or_none(box, float(width), float(height))
-    if clipped is None:
+    clipped, inside = clip_boxes(box[None], float(width), float(height))
+    if not inside[0]:
         return out
-    c0, c1 = int(np.floor(clipped.x1)), int(np.ceil(clipped.x2))
-    r0, r1 = int(np.floor(clipped.y1)), int(np.ceil(clipped.y2))
+    # corners of the box, then of its clipped part
+    (x1, cx1), (y1, cy1), (_, cx2), (_, cy2) = corners(np.stack([box, clipped[0]]))
+    c0, c1 = int(np.floor(cx1)), int(np.ceil(cx2))
+    r0, r1 = int(np.floor(cy1)), int(np.ceil(cy2))
     c0, r0 = max(c0, 0), max(r0, 0)
     c1, r1 = min(c1, width), min(r1, height)
     if c1 <= c0 or r1 <= r0:
@@ -341,8 +342,8 @@ def paste_mask(probs: np.ndarray, box: Box, height: int, width: int) -> np.ndarr
     m = probs.shape[0]
     ys = np.arange(r0, r1) + 0.5
     xs = np.arange(c0, c1) + 0.5
-    v = (ys - box.y1) / box.h * m - 0.5
-    u = (xs - box.x1) / box.w * m - 0.5
+    v = (ys - y1) / box[3] * m - 0.5
+    u = (xs - x1) / box[2] * m - 0.5
     v = np.clip(v, 0.0, m - 1.0)
     u = np.clip(u, 0.0, m - 1.0)
     v0 = np.floor(v).astype(int)
@@ -357,8 +358,8 @@ def paste_mask(probs: np.ndarray, box: Box, height: int, width: int) -> np.ndarr
         + probs[np.ix_(v1, u0)] * fv * (1 - fu)
         + probs[np.ix_(v1, u1)] * fv * fu
     )
-    inside_y = (ys >= clipped.y1) & (ys <= clipped.y2)
-    inside_x = (xs >= clipped.x1) & (xs <= clipped.x2)
+    inside_y = (ys >= cy1) & (ys <= cy2)
+    inside_x = (xs >= cx1) & (xs <= cx2)
     out[r0:r1, c0:c1] = (patch >= 0.5) & inside_y[:, None] & inside_x[None, :]
     return out
 
@@ -410,10 +411,8 @@ def infer(model: Model, image, image_id: int = 0, conf_threshold: float = 0.5) -
         )
         for (k, row, score), mfeat in zip(chunk, mfeats.data):
             mprobs = mask_head_forward(model, Tensor(mfeat)).data[k - 1]
-            box = Box(*row.tolist())
-            mask = paste_mask(mprobs, box, height, width)
-            det = Detection(image_id=image_id, class_id=k, box=box, score=score)
-            preds.append(InstancePrediction(detection=det, mask=mask))
+            det = Detection(image_id=image_id, class_id=k, box=Box(*row.tolist()), score=score)
+            preds.append(InstancePrediction(detection=det, mask=paste_mask(mprobs, row, height, width)))
     return preds
 
 

@@ -1,6 +1,6 @@
 """Quantization-free region feature extraction via bilinear sampling.
 
-A region's box is mapped into feature coordinates by dividing by the
+Regions are (R, 4) center-form rows. A region's box is mapped into feature coordinates by dividing by the
 feature stride -- never rounded -- and split into a p x p grid of bins.
 Each bin is read at its four quarter points, every sample bilinearly
 interpolated from the four surrounding cells (cell centers sit at
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import Box, box_array, corners
+from .boxes import corners
 from .tensor import Tensor, _accum
 
 __all__ = ["ROIAlignConfig", "assign_level", "roi_align"]
@@ -83,20 +83,17 @@ def _axis_weights(coords: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return first, (cells == i0[..., None]) * (1.0 - f) + (cells == i0[..., None] + 1.0) * f
 
 
-def roi_align(feature: Tensor, stride: float, boxes, cfg: ROIAlignConfig) -> Tensor:
+def roi_align(feature: Tensor, stride: float, boxes: np.ndarray, cfg: ROIAlignConfig) -> Tensor:
     """Pool p x p grids from a (C, H, W) feature map.
 
-    boxes is one Box, giving a (C, p, p) result, or (R, 4) center-form
-    rows, giving (R, C, p, p) in row order. Boxes are in image coordinates;
-    stride converts them to feature coordinates.
+    boxes are (R, 4) center-form rows in image coordinates; stride converts
+    them to feature coordinates. The result is (R, C, p, p) in row order.
     """
-    single = isinstance(boxes, Box)
-    rows = box_array([boxes] if single else boxes)
     c, h, w = feature.shape
     p = cfg.resolution
-    x1, y1, _, _ = corners(rows)
-    bw = rows[:, 2] / stride / p
-    bh = rows[:, 3] / stride / p
+    x1, y1, _, _ = corners(boxes)
+    bw = boxes[:, 2] / stride / p
+    bh = boxes[:, 3] / stride / p
     if not ((bw > 0) & (bh > 0)).all():
         raise ValueError("zero-area region")
 
@@ -108,7 +105,7 @@ def roi_align(feature: Tensor, stride: float, boxes, cfg: ROIAlignConfig) -> Ten
     # channels last, (H, W*C): each row of a window is one contiguous run
     fmap = feature.data.transpose(1, 2, 0).reshape(h, w * c)
 
-    n_roi = rows.shape[0]
+    n_roi = boxes.shape[0]
     out = np.empty((n_roi, p * c, p))
     arg = np.zeros((n_roi, p * c, p), dtype=np.int8) if cfg.aggregation == "max" else None
     chunks = []
@@ -144,7 +141,7 @@ def roi_align(feature: Tensor, stride: float, boxes, cfg: ROIAlignConfig) -> Ten
     def bwd(g, feat=feature, chunks=chunks, arg=arg):
         if not feat.requires_grad:
             return
-        g = (g[None] if single else g).transpose(0, 2, 1, 3).reshape(n_roi, p * c, p)
+        g = g.transpose(0, 2, 1, 3).reshape(n_roi, p * c, p)
         dmap = np.zeros((h, w * c))
         for lo, (y0, x0, ay, ax) in zip(range(0, n_roi, CHUNK), chunks):
             n, ly, lx = ay.shape[0], ay.shape[2], ax.shape[3]
@@ -164,4 +161,4 @@ def roi_align(feature: Tensor, stride: float, boxes, cfg: ROIAlignConfig) -> Ten
         _accum(feat, dmap.reshape(h, w, c).transpose(2, 0, 1))
 
     result = out.reshape(n_roi, p, c, p).transpose(0, 2, 1, 3)
-    return Tensor(result[0] if single else result, _parents=(feature,), _backward=bwd)
+    return Tensor(result, _parents=(feature,), _backward=bwd)

@@ -59,7 +59,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False, _parents=(), _backward=None):
         arr = np.asarray(data, dtype=np.float64)
         if not np.all(np.isfinite(arr)):
-            raise ValueError("tensor holds non-finite values")
+            raise FloatingPointError("tensor holds non-finite values")
         self.data = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in _parents)
@@ -184,14 +184,8 @@ class Tensor:
     # -- reductions -----------------------------------------------------------
 
     def sum(self, axis: int | None = None) -> "Tensor":
-        if axis is None:
-            def bwd(g, a=self):
-                _accum(a, np.broadcast_to(g, a.shape).copy())
-
-            return Tensor(self.data.sum(), _parents=(self,), _backward=bwd)
-
         def bwd(g, a=self, axis=axis):
-            _accum(a, np.broadcast_to(np.expand_dims(g, axis), a.shape).copy())
+            _accum(a, np.broadcast_to(g if axis is None else np.expand_dims(g, axis), a.shape).copy())
 
         return Tensor(self.data.sum(axis=axis), _parents=(self,), _backward=bwd)
 
@@ -397,16 +391,12 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     parents = (x, w) if b is None else (x, w, b)
 
     def bwd(g, x=x, w=w, b=b):
-        if x.ndim == 1:
-            _accum(w, np.outer(g, x.data))
-            if b is not None:
-                _accum(b, g)
-            _accum(x, g @ w.data)
-        else:
-            _accum(w, g.T @ x.data)
-            if b is not None:
-                _accum(b, g.sum(axis=0))
-            _accum(x, g @ w.data)
+        # a 1-D x is one row: its weight gradient is the outer product
+        rows = np.atleast_2d(g)
+        _accum(w, rows.T @ np.atleast_2d(x.data))
+        if b is not None:
+            _accum(b, rows.sum(axis=0))
+        _accum(x, g @ w.data)
 
     return Tensor(out, _parents=parents, _backward=bwd)
 

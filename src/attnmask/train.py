@@ -29,13 +29,14 @@ from decimal import Decimal
 
 import numpy as np
 
-from .boxes import Box, box_array, clip_boxes, encode_boxes, generate_anchors, pairwise_iou
+from .boxes import box_array, clip_boxes, corners, encode_boxes, generate_anchors, pairwise_iou
 from .losses import (
     MaskTarget,
     assign_anchor_labels,
     cls_loss,
     mask_loss,
     reg_loss,
+    sample_minibatch,
     softmax_ce,
     total_loss,
 )
@@ -141,12 +142,13 @@ class TrainResult:
         return np.array([r.l_total for r in self.records])
 
 
-def mask_target_grid(mask: np.ndarray, box: Box, m: int) -> np.ndarray:
-    """Binary m x m target: the mask value at each grid cell center
-    (nearest pixel; cells outside the image read 0)."""
+def mask_target_grid(mask: np.ndarray, box: np.ndarray, m: int) -> np.ndarray:
+    """Binary m x m target over a center-form box row: the mask value at
+    each grid cell center (nearest pixel; cells outside the image read 0)."""
     h, w = mask.shape
-    ys = box.y1 + (np.arange(m) + 0.5) / m * box.h
-    xs = box.x1 + (np.arange(m) + 0.5) / m * box.w
+    x1, y1, _, _ = corners(box[None])
+    ys = y1 + (np.arange(m) + 0.5) / m * box[3]
+    xs = x1 + (np.arange(m) + 0.5) / m * box[2]
     r = np.floor(ys).astype(int)
     c = np.floor(xs).astype(int)
     valid = ((r >= 0) & (r < h))[:, None] & ((c >= 0) & (c < w))[None, :]
@@ -177,15 +179,10 @@ def _sample_rois(
         fg = best >= cfg.roi_pos_iou
         labels[fg] = np.array(gt_classes)[arg[fg]]
         matched[fg] = arg[fg]
-    pos_idx = np.flatnonzero(labels > 0)
-    neg_idx = np.flatnonzero(labels == 0)
     max_pos = max(1, int(cfg.roi_batch * cfg.roi_pos_fraction))
-    if pos_idx.size > max_pos:
-        pos_idx = np.sort(rng.permutation(pos_idx)[:max_pos])
-    n_neg = cfg.roi_batch - pos_idx.size
-    if neg_idx.size > n_neg:
-        neg_idx = np.sort(rng.permutation(neg_idx)[:n_neg])
-    keep = np.concatenate([pos_idx, neg_idx])
+    keep = np.concatenate(sample_minibatch(
+        np.flatnonzero(labels > 0), np.flatnonzero(labels == 0), max_pos, cfg.roi_batch, rng
+    ))
     return keep, labels[keep], matched[keep]
 
 
@@ -250,7 +247,7 @@ def _image_loss(
                 grids = mask_head_forward(model, feat)
                 k = int(labels[r]) - 1
                 channel = gather_rows(grids.reshape(grids.shape[0], m * m), np.array([k]))
-                target = mask_target_grid(sample.masks[matched[r]], Box(*rois[r].tolist()), m)
+                target = mask_target_grid(sample.masks[matched[r]], rois[r], m)
                 terms.append(mask_loss(MaskTarget(y=channel.reshape(m, m), y_star=target)))
             l_mask = concat([t.reshape(1) for t in terms], axis=0).mean()
     roi_total, roi_parts = total_loss(roi_cls, roi_reg, l_mask, n_rois, n_rois)

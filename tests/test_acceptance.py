@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from attnmask.attention import AttentionConfig, cbam, eca_block, make_attention, se_block
-from attnmask.boxes import AnchorConfig, Box, BoxDelta, decode, encode, generate_anchors, iou, nms
+from attnmask.boxes import AnchorConfig, Box, box_array, decode, encode, generate_anchors, iou, nms
 from attnmask.checks import run_checks
 from attnmask.cli import _self_evaluate, cli
 from attnmask.losses import MaskTarget, cls_loss, mask_loss, reg_loss, total_loss
@@ -128,7 +128,7 @@ def test_criterion_03_geometry_oracles(capsys):
 
 def test_criterion_04_roi_align(capsys):
     cfg_max = ROIAlignConfig(resolution=3, aggregation="max")
-    const = roi_align(Tensor(np.full((2, 8, 8), 2.5)), 4.0, Box(12.0, 12.0, 16.0, 16.0), cfg_max)
+    const = roi_align(Tensor(np.full((2, 8, 8), 2.5)), 4.0, box_array([Box(12.0, 12.0, 16.0, 16.0)]), cfg_max)
     const_err = np.abs(const.data - 2.5).max()
 
     rng = np.random.default_rng(11)
@@ -138,7 +138,7 @@ def test_criterion_04_roi_align(capsys):
         agg = "max" if i % 2 == 0 else "avg"
         cfg = ROIAlignConfig(resolution=int(rng.integers(2, 5)), aggregation=agg)
         box = Box(rng.uniform(4, 28), rng.uniform(4, 28), rng.uniform(2, 20), rng.uniform(2, 20))
-        got = roi_align(Tensor(feat), 4.0, box, cfg).data
+        got = roi_align(Tensor(feat), 4.0, box_array([box]), cfg).data[0]
         want = roi_align_dense(feat, 4.0, (box.x1, box.y1, box.x2, box.y2),
                                cfg.resolution, agg)
         worst = max(worst, np.abs(got - want).max())
@@ -199,13 +199,12 @@ def test_criterion_05_metric_suite(capsys):
 def test_criterion_06_loss_fixtures(capsys):
     errs = {}
     errs["ln2"] = abs(cls_loss(Tensor(np.array([0.5])), np.array([1.0])).sum().item() - math.log(2.0))
-    zero = BoxDelta(0.0, 0.0, 0.0, 0.0)
-    errs["sl1_half"] = abs(reg_loss(BoxDelta(0.5, 0, 0, 0), zero).item() - 0.125)
-    errs["sl1_two"] = abs(reg_loss(BoxDelta(2.0, 0, 0, 0), zero).item() - 1.5)
-    errs["continuity"] = abs(
-        reg_loss(BoxDelta(1.0 - 1e-9, 0, 0, 0), zero).item()
-        - reg_loss(BoxDelta(1.0 + 1e-9, 0, 0, 0), zero).item()
-    )
+    def sl1(d):
+        return reg_loss(Tensor(np.array([d, 0.0, 0.0, 0.0])), np.zeros(4)).item()
+
+    errs["sl1_half"] = abs(sl1(0.5) - 0.125)
+    errs["sl1_two"] = abs(sl1(2.0) - 1.5)
+    errs["continuity"] = abs(sl1(1.0 - 1e-9) - sl1(1.0 + 1e-9))
     rng = np.random.default_rng(0)
     y = rng.uniform(0.1, 0.9, (4, 4))
     ys = rng.integers(0, 2, (4, 4)).astype(float)

@@ -14,6 +14,8 @@ from attnmask.boxes import (
     Box,
     BoxDelta,
     box_array,
+    clip_boxes,
+    corners,
     decode,
     encode,
     generate_anchors,
@@ -39,10 +41,15 @@ def test_degenerate_box_rejected():
 
 
 def test_clip_inside_and_outside():
-    b = Box.from_corners(-5.0, -5.0, 5.0, 5.0).clip(20.0, 20.0)
-    assert (b.x1, b.y1, b.x2, b.y2) == (0.0, 0.0, 5.0, 5.0)
-    with pytest.raises(ValueError):
-        Box.from_corners(30.0, 30.0, 40.0, 40.0).clip(20.0, 20.0)
+    rows = box_array([Box.from_corners(-5.0, -5.0, 5.0, 5.0), Box.from_corners(30.0, 30.0, 40.0, 40.0)])
+    clipped, inside = clip_boxes(rows, 20.0, 20.0)
+    assert [c[0] for c in corners(clipped)] == [0.0, 0.0, 5.0, 5.0]
+    assert inside.tolist() == [True, False]  # the second lies entirely outside
+    # one row past the far edge, one crossing it
+    clipped, inside = clip_boxes(box_array([Box(100.0, 8.0, 4.0, 4.0), Box(63.0, 8.0, 6.0, 4.0)]), 64.0, 64.0)
+    assert inside.tolist() == [False, True]
+    x1, _, x2, _ = corners(clipped)
+    assert (x1[1], x2[1]) == (60.0, 64.0)
 
 
 def test_iou_fixture_one_seventh():

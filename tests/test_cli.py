@@ -1,7 +1,9 @@
 """Command-line behavior: exit codes, diagnostics, artifacts."""
 
 import json
+import re
 
+import numpy as np
 import pytest
 
 from attnmask.cli import _parse_thresholds, _split_config, CLIError, cli
@@ -133,6 +135,41 @@ def test_train_toy_rejects_unknown_config_field(tmp_path, capsys):
     cfg.write_text(json.dumps({"n_object": [1, 2]}))
     assert cli(["train-toy", "--config", str(cfg), "--out", str(tmp_path / "y")]) == 2
     assert "unknown field 'n_object'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "cfg, message",
+    [
+        ({"train": {"batch_size": "2"}}, "train.batch_size must be int, got '2'"),
+        ({"model": {"fpn_dim": 24.5}}, "model.fpn_dim must be int, got 24.5"),
+        ({"train_images": "2"}, "train_images must be int, got '2'"),
+        ({"train": {"hflip_prob": float("nan")}}, "train.hflip_prob must be float, got nan"),
+        ({"model": {"stages": {"blocks": [1, 1, 1, 1]}}}, "model.stages must be StageConfig"),
+        ({"model": {"anchors": {"ratios": [1.0]}}}, "model.anchors must be AnchorConfig"),
+        ({"model": {"with_p6": 1}}, "model.with_p6 must be bool, got 1"),
+        ({"train": {"step_epochs": [1, "2"]}}, r"train.step_epochs must be tuple\[int, ...\]"),
+    ],
+    ids=["text-int", "fractional-int", "text-run-knob", "nan-float", "object-stages", "object-anchors",
+         "int-bool", "text-in-tuple"],
+)
+def test_malformed_config_values_exit_2_naming_file_and_field(tmp_path, capsys, cfg, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))  # json writes nan as NaN, which json.load reads back
+    assert cli(["train-toy", "--config", str(path), "--out", str(tmp_path / "y")]) == 2
+    err = capsys.readouterr().err
+    assert f"config {path}: " in err
+    assert re.search(message, err), err
+
+
+def test_diverged_training_exits_1(tmp_path, capsys):
+    path = tmp_path / "hot.json"
+    path.write_text(json.dumps({
+        "train_images": 2, "val_images": 1, "model": {"fpn_dim": 16},
+        "train": {"lr": 1e6, "epochs": 3, "step_epochs": []},
+    }))
+    with np.errstate(all="ignore"):
+        assert cli(["train-toy", "--config", str(path), "--out", str(tmp_path / "y")]) == 1
+    assert "training diverged: " in capsys.readouterr().err
 
 
 def test_compare_writes_all_variants(tmp_path, capsys):

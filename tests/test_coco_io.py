@@ -118,9 +118,16 @@ _DET = {"image_id": 0, "category_id": 1, "score": 0.5, "bbox": [1, 2, 3, 4]}
         (parse_gt, {**_gt_doc(), "images": [{"id": 0, "width": 64, "height": 2.5}]},
          r"images\[0\]: height must be an integer, got 2\.5"),
         (parse_detections, [{**_DET, "score": True}], r"detections\[0\]: score must be in \[0,1\], got True"),
+        (parse_gt, {**_gt_doc(), "annotations": [{**_gt_doc()["annotations"][0], "bbox": [True, 0, 1, 1]}]},
+         r"annotations\[0\] \(id=\d+\): bbox must hold four finite numbers, got \[True, 0, 1, 1\]"),
+        (parse_detections, [{**_DET, "bbox": [0, 0, "2", 1]}],
+         r"detections\[0\]: bbox must hold four finite numbers, got \[0, 0, '2', 1\]"),
+        (parse_detections, [{**_DET, "bbox": [0, 0, 10**400, 1]}],
+         r"detections\[0\]: bbox must hold four finite numbers"),
     ],
     ids=["record-not-object", "section-not-array", "nan-bbox", "inf-bbox", "text-bbox", "text-id", "text-score",
-         "fractional-id", "bool-id", "fractional-height", "bool-score"],
+         "fractional-id", "bool-id", "fractional-height", "bool-score", "bool-bbox", "numeric-text-bbox",
+         "overflowing-bbox"],
 )
 def test_malformed_input_names_record_and_field(parse, doc, message):
     with pytest.raises(CocoFormatError, match=message):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from attnmask.boxes import Box, BoxDelta, box_array, encode
+from attnmask.boxes import Box, box_array, encode
 from attnmask.losses import (
     IGNORE,
     NEGATIVE,
@@ -15,6 +15,7 @@ from attnmask.losses import (
     cls_loss,
     mask_loss,
     reg_loss,
+    sample_minibatch,
     softmax_ce,
     total_loss,
 )
@@ -53,20 +54,22 @@ def test_softmax_ce_matches_log_softmax():
     assert out[1] == pytest.approx(math.log(3.0))  # uniform logits
 
 
+def _reg(*d: float) -> float:
+    return reg_loss(Tensor(np.array(d)), np.zeros(4)).item()
+
+
 def test_reg_loss_fixture_values():
-    zero = BoxDelta(0.0, 0.0, 0.0, 0.0)
-    assert reg_loss(BoxDelta(0.5, 0.0, 0.0, 0.0), zero).item() == pytest.approx(0.125)
-    assert reg_loss(BoxDelta(2.0, 0.0, 0.0, 0.0), zero).item() == pytest.approx(1.5)
+    assert _reg(0.5, 0.0, 0.0, 0.0) == pytest.approx(0.125)
+    assert _reg(2.0, 0.0, 0.0, 0.0) == pytest.approx(1.5)
     # continuity across |d| = 1: both branches give 0.5
-    lo = reg_loss(BoxDelta(1.0 - 1e-9, 0, 0, 0), zero).item()
-    hi = reg_loss(BoxDelta(1.0 + 1e-9, 0, 0, 0), zero).item()
+    lo = _reg(1.0 - 1e-9, 0, 0, 0)
+    hi = _reg(1.0 + 1e-9, 0, 0, 0)
     assert abs(lo - hi) <= 1e-8
-    assert reg_loss(BoxDelta(1.0, 0, 0, 0), zero).item() == pytest.approx(0.5)
+    assert _reg(1.0, 0, 0, 0) == pytest.approx(0.5)
 
 
 def test_reg_loss_sums_components_and_batches():
-    zero = BoxDelta(0.0, 0.0, 0.0, 0.0)
-    assert reg_loss(BoxDelta(0.5, 0.5, 0.5, 0.5), zero).item() == pytest.approx(0.5)
+    assert _reg(0.5, 0.5, 0.5, 0.5) == pytest.approx(0.5)
     batch = Tensor(np.array([[0.5, 0, 0, 0], [2.0, 0, 0, 0]]))
     targets = np.zeros((2, 4))
     out = reg_loss(batch, targets)
@@ -242,6 +245,21 @@ def test_minibatch_sampling_is_seeded():
     a = assign_anchor_labels(box_array(anchors), box_array(gt), np.random.default_rng(5), batch=8)
     b = assign_anchor_labels(box_array(anchors), box_array(gt), np.random.default_rng(5), batch=8)
     assert np.array_equal(a.sampled, b.sampled)
+
+
+def test_sample_minibatch_pins_seeded_draws():
+    # anchor labelling and region sampling share this draw order: positives
+    # first, negatives second, and no draw for a set within its share
+    rng = np.random.default_rng(7)
+    pos, neg = sample_minibatch(np.arange(10), np.arange(10, 40), 4, 12, rng)
+    assert pos.tolist() == [0, 1, 7, 8]
+    assert neg.tolist() == [10, 14, 19, 20, 29, 31, 36, 37]
+    pos, neg = sample_minibatch(np.arange(3), np.arange(10, 40), 4, 12, rng)
+    assert pos.tolist() == [0, 1, 2]
+    assert neg.tolist() == [11, 20, 21, 23, 28, 31, 33, 35, 36]
+    pos, neg = sample_minibatch(np.arange(2), np.arange(10, 13), 4, 12, rng)
+    assert pos.tolist() == [0, 1] and neg.tolist() == [10, 11, 12]
+    assert rng.integers(1000) == 847
 
 
 def test_positive_targets_encode_against_matched_box():

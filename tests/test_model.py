@@ -11,7 +11,6 @@ from attnmask.model import (
     MIN_SIZE,
     InstancePrediction,
     ModelConfig,
-    _clip_or_none,
     box_head_forward,
     build_model,
     extract_roi_features,
@@ -106,12 +105,6 @@ def test_objectness_equals_softmax_foreground():
     assert np.allclose(got, want, atol=1e-12)
 
 
-def test_clip_or_none():
-    assert _clip_or_none(Box(100.0, 8.0, 4.0, 4.0), 64.0, 64.0) is None
-    partial = _clip_or_none(Box(63.0, 8.0, 6.0, 4.0), 64.0, 64.0)
-    assert partial.x2 == 64.0 and partial.x1 == 60.0
-
-
 def test_propose_respects_caps_and_bounds():
     model = _toy_model()
     x = Tensor(np.random.default_rng(1).uniform(size=(3, 64, 64)))
@@ -172,8 +165,8 @@ def test_extract_roi_features_keeps_input_order_across_levels(boxes):
     assert feats.shape == (len(boxes), 4, 3, 3)
     for row, box in zip(feats.data, boxes):
         lvl = assign_level(box_array([box]))[0]
-        want = roi_align(_PYRAMID[lvl], float(stride_of(lvl)), box, ROIAlignConfig(3))
-        np.testing.assert_allclose(row, want.data, rtol=0.0, atol=1e-12)
+        want = roi_align(_PYRAMID[lvl], float(stride_of(lvl)), box_array([box]), ROIAlignConfig(3))
+        np.testing.assert_allclose(row, want.data[0], rtol=0.0, atol=1e-12)
 
 
 def test_head_output_shapes():
@@ -204,31 +197,35 @@ def test_fresh_model_class_probs_near_uniform():
     assert np.abs(deltas.data).max() < 1.0  # refinements start near identity
 
 
+def _row(box: Box) -> np.ndarray:
+    return box_array([box])[0]
+
+
 def test_paste_mask_full_grid_counts_inside_pixels():
     probs = np.ones((4, 4))
-    mask = paste_mask(probs, Box.from_corners(2.0, 2.0, 6.0, 6.0), 10, 10)
+    mask = paste_mask(probs, _row(Box.from_corners(2.0, 2.0, 6.0, 6.0)), 10, 10)
     assert mask.sum() == 16
     assert mask[2:6, 2:6].all()
 
     # off-canvas box pastes nothing
-    assert paste_mask(probs, Box(200.0, 5.0, 4.0, 4.0), 10, 10).sum() == 0
+    assert paste_mask(probs, _row(Box(200.0, 5.0, 4.0, 4.0)), 10, 10).sum() == 0
 
     # sub-threshold probabilities paste nothing
-    assert paste_mask(np.full((4, 4), 0.4), Box.from_corners(2.0, 2.0, 6.0, 6.0), 10, 10).sum() == 0
+    assert paste_mask(np.full((4, 4), 0.4), _row(Box.from_corners(2.0, 2.0, 6.0, 6.0)), 10, 10).sum() == 0
 
 
 def test_paste_mask_respects_grid_layout():
     # left half on, right half off: only the left half of the box fills
     probs = np.zeros((4, 4))
     probs[:, :2] = 1.0
-    mask = paste_mask(probs, Box.from_corners(0.0, 0.0, 8.0, 8.0), 8, 8)
+    mask = paste_mask(probs, _row(Box.from_corners(0.0, 0.0, 8.0, 8.0)), 8, 8)
     assert mask[:, :3].all()      # grid centers land at x=1,3,5,7
     assert not mask[:, 4:].any()  # right half stays clear
 
 
 def test_paste_mask_clips_to_canvas():
     probs = np.ones((4, 4))
-    mask = paste_mask(probs, Box.from_corners(-4.0, 2.0, 4.0, 6.0), 10, 10)
+    mask = paste_mask(probs, _row(Box.from_corners(-4.0, 2.0, 4.0, 6.0)), 10, 10)
     assert mask.sum() == 16  # 4 wide inside canvas x 4 tall
     assert mask[2:6, 0:4].all()
 

@@ -15,8 +15,8 @@ def test_constant_map_is_exact():
     feature = Tensor(np.full((3, 8, 8), 2.5))
     box = Box.from_corners(3.1, 2.7, 17.4, 21.0)
     for agg in ("max", "avg"):
-        out = roi_align(feature, 4.0, box, ROIAlignConfig(resolution=7, aggregation=agg))
-        assert out.shape == (3, 7, 7)
+        out = roi_align(feature, 4.0, box_array([box]), ROIAlignConfig(resolution=7, aggregation=agg))
+        assert out.shape == (1, 3, 7, 7)
         # interior samples of a constant map reproduce the constant exactly
         assert np.allclose(out.data, 2.5, atol=1e-12)
 
@@ -30,7 +30,7 @@ def test_matches_dense_oracle_200_rois():
         box = Box.from_corners(x1, y1, x1 + rng.uniform(2, 14), y1 + rng.uniform(2, 14))
         res = int(rng.integers(1, 6))
         agg = "max" if case % 2 == 0 else "avg"
-        got = roi_align(Tensor(feature), 4.0, box, ROIAlignConfig(res, agg)).data
+        got = roi_align(Tensor(feature), 4.0, box_array([box]), ROIAlignConfig(res, agg)).data[0]
         want = roi_align_dense(feature, 4.0, (box.x1, box.y1, box.x2, box.y2), res, agg)
         assert np.abs(got - want).max() < 1e-6, f"case {case} ({agg})"
 
@@ -38,7 +38,7 @@ def test_matches_dense_oracle_200_rois():
 def test_outside_samples_read_zero():
     feature = Tensor(np.ones((1, 4, 4)))
     box = Box.from_corners(-64.0, -64.0, -32.0, -32.0)  # fully off the map
-    out = roi_align(feature, 1.0, box, ROIAlignConfig(resolution=2, aggregation="avg"))
+    out = roi_align(feature, 1.0, box_array([box]), ROIAlignConfig(resolution=2, aggregation="avg"))
     assert np.allclose(out.data, 0.0)
 
 
@@ -46,7 +46,7 @@ def test_zero_area_region_rejected():
     # Box already rejects nonpositive extents, so only underflow can
     # produce a zero feature-space bin; the guard must still catch it
     with pytest.raises(ValueError):
-        roi_align(Tensor(np.ones((1, 4, 4))), 1.0e9, Box(2, 2, 1e-320, 1e-320), ROIAlignConfig(2))
+        roi_align(Tensor(np.ones((1, 4, 4))), 1.0e9, box_array([Box(2, 2, 1e-320, 1e-320)]), ROIAlignConfig(2))
 
 
 def test_config_validation():
@@ -70,8 +70,8 @@ def test_assign_level_scale_rule():
 def test_gradients_both_aggregations(seed, agg):
     rng = np.random.default_rng(seed)
     feature = rng.standard_normal((3, 8, 8))
-    box = Box.from_corners(2.0 + seed, 3.0, 20.0, 26.0)
-    pw = rng.standard_normal((3, 3, 3))
+    box = box_array([Box.from_corners(2.0 + seed, 3.0, 20.0, 26.0)])
+    pw = rng.standard_normal((1, 3, 3, 3))
 
     def fn(t):
         return (roi_align(t, 4.0, box, ROIAlignConfig(3, agg)) * pw).sum()
@@ -82,7 +82,7 @@ def test_gradients_both_aggregations(seed, agg):
 def test_gradient_scatters_only_into_touched_cells():
     feature = Tensor(np.zeros((1, 8, 8)), requires_grad=True)
     box = Box.from_corners(0.0, 0.0, 8.0, 8.0)  # strides to cells (0..1)x(0..1)
-    out = roi_align(feature, 4.0, box, ROIAlignConfig(resolution=1, aggregation="avg"))
+    out = roi_align(feature, 4.0, box_array([box]), ROIAlignConfig(resolution=1, aggregation="avg"))
     out.sum().backward()
     touched = np.abs(feature.grad[0]) > 0
     assert touched[:3, :3].any()
@@ -123,13 +123,13 @@ def test_batched_equals_per_box_and_dense_oracle(extra, seed, res, agg):
     grad_sum = np.zeros_like(feature)
     for i, box in enumerate(boxes):
         one_leaf = Tensor(feature, requires_grad=True)
-        one = roi_align(one_leaf, 4.0, box, cfg)
+        one = roi_align(one_leaf, 4.0, box_array([box]), cfg)
         # a region's window length follows the widest region of its chunk,
         # and a longer window may round its sums differently in the last ulp
-        np.testing.assert_allclose(batched.data[i], one.data, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(batched.data[i], one.data[0], rtol=0.0, atol=1e-12)
         want = roi_align_dense(feature, 4.0, (box.x1, box.y1, box.x2, box.y2), res, agg)
-        assert np.abs(one.data - want).max() < 1e-9
-        (one * pw[i]).sum().backward()
+        assert np.abs(one.data[0] - want).max() < 1e-9
+        (one * pw[i : i + 1]).sum().backward()
         grad_sum += one_leaf.grad
     # the batched backward is the sum of the per-region backwards
     assert np.allclose(leaf.grad, grad_sum, rtol=0.0, atol=1e-12)
@@ -155,8 +155,8 @@ def test_max_ties_send_gradient_to_first_sample():
     # the (0.25, 0.25) sample's bilinear neighbours
     feature = Tensor(np.ones((1, 10, 10)), requires_grad=True)
     box = Box.from_corners(0.75, 1.25, 8.75, 9.25)
-    out = roi_align(feature, 1.0, box, ROIAlignConfig(1, "max"))
-    assert out.data[0, 0, 0] == 1.0
+    out = roi_align(feature, 1.0, box_array([box]), ROIAlignConfig(1, "max"))
+    assert out.data[0, 0, 0, 0] == 1.0
     out.sum().backward()
     sy, sx = box.y1 + 0.25 * box.h, box.x1 + 0.25 * box.w
     hat_y = np.maximum(0.0, 1.0 - np.abs(sy - (np.arange(10) + 0.5)))

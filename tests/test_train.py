@@ -5,7 +5,7 @@ import csv
 import numpy as np
 import pytest
 
-from attnmask.boxes import Box
+from attnmask.boxes import Box, box_array
 from attnmask.model import ModelConfig, build_model
 from attnmask.synth import SynthSpec, synth_dataset
 from attnmask.tensor import Tensor
@@ -66,13 +66,13 @@ def test_sgd_step_rejects_non_finite_gradient():
 def test_mask_target_grid_nearest_sampling():
     mask = np.zeros((8, 8), dtype=bool)
     mask[0:4, 0:4] = True
-    grid = mask_target_grid(mask, Box.from_corners(0.0, 0.0, 8.0, 8.0), 4)
+    grid = mask_target_grid(mask, box_array([Box.from_corners(0.0, 0.0, 8.0, 8.0)])[0], 4)
     want = np.zeros((4, 4), dtype=np.int64)
     want[0:2, 0:2] = 1
     assert np.array_equal(grid, want)
 
     # box hanging off the image: outside cells read 0
-    grid = mask_target_grid(mask, Box.from_corners(-4.0, 0.0, 4.0, 8.0), 4)
+    grid = mask_target_grid(mask, box_array([Box.from_corners(-4.0, 0.0, 4.0, 8.0)])[0], 4)
     assert np.array_equal(grid[:, :2], np.zeros((4, 2), dtype=np.int64))
     assert np.array_equal(grid[0:2, 2:4], np.ones((2, 2), dtype=np.int64))
 
