@@ -88,11 +88,8 @@ class Box:
 
     @classmethod
     def from_coco(cls, xywh) -> "Box":
-        x, y, w, h = (float(v) for v in xywh)
+        x, y, w, h = map(float, xywh)
         return cls(x + w / 2.0, y + h / 2.0, w, h)
-
-    def to_coco(self) -> list[float]:
-        return [self.x1, self.y1, self.w, self.h]
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """Command-line front end: evaluate, train-toy, compare, gradcheck.
 
 Exit codes: 0 success, 1 failed checks or diverged training, 2 malformed
-inputs (the diagnostic names the offending file, record or section, and
-field).
+input. Config files and COCO files are read by `inputs`, so every
+diagnostic names the file, the record or section, the field and the value.
 The ATTNMASK_SEED environment variable overrides any --seed flag.
 """
 
@@ -10,17 +10,15 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
-import math
 import os
 import sys
 import time
-
-import numpy as np
+from dataclasses import dataclass
 
 from .attention import VARIANTS
 from .checks import MODULES, run_checks
-from .coco_io import CocoFormatError, load_detections, load_gt, save_json
+from .coco_io import load_detections, load_gt, save_json
+from .inputs import InputError, checked, field, load_json, replace_checked
 from .metrics import COCO_SWEEP, format_table, map_report
 from .model import Model, ModelConfig, build_model, infer, save_checkpoint
 from .synth import SynthSpec, dataset_hash, synth_dataset, to_ground_truth
@@ -29,89 +27,42 @@ from .train import TrainConfig, train, write_trace_csv
 __all__ = ["cli", "main"]
 
 
-class CLIError(ValueError):
-    """Input problem with a user-facing diagnostic."""
-
-
 # -- config plumbing -----------------------------------------------------------
 
 
-def _fits(kind: str, value) -> bool:
-    """Whether a JSON value is of one annotation term: int, float, str, bool
-    or None. A float must be finite and an int may stand for it; booleans
-    are not numbers. Nested configs (StageConfig, AnchorConfig) have no
-    JSON form and fit nothing."""
-    if kind == "float":
-        return type(value) is int or (type(value) is float and math.isfinite(value))
-    return type(value) is {"int": int, "str": str, "bool": bool, "None": type(None)}.get(kind)
+@dataclass(frozen=True)
+class RunConfig:
+    """Run-scale knobs of a config file: dataset sizes and seeds, and the
+    score threshold of the self-evaluation."""
 
+    train_images: int = 24
+    val_images: int = 8
+    train_seed: int = 1001
+    val_seed: int = 2002
+    conf_threshold: float = 0.5
 
-def _checked_value(annotation: str, value, where: str):
-    """value, a list turned into a tuple, if it fits the field annotation
-    ("int | None", "tuple[float, float]", "tuple[str, ...]"); otherwise a
-    CLIError naming where."""
-    for kind in annotation.split(" | "):
-        if kind.startswith("tuple[") and isinstance(value, list):
-            kinds = kind[6:-1].split(", ")
-            if kinds[-1] == "...":
-                kinds = kinds[:1] * len(value)
-            if len(kinds) == len(value) and all(map(_fits, kinds, value)):
-                return tuple(value)
-        elif _fits(kind, value):
-            return value
-    raise CLIError(f"{where} must be {annotation}, got {value!r}")
-
-
-def _replace_checked(obj, overrides: dict, where: str, section: str | None = None):
-    """dataclasses.replace after checking every override against its field's
-    annotation. where names the config file; section is "model" or "train",
-    or None for top-level fields."""
-    dot = f"{section}." if section else ""
-    types = {f.name: f.type for f in dataclasses.fields(obj)}
-    fixed = {}
-    for key, value in overrides.items():
-        if key not in types:
-            raise CLIError(f"{where}: unknown field {dot + key!r}")
-        fixed[key] = _checked_value(types[key], value, f"{where}: {dot}{key}")
-    try:
-        return dataclasses.replace(obj, **fixed)
-    except (TypeError, ValueError) as exc:
-        raise CLIError(f"{where}: {section}: {exc}" if section else f"{where}: {exc}") from exc
+    def __post_init__(self):
+        for name in ("train_images", "val_images"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not 0.0 <= self.conf_threshold <= 1.0:
+            raise ValueError(f"conf_threshold must be in [0,1], got {self.conf_threshold}")
 
 
 def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except OSError as exc:
-        raise CLIError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CLIError(f"config {path}: invalid JSON at line {exc.lineno} column {exc.colno}") from exc
-    if not isinstance(cfg, dict):
-        raise CLIError(f"config {path}: top level must be an object")
-    return cfg
+    return {} if path is None else load_json(path, lambda doc: checked("object", doc, "top level"))
 
 
-def _split_config(cfg: dict, path: str) -> tuple[SynthSpec, dict, dict, dict]:
-    """A config file carries synth fields at top level plus optional
-    "model"/"train" sections and run-scale knobs. The sections are checked
-    when they are applied, by _train_one."""
-    run = {"train_images": 24, "val_images": 8, "train_seed": 1001, "val_seed": 2002,
-           "conf_threshold": 0.5}
-    model_overrides = cfg.pop("model", {})
-    train_overrides = cfg.pop("train", {})
-    if not isinstance(model_overrides, dict):
-        raise CLIError(f"config {path}: \"model\" must be an object")
-    if not isinstance(train_overrides, dict):
-        raise CLIError(f"config {path}: \"train\" must be an object")
-    for key, default in run.items():
-        if key in cfg:
-            # each knob takes the type of its default
-            run[key] = _checked_value(type(default).__name__, cfg.pop(key), f"config {path}: {key}")
-    spec = _replace_checked(SynthSpec(), cfg, f"config {path}")
-    return spec, model_overrides, train_overrides, run
+def _split_config(cfg: dict, path: str) -> tuple[SynthSpec, dict, dict, RunConfig]:
+    """A config file holds SynthSpec and RunConfig fields at top level plus
+    optional "model"/"train" sections, which _train_one applies."""
+    where = f"config {path}"
+    model_overrides = field(cfg, "model", "object", where, {})
+    train_overrides = field(cfg, "train", "object", where, {})
+    run_keys = {f.name for f in dataclasses.fields(RunConfig)}
+    run = replace_checked(RunConfig(), {k: v for k, v in cfg.items() if k in run_keys}, where)
+    rest = {k: v for k, v in cfg.items() if k not in run_keys and k not in ("model", "train")}
+    return replace_checked(SynthSpec(), rest, where), model_overrides, train_overrides, run
 
 
 def _resolve_seed(flag_seed: int) -> int:
@@ -121,7 +72,7 @@ def _resolve_seed(flag_seed: int) -> int:
     try:
         return int(env)
     except ValueError as exc:
-        raise CLIError(f"ATTNMASK_SEED={env!r} is not an integer") from exc
+        raise InputError(f"ATTNMASK_SEED={env!r} is not an integer") from exc
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -139,12 +90,12 @@ def _parse_thresholds(text: str) -> tuple[float, ...]:
         try:
             value = float(token)
         except ValueError as exc:
-            raise CLIError(f"--thresholds: {token!r} is not a number or 'coco'") from exc
+            raise InputError(f"--thresholds: {token!r} is not a number or 'coco'") from exc
         if not 0.0 < value < 1.0:
-            raise CLIError(f"--thresholds: {value} outside (0, 1)")
+            raise InputError(f"--thresholds: {value} outside (0, 1)")
         out.append(round(value, 2))
     if not out:
-        raise CLIError("--thresholds: no values given")
+        raise InputError("--thresholds: no values given")
     return tuple(sorted(set(out)))
 
 
@@ -170,15 +121,14 @@ def _self_evaluate(model: Model, val_ds, spec: SynthSpec, conf: float):
 
 
 def _train_one(variant: str, seed: int, path: str, spec, model_overrides, train_overrides, run):
-    where = f"config {path}"
     mcfg = ModelConfig.toy(variant, num_classes=spec.num_classes)
-    mcfg = _replace_checked(mcfg, model_overrides, where, "model")
-    tcfg = _replace_checked(TrainConfig.toy(seed=seed), train_overrides, where, "train")
-    train_ds = synth_dataset(spec, run["train_seed"], run["train_images"])
-    val_ds = synth_dataset(spec, run["val_seed"], run["val_images"])
+    mcfg = replace_checked(mcfg, model_overrides, f"config {path}: model")
+    tcfg = replace_checked(TrainConfig.toy(seed=seed), train_overrides, f"config {path}: train")
+    train_ds = synth_dataset(spec, run.train_seed, run.train_images)
+    val_ds = synth_dataset(spec, run.val_seed, run.val_images)
     model = build_model(mcfg, seed=seed)
     result = train(model, train_ds, tcfg)
-    report, n_dets = _self_evaluate(model, val_ds, spec, run["conf_threshold"])
+    report, n_dets = _self_evaluate(model, val_ds, spec, run.conf_threshold)
     return model, result, report, n_dets, dataset_hash(train_ds)
 
 
@@ -229,7 +179,7 @@ def _cmd_compare(args) -> int:
         }
         print(f"[{variant}] done in {elapsed:.1f}s ({n_dets} detections)", file=sys.stderr)
     if len(hashes) != 1:
-        raise CLIError(f"dataset hash mismatch across variants: {sorted(hashes)}")
+        raise InputError(f"dataset hash mismatch across variants: {sorted(hashes)}")
 
     table = format_table(rows)
     print(table)

@@ -1,200 +1,98 @@
-"""Reading and writing the COCO-style JSON formats used by the evaluator.
+"""Reading the COCO-style JSON files the evaluator scores.
 
-Ground truth is an object with `images`, `annotations`, and `categories`
-arrays; detections are a flat array of records. Boxes use the COCO
-top-left `[x, y, w, h]` pixel convention and are converted to center
-form internally. Every section must be an array of objects, ids and
-image sizes must be integral numbers (not booleans), and bbox components
-and scores must be finite numbers. Validation errors always name the
-offending record (array index and id) and field, and the loaders prefix
-the file path, so CLI diagnostics can point at them.
+Ground truth is an object with `images`, `annotations` and `categories`
+arrays; detections are one array of records. Boxes are COCO top-left
+`[x, y, w, h]` pixels, converted to center form. Every field goes through
+`inputs.field`: ids and sizes are ints, bbox components and scores finite
+numbers, names strings, and `iscrowd` (default 0) is 0, 1, true or false.
+Nothing here writes COCO files; `save_json` writes the CLI's reports.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .boxes import Box
+from .inputs import InputError, checked, field, load_json, records
 from .metrics import Detection, GTRecord
 
-__all__ = [
-    "CocoFormatError",
-    "GroundTruth",
-    "load_gt",
-    "load_detections",
-    "parse_gt",
-    "parse_detections",
-    "gt_to_dict",
-    "detections_to_list",
-    "save_json",
-]
+__all__ = ["GroundTruth", "load_gt", "load_detections", "parse_gt", "parse_detections", "save_json"]
 
-
-class CocoFormatError(ValueError):
-    """A structural or semantic problem in a COCO JSON document."""
+_BBOX = "tuple[float, float, float, float]"
 
 
 @dataclass
 class GroundTruth:
     records: list[GTRecord]
-    images: dict[int, tuple[int, int]] = field(default_factory=dict)
-    categories: dict[int, str] = field(default_factory=dict)
+    images: dict[int, tuple[int, int]]
+    categories: dict[int, str]
 
 
-def _require(obj: dict, key: str, where: str):
-    if key not in obj:
-        raise CocoFormatError(f"{where}: missing required field {key!r}")
-    return obj[key]
-
-
-def _records(items, name: str):
-    """(location, record) pairs of a JSON array whose entries are objects."""
-    if not isinstance(items, list):
-        raise CocoFormatError(f"{name} must be a JSON array, got {type(items).__name__}")
-    for i, rec in enumerate(items):
-        where = f"{name}[{i}]"
-        if not isinstance(rec, dict):
-            raise CocoFormatError(f"{where}: must be an object, got {rec!r}")
-        yield where, rec
-
-
-def _int_field(obj: dict, key: str, where: str) -> int:
-    value = _require(obj, key, where)
-    if type(value) is int:
-        return value
-    # int() would read true as 1 and 3.7 as 3
-    if type(value) is float and value.is_integer():
-        return int(value)
-    raise CocoFormatError(f"{where}: {key} must be an integer, got {value!r}")
-
-
-_NUMBER_TYPES = frozenset((int, float))
-
-
-def _box_from_coco(bbox, where: str) -> Box:
-    if not isinstance(bbox, (list, tuple)) or len(bbox) != 4:
-        raise CocoFormatError(f"{where}: bbox must be a 4-element [x, y, w, h] array, got {bbox!r}")
-    try:
-        x, y, w, h = map(float, bbox)
-        finite = math.isfinite(x) and math.isfinite(y) and math.isfinite(w) and math.isfinite(h)
-        # float() alone would read true as 1.0 and "2" as 2.0
-        finite = finite and _NUMBER_TYPES.issuperset(map(type, bbox))
-    except (TypeError, ValueError, OverflowError):
-        finite = False
-    if not finite:
-        raise CocoFormatError(f"{where}: bbox must hold four finite numbers, got {bbox!r}")
+def _box(rec: dict, where: str) -> Box:
+    x, y, w, h = field(rec, "bbox", _BBOX, where)
     if w <= 0 or h <= 0:
-        raise CocoFormatError(f"{where}: bbox extents must be positive, got w={w}, h={h}")
+        raise InputError(f"{where}: bbox extents must be positive, got w={w}, h={h}")
     return Box.from_coco((x, y, w, h))
 
 
 def parse_gt(doc) -> GroundTruth:
     """Validate a parsed ground-truth document and convert to GTRecords."""
-    if not isinstance(doc, dict):
-        raise CocoFormatError(f"ground truth must be a JSON object, got {type(doc).__name__}")
+    checked("object", doc, "ground truth")
     images: dict[int, tuple[int, int]] = {}
-    for where, img in _records(doc.get("images", []), "images"):
-        iid = _int_field(img, "id", where)
+    for where, img in records(doc.get("images", []), "images"):
+        iid = field(img, "id", "int", where)
         if iid in images:
-            raise CocoFormatError(f"{where}: duplicate image id {iid}")
-        images[iid] = (_int_field(img, "width", where), _int_field(img, "height", where))
+            raise InputError(f"{where}: duplicate image id {iid}")
+        images[iid] = (field(img, "width", "int", where), field(img, "height", "int", where))
     categories: dict[int, str] = {}
-    for where, cat in _records(doc.get("categories", []), "categories"):
-        cid = _int_field(cat, "id", where)
+    for where, cat in records(doc.get("categories", []), "categories"):
+        cid = field(cat, "id", "int", where)
         if cid in categories:
-            raise CocoFormatError(f"{where}: duplicate category id {cid}")
-        categories[cid] = str(_require(cat, "name", where))
-    records: list[GTRecord] = []
+            raise InputError(f"{where}: duplicate category id {cid}")
+        categories[cid] = field(cat, "name", "str", where)
+    gts: list[GTRecord] = []
     seen_ann: set[int] = set()
-    for where, ann in _records(doc.get("annotations", []), "annotations"):
-        aid = _int_field(ann, "id", where)
+    for where, ann in records(doc.get("annotations", []), "annotations"):
+        aid = field(ann, "id", "int", where)
         where = f"{where} (id={aid})"
         if aid in seen_ann:
-            raise CocoFormatError(f"{where}: duplicate annotation id")
+            raise InputError(f"{where}: duplicate annotation id")
         seen_ann.add(aid)
-        img_id = _int_field(ann, "image_id", where)
+        img_id = field(ann, "image_id", "int", where)
         if images and img_id not in images:
-            raise CocoFormatError(f"{where}: unknown image_id {img_id}")
-        cat_id = _int_field(ann, "category_id", where)
+            raise InputError(f"{where}: unknown image_id {img_id}")
+        cat_id = field(ann, "category_id", "int", where)
         if categories and cat_id not in categories:
-            raise CocoFormatError(f"{where}: unknown category_id {cat_id}")
-        box = _box_from_coco(_require(ann, "bbox", where), where)
-        records.append(
-            GTRecord(image_id=img_id, class_id=cat_id, box=box, iscrowd=bool(ann.get("iscrowd", 0)))
-        )
-    return GroundTruth(records=records, images=images, categories=categories)
+            raise InputError(f"{where}: unknown category_id {cat_id}")
+        crowd = field(ann, "iscrowd", "int | bool", where, 0)
+        if crowd not in (0, 1):
+            raise InputError(f"{where}: iscrowd must be 0, 1, true or false, got {crowd!r}")
+        gts.append(GTRecord(image_id=img_id, class_id=cat_id, box=_box(ann, where), iscrowd=bool(crowd)))
+    return GroundTruth(records=gts, images=images, categories=categories)
 
 
 def parse_detections(doc, categories: dict[int, str] | None = None) -> list[Detection]:
     """Validate a parsed detection array; optionally check category ids."""
     dets: list[Detection] = []
-    for where, rec in _records(doc, "detections"):
-        img_id = _int_field(rec, "image_id", where)
-        cat_id = _int_field(rec, "category_id", where)
+    for where, rec in records(doc, "detections"):
+        img_id = field(rec, "image_id", "int", where)
+        cat_id = field(rec, "category_id", "int", where)
         if categories is not None and cat_id not in categories:
-            raise CocoFormatError(f"{where}: unknown category_id {cat_id}")
-        value = _require(rec, "score", where)
-        score = float(value) if type(value) in (int, float) else math.nan
+            raise InputError(f"{where}: unknown category_id {cat_id}")
+        score = field(rec, "score", "float", where)
         if not 0.0 <= score <= 1.0:
-            raise CocoFormatError(f"{where}: score must be in [0,1], got {value!r}")
-        box = _box_from_coco(_require(rec, "bbox", where), where)
-        dets.append(Detection(image_id=img_id, class_id=cat_id, box=box, score=score))
+            raise InputError(f"{where}: score must be in [0,1], got {score!r}")
+        dets.append(Detection(image_id=img_id, class_id=cat_id, box=_box(rec, where), score=score))
     return dets
 
 
-def _load(path: str, parse, *args):
-    """parse(document, *args) of the JSON file at path; errors name the file."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        return parse(doc, *args)
-    except OSError as e:
-        raise CocoFormatError(f"{path}: {e.strerror or e}") from e
-    except json.JSONDecodeError as e:
-        raise CocoFormatError(f"{path}: invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from e
-    except CocoFormatError as e:
-        raise CocoFormatError(f"{path}: {e}") from None
-
-
 def load_gt(path: str) -> GroundTruth:
-    return _load(path, parse_gt)
+    return load_json(path, parse_gt)
 
 
 def load_detections(path: str, categories: dict[int, str] | None = None) -> list[Detection]:
-    return _load(path, parse_detections, categories)
-
-
-def gt_to_dict(gt: GroundTruth) -> dict:
-    """Serialize ground truth back to the COCO object layout."""
-    return {
-        "images": [{"id": i, "width": w, "height": h} for i, (w, h) in sorted(gt.images.items())],
-        "annotations": [
-            {
-                "id": i + 1,
-                "image_id": r.image_id,
-                "category_id": r.class_id,
-                "bbox": r.box.to_coco(),
-                "area": r.box.area,
-                "iscrowd": int(r.iscrowd),
-            }
-            for i, r in enumerate(gt.records)
-        ],
-        "categories": [{"id": c, "name": n} for c, n in sorted(gt.categories.items())],
-    }
-
-
-def detections_to_list(dets: list[Detection]) -> list[dict]:
-    return [
-        {
-            "image_id": d.image_id,
-            "category_id": d.class_id,
-            "bbox": d.box.to_coco(),
-            "score": d.score,
-        }
-        for d in dets
-    ]
+    return load_json(path, parse_detections, categories)
 
 
 def save_json(obj, path: str) -> None:

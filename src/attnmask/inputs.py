@@ -1,0 +1,135 @@
+"""The one reader of JSON input, for COCO files and run configs.
+
+Kinds are spelled like annotations: "int", "float", "str", "bool", "None",
+"object", "array", a tuple of one item kind read from an array
+("tuple[int, ...]", "tuple[float, float]"), or a union ("int | None");
+any other name accepts nothing. One rule reads numbers: booleans are never
+numbers, an integral float reads as an int, and floats (ints read as floats
+too) are finite.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+import math
+import reprlib
+import sys
+
+__all__ = ["InputError", "load_json", "records", "field", "checked", "replace_checked"]
+
+
+class InputError(ValueError):
+    """Malformed input, with a diagnostic that says where it is."""
+
+
+_BAD = object()  # what a check returns for a value not of its kind
+
+
+def _int(v):
+    return v if type(v) is int else int(v) if type(v) is float and v.is_integer() else _BAD
+
+
+def _float(v):
+    if type(v) is float and math.isfinite(v):
+        return v
+    return float(v) if type(v) is int and abs(v) <= _MAX_FLOAT else _BAD
+
+
+def _is(t):
+    return lambda v: v if type(v) is t else _BAD
+
+
+def _tuple(item, n: int | None):
+    def check(v):
+        if type(v) is not list or n is not None and len(v) != n:
+            return _BAD
+        items = tuple(map(item, v))  # one pass of the item check
+        return _BAD if _BAD in items else items
+    return check
+
+
+def _union(checks):
+    def check(v):
+        for c in checks:
+            if (read := c(v)) is not _BAD:
+                return read
+        return _BAD
+    return check
+
+
+class _Checks(dict):
+    """kind -> check(value), which returns the value read as kind or _BAD.
+    Each kind's check is built once, on first use."""
+
+    def __missing__(self, kind: str):
+        items = kind[6:-1].split(", ") if kind.startswith("tuple[") else []
+        if " | " in kind:
+            check = _union([self[k] for k in kind.split(" | ")])
+        elif len(set(items) - {"..."}) == 1:
+            check = _tuple(self[items[0]], None if items[-1] == "..." else len(items))
+        else:
+            check = _union([])  # any other name accepts nothing
+        self[kind] = check
+        return check
+
+
+_MAX_FLOAT = int(sys.float_info.max)
+_CHECKS = _Checks({"int": _int, "float": _float, "str": _is(str), "bool": _is(bool), "None": _is(type(None)),
+                   "object": _is(dict), "array": _is(list)})
+
+
+def checked(kind: str, value, where: str):
+    """value read as kind; where names the value."""
+    if (read := _CHECKS[kind](value)) is _BAD:
+        raise InputError(f"{where} must be {kind}, got {reprlib.repr(value)}")
+    return read
+
+
+def field(obj: dict, key: str, kind: str, where: str, default=dataclasses.MISSING):
+    """obj[key] read as kind (default, if given, when key is absent); where names obj."""
+    if key not in obj:
+        if default is dataclasses.MISSING:
+            raise InputError(f"{where}: missing required field {key!r}")
+        return default
+    if (read := _CHECKS[kind](obj[key])) is _BAD:
+        checked(kind, obj[key], f"{where}: {key}")  # raises the located error
+    return read
+
+
+def records(items, name: str):
+    """(location, record) pairs of the JSON array of objects called name."""
+    for i, rec in enumerate(checked("array", items, name)):
+        where = f"{name}[{i}]"
+        if type(rec) is not dict:
+            checked("object", rec, where)  # raises the located error
+        yield where, rec
+
+
+def replace_checked(obj, overrides: dict, where: str):
+    """dataclasses.replace(obj, **overrides), each value read as its field's
+    annotation; errors, the dataclass's own checks included, say where."""
+    kinds = {f.name: f.type for f in dataclasses.fields(obj)}
+    fixed = {}
+    for key, value in overrides.items():
+        if key not in kinds:
+            raise InputError(f"{where}: unknown field {key!r}")
+        fixed[key] = checked(kinds[key], value, f"{where}: {key}")
+    try:
+        return dataclasses.replace(obj, **fixed)
+    except ValueError as e:
+        raise InputError(f"{where}: {e}") from e
+
+
+def load_json(path: str, parse, *args):
+    """parse(document, *args) of the JSON file at path; errors name the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        return parse(doc, *args)
+    except OSError as e:
+        raise InputError(f"{path}: {e.strerror or e}") from e
+    except json.JSONDecodeError as e:
+        raise InputError(f"{path}: invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from e
+    except InputError as e:
+        raise InputError(f"{path}: {e}") from None

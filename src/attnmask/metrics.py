@@ -160,7 +160,6 @@ class EvalReport:
     thresholds: tuple[float, ...]
     class_ids: tuple[int, ...]
     ap: dict[float, dict[int, float]]
-    curves: dict[tuple[float, int], PRCurve]
     map_by_thr: dict[float, float]
     counts: dict[float, tuple[int, int, int]]
     map50: float | None = None
@@ -211,7 +210,6 @@ def map_report(
         by_group_g.setdefault((g.image_id, g.class_id), []).append(g)
 
     ap: dict[float, dict[int, float]] = {t: {} for t in thresholds}
-    curves: dict[tuple[float, int], PRCurve] = {}
     map_by_thr: dict[float, float] = {}
     counts: dict[float, tuple[int, int, int]] = {}
     images = sorted({k[0] for k in by_group_d} | {k[0] for k in by_group_g})
@@ -236,7 +234,6 @@ def map_report(
             else:
                 flags = np.zeros(0, dtype=np.int8)
             curve = pr_curve(flags, class_gt_counts[cid])
-            curves[(thr, cid)] = curve
             ap[thr][cid] = average_precision(curve)
             tp_all += curve.tp
             fp_all += curve.fp
@@ -248,7 +245,6 @@ def map_report(
         thresholds=thresholds,
         class_ids=class_ids,
         ap=ap,
-        curves=curves,
         map_by_thr=map_by_thr,
         counts=counts,
     )

@@ -86,6 +86,15 @@ class ModelConfig:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.num_classes < 1:
             raise ValueError("need at least one foreground class")
+        for name in ("fpn_dim", "box_resolution", "mask_resolution", "head_width", "reduction"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.mask_out != 2 * self.mask_resolution:
+            raise ValueError(f"mask_out must be 2 * mask_resolution = {2 * self.mask_resolution}, "
+                             f"got {self.mask_out}")
+        k = self.eca_kernel
+        if k != "adaptive" and not (type(k) is int and k >= 1 and k % 2):
+            raise ValueError(f"eca_kernel must be an odd positive int or 'adaptive', got {k!r}")
 
     @classmethod
     def toy(cls, variant: str = "cbam", num_classes: int = 3) -> "ModelConfig":

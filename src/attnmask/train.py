@@ -90,6 +90,13 @@ class TrainConfig:
     def __post_init__(self):
         if self.lr <= 0:
             raise ValueError("lr must be positive")
+        for name in ("epochs", "batch_size", "rpn_batch"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.steps_per_epoch is not None and self.steps_per_epoch < 1:
+            raise ValueError(f"steps_per_epoch must be null or at least 1, got {self.steps_per_epoch}")
+        if not 0.0 <= self.hflip_prob <= 1.0:
+            raise ValueError(f"hflip_prob must be in [0,1], got {self.hflip_prob}")
         if any(e >= self.epochs for e in self.step_epochs):
             raise ValueError("schedule boundaries must fall inside the run")
 
@@ -132,10 +139,6 @@ class StepRecord:
 @dataclass
 class TrainResult:
     records: list[StepRecord] = field(default_factory=list)
-
-    @property
-    def lr_trace(self) -> list[float]:
-        return [r.lr for r in self.records]
 
     @property
     def loss_trace(self) -> np.ndarray:
@@ -282,33 +285,36 @@ def train(model: Model, dataset: list[Sample], cfg: TrainConfig) -> TrainResult:
     default_batches = math.ceil(n / cfg.batch_size)
     batches_per_epoch = cfg.steps_per_epoch or default_batches
     step = 0
-    for epoch in range(cfg.epochs):
-        lr = lr_at(cfg, epoch)
-        order = rng.permutation(n)
-        if batches_per_epoch * cfg.batch_size > n:
-            reps = math.ceil(batches_per_epoch * cfg.batch_size / n)
-            order = np.tile(order, reps)
-        for b in range(batches_per_epoch):
-            idxs = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
-            if idxs.size == 0:
-                break
-            parts = np.zeros(3)
-            for i in idxs:
-                s = dataset[int(i)]
-                if rng.random() < cfg.hflip_prob:
-                    s = hflip(s)
-                loss, p3 = _image_loss(model, s, rng, cfg)
-                (loss * (1.0 / idxs.size)).backward()
-                parts += p3 / idxs.size
-            _sgd_step(params, velocities, lr, cfg)
-            result.records.append(
-                StepRecord(
-                    step=step, epoch=epoch,
-                    l_cls=float(parts[0]), l_reg=float(parts[1]), l_mask=float(parts[2]),
-                    l_total=float(parts.sum()), lr=lr,
+    # a diverging run overflows before Tensor's finite check stops it, and
+    # that check's FloatingPointError alone reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            lr = lr_at(cfg, epoch)
+            order = rng.permutation(n)
+            if batches_per_epoch * cfg.batch_size > n:
+                reps = math.ceil(batches_per_epoch * cfg.batch_size / n)
+                order = np.tile(order, reps)
+            for b in range(batches_per_epoch):
+                idxs = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
+                if idxs.size == 0:
+                    break
+                parts = np.zeros(3)
+                for i in idxs:
+                    s = dataset[int(i)]
+                    if rng.random() < cfg.hflip_prob:
+                        s = hflip(s)
+                    loss, p3 = _image_loss(model, s, rng, cfg)
+                    (loss * (1.0 / idxs.size)).backward()
+                    parts += p3 / idxs.size
+                _sgd_step(params, velocities, lr, cfg)
+                result.records.append(
+                    StepRecord(
+                        step=step, epoch=epoch,
+                        l_cls=float(parts[0]), l_reg=float(parts[1]), l_mask=float(parts[2]),
+                        l_total=float(parts.sum()), lr=lr,
+                    )
                 )
-            )
-            step += 1
+                step += 1
     return result
 
 

@@ -29,7 +29,7 @@ from oracles import nms_bruteforce
 def test_box_forms_roundtrip():
     b = Box.from_corners(2.0, 3.0, 10.0, 7.0)
     assert (b.cx, b.cy, b.w, b.h) == (6.0, 5.0, 8.0, 4.0)
-    assert Box.from_coco(b.to_coco()) == b
+    assert Box.from_coco([2.0, 3.0, 8.0, 4.0]) == b
     assert b.area == 32.0
 
 

@@ -2,11 +2,12 @@
 
 import json
 import re
+import warnings
 
-import numpy as np
 import pytest
 
-from attnmask.cli import _parse_thresholds, _split_config, CLIError, cli
+from attnmask.cli import _parse_thresholds, _split_config, cli
+from attnmask.inputs import InputError
 from attnmask.metrics import COCO_SWEEP
 
 
@@ -65,7 +66,7 @@ def test_evaluate_rejects_non_object_record(tmp_path, capsys):
     gt = tmp_path / "badrecord.json"
     gt.write_text(json.dumps({"images": [{"id": 0, "width": 64, "height": 64}], "annotations": [5]}))
     assert cli(["evaluate", "--gt", str(gt), "--det", det]) == 2
-    assert "badrecord.json: annotations[0]: must be an object" in capsys.readouterr().err
+    assert "badrecord.json: annotations[0] must be object, got 5" in capsys.readouterr().err
 
 
 def test_evaluate_rejects_bad_thresholds(tmp_path, capsys):
@@ -80,7 +81,7 @@ def test_parse_thresholds_expands_coco():
     assert _parse_thresholds("coco") == COCO_SWEEP
     assert _parse_thresholds("0.75, 0.5") == (0.5, 0.75)
     assert _parse_thresholds("0.5,0.5,coco") == COCO_SWEEP  # dedup keeps the sweep
-    with pytest.raises(CLIError):
+    with pytest.raises(InputError):
         _parse_thresholds(",")
 
 
@@ -91,11 +92,11 @@ def test_split_config_routes_sections(tmp_path):
     assert spec.canvas == 32
     assert model_ov == {"fpn_dim": 16}
     assert train_ov == {"epochs": 2, "step_epochs": [1]}
-    assert run["train_images"] == 4 and run["val_images"] == 8
+    assert run.train_images == 4 and run.val_images == 8
 
-    with pytest.raises(CLIError, match="unknown field 'max_boxes'"):
+    with pytest.raises(InputError, match="unknown field 'max_boxes'"):
         _split_config({"max_boxes": 3}, "x.json")
-    with pytest.raises(CLIError, match='"model" must be an object'):
+    with pytest.raises(InputError, match="x.json: model must be object, got 5"):
         _split_config({"model": 5}, "x.json")
 
 
@@ -140,17 +141,32 @@ def test_train_toy_rejects_unknown_config_field(tmp_path, capsys):
 @pytest.mark.parametrize(
     "cfg, message",
     [
-        ({"train": {"batch_size": "2"}}, "train.batch_size must be int, got '2'"),
-        ({"model": {"fpn_dim": 24.5}}, "model.fpn_dim must be int, got 24.5"),
+        ({"train": {"batch_size": "2"}}, "train: batch_size must be int, got '2'"),
+        ({"model": {"fpn_dim": 24.5}}, "model: fpn_dim must be int, got 24.5"),
         ({"train_images": "2"}, "train_images must be int, got '2'"),
-        ({"train": {"hflip_prob": float("nan")}}, "train.hflip_prob must be float, got nan"),
-        ({"model": {"stages": {"blocks": [1, 1, 1, 1]}}}, "model.stages must be StageConfig"),
-        ({"model": {"anchors": {"ratios": [1.0]}}}, "model.anchors must be AnchorConfig"),
-        ({"model": {"with_p6": 1}}, "model.with_p6 must be bool, got 1"),
-        ({"train": {"step_epochs": [1, "2"]}}, r"train.step_epochs must be tuple\[int, ...\]"),
+        ({"train": {"hflip_prob": float("nan")}}, "train: hflip_prob must be float, got nan"),
+        ({"model": {"stages": {"blocks": [1, 1, 1, 1]}}}, r"model: stages must be StageConfig, got \{'blocks'"),
+        ({"model": {"anchors": {"ratios": [1.0]}}}, r"model: anchors must be AnchorConfig, got \{'ratios'"),
+        ({"model": {"with_p6": 1}}, "model: with_p6 must be bool, got 1"),
+        ({"train": {"step_epochs": [1, "2"]}}, r"train: step_epochs must be tuple\[int, ...\], got \[1, '2'\]"),
+        ({"train_images": 0}, "train_images must be at least 1, got 0"),
+        ({"conf_threshold": 2.5}, r"conf_threshold must be in \[0,1\], got 2.5"),
+        ({"train": {"batch_size": 0}}, "train: batch_size must be at least 1, got 0"),
+        ({"train": {"epochs": 0, "step_epochs": []}}, "train: epochs must be at least 1, got 0"),
+        ({"train": {"rpn_batch": 0}}, "train: rpn_batch must be at least 1, got 0"),
+        ({"train": {"steps_per_epoch": 0}}, "train: steps_per_epoch must be null or at least 1, got 0"),
+        ({"train": {"hflip_prob": 7}}, r"train: hflip_prob must be in \[0,1\], got 7"),
+        ({"model": {"reduction": 0}}, "model: reduction must be at least 1, got 0"),
+        ({"model": {"box_resolution": 0}}, "model: box_resolution must be at least 1, got 0"),
+        ({"model": {"fpn_dim": 0}}, "model: fpn_dim must be at least 1, got 0"),
+        ({"model": {"head_width": 0}}, "model: head_width must be at least 1, got 0"),
+        ({"model": {"mask_out": 20}}, "model: mask_out must be 2 \\* mask_resolution = 28, got 20"),
+        ({"model": {"eca_kernel": "foo"}}, "model: eca_kernel must be an odd positive int or 'adaptive', got 'foo'"),
     ],
     ids=["text-int", "fractional-int", "text-run-knob", "nan-float", "object-stages", "object-anchors",
-         "int-bool", "text-in-tuple"],
+         "int-bool", "text-in-tuple", "zero-train-images", "conf-above-1", "zero-batch", "zero-epochs",
+         "zero-rpn-batch", "zero-steps-per-epoch", "hflip-above-1", "zero-reduction", "zero-box-resolution",
+         "zero-fpn-dim", "zero-head-width", "mask-out-mismatch", "text-eca-kernel"],
 )
 def test_malformed_config_values_exit_2_naming_file_and_field(tmp_path, capsys, cfg, message):
     path = tmp_path / "bad.json"
@@ -167,9 +183,10 @@ def test_diverged_training_exits_1(tmp_path, capsys):
         "train_images": 2, "val_images": 1, "model": {"fpn_dim": 16},
         "train": {"lr": 1e6, "epochs": 3, "step_epochs": []},
     }))
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         assert cli(["train-toy", "--config", str(path), "--out", str(tmp_path / "y")]) == 1
-    assert "training diverged: " in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: training diverged: tensor holds non-finite values\n"
 
 
 def test_compare_writes_all_variants(tmp_path, capsys):
