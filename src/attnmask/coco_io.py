@@ -11,6 +11,7 @@ Nothing here writes COCO files; `save_json` writes the CLI's reports.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .boxes import Box
@@ -33,6 +34,9 @@ def _box(rec: dict, where: str) -> Box:
     x, y, w, h = field(rec, "bbox", _BBOX, where)
     if w <= 0 or h <= 0:
         raise InputError(f"{where}: bbox extents must be positive, got w={w}, h={h}")
+    # a far corner, or the union of two such areas in an IoU, must stay finite
+    if not (math.isfinite(x + w) and math.isfinite(y + h) and math.isfinite(2.0 * (w * h))):
+        raise InputError(f"{where}: bbox corner or area overflows, got {[x, y, w, h]}")
     return Box.from_coco((x, y, w, h))
 
 

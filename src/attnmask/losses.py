@@ -4,9 +4,9 @@ Classification uses the binary form -log[p*p_star + (1-p_star)(1-p)] on
 foreground probabilities (with a softmax cross-entropy extension for the
 multi-class region head), regression is a per-component smooth L1 over
 the four box offsets of positive samples, given as (N, 4) arrays, and the
-mask term is average binary cross entropy over a p x p grid of the
-matched class's channel. Anchor labelling and region sampling draw their
-minibatches through one sampler, `sample_minibatch`.
+mask term is average binary cross entropy over the p x p grids of each
+positive region's matched class channel. Anchor labelling and region
+sampling draw their minibatches through one sampler, `sample_minibatch`.
 
 The total is (1/N_cls) * sum(cls) + (lambda/N_reg) * sum(reg) + mask,
 and `total_loss` is the only place it is composed. Training calls it once
@@ -171,7 +171,7 @@ def reg_loss(t: Tensor, t_star) -> Tensor:
 
 @dataclass
 class MaskTarget:
-    """A p x p binary target grid with the predictions for one class channel."""
+    """Binary p x p target grids, one or a (P, p, p) stack, with their predictions."""
 
     y: Tensor
     y_star: np.ndarray
@@ -183,10 +183,11 @@ class MaskTarget:
 
 
 def mask_loss(target: MaskTarget) -> Tensor:
-    """Average binary cross entropy over the mask grid.
+    """Average binary cross entropy over the mask grid cells.
 
     The 1/p^2 normalization makes the value invariant under grid
-    refinement with identical per-cell terms.
+    refinement with identical per-cell terms. All grids of a stack have p^2
+    cells, so its mean is the mean of the per-region means.
     """
     y = target.y
     ys = np.asarray(target.y_star, dtype=np.float64)

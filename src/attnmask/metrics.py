@@ -241,20 +241,12 @@ def map_report(
         counts[thr] = (tp_all, fp_all, n_gt_all - tp_all)
         map_by_thr[thr] = float(np.mean([ap[thr][c] for c in class_ids])) if class_ids else 0.0
 
-    report = EvalReport(
-        thresholds=thresholds,
-        class_ids=class_ids,
-        ap=ap,
-        map_by_thr=map_by_thr,
-        counts=counts,
+    sweep = all(t in map_by_thr for t in COCO_SWEEP)
+    return EvalReport(
+        thresholds=thresholds, class_ids=class_ids, ap=ap, map_by_thr=map_by_thr, counts=counts,
+        map50=map_by_thr.get(0.5), map75=map_by_thr.get(0.75),
+        map_coco=float(np.mean([map_by_thr[t] for t in COCO_SWEEP])) if sweep else None,
     )
-    if 0.5 in map_by_thr:
-        report.map50 = map_by_thr[0.5]
-    if 0.75 in map_by_thr:
-        report.map75 = map_by_thr[0.75]
-    if all(t in map_by_thr for t in COCO_SWEEP):
-        report.map_coco = float(np.mean([map_by_thr[t] for t in COCO_SWEEP]))
-    return report
 
 
 def format_table(rows: list[tuple[str, EvalReport]]) -> str:

@@ -5,7 +5,7 @@ per-anchor two-way objectness logits and four box offsets). Region
 features come from quantization-free ROI pooling at 7x7 for the box head
 (two fully connected layers into K+1 class logits plus class-agnostic
 offsets) and 14x14 for the mask head (two 3x3 convs, 2x upsample, and a
-per-class 1x1 producing 28x28 sigmoid grids).
+per-class 1x1 producing 28x28 sigmoid grids), each over a batch of regions.
 
 Regions travel as (N, 4) center-form rows from the anchors to the pasted
 masks; `infer` builds a `Box` only for each returned `Detection`.
@@ -39,7 +39,7 @@ from .boxes import (
 from .metrics import Detection
 from .roi_align import ROIAlignConfig, assign_level, roi_align
 from .tensor import (
-    Tensor, concat, conv2d, gather_rows, linear, log_softmax, relu, sigmoid, upsample_nearest,
+    Tensor, concat, conv2d, gather_rows, linear, log_softmax, no_grad, relu, sigmoid, upsample_nearest,
 )
 
 __all__ = [
@@ -89,6 +89,8 @@ class ModelConfig:
         for name in ("fpn_dim", "box_resolution", "mask_resolution", "head_width", "reduction"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if any(w % self.reduction for w in self.stages.widths):
+            raise ValueError(f"reduction {self.reduction} must divide every stage width {self.stages.widths}")
         if self.mask_out != 2 * self.mask_resolution:
             raise ValueError(f"mask_out must be 2 * mask_resolution = {2 * self.mask_resolution}, "
                              f"got {self.mask_out}")
@@ -269,9 +271,9 @@ def box_head_forward(model: Model, feats: Tensor) -> tuple[Tensor, Tensor]:
     return logits, deltas
 
 
-def mask_head_forward(model: Model, feat: Tensor) -> Tensor:
-    """(C, p, p) region feature -> (K, 2p, 2p) per-class mask probabilities."""
-    h = relu(conv2d(feat, model.mask_head.conv1.w, model.mask_head.conv1.b, padding=1))
+def mask_head_forward(model: Model, feats: Tensor) -> Tensor:
+    """(R, C, p, p) region features -> (R, K, 2p, 2p) per-class mask probabilities."""
+    h = relu(conv2d(feats, model.mask_head.conv1.w, model.mask_head.conv1.b, padding=1))
     h = relu(conv2d(h, model.mask_head.conv2.w, model.mask_head.conv2.b, padding=1))
     h = upsample_nearest(h, 2)
     return sigmoid(conv2d(h, model.mask_head.out.w, model.mask_head.out.b))
@@ -373,9 +375,8 @@ def paste_mask(probs: np.ndarray, box: np.ndarray, height: int, width: int) -> n
     return out
 
 
-# detections whose mask features are pooled in one batch during inference;
-# pooling all 100 of infer_dense's detections at once raised its peak RSS
-# from about 83 to 90 MB
+# detections pooled and run through the mask head as one batch in inference;
+# with no chunks, infer_dense's peak RSS rose from about 79 to 122-126 MB
 MASK_CHUNK = 16
 
 
@@ -385,6 +386,7 @@ class InstancePrediction:
     mask: np.ndarray
 
 
+@no_grad()
 def infer(model: Model, image, image_id: int = 0, conf_threshold: float = 0.5) -> list[InstancePrediction]:
     """Full detection pass on one 3xHxW image in [0,1]: up to 100 proposals
     from the 1000 best anchors, then at most MAX_DETS detections."""
@@ -415,13 +417,11 @@ def infer(model: Model, image, image_id: int = 0, conf_threshold: float = 0.5) -
     preds = []
     for lo in range(0, len(final), MASK_CHUNK):
         chunk = final[lo : lo + MASK_CHUNK]
-        mfeats = extract_roi_features(
-            pyramid, np.array([row for _, row, _ in chunk]), model.cfg.mask_resolution
-        )
-        for (k, row, score), mfeat in zip(chunk, mfeats.data):
-            mprobs = mask_head_forward(model, Tensor(mfeat)).data[k - 1]
+        rows = np.array([row for _, row, _ in chunk])
+        grids = mask_head_forward(model, extract_roi_features(pyramid, rows, model.cfg.mask_resolution)).data
+        for (k, row, score), mprobs in zip(chunk, grids):
             det = Detection(image_id=image_id, class_id=k, box=Box(*row.tolist()), score=score)
-            preds.append(InstancePrediction(detection=det, mask=paste_mask(mprobs, row, height, width)))
+            preds.append(InstancePrediction(detection=det, mask=paste_mask(mprobs[k - 1], row, height, width)))
     return preds
 
 

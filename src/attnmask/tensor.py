@@ -1,16 +1,18 @@
 """Dense float64 tensors with a taped reverse-mode gradient pass.
 
-Shapes follow channel-first conventions: feature maps are (C, H, W) and
-flattened predictions are (N,) or (N, K). The op set is intentionally
-small -- exactly what the attention blocks, pyramid fusion and detector
-heads need. Reductions go through numpy, whose pairwise summation keeps
-repeat runs bit-identical on one platform.
+Shapes follow channel-first conventions: feature maps are (C, H, W), or an
+(N, C, H, W) batch for `conv2d` and `upsample_nearest` (each sample gets a
+single map's arithmetic), and flattened predictions are (N,) or (N, K). The
+op set is intentionally small -- exactly what the attention blocks, pyramid
+fusion and detector heads need. Reductions go through numpy, whose pairwise
+summation keeps repeat runs bit-identical on one platform.
 
 Every op that produces a Tensor records its inputs and a backward
 closure; calling ``backward()`` on a scalar output walks the tape once
 in reverse topological order and accumulates gradients on every tensor
-created with ``requires_grad=True``. Max-style reductions send the
-gradient to the first maximal element in scan order.
+created with ``requires_grad=True``; inside ``no_grad()`` ops record
+nothing. Max-style reductions send the gradient to the first maximal
+element in scan order.
 
 Elementwise multiplication broadcasts only the two gating patterns the
 attention blocks need, (C,1,1)x(C,H,W) and (1,H,W)x(C,H,W); anything
@@ -19,6 +21,8 @@ else must be shape-identical.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -27,6 +31,7 @@ import numpy as np
 __all__ = [
     "Tensor",
     "GradCheckReport",
+    "no_grad",
     "sigmoid",
     "relu",
     "log",
@@ -40,10 +45,24 @@ __all__ = [
     "upsample_nearest",
     "concat",
     "gather_rows",
-    "split_rows",
     "log_softmax",
     "grad_check",
 ]
+
+
+_recording = ContextVar("attnmask_recording", default=True)
+
+
+@contextmanager
+def no_grad():
+    """A scope in which ops record no graph: outputs need no gradient, and what
+    a backward would read is freed at once. Leaves made with requires_grad=True
+    keep it. The flag is per thread; scopes nest and restore it on any exit."""
+    token = _recording.set(False)
+    try:
+        yield
+    finally:
+        _recording.reset(token)
 
 
 class Tensor:
@@ -60,6 +79,8 @@ class Tensor:
         arr = np.asarray(data, dtype=np.float64)
         if not np.all(np.isfinite(arr)):
             raise FloatingPointError("tensor holds non-finite values")
+        if not _recording.get():
+            _parents, _backward = (), None
         self.data = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in _parents)
@@ -128,15 +149,10 @@ class Tensor:
         return Tensor(-self.data, _parents=(self,), _backward=bwd)
 
     def __sub__(self, other):
-        if isinstance(other, (Tensor, np.ndarray)):
-            other = other if isinstance(other, Tensor) else Tensor(other)
-            return self + (-other)
-        return self + (-float(other))
+        return self + (-other)
 
     def __rsub__(self, other):
-        if isinstance(other, np.ndarray):
-            return (-self) + Tensor(other)
-        return (-self) + float(other)
+        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, Tensor):
@@ -157,9 +173,6 @@ class Tensor:
         return Tensor(self.data * other, _parents=(self,), _backward=bwd)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self * (1.0 / float(other))
 
     # -- shape ops ------------------------------------------------------------
 
@@ -309,12 +322,14 @@ def _conv_out_extent(n: int, k: int, stride: int, padding: int) -> int:
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D cross-correlation on a (C,H,W) map with an (O,C,k,k) kernel.
+    """2-D cross-correlation of a (C,H,W) map, or an (N,C,H,W) batch, with
+    an (O,C,k,k) kernel; the weight and bias gradients sum over the batch.
 
     Zero padding; output extent floor((n + 2*pad - k)/stride) + 1 per axis.
     Kernel sizes are restricted to the 1/3/7 the model actually uses.
     """
-    cin, h, wd = x.shape
+    lead = x.shape[:-3]
+    cin, h, wd = x.shape[-3:]
     cout, cin_w, kh, kw = w.shape
     if kh != kw or kh not in (1, 3, 7):
         raise ValueError(f"unsupported kernel size {kh}x{kw}")
@@ -324,36 +339,39 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None, stride: int = 1, padding: int
     ho = _conv_out_extent(h, k, stride, padding)
     wo = _conv_out_extent(wd, k, stride, padding)
 
-    xp = np.pad(x.data, ((0, 0), (padding, padding), (padding, padding)))
-    cols = np.empty((cin, k, k, ho, wo))
+    # the batch folds into the channel axis for the window gathers
+    xp = np.pad(x.data.reshape(-1, h, wd), ((0, 0), (padding, padding), (padding, padding)))
+    cols = np.empty((xp.shape[0], k, k, ho, wo))
     for di in range(k):
         for dj in range(k):
             cols[:, di, dj] = xp[:, di : di + stride * ho : stride, dj : dj + stride * wo : stride]
-    cols2 = cols.reshape(cin * k * k, ho * wo)
+    cols2 = cols.reshape(*lead, cin * k * k, ho * wo)
     wmat = w.data.reshape(cout, cin * k * k)
     out = wmat @ cols2
     if b is not None:
         if b.shape != (cout,):
             raise ValueError(f"bias shape {b.shape} != ({cout},)")
         out = out + b.data[:, None]
-    out = out.reshape(cout, ho, wo)
+    out = out.reshape(*lead, cout, ho, wo)
 
     parents = (x, w) if b is None else (x, w, b)
 
-    def bwd(g, x=x, w=w, b=b, cols2=cols2, wmat=wmat, shape=(cin, h, wd)):
-        gm = g.reshape(cout, -1)
-        _accum(w, (gm @ cols2.T).reshape(w.shape))
+    def bwd(g, x=x, w=w, b=b, cols2=cols2, wmat=wmat):
+        gm = g.reshape(*lead, cout, ho * wo)
+        # one product per sample, summed over the batch in sample order
+        dw = gm @ np.swapaxes(cols2, -1, -2)
+        _accum(w, dw.reshape(-1, cout, cin * k * k).sum(axis=0).reshape(w.shape))
         if b is not None:
-            _accum(b, gm.sum(axis=1))
+            _accum(b, gm.sum(axis=-1).reshape(-1, cout).sum(axis=0))
         if x.requires_grad:
-            dcols = (wmat.T @ gm).reshape(cin, k, k, ho, wo)
-            dxp = np.zeros((cin, h + 2 * padding, wd + 2 * padding))
+            dcols = (wmat.T @ gm).reshape(-1, k, k, ho, wo)
+            dxp = np.zeros((dcols.shape[0], h + 2 * padding, wd + 2 * padding))
             for di in range(k):
                 for dj in range(k):
                     dxp[:, di : di + stride * ho : stride, dj : dj + stride * wo : stride] += dcols[:, di, dj]
             if padding:
                 dxp = dxp[:, padding : padding + h, padding : padding + wd]
-            _accum(x, dxp)
+            _accum(x, dxp.reshape(x.shape))
 
     return Tensor(out, _parents=parents, _backward=bwd)
 
@@ -466,14 +484,15 @@ def max_pool2d(x: Tensor, kernel: int, stride: int, padding: int = 0) -> Tensor:
 
 
 def upsample_nearest(x: Tensor, factor: int) -> Tensor:
-    """Replicate each pixel of a (C,H,W) map into a factor x factor block."""
+    """Replicate each pixel of a (C,H,W) map or (N,C,H,W) batch into a factor x factor block."""
     if factor < 1:
         raise ValueError("factor must be >= 1")
-    c, h, w = x.shape
-    out = np.repeat(np.repeat(x.data, factor, axis=1), factor, axis=2)
+    lead = x.shape[:-3]
+    c, h, w = x.shape[-3:]
+    out = np.repeat(np.repeat(x.data, factor, axis=-2), factor, axis=-1)
 
     def bwd(g, a=x, f=factor):
-        _accum(a, g.reshape(c, h, f, w, f).sum(axis=(2, 4)))
+        _accum(a, g.reshape(*lead, c, h, f, w, f).sum(axis=(-3, -1)))
 
     return Tensor(out, _parents=(x,), _backward=bwd)
 
@@ -508,25 +527,6 @@ def gather_rows(x: Tensor, indices: np.ndarray) -> Tensor:
         _accum(a, d)
 
     return Tensor(out, _parents=(x,), _backward=bwd)
-
-
-def split_rows(x: Tensor) -> list[Tensor]:
-    """The N rows of a (N, ...) tensor as N tensors.
-
-    The rows' gradients are written into one shared (N, ...) buffer that
-    reaches x once, so the backward costs O(x.size) in all, where a
-    gather_rows per row would fill a zero array of x's size for each row.
-    """
-    hub = Tensor(x.data, _parents=(x,), _backward=lambda g, a=x: _accum(a, g))
-
-    def bwd(g, i):
-        if hub.grad is None:
-            hub.grad = np.zeros_like(hub.data)
-        hub.grad[i] += g
-
-    return [
-        Tensor(row, _parents=(hub,), _backward=lambda g, i=i: bwd(g, i)) for i, row in enumerate(x.data)
-    ]
 
 
 def log_softmax(x: Tensor) -> Tensor:

@@ -10,7 +10,7 @@ loss is the sum of two `losses.total_loss` compositions: the anchor-level
 objectness and offset terms (normalized by the sampled anchor count and
 by the total anchor-position count), and the region head's class and
 offset terms (normalized by the sampled region count) with the mean mask
-cross entropy over positive regions.
+cross entropy over positive regions, from one mask-head call per image.
 Region proposals are treated as constants: no gradient flows through
 their coordinates, and ground-truth boxes are appended to the proposal
 set so the region heads always see positives once the dataset has them.
@@ -51,7 +51,7 @@ from .model import (
     rpn_forward,
 )
 from .synth import Sample, hflip
-from .tensor import Tensor, concat, gather_rows, split_rows
+from .tensor import Tensor, concat, gather_rows
 
 __all__ = [
     "TrainConfig",
@@ -88,15 +88,19 @@ class TrainConfig:
     train_post_nms: int = 20
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
-        for name in ("epochs", "batch_size", "rpn_batch"):
+        for name in ("lr", "step_factor"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("epochs", "batch_size", "rpn_batch", "roi_batch", "train_pre_nms", "train_post_nms"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.steps_per_epoch is not None and self.steps_per_epoch < 1:
             raise ValueError(f"steps_per_epoch must be null or at least 1, got {self.steps_per_epoch}")
-        if not 0.0 <= self.hflip_prob <= 1.0:
-            raise ValueError(f"hflip_prob must be in [0,1], got {self.hflip_prob}")
+        for name in ("hflip_prob", "rpn_pos_fraction", "roi_pos_fraction"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0,1], got {getattr(self, name)}")
+        if not 0.0 < self.roi_pos_iou <= 1.0:
+            raise ValueError(f"roi_pos_iou must be in (0,1], got {self.roi_pos_iou}")
         if any(e >= self.epochs for e in self.step_epochs):
             raise ValueError("schedule boundaries must fall inside the run")
 
@@ -243,16 +247,13 @@ def _image_loss(
             pred = gather_rows(deltas, pos_rows)
             roi_reg = reg_loss(pred, encode_boxes(rois[pos_rows], gt[matched[pos_rows]]))
 
-            m = model.cfg.mask_out
+            # row i * k + label - 1 of the (P*k, m, m) grids is positive i's class channel
+            m, k = model.cfg.mask_out, model.cfg.num_classes
             mfeats = extract_roi_features(pyramid, rois[pos_rows], model.cfg.mask_resolution)
-            terms = []
-            for r, feat in zip(pos_rows, split_rows(mfeats)):
-                grids = mask_head_forward(model, feat)
-                k = int(labels[r]) - 1
-                channel = gather_rows(grids.reshape(grids.shape[0], m * m), np.array([k]))
-                target = mask_target_grid(sample.masks[matched[r]], rois[r], m)
-                terms.append(mask_loss(MaskTarget(y=channel.reshape(m, m), y_star=target)))
-            l_mask = concat([t.reshape(1) for t in terms], axis=0).mean()
+            grids = mask_head_forward(model, mfeats).reshape(pos_rows.size * k, m, m)
+            channel = gather_rows(grids, np.arange(pos_rows.size) * k + labels[pos_rows] - 1)
+            targets = np.stack([mask_target_grid(sample.masks[matched[r]], rois[r], m) for r in pos_rows])
+            l_mask = mask_loss(MaskTarget(y=channel, y_star=targets))
     roi_total, roi_parts = total_loss(roi_cls, roi_reg, l_mask, n_rois, n_rois)
 
     parts = np.array([[r.l_cls, r.l_reg, r.l_mask] for r in (rpn_parts, roi_parts)]).sum(axis=0)
@@ -305,6 +306,7 @@ def train(model: Model, dataset: list[Sample], cfg: TrainConfig) -> TrainResult:
                         s = hflip(s)
                     loss, p3 = _image_loss(model, s, rng, cfg)
                     (loss * (1.0 / idxs.size)).backward()
+                    del loss  # free this image's graph before the next image builds its own
                     parts += p3 / idxs.size
                 _sgd_step(params, velocities, lr, cfg)
                 result.records.append(

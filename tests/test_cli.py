@@ -162,11 +162,25 @@ def test_train_toy_rejects_unknown_config_field(tmp_path, capsys):
         ({"model": {"head_width": 0}}, "model: head_width must be at least 1, got 0"),
         ({"model": {"mask_out": 20}}, "model: mask_out must be 2 \\* mask_resolution = 28, got 20"),
         ({"model": {"eca_kernel": "foo"}}, "model: eca_kernel must be an odd positive int or 'adaptive', got 'foo'"),
+        ({"model": {"reduction": 3}}, r"model: reduction 3 must divide every stage width \(8, 16, 32, 64\)"),
+        ({"model": {"variant": "none", "reduction": 128}},
+         r"model: reduction 128 must divide every stage width \(8, 16, 32, 64\)"),
+        ({"train": {"roi_batch": 0}}, "train: roi_batch must be at least 1, got 0"),
+        ({"train": {"train_pre_nms": 0}}, "train: train_pre_nms must be at least 1, got 0"),
+        ({"train": {"train_post_nms": -1}}, "train: train_post_nms must be at least 1, got -1"),
+        ({"train": {"rpn_pos_fraction": 1.5}}, r"train: rpn_pos_fraction must be in \[0,1\], got 1.5"),
+        ({"train": {"roi_pos_fraction": -0.25}}, r"train: roi_pos_fraction must be in \[0,1\], got -0.25"),
+        ({"train": {"roi_pos_iou": 0}}, r"train: roi_pos_iou must be in \(0,1\], got 0"),
+        ({"train": {"roi_pos_iou": 1.5}}, r"train: roi_pos_iou must be in \(0,1\], got 1.5"),
+        ({"train": {"step_factor": 0}}, "train: step_factor must be positive, got 0"),
     ],
     ids=["text-int", "fractional-int", "text-run-knob", "nan-float", "object-stages", "object-anchors",
          "int-bool", "text-in-tuple", "zero-train-images", "conf-above-1", "zero-batch", "zero-epochs",
          "zero-rpn-batch", "zero-steps-per-epoch", "hflip-above-1", "zero-reduction", "zero-box-resolution",
-         "zero-fpn-dim", "zero-head-width", "mask-out-mismatch", "text-eca-kernel"],
+         "zero-fpn-dim", "zero-head-width", "mask-out-mismatch", "text-eca-kernel", "reduction-not-dividing",
+         "reduction-too-wide-for-none", "zero-roi-batch", "zero-pre-nms", "negative-post-nms",
+         "rpn-pos-fraction-above-1", "negative-roi-pos-fraction", "zero-roi-pos-iou", "roi-pos-iou-above-1",
+         "zero-step-factor"],
 )
 def test_malformed_config_values_exit_2_naming_file_and_field(tmp_path, capsys, cfg, message):
     path = tmp_path / "bad.json"

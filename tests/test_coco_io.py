@@ -121,10 +121,17 @@ _DET = {"image_id": 0, "category_id": 1, "score": 0.5, "bbox": [1, 2, 3, 4]}
         (parse_gt, {**_gt_doc(), "annotations": [{**_gt_doc()["annotations"][0], "iscrowd": 2}]},
          r"annotations\[0\] \(id=1\): iscrowd must be 0, 1, true or false, got 2"),
         (parse_gt, {**_gt_doc(), "categories": [{"id": 1, "name": 5}]}, r"categories\[0\]: name must be str, got 5"),
+        (parse_detections, [_DET, {**_DET, "bbox": [1e308, 0, 1e308, 1]}],
+         r"detections\[1\]: bbox corner or area overflows, got \[1e\+308, 0\.0, 1e\+308, 1\.0\]"),
+        (parse_detections, [{**_DET, "bbox": [1e308, 0, 1e308, 1e-300]}], r"detections\[0\]: bbox corner or area"),
+        (parse_detections, [{**_DET, "bbox": [0, 1e308, 1e-300, 1e308]}], r"detections\[0\]: bbox corner or area"),
+        (parse_gt, {**_gt_doc(), "annotations": [{**_gt_doc()["annotations"][0], "bbox": [0, 0, 1e200, 1e200]}]},
+         r"annotations\[0\] \(id=1\): bbox corner or area overflows, got \[0\.0, 0\.0, 1e\+200, 1e\+200\]"),
     ],
     ids=["record-not-object", "section-not-array", "nan-bbox", "inf-bbox", "text-bbox", "text-id", "text-score",
          "fractional-id", "bool-id", "fractional-height", "bool-score", "bool-bbox", "numeric-text-bbox",
-         "overflowing-bbox", "text-iscrowd", "two-iscrowd", "int-name"],
+         "overflowing-bbox", "text-iscrowd", "two-iscrowd", "int-name", "overflowing-corner", "overflowing-x2",
+         "overflowing-y2", "overflowing-area"],
 )
 def test_malformed_input_names_record_and_field(parse, doc, message):
     with pytest.raises(InputError, match=message):

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from attnmask import model as model_mod
+from attnmask.backbone import StageConfig
 from attnmask.boxes import Box, box_array, generate_anchors, stride_of
 from attnmask.model import (
+    MASK_CHUNK,
     MAX_DETS,
     MIN_SIZE,
     InstancePrediction,
@@ -38,6 +41,12 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ModelConfig(num_classes=0)
     assert ModelConfig.toy().num_anchor_shapes == 3
+    # the reduction must divide every stage width, whatever the variant
+    stages = StageConfig(blocks=(1, 1, 1, 1), widths=(8, 12, 16, 20))
+    for variant in ("none", "cbam"):
+        with pytest.raises(ValueError, match=r"reduction 8 must divide every stage width \(8, 12, 16, 20\)"):
+            ModelConfig(variant=variant, stages=stages, reduction=8)
+    assert ModelConfig(stages=stages, reduction=4).reduction == 4
 
 
 def test_named_params_unique_and_counted():
@@ -176,10 +185,13 @@ def test_head_output_shapes():
     logits, deltas = box_head_forward(model, feats)
     assert logits.shape == (5, model.cfg.num_classes + 1)
     assert deltas.shape == (5, 4)
-    mfeat = Tensor(rng.uniform(size=(model.cfg.fpn_dim, 14, 14)))
-    probs = mask_head_forward(model, mfeat)
-    assert probs.shape == (model.cfg.num_classes, 28, 28)
+    mfeats = rng.uniform(size=(5, model.cfg.fpn_dim, 14, 14))
+    probs = mask_head_forward(model, Tensor(mfeats))
+    assert probs.shape == (5, model.cfg.num_classes, 28, 28)
     assert probs.data.min() >= 0.0 and probs.data.max() <= 1.0
+    # a batch of regions gets exactly the arithmetic of one call per region
+    for feat, grids in zip(mfeats, probs.data):
+        assert np.array_equal(mask_head_forward(model, Tensor(feat[None])).data[0], grids)
 
 
 def test_fresh_model_class_probs_near_uniform():
@@ -230,14 +242,25 @@ def test_paste_mask_clips_to_canvas():
     assert mask[2:6, 0:4].all()
 
 
-def test_infer_structure_and_caps():
+def test_infer_structure_and_caps(monkeypatch):
     model = _toy_model("cbam")
     image = np.random.default_rng(5).uniform(size=(3, 64, 64))
+    mask_outputs = []
+
+    def spy(*args):
+        mask_outputs.append(mask_head_forward(*args))
+        return mask_outputs[-1]
+
+    monkeypatch.setattr(model_mod, "mask_head_forward", spy)
     # fresh heads score every class near 1/4, so at conf 0 all of the
     # 139 detections that survive NMS here fire and the cap keeps 100
     preds = infer(model, image, image_id=9, conf_threshold=0.0)
     assert MAX_DETS == 100
     assert len(preds) == MAX_DETS
+    # one mask-head call per chunk, and inference records no graph
+    assert [out.shape[0] for out in mask_outputs] == [MASK_CHUNK] * 6 + [MAX_DETS - 6 * MASK_CHUNK]
+    assert not any(out.requires_grad for out in mask_outputs)
+    assert all(t.grad is None and t.requires_grad for _, t in model.named_params())
     scores = [p.detection.score for p in preds]
     assert scores == sorted(scores, reverse=True)
     for p in preds:

@@ -1,5 +1,7 @@
 """Autodiff core: forward values against numpy, gradients against FD."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -15,11 +17,11 @@ from attnmask.tensor import (
     log,
     log_softmax,
     max_pool2d,
+    no_grad,
     pool,
     relu,
     sigmoid,
     smooth_l1,
-    split_rows,
     upsample_nearest,
 )
 
@@ -239,18 +241,89 @@ def test_reduction_and_gather_gradients(seed):
     assert grad_check(fn, Tensor(x)).ok(1e-3)
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_split_rows_gradients(seed):
-    # rows feed separate subgraphs, some twice and one not at all, as the
-    # per-region mask head uses them
+def _conv_grads(x, w, b, pw, stride, padding):
+    """Output and x/w/b gradients of sum(conv2d(x, w, b) * pw)."""
+    leaves = [Tensor(a.copy(), requires_grad=True) for a in (x, w, b)]
+    out = conv2d(*leaves, stride=stride, padding=padding)
+    (out * pw).sum().backward()
+    return out.data, [t.grad for t in leaves]
+
+
+@pytest.mark.parametrize("k", [1, 3, 7])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("padding", [0, 1, 3])
+def test_batched_conv2d_equals_stacked_per_sample_calls(k, stride, padding):
+    # each sample gets a (C,H,W) call's arithmetic bit for bit, and the
+    # weight and bias gradients are the per-sample ones summed in order
+    rng = np.random.default_rng(k * 100 + stride * 10 + padding)
+    x = rng.standard_normal((3, 2, 9, 8))
+    w = rng.standard_normal((4, 2, k, k))
+    b = rng.standard_normal(4)
+    pw = rng.standard_normal(conv2d(Tensor(x), Tensor(w), Tensor(b), stride, padding).shape)
+    out, (dx, dw, db) = _conv_grads(x, w, b, pw, stride, padding)
+    per = [_conv_grads(x[n], w, b, pw[n], stride, padding) for n in range(3)]
+    assert np.array_equal(out, np.stack([o for o, _ in per]))
+    assert np.array_equal(dx, np.stack([g[0] for _, g in per]))
+    assert np.array_equal(dw, np.stack([g[1] for _, g in per]).sum(axis=0))
+    assert np.array_equal(db, np.stack([g[2] for _, g in per]).sum(axis=0))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_batched_conv2d_and_upsample_gradients(seed):
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((4, 2, 3))
-    pw = rng.standard_normal((4, 2, 3))
+    x = rng.standard_normal((2, 2, 5, 5))
+    w = rng.standard_normal((3, 2, 3, 3)) * 0.5
+    b = rng.standard_normal(3)
+    pw = rng.standard_normal((2, 3, 6, 6))
 
-    def fn(t):
-        rows = split_rows(sigmoid(t))
-        terms = [(rows[i] * pw[i]).sum() for i in (0, 2, 3, 0)]
-        return concat([r.reshape(1) for r in terms], axis=0).sum()
+    def head(x, w, b):
+        return (upsample_nearest(sigmoid(conv2d(x, w, b, stride=2, padding=1)), 2) * pw).sum()
 
-    assert [r.shape for r in split_rows(Tensor(x))] == [(2, 3)] * 4
-    assert grad_check(fn, Tensor(x)).ok(1e-3)
+    assert grad_check(lambda t: head(t, Tensor(w), Tensor(b)), Tensor(x)).ok(1e-3)
+    assert grad_check(lambda t: head(Tensor(x), t, Tensor(b)), Tensor(w)).ok(1e-3)
+    assert grad_check(lambda t: head(Tensor(x), Tensor(w), t), Tensor(b)).ok(1e-3)
+
+
+def test_batched_upsample_repeats_each_sample():
+    x = np.arange(12.0).reshape(3, 1, 2, 2)
+    up = upsample_nearest(Tensor(x), 2).data
+    assert np.array_equal(up, np.stack([upsample_nearest(Tensor(s), 2).data for s in x]))
+
+
+def test_no_grad_records_nothing_nests_and_restores():
+    w = Tensor(np.ones(3), requires_grad=True)
+    with no_grad():
+        leaf = Tensor(np.ones(3), requires_grad=True)
+        with no_grad():
+            inner = w * 2.0
+        out = sigmoid(w + leaf)
+    assert leaf.requires_grad  # leaves keep their flag
+    for t in (inner, out):
+        assert not t.requires_grad and t._parents == () and t._backward is None
+    assert (w * 2.0).requires_grad  # recording is back on after the scope
+    with pytest.raises(RuntimeError):
+        with no_grad():
+            raise RuntimeError("boom")
+    assert (w * 2.0).requires_grad  # and after a scope left by an exception
+
+
+def test_no_grad_in_one_thread_leaves_others_recording():
+    w = Tensor(np.ones(3), requires_grad=True)
+    entered, release = threading.Event(), threading.Event()
+    seen = []
+
+    def worker():
+        with no_grad():
+            entered.set()
+            release.wait(timeout=10)
+            seen.append((w * 2.0).requires_grad)
+
+    thread = threading.Thread(target=worker)
+    thread.start()
+    try:
+        assert entered.wait(timeout=10)
+        assert (w * 2.0).requires_grad
+    finally:
+        release.set()
+        thread.join()
+    assert seen == [False]

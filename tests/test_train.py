@@ -5,10 +5,12 @@ import csv
 import numpy as np
 import pytest
 
+from attnmask import train as train_mod
 from attnmask.boxes import Box, box_array
-from attnmask.model import ModelConfig, build_model
+from attnmask.losses import MaskTarget, mask_loss
+from attnmask.model import ModelConfig, build_model, extract_roi_features, mask_head_forward, pyramid_forward
 from attnmask.synth import SynthSpec, synth_dataset
-from attnmask.tensor import Tensor
+from attnmask.tensor import Tensor, concat, gather_rows
 from attnmask.train import (
     StepRecord,
     TrainConfig,
@@ -98,6 +100,51 @@ def test_image_loss_parts_sum_to_total():
     total, parts = _image_loss(model, sample, np.random.default_rng(0), TrainConfig.toy())
     assert (parts > 0.0).all()
     assert total.item() == pytest.approx(parts.sum(), abs=1e-12)
+
+
+def test_mask_term_and_gradients_equal_a_per_region_loop(monkeypatch):
+    # the one mask-head call over an image's positives gives the mean of the
+    # per-region mask losses and the same mask-head weight gradients
+    sample = synth_dataset(SynthSpec(n_objects=(2, 3)), 6, 1)[0]
+    model = build_model(ModelConfig.toy("cbam"), seed=0)
+    seen = {"head_calls": 0}
+    sample_rois = train_mod._sample_rois
+
+    def sample_spy(proposals, *args):
+        seen["proposals"], seen["picked"] = proposals, sample_rois(proposals, *args)
+        return seen["picked"]
+
+    def head_spy(*args):
+        seen["head_calls"] += 1
+        return mask_head_forward(*args)
+
+    monkeypatch.setattr(train_mod, "_sample_rois", sample_spy)
+    monkeypatch.setattr(train_mod, "mask_head_forward", head_spy)
+    total, parts = _image_loss(model, sample, np.random.default_rng(0), TrainConfig.toy())
+    total.backward()
+    head = [(name, t) for name, t in model.named_params() if name.startswith("mask_head.")]
+    batched = {name: t.grad for name, t in head}
+    for _, t in head:
+        t.grad = None
+
+    keep, labels, matched = seen["picked"]
+    pos = np.flatnonzero(labels > 0)
+    assert seen["head_calls"] == 1 and pos.size >= 2
+    rois = seen["proposals"][keep[pos]]
+    m, k = model.cfg.mask_out, model.cfg.num_classes
+    pyramid = pyramid_forward(model, Tensor(sample.image))
+    feats = extract_roi_features(pyramid, rois, model.cfg.mask_resolution).data
+    terms = []
+    for feat, label, gt_index, row in zip(feats, labels[pos], matched[pos], rois):
+        grids = mask_head_forward(model, Tensor(feat[None])).reshape(k, m, m)
+        channel = gather_rows(grids, np.array([label - 1])).reshape(m, m)
+        target = mask_target_grid(sample.masks[gt_index], row, m)
+        terms.append(mask_loss(MaskTarget(y=channel, y_star=target)))
+    l_mask = concat([t.reshape(1) for t in terms], axis=0).mean()
+    l_mask.backward()
+    assert parts[2] == pytest.approx(l_mask.item(), rel=0.0, abs=1e-12)
+    for name, t in head:
+        np.testing.assert_allclose(batched[name], t.grad, rtol=0.0, atol=1e-12, err_msg=name)
 
 
 def _short_run(seed=0, epochs=2):
