@@ -221,15 +221,15 @@ def clip_boxes(boxes: np.ndarray, width: float, height: float) -> tuple[np.ndarr
     return clipped, (x2 > x1) & (y2 > y1)
 
 
-def generate_anchors(level_shapes: dict[int, tuple[int, int]], cfg: AnchorConfig) -> np.ndarray:
+def generate_anchors(shapes: dict[int, tuple[int, int]], cfg: AnchorConfig) -> np.ndarray:
     """Tile anchors over feature grids as a read-only (N, 4) array.
 
-    level_shapes maps pyramid level -> (H, W) of its feature map. Each cell
+    shapes maps pyramid level -> (H, W) of its feature map. Each cell
     centers len(ratios) anchors at ((col+0.5)*stride, (row+0.5)*stride);
     levels are emitted in ascending order, cells in row-major order. The
     grid is cached per (level shapes, config).
     """
-    return _anchor_grid(tuple(sorted(level_shapes.items())), cfg)
+    return _anchor_grid(tuple(sorted(shapes.items())), cfg)
 
 
 @functools.lru_cache(maxsize=16)

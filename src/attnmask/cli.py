@@ -42,9 +42,9 @@ class RunConfig:
     conf_threshold: float = 0.5
 
     def __post_init__(self):
-        for name in ("train_images", "val_images"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        for name, least in (("train_images", 1), ("val_images", 1), ("train_seed", 0), ("val_seed", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
         if not 0.0 <= self.conf_threshold <= 1.0:
             raise ValueError(f"conf_threshold must be in [0,1], got {self.conf_threshold}")
 
@@ -68,11 +68,16 @@ def _split_config(cfg: dict, path: str) -> tuple[SynthSpec, dict, dict, RunConfi
 def _resolve_seed(flag_seed: int) -> int:
     env = os.environ.get("ATTNMASK_SEED")
     if env is None:
-        return flag_seed
-    try:
-        return int(env)
-    except ValueError as exc:
-        raise InputError(f"ATTNMASK_SEED={env!r} is not an integer") from exc
+        source, seed = "--seed", flag_seed
+    else:
+        source = f"ATTNMASK_SEED={env!r}"
+        try:
+            seed = int(env)
+        except ValueError as exc:
+            raise InputError(f"{source} is not an integer") from exc
+    if seed < 0:
+        raise InputError(f"{source}: seed must be at least 0, got {seed}")
+    return seed
 
 
 # -- subcommands -----------------------------------------------------------------

@@ -68,10 +68,9 @@ class GTRecord:
 
 @dataclass
 class MatchResult:
-    """Flags aligned with `order` (score-descending indices into the input)."""
+    """Per-detection flags and scores, both in score-descending order."""
 
     flags: np.ndarray
-    order: np.ndarray
     scores: np.ndarray
     n_gt: int
 
@@ -103,7 +102,7 @@ def match(dets: list[Detection], gts: list[GTRecord], iou_thr: float) -> MatchRe
             flags[rank] = CROWD_IGNORED
         else:
             flags[rank] = FP
-    return MatchResult(flags=flags, order=order, scores=scores[order], n_gt=len(real))
+    return MatchResult(flags=flags, scores=scores[order], n_gt=len(real))
 
 
 @dataclass

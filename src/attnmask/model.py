@@ -1,11 +1,14 @@
 """Toy detector assembly: backbone + FPN, RPN, box head, and mask head.
 
 The pyramid feeds a shared RPN (a 3x3 conv, then 1x1 heads emitting
-per-anchor two-way objectness logits and four box offsets). Region
-features come from quantization-free ROI pooling at 7x7 for the box head
-(two fully connected layers into K+1 class logits plus class-agnostic
-offsets) and 14x14 for the mask head (two 3x3 convs, 2x upsample, and a
-per-class 1x1 producing 28x28 sigmoid grids), each over a batch of regions.
+per-anchor two-way objectness logits and four box offsets). rpn_forward
+alone knows the anchor order: it returns the anchors of the whole pyramid
+and both outputs as rows in that order. Region features come from
+quantization-free ROI pooling (each bin the max of four bilinear samples)
+at 7x7 for the box head (two fully connected layers into K+1 class logits
+plus class-agnostic offsets) and 14x14 for the mask head (two 3x3 convs,
+2x upsample, and a per-class 1x1 producing 28x28 sigmoid grids), each over
+a batch of regions.
 
 Regions travel as (N, 4) center-form rows from the anchors to the pasted
 masks; `infer` builds a `Box` only for each returned `Detection`.
@@ -37,7 +40,7 @@ from .boxes import (
     AnchorConfig, Box, clip_boxes, corners, decode_boxes, generate_anchors, nms, stride_of,
 )
 from .metrics import Detection
-from .roi_align import ROIAlignConfig, assign_level, roi_align
+from .roi_align import assign_level, roi_align
 from .tensor import (
     Tensor, concat, conv2d, gather_rows, linear, log_softmax, no_grad, relu, sigmoid, upsample_nearest,
 )
@@ -217,20 +220,21 @@ def pyramid_forward(model: Model, image: Tensor) -> dict[int, Tensor]:
     return fpn_fuse(cmaps, model.fpn, with_p6=model.cfg.with_p6)
 
 
-def rpn_forward(model: Model, pyramid: dict[int, Tensor]) -> dict[int, tuple[Tensor, Tensor]]:
-    """Per level: objectness logits (N_l, 2) and offsets (N_l, 4), flattened
-    in the same (row, col, anchor-shape) order as generate_anchors."""
-    out = {}
+def rpn_forward(model: Model, pyramid: dict[int, Tensor]) -> tuple[np.ndarray, Tensor, Tensor]:
+    """The RPN over the whole pyramid: anchors (A, 4) from generate_anchors,
+    objectness logits (A, 2) and offsets (A, 4). All three share one row
+    order: level by level ascending, then (row, col, anchor shape)."""
     a = model.cfg.num_anchor_shapes
+    logits, offsets = [], []
     for level in sorted(pyramid):
         h = relu(conv2d(pyramid[level], model.rpn.conv.w, model.rpn.conv.b, padding=1))
         obj = conv2d(h, model.rpn.cls.w, model.rpn.cls.b)
         reg = conv2d(h, model.rpn.reg.w, model.rpn.reg.b)
         fh, fw = obj.shape[1], obj.shape[2]
-        obj = obj.reshape(a, 2, fh, fw).transpose((2, 3, 0, 1)).reshape(fh * fw * a, 2)
-        reg = reg.reshape(a, 4, fh, fw).transpose((2, 3, 0, 1)).reshape(fh * fw * a, 4)
-        out[level] = (obj, reg)
-    return out
+        logits.append(obj.reshape(a, 2, fh, fw).transpose((2, 3, 0, 1)).reshape(fh * fw * a, 2))
+        offsets.append(reg.reshape(a, 4, fh, fw).transpose((2, 3, 0, 1)).reshape(fh * fw * a, 4))
+    anchors = generate_anchors({lvl: f.shape[1:] for lvl, f in pyramid.items()}, model.cfg.anchors)
+    return anchors, concat(logits, axis=0), concat(offsets, axis=0)
 
 
 def objectness(obj: Tensor) -> Tensor:
@@ -246,14 +250,13 @@ def extract_roi_features(pyramid: dict[int, Tensor], boxes: np.ndarray, resoluti
     excluded). Regions are pooled in one batch per level and returned in
     input order.
     """
-    cfg = ROIAlignConfig(resolution=resolution)
     levels = [lvl for lvl in sorted(pyramid) if lvl <= 5]
     routed = np.clip(assign_level(boxes), levels[0], levels[-1])
     parts, order = [], []
     for lvl in levels:
         idx = np.flatnonzero(routed == lvl)
         if idx.size:
-            parts.append(roi_align(pyramid[lvl], float(stride_of(lvl)), boxes[idx], cfg))
+            parts.append(roi_align(pyramid[lvl], float(stride_of(lvl)), boxes[idx], resolution))
             order.append(idx)
     if len(parts) == 1:
         return parts[0]
@@ -300,7 +303,8 @@ def _refine(
 
 def propose(
     anchors: np.ndarray,
-    rpn_out: dict[int, tuple[Tensor, Tensor]],
+    logits: Tensor,
+    offsets: Tensor,
     image_hw: tuple[int, int],
     pre_nms: int,
     post_nms: int,
@@ -309,23 +313,17 @@ def propose(
     (N, 4) center-form rows in descending score order: the pre_nms best
     anchors are refined, and NMS at RPN_NMS_IOU picks among them.
 
-    anchors are generate_anchors' rows in RPN order.
+    anchors, logits (A, 2) and offsets (A, 4) are rpn_forward's rows.
     Runs on raw values; no gradient flows through proposal coordinates.
     """
     h, w = image_hw
-    scores_parts, delta_parts = [], []
-    for level in sorted(rpn_out):
-        obj, reg = rpn_out[level]
-        z = obj.data
-        scores_parts.append(1.0 / (1.0 + np.exp(-(z[:, 1] - z[:, 0]))))
-        delta_parts.append(reg.data)
-    scores = np.concatenate(scores_parts)
-    deltas = np.concatenate(delta_parts)
+    z = logits.data
+    scores = 1.0 / (1.0 + np.exp(-(z[:, 1] - z[:, 0])))
     if anchors.shape[0] != scores.shape[0]:
         raise ValueError(f"{anchors.shape[0]} anchors vs {scores.shape[0]} RPN positions")
 
     order = np.argsort(-scores, kind="stable")[:pre_nms]
-    boxes, kept = _refine(anchors[order], deltas[order], w, h)
+    boxes, kept = _refine(anchors[order], offsets.data[order], w, h)
     keep = nms(boxes, scores[order][kept], RPN_NMS_IOU, score_threshold=0.0)
     return boxes[keep[:post_nms]]
 
@@ -393,10 +391,8 @@ def infer(model: Model, image, image_id: int = 0, conf_threshold: float = 0.5) -
     x = image if isinstance(image, Tensor) else Tensor(np.asarray(image, dtype=np.float64))
     height, width = x.shape[1], x.shape[2]
     pyramid = pyramid_forward(model, x)
-    level_shapes = {lvl: (f.shape[1], f.shape[2]) for lvl, f in pyramid.items()}
-    anchors = generate_anchors(level_shapes, model.cfg.anchors)
-    rpn_out = rpn_forward(model, pyramid)
-    proposals = propose(anchors, rpn_out, (height, width), pre_nms=1000, post_nms=100)
+    anchors, logits, offsets = rpn_forward(model, pyramid)
+    proposals = propose(anchors, logits, offsets, (height, width), pre_nms=1000, post_nms=100)
     if proposals.shape[0] == 0:
         return []
     feats = extract_roi_features(pyramid, proposals, model.cfg.box_resolution)
@@ -432,8 +428,8 @@ def save_checkpoint(model: Model, path: str) -> None:
 
 def load_checkpoint(model: Model, path: str) -> None:
     """Copy stored arrays into the model's parameters in place. Every array
-    must match its parameter's shape and be finite; otherwise nothing is
-    copied."""
+    must hold real numbers (integer or float dtype), match its parameter's
+    shape and be finite; otherwise nothing is copied."""
     with np.load(path) as archive:
         params = dict(model.named_params())
         missing = set(params) - set(archive.files)
@@ -442,6 +438,8 @@ def load_checkpoint(model: Model, path: str) -> None:
             raise ValueError(f"checkpoint mismatch: missing {sorted(missing)}, extra {sorted(extra)}")
         stored = {name: archive[name] for name in params}
     for name, tensor in params.items():
+        if stored[name].dtype.kind not in "iuf":
+            raise ValueError(f"{name}: stored dtype {stored[name].dtype} is not integer or float")
         if stored[name].shape != tensor.data.shape:
             raise ValueError(f"{name}: stored shape {stored[name].shape} != model {tensor.data.shape}")
         if not np.isfinite(stored[name]).all():

@@ -5,9 +5,8 @@ feature stride -- never rounded -- and split into a p x p grid of bins.
 Each bin is read at its four quarter points, every sample bilinearly
 interpolated from the four surrounding cells (cell centers sit at
 integer + 0.5, reads outside the map return 0), and the bin keeps the max
-of its four samples. Mean aggregation is available behind the config for
-comparison. The max backward follows the first-winner tie rule used by
-the rest of the tensor core.
+of its four samples, the one pooling rule of the detector. The backward
+follows the first-winner tie rule used by the rest of the tensor core.
 
 Bilinear sampling is separable. Along each axis a region's 2p quarter
 points read the map through a (2p, L) interpolation matrix over the L
@@ -20,14 +19,12 @@ so the cost follows the region's extent on the map, not the map's size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .boxes import corners
 from .tensor import Tensor, _accum
 
-__all__ = ["ROIAlignConfig", "assign_level", "roi_align"]
+__all__ = ["assign_level", "roi_align"]
 
 # (row, col) offsets of the four samples of a bin, as halves of the bin:
 # (0.25, 0.25), (0.25, 0.75), (0.75, 0.25), (0.75, 0.75). The order fixes
@@ -36,20 +33,6 @@ _SAMPLES = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 # regions per batched product; bounds the four (R, p*C, p) sample grids
 CHUNK = 16
-
-
-@dataclass(frozen=True)
-class ROIAlignConfig:
-    """Output grid size and per-bin aggregation; 4 samples per bin, always."""
-
-    resolution: int = 7
-    aggregation: str = "max"
-
-    def __post_init__(self):
-        if self.resolution < 1:
-            raise ValueError("resolution must be >= 1")
-        if self.aggregation not in ("max", "avg"):
-            raise ValueError(f"unknown aggregation {self.aggregation!r}")
 
 
 def assign_level(boxes: np.ndarray) -> np.ndarray:
@@ -83,14 +66,14 @@ def _axis_weights(coords: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return first, (cells == i0[..., None]) * (1.0 - f) + (cells == i0[..., None] + 1.0) * f
 
 
-def roi_align(feature: Tensor, stride: float, boxes: np.ndarray, cfg: ROIAlignConfig) -> Tensor:
-    """Pool p x p grids from a (C, H, W) feature map.
+def roi_align(feature: Tensor, stride: float, boxes: np.ndarray, resolution: int) -> Tensor:
+    """Pool p x p grids (p = resolution) from a (C, H, W) feature map.
 
     boxes are (R, 4) center-form rows in image coordinates; stride converts
     them to feature coordinates. The result is (R, C, p, p) in row order.
     """
     c, h, w = feature.shape
-    p = cfg.resolution
+    p = resolution
     x1, y1, _, _ = corners(boxes)
     bw = boxes[:, 2] / stride / p
     bh = boxes[:, 3] / stride / p
@@ -107,7 +90,7 @@ def roi_align(feature: Tensor, stride: float, boxes: np.ndarray, cfg: ROIAlignCo
 
     n_roi = boxes.shape[0]
     out = np.empty((n_roi, p * c, p))
-    arg = np.zeros((n_roi, p * c, p), dtype=np.int8) if cfg.aggregation == "max" else None
+    arg = np.zeros((n_roi, p * c, p), dtype=np.int8)
     chunks = []
     for lo in range(0, n_roi, CHUNK):
         n = min(CHUNK, n_roi - lo)
@@ -127,9 +110,6 @@ def roi_align(feature: Tensor, stride: float, boxes: np.ndarray, cfg: ROIAlignCo
         # one (n, p*C, p) grid per sample: (bin row, channel, bin col)
         cols = [part @ ax[:, dx].transpose(0, 2, 1) for dx in (0, 1)]
         samples = [cols[dx][dy] for dy, dx in _SAMPLES]
-        if arg is None:
-            out[lo : lo + n] = (samples[0] + samples[1] + samples[2] + samples[3]) / 4.0
-            continue
         # first winner on ties; arithmetic instead of masked writes, which
         # are several times slower on a random mask
         best, pick = samples[0], arg[lo : lo + n]
@@ -148,8 +128,7 @@ def roi_align(feature: Tensor, stride: float, boxes: np.ndarray, cfg: ROIAlignCo
             gc = g[lo : lo + n]
             dpart = np.zeros((2, n, p * c, lx))
             for s, (dy, dx) in enumerate(_SAMPLES):
-                gs = gc / 4.0 if arg is None else gc * (arg[lo : lo + n] == s)
-                dpart[dy] += gs @ ax[:, dx]
+                dpart[dy] += (gc * (arg[lo : lo + n] == s)) @ ax[:, dx]
             dpart = dpart.reshape(2, n, p, c, lx).transpose(1, 0, 2, 4, 3).reshape(n, 2 * p, lx * c)
             if (ly, lx) == (h, w):
                 dmap += ay.transpose(2, 0, 1).reshape(h, n * 2 * p) @ dpart.reshape(n * 2 * p, w * c)

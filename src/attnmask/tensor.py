@@ -23,14 +23,12 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 __all__ = [
     "Tensor",
-    "GradCheckReport",
     "no_grad",
     "sigmoid",
     "relu",
@@ -547,21 +545,10 @@ def log_softmax(x: Tensor) -> Tensor:
 # -- gradient checking ---------------------------------------------------------
 
 
-@dataclass
-class GradCheckReport:
-    """Worst-case disagreement between taped and finite-difference gradients.
-
-    Relative error per element is |a - n| / max(|a|, |n|, 1e-8).
-    """
-
-    max_rel_err: float
-
-    def ok(self, tol: float) -> bool:
-        return self.max_rel_err < tol
-
-
-def grad_check(fn: Callable[[Tensor], Tensor], x0, eps: float = 1e-4) -> GradCheckReport:
-    """Compare fn's reverse-mode gradient at x0 against central differences.
+def grad_check(fn: Callable[[Tensor], Tensor], x0, eps: float = 1e-4) -> float:
+    """Worst-case disagreement between fn's reverse-mode gradient at x0 and
+    central differences: the largest per-element relative error
+    |a - n| / max(|a|, |n|, 1e-8).
 
     fn must map a Tensor to a scalar Tensor and may close over other fixed
     tensors; only the gradient with respect to x0 is checked.
@@ -589,4 +576,4 @@ def grad_check(fn: Callable[[Tensor], Tensor], x0, eps: float = 1e-4) -> GradChe
         nflat[i] = (hi - lo) / (2.0 * eps)
 
     rel = np.abs(analytic - numeric) / np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
-    return GradCheckReport(max_rel_err=float(rel.max()))
+    return float(rel.max())

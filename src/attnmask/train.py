@@ -29,7 +29,7 @@ from decimal import Decimal
 
 import numpy as np
 
-from .boxes import box_array, clip_boxes, corners, encode_boxes, generate_anchors, pairwise_iou
+from .boxes import box_array, clip_boxes, corners, encode_boxes, pairwise_iou
 from .losses import (
     MaskTarget,
     assign_anchor_labels,
@@ -51,7 +51,7 @@ from .model import (
     rpn_forward,
 )
 from .synth import Sample, hflip
-from .tensor import Tensor, concat, gather_rows
+from .tensor import Tensor, gather_rows
 
 __all__ = [
     "TrainConfig",
@@ -94,6 +94,8 @@ class TrainConfig:
         for name in ("epochs", "batch_size", "rpn_batch", "roi_batch", "train_pre_nms", "train_post_nms"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be at least 0, got {self.seed}")
         if self.steps_per_epoch is not None and self.steps_per_epoch < 1:
             raise ValueError(f"steps_per_epoch must be null or at least 1, got {self.steps_per_epoch}")
         for name in ("hflip_prob", "rpn_pos_fraction", "roi_pos_fraction"):
@@ -203,33 +205,29 @@ def _image_loss(
     x = Tensor(sample.image)
     height, width = x.shape[1], x.shape[2]
     pyramid = pyramid_forward(model, x)
-    level_shapes = {lvl: (f.shape[1], f.shape[2]) for lvl, f in pyramid.items()}
-    anchors = generate_anchors(level_shapes, model.cfg.anchors)
-    rpn_out = rpn_forward(model, pyramid)
+    anchors, logits, offsets = rpn_forward(model, pyramid)
     gt = box_array(sample.boxes)
 
     asg = assign_anchor_labels(
         anchors, gt, rng,
         batch=cfg.rpn_batch, pos_fraction=cfg.rpn_pos_fraction,
     )
-    probs = concat([objectness(rpn_out[lvl][0]) for lvl in sorted(rpn_out)], axis=0)
     sampled = asg.sampled
-    rpn_cls = cls_loss(gather_rows(probs, sampled), asg.labels[sampled])
+    rpn_cls = cls_loss(gather_rows(objectness(logits), sampled), asg.labels[sampled])
     rpn_reg = None
     pos = asg.sampled_pos
     if pos.size:
-        all_reg = concat([rpn_out[lvl][1] for lvl in sorted(rpn_out)], axis=0)
-        pred = gather_rows(all_reg, pos)
+        pred = gather_rows(offsets, pos)
         rpn_reg = reg_loss(pred, encode_boxes(anchors[pos], gt[asg.matched_gt[pos]]))
     # position-count normalization leaves the offset term orders of magnitude
     # below the objectness term; the weight restores a comparable scale
-    n_positions = sum(h * w for h, w in level_shapes.values())
+    n_positions = anchors.shape[0] // model.cfg.num_anchor_shapes
     rpn_total, rpn_parts = total_loss(
         rpn_cls, rpn_reg, None, sampled.size, n_positions, cfg.rpn_reg_weight
     )
 
     proposals = propose(
-        anchors, rpn_out, (height, width), pre_nms=cfg.train_pre_nms, post_nms=cfg.train_post_nms
+        anchors, logits, offsets, (height, width), pre_nms=cfg.train_pre_nms, post_nms=cfg.train_post_nms
     )
     gt_clipped, inside = clip_boxes(gt, float(width), float(height))
     proposals = np.concatenate([proposals, gt_clipped[inside]])

@@ -45,8 +45,8 @@ def bilinear_hat(feature, sy, sx):
     return out
 
 
-def roi_align_dense(feature, stride, box_xyxy, resolution, aggregation="max"):
-    """Dense-sum ROI Align: 4 quarter-point samples per bin, max or mean."""
+def roi_align_dense(feature, stride, box_xyxy, resolution):
+    """Dense-sum ROI Align: the per-channel max of 4 quarter-point samples per bin."""
     x1, y1, x2, y2 = (v / stride for v in box_xyxy)
     bw = (x2 - x1) / resolution
     bh = (y2 - y1) / resolution
@@ -59,12 +59,7 @@ def roi_align_dense(feature, stride, box_xyxy, resolution, aggregation="max"):
                 sy = y1 + (by + dy) * bh
                 sx = x1 + (bx + dx) * bw
                 samples.append(bilinear_hat(feature, sy, sx))
-            stacked = np.stack(samples)
-            if aggregation == "max":
-                # per-channel max over the four samples
-                out[:, by, bx] = stacked.max(axis=0)
-            else:
-                out[:, by, bx] = stacked.mean(axis=0)
+            out[:, by, bx] = np.stack(samples).max(axis=0)
     return out
 
 

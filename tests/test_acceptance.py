@@ -19,7 +19,7 @@ from attnmask.cli import _self_evaluate, cli
 from attnmask.losses import MaskTarget, cls_loss, mask_loss, reg_loss, total_loss
 from attnmask.metrics import COCO_SWEEP, Detection, GTRecord, average_precision, map_report, pr_curve
 from attnmask.model import ModelConfig, build_model
-from attnmask.roi_align import ROIAlignConfig, roi_align
+from attnmask.roi_align import roi_align
 from attnmask.synth import SynthSpec, synth_dataset
 from attnmask.tensor import Tensor
 from attnmask.train import TrainConfig, lr_at, train
@@ -127,20 +127,17 @@ def test_criterion_03_geometry_oracles(capsys):
 
 
 def test_criterion_04_roi_align(capsys):
-    cfg_max = ROIAlignConfig(resolution=3, aggregation="max")
-    const = roi_align(Tensor(np.full((2, 8, 8), 2.5)), 4.0, box_array([Box(12.0, 12.0, 16.0, 16.0)]), cfg_max)
+    const = roi_align(Tensor(np.full((2, 8, 8), 2.5)), 4.0, box_array([Box(12.0, 12.0, 16.0, 16.0)]), 3)
     const_err = np.abs(const.data - 2.5).max()
 
     rng = np.random.default_rng(11)
     feat = rng.standard_normal((4, 8, 8))
     worst = 0.0
-    for i in range(200):
-        agg = "max" if i % 2 == 0 else "avg"
-        cfg = ROIAlignConfig(resolution=int(rng.integers(2, 5)), aggregation=agg)
+    for _ in range(200):
+        res = int(rng.integers(2, 5))
         box = Box(rng.uniform(4, 28), rng.uniform(4, 28), rng.uniform(2, 20), rng.uniform(2, 20))
-        got = roi_align(Tensor(feat), 4.0, box_array([box]), cfg).data[0]
-        want = roi_align_dense(feat, 4.0, (box.x1, box.y1, box.x2, box.y2),
-                               cfg.resolution, agg)
+        got = roi_align(Tensor(feat), 4.0, box_array([box]), res).data[0]
+        want = roi_align_dense(feat, 4.0, (box.x1, box.y1, box.x2, box.y2), res)
         worst = max(worst, np.abs(got - want).max())
 
     grads = run_checks("roialign", seeds=5)

@@ -131,6 +131,21 @@ def test_bad_seed_env_fails_fast(tmp_path, monkeypatch, capsys):
     assert "ATTNMASK_SEED" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, env, message",
+    [("-1", None, "--seed: seed must be at least 0, got -1"),
+     ("0", "-2", "ATTNMASK_SEED='-2': seed must be at least 0, got -2")],
+    ids=["flag", "env"],
+)
+def test_negative_seed_exits_2_naming_its_source(tmp_path, monkeypatch, capsys, flag, env, message):
+    if env is None:
+        monkeypatch.delenv("ATTNMASK_SEED", raising=False)
+    else:
+        monkeypatch.setenv("ATTNMASK_SEED", env)
+    assert cli(["train-toy", "--seed", flag, "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_train_toy_rejects_unknown_config_field(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"n_object": [1, 2]}))
@@ -173,6 +188,9 @@ def test_train_toy_rejects_unknown_config_field(tmp_path, capsys):
         ({"train": {"roi_pos_iou": 0}}, r"train: roi_pos_iou must be in \(0,1\], got 0"),
         ({"train": {"roi_pos_iou": 1.5}}, r"train: roi_pos_iou must be in \(0,1\], got 1.5"),
         ({"train": {"step_factor": 0}}, "train: step_factor must be positive, got 0"),
+        ({"train_seed": -5}, "train_seed must be at least 0, got -5"),
+        ({"val_seed": -1}, "val_seed must be at least 0, got -1"),
+        ({"train": {"seed": -3}}, "train: seed must be at least 0, got -3"),
     ],
     ids=["text-int", "fractional-int", "text-run-knob", "nan-float", "object-stages", "object-anchors",
          "int-bool", "text-in-tuple", "zero-train-images", "conf-above-1", "zero-batch", "zero-epochs",
@@ -180,7 +198,7 @@ def test_train_toy_rejects_unknown_config_field(tmp_path, capsys):
          "zero-fpn-dim", "zero-head-width", "mask-out-mismatch", "text-eca-kernel", "reduction-not-dividing",
          "reduction-too-wide-for-none", "zero-roi-batch", "zero-pre-nms", "negative-post-nms",
          "rpn-pos-fraction-above-1", "negative-roi-pos-fraction", "zero-roi-pos-iou", "roi-pos-iou-above-1",
-         "zero-step-factor"],
+         "zero-step-factor", "negative-train-seed", "negative-val-seed", "negative-train-config-seed"],
 )
 def test_malformed_config_values_exit_2_naming_file_and_field(tmp_path, capsys, cfg, message):
     path = tmp_path / "bad.json"

@@ -155,11 +155,11 @@ def test_loss_gradients(seed):
     rng = np.random.default_rng(seed)
     p = rng.uniform(0.05, 0.95, 8)
     y = rng.integers(0, 2, 8).astype(float)
-    assert grad_check(lambda t: cls_loss(t, y).sum(), Tensor(p)).ok(1e-3)
+    assert grad_check(lambda t: cls_loss(t, y).sum(), Tensor(p)) < 1e-3
 
     d = rng.uniform(-2, 2, (4, 4))
     d = np.where(np.abs(np.abs(d) - 1) < 0.01, d * 1.1, d)  # step off the kink
-    assert grad_check(lambda t: reg_loss(t, np.zeros((4, 4))).sum(), Tensor(d)).ok(1e-3)
+    assert grad_check(lambda t: reg_loss(t, np.zeros((4, 4))).sum(), Tensor(d)) < 1e-3
 
 
 # -- anchor labeling ----------------------------------------------------------

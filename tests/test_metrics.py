@@ -43,7 +43,7 @@ def test_match_greedy_prefers_higher_score():
         _det(0.9, B((1.5, 1.5, 10, 10))),  # IoU ~0.57, higher score: wins
     ]
     res = match(dets, gt, 0.5)
-    assert list(res.order) == [1, 0]
+    assert list(res.scores) == [0.9, 0.6]
     # flags follow score order: high scorer takes the box, other is FP
     assert list(res.flags) == [1, 0]
     assert res.n_gt == 1

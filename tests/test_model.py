@@ -27,7 +27,7 @@ from attnmask.model import (
     rpn_forward,
     save_checkpoint,
 )
-from attnmask.roi_align import ROIAlignConfig, assign_level, roi_align
+from attnmask.roi_align import assign_level, roi_align
 from attnmask.tensor import Tensor
 
 
@@ -91,18 +91,23 @@ def test_rpn_flatten_order_matches_anchor_order():
     for s in range(a):
         model.rpn.cls.w.data[2 * s + 1, 0, 0, 0] = 1.0
 
-    fh, fw = 3, 4
-    feat = np.zeros((dim, fh, fw))
-    feat[0] = 10.0 * np.arange(fh)[:, None] + np.arange(fw)[None, :] + 1.0
-    pyramid = {2: Tensor(feat)}
-    obj, _ = rpn_forward(model, pyramid)[2]
-    assert obj.shape == (fh * fw * a, 2)
+    # two levels, given out of order: rows run level by level ascending
+    shapes = {3: (2, 2), 2: (3, 4)}
+    pyramid, level_of = {}, []
+    for lvl, (fh, fw) in shapes.items():
+        feat = np.zeros((dim, fh, fw))
+        feat[0] = 100.0 * lvl + 10.0 * np.arange(fh)[:, None] + np.arange(fw)[None, :]
+        pyramid[lvl] = Tensor(feat)
+    for lvl in sorted(shapes):
+        level_of += [lvl] * (shapes[lvl][0] * shapes[lvl][1] * a)
+    anchors, logits, offsets = rpn_forward(model, pyramid)
+    np.testing.assert_array_equal(anchors, generate_anchors(shapes, model.cfg.anchors))
+    assert logits.shape == (len(level_of), 2) and offsets.shape == (len(level_of), 4)
 
-    anchors = generate_anchors({2: (fh, fw)}, model.cfg.anchors)
-    for n, (cx, cy, _, _) in enumerate(anchors):
-        row = int(cy / 4 - 0.5)
-        col = int(cx / 4 - 0.5)
-        assert obj.data[n, 1] == pytest.approx(feat[0, row, col])
+    for n, ((cx, cy, _, _), lvl) in enumerate(zip(anchors, level_of)):
+        row = int(cy / stride_of(lvl) - 0.5)
+        col = int(cx / stride_of(lvl) - 0.5)
+        assert logits.data[n, 1] == pytest.approx(pyramid[lvl].data[0, row, col])
 
 
 def test_objectness_equals_softmax_foreground():
@@ -117,11 +122,8 @@ def test_objectness_equals_softmax_foreground():
 def test_propose_respects_caps_and_bounds():
     model = _toy_model()
     x = Tensor(np.random.default_rng(1).uniform(size=(3, 64, 64)))
-    pyramid = pyramid_forward(model, x)
-    shapes = {lvl: (f.shape[1], f.shape[2]) for lvl, f in pyramid.items()}
-    anchors = generate_anchors(shapes, model.cfg.anchors)
-    rpn_out = rpn_forward(model, pyramid)
-    props = propose(anchors, rpn_out, (64, 64), pre_nms=300, post_nms=12)
+    anchors, logits, offsets = rpn_forward(model, pyramid_forward(model, x))
+    props = propose(anchors, logits, offsets, (64, 64), pre_nms=300, post_nms=12)
     assert 0 < len(props) <= 12
     for b in (Box(*row) for row in props):
         assert 0.0 <= b.x1 <= b.x2 <= 64.0
@@ -133,7 +135,7 @@ def test_propose_respects_caps_and_bounds():
     anchors = box_array([Box(10.0, 10.0, 8.0, 8.0), Box(30.0, 30.0, 8.0, 8.0), Box(50.0, 50.0, 8.0, 8.0)])
     obj = Tensor(np.array([[0.0, 3.0], [0.0, 2.0], [0.0, 1.0]]))
     reg = Tensor(np.array([[0.0, 0.0, -3.0, -3.0], [0.0, 0.0, -2.0, -2.0], [0.0, 0.0, 0.0, 0.0]]))
-    props = propose(anchors, {2: (obj, reg)}, (64, 64), pre_nms=3, post_nms=3)
+    props = propose(anchors, obj, reg, (64, 64), pre_nms=3, post_nms=3)
     assert MIN_SIZE == 1.0
     assert props[:, :2].tolist() == [[30.0, 30.0], [50.0, 50.0]]
     assert props[0, 2] == pytest.approx(8.0 * np.exp(-2.0))
@@ -142,10 +144,9 @@ def test_propose_respects_caps_and_bounds():
 def test_propose_checks_anchor_alignment():
     model = _toy_model()
     x = Tensor(np.zeros((3, 64, 64)))
-    pyramid = pyramid_forward(model, x)
-    rpn_out = rpn_forward(model, pyramid)
-    with pytest.raises(ValueError):
-        propose(np.zeros((0, 4)), rpn_out, (64, 64), pre_nms=1000, post_nms=100)
+    anchors, logits, offsets = rpn_forward(model, pyramid_forward(model, x))
+    with pytest.raises(ValueError, match=f"{len(anchors) - 1} anchors vs {len(anchors)} RPN positions"):
+        propose(anchors[1:], logits, offsets, (64, 64), pre_nms=1000, post_nms=100)
 
 
 def test_extract_roi_features_shapes_and_level_clamp():
@@ -174,7 +175,7 @@ def test_extract_roi_features_keeps_input_order_across_levels(boxes):
     assert feats.shape == (len(boxes), 4, 3, 3)
     for row, box in zip(feats.data, boxes):
         lvl = assign_level(box_array([box]))[0]
-        want = roi_align(_PYRAMID[lvl], float(stride_of(lvl)), box_array([box]), ROIAlignConfig(3))
+        want = roi_align(_PYRAMID[lvl], float(stride_of(lvl)), box_array([box]), 3)
         np.testing.assert_allclose(row, want.data[0], rtol=0.0, atol=1e-12)
 
 
@@ -312,14 +313,23 @@ def test_checkpoint_rejects_non_finite_arrays(tmp_path):
     path = str(tmp_path / "model.npz")
     save_checkpoint(model, path)
     with np.load(path) as archive:
-        arrays = {name: archive[name] for name in archive.files}
-    arrays["box_head.cls_w"][1, 2] = np.nan
-    np.savez(path, **arrays)
-
+        good = {name: archive[name] for name in archive.files}
+    w = good["box_head.cls_w"]
+    nan = w.copy()
+    nan[1, 2] = np.nan
+    # strings, complex and bool values are not real numbers, whatever they would cast to
+    bad = [
+        (nan, "non-finite"),
+        (w.astype(str), "dtype <U.* is not integer or float"),
+        (w + 1j, "dtype complex128 is not integer or float"),
+        (w > 0, "dtype bool is not integer or float"),
+    ]
     target = _toy_model(seed=1)
     before = {name: t.data.copy() for name, t in target.named_params()}
-    with pytest.raises(ValueError, match=r"box_head\.cls_w.*non-finite"):
-        load_checkpoint(target, path)
-    # a rejected checkpoint leaves every parameter as it was
-    for name, t in target.named_params():
-        assert np.array_equal(t.data, before[name]), name
+    for array, message in bad:
+        np.savez(path, **{**good, "box_head.cls_w": array})
+        with pytest.raises(ValueError, match=r"box_head\.cls_w.*" + message):
+            load_checkpoint(target, path)
+        # a rejected checkpoint leaves every parameter as it was
+        for name, t in target.named_params():
+            assert np.array_equal(t.data, before[name]), name

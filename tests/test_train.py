@@ -7,7 +7,7 @@ import pytest
 
 from attnmask import train as train_mod
 from attnmask.boxes import Box, box_array
-from attnmask.losses import MaskTarget, mask_loss
+from attnmask.losses import MaskTarget, mask_loss, total_loss
 from attnmask.model import ModelConfig, build_model, extract_roi_features, mask_head_forward, pyramid_forward
 from attnmask.synth import SynthSpec, synth_dataset
 from attnmask.tensor import Tensor, concat, gather_rows
@@ -100,6 +100,23 @@ def test_image_loss_parts_sum_to_total():
     total, parts = _image_loss(model, sample, np.random.default_rng(0), TrainConfig.toy())
     assert (parts > 0.0).all()
     assert total.item() == pytest.approx(parts.sum(), abs=1e-12)
+
+
+def test_rpn_offsets_are_normalized_by_anchor_positions(monkeypatch):
+    # the RPN offset term is divided by the number of feature-map cells over
+    # every pyramid level, not by the number of anchors
+    sample = synth_dataset(SynthSpec(n_objects=(2, 3)), 6, 1)[0]
+    model = build_model(ModelConfig.toy("none"), seed=0)
+    calls = []
+
+    def total_spy(*args):
+        calls.append(args)
+        return total_loss(*args)
+
+    monkeypatch.setattr(train_mod, "total_loss", total_spy)
+    _image_loss(model, sample, np.random.default_rng(0), TrainConfig.toy())
+    cells = sum(f.shape[1] * f.shape[2] for f in pyramid_forward(model, Tensor(sample.image)).values())
+    assert calls[0][4] == cells
 
 
 def test_mask_term_and_gradients_equal_a_per_region_loop(monkeypatch):
