@@ -1,11 +1,13 @@
 """Channel and spatial feature gating blocks, listed once in `GATES`.
 
 `GATES` maps each variant name to its parameter container, which builds
-itself through its `init` classmethod, and to its gate function. Gates are
-pure functions of (input, params) mapping (C,H,W) to (C,H,W); they go
-through a sigmoid so every multiplier lies strictly in (0,1). With all
-parameters zero each gate is exactly 0.5, which gives the handy closed
-forms 0.5*F for a single gate and 0.25*F for the channel+spatial cascade.
+itself through its `init` classmethod, and to its gates in the order they
+apply. A gate is a pure function of (input, params) that returns its
+multiplier, (C,1,1) over channels or (1,H,W) over positions, through a
+sigmoid so it lies strictly in (0,1); `apply_attention` alone multiplies
+the gates in. With all parameters zero each gate is exactly 0.5, which
+gives the handy closed forms 0.5*F for a single gate and 0.25*F for the
+channel+spatial cascade.
 
 Defaults the surrounding literature settles and this config exposes:
 MLP reduction ratio r (default 16), ReLU between the MLP layers, and the
@@ -29,11 +31,10 @@ __all__ = [
     "SpatialAttentionParams",
     "CBAMParams",
     "ECAParams",
-    "channel_attention",
-    "spatial_attention",
-    "cbam",
-    "se_block",
-    "eca_block",
+    "channel_gate",
+    "spatial_gate",
+    "se_gate",
+    "eca_gate",
     "make_attention",
     "apply_attention",
     "eca_kernel_size",
@@ -158,58 +159,51 @@ class ECAParams:
         return cls(w=init_uniform((k,), k, rng, cfg.init))
 
 
-# -- forward passes ------------------------------------------------------------
+# -- gates ---------------------------------------------------------------------
 
 
 def _mlp(vec: Tensor, p: MLPParams) -> Tensor:
     return linear(relu(linear(vec, p.w1, p.b1)), p.w2, p.b2)
 
 
-def channel_attention(x: Tensor, params: MLPParams) -> Tensor:
-    """Gate channels by sigmoid(MLP(avg pool) + MLP(max pool))."""
+def channel_gate(x: Tensor, params: CBAMParams) -> Tensor:
+    """CBAM's (C,1,1) gate: sigmoid(MLP(avg pool) + MLP(max pool))."""
     c = x.shape[0]
     avg = pool(x, "spatial", "avg").reshape(c)
     mx = pool(x, "spatial", "max").reshape(c)
-    gate = sigmoid(_mlp(avg, params) + _mlp(mx, params)).reshape(c, 1, 1)
-    return x * gate
+    return sigmoid(_mlp(avg, params.cam) + _mlp(mx, params.cam)).reshape(c, 1, 1)
 
 
-def spatial_attention(x: Tensor, params: SpatialAttentionParams) -> Tensor:
-    """Gate positions by a 7x7 conv over the stacked channel avg/max maps."""
+def spatial_gate(x: Tensor, params: CBAMParams) -> Tensor:
+    """CBAM's (1,H,W) gate: a 7x7 conv over the stacked channel avg/max maps."""
     stacked = concat([pool(x, "channel", "avg"), pool(x, "channel", "max")], axis=0)
-    gate = sigmoid(conv2d(stacked, params.w, params.b, stride=1, padding=3))
-    return x * gate
+    return sigmoid(conv2d(stacked, params.sam.w, params.sam.b, stride=1, padding=3))
 
 
-def cbam(x: Tensor, params: CBAMParams) -> Tensor:
-    """Channel gate followed by spatial gate."""
-    return spatial_attention(channel_attention(x, params.cam), params.sam)
-
-
-def se_block(x: Tensor, params: MLPParams) -> Tensor:
-    """Channel gate from the spatially averaged descriptor alone."""
+def se_gate(x: Tensor, params: MLPParams) -> Tensor:
+    """(C,1,1) gate from the spatially averaged descriptor alone."""
     c = x.shape[0]
     squeezed = pool(x, "spatial", "avg").reshape(c)
-    gate = sigmoid(_mlp(squeezed, params)).reshape(c, 1, 1)
-    return x * gate
+    return sigmoid(_mlp(squeezed, params)).reshape(c, 1, 1)
 
 
-def eca_block(x: Tensor, params: ECAParams) -> Tensor:
-    """Channel gate from a 1-D conv sliding across the pooled channel vector."""
+def eca_gate(x: Tensor, params: ECAParams) -> Tensor:
+    """(C,1,1) gate from a 1-D conv sliding across the pooled channel vector."""
     c = x.shape[0]
     squeezed = pool(x, "spatial", "avg").reshape(c)
     k = params.kernel
-    gate = sigmoid(conv1d(squeezed, params.w, padding=(k - 1) // 2)).reshape(c, 1, 1)
-    return x * gate
+    return sigmoid(conv1d(squeezed, params.w, padding=(k - 1) // 2)).reshape(c, 1, 1)
 
 
 # -- the variant table -----------------------------------------------------------
 
-# name -> (parameter container, gate); each container type appears once
+# name -> (parameter container, gates in the order they apply); each
+# container type appears once, and each gate reads the map the gates before
+# it have already scaled
 GATES = {
-    "se": (MLPParams, se_block),
-    "eca": (ECAParams, eca_block),
-    "cbam": (CBAMParams, cbam),
+    "se": (MLPParams, (se_gate,)),
+    "eca": (ECAParams, (eca_gate,)),
+    "cbam": (CBAMParams, (channel_gate, spatial_gate)),
 }
 VARIANTS = ("none",) + tuple(GATES)
 
@@ -221,10 +215,13 @@ def make_attention(cfg: AttentionConfig, rng: np.random.Generator):
 
 
 def apply_attention(x: Tensor, params) -> Tensor:
-    """Run the gate whose container type params has; None is the identity."""
+    """Multiply in, one after another, the gates of the variant whose
+    container type params has; None is the identity."""
     if params is None:
         return x
-    for container, gate in GATES.values():
+    for container, gates in GATES.values():
         if type(params) is container:
-            return gate(x, params)
+            for gate in gates:
+                x = x * gate(x, params)
+            return x
     raise TypeError(f"unknown attention params {type(params).__name__}")

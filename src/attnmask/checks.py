@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import GATES, AttentionConfig, make_attention
+from .attention import GATES, AttentionConfig, apply_attention, make_attention
 from .backbone import bottleneck_forward, fpn_fuse, init_bottleneck, init_fpn
 from .boxes import Box, box_array
 from .losses import MaskTarget, cls_loss, mask_loss, reg_loss
@@ -99,7 +99,7 @@ def _attention_cases(seed: int, eps: float, tol: float) -> list:
     c, h, w = 8, 5, 5
     x = rng.standard_normal((c, h, w))
     cases = []
-    for variant, (_, fwd) in GATES.items():
+    for variant in GATES:
         prng = np.random.default_rng(np.random.PCG64(seed + 1))
         params = make_attention(
             AttentionConfig(channels=c, reduction=4, variant=variant), prng
@@ -107,14 +107,14 @@ def _attention_cases(seed: int, eps: float, tol: float) -> list:
         proj_rng = np.random.default_rng(np.random.PCG64(seed + 2))
         pw = proj_rng.standard_normal((c, h, w))
 
-        def fn(t, fwd=fwd, params=params, pw=pw):
-            return (fwd(t, params) * pw).sum()
+        def fn(t, params=params, pw=pw):
+            return (apply_attention(t, params) * pw).sum()
 
         cases.append(_case("attention", variant, seed, fn, Tensor(x), eps, tol))
 
         # same block, gradient w.r.t. the first gate weight instead
-        def fn_w(t, fwd=fwd, params=params, pw=pw):
-            return (fwd(Tensor(x), _swap_first_weight(params, t)) * pw).sum()
+        def fn_w(t, params=params, pw=pw):
+            return (apply_attention(Tensor(x), _swap_first_weight(params, t)) * pw).sum()
 
         w0 = _first_weight(params)
         cases.append(_case("attention", f"{variant}-weights", seed, fn_w, w0.data, eps, tol))

@@ -9,12 +9,13 @@ of its four samples, the one pooling rule of the detector. The backward
 follows the first-winner tie rule used by the rest of the tensor core.
 
 Bilinear sampling is separable. Along each axis a region's 2p quarter
-points read the map through a (2p, L) interpolation matrix over the L
-cells they touch, so the 2p x 2p sample grid of the region's (C, Ly, Lx)
-window F is Ay F Ax^T and its gradient is Ay^T G Ax: batched matrix
-products per chunk of regions, forward and backward alike. The window
-spans only the region's own cells (the widest region of its chunk sets L),
-so the cost follows the region's extent on the map, not the map's size.
+points read the map through a (2p, L) interpolation matrix over all L
+cells of that axis, so its 2p x 2p sample grid of the (C, H, W) map F is
+Ay F Ax^T and its gradient is Ay^T G Ax. Per chunk of regions the forward
+is one product of the stacked Ay with the whole map, and the backward one
+product of their transpose with the stacked gradients. Every region reads
+the map the same way, so its pooled values do not depend on the other
+regions of its chunk.
 """
 
 from __future__ import annotations
@@ -45,25 +46,14 @@ def assign_level(boxes: np.ndarray) -> np.ndarray:
     return np.clip(level, 2, 5).astype(np.intp)
 
 
-def _axis_weights(coords: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bilinear weights of (R, S) sample coordinates over n cells whose
-    centers sit at integer + 0.5; cells off the map get no weight.
-
-    Returns each region's window start and the (R, S, L) weights over its
-    window of L cells, L being the widest region's span of touched cells.
-    A window over more than half the axis grows to the whole axis, where
-    reading the map in place costs less than copying the windows out.
-    """
+def _axis_weights(coords: np.ndarray, n: int) -> np.ndarray:
+    """(R, S, n) bilinear weights of (R, S) sample coordinates over n cells
+    whose centers sit at integer + 0.5; cells off the map get no weight."""
     v = coords - 0.5
-    i0 = np.floor(v)
-    f = (v - i0)[..., None]
-    lo = np.clip(i0.min(axis=1), 0, n - 1).astype(np.intp)
-    hi = np.clip(i0.max(axis=1) + 1, 0, n - 1).astype(np.intp)
-    span = int((hi - lo).max()) + 1
-    span = n if 2 * span > n else span
-    first = np.minimum(lo, n - span)
-    cells = (first[:, None] + np.arange(span))[:, None, :]
-    return first, (cells == i0[..., None]) * (1.0 - f) + (cells == i0[..., None] + 1.0) * f
+    i0 = np.floor(v)[..., None]
+    f = v[..., None] - i0
+    cells = np.arange(n)
+    return (cells == i0) * (1.0 - f) + (cells == i0 + 1.0) * f
 
 
 def roi_align(feature: Tensor, stride: float, boxes: np.ndarray, resolution: int) -> Tensor:
@@ -85,7 +75,7 @@ def roi_align(feature: Tensor, stride: float, boxes: np.ndarray, resolution: int
     frac = np.tile(np.arange(p), 2) + np.repeat([0.25, 0.75], p)
     ys = y1[:, None] / stride + frac * bh[:, None]
     xs = x1[:, None] / stride + frac * bw[:, None]
-    # channels last, (H, W*C): each row of a window is one contiguous run
+    # channels last, (H, W*C): one product reads every channel of a row
     fmap = feature.data.transpose(1, 2, 0).reshape(h, w * c)
 
     n_roi = boxes.shape[0]
@@ -94,19 +84,12 @@ def roi_align(feature: Tensor, stride: float, boxes: np.ndarray, resolution: int
     chunks = []
     for lo in range(0, n_roi, CHUNK):
         n = min(CHUNK, n_roi - lo)
-        y0, ay = _axis_weights(ys[lo : lo + n], h)
-        x0, ax = _axis_weights(xs[lo : lo + n], w)
-        ly, lx = ay.shape[2], ax.shape[2]
-        if (ly, lx) == (h, w):
-            # every window is the whole map: one product for the chunk
-            part = ay.reshape(n * 2 * p, h) @ fmap
-        else:
-            win = np.stack([fmap[y : y + ly, x * c : (x + lx) * c] for y, x in zip(y0, x0)])
-            part = ay @ win
-        # rows (half, region, bin row) x cols (channel, x): (2, n, p*C, Lx)
-        part = part.reshape(n, 2, p, lx, c).transpose(1, 0, 2, 4, 3).reshape(2, n, p * c, lx)
-        ax = ax.reshape(n, 2, p, lx)
-        chunks.append((y0, x0, ay, ax))
+        ay = _axis_weights(ys[lo : lo + n], h)
+        ax = _axis_weights(xs[lo : lo + n], w).reshape(n, 2, p, w)
+        chunks.append((ay, ax))
+        # rows (half, region, bin row) x cols (channel, x): (2, n, p*C, W)
+        part = ay.reshape(n * 2 * p, h) @ fmap
+        part = part.reshape(n, 2, p, w, c).transpose(1, 0, 2, 4, 3).reshape(2, n, p * c, w)
         # one (n, p*C, p) grid per sample: (bin row, channel, bin col)
         cols = [part @ ax[:, dx].transpose(0, 2, 1) for dx in (0, 1)]
         samples = [cols[dx][dy] for dy, dx in _SAMPLES]
@@ -123,20 +106,14 @@ def roi_align(feature: Tensor, stride: float, boxes: np.ndarray, resolution: int
             return
         g = g.transpose(0, 2, 1, 3).reshape(n_roi, p * c, p)
         dmap = np.zeros((h, w * c))
-        for lo, (y0, x0, ay, ax) in zip(range(0, n_roi, CHUNK), chunks):
-            n, ly, lx = ay.shape[0], ay.shape[2], ax.shape[3]
+        for lo, (ay, ax) in zip(range(0, n_roi, CHUNK), chunks):
+            n = ay.shape[0]
             gc = g[lo : lo + n]
-            dpart = np.zeros((2, n, p * c, lx))
+            dpart = np.zeros((2, n, p * c, w))
             for s, (dy, dx) in enumerate(_SAMPLES):
                 dpart[dy] += (gc * (arg[lo : lo + n] == s)) @ ax[:, dx]
-            dpart = dpart.reshape(2, n, p, c, lx).transpose(1, 0, 2, 4, 3).reshape(n, 2 * p, lx * c)
-            if (ly, lx) == (h, w):
-                dmap += ay.transpose(2, 0, 1).reshape(h, n * 2 * p) @ dpart.reshape(n * 2 * p, w * c)
-                continue
-            dwin = ay.transpose(0, 2, 1) @ dpart
-            # windows of one chunk may overlap, so add them one at a time
-            for r, (y, x) in enumerate(zip(y0, x0)):
-                dmap[y : y + ly, x * c : (x + lx) * c] += dwin[r]
+            dpart = dpart.reshape(2, n, p, c, w).transpose(1, 0, 2, 4, 3).reshape(n * 2 * p, w * c)
+            dmap += ay.transpose(2, 0, 1).reshape(h, n * 2 * p) @ dpart
         _accum(feat, dmap.reshape(h, w, c).transpose(2, 0, 1))
 
     result = out.reshape(n_roi, p, c, p).transpose(0, 2, 1, 3)

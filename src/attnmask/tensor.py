@@ -319,9 +319,10 @@ def _conv_out_extent(n: int, k: int, stride: int, padding: int) -> int:
     return out
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor | None, stride: int = 1, padding: int = 0) -> Tensor:
+def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """2-D cross-correlation of a (C,H,W) map, or an (N,C,H,W) batch, with
-    an (O,C,k,k) kernel; the weight and bias gradients sum over the batch.
+    an (O,C,k,k) kernel plus an (O,) bias; the weight and bias gradients
+    sum over the batch.
 
     Zero padding; output extent floor((n + 2*pad - k)/stride) + 1 per axis.
     Kernel sizes are restricted to the 1/3/7 the model actually uses.
@@ -345,22 +346,16 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None, stride: int = 1, padding: int
             cols[:, di, dj] = xp[:, di : di + stride * ho : stride, dj : dj + stride * wo : stride]
     cols2 = cols.reshape(*lead, cin * k * k, ho * wo)
     wmat = w.data.reshape(cout, cin * k * k)
-    out = wmat @ cols2
-    if b is not None:
-        if b.shape != (cout,):
-            raise ValueError(f"bias shape {b.shape} != ({cout},)")
-        out = out + b.data[:, None]
-    out = out.reshape(*lead, cout, ho, wo)
-
-    parents = (x, w) if b is None else (x, w, b)
+    if b.shape != (cout,):
+        raise ValueError(f"bias shape {b.shape} != ({cout},)")
+    out = (wmat @ cols2 + b.data[:, None]).reshape(*lead, cout, ho, wo)
 
     def bwd(g, x=x, w=w, b=b, cols2=cols2, wmat=wmat):
         gm = g.reshape(*lead, cout, ho * wo)
         # one product per sample, summed over the batch in sample order
         dw = gm @ np.swapaxes(cols2, -1, -2)
         _accum(w, dw.reshape(-1, cout, cin * k * k).sum(axis=0).reshape(w.shape))
-        if b is not None:
-            _accum(b, gm.sum(axis=-1).reshape(-1, cout).sum(axis=0))
+        _accum(b, gm.sum(axis=-1).reshape(-1, cout).sum(axis=0))
         if x.requires_grad:
             dcols = (wmat.T @ gm).reshape(-1, k, k, ho, wo)
             dxp = np.zeros((dcols.shape[0], h + 2 * padding, wd + 2 * padding))
@@ -371,7 +366,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None, stride: int = 1, padding: int
                 dxp = dxp[:, padding : padding + h, padding : padding + wd]
             _accum(x, dxp.reshape(x.shape))
 
-    return Tensor(out, _parents=parents, _backward=bwd)
+    return Tensor(out, _parents=(x, w, b), _backward=bwd)
 
 
 def conv1d(x: Tensor, w: Tensor, padding: int) -> Tensor:
@@ -397,24 +392,20 @@ def conv1d(x: Tensor, w: Tensor, padding: int) -> Tensor:
     return Tensor(out, _parents=(x, w), _backward=bwd)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w.T + b for x of shape (in,) or (N, in) and w of shape (out, in)."""
     if x.ndim not in (1, 2) or w.ndim != 2 or x.shape[-1] != w.shape[1]:
         raise ValueError(f"linear shape mismatch: x {x.shape}, w {w.shape}")
-    out = x.data @ w.data.T
-    if b is not None:
-        out = out + b.data
-    parents = (x, w) if b is None else (x, w, b)
+    out = x.data @ w.data.T + b.data
 
     def bwd(g, x=x, w=w, b=b):
         # a 1-D x is one row: its weight gradient is the outer product
         rows = np.atleast_2d(g)
         _accum(w, rows.T @ np.atleast_2d(x.data))
-        if b is not None:
-            _accum(b, rows.sum(axis=0))
+        _accum(b, rows.sum(axis=0))
         _accum(x, g @ w.data)
 
-    return Tensor(out, _parents=parents, _backward=bwd)
+    return Tensor(out, _parents=(x, w, b), _backward=bwd)
 
 
 def pool(x: Tensor, axis: str, mode: str) -> Tensor:

@@ -295,8 +295,6 @@ def train(model: Model, dataset: list[Sample], cfg: TrainConfig) -> TrainResult:
                 order = np.tile(order, reps)
             for b in range(batches_per_epoch):
                 idxs = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
-                if idxs.size == 0:
-                    break
                 parts = np.zeros(3)
                 for i in idxs:
                     s = dataset[int(i)]

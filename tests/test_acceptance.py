@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from attnmask.attention import AttentionConfig, cbam, eca_block, make_attention, se_block
+from attnmask.attention import GATES, AttentionConfig, apply_attention, make_attention
 from attnmask.boxes import AnchorConfig, Box, box_array, decode, encode, generate_anchors, iou, nms
 from attnmask.checks import run_checks
 from attnmask.cli import _self_evaluate, cli
@@ -75,17 +75,21 @@ def test_criterion_01_gradient_suite(capsys):
 
 def test_criterion_02_closed_form_attention(capsys):
     worst = 0.0
+    gates_half = True
     for seed in range(5):
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((8, 6, 6))
         zero = lambda v: make_attention(
             AttentionConfig(channels=8, reduction=4, variant=v, init="zeros"), rng
         )
-        worst = max(worst, np.abs(cbam(Tensor(x), zero("cbam")).data - 0.25 * x).max())
-        worst = max(worst, np.abs(se_block(Tensor(x), zero("se")).data - 0.5 * x).max())
-        worst = max(worst, np.abs(eca_block(Tensor(x), zero("eca")).data - 0.5 * x).max())
-    _verdict(capsys, 2, "closed-form attention", worst <= 1e-15,
-             f"max deviation {worst:.1e} from 0.25F / 0.5F")
+        for variant, closed_form in (("cbam", 0.25), ("se", 0.5), ("eca", 0.5)):
+            params = zero(variant)
+            out = apply_attention(Tensor(x), params).data
+            worst = max(worst, np.abs(out - closed_form * x).max())
+            # with zero parameters every gate is sigmoid(0) = 0.5 exactly
+            gates_half &= all((gate(Tensor(x), params).data == 0.5).all() for gate in GATES[variant][1])
+    _verdict(capsys, 2, "closed-form attention", worst <= 1e-15 and gates_half,
+             f"max deviation {worst:.1e} from 0.25F / 0.5F, every gate 0.5: {gates_half}")
 
 
 def test_criterion_03_geometry_oracles(capsys):

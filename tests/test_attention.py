@@ -11,14 +11,11 @@ from attnmask.attention import (
     ECAParams,
     MLPParams,
     apply_attention,
-    cbam,
-    channel_attention,
-    eca_block,
+    channel_gate,
     eca_kernel_size,
     init_uniform,
     make_attention,
-    se_block,
-    spatial_attention,
+    spatial_gate,
 )
 from attnmask.model import ModelConfig, build_model
 from attnmask.tensor import Tensor
@@ -35,27 +32,30 @@ def test_cbam_zero_params_quarter_identity(seed):
     # both gates sit at sigmoid(0) = 0.5, so the cascade is 0.25 * F
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((8, 6, 6))
-    out = cbam(Tensor(x), _zero_params("cbam"))
+    out = apply_attention(Tensor(x), _zero_params("cbam"))
     assert np.allclose(out.data, 0.25 * x, atol=1e-15)
 
 
-@pytest.mark.parametrize("variant,fwd", [("se", se_block), ("eca", eca_block)])
+@pytest.mark.parametrize("variant,block", [("se", "se_block"), ("eca", "eca_block")])
 @pytest.mark.parametrize("seed", range(5))
-def test_single_gate_zero_params_half_identity(variant, fwd, seed):
+def test_single_gate_zero_params_half_identity(variant, block, seed):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((8, 5, 7))
-    out = fwd(Tensor(x), _zero_params(variant))
+    params = _zero_params(variant)
+    (gate,) = GATES[variant][1]
+    assert (gate(Tensor(x), params).data == 0.5).all(), f"{block} gate is not sigmoid(0)"
+    out = apply_attention(Tensor(x), params)
     assert np.allclose(out.data, 0.5 * x, atol=1e-15)
 
 
 def test_gates_preserve_shape_and_bound_output():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((16, 4, 4))
-    for variant, fwd in (("cbam", cbam), ("se", se_block), ("eca", eca_block)):
+    for variant in GATES:
         params = make_attention(
             AttentionConfig(channels=16, reduction=4, variant=variant), np.random.default_rng(1)
         )
-        out = fwd(Tensor(x), params)
+        out = apply_attention(Tensor(x), params)
         assert out.shape == x.shape
         # multiplicative gates in (0,1) can never grow a magnitude
         assert (np.abs(out.data) <= np.abs(x) + 1e-12).all()
@@ -64,10 +64,15 @@ def test_gates_preserve_shape_and_bound_output():
 def test_channel_then_spatial_composition():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((8, 5, 5))
-    params = _zero_params("cbam")
-    mid = channel_attention(Tensor(x), params.cam)
-    out = spatial_attention(mid, params.sam)
-    assert np.allclose(out.data, cbam(Tensor(x), params).data)
+    params = make_attention(AttentionConfig(channels=8, reduction=4, variant="cbam"), np.random.default_rng(1))
+    cgate = channel_gate(Tensor(x), params)
+    assert cgate.shape == (8, 1, 1)
+    mid = Tensor(x) * cgate
+    # the spatial gate reads the channel-gated map, not the input
+    sgate = spatial_gate(mid, params)
+    assert sgate.shape == (1, 5, 5)
+    assert not np.array_equal(sgate.data, spatial_gate(Tensor(x), params).data)
+    np.testing.assert_array_equal(apply_attention(Tensor(x), params).data, (mid * sgate).data)
 
 
 def test_eca_kernel_adaptive_rule():
@@ -117,9 +122,12 @@ def test_variant_table_builds_applies_and_names_params(variant):
     if variant == "none":
         assert params is None and apply_attention(x, params) is x
     else:
-        container, gate = GATES[variant]
+        container, gates = GATES[variant]
         assert type(params) is container
-        assert np.array_equal(apply_attention(x, params).data, gate(x, params).data)
+        want = x
+        for gate in gates:
+            want = want * gate(want, params)
+        assert np.array_equal(apply_attention(x, params).data, want.data)
 
     model = build_model(ModelConfig.toy(variant), seed=0)
     per_block: dict[str, list] = {}

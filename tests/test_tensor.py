@@ -123,7 +123,7 @@ def test_conv2d_matches_manual_correlation():
 def test_conv2d_stride_shape():
     x = Tensor(np.zeros((1, 8, 8)))
     w = Tensor(np.zeros((4, 1, 3, 3)))
-    assert conv2d(x, w, None, stride=2, padding=1).shape == (4, 4, 4)
+    assert conv2d(x, w, Tensor(np.zeros(4)), stride=2, padding=1).shape == (4, 4, 4)
 
 
 def test_conv1d_matches_manual():
@@ -222,7 +222,7 @@ def test_composite_graph_gradients(seed):
     pw = rng.standard_normal((3, 3, 3))
 
     def fn(t):
-        h = conv2d(t, Tensor(w), None, stride=2, padding=1)
+        h = conv2d(t, Tensor(w), Tensor(np.zeros(3)), stride=2, padding=1)
         return (sigmoid(h) * pw).sum()
 
     assert grad_check(fn, Tensor(x)) < 1e-3
