@@ -24,7 +24,7 @@ import numpy as np
 from .attention import GATES, AttentionConfig, apply_attention, make_attention
 from .backbone import bottleneck_forward, fpn_fuse, init_bottleneck, init_fpn
 from .boxes import Box, box_array
-from .losses import MaskTarget, cls_loss, mask_loss, reg_loss
+from .losses import cls_loss, mask_loss, reg_loss
 from .roi_align import roi_align
 from .tensor import Tensor, grad_check, sigmoid
 
@@ -234,7 +234,7 @@ def _loss_cases(seed: int, eps: float, tol: float) -> list:
     y_star = rng.integers(0, 2, size=(m, m)).astype(np.float64)
 
     def fn_mask(t):
-        return mask_loss(MaskTarget(sigmoid(t), y_star))
+        return mask_loss(sigmoid(t), y_star)
 
     cases.append(_case("losses", "mask", seed, fn_mask, Tensor(z), eps, tol))
     return cases
@@ -249,12 +249,7 @@ _SUITES = {
 MODULES = tuple(_SUITES)
 
 
-def run_checks(
-    module: str = "all",
-    seeds: int = DEFAULT_SEEDS,
-    eps: float = DEFAULT_EPS,
-    tol: float = DEFAULT_TOL,
-) -> CheckRun:
+def run_checks(module: str = "all", seeds: int = DEFAULT_SEEDS) -> CheckRun:
     """Run the finite-difference battery for one module or all of them."""
     if module != "all" and module not in _SUITES:
         raise ValueError(f"unknown module {module!r}; pick from {('all',) + MODULES}")
@@ -263,5 +258,5 @@ def run_checks(
     cases: list = []
     for name in picked:
         for seed in range(seeds):
-            cases.extend(_SUITES[name](seed, eps, tol))
+            cases.extend(_SUITES[name](seed, DEFAULT_EPS, DEFAULT_TOL))
     return CheckRun(cases=cases, elapsed=time.perf_counter() - t0)

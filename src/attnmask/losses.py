@@ -35,7 +35,6 @@ __all__ = [
     "NEGATIVE",
     "IGNORE",
     "AnchorAssignment",
-    "MaskTarget",
     "LossReport",
     "assign_anchor_labels",
     "sample_minibatch",
@@ -169,28 +168,17 @@ def reg_loss(t: Tensor, t_star) -> Tensor:
     return smooth_l1(t + Tensor(-target)).sum(axis=-1)
 
 
-@dataclass
-class MaskTarget:
-    """Binary p x p target grids, one or a (P, p, p) stack, with their predictions."""
-
-    y: Tensor
-    y_star: np.ndarray
-
-    def __post_init__(self):
-        ys = np.asarray(self.y_star)
-        if not np.isin(ys, (0, 1)).all():
-            raise ValueError("mask targets must be binary")
-
-
-def mask_loss(target: MaskTarget) -> Tensor:
-    """Average binary cross entropy over the mask grid cells.
+def mask_loss(y: Tensor, y_star: np.ndarray) -> Tensor:
+    """Average binary cross entropy of predicted grids y against binary
+    targets y_star of the same shape: one p x p grid or a (P, p, p) stack.
 
     The 1/p^2 normalization makes the value invariant under grid
     refinement with identical per-cell terms. All grids of a stack have p^2
     cells, so its mean is the mean of the per-region means.
     """
-    y = target.y
-    ys = np.asarray(target.y_star, dtype=np.float64)
+    ys = np.asarray(y_star, dtype=np.float64)
+    if not np.isin(ys, (0, 1)).all():
+        raise ValueError("mask targets must be binary")
     if ys.shape != y.shape:
         raise ValueError(f"target shape {ys.shape} != prediction shape {y.shape}")
     yc = clamp(y, EPS, 1.0 - EPS)

@@ -40,7 +40,7 @@ from .boxes import (
     AnchorConfig, Box, clip_boxes, corners, decode_boxes, generate_anchors, nms, stride_of,
 )
 from .metrics import Detection
-from .roi_align import assign_level, roi_align
+from .roi_align import assign_level, bilinear_weights, roi_align
 from .tensor import (
     Tensor, concat, conv2d, gather_rows, linear, log_softmax, no_grad, relu, sigmoid, upsample_nearest,
 )
@@ -328,49 +328,27 @@ def propose(
     return boxes[keep[:post_nms]]
 
 
-def paste_mask(probs: np.ndarray, box: np.ndarray, height: int, width: int) -> np.ndarray:
-    """Resample a mask grid over the pixels of a center-form box row and
-    threshold it at 0.5.
+def paste_mask(probs: np.ndarray, boxes: np.ndarray, height: int, width: int) -> np.ndarray:
+    """Resample (R, m, m) mask grids over the pixels of their (R, 4)
+    center-form box rows and threshold them at 0.5: (R, height, width) bool.
 
     The grid cell (i, j) is centered at box fraction ((i+0.5)/m, (j+0.5)/m);
     pixel centers inside the clipped box sample the grid bilinearly with
-    edge clamping.
+    edge clamping. Each grid P is read as Wy P Wx^T over the whole image,
+    with ROI Align's bilinear weights, so a row's mask does not depend on
+    the other rows.
     """
-    out = np.zeros((height, width), dtype=bool)
-    clipped, inside = clip_boxes(box[None], float(width), float(height))
-    if not inside[0]:
-        return out
-    # corners of the box, then of its clipped part
-    (x1, cx1), (y1, cy1), (_, cx2), (_, cy2) = corners(np.stack([box, clipped[0]]))
-    c0, c1 = int(np.floor(cx1)), int(np.ceil(cx2))
-    r0, r1 = int(np.floor(cy1)), int(np.ceil(cy2))
-    c0, r0 = max(c0, 0), max(r0, 0)
-    c1, r1 = min(c1, width), min(r1, height)
-    if c1 <= c0 or r1 <= r0:
-        return out
-    m = probs.shape[0]
-    ys = np.arange(r0, r1) + 0.5
-    xs = np.arange(c0, c1) + 0.5
-    v = (ys - y1) / box[3] * m - 0.5
-    u = (xs - x1) / box[2] * m - 0.5
-    v = np.clip(v, 0.0, m - 1.0)
-    u = np.clip(u, 0.0, m - 1.0)
-    v0 = np.floor(v).astype(int)
-    u0 = np.floor(u).astype(int)
-    v1 = np.minimum(v0 + 1, m - 1)
-    u1 = np.minimum(u0 + 1, m - 1)
-    fv = (v - v0)[:, None]
-    fu = (u - u0)[None, :]
-    patch = (
-        probs[np.ix_(v0, u0)] * (1 - fv) * (1 - fu)
-        + probs[np.ix_(v0, u1)] * (1 - fv) * fu
-        + probs[np.ix_(v1, u0)] * fv * (1 - fu)
-        + probs[np.ix_(v1, u1)] * fv * fu
-    )
+    m = probs.shape[-1]
+    clipped, _ = clip_boxes(boxes, float(width), float(height))
+    x1, y1, _, _ = corners(boxes)
+    cx1, cy1, cx2, cy2 = (v[:, None] for v in corners(clipped))
+    ys = np.arange(height) + 0.5
+    xs = np.arange(width) + 0.5
+    wy = bilinear_weights(np.clip((ys - y1[:, None]) / boxes[:, 3:] * m, 0.5, m - 0.5), m)
+    wx = bilinear_weights(np.clip((xs - x1[:, None]) / boxes[:, 2:3] * m, 0.5, m - 0.5), m)
     inside_y = (ys >= cy1) & (ys <= cy2)
     inside_x = (xs >= cx1) & (xs <= cx2)
-    out[r0:r1, c0:c1] = (patch >= 0.5) & inside_y[:, None] & inside_x[None, :]
-    return out
+    return (wy @ probs @ wx.transpose(0, 2, 1) >= 0.5) & inside_y[:, :, None] & inside_x[:, None, :]
 
 
 # detections pooled and run through the mask head as one batch in inference;
@@ -415,9 +393,11 @@ def infer(model: Model, image, image_id: int = 0, conf_threshold: float = 0.5) -
         chunk = final[lo : lo + MASK_CHUNK]
         rows = np.array([row for _, row, _ in chunk])
         grids = mask_head_forward(model, extract_roi_features(pyramid, rows, model.cfg.mask_resolution)).data
-        for (k, row, score), mprobs in zip(chunk, grids):
+        classes = np.array([k for k, _, _ in chunk])
+        masks = paste_mask(grids[np.arange(len(chunk)), classes - 1], rows, height, width)
+        for (k, row, score), mask in zip(chunk, masks):
             det = Detection(image_id=image_id, class_id=k, box=Box(*row.tolist()), score=score)
-            preds.append(InstancePrediction(detection=det, mask=paste_mask(mprobs[k - 1], row, height, width)))
+            preds.append(InstancePrediction(detection=det, mask=mask))
     return preds
 
 

@@ -16,6 +16,9 @@ is one product of the stacked Ay with the whole map, and the backward one
 product of their transpose with the stacked gradients. Every region reads
 the map the same way, so its pooled values do not depend on the other
 regions of its chunk.
+
+`bilinear_weights` is the detector's one bilinear rule: `model.paste_mask`
+resamples mask grids over the image with the same weights.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 from .boxes import corners
 from .tensor import Tensor, _accum
 
-__all__ = ["assign_level", "roi_align"]
+__all__ = ["assign_level", "bilinear_weights", "roi_align"]
 
 # (row, col) offsets of the four samples of a bin, as halves of the bin:
 # (0.25, 0.25), (0.25, 0.75), (0.75, 0.25), (0.75, 0.75). The order fixes
@@ -46,9 +49,13 @@ def assign_level(boxes: np.ndarray) -> np.ndarray:
     return np.clip(level, 2, 5).astype(np.intp)
 
 
-def _axis_weights(coords: np.ndarray, n: int) -> np.ndarray:
+def bilinear_weights(coords: np.ndarray, n: int) -> np.ndarray:
     """(R, S, n) bilinear weights of (R, S) sample coordinates over n cells
-    whose centers sit at integer + 0.5; cells off the map get no weight."""
+    whose centers sit at integer + 0.5; cells off the map get no weight.
+
+    Row s of a region's (S, n) matrix A reads a length-n axis at its s-th
+    coordinate, so A F B^T samples a map F at every coordinate pair.
+    """
     v = coords - 0.5
     i0 = np.floor(v)[..., None]
     f = v[..., None] - i0
@@ -84,8 +91,8 @@ def roi_align(feature: Tensor, stride: float, boxes: np.ndarray, resolution: int
     chunks = []
     for lo in range(0, n_roi, CHUNK):
         n = min(CHUNK, n_roi - lo)
-        ay = _axis_weights(ys[lo : lo + n], h)
-        ax = _axis_weights(xs[lo : lo + n], w).reshape(n, 2, p, w)
+        ay = bilinear_weights(ys[lo : lo + n], h)
+        ax = bilinear_weights(xs[lo : lo + n], w).reshape(n, 2, p, w)
         chunks.append((ay, ax))
         # rows (half, region, bin row) x cols (channel, x): (2, n, p*C, W)
         part = ay.reshape(n * 2 * p, h) @ fmap

@@ -31,7 +31,6 @@ import numpy as np
 
 from .boxes import box_array, clip_boxes, corners, encode_boxes, pairwise_iou
 from .losses import (
-    MaskTarget,
     assign_anchor_labels,
     cls_loss,
     mask_loss,
@@ -103,8 +102,13 @@ class TrainConfig:
                 raise ValueError(f"{name} must be in [0,1], got {getattr(self, name)}")
         if not 0.0 < self.roi_pos_iou <= 1.0:
             raise ValueError(f"roi_pos_iou must be in (0,1], got {self.roi_pos_iou}")
-        if any(e >= self.epochs for e in self.step_epochs):
-            raise ValueError("schedule boundaries must fall inside the run")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"momentum must be in [0,1), got {self.momentum}")
+        for name in ("weight_decay", "rpn_reg_weight"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be at least 0, got {getattr(self, name)}")
+        if not all(0 <= e < self.epochs for e in self.step_epochs):
+            raise ValueError(f"step_epochs must be in [0,{self.epochs}), got {list(self.step_epochs)}")
 
     @classmethod
     def toy(cls, seed: int = 0) -> "TrainConfig":
@@ -151,17 +155,18 @@ class TrainResult:
         return np.array([r.l_total for r in self.records])
 
 
-def mask_target_grid(mask: np.ndarray, box: np.ndarray, m: int) -> np.ndarray:
-    """Binary m x m target over a center-form box row: the mask value at
-    each grid cell center (nearest pixel; cells outside the image read 0)."""
-    h, w = mask.shape
-    x1, y1, _, _ = corners(box[None])
-    ys = y1 + (np.arange(m) + 0.5) / m * box[3]
-    xs = x1 + (np.arange(m) + 0.5) / m * box[2]
-    r = np.floor(ys).astype(int)
-    c = np.floor(xs).astype(int)
-    valid = ((r >= 0) & (r < h))[:, None] & ((c >= 0) & (c < w))[None, :]
-    grid = mask[np.clip(r, 0, h - 1)[:, None], np.clip(c, 0, w - 1)[None, :]]
+def mask_target_grid(masks: np.ndarray, boxes: np.ndarray, m: int) -> np.ndarray:
+    """(R, m, m) binary targets of (R, H, W) masks over their (R, 4)
+    center-form box rows: each mask's value at each grid cell center of its
+    box (nearest pixel; cells outside the image read 0)."""
+    _, h, w = masks.shape
+    x1, y1, _, _ = corners(boxes)
+    frac = (np.arange(m) + 0.5) / m
+    r = np.floor(y1[:, None] + frac * boxes[:, 3:]).astype(int)
+    c = np.floor(x1[:, None] + frac * boxes[:, 2:3]).astype(int)
+    valid = ((r >= 0) & (r < h))[:, :, None] & ((c >= 0) & (c < w))[:, None, :]
+    rows = np.arange(len(masks))[:, None, None]
+    grid = masks[rows, np.clip(r, 0, h - 1)[:, :, None], np.clip(c, 0, w - 1)[:, None, :]]
     return (grid & valid).astype(np.int64)
 
 
@@ -250,8 +255,7 @@ def _image_loss(
             mfeats = extract_roi_features(pyramid, rois[pos_rows], model.cfg.mask_resolution)
             grids = mask_head_forward(model, mfeats).reshape(pos_rows.size * k, m, m)
             channel = gather_rows(grids, np.arange(pos_rows.size) * k + labels[pos_rows] - 1)
-            targets = np.stack([mask_target_grid(sample.masks[matched[r]], rois[r], m) for r in pos_rows])
-            l_mask = mask_loss(MaskTarget(y=channel, y_star=targets))
+            l_mask = mask_loss(channel, mask_target_grid(sample.masks[matched[pos_rows]], rois[pos_rows], m))
     roi_total, roi_parts = total_loss(roi_cls, roi_reg, l_mask, n_rois, n_rois)
 
     parts = np.array([[r.l_cls, r.l_reg, r.l_mask] for r in (rpn_parts, roi_parts)]).sum(axis=0)

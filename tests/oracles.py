@@ -63,6 +63,48 @@ def roi_align_dense(feature, stride, box_xyxy, resolution):
     return out
 
 
+def paste_mask_reference(probs, box_cxcywh, height, width):
+    """Paste one m x m grid into a height x width canvas, pixel by pixel.
+
+    Grid cell (i, j) is centered at box fraction ((i+0.5)/m, (j+0.5)/m).
+    A pixel is on when its center lies inside the box clipped to the canvas
+    and the grid, bilinearly interpolated there with its coordinates
+    clamped to the outermost cell centers, reaches 0.5.
+    """
+    cx, cy, w, h = box_cxcywh
+    x1, y1, x2, y2 = cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0
+    left, top = max(x1, 0.0), max(y1, 0.0)
+    right, bottom = min(x2, float(width)), min(y2, float(height))
+    m = probs.shape[0]
+    out = np.zeros((height, width), dtype=bool)
+    if right <= left or bottom <= top:
+        return out
+    for r in range(height):
+        py = r + 0.5
+        if not top <= py <= bottom:
+            continue
+        v = min(max((py - y1) / h * m - 0.5, 0.0), m - 1.0)
+        i0 = int(np.floor(v))
+        i1 = min(i0 + 1, m - 1)
+        fv = v - i0
+        for c in range(width):
+            px = c + 0.5
+            if not left <= px <= right:
+                continue
+            u = min(max((px - x1) / w * m - 0.5, 0.0), m - 1.0)
+            j0 = int(np.floor(u))
+            j1 = min(j0 + 1, m - 1)
+            fu = u - j0
+            value = (
+                probs[i0, j0] * (1 - fv) * (1 - fu)
+                + probs[i0, j1] * (1 - fv) * fu
+                + probs[i1, j0] * fv * (1 - fu)
+                + probs[i1, j1] * fv * fu
+            )
+            out[r, c] = value >= 0.5
+    return out
+
+
 def match_reference(dets, gts, thr):
     """Greedy matcher for one (image, class) group.
 

@@ -16,7 +16,7 @@ from attnmask.attention import GATES, AttentionConfig, apply_attention, make_att
 from attnmask.boxes import AnchorConfig, Box, box_array, decode, encode, generate_anchors, iou, nms
 from attnmask.checks import run_checks
 from attnmask.cli import _self_evaluate, cli
-from attnmask.losses import MaskTarget, cls_loss, mask_loss, reg_loss, total_loss
+from attnmask.losses import cls_loss, mask_loss, reg_loss, total_loss
 from attnmask.metrics import COCO_SWEEP, Detection, GTRecord, average_precision, map_report, pr_curve
 from attnmask.model import ModelConfig, build_model
 from attnmask.roi_align import roi_align
@@ -209,14 +209,14 @@ def test_criterion_06_loss_fixtures(capsys):
     rng = np.random.default_rng(0)
     y = rng.uniform(0.1, 0.9, (4, 4))
     ys = rng.integers(0, 2, (4, 4)).astype(float)
-    coarse = mask_loss(MaskTarget(Tensor(y), ys)).item()
-    fine = mask_loss(MaskTarget(Tensor(np.kron(y, np.ones((2, 2)))), np.kron(ys, np.ones((2, 2))))).item()
+    coarse = mask_loss(Tensor(y), ys).item()
+    fine = mask_loss(Tensor(np.kron(y, np.ones((2, 2)))), np.kron(ys, np.ones((2, 2)))).item()
     errs["refine"] = abs(coarse - fine)
 
     total, _ = total_loss(
         cls_loss(Tensor(np.array([0.5, 0.5])), np.array([1.0, 0.0])),
         reg_loss(Tensor(np.array([[0.5, 0, 0, 0]])), np.zeros((1, 4))),
-        mask_loss(MaskTarget(Tensor(np.full((2, 2), 0.5)), np.ones((2, 2)))),
+        mask_loss(Tensor(np.full((2, 2), 0.5)), np.ones((2, 2))),
         n_cls=2, n_reg=100,
     )
     errs["composition"] = abs(total.item() - 1.38754)

@@ -191,6 +191,10 @@ def test_train_toy_rejects_unknown_config_field(tmp_path, capsys):
         ({"train_seed": -5}, "train_seed must be at least 0, got -5"),
         ({"val_seed": -1}, "val_seed must be at least 0, got -1"),
         ({"train": {"seed": -3}}, "train: seed must be at least 0, got -3"),
+        ({"train": {"momentum": 1.5}}, r"train: momentum must be in \[0,1\), got 1.5"),
+        ({"train": {"weight_decay": -0.1}}, "train: weight_decay must be at least 0, got -0.1"),
+        ({"train": {"rpn_reg_weight": -1}}, "train: rpn_reg_weight must be at least 0, got -1"),
+        ({"train": {"step_epochs": [-3]}}, r"train: step_epochs must be in \[0,26\), got \[-3\]"),
     ],
     ids=["text-int", "fractional-int", "text-run-knob", "nan-float", "object-stages", "object-anchors",
          "int-bool", "text-in-tuple", "zero-train-images", "conf-above-1", "zero-batch", "zero-epochs",
@@ -198,7 +202,8 @@ def test_train_toy_rejects_unknown_config_field(tmp_path, capsys):
          "zero-fpn-dim", "zero-head-width", "mask-out-mismatch", "text-eca-kernel", "reduction-not-dividing",
          "reduction-too-wide-for-none", "zero-roi-batch", "zero-pre-nms", "negative-post-nms",
          "rpn-pos-fraction-above-1", "negative-roi-pos-fraction", "zero-roi-pos-iou", "roi-pos-iou-above-1",
-         "zero-step-factor", "negative-train-seed", "negative-val-seed", "negative-train-config-seed"],
+         "zero-step-factor", "negative-train-seed", "negative-val-seed", "negative-train-config-seed",
+         "momentum-above-1", "negative-weight-decay", "negative-rpn-reg-weight", "negative-step-epoch"],
 )
 def test_malformed_config_values_exit_2_naming_file_and_field(tmp_path, capsys, cfg, message):
     path = tmp_path / "bad.json"

@@ -58,7 +58,7 @@ def test_field_and_replace_checked_locate_their_errors():
     assert cfg.epochs == 3 and type(cfg.epochs) is int and cfg.step_epochs == (1,)
     with pytest.raises(InputError, match="config c.json: train: unknown field 'epoch'"):
         replace_checked(TrainConfig.toy(), {"epoch": 3}, "config c.json: train")
-    with pytest.raises(InputError, match="config c.json: train: schedule boundaries"):
+    with pytest.raises(InputError, match=r"config c.json: train: step_epochs must be in \[0,3\), got \[18, 23\]"):
         replace_checked(TrainConfig.toy(), {"epochs": 3}, "config c.json: train")
 
 

@@ -10,7 +10,6 @@ from attnmask.losses import (
     IGNORE,
     NEGATIVE,
     POSITIVE,
-    MaskTarget,
     assign_anchor_labels,
     cls_loss,
     mask_loss,
@@ -83,16 +82,18 @@ def test_mask_loss_refinement_invariance():
     rng = np.random.default_rng(0)
     y = rng.uniform(0.1, 0.9, (4, 4))
     ys = rng.integers(0, 2, (4, 4)).astype(float)
-    coarse = mask_loss(MaskTarget(Tensor(y), ys)).item()
-    fine = mask_loss(MaskTarget(Tensor(np.kron(y, np.ones((2, 2)))), np.kron(ys, np.ones((2, 2))))).item()
+    coarse = mask_loss(Tensor(y), ys).item()
+    fine = mask_loss(Tensor(np.kron(y, np.ones((2, 2)))), np.kron(ys, np.ones((2, 2)))).item()
     assert coarse == pytest.approx(fine, abs=1e-12)
 
 
 def test_mask_loss_binary_validation_and_perfect_prediction():
-    with pytest.raises(ValueError):
-        MaskTarget(Tensor(np.full((2, 2), 0.5)), np.full((2, 2), 0.3))
+    with pytest.raises(ValueError, match="binary"):
+        mask_loss(Tensor(np.full((2, 2), 0.5)), np.full((2, 2), 0.3))
+    with pytest.raises(ValueError, match=r"target shape \(2, 3\) != prediction shape \(2, 2\)"):
+        mask_loss(Tensor(np.full((2, 2), 0.5)), np.ones((2, 3)))
     ys = np.array([[1.0, 0.0], [0.0, 1.0]])
-    near = mask_loss(MaskTarget(Tensor(np.where(ys == 1, 0.999999, 0.000001)), ys)).item()
+    near = mask_loss(Tensor(np.where(ys == 1, 0.999999, 0.000001)), ys).item()
     assert near == pytest.approx(0.0, abs=1e-5)
 
 
@@ -100,7 +101,7 @@ def test_mask_loss_log_complement_variant_differs():
     # an all-background grid costs the -log(1 - y) term in every cell,
     # not the raw complement -(1 - y)
     y = Tensor(np.full((2, 2), 0.3))
-    background = mask_loss(MaskTarget(y, np.zeros((2, 2)))).item()
+    background = mask_loss(y, np.zeros((2, 2))).item()
     assert background == pytest.approx(-math.log(0.7))
     assert background != pytest.approx(-0.7)
 
@@ -110,7 +111,7 @@ def test_total_loss_hand_composition():
     # and a chance-level mask: ln2 + 0.00125 + ln2
     cls_terms = cls_loss(Tensor(np.array([0.5, 0.5])), np.array([1.0, 0.0]))
     reg_terms = reg_loss(Tensor(np.array([[0.5, 0, 0, 0]])), np.zeros((1, 4)))
-    mask_term = mask_loss(MaskTarget(Tensor(np.full((2, 2), 0.5)), np.ones((2, 2))))
+    mask_term = mask_loss(Tensor(np.full((2, 2), 0.5)), np.ones((2, 2)))
     total, report = total_loss(cls_terms, reg_terms, mask_term, n_cls=2, n_reg=100)
     want = math.log(2.0) + 0.00125 + math.log(2.0)
     assert total.item() == pytest.approx(want, abs=1e-12)
@@ -140,7 +141,7 @@ def test_total_loss_backward_flows_to_all_parts():
     total, _ = total_loss(
         cls_loss(p, np.array([1.0, 0.0])),
         reg_loss(t, np.zeros((1, 4))),
-        mask_loss(MaskTarget(y, np.ones((2, 2)))),
+        mask_loss(y, np.ones((2, 2))),
         n_cls=2,
         n_reg=1,
     )

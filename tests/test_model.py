@@ -29,6 +29,7 @@ from attnmask.model import (
 )
 from attnmask.roi_align import assign_level, roi_align
 from attnmask.tensor import Tensor
+from oracles import paste_mask_reference
 
 
 def _toy_model(variant="none", seed=0):
@@ -210,37 +211,67 @@ def test_fresh_model_class_probs_near_uniform():
     assert np.abs(deltas.data).max() < 1.0  # refinements start near identity
 
 
-def _row(box: Box) -> np.ndarray:
-    return box_array([box])[0]
+def _paste_one(probs: np.ndarray, box: Box, height: int, width: int) -> np.ndarray:
+    return paste_mask(probs[None], box_array([box]), height, width)[0]
 
 
 def test_paste_mask_full_grid_counts_inside_pixels():
     probs = np.ones((4, 4))
-    mask = paste_mask(probs, _row(Box.from_corners(2.0, 2.0, 6.0, 6.0)), 10, 10)
+    mask = _paste_one(probs, Box.from_corners(2.0, 2.0, 6.0, 6.0), 10, 10)
     assert mask.sum() == 16
     assert mask[2:6, 2:6].all()
 
     # off-canvas box pastes nothing
-    assert paste_mask(probs, _row(Box(200.0, 5.0, 4.0, 4.0)), 10, 10).sum() == 0
+    assert _paste_one(probs, Box(200.0, 5.0, 4.0, 4.0), 10, 10).sum() == 0
 
     # sub-threshold probabilities paste nothing
-    assert paste_mask(np.full((4, 4), 0.4), _row(Box.from_corners(2.0, 2.0, 6.0, 6.0)), 10, 10).sum() == 0
+    assert _paste_one(np.full((4, 4), 0.4), Box.from_corners(2.0, 2.0, 6.0, 6.0), 10, 10).sum() == 0
 
 
 def test_paste_mask_respects_grid_layout():
     # left half on, right half off: only the left half of the box fills
     probs = np.zeros((4, 4))
     probs[:, :2] = 1.0
-    mask = paste_mask(probs, _row(Box.from_corners(0.0, 0.0, 8.0, 8.0)), 8, 8)
+    mask = _paste_one(probs, Box.from_corners(0.0, 0.0, 8.0, 8.0), 8, 8)
     assert mask[:, :3].all()      # grid centers land at x=1,3,5,7
     assert not mask[:, 4:].any()  # right half stays clear
 
 
 def test_paste_mask_clips_to_canvas():
     probs = np.ones((4, 4))
-    mask = paste_mask(probs, _row(Box.from_corners(-4.0, 2.0, 4.0, 6.0)), 10, 10)
+    mask = _paste_one(probs, Box.from_corners(-4.0, 2.0, 4.0, 6.0), 10, 10)
     assert mask.sum() == 16  # 4 wide inside canvas x 4 tall
     assert mask[2:6, 0:4].all()
+
+
+def test_paste_mask_batch_equals_per_pixel_oracle():
+    height, width, m = 24, 32, 6
+    rng = np.random.default_rng(11)
+    special = [
+        Box.from_corners(-5.0, 3.0, 9.0, 15.0),     # crosses the left edge
+        Box.from_corners(25.0, 4.0, 40.0, 18.0),    # crosses the right edge
+        Box.from_corners(6.0, -7.0, 20.0, 5.0),     # crosses the top edge
+        Box.from_corners(3.0, 17.0, 14.0, 31.0),    # crosses the bottom edge
+        Box.from_corners(-3.0, -2.0, 36.0, 27.0),   # covers the whole canvas
+        Box(60.0, 10.0, 8.0, 8.0),                  # fully off the canvas
+        Box(10.5, 7.5, 0.5, 0.4),                   # sub-pixel, holds one pixel center
+        Box(10.0, 7.0, 0.6, 0.6),                   # sub-pixel, holds none
+        Box.from_corners(4.5, 5.5, 12.5, 14.5),     # edges on pixel centers
+    ]
+    drawn = [Box(*rng.uniform(-4.0, 36.0, 2), *rng.uniform(1.0, 20.0, 2)) for _ in range(2 * MASK_CHUNK)]
+    boxes = box_array(special + drawn)
+    probs = rng.uniform(0.0, 1.0, (len(boxes), m, m))
+    masks = paste_mask(probs, boxes, height, width)
+    assert masks.shape == (len(boxes), height, width) and masks.dtype == bool
+    for i, (grid, row) in enumerate(zip(probs, boxes)):
+        want = paste_mask_reference(grid, row, height, width)
+        np.testing.assert_array_equal(masks[i], want, err_msg=f"row {i}")
+        np.testing.assert_array_equal(paste_mask(probs[i : i + 1], boxes[i : i + 1], height, width)[0], masks[i])
+    assert masks[:5].any(axis=(1, 2)).all() and not masks[5].any()
+    # a full grid turns on exactly the pixel centers a box holds, its edges included
+    ones = np.ones((3, m, m))
+    assert paste_mask(ones, boxes[6:9], height, width).sum(axis=(1, 2)).tolist() == [1, 0, 9 * 10]
+    assert [paste_mask_reference(ones[0], row, height, width).sum() for row in boxes[6:9]] == [1, 0, 9 * 10]
 
 
 def test_infer_structure_and_caps(monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 
 from attnmask import train as train_mod
 from attnmask.boxes import Box, box_array
-from attnmask.losses import MaskTarget, mask_loss, total_loss
+from attnmask.losses import mask_loss, total_loss
 from attnmask.model import ModelConfig, build_model, extract_roi_features, mask_head_forward, pyramid_forward
 from attnmask.synth import SynthSpec, synth_dataset
 from attnmask.tensor import Tensor, concat, gather_rows
@@ -28,6 +28,11 @@ def test_config_validation():
         TrainConfig(lr=0.0)
     with pytest.raises(ValueError):
         TrainConfig(epochs=10, step_epochs=(16, 22))
+    # both ends of the momentum range, and the zero values that stay legal
+    for bad in (-5.0, 1.0):
+        with pytest.raises(ValueError, match="momentum"):
+            TrainConfig(momentum=bad)
+    TrainConfig(momentum=0.0, weight_decay=0.0, rpn_reg_weight=0.0, step_epochs=(0,))
 
 
 def test_lr_schedule_exact_literals():
@@ -68,15 +73,28 @@ def test_sgd_step_rejects_non_finite_gradient():
 def test_mask_target_grid_nearest_sampling():
     mask = np.zeros((8, 8), dtype=bool)
     mask[0:4, 0:4] = True
-    grid = mask_target_grid(mask, box_array([Box.from_corners(0.0, 0.0, 8.0, 8.0)])[0], 4)
+    full = box_array([Box.from_corners(0.0, 0.0, 8.0, 8.0)])
+    grid = mask_target_grid(mask[None], full, 4)[0]
     want = np.zeros((4, 4), dtype=np.int64)
     want[0:2, 0:2] = 1
     assert np.array_equal(grid, want)
 
     # box hanging off the image: outside cells read 0
-    grid = mask_target_grid(mask, box_array([Box.from_corners(-4.0, 0.0, 4.0, 8.0)])[0], 4)
+    hanging = box_array([Box.from_corners(-4.0, 0.0, 4.0, 8.0)])
+    grid = mask_target_grid(mask[None], hanging, 4)[0]
     assert np.array_equal(grid[:, :2], np.zeros((4, 2), dtype=np.int64))
     assert np.array_equal(grid[0:2, 2:4], np.ones((2, 2), dtype=np.int64))
+
+    # a batch: each row reads its own mask over its own (here flat) box
+    other = np.zeros((8, 8), dtype=bool)
+    other[4:8, :] = True
+    flat = box_array([Box.from_corners(0.0, 2.0, 8.0, 6.0)])
+    grids = mask_target_grid(np.stack([mask, other]), np.concatenate([full, flat]), 4)
+    assert grids.shape == (2, 4, 4)
+    assert np.array_equal(grids[0], want)
+    want_other = np.zeros((4, 4), dtype=np.int64)
+    want_other[2:4, :] = 1  # cell centers at y = 2.5 ... 5.5
+    assert np.array_equal(grids[1], want_other)
 
 
 def test_image_loss_on_an_empty_scene():
@@ -155,8 +173,8 @@ def test_mask_term_and_gradients_equal_a_per_region_loop(monkeypatch):
     for feat, label, gt_index, row in zip(feats, labels[pos], matched[pos], rois):
         grids = mask_head_forward(model, Tensor(feat[None])).reshape(k, m, m)
         channel = gather_rows(grids, np.array([label - 1])).reshape(m, m)
-        target = mask_target_grid(sample.masks[gt_index], row, m)
-        terms.append(mask_loss(MaskTarget(y=channel, y_star=target)))
+        target = mask_target_grid(sample.masks[gt_index][None], row[None], m)[0]
+        terms.append(mask_loss(channel, target))
     l_mask = concat([t.reshape(1) for t in terms], axis=0).mean()
     l_mask.backward()
     assert parts[2] == pytest.approx(l_mask.item(), rel=0.0, abs=1e-12)
