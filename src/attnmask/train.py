@@ -250,12 +250,10 @@ def _image_loss(
             pred = gather_rows(deltas, pos_rows)
             roi_reg = reg_loss(pred, encode_boxes(rois[pos_rows], gt[matched[pos_rows]]))
 
-            # row i * k + label - 1 of the (P*k, m, m) grids is positive i's class channel
-            m, k = model.cfg.mask_out, model.cfg.num_classes
             mfeats = extract_roi_features(pyramid, rois[pos_rows], model.cfg.mask_resolution)
-            grids = mask_head_forward(model, mfeats).reshape(pos_rows.size * k, m, m)
-            channel = gather_rows(grids, np.arange(pos_rows.size) * k + labels[pos_rows] - 1)
-            l_mask = mask_loss(channel, mask_target_grid(sample.masks[matched[pos_rows]], rois[pos_rows], m))
+            grids = mask_head_forward(model, mfeats, labels[pos_rows])
+            targets = mask_target_grid(sample.masks[matched[pos_rows]], rois[pos_rows], model.cfg.mask_out)
+            l_mask = mask_loss(grids, targets)
     roi_total, roi_parts = total_loss(roi_cls, roi_reg, l_mask, n_rois, n_rois)
 
     parts = np.array([[r.l_cls, r.l_reg, r.l_mask] for r in (rpn_parts, roi_parts)]).sum(axis=0)

@@ -1,5 +1,7 @@
 """Assembled detector: wiring, proposals, mask pasting, checkpoints."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,7 +30,7 @@ from attnmask.model import (
     save_checkpoint,
 )
 from attnmask.roi_align import assign_level, roi_align
-from attnmask.tensor import Tensor
+from attnmask.tensor import Tensor, conv2d, grad_check, relu, sigmoid, upsample_nearest
 from oracles import paste_mask_reference
 
 
@@ -188,12 +190,45 @@ def test_head_output_shapes():
     assert logits.shape == (5, model.cfg.num_classes + 1)
     assert deltas.shape == (5, 4)
     mfeats = rng.uniform(size=(5, model.cfg.fpn_dim, 14, 14))
-    probs = mask_head_forward(model, Tensor(mfeats))
-    assert probs.shape == (5, model.cfg.num_classes, 28, 28)
+    classes = np.array([1, 3, 2, 3, 1])
+    probs = mask_head_forward(model, Tensor(mfeats), classes)
+    assert probs.shape == (5, 28, 28)
     assert probs.data.min() >= 0.0 and probs.data.max() <= 1.0
     # a batch of regions gets exactly the arithmetic of one call per region
-    for feat, grids in zip(mfeats, probs.data):
-        assert np.array_equal(mask_head_forward(model, Tensor(feat[None])).data[0], grids)
+    for feat, k, grid in zip(mfeats, classes, probs.data):
+        assert np.array_equal(mask_head_forward(model, Tensor(feat[None]), np.array([k])).data[0], grid)
+
+
+def test_mask_head_tail_equals_upsampling_first():
+    # a 1x1 conv and a sigmoid commute with nearest upsampling, so the tail
+    # at p x p on the class channel gives the values of upsampling first and
+    # then reading the class channel of all K
+    model = _toy_model()
+    head = model.mask_head
+    k = model.cfg.num_classes
+    rng = np.random.default_rng(8)
+    feats = Tensor(rng.standard_normal((5, model.cfg.fpn_dim, 14, 14)))
+    h = relu(conv2d(feats, head.conv1.w, head.conv1.b, padding=1))
+    h = relu(conv2d(h, head.conv2.w, head.conv2.b, padding=1))
+    first = sigmoid(conv2d(upsample_nearest(h, 2), head.out.w, head.out.b)).data
+    last = upsample_nearest(sigmoid(conv2d(h, head.out.w, head.out.b)), 2).data
+    # the BLAS product rounds some 1x1 conv outputs differently at 28 x 28
+    # than at 14 x 14, by at most a few units in the last place
+    np.testing.assert_allclose(last, first, rtol=0.0, atol=1e-15)
+    for cls in range(1, k + 1):
+        got = mask_head_forward(model, feats, np.full(5, cls)).data
+        assert np.array_equal(got, last[:, cls - 1]), f"class {cls}"
+        np.testing.assert_allclose(got, first[:, cls - 1], rtol=0.0, atol=1e-15, err_msg=f"class {cls}")
+    mixed = np.array([3, 1, 2, 3, 3])
+    assert np.array_equal(mask_head_forward(model, feats, mixed).data, last[np.arange(5), mixed - 1])
+
+    # the gradient with respect to the features flows through the class
+    # gather, the sigmoid and the upsampling; a small head keeps it cheap
+    small = build_model(dataclasses.replace(ModelConfig.toy(), fpn_dim=3, mask_resolution=4, mask_out=8), seed=2)
+    small.mask_head.out.w.data = rng.standard_normal(small.mask_head.out.w.shape)
+    x0 = rng.standard_normal((3, 3, 4, 4))
+    pw = rng.standard_normal((3, 8, 8))
+    assert grad_check(lambda t: (mask_head_forward(small, t, np.array([2, 1, 2])) * pw).sum(), Tensor(x0)) < 1e-3
 
 
 def test_fresh_model_class_probs_near_uniform():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from attnmask.boxes import Box, box_array
 from attnmask.roi_align import CHUNK, assign_level, roi_align
-from attnmask.tensor import Tensor, grad_check
+from attnmask.tensor import Tensor, grad_check, no_grad
 from oracles import roi_align_dense
 
 
@@ -119,6 +119,25 @@ def test_batched_equals_per_box_and_dense_oracle(extra, seed, res):
         grad_sum += one_leaf.grad
     # the batched backward is the sum of the per-region backwards
     assert np.allclose(leaf.grad, grad_sum, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("res", [7, 14])
+def test_values_do_not_depend_on_the_map_needing_a_gradient(res):
+    # without a gradient the forward skips the winner bookkeeping; the
+    # pooled values must stay the same bit for bit
+    rng = np.random.default_rng(res)
+    feature = rng.standard_normal((3, 6, 7))
+    drawn = [Box.from_corners(x, y, x + bw, y + bh)
+             for x, y, bw, bh in zip(*rng.uniform(-10.0, 30.0, (2, CHUNK)), *rng.uniform(0.5, 20.0, (2, CHUNK)))]
+    boxes = box_array(_EDGE_BOXES + drawn)
+    want = roi_align(Tensor(feature, requires_grad=True), 4.0, boxes, res)
+    assert want.requires_grad
+    plain = roi_align(Tensor(feature), 4.0, boxes, res)
+    with no_grad():
+        scoped = roi_align(Tensor(feature), 4.0, boxes, res)
+    for got in (plain, scoped):
+        assert not got.requires_grad
+        np.testing.assert_array_equal(got.data, want.data)
 
 
 @pytest.mark.parametrize("seed", range(3))

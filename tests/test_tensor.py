@@ -105,19 +105,32 @@ def test_smooth_l1_fixture_values():
     assert out[3] == pytest.approx(0.5)  # both branches agree at |d| = 1
 
 
-def test_conv2d_matches_manual_correlation():
-    rng = np.random.default_rng(1)
-    x = rng.standard_normal((2, 5, 5))
-    w = rng.standard_normal((3, 2, 3, 3))
+@pytest.mark.parametrize("k", [1, 3, 7])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("padding", [0, 1, 3])
+def test_conv2d_matches_brute_force_correlation(k, stride, padding):
+    # every output is summed from the input cells its window covers; cells
+    # of the zero border are skipped, so no padded array is built here
+    rng = np.random.default_rng(k * 100 + stride * 10 + padding)
+    x = rng.standard_normal((2, 9, 8))
+    w = rng.standard_normal((3, 2, k, k))
     b = rng.standard_normal(3)
-    out = conv2d(Tensor(x), Tensor(w), Tensor(b), stride=1, padding=1).data
-    xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
-    want = np.zeros((3, 5, 5))
+    out = conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=padding).data
+    ho, wo = (9 + 2 * padding - k) // stride + 1, (8 + 2 * padding - k) // stride + 1
+    assert out.shape == (3, ho, wo)
+    want = np.zeros((3, ho, wo))
     for co in range(3):
-        for i in range(5):
-            for j in range(5):
-                want[co, i, j] = (xp[:, i : i + 3, j : j + 3] * w[co]).sum() + b[co]
-    assert np.allclose(out, want)
+        for i in range(ho):
+            for j in range(wo):
+                acc = b[co]
+                for ci in range(2):
+                    for di in range(k):
+                        for dj in range(k):
+                            r, c = i * stride + di - padding, j * stride + dj - padding
+                            if 0 <= r < 9 and 0 <= c < 8:
+                                acc += x[ci, r, c] * w[co, ci, di, dj]
+                want[co, i, j] = acc
+    np.testing.assert_allclose(out, want, rtol=0.0, atol=1e-12)
 
 
 def test_conv2d_stride_shape():

@@ -10,7 +10,7 @@ from attnmask.boxes import Box, box_array
 from attnmask.losses import mask_loss, total_loss
 from attnmask.model import ModelConfig, build_model, extract_roi_features, mask_head_forward, pyramid_forward
 from attnmask.synth import SynthSpec, synth_dataset
-from attnmask.tensor import Tensor, concat, gather_rows
+from attnmask.tensor import Tensor, concat
 from attnmask.train import (
     StepRecord,
     TrainConfig,
@@ -166,13 +166,12 @@ def test_mask_term_and_gradients_equal_a_per_region_loop(monkeypatch):
     pos = np.flatnonzero(labels > 0)
     assert seen["head_calls"] == 1 and pos.size >= 2
     rois = seen["proposals"][keep[pos]]
-    m, k = model.cfg.mask_out, model.cfg.num_classes
+    m = model.cfg.mask_out
     pyramid = pyramid_forward(model, Tensor(sample.image))
     feats = extract_roi_features(pyramid, rois, model.cfg.mask_resolution).data
     terms = []
     for feat, label, gt_index, row in zip(feats, labels[pos], matched[pos], rois):
-        grids = mask_head_forward(model, Tensor(feat[None])).reshape(k, m, m)
-        channel = gather_rows(grids, np.array([label - 1])).reshape(m, m)
+        channel = mask_head_forward(model, Tensor(feat[None]), np.array([label])).reshape(m, m)
         target = mask_target_grid(sample.masks[gt_index][None], row[None], m)[0]
         terms.append(mask_loss(channel, target))
     l_mask = concat([t.reshape(1) for t in terms], axis=0).mean()
