@@ -3,8 +3,10 @@
 Shapes follow channel-first conventions: feature maps are (C, H, W), or an
 (N, C, H, W) batch for `conv2d` and `upsample_nearest` (each sample gets a
 single map's arithmetic), and flattened predictions are (N,) or (N, K). The
-op set is intentionally small -- exactly what the attention blocks, pyramid
-fusion and detector heads need. Reductions go through numpy, whose pairwise
+op set is what the attention blocks, pyramid fusion and detector heads need.
+`conv2d` and `max_pool2d` read their windows through one strided gather, and
+`conv2d`'s input gradient is a correlation with the flipped kernel, so no op
+scatters window by window. Reductions go through numpy, whose pairwise
 summation keeps repeat runs bit-identical on one platform.
 
 Every op that produces a Tensor records its inputs and a backward
@@ -75,7 +77,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), _backward=None):
         arr = np.asarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise FloatingPointError("tensor holds non-finite values")
         if not _recording.get():
             _parents, _backward = (), None
@@ -319,22 +321,35 @@ def _conv_out_extent(n: int, k: int, stride: int, padding: int) -> int:
     return out
 
 
+def _windows(xp: np.ndarray, k: int, stride: int, ho: int, wo: int, start: int = 0) -> np.ndarray:
+    """The (M, k, k, ho, wo) windows of a contiguous (M, Hp, Wp) map, cornered at
+    (start + i*stride, start + j*stride): a strided view made by the ndarray
+    constructor (cheaper than as_strided), copied once unless already contiguous."""
+    sm, sh, sw = xp.strides
+    strides = (sm, sh, sw, sh * stride, sw * stride)
+    return np.ascontiguousarray(np.ndarray((len(xp), k, k, ho, wo), xp.dtype, xp, start * (sh + sw), strides))
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """2-D cross-correlation of a (C,H,W) map, or an (N,C,H,W) batch, with
     an (O,C,k,k) kernel plus an (O,) bias; the weight and bias gradients
     sum over the batch.
 
     Zero padding; output extent floor((n + 2*pad - k)/stride) + 1 per axis.
-    Kernel sizes are restricted to the 1/3/7 the model actually uses.
+    Kernel sizes are restricted to the 1/3/7 the model actually uses. The
+    forward gathers the windows once and takes one product per sample; so
+    does the input gradient, a stride-1 correlation of the dilated output
+    gradient with the flipped, transposed kernel.
     """
     lead = x.shape[:-3]
     cin, h, wd = x.shape[-3:]
-    cout, cin_w, kh, kw = w.shape
-    if kh != kw or kh not in (1, 3, 7):
-        raise ValueError(f"unsupported kernel size {kh}x{kw}")
+    cout, cin_w, k, kw = w.shape
+    if k != kw or k not in (1, 3, 7):
+        raise ValueError(f"unsupported kernel size {k}x{kw}")
     if cin_w != cin:
         raise ValueError(f"channel mismatch: input has {cin}, kernel expects {cin_w}")
-    k = kh
+    if b.shape != (cout,):
+        raise ValueError(f"bias shape {b.shape} != ({cout},)")
     ho = _conv_out_extent(h, k, stride, padding)
     wo = _conv_out_extent(wd, k, stride, padding)
 
@@ -342,31 +357,23 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
     # border is written by hand: np.pad adds 30-60 us per call at these sizes
     xp = np.zeros((x.size // (h * wd), h + 2 * padding, wd + 2 * padding))
     xp[:, padding : padding + h, padding : padding + wd] = x.data.reshape(-1, h, wd)
-    cols = np.empty((xp.shape[0], k, k, ho, wo))
-    for di in range(k):
-        for dj in range(k):
-            cols[:, di, dj] = xp[:, di : di + stride * ho : stride, dj : dj + stride * wo : stride]
-    cols2 = cols.reshape(*lead, cin * k * k, ho * wo)
-    wmat = w.data.reshape(cout, cin * k * k)
-    if b.shape != (cout,):
-        raise ValueError(f"bias shape {b.shape} != ({cout},)")
-    out = (wmat @ cols2 + b.data[:, None]).reshape(*lead, cout, ho, wo)
+    cols = _windows(xp, k, stride, ho, wo).reshape(*lead, cin * k * k, ho * wo)
+    out = (w.data.reshape(cout, cin * k * k) @ cols + b.data[:, None]).reshape(*lead, cout, ho, wo)
 
-    def bwd(g, x=x, w=w, b=b, cols2=cols2, wmat=wmat):
+    def bwd(g, x=x, w=w, b=b, cols=cols):
         gm = g.reshape(*lead, cout, ho * wo)
         # one product per sample, summed over the batch in sample order
-        dw = gm @ np.swapaxes(cols2, -1, -2)
+        dw = gm @ np.swapaxes(cols, -1, -2)
         _accum(w, dw.reshape(-1, cout, cin * k * k).sum(axis=0).reshape(w.shape))
         _accum(b, gm.sum(axis=-1).reshape(-1, cout).sum(axis=0))
         if x.requires_grad:
-            dcols = (wmat.T @ gm).reshape(-1, k, k, ho, wo)
-            dxp = np.zeros((dcols.shape[0], h + 2 * padding, wd + 2 * padding))
-            for di in range(k):
-                for dj in range(k):
-                    dxp[:, di : di + stride * ho : stride, dj : dj + stride * wo : stride] += dcols[:, di, dj]
-            if padding:
-                dxp = dxp[:, padding : padding + h, padding : padding + wd]
-            _accum(x, dxp.reshape(x.shape))
+            # padded cell r gets the sum of g[i] * w[r - i*stride]: g dilated by the stride
+            # at offset k-1, correlated with the flipped kernel from offset padding
+            gz = np.zeros((g.size // (ho * wo), h + 2 * padding + k - 1, wd + 2 * padding + k - 1))
+            gz[:, k - 1 :: stride, k - 1 :: stride][:, :ho, :wo] = g.reshape(-1, ho, wo)
+            gcols = _windows(gz, k, 1, h, wd, start=padding).reshape(*lead, cout * k * k, h * wd)
+            wflip = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, cout * k * k)
+            _accum(x, (wflip @ gcols).reshape(x.shape))
 
     return Tensor(out, _parents=(x, w, b), _backward=bwd)
 
@@ -448,28 +455,25 @@ def pool(x: Tensor, axis: str, mode: str) -> Tensor:
 
 
 def max_pool2d(x: Tensor, kernel: int, stride: int, padding: int = 0) -> Tensor:
-    """Windowed max pooling on (C,H,W); ties go to the first cell in scan order."""
+    """Windowed max pooling on (C,H,W) over a -inf border, through conv2d's
+    window gather; ties go to the first cell in scan order, and a cell that
+    wins several windows gets the sum of their gradients."""
     c, h, w = x.shape
     ho = _conv_out_extent(h, kernel, stride, padding)
     wo = _conv_out_extent(w, kernel, stride, padding)
-    xp = np.pad(x.data, ((0, 0), (padding, padding), (padding, padding)), constant_values=-np.inf)
-    wins = np.empty((c, kernel * kernel, ho, wo))
-    for di in range(kernel):
-        for dj in range(kernel):
-            wins[:, di * kernel + dj] = xp[:, di : di + stride * ho : stride, dj : dj + stride * wo : stride]
+    hp, wp = h + 2 * padding, w + 2 * padding
+    xp = np.full((c, hp, wp), -np.inf)
+    xp[:, padding : padding + h, padding : padding + w] = x.data
+    wins = _windows(xp, kernel, stride, ho, wo).reshape(c, kernel * kernel, ho, wo)
     arg = wins.argmax(axis=1)
     out = np.take_along_axis(wins, arg[:, None], axis=1)[:, 0]
 
     def bwd(g, a=x, arg=arg):
-        dxp = np.zeros((c, h + 2 * padding, w + 2 * padding))
-        ii, jj = np.meshgrid(np.arange(ho), np.arange(wo), indexing="ij")
-        for ch in range(c):
-            rows = ii * stride + arg[ch] // kernel
-            cols = jj * stride + arg[ch] % kernel
-            np.add.at(dxp[ch], (rows, cols), g[ch])
-        if padding:
-            dxp = dxp[:, padding : padding + h, padding : padding + w]
-        _accum(a, dxp)
+        # one sum over the flat padded index of each window's winning cell
+        rows = np.arange(ho)[:, None] * stride + arg // kernel
+        flat = (np.arange(c)[:, None, None] * hp + rows) * wp + np.arange(wo) * stride + arg % kernel
+        dxp = np.bincount(flat.ravel(), weights=g.ravel(), minlength=c * hp * wp).reshape(c, hp, wp)
+        _accum(a, dxp[:, padding : padding + h, padding : padding + w])
 
     return Tensor(out, _parents=(x,), _backward=bwd)
 

@@ -150,10 +150,6 @@ class StepRecord:
 class TrainResult:
     records: list[StepRecord] = field(default_factory=list)
 
-    @property
-    def loss_trace(self) -> np.ndarray:
-        return np.array([r.l_total for r in self.records])
-
 
 def mask_target_grid(masks: np.ndarray, boxes: np.ndarray, m: int) -> np.ndarray:
     """(R, m, m) binary targets of (R, H, W) masks over their (R, 4)

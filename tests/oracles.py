@@ -191,3 +191,67 @@ def map_reference(dets, gts, thr):
         entries.sort(key=lambda e: (-e[0], e[1]))
         aps.append(ap_reference([e[2] for e in entries], class_gt[cid]))
     return sum(aps) / len(aps)
+
+
+def conv2d_reference(x, w, b, stride, padding):
+    """conv2d of a (C,H,W) map or an (N,C,H,W) batch, one output at a time:
+    every output sums the input cells its window covers, skipping the cells
+    of the zero border, so no padded array is built."""
+    xs = x[None] if x.ndim == 3 else x
+    n, c, h, wd = xs.shape
+    o, _, k, _ = w.shape
+    ho, wo = (h + 2 * padding - k) // stride + 1, (wd + 2 * padding - k) // stride + 1
+    out = np.zeros((n, o, ho, wo))
+    for s in range(n):
+        for co in range(o):
+            for i in range(ho):
+                for j in range(wo):
+                    acc = b[co]
+                    for ci in range(c):
+                        for di in range(k):
+                            for dj in range(k):
+                                r, col = i * stride + di - padding, j * stride + dj - padding
+                                if 0 <= r < h and 0 <= col < wd:
+                                    acc += xs[s, ci, r, col] * w[co, ci, di, dj]
+                    out[s, co, i, j] = acc
+    return out[0] if x.ndim == 3 else out
+
+
+def conv2d_grads_reference(x, w, g, stride, padding):
+    """(dx, dw, db) of sum(conv2d(x, w, b) * g): each output's gradient is
+    scattered into the input cells and the weights its window covers; cells
+    of the zero border are skipped. x is (C,H,W) or an (N,C,H,W) batch."""
+    xs, gs = (x[None], g[None]) if x.ndim == 3 else (x, g)
+    _, _, h, wd = xs.shape
+    _, _, k, _ = w.shape
+    dx, dw, db = np.zeros_like(xs), np.zeros_like(w), np.zeros(w.shape[0])
+    for s, co, i, j in np.ndindex(*gs.shape):
+        gv = gs[s, co, i, j]
+        db[co] += gv
+        for di in range(k):
+            for dj in range(k):
+                r, col = i * stride + di - padding, j * stride + dj - padding
+                if 0 <= r < h and 0 <= col < wd:
+                    dx[s, :, r, col] += gv * w[co, :, di, dj]
+                    dw[co, :, di, dj] += gv * xs[s, :, r, col]
+    return dx.reshape(x.shape), dw, db
+
+
+def max_pool2d_reference(x, kernel, stride, padding, g):
+    """Values of max_pool2d on a (C,H,W) map and the input gradient of
+    sum(out * g), window by window over the in-map cells: the first maximal
+    cell in scan order wins, and a cell that wins several windows receives
+    the sum of their gradients."""
+    c, h, w = x.shape
+    ho, wo = (h + 2 * padding - kernel) // stride + 1, (w + 2 * padding - kernel) // stride + 1
+    out, dx = np.zeros((c, ho, wo)), np.zeros_like(x)
+    for ch, i, j in np.ndindex(c, ho, wo):
+        best, at = -np.inf, None
+        for di in range(kernel):
+            for dj in range(kernel):
+                r, col = i * stride + di - padding, j * stride + dj - padding
+                if 0 <= r < h and 0 <= col < w and x[ch, r, col] > best:
+                    best, at = x[ch, r, col], (r, col)
+        out[ch, i, j] = best
+        dx[ch][at] += g[ch, i, j]
+    return out, dx

@@ -244,7 +244,7 @@ def test_criterion_07_lr_schedule(capsys):
 
 def test_criterion_08_training_smoke(capsys, reference_run):
     r = reference_run
-    trace = r["result_a"].loss_trace
+    trace = np.array([rec.l_total for rec in r["result_a"].records])
     ratio = trace[-50:].mean() / trace[10:60].mean()
     finite = bool(np.isfinite(trace).all())
     identical = (

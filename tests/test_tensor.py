@@ -4,6 +4,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from attnmask.tensor import (
     Tensor,
@@ -24,6 +26,7 @@ from attnmask.tensor import (
     smooth_l1,
     upsample_nearest,
 )
+from oracles import conv2d_grads_reference, conv2d_reference, max_pool2d_reference
 
 
 def test_leaf_defaults_and_item():
@@ -33,6 +36,24 @@ def test_leaf_defaults_and_item():
     assert t.size == 6
     assert not t.requires_grad
     assert Tensor(np.array(3.5)).item() == 3.5
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_tensor_rejects_non_finite_values(bad):
+    with pytest.raises(FloatingPointError):
+        Tensor(bad)
+    arr = np.ones((2, 3))
+    arr[1, 2] = bad
+    with pytest.raises(FloatingPointError):
+        Tensor(arr)
+
+
+def test_op_whose_result_overflows_is_rejected():
+    big = Tensor(np.array([1.0, 1e308]))
+    with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
+        big * 10.0
+    with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
+        big + big
 
 
 def test_add_mul_same_shape_values():
@@ -109,8 +130,6 @@ def test_smooth_l1_fixture_values():
 @pytest.mark.parametrize("stride", [1, 2])
 @pytest.mark.parametrize("padding", [0, 1, 3])
 def test_conv2d_matches_brute_force_correlation(k, stride, padding):
-    # every output is summed from the input cells its window covers; cells
-    # of the zero border are skipped, so no padded array is built here
     rng = np.random.default_rng(k * 100 + stride * 10 + padding)
     x = rng.standard_normal((2, 9, 8))
     w = rng.standard_normal((3, 2, k, k))
@@ -118,19 +137,26 @@ def test_conv2d_matches_brute_force_correlation(k, stride, padding):
     out = conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=padding).data
     ho, wo = (9 + 2 * padding - k) // stride + 1, (8 + 2 * padding - k) // stride + 1
     assert out.shape == (3, ho, wo)
-    want = np.zeros((3, ho, wo))
-    for co in range(3):
-        for i in range(ho):
-            for j in range(wo):
-                acc = b[co]
-                for ci in range(2):
-                    for di in range(k):
-                        for dj in range(k):
-                            r, c = i * stride + di - padding, j * stride + dj - padding
-                            if 0 <= r < 9 and 0 <= c < 8:
-                                acc += x[ci, r, c] * w[co, ci, di, dj]
-                want[co, i, j] = acc
-    np.testing.assert_allclose(out, want, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(out, conv2d_reference(x, w, b, stride, padding), rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 3, 7])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("padding", [0, 1, 3])
+@pytest.mark.parametrize("shape", [(2, 8, 9), (2, 2, 8, 9)])
+def test_conv2d_gradients_match_brute_force(k, stride, padding, shape):
+    # H + 2*padding - k is odd, so at stride 2 the last row lies outside every
+    # window and must get no input gradient; padding 3 exceeds k - 1 for k < 7
+    rng = np.random.default_rng(k * 100 + stride * 10 + padding + len(shape))
+    x = rng.standard_normal(shape)
+    w = rng.standard_normal((3, 2, k, k))
+    b = rng.standard_normal(3)
+    pw = rng.standard_normal(conv2d(Tensor(x), Tensor(w), Tensor(b), stride, padding).shape)
+    _, grads = _conv_grads(x, w, b, pw, stride, padding)
+    for got, want in zip(grads, conv2d_grads_reference(x, w, pw, stride, padding)):
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+    if stride == 2 and padding == 0:
+        assert not grads[0][..., -1, :].any()
 
 
 def test_conv2d_stride_shape():
@@ -192,6 +218,38 @@ def test_max_pool2d_values_and_tie_rule():
     # ties route the gradient to the first maximum in scan order
     assert t.grad[0, 0, 1] == 1.0
     assert t.grad[0, 1, 0] == 0.0
+
+
+@pytest.mark.parametrize("kernel, stride, padding", [(3, 2, 1), (1, 2, 0)])
+def test_max_pool2d_matches_brute_force(kernel, stride, padding):
+    # the stem's pool and P6's subsampling over odd extents; small integers tie often
+    rng = np.random.default_rng(kernel)
+    x = rng.integers(0, 3, (3, 9, 7)).astype(float)
+    t = Tensor(x, requires_grad=True)
+    out = max_pool2d(t, kernel, stride, padding)
+    pw = rng.standard_normal(out.shape)
+    (out * pw).sum().backward()
+    want, dx = max_pool2d_reference(x, kernel, stride, padding, pw)
+    assert np.array_equal(out.data, want)
+    np.testing.assert_allclose(t.grad, dx, rtol=0.0, atol=1e-12)
+
+
+def test_max_pool2d_overlapping_winner_and_ties():
+    # 3x3, stride 2, padding 1 on a 3x3 map: all four windows hold the centre
+    x = np.zeros((1, 3, 3))
+    x[0, 1, 1] = 9.0
+    pw = np.array([[[1.0, 2.0], [4.0, 8.0]]])
+    t = Tensor(x, requires_grad=True)
+    out = max_pool2d(t, kernel=3, stride=2, padding=1)
+    assert np.array_equal(out.data, np.full((1, 2, 2), 9.0))
+    (out * pw).sum().backward()
+    want = np.zeros((1, 3, 3))
+    want[0, 1, 1] = 15.0  # the gradients of every window it wins
+    assert np.array_equal(t.grad, want)
+    # all cells tie: each window's first in-map cell in scan order wins
+    t = Tensor(np.ones((1, 3, 3)), requires_grad=True)
+    (max_pool2d(t, kernel=3, stride=2, padding=1) * pw).sum().backward()
+    assert np.array_equal(t.grad, [[[1.0, 2.0, 0.0], [4.0, 8.0, 0.0], [0.0, 0.0, 0.0]]])
 
 
 def test_upsample_nearest_repeats_cells():
@@ -340,3 +398,57 @@ def test_no_grad_in_one_thread_leaves_others_recording():
         release.set()
         thread.join()
     assert seen == [False]
+
+
+def _extent(n, k, stride, padding):
+    return (n + 2 * padding - k) // stride + 1
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(0, 2),  # 0: an unbatched (C,H,W) map
+    c=st.integers(1, 3),
+    o=st.integers(1, 3),
+    h=st.integers(1, 10),
+    w=st.integers(1, 10),
+    k=st.sampled_from([1, 3, 7]),
+    stride=st.integers(1, 2),
+    padding=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_conv2d_values_and_gradients_match_oracles(n, c, o, h, w, k, stride, padding, seed):
+    assume(_extent(h, k, stride, padding) >= 1 and _extent(w, k, stride, padding) >= 1)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, c, h, w) if n else (c, h, w))
+    wt = rng.standard_normal((o, c, k, k))
+    b = rng.standard_normal(o)
+    pw = rng.standard_normal(conv2d_reference(x, wt, b, stride, padding).shape)
+    out, grads = _conv_grads(x, wt, b, pw, stride, padding)
+    np.testing.assert_allclose(out, conv2d_reference(x, wt, b, stride, padding), rtol=0.0, atol=1e-12)
+    for got, want in zip(grads, conv2d_grads_reference(x, wt, pw, stride, padding)):
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    c=st.integers(1, 3),
+    h=st.integers(1, 9),
+    w=st.integers(1, 9),
+    kernel=st.integers(1, 3),
+    stride=st.integers(1, 3),
+    padding=st.integers(0, 1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_max_pool2d_values_and_gradients_match_oracle(c, h, w, kernel, stride, padding, seed):
+    # padding stays within half the kernel, so no window lies wholly in the border
+    assume(2 * padding <= kernel)
+    assume(_extent(h, kernel, stride, padding) >= 1 and _extent(w, kernel, stride, padding) >= 1)
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, 3, (c, h, w)).astype(float)
+    t = Tensor(x, requires_grad=True)
+    out = max_pool2d(t, kernel, stride, padding)
+    pw = rng.standard_normal(out.shape)
+    (out * pw).sum().backward()
+    want, dx = max_pool2d_reference(x, kernel, stride, padding, pw)
+    assert np.array_equal(out.data, want)
+    np.testing.assert_allclose(t.grad, dx, rtol=0.0, atol=1e-12)
