@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, concat, conv1d, conv2d, linear, pool, relu, sigmoid
+from .tensor import Tensor, concat, conv1d, conv2d, linear, relu, sigmoid
 
 __all__ = [
     "GATES",
@@ -162,35 +162,37 @@ class ECAParams:
 # -- gates ---------------------------------------------------------------------
 
 
-def _mlp(vec: Tensor, p: MLPParams) -> Tensor:
-    return linear(relu(linear(vec, p.w1, p.b1)), p.w2, p.b2)
+def _mlp(rows: Tensor, p: MLPParams) -> Tensor:
+    return linear(relu(linear(rows, p.w1, p.b1)), p.w2, p.b2)
 
 
 def channel_gate(x: Tensor, params: CBAMParams) -> Tensor:
-    """CBAM's (C,1,1) gate: sigmoid(MLP(avg pool) + MLP(max pool))."""
+    """CBAM's (C,1,1) gate: sigmoid(MLP(avg pool) + MLP(max pool)), the two
+    descriptors going through the shared MLP as one (2, C) batch."""
     c = x.shape[0]
-    avg = pool(x, "spatial", "avg").reshape(c)
-    mx = pool(x, "spatial", "max").reshape(c)
-    return sigmoid(_mlp(avg, params.cam) + _mlp(mx, params.cam)).reshape(c, 1, 1)
+    flat = x.reshape(c, -1)
+    pooled = concat([flat.mean(axis=1), flat.max(axis=1)]).reshape(2, c)
+    return sigmoid(_mlp(pooled, params.cam).sum(axis=0)).reshape(c, 1, 1)
 
 
 def spatial_gate(x: Tensor, params: CBAMParams) -> Tensor:
     """CBAM's (1,H,W) gate: a 7x7 conv over the stacked channel avg/max maps."""
-    stacked = concat([pool(x, "channel", "avg"), pool(x, "channel", "max")], axis=0)
+    _, h, w = x.shape
+    stacked = concat([x.mean(axis=0), x.max(axis=0)]).reshape(2, h, w)
     return sigmoid(conv2d(stacked, params.sam.w, params.sam.b, stride=1, padding=3))
 
 
 def se_gate(x: Tensor, params: MLPParams) -> Tensor:
     """(C,1,1) gate from the spatially averaged descriptor alone."""
     c = x.shape[0]
-    squeezed = pool(x, "spatial", "avg").reshape(c)
+    squeezed = x.reshape(c, -1).mean(axis=1).reshape(1, c)
     return sigmoid(_mlp(squeezed, params)).reshape(c, 1, 1)
 
 
 def eca_gate(x: Tensor, params: ECAParams) -> Tensor:
     """(C,1,1) gate from a 1-D conv sliding across the pooled channel vector."""
     c = x.shape[0]
-    squeezed = pool(x, "spatial", "avg").reshape(c)
+    squeezed = x.reshape(c, -1).mean(axis=1)
     k = params.kernel
     return sigmoid(conv1d(squeezed, params.w, padding=(k - 1) // 2)).reshape(c, 1, 1)
 

@@ -198,7 +198,7 @@ def fpn_fuse(cmaps: dict[int, Tensor], params: FPNParams, with_p6: bool = True) 
     fused = {5: conv2d(cmaps[5], params.laterals[5].w, params.laterals[5].b)}
     for lvl in (4, 3, 2):
         lat = conv2d(cmaps[lvl], params.laterals[lvl].w, params.laterals[lvl].b)
-        up = upsample_nearest(fused[lvl + 1], 2)
+        up = upsample_nearest(fused[lvl + 1])
         if lat.shape != up.shape:
             raise ValueError(f"fusion shape mismatch at P{lvl}: {lat.shape} vs {up.shape}")
         fused[lvl] = lat + up

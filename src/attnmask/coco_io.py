@@ -3,8 +3,9 @@
 Ground truth is an object with `images`, `annotations` and `categories`
 arrays; detections are one array of records. Boxes are COCO top-left
 `[x, y, w, h]` pixels, converted to center form. Every field goes through
-`inputs.field`: ids and sizes are ints, bbox components and scores finite
-numbers, names strings, and `iscrowd` (default 0) is 0, 1, true or false.
+`inputs.field`: ids and sizes are ints (sizes positive), bbox components
+and scores finite numbers, names strings, and `iscrowd` (default 0) is 0,
+1, true or false.
 Nothing here writes COCO files; `save_json` writes the CLI's reports.
 """
 
@@ -49,6 +50,8 @@ def parse_gt(doc) -> GroundTruth:
         if iid in images:
             raise InputError(f"{where}: duplicate image id {iid}")
         images[iid] = (field(img, "width", "int", where), field(img, "height", "int", where))
+        if min(images[iid]) < 1:
+            raise InputError(f"{where}: width and height must be positive, got {images[iid]}")
     categories: dict[int, str] = {}
     for where, cat in records(doc.get("categories", []), "categories"):
         cid = field(cat, "id", "int", where)

@@ -2,8 +2,9 @@
 
 The pyramid feeds a shared RPN (a 3x3 conv, then 1x1 heads emitting
 per-anchor two-way objectness logits and four box offsets). rpn_forward
-alone knows the anchor order: it returns the anchors of the whole pyramid
-and both outputs as rows in that order. Region features come from
+alone knows the anchor order: it returns the anchors of the whole pyramid,
+each anchor's foreground probability (the softmax foreground coordinate of
+its two logits) and its offsets, in that order. Region features come from
 quantization-free ROI pooling (each bin the max of four bilinear samples)
 at 7x7 for the box head (two fully connected layers into K+1 class logits
 plus class-agnostic offsets) and 14x14 for the mask head (two 3x3 convs and
@@ -22,6 +23,7 @@ fixed order so training and checkpointing are deterministic.
 from __future__ import annotations
 
 import dataclasses
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +59,6 @@ __all__ = [
     "build_model",
     "pyramid_forward",
     "rpn_forward",
-    "objectness",
     "extract_roi_features",
     "box_head_forward",
     "mask_head_forward",
@@ -224,8 +225,11 @@ def pyramid_forward(model: Model, image: Tensor) -> dict[int, Tensor]:
 
 def rpn_forward(model: Model, pyramid: dict[int, Tensor]) -> tuple[np.ndarray, Tensor, Tensor]:
     """The RPN over the whole pyramid: anchors (A, 4) from generate_anchors,
-    objectness logits (A, 2) and offsets (A, 4). All three share one row
-    order: level by level ascending, then (row, col, anchor shape)."""
+    foreground probabilities (A,) and offsets (A, 4). All three share one
+    row order: level by level ascending, then (row, col, anchor shape).
+
+    An anchor's probability is the foreground coordinate of the softmax of
+    its (background, foreground) logits, sigmoid(z_fg - z_bg)."""
     a = model.cfg.num_anchor_shapes
     logits, offsets = [], []
     for level in sorted(pyramid):
@@ -236,14 +240,8 @@ def rpn_forward(model: Model, pyramid: dict[int, Tensor]) -> tuple[np.ndarray, T
         logits.append(obj.reshape(a, 2, fh, fw).transpose((2, 3, 0, 1)).reshape(fh * fw * a, 2))
         offsets.append(reg.reshape(a, 4, fh, fw).transpose((2, 3, 0, 1)).reshape(fh * fw * a, 4))
     anchors = generate_anchors({lvl: f.shape[1:] for lvl, f in pyramid.items()}, model.cfg.anchors)
-    return anchors, concat(logits, axis=0), concat(offsets, axis=0)
-
-
-def objectness(obj: Tensor) -> Tensor:
-    """Foreground probability of two-way logits: sigmoid(z_fg - z_bg),
-    identical to the softmax foreground coordinate."""
-    signs = np.tile(np.array([-1.0, 1.0]), (obj.shape[0], 1))
-    return sigmoid((obj * signs).sum(axis=1))
+    signs = np.tile([-1.0, 1.0], (anchors.shape[0], 1))
+    return anchors, sigmoid((concat(logits, axis=0) * signs).sum(axis=1)), concat(offsets, axis=0)
 
 
 def extract_roi_features(pyramid: dict[int, Tensor], boxes: np.ndarray, resolution: int) -> Tensor:
@@ -291,7 +289,7 @@ def mask_head_forward(model: Model, feats: Tensor, classes: np.ndarray) -> Tenso
     r, k, p, _ = z.shape
     # row i * K + class - 1 of the (R*K, p, p) logits is region i's class channel
     z = gather_rows(z.reshape(r * k, p, p), np.arange(r) * k + classes - 1)
-    return upsample_nearest(sigmoid(z), 2)
+    return upsample_nearest(sigmoid(z))
 
 
 # smallest side in pixels of a proposal or a refined detection, the IoU above
@@ -315,7 +313,7 @@ def _refine(
 
 def propose(
     anchors: np.ndarray,
-    logits: Tensor,
+    scores: Tensor,
     offsets: Tensor,
     image_hw: tuple[int, int],
     pre_nms: int,
@@ -325,12 +323,11 @@ def propose(
     (N, 4) center-form rows in descending score order: the pre_nms best
     anchors are refined, and NMS at RPN_NMS_IOU picks among them.
 
-    anchors, logits (A, 2) and offsets (A, 4) are rpn_forward's rows.
+    anchors, scores (A,) and offsets (A, 4) are rpn_forward's rows.
     Runs on raw values; no gradient flows through proposal coordinates.
     """
     h, w = image_hw
-    z = logits.data
-    scores = 1.0 / (1.0 + np.exp(-(z[:, 1] - z[:, 0])))
+    scores = scores.data
     if anchors.shape[0] != scores.shape[0]:
         raise ValueError(f"{anchors.shape[0]} anchors vs {scores.shape[0]} RPN positions")
 
@@ -381,8 +378,8 @@ def infer(model: Model, image, image_id: int = 0, conf_threshold: float = 0.5) -
     x = image if isinstance(image, Tensor) else Tensor(np.asarray(image, dtype=np.float64))
     height, width = x.shape[1], x.shape[2]
     pyramid = pyramid_forward(model, x)
-    anchors, logits, offsets = rpn_forward(model, pyramid)
-    proposals = propose(anchors, logits, offsets, (height, width), pre_nms=1000, post_nms=100)
+    anchors, scores, offsets = rpn_forward(model, pyramid)
+    proposals = propose(anchors, scores, offsets, (height, width), pre_nms=1000, post_nms=100)
     if proposals.shape[0] == 0:
         return []
     feats = extract_roi_features(pyramid, proposals, model.cfg.box_resolution)
@@ -419,16 +416,20 @@ def save_checkpoint(model: Model, path: str) -> None:
 
 
 def load_checkpoint(model: Model, path: str) -> None:
-    """Copy stored arrays into the model's parameters in place. Every array
-    must hold real numbers (integer or float dtype), match its parameter's
-    shape and be finite; otherwise nothing is copied."""
-    with np.load(path) as archive:
-        params = dict(model.named_params())
-        missing = set(params) - set(archive.files)
-        extra = set(archive.files) - set(params)
-        if missing or extra:
-            raise ValueError(f"checkpoint mismatch: missing {sorted(missing)}, extra {sorted(extra)}")
-        stored = {name: archive[name] for name in params}
+    """Copy stored arrays into the model's parameters in place. The file
+    must be a readable .npz archive, and every array must hold real numbers
+    (integer or float dtype), match its parameter's shape and be finite;
+    otherwise nothing is copied."""
+    try:
+        with open(path, "rb") as fh, np.load(fh) as archive:
+            stored = {name: archive[name] for name in archive.files}
+    except (zipfile.BadZipFile, EOFError, TypeError, ValueError) as exc:  # TypeError: a bare .npy array
+        raise ValueError(f"{path}: unreadable checkpoint archive: {exc}") from exc
+    params = dict(model.named_params())
+    missing = set(params) - set(stored)
+    extra = set(stored) - set(params)
+    if missing or extra:
+        raise ValueError(f"checkpoint mismatch: missing {sorted(missing)}, extra {sorted(extra)}")
     for name, tensor in params.items():
         if stored[name].dtype.kind not in "iuf":
             raise ValueError(f"{name}: stored dtype {stored[name].dtype} is not integer or float")

@@ -3,7 +3,9 @@
 Shapes follow channel-first conventions: feature maps are (C, H, W), or an
 (N, C, H, W) batch for `conv2d` and `upsample_nearest` (each sample gets a
 single map's arithmetic), and flattened predictions are (N,) or (N, K). The
-op set is what the attention blocks, pyramid fusion and detector heads need.
+op set is what the attention blocks, pyramid fusion and detector heads need;
+the attention gates take their avg and max descriptors with `Tensor.mean`
+and `Tensor.max` along one axis of a reshaped map.
 `conv2d` and `max_pool2d` read their windows through one strided gather, and
 `conv2d`'s input gradient is a correlation with the flipped kernel, so no op
 scatters window by window. Reductions go through numpy, whose pairwise
@@ -13,8 +15,8 @@ Every op that produces a Tensor records its inputs and a backward
 closure; calling ``backward()`` on a scalar output walks the tape once
 in reverse topological order and accumulates gradients on every tensor
 created with ``requires_grad=True``; inside ``no_grad()`` ops record
-nothing. Max-style reductions send the gradient to the first maximal
-element in scan order.
+nothing. `Tensor.max` and `max_pool2d` send the gradient to the first
+maximal element in scan order.
 
 Elementwise multiplication broadcasts only the two gating patterns the
 attention blocks need, (C,1,1)x(C,H,W) and (1,H,W)x(C,H,W); anything
@@ -40,7 +42,6 @@ __all__ = [
     "conv2d",
     "conv1d",
     "linear",
-    "pool",
     "max_pool2d",
     "upsample_nearest",
     "concat",
@@ -202,8 +203,19 @@ class Tensor:
 
         return Tensor(self.data.sum(axis=axis), _parents=(self,), _backward=bwd)
 
-    def mean(self) -> "Tensor":
-        return self.sum() * (1.0 / self.size)
+    def mean(self, axis: int | None = None) -> "Tensor":
+        return self.sum(axis) * (1.0 / (self.size if axis is None else self.shape[axis]))
+
+    def max(self, axis: int) -> "Tensor":
+        """Maximum along axis; the gradient goes to the first maximal element."""
+
+        def bwd(g, a=self, axis=axis):
+            d = np.zeros_like(a.data)
+            arg = np.expand_dims(a.data.argmax(axis=axis), axis)
+            np.put_along_axis(d, arg, np.expand_dims(g, axis), axis=axis)
+            _accum(a, d)
+
+        return Tensor(self.data.max(axis=axis), _parents=(self,), _backward=bwd)
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
@@ -402,56 +414,17 @@ def conv1d(x: Tensor, w: Tensor, padding: int) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w.T + b for x of shape (in,) or (N, in) and w of shape (out, in)."""
-    if x.ndim not in (1, 2) or w.ndim != 2 or x.shape[-1] != w.shape[1]:
+    """x @ w.T + b for x of shape (N, in) and w of shape (out, in)."""
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[1]:
         raise ValueError(f"linear shape mismatch: x {x.shape}, w {w.shape}")
     out = x.data @ w.data.T + b.data
 
     def bwd(g, x=x, w=w, b=b):
-        # a 1-D x is one row: its weight gradient is the outer product
-        rows = np.atleast_2d(g)
-        _accum(w, rows.T @ np.atleast_2d(x.data))
-        _accum(b, rows.sum(axis=0))
+        _accum(w, g.T @ x.data)
+        _accum(b, g.sum(axis=0))
         _accum(x, g @ w.data)
 
     return Tensor(out, _parents=(x, w, b), _backward=bwd)
-
-
-def pool(x: Tensor, axis: str, mode: str) -> Tensor:
-    """Global pooling on a (C,H,W) map.
-
-    axis="spatial" collapses H,W to give (C,1,1); axis="channel" collapses C
-    to give (1,H,W). mode is "avg" or "max"; the max backward sends the
-    gradient to the first maximal element in scan order.
-    """
-    if x.ndim != 3:
-        raise ValueError("pool expects a (C,H,W) tensor")
-    if axis not in ("spatial", "channel"):
-        raise ValueError(f"unknown axis {axis!r}")
-    c, h, w = x.shape
-    spatial = axis == "spatial"
-    # one row of the (C, H*W) view, or of its transpose, per output value
-    flat = x.data.reshape(c, h * w)
-    rows, shape = (flat, (c, 1, 1)) if spatial else (flat.T, (1, h, w))
-    if mode == "avg":
-        n = rows.shape[1]
-        out = rows.mean(axis=1).reshape(shape)
-
-        def bwd(g, a=x):
-            _accum(a, np.broadcast_to(g / n, a.shape).copy())
-
-    elif mode == "max":
-        pick = (np.arange(rows.shape[0]), rows.argmax(axis=1))
-        out = rows[pick].reshape(shape)
-
-        def bwd(g, a=x, pick=pick):
-            d = np.zeros((c, h * w))
-            (d if spatial else d.T)[pick] = g.reshape(-1)
-            _accum(a, d.reshape(a.shape))
-
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return Tensor(out, _parents=(x,), _backward=bwd)
 
 
 def max_pool2d(x: Tensor, kernel: int, stride: int, padding: int = 0) -> Tensor:
@@ -478,16 +451,14 @@ def max_pool2d(x: Tensor, kernel: int, stride: int, padding: int = 0) -> Tensor:
     return Tensor(out, _parents=(x,), _backward=bwd)
 
 
-def upsample_nearest(x: Tensor, factor: int) -> Tensor:
-    """Replicate each pixel of a (C,H,W) map or (N,C,H,W) batch into a factor x factor block."""
-    if factor < 1:
-        raise ValueError("factor must be >= 1")
+def upsample_nearest(x: Tensor) -> Tensor:
+    """Replicate each pixel of a (C,H,W) map or (N,C,H,W) batch into a 2x2 block."""
     lead = x.shape[:-3]
     c, h, w = x.shape[-3:]
-    out = np.repeat(np.repeat(x.data, factor, axis=-2), factor, axis=-1)
+    out = np.repeat(np.repeat(x.data, 2, axis=-2), 2, axis=-1)
 
-    def bwd(g, a=x, f=factor):
-        _accum(a, g.reshape(*lead, c, h, f, w, f).sum(axis=(-3, -1)))
+    def bwd(g, a=x):
+        _accum(a, g.reshape(*lead, c, h, 2, w, 2).sum(axis=(-3, -1)))
 
     return Tensor(out, _parents=(x,), _backward=bwd)
 

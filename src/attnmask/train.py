@@ -44,7 +44,6 @@ from .model import (
     box_head_forward,
     extract_roi_features,
     mask_head_forward,
-    objectness,
     propose,
     pyramid_forward,
     rpn_forward,
@@ -206,7 +205,7 @@ def _image_loss(
     x = Tensor(sample.image)
     height, width = x.shape[1], x.shape[2]
     pyramid = pyramid_forward(model, x)
-    anchors, logits, offsets = rpn_forward(model, pyramid)
+    anchors, scores, offsets = rpn_forward(model, pyramid)
     gt = box_array(sample.boxes)
 
     asg = assign_anchor_labels(
@@ -214,7 +213,7 @@ def _image_loss(
         batch=cfg.rpn_batch, pos_fraction=cfg.rpn_pos_fraction,
     )
     sampled = asg.sampled
-    rpn_cls = cls_loss(gather_rows(objectness(logits), sampled), asg.labels[sampled])
+    rpn_cls = cls_loss(gather_rows(scores, sampled), asg.labels[sampled])
     rpn_reg = None
     pos = asg.sampled_pos
     if pos.size:
@@ -228,7 +227,7 @@ def _image_loss(
     )
 
     proposals = propose(
-        anchors, logits, offsets, (height, width), pre_nms=cfg.train_pre_nms, post_nms=cfg.train_post_nms
+        anchors, scores, offsets, (height, width), pre_nms=cfg.train_pre_nms, post_nms=cfg.train_post_nms
     )
     gt_clipped, inside = clip_boxes(gt, float(width), float(height))
     proposals = np.concatenate([proposals, gt_clipped[inside]])

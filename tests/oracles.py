@@ -255,3 +255,37 @@ def max_pool2d_reference(x, kernel, stride, padding, g):
         out[ch, i, j] = best
         dx[ch][at] += g[ch, i, j]
     return out, dx
+
+
+def _logistic(z):
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+def _shared_mlp(v, p):
+    return p.w2.data @ np.maximum(p.w1.data @ v + p.b1.data, 0.0) + p.b2.data
+
+
+def attention_reference(x, variant, params):
+    """A gated (C,H,W) map from the gate equations, with s the logistic
+    function, avg/max pooling over positions and avg_c/max_c over channels:
+    SE   F * s(MLP(avg F));
+    ECA  F * s(w * avg F), a zero-padded 1-D correlation across channels;
+    CBAM F' = F * s(MLP(avg F) + MLP(max F)), then
+         F' * s(conv7x7([avg_c F'; max_c F'])).
+    params is the block's parameter container; only its arrays are read."""
+    c = x.shape[0]
+    if variant == "se":
+        return x * _logistic(_shared_mlp(x.mean(axis=(1, 2)), params))[:, None, None]
+    if variant == "eca":
+        w = params.w.data
+        k = len(w)
+        v = np.concatenate([np.zeros(k // 2), x.mean(axis=(1, 2)), np.zeros(k // 2)])
+        z = np.array([sum(w[j] * v[i + j] for j in range(k)) for i in range(c)])
+        return x * _logistic(z)[:, None, None]
+    if variant == "cbam":
+        cam = params.cam
+        z = _shared_mlp(x.mean(axis=(1, 2)), cam) + _shared_mlp(x.max(axis=(1, 2)), cam)
+        x = x * _logistic(z)[:, None, None]
+        maps = np.stack([x.mean(axis=0), x.max(axis=0)])
+        return x * _logistic(conv2d_reference(maps, params.sam.w.data, params.sam.b.data, 1, 3))
+    raise ValueError(f"no reference for variant {variant!r}")

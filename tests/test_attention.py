@@ -19,6 +19,7 @@ from attnmask.attention import (
 )
 from attnmask.model import ModelConfig, build_model
 from attnmask.tensor import Tensor
+from oracles import attention_reference
 
 
 def _zero_params(variant, channels=8, reduction=4):
@@ -171,3 +172,13 @@ def test_init_uniform_schemes():
 def test_config_rejects_unknown_variant():
     with pytest.raises(ValueError):
         AttentionConfig(channels=8, reduction=4, variant="senet")
+
+
+@pytest.mark.parametrize("variant", list(GATES))
+def test_gates_match_equation_oracle(variant):
+    # he_uniform weights push the gates well away from their 0.5 midpoint
+    rng = np.random.default_rng(5)
+    params = make_attention(AttentionConfig(channels=8, reduction=2, variant=variant, init="he_uniform"), rng)
+    x = rng.standard_normal((8, 6, 5))
+    got = apply_attention(Tensor(x), params).data
+    np.testing.assert_allclose(got, attention_reference(x, variant, params), rtol=0.0, atol=1e-12)

@@ -28,11 +28,11 @@ def _write_eval_pair(tmp_path):
 
 def test_evaluate_perfect_pair(tmp_path, capsys):
     gt, det = _write_eval_pair(tmp_path)
-    out = str(tmp_path / "report.json")
-    assert cli(["evaluate", "--gt", gt, "--det", det, "--out", out]) == 0
+    out = tmp_path / "report.json"
+    assert cli(["evaluate", "--gt", gt, "--det", det, "--out", str(out)]) == 0
     text = capsys.readouterr().out
     assert "mAP@0.5" in text and "1.0000" in text
-    report = json.loads(open(out).read())
+    report = json.loads(out.read_text())
     assert report["map_coco"] == pytest.approx(1.0)
 
 

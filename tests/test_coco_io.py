@@ -127,11 +127,15 @@ _DET = {"image_id": 0, "category_id": 1, "score": 0.5, "bbox": [1, 2, 3, 4]}
         (parse_detections, [{**_DET, "bbox": [0, 1e308, 1e-300, 1e308]}], r"detections\[0\]: bbox corner or area"),
         (parse_gt, {**_gt_doc(), "annotations": [{**_gt_doc()["annotations"][0], "bbox": [0, 0, 1e200, 1e200]}]},
          r"annotations\[0\] \(id=1\): bbox corner or area overflows, got \[0\.0, 0\.0, 1e\+200, 1e\+200\]"),
+        (parse_gt, {**_gt_doc(), "images": [{"id": 0, "width": -5, "height": 48}]},
+         r"images\[0\]: width and height must be positive, got \(-5, 48\)"),
+        (parse_gt, {**_gt_doc(), "images": [{"id": 0, "width": 64, "height": 0}]},
+         r"images\[0\]: width and height must be positive, got \(64, 0\)"),
     ],
     ids=["record-not-object", "section-not-array", "nan-bbox", "inf-bbox", "text-bbox", "text-id", "text-score",
          "fractional-id", "bool-id", "fractional-height", "bool-score", "bool-bbox", "numeric-text-bbox",
          "overflowing-bbox", "text-iscrowd", "two-iscrowd", "int-name", "overflowing-corner", "overflowing-x2",
-         "overflowing-y2", "overflowing-area"],
+         "overflowing-y2", "overflowing-area", "negative-width", "zero-height"],
 )
 def test_malformed_input_names_record_and_field(parse, doc, message):
     with pytest.raises(InputError, match=message):

@@ -129,6 +129,15 @@ def test_map_report_localization_quality_splits_thresholds():
     assert rep.map75 == pytest.approx(0.0)
 
 
+def test_map_report_threshold_argument():
+    gt = [_gt(B((0, 0, 10, 10)))]
+    det = [_det(0.9, B((0, 0, 10, 6)))]  # IoU 0.6
+    assert map_report(det, gt, thresholds=None).thresholds == COCO_SWEEP
+    for bad in ((), [-2], [0.0], [1.0], [0.5, 1.5], [float("nan")]):
+        with pytest.raises(ValueError, match="IoU thresholds"):
+            map_report(det, gt, thresholds=bad)
+
+
 def test_map_coco_recomposes_from_thresholds():
     rng = np.random.default_rng(1)
     gts, dets = [], []

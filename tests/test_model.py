@@ -1,6 +1,8 @@
 """Assembled detector: wiring, proposals, mask pasting, checkpoints."""
 
 import dataclasses
+import gc
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +24,6 @@ from attnmask.model import (
     infer,
     load_checkpoint,
     mask_head_forward,
-    objectness,
     paste_mask,
     propose,
     pyramid_forward,
@@ -85,7 +86,8 @@ def test_rpn_flatten_order_matches_anchor_order():
     dim = model.cfg.fpn_dim
 
     # make the RPN a passthrough probe: hidden = relu(feature channel 0),
-    # foreground logit of every anchor shape = hidden channel 0
+    # foreground logit of every anchor shape = hidden channel 0, so each
+    # anchor's score is the logistic function of one feature cell
     model.rpn.conv.w.data[:] = 0.0
     model.rpn.conv.b.data[:] = 0.0
     model.rpn.conv.w.data[0, 0, 1, 1] = 1.0
@@ -99,34 +101,44 @@ def test_rpn_flatten_order_matches_anchor_order():
     pyramid, level_of = {}, []
     for lvl, (fh, fw) in shapes.items():
         feat = np.zeros((dim, fh, fw))
-        feat[0] = 100.0 * lvl + 10.0 * np.arange(fh)[:, None] + np.arange(fw)[None, :]
+        feat[0] = lvl + 0.1 * np.arange(fh)[:, None] + 0.01 * np.arange(fw)[None, :]
         pyramid[lvl] = Tensor(feat)
     for lvl in sorted(shapes):
         level_of += [lvl] * (shapes[lvl][0] * shapes[lvl][1] * a)
-    anchors, logits, offsets = rpn_forward(model, pyramid)
+    anchors, scores, offsets = rpn_forward(model, pyramid)
     np.testing.assert_array_equal(anchors, generate_anchors(shapes, model.cfg.anchors))
-    assert logits.shape == (len(level_of), 2) and offsets.shape == (len(level_of), 4)
+    assert scores.shape == (len(level_of),) and offsets.shape == (len(level_of), 4)
 
     for n, ((cx, cy, _, _), lvl) in enumerate(zip(anchors, level_of)):
         row = int(cy / stride_of(lvl) - 0.5)
         col = int(cx / stride_of(lvl) - 0.5)
-        assert logits.data[n, 1] == pytest.approx(pyramid[lvl].data[0, row, col])
+        assert scores.data[n] == pytest.approx(1.0 / (1.0 + np.exp(-pyramid[lvl].data[0, row, col])))
 
 
 def test_objectness_equals_softmax_foreground():
-    rng = np.random.default_rng(0)
-    z = rng.normal(size=(40, 2))
-    got = objectness(Tensor(z)).data
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    want = (e[:, 1] / e.sum(axis=1))
-    assert np.allclose(got, want, atol=1e-12)
+    model = _toy_model()
+    a = model.cfg.num_anchor_shapes
+    # logits of a few units, so scores spread over (0, 1)
+    model.rpn.cls.w.data[:] = np.random.default_rng(0).normal(scale=0.5, size=model.rpn.cls.w.shape)
+    pyramid = pyramid_forward(model, Tensor(np.random.default_rng(1).uniform(size=(3, 64, 64))))
+    _, scores, _ = rpn_forward(model, pyramid)
+    want = []
+    for lvl in sorted(pyramid):
+        h = relu(conv2d(pyramid[lvl], model.rpn.conv.w, model.rpn.conv.b, padding=1))
+        z = conv2d(h, model.rpn.cls.w, model.rpn.cls.b).data
+        z = z.reshape(a, 2, *z.shape[1:]).transpose(2, 3, 0, 1)  # (row, col, shape, [bg, fg])
+        e = np.exp(z - z.max(axis=-1, keepdims=True))
+        want.append((e[..., 1] / e.sum(axis=-1)).ravel())
+    want = np.concatenate(want)
+    assert want.min() < 0.1 and want.max() > 0.9
+    np.testing.assert_allclose(scores.data, want, rtol=0.0, atol=1e-12)
 
 
 def test_propose_respects_caps_and_bounds():
     model = _toy_model()
     x = Tensor(np.random.default_rng(1).uniform(size=(3, 64, 64)))
-    anchors, logits, offsets = rpn_forward(model, pyramid_forward(model, x))
-    props = propose(anchors, logits, offsets, (64, 64), pre_nms=300, post_nms=12)
+    anchors, scores, offsets = rpn_forward(model, pyramid_forward(model, x))
+    props = propose(anchors, scores, offsets, (64, 64), pre_nms=300, post_nms=12)
     assert 0 < len(props) <= 12
     for b in (Box(*row) for row in props):
         assert 0.0 <= b.x1 <= b.x2 <= 64.0
@@ -136,9 +148,9 @@ def test_propose_respects_caps_and_bounds():
     # the minimum side is 1 px: shrunk to 8*e^-3 = 0.40 px the best anchor
     # is dropped, at 8*e^-2 = 1.08 px the next one stays
     anchors = box_array([Box(10.0, 10.0, 8.0, 8.0), Box(30.0, 30.0, 8.0, 8.0), Box(50.0, 50.0, 8.0, 8.0)])
-    obj = Tensor(np.array([[0.0, 3.0], [0.0, 2.0], [0.0, 1.0]]))
+    scores = Tensor(np.array([0.9, 0.8, 0.7]))
     reg = Tensor(np.array([[0.0, 0.0, -3.0, -3.0], [0.0, 0.0, -2.0, -2.0], [0.0, 0.0, 0.0, 0.0]]))
-    props = propose(anchors, obj, reg, (64, 64), pre_nms=3, post_nms=3)
+    props = propose(anchors, scores, reg, (64, 64), pre_nms=3, post_nms=3)
     assert MIN_SIZE == 1.0
     assert props[:, :2].tolist() == [[30.0, 30.0], [50.0, 50.0]]
     assert props[0, 2] == pytest.approx(8.0 * np.exp(-2.0))
@@ -147,9 +159,9 @@ def test_propose_respects_caps_and_bounds():
 def test_propose_checks_anchor_alignment():
     model = _toy_model()
     x = Tensor(np.zeros((3, 64, 64)))
-    anchors, logits, offsets = rpn_forward(model, pyramid_forward(model, x))
+    anchors, scores, offsets = rpn_forward(model, pyramid_forward(model, x))
     with pytest.raises(ValueError, match=f"{len(anchors) - 1} anchors vs {len(anchors)} RPN positions"):
-        propose(anchors[1:], logits, offsets, (64, 64), pre_nms=1000, post_nms=100)
+        propose(anchors[1:], scores, offsets, (64, 64), pre_nms=1000, post_nms=100)
 
 
 def test_extract_roi_features_shapes_and_level_clamp():
@@ -210,8 +222,8 @@ def test_mask_head_tail_equals_upsampling_first():
     feats = Tensor(rng.standard_normal((5, model.cfg.fpn_dim, 14, 14)))
     h = relu(conv2d(feats, head.conv1.w, head.conv1.b, padding=1))
     h = relu(conv2d(h, head.conv2.w, head.conv2.b, padding=1))
-    first = sigmoid(conv2d(upsample_nearest(h, 2), head.out.w, head.out.b)).data
-    last = upsample_nearest(sigmoid(conv2d(h, head.out.w, head.out.b)), 2).data
+    first = sigmoid(conv2d(upsample_nearest(h), head.out.w, head.out.b)).data
+    last = upsample_nearest(sigmoid(conv2d(h, head.out.w, head.out.b))).data
     # the BLAS product rounds some 1x1 conv outputs differently at 28 x 28
     # than at 14 x 14, by at most a few units in the last place
     np.testing.assert_allclose(last, first, rtol=0.0, atol=1e-15)
@@ -372,6 +384,24 @@ def test_checkpoint_key_and_shape_mismatch(tmp_path):
     np.savez(tmp_path / "bad.npz", **bad)
     with pytest.raises(ValueError, match="shape"):
         load_checkpoint(model, str(tmp_path / "bad.npz"))
+
+
+def test_unreadable_checkpoint_is_rejected_without_leaking_its_file(tmp_path):
+    model = _toy_model()
+    truncated = str(tmp_path / "model.npz")
+    save_checkpoint(model, truncated)
+    with open(truncated, "r+b") as fh:
+        fh.truncate(4096)
+    bare = str(tmp_path / "array.npy")  # one array, not an archive
+    np.save(bare, np.zeros(3))
+    for path in (truncated, bare):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="unreadable checkpoint archive") as err:
+                load_checkpoint(model, path)
+            gc.collect()
+        assert path in str(err.value)
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_checkpoint_rejects_non_finite_arrays(tmp_path):

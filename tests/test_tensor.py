@@ -20,7 +20,6 @@ from attnmask.tensor import (
     log_softmax,
     max_pool2d,
     no_grad,
-    pool,
     relu,
     sigmoid,
     smooth_l1,
@@ -181,14 +180,51 @@ def test_linear_matches_manual():
     w = rng.standard_normal((5, 6))  # (out, in)
     b = rng.standard_normal(5)
     assert np.allclose(linear(Tensor(x), Tensor(w), Tensor(b)).data, x @ w.T + b)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        linear(Tensor(x[0]), Tensor(w), Tensor(b))  # one row is a (1, in) batch
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2, -1])
+def test_mean_and_max_over_axis(axis):
+    rng = np.random.default_rng(axis % 3)
+    x = rng.standard_normal((3, 4, 5))
+    np.testing.assert_allclose(Tensor(x).mean(axis).data, x.mean(axis=axis), rtol=0.0, atol=1e-15)
+    assert np.array_equal(Tensor(x).max(axis).data, x.max(axis=axis))
+    pw = rng.standard_normal(x.max(axis=axis).shape)
+    assert grad_check(lambda t: (t.mean(axis) * pw).sum(), Tensor(x)) < 1e-3
+    assert grad_check(lambda t: (t.max(axis) * pw).sum(), Tensor(x)) < 1e-3
+
+    # ties: along the axis each line holds 1 at its first and last entries
+    ties = np.zeros((3, 4, 5))
+    first = [slice(None)] * 3
+    first[axis] = 0
+    last = [slice(None)] * 3
+    last[axis] = -1
+    ties[tuple(first)] = ties[tuple(last)] = 1.0
+    t = Tensor(ties, requires_grad=True)
+    (t.max(axis) * pw).sum().backward()
+    want = np.zeros_like(ties)
+    want[tuple(first)] = pw
+    assert np.array_equal(t.grad, want)
+
+
+def global_pool(x: Tensor, axis: str, mode: str) -> Tensor:
+    """The attention gates' global descriptors of a (C,H,W) map, built from
+    Tensor.mean/max as the gates build them: axis="spatial" gives (C,1,1),
+    axis="channel" gives (1,H,W)."""
+    c, h, w = x.shape
+    if axis == "spatial":
+        flat = x.reshape(c, -1)
+        return (flat.mean(axis=1) if mode == "avg" else flat.max(axis=1)).reshape(c, 1, 1)
+    return (x.mean(axis=0) if mode == "avg" else x.max(axis=0)).reshape(1, h, w)
 
 
 def test_pool_modes():
     x = np.arange(24.0).reshape(2, 3, 4)
-    assert np.allclose(pool(Tensor(x), "spatial", "avg").data, x.mean(axis=(1, 2), keepdims=True))
-    assert np.allclose(pool(Tensor(x), "spatial", "max").data, x.max(axis=(1, 2), keepdims=True))
-    assert np.allclose(pool(Tensor(x), "channel", "avg").data, x.mean(axis=0, keepdims=True))
-    assert np.allclose(pool(Tensor(x), "channel", "max").data, x.max(axis=0, keepdims=True))
+    assert np.allclose(global_pool(Tensor(x), "spatial", "avg").data, x.mean(axis=(1, 2), keepdims=True))
+    assert np.allclose(global_pool(Tensor(x), "spatial", "max").data, x.max(axis=(1, 2), keepdims=True))
+    assert np.allclose(global_pool(Tensor(x), "channel", "avg").data, x.mean(axis=0, keepdims=True))
+    assert np.allclose(global_pool(Tensor(x), "channel", "max").data, x.max(axis=0, keepdims=True))
 
 
 @pytest.mark.parametrize("axis", ["spatial", "channel"])
@@ -196,14 +232,14 @@ def test_pool_modes():
 def test_pool_gradients(axis, mode):
     rng = np.random.default_rng(0)
     x = rng.standard_normal((3, 4, 5))
-    pw = rng.standard_normal(pool(Tensor(x), axis, mode).shape)
-    assert grad_check(lambda t: (pool(t, axis, mode) * pw).sum(), Tensor(x)) < 1e-3
+    pw = rng.standard_normal(global_pool(Tensor(x), axis, mode).shape)
+    assert grad_check(lambda t: (global_pool(t, axis, mode) * pw).sum(), Tensor(x)) < 1e-3
 
 
 def test_pool_max_ties_go_to_first_element():
     for axis, first in (("spatial", (slice(None), 0, 0)), ("channel", (0,))):
         t = Tensor(np.ones((2, 3, 2)), requires_grad=True)
-        pool(t, axis, "max").sum().backward()
+        global_pool(t, axis, "max").sum().backward()
         want = np.zeros((2, 3, 2))
         want[first] = 1.0
         assert np.array_equal(t.grad, want), axis
@@ -254,7 +290,7 @@ def test_max_pool2d_overlapping_winner_and_ties():
 
 def test_upsample_nearest_repeats_cells():
     x = np.array([[[1.0, 2.0], [3.0, 4.0]]])
-    up = upsample_nearest(Tensor(x), 2).data
+    up = upsample_nearest(Tensor(x)).data
     assert up.shape == (1, 4, 4)
     assert np.allclose(up[0, :2, :2], 1.0)
     assert np.allclose(up[0, 2:, 2:], 4.0)
@@ -348,7 +384,7 @@ def test_batched_conv2d_and_upsample_gradients(seed):
     pw = rng.standard_normal((2, 3, 6, 6))
 
     def head(x, w, b):
-        return (upsample_nearest(sigmoid(conv2d(x, w, b, stride=2, padding=1)), 2) * pw).sum()
+        return (upsample_nearest(sigmoid(conv2d(x, w, b, stride=2, padding=1))) * pw).sum()
 
     assert grad_check(lambda t: head(t, Tensor(w), Tensor(b)), Tensor(x)) < 1e-3
     assert grad_check(lambda t: head(Tensor(x), t, Tensor(b)), Tensor(w)) < 1e-3
@@ -357,8 +393,8 @@ def test_batched_conv2d_and_upsample_gradients(seed):
 
 def test_batched_upsample_repeats_each_sample():
     x = np.arange(12.0).reshape(3, 1, 2, 2)
-    up = upsample_nearest(Tensor(x), 2).data
-    assert np.array_equal(up, np.stack([upsample_nearest(Tensor(s), 2).data for s in x]))
+    up = upsample_nearest(Tensor(x)).data
+    assert np.array_equal(up, np.stack([upsample_nearest(Tensor(s)).data for s in x]))
 
 
 def test_no_grad_records_nothing_nests_and_restores():
