@@ -11,7 +11,8 @@ channel+spatial cascade.
 
 Defaults the surrounding literature settles and this config exposes:
 MLP reduction ratio r (default 16), ReLU between the MLP layers, and the
-adaptive kernel rule for the cross-channel 1-D convolution.
+adaptive kernel size of ECA's k-tap correlation across the channels, which
+`eca_gate` takes as a gather of (C, k) windows times the kernel.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, concat, conv1d, conv2d, linear, relu, sigmoid
+from .tensor import Tensor, concat, conv2d, gather_rows, linear, relu, sigmoid
 
 __all__ = [
     "GATES",
@@ -145,7 +146,7 @@ class CBAMParams:
 
 @dataclass
 class ECAParams:
-    """Cross-channel 1-D conv weights; no bias, matching the usual form."""
+    """The k taps of the cross-channel correlation; no bias, matching the usual form."""
 
     w: Tensor
 
@@ -190,11 +191,13 @@ def se_gate(x: Tensor, params: MLPParams) -> Tensor:
 
 
 def eca_gate(x: Tensor, params: ECAParams) -> Tensor:
-    """(C,1,1) gate from a 1-D conv sliding across the pooled channel vector."""
-    c = x.shape[0]
-    squeezed = x.reshape(c, -1).mean(axis=1)
-    k = params.kernel
-    return sigmoid(conv1d(squeezed, params.w, padding=(k - 1) // 2)).reshape(c, 1, 1)
+    """(C,1,1) gate from a k-tap correlation across the pooled channel
+    vector: its zero-padded (C, k) windows, gathered, times the kernel."""
+    c, k = x.shape[0], params.kernel
+    pad = Tensor(np.zeros(k // 2))
+    padded = concat([pad, x.reshape(c, -1).mean(axis=1), pad])
+    windows = gather_rows(padded, np.arange(c)[:, None] + np.arange(k))
+    return sigmoid(linear(windows, params.w.reshape(1, k), Tensor(np.zeros(1)))).reshape(c, 1, 1)
 
 
 # -- the variant table -----------------------------------------------------------

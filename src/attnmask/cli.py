@@ -96,9 +96,10 @@ def _parse_thresholds(text: str) -> tuple[float, ...]:
             value = float(token)
         except ValueError as exc:
             raise InputError(f"--thresholds: {token!r} is not a number or 'coco'") from exc
-        if not 0.0 < value < 1.0:
-            raise InputError(f"--thresholds: {value} outside (0, 1)")
-        out.append(round(value, 2))
+        rounded = round(value, 2)
+        if not 0.0 < rounded < 1.0:
+            raise InputError(f"--thresholds: {value} rounds to {rounded}, outside (0, 1)")
+        out.append(rounded)
     if not out:
         raise InputError("--thresholds: no values given")
     return tuple(sorted(set(out)))

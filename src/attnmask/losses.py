@@ -4,9 +4,10 @@ Classification uses the binary form -log[p*p_star + (1-p_star)(1-p)] on
 foreground probabilities (with a softmax cross-entropy extension for the
 multi-class region head), regression is a per-component smooth L1 over
 the four box offsets of positive samples, given as (N, 4) arrays, and the
-mask term is average binary cross entropy over the p x p grids of each
-positive region's matched class channel. Anchor labelling and region
-sampling draw their minibatches through one sampler, `sample_minibatch`.
+mask term is the mean of the same binary terms (`cls_loss`) over the
+p x p grids of each positive region's matched class channel. Anchor
+labelling and region sampling draw their minibatches through one sampler,
+`sample_minibatch`.
 
 The total is (1/N_cls) * sum(cls) + (lambda/N_reg) * sum(reg) + mask,
 and `total_loss` is the only place it is composed. Training calls it once
@@ -27,7 +28,7 @@ import numpy as np
 # iou is not called here but stays bound: the benchmark's tracer
 # (bench/layers.py) wraps boxes.iou in every module that imports it
 from .boxes import iou, pairwise_iou  # noqa: F401
-from .tensor import Tensor, clamp, log, log_softmax, smooth_l1
+from .tensor import Tensor, clamp, gather_rows, log, log_softmax, smooth_l1
 
 __all__ = [
     "EPS",
@@ -140,19 +141,17 @@ def cls_loss(p: Tensor, p_star) -> Tensor:
     """
     y = np.asarray(p_star, dtype=np.float64)
     if y.shape != p.shape:
-        raise ValueError(f"label shape {y.shape} != probability shape {p.shape}")
+        raise ValueError(f"target shape {y.shape} != prediction shape {p.shape}")
     pc = clamp(p, EPS, 1.0 - EPS)
     inner = pc * (2.0 * y - 1.0) + (1.0 - y)
     return -log(inner)
 
 
 def softmax_ce(logits: Tensor, labels) -> Tensor:
-    """Multi-class extension of cls_loss: -log softmax(logits)[label] per row."""
-    labels = np.asarray(labels, dtype=np.intp)
-    lsm = log_softmax(logits)
-    onehot = np.zeros(logits.shape)
-    onehot[np.arange(labels.size), labels] = 1.0
-    return -((lsm * onehot).sum(axis=1))
+    """Multi-class extension of cls_loss: -log softmax(logits)[label] per row
+    of (N, K) logits, read as entry i * K + label of the flattened rows."""
+    n, k = logits.shape
+    return -gather_rows(log_softmax(logits).reshape(n * k), np.arange(n) * k + labels)
 
 
 def reg_loss(t: Tensor, t_star) -> Tensor:
@@ -169,22 +168,17 @@ def reg_loss(t: Tensor, t_star) -> Tensor:
 
 
 def mask_loss(y: Tensor, y_star: np.ndarray) -> Tensor:
-    """Average binary cross entropy of predicted grids y against binary
-    targets y_star of the same shape: one p x p grid or a (P, p, p) stack.
+    """Average binary cross entropy, the mean of cls_loss's per-cell terms,
+    of predicted grids y against binary targets y_star of the same shape:
+    one p x p grid or a (P, p, p) stack.
 
     The 1/p^2 normalization makes the value invariant under grid
     refinement with identical per-cell terms. All grids of a stack have p^2
     cells, so its mean is the mean of the per-region means.
     """
-    ys = np.asarray(y_star, dtype=np.float64)
-    if not np.isin(ys, (0, 1)).all():
+    if not np.isin(y_star, (0, 1)).all():
         raise ValueError("mask targets must be binary")
-    if ys.shape != y.shape:
-        raise ValueError(f"target shape {ys.shape} != prediction shape {y.shape}")
-    yc = clamp(y, EPS, 1.0 - EPS)
-    fg = log(yc) * ys
-    bg = log(1.0 - yc) * (1.0 - ys)
-    return -((fg + bg).mean())
+    return cls_loss(y, y_star).mean()
 
 
 @dataclass

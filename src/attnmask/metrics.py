@@ -186,15 +186,17 @@ def map_report(
 ) -> EvalReport:
     """Evaluate detections against ground truth at one or more IoU thresholds.
 
-    thresholds defaults (None) to COCO_SWEEP; an empty sequence, or a value
-    that does not round to two places inside (0, 1), raises ValueError.
-    Classes with zero non-crowd ground truth are excluded from every mAP
-    mean. The sweep aggregate is filled only when all 10 sweep thresholds
-    were evaluated; 0.5/0.75 aggregates only when those thresholds were.
+    thresholds defaults (None) to COCO_SWEEP. An empty sequence, a value
+    that does not round to two places inside (0, 1), and max_dets < 1
+    raise ValueError. Classes with zero non-crowd ground truth are excluded
+    from every mAP mean. The sweep aggregate is filled only when all 10
+    sweep thresholds were evaluated; 0.5/0.75 aggregates only when those were.
     """
     thresholds = tuple(round(float(t), 2) for t in (COCO_SWEEP if thresholds is None else thresholds))
     if not thresholds or not all(0.0 < t < 1.0 for t in thresholds):
         raise ValueError(f"IoU thresholds must be a non-empty sequence in (0, 1), got {thresholds}")
+    if max_dets < 1:
+        raise ValueError(f"max_dets must be at least 1, got {max_dets}")
     class_gt_counts: dict[int, int] = {}
     for g in gts:
         if not g.iscrowd:

@@ -4,8 +4,8 @@ Shapes follow channel-first conventions: feature maps are (C, H, W), or an
 (N, C, H, W) batch for `conv2d` and `upsample_nearest` (each sample gets a
 single map's arithmetic), and flattened predictions are (N,) or (N, K). The
 op set is what the attention blocks, pyramid fusion and detector heads need;
-the attention gates take their avg and max descriptors with `Tensor.mean`
-and `Tensor.max` along one axis of a reshaped map.
+the gates pool with `Tensor.mean`/`Tensor.max`, and ECA's 1-D correlation
+is a `gather_rows` of zero-padded windows into `linear`.
 `conv2d` and `max_pool2d` read their windows through one strided gather, and
 `conv2d`'s input gradient is a correlation with the flipped kernel, so no op
 scatters window by window. Reductions go through numpy, whose pairwise
@@ -40,7 +40,6 @@ __all__ = [
     "clamp",
     "smooth_l1",
     "conv2d",
-    "conv1d",
     "linear",
     "max_pool2d",
     "upsample_nearest",
@@ -388,29 +387,6 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
             _accum(x, (wflip @ gcols).reshape(x.shape))
 
     return Tensor(out, _parents=(x, w, b), _backward=bwd)
-
-
-def conv1d(x: Tensor, w: Tensor, padding: int) -> Tensor:
-    """1-D cross-correlation along a (C,) vector with zero padding."""
-    (c,) = x.shape
-    (k,) = w.shape
-    if k % 2 == 0:
-        raise ValueError("conv1d kernel must be odd")
-    xp = np.zeros(c + 2 * padding)
-    xp[padding : padding + c] = x.data
-    out = np.correlate(xp, w.data, mode="valid")
-    if out.shape != (c,):
-        raise ValueError(f"conv1d padding {padding} does not preserve length {c}")
-
-    def bwd(g, x=x, w=w, xp=xp):
-        _accum(w, np.correlate(xp, g, mode="valid"))
-        if x.requires_grad:
-            dxp = np.zeros_like(xp)
-            for j in range(k):
-                dxp[j : j + c] += g * w.data[j]
-            _accum(x, dxp[padding : padding + c])
-
-    return Tensor(out, _parents=(x, w), _backward=bwd)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:

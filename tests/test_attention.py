@@ -12,13 +12,14 @@ from attnmask.attention import (
     MLPParams,
     apply_attention,
     channel_gate,
+    eca_gate,
     eca_kernel_size,
     init_uniform,
     make_attention,
     spatial_gate,
 )
 from attnmask.model import ModelConfig, build_model
-from attnmask.tensor import Tensor
+from attnmask.tensor import Tensor, grad_check
 from oracles import attention_reference
 
 
@@ -174,11 +175,31 @@ def test_config_rejects_unknown_variant():
         AttentionConfig(channels=8, reduction=4, variant="senet")
 
 
-@pytest.mark.parametrize("variant", list(GATES))
-def test_gates_match_equation_oracle(variant):
+# ECA kernels 1-7 over 4 and 8 channels; k = 7 over 4 channels pads wider
+# than half the pooled vector, so some windows hold more zeros than values
+_ECA_SIZES = [(k, c) for k in (1, 3, 5, 7) for c in (4, 8)]
+
+
+@pytest.mark.parametrize(
+    "variant,channels,eca_kernel",
+    [pytest.param(v, 8, "adaptive", id=v) for v in GATES]
+    + [pytest.param("eca", c, k, id=f"eca-k{k}-c{c}") for k, c in _ECA_SIZES],
+)
+def test_gates_match_equation_oracle(variant, channels, eca_kernel):
     # he_uniform weights push the gates well away from their 0.5 midpoint
     rng = np.random.default_rng(5)
-    params = make_attention(AttentionConfig(channels=8, reduction=2, variant=variant, init="he_uniform"), rng)
-    x = rng.standard_normal((8, 6, 5))
+    cfg = AttentionConfig(channels, reduction=2, variant=variant, eca_kernel=eca_kernel, init="he_uniform")
+    params = make_attention(cfg, rng)
+    x = rng.standard_normal((channels, 6, 5))
     got = apply_attention(Tensor(x), params).data
     np.testing.assert_allclose(got, attention_reference(x, variant, params), rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("k,c", _ECA_SIZES, ids=[f"k{k}-c{c}" for k, c in _ECA_SIZES])
+def test_eca_gate_gradients(k, c):
+    rng = np.random.default_rng(k * 10 + c)
+    x = rng.standard_normal((c, 3, 4))
+    w = rng.uniform(-1.0, 1.0, k)
+    probe = Tensor(rng.standard_normal((c, 1, 1)))  # weights every gate entry differently
+    assert grad_check(lambda t: (eca_gate(t, ECAParams(Tensor(w))) * probe).sum(), Tensor(x)) < 1e-6
+    assert grad_check(lambda t: (eca_gate(Tensor(x), ECAParams(t)) * probe).sum(), Tensor(w)) < 1e-6

@@ -75,6 +75,11 @@ def test_evaluate_rejects_bad_thresholds(tmp_path, capsys):
     assert "'high'" in capsys.readouterr().err
     assert cli(["evaluate", "--gt", gt, "--det", det, "--thresholds", "1.5"]) == 2
     assert "outside" in capsys.readouterr().err
+    # the range check reads the rounded value that map_report would score
+    for token, rounded in (("0.999", "1.0"), ("0.001", "0.0"), ("0.004", "0.0")):
+        assert cli(["evaluate", "--gt", gt, "--det", det, "--thresholds", token]) == 2
+        err = capsys.readouterr().err
+        assert f"--thresholds: {token} rounds to {rounded}, outside (0, 1)" in err
 
 
 def test_parse_thresholds_expands_coco():

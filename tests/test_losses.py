@@ -7,6 +7,7 @@ import pytest
 
 from attnmask.boxes import Box, box_array, encode
 from attnmask.losses import (
+    EPS,
     IGNORE,
     NEGATIVE,
     POSITIVE,
@@ -18,7 +19,7 @@ from attnmask.losses import (
     softmax_ce,
     total_loss,
 )
-from attnmask.tensor import Tensor, grad_check
+from attnmask.tensor import Tensor, clamp, grad_check, log, log_softmax
 
 
 def _cls(p: float, y: float) -> float:
@@ -40,7 +41,7 @@ def test_cls_loss_direction_and_clamp():
 
 
 def test_cls_loss_shape_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"target shape \(4,\) != prediction shape \(3,\)"):
         cls_loss(Tensor(np.ones(3)), np.ones(4))
 
 
@@ -104,6 +105,56 @@ def test_mask_loss_log_complement_variant_differs():
     background = mask_loss(y, np.zeros((2, 2))).item()
     assert background == pytest.approx(-math.log(0.7))
     assert background != pytest.approx(-0.7)
+
+
+# the formulas mask_loss and softmax_ce had before they reused cls_loss and
+# gather_rows; the rewrites keep every value and gradient bit for bit
+def _mask_loss_two_logs(y, ys):
+    yc = clamp(y, EPS, 1.0 - EPS)
+    return -((log(yc) * ys + log(1.0 - yc) * (1.0 - ys)).mean())
+
+
+def _softmax_ce_onehot(logits, labels):
+    onehot = np.zeros(logits.shape)
+    onehot[np.arange(labels.size), labels] = 1.0
+    return -((log_softmax(logits) * onehot).sum(axis=1))
+
+
+def _value_and_grad(fn, x):
+    leaf = Tensor(x, requires_grad=True)
+    out = fn(leaf)
+    out.backward()
+    return out.data, leaf.grad
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_mask_loss_bit_equals_two_log_form(seed):
+    rng = np.random.default_rng(seed)
+    shape = [(5, 5), (3, 4, 4), (1, 2, 2)][seed % 3]
+    y = rng.uniform(0.0, 1.0, shape)
+    # a quarter of the cells sit where the clamp saturates, on both sides
+    edge = rng.uniform(size=shape) < 0.25
+    y[edge] = rng.choice([0.0, 1e-12, EPS, 1.0 - EPS, 1.0 - 1e-12, 1.0], size=int(edge.sum()))
+    ys = rng.integers(0, 2, shape).astype(np.float64)
+    got = _value_and_grad(lambda t: mask_loss(t, ys), y)
+    want = _value_and_grad(lambda t: _mask_loss_two_logs(t, ys), y)
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_softmax_ce_bit_equals_onehot_form(seed):
+    rng = np.random.default_rng(seed)
+    n, k = int(rng.integers(1, 9)), int(rng.integers(2, 6))
+    logits = rng.standard_normal((n, k)) * 4.0
+    labels = rng.integers(0, k, n)
+    weights = Tensor(rng.standard_normal(n))  # a different gradient per row
+    got = _value_and_grad(lambda t: (softmax_ce(t, labels) * weights).sum(), logits)
+    want = _value_and_grad(lambda t: (_softmax_ce_onehot(t, labels) * weights).sum(), logits)
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(softmax_ce(Tensor(logits), labels).data,
+                                  _softmax_ce_onehot(Tensor(logits), labels).data)
 
 
 def test_total_loss_hand_composition():

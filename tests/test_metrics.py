@@ -185,6 +185,14 @@ def test_max_dets_cap_applies_per_image_and_class():
     assert rep_full.counts[0.5][0] == 1
 
 
+@pytest.mark.parametrize("max_dets", [0, -1])
+def test_max_dets_must_keep_a_detection(max_dets):
+    # 0 would drop every detection and -1 each group's lowest-scored one
+    gt = [_gt(B((0, 0, 10, 10)))]
+    with pytest.raises(ValueError, match=f"max_dets must be at least 1, got {max_dets}"):
+        map_report([_det(0.9, B((0, 0, 10, 10)))], gt, max_dets=max_dets)
+
+
 def test_matches_exhaustive_reference_200_instances():
     rng = np.random.default_rng(23)
     for case in range(200):

@@ -11,7 +11,6 @@ from attnmask.tensor import (
     Tensor,
     clamp,
     concat,
-    conv1d,
     conv2d,
     gather_rows,
     grad_check,
@@ -162,16 +161,6 @@ def test_conv2d_stride_shape():
     x = Tensor(np.zeros((1, 8, 8)))
     w = Tensor(np.zeros((4, 1, 3, 3)))
     assert conv2d(x, w, Tensor(np.zeros(4)), stride=2, padding=1).shape == (4, 4, 4)
-
-
-def test_conv1d_matches_manual():
-    rng = np.random.default_rng(2)
-    x = rng.standard_normal(7)
-    w = rng.standard_normal(3)
-    out = conv1d(Tensor(x), Tensor(w), padding=1).data
-    xp = np.pad(x, 1)
-    want = np.array([(xp[i : i + 3] * w).sum() for i in range(7)])
-    assert np.allclose(out, want)
 
 
 def test_linear_matches_manual():
