@@ -11,6 +11,10 @@ expressions of the Box properties, so an array result equals the scalar
 one bit for bit. `box_array` turns a list of Box into rows and
 ``Box(*row)`` turns a row back; the scalar `encode` and `decode` wrap the
 array code, so each formula exists once.
+
+`nms` walks the sorted rows in blocks of NMS_BLOCK and tests each block
+only against the rows already kept, so its overlap blocks are bounded by
+NMS_BLOCK x kept, and it stops once it has kept the rows its caller asks for.
 """
 
 from __future__ import annotations
@@ -44,8 +48,9 @@ __all__ = [
 # cannot produce a box with overflowing area.
 LOG_EXTENT_CAP = math.log(1000.0)
 
-# rows of the sorted boxes tested against the rest per NMS block: bounds the
-# over-threshold block at 64 x N instead of a dense N x N matrix
+# sorted rows per NMS block; a block is tested against the rows kept before
+# it and then against itself, so an over-threshold block is at most
+# 64 x kept, never a dense N x N matrix
 NMS_BLOCK = 64
 
 
@@ -257,21 +262,30 @@ def nms(
     scores,
     iou_threshold: float,
     score_threshold: float = 0.5,
+    max_keep: int | None = None,
 ) -> list[int]:
     """Greedy non-maximum suppression over a list of Box or (N, 4) rows.
 
     Drops boxes scoring below score_threshold, then repeatedly keeps the
     highest-scoring survivor and suppresses everything overlapping it above
     iou_threshold. Score ties resolve to the lower original index. Returns
-    kept indices ordered by descending score.
+    kept indices ordered by descending score, at most max_keep of them:
+    the first max_keep of the uncapped result.
 
-    The overlap test runs in blocks of NMS_BLOCK sorted rows against every
-    later row, skipping rows that are already suppressed.
+    A row is kept exactly when no earlier kept row overlaps it. So each
+    block of NMS_BLOCK sorted rows is first tested against the rows kept
+    before it, and its survivors are then settled in order against each
+    other. The work is NMS_BLOCK x kept per block, and it stops at the first
+    block that brings the kept count to max_keep.
     """
     boxes = box_array(boxes)
     scores = np.asarray(scores, dtype=np.float64)
     if boxes.shape[0] != scores.shape[0]:
         raise ValueError("boxes and scores must have equal length")
+    if not 0.0 <= iou_threshold <= 1.0:
+        raise ValueError(f"iou_threshold must be in [0, 1], got {iou_threshold}")
+    if max_keep is not None and max_keep < 1:
+        raise ValueError(f"max_keep must be at least 1, got {max_keep}")
 
     alive = np.flatnonzero(scores >= score_threshold)
     # stable sort on negated scores: ties keep original index order
@@ -279,16 +293,25 @@ def nms(
     x1, y1, x2, y2 = (c[order] for c in corners(boxes))
     areas = (x2 - x1) * (y2 - y1)
 
-    active = np.ones(order.size, dtype=bool)
-    for lo in range(0, order.size, NMS_BLOCK):
-        rows = np.flatnonzero(active[lo : lo + NMS_BLOCK]) + lo
-        if rows.size == 0:
-            continue
-        ix = np.minimum(x2[rows, None], x2[lo:]) - np.maximum(x1[rows, None], x1[lo:])
-        iy = np.minimum(y2[rows, None], y2[lo:]) - np.maximum(y1[rows, None], y1[lo:])
+    def over(a, b):
+        """(len(a), len(b)) mask: earlier sorted row a[i] overlaps later b[j]."""
+        ix = np.minimum(x2[a, None], x2[b]) - np.maximum(x1[a, None], x1[b])
+        iy = np.minimum(y2[a, None], y2[b]) - np.maximum(y1[a, None], y1[b])
         inter = np.clip(ix, 0.0, None) * np.clip(iy, 0.0, None)
-        over = inter / (areas[rows, None] + areas[lo:] - inter) > iou_threshold
-        for i, row in zip(rows, over):
+        return inter / (areas[a, None] + areas[b] - inter) > iou_threshold
+
+    cap = order.size if max_keep is None else max_keep
+    kept = np.zeros(0, dtype=np.intp)
+    for lo in range(0, order.size, NMS_BLOCK):
+        if kept.size >= cap:
+            break
+        rows = np.arange(lo, min(lo + NMS_BLOCK, order.size))
+        if kept.size:
+            rows = rows[~over(kept, rows).any(axis=0)]
+        inside = over(rows, rows)
+        active = np.ones(rows.size, dtype=bool)
+        for i in range(rows.size):
             if active[i]:
-                active[i + 1 :] &= ~row[i + 1 - lo :]
-    return order[active].tolist()
+                active[i + 1 :] &= ~inside[i, i + 1 :]
+        kept = np.concatenate([kept, rows[active]])
+    return order[kept[:cap]].tolist()

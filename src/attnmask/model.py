@@ -321,7 +321,8 @@ def propose(
 ) -> np.ndarray:
     """Decode and filter RPN outputs into at most post_nms proposals, as
     (N, 4) center-form rows in descending score order: the pre_nms best
-    anchors are refined, and NMS at RPN_NMS_IOU picks among them.
+    anchors are refined, and NMS at RPN_NMS_IOU picks among them, stopping
+    once it has kept post_nms. Both caps must be at least 1.
 
     anchors, scores (A,) and offsets (A, 4) are rpn_forward's rows.
     Runs on raw values; no gradient flows through proposal coordinates.
@@ -330,11 +331,14 @@ def propose(
     scores = scores.data
     if anchors.shape[0] != scores.shape[0]:
         raise ValueError(f"{anchors.shape[0]} anchors vs {scores.shape[0]} RPN positions")
+    for name, cap in (("pre_nms", pre_nms), ("post_nms", post_nms)):
+        if cap < 1:
+            raise ValueError(f"{name} must be at least 1, got {cap}")
 
     order = np.argsort(-scores, kind="stable")[:pre_nms]
     boxes, kept = _refine(anchors[order], offsets.data[order], w, h)
-    keep = nms(boxes, scores[order][kept], RPN_NMS_IOU, score_threshold=0.0)
-    return boxes[keep[:post_nms]]
+    keep = nms(boxes, scores[order][kept], RPN_NMS_IOU, score_threshold=0.0, max_keep=post_nms)
+    return boxes[keep]
 
 
 def paste_mask(probs: np.ndarray, boxes: np.ndarray, height: int, width: int) -> np.ndarray:

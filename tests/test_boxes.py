@@ -149,6 +149,30 @@ def test_nms_empty_and_length_mismatch():
         nms([Box(1, 1, 1, 1)], [0.5, 0.6], 0.5)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"iou_threshold": float("nan")}, r"iou_threshold must be in \[0, 1\], got nan"),
+        ({"iou_threshold": -0.1}, r"iou_threshold must be in \[0, 1\], got -0.1"),
+        ({"iou_threshold": 1.5}, r"iou_threshold must be in \[0, 1\], got 1.5"),
+        ({"iou_threshold": 0.5, "max_keep": 0}, "max_keep must be at least 1, got 0"),
+        ({"iou_threshold": 0.5, "max_keep": -1}, "max_keep must be at least 1, got -1"),
+    ],
+    ids=["nan-threshold", "negative-threshold", "threshold-above-one", "zero-cap", "negative-cap"],
+)
+def test_nms_rejects_bad_threshold_and_cap(kwargs, message):
+    boxes = [Box(5.0, 5.0, 4.0, 4.0), Box(5.0, 5.0, 4.0, 4.0)]
+    with pytest.raises(ValueError, match=message):
+        nms(boxes, [0.9, 0.8], **kwargs)
+
+
+def test_nms_threshold_bounds_are_valid():
+    boxes = [Box(5.0, 5.0, 4.0, 4.0), Box(5.0, 5.0, 4.0, 4.0), Box(20.0, 5.0, 4.0, 4.0)]
+    # at 0 any overlap suppresses; at 1 even identical boxes survive
+    assert nms(boxes, [0.9, 0.8, 0.7], 0.0) == [0, 2]
+    assert nms(boxes, [0.9, 0.8, 0.7], 1.0) == [0, 1, 2]
+
+
 def test_nms_matches_bruteforce_500_instances():
     rng = np.random.default_rng(7)
     for case in range(500):
@@ -186,8 +210,9 @@ def test_pairwise_iou_equals_scalar_iou(a, b):
     seed=st.integers(0, 2**32 - 1),
     grid=st.sampled_from([0.5, 2.0, 8.0]),
     thr=st.floats(0.1, 0.9),
+    k=st.integers(1, 3 * NMS_BLOCK + 1),
 )
-def test_array_nms_matches_bruteforce_with_ties(n, seed, grid, thr):
+def test_array_nms_matches_bruteforce_with_ties(n, seed, grid, thr, k):
     rng = np.random.default_rng(seed)
     # coarse grids repeat boxes; two-decimal scores repeat scores
     xy = np.round(rng.uniform(0, 60, (n, 2)) / grid) * grid
@@ -198,3 +223,8 @@ def test_array_nms_matches_bruteforce_with_ties(n, seed, grid, thr):
     want = nms_bruteforce([(b.x1, b.y1, b.x2, b.y2) for b in boxes], scores, thr, 0.2)
     assert nms(rows, scores, thr, score_threshold=0.2) == want
     assert nms(boxes, scores, thr, score_threshold=0.2) == want
+    # a cap keeps the uncapped result's prefix, also where it splits tied
+    # scores, lands on or past a block boundary or exceeds the kept count
+    for cap in {k, NMS_BLOCK, NMS_BLOCK + 1, len(want) + 1}:
+        assert nms(rows, scores, thr, score_threshold=0.2, max_keep=cap) == want[:cap]
+        assert nms(boxes, scores, thr, score_threshold=0.2, max_keep=cap) == want[:cap]

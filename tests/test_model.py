@@ -156,6 +156,28 @@ def test_propose_respects_caps_and_bounds():
     assert props[0, 2] == pytest.approx(8.0 * np.exp(-2.0))
 
 
+def test_propose_cap_keeps_the_uncapped_prefix():
+    model = _toy_model()
+    x = Tensor(np.random.default_rng(1).uniform(size=(3, 64, 64)))
+    anchors, scores, offsets = rpn_forward(model, pyramid_forward(model, x))
+    full = propose(anchors, scores, offsets, (64, 64), pre_nms=300, post_nms=300)
+    assert 100 < len(full) < 300
+    for k in (1, 12, 100, 300):
+        got = propose(anchors, scores, offsets, (64, 64), pre_nms=300, post_nms=k)
+        np.testing.assert_array_equal(got, full[:k])
+
+
+@pytest.mark.parametrize("caps", [{"pre_nms": 0}, {"pre_nms": -1}, {"post_nms": 0}, {"post_nms": -1}],
+                         ids=["zero-pre", "negative-pre", "zero-post", "negative-post"])
+def test_propose_rejects_caps_below_one(caps):
+    anchors = box_array([Box(10.0, 10.0, 8.0, 8.0), Box(30.0, 30.0, 8.0, 8.0), Box(50.0, 50.0, 8.0, 8.0)])
+    scores = Tensor(np.array([0.9, 0.8, 0.7]))
+    offsets = Tensor(np.zeros((3, 4)))
+    (name, value), = caps.items()
+    with pytest.raises(ValueError, match=f"{name} must be at least 1, got {value}"):
+        propose(anchors, scores, offsets, (64, 64), **{"pre_nms": 3, "post_nms": 3, **caps})
+
+
 def test_propose_checks_anchor_alignment():
     model = _toy_model()
     x = Tensor(np.zeros((3, 64, 64)))
