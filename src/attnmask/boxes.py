@@ -15,6 +15,7 @@ array code, so each formula exists once.
 `nms` walks the sorted rows in blocks of NMS_BLOCK and tests each block
 only against the rows already kept, so its overlap blocks are bounded by
 NMS_BLOCK x kept, and it stops once it has kept the rows its caller asks for.
+Given per-row labels it suppresses only within a label, as for detections.
 """
 
 from __future__ import annotations
@@ -261,16 +262,16 @@ def nms(
     boxes,
     scores,
     iou_threshold: float,
-    score_threshold: float = 0.5,
     max_keep: int | None = None,
+    labels=None,
 ) -> list[int]:
     """Greedy non-maximum suppression over a list of Box or (N, 4) rows.
 
-    Drops boxes scoring below score_threshold, then repeatedly keeps the
-    highest-scoring survivor and suppresses everything overlapping it above
-    iou_threshold. Score ties resolve to the lower original index. Returns
-    kept indices ordered by descending score, at most max_keep of them:
-    the first max_keep of the uncapped result.
+    Repeatedly keeps the highest-scoring remaining box and suppresses the
+    boxes overlapping it above iou_threshold; with per-row labels only
+    boxes of its label. Score ties resolve to the lower original index.
+    Returns kept indices ordered by descending score, at most max_keep of
+    them: the first max_keep of the uncapped result.
 
     A row is kept exactly when no earlier kept row overlaps it. So each
     block of NMS_BLOCK sorted rows is first tested against the rows kept
@@ -280,25 +281,26 @@ def nms(
     """
     boxes = box_array(boxes)
     scores = np.asarray(scores, dtype=np.float64)
-    if boxes.shape[0] != scores.shape[0]:
-        raise ValueError("boxes and scores must have equal length")
+    if boxes.shape[0] != scores.shape[0] or labels is not None and len(labels) != scores.shape[0]:
+        raise ValueError("boxes, scores and labels must have equal length")
     if not 0.0 <= iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold must be in [0, 1], got {iou_threshold}")
     if max_keep is not None and max_keep < 1:
         raise ValueError(f"max_keep must be at least 1, got {max_keep}")
 
-    alive = np.flatnonzero(scores >= score_threshold)
     # stable sort on negated scores: ties keep original index order
-    order = alive[np.argsort(-scores[alive], kind="stable")]
+    order = np.argsort(-scores, kind="stable")
     x1, y1, x2, y2 = (c[order] for c in corners(boxes))
     areas = (x2 - x1) * (y2 - y1)
+    labels = None if labels is None else np.asarray(labels)[order]
 
     def over(a, b):
         """(len(a), len(b)) mask: earlier sorted row a[i] overlaps later b[j]."""
         ix = np.minimum(x2[a, None], x2[b]) - np.maximum(x1[a, None], x1[b])
         iy = np.minimum(y2[a, None], y2[b]) - np.maximum(y1[a, None], y1[b])
         inter = np.clip(ix, 0.0, None) * np.clip(iy, 0.0, None)
-        return inter / (areas[a, None] + areas[b] - inter) > iou_threshold
+        hit = inter / (areas[a, None] + areas[b] - inter) > iou_threshold
+        return hit if labels is None else hit & (labels[a, None] == labels[b])
 
     cap = order.size if max_keep is None else max_keep
     kept = np.zeros(0, dtype=np.intp)

@@ -6,11 +6,11 @@ gradients cannot cancel out), and compares the taped gradient against
 central differences. Sizes are chosen small enough that the whole battery
 stays well under the advertised two-minute budget.
 
-Inputs are drawn from continuous distributions and nudged away from the
-two genuine kinks in the graph: the smooth-L1 curvature switch at |d| = 1
-and near-ties between the four ROI Align samples competing for a bin max.
-Both guards avoid false alarms from finite differences straddling a kink;
-neither hides a real gradient bug.
+Inputs are drawn from continuous distributions, with two guards against
+finite differences straddling a kink: smooth-L1 inputs stay 0.01 away from
+its |d| = 1 curvature switch, and the bottleneck case (three relus) is
+redrawn up to five times, keeping its best attempt. Neither guard hides a
+real gradient bug, which fails every attempt alike.
 """
 
 from __future__ import annotations

@@ -337,7 +337,7 @@ def propose(
 
     order = np.argsort(-scores, kind="stable")[:pre_nms]
     boxes, kept = _refine(anchors[order], offsets.data[order], w, h)
-    keep = nms(boxes, scores[order][kept], RPN_NMS_IOU, score_threshold=0.0, max_keep=post_nms)
+    keep = nms(boxes, scores[order][kept], RPN_NMS_IOU, max_keep=post_nms)
     return boxes[keep]
 
 
@@ -378,7 +378,11 @@ class InstancePrediction:
 @no_grad()
 def infer(model: Model, image, image_id: int = 0, conf_threshold: float = 0.5) -> list[InstancePrediction]:
     """Full detection pass on one 3xHxW image in [0,1]: up to 100 proposals
-    from the 1000 best anchors, then at most MAX_DETS detections."""
+    from the 1000 best anchors, then at most MAX_DETS detections: the
+    (class, box) pairs scoring at least conf_threshold, which must be in
+    [0, 1], after one NMS call that suppresses within each class only."""
+    if not 0.0 <= conf_threshold <= 1.0:
+        raise ValueError(f"conf_threshold must be in [0, 1], got {conf_threshold}")
     x = image if isinstance(image, Tensor) else Tensor(np.asarray(image, dtype=np.float64))
     height, width = x.shape[1], x.shape[2]
     pyramid = pyramid_forward(model, x)
@@ -391,26 +395,19 @@ def infer(model: Model, image, image_id: int = 0, conf_threshold: float = 0.5) -
     probs = np.exp(log_softmax(logits).data)
     refined, kept = _refine(proposals, deltas.data, float(width), float(height))
 
-    final: list[tuple[int, np.ndarray, float]] = []
-    for k in range(1, model.cfg.num_classes + 1):
-        scores = probs[kept, k]
-        fire = np.flatnonzero(scores >= conf_threshold)
-        boxes, scores = refined[fire], scores[fire]
-        for i in nms(boxes, scores, DET_NMS_IOU, score_threshold=0.0):
-            final.append((k, boxes[i], float(scores[i])))
-    final.sort(key=lambda t: -t[2])
-    final = final[:MAX_DETS]
+    # class-major candidates, so nms's stable sort breaks score ties by class, then row
+    classes, rows = np.nonzero(probs[kept, 1:].T >= conf_threshold)
+    scores = probs[kept[rows], classes + 1]
+    keep = nms(refined[rows], scores, DET_NMS_IOU, max_keep=MAX_DETS, labels=classes)
+    boxes, scores, classes = refined[rows[keep]], scores[keep].tolist(), classes[keep] + 1
 
     preds = []
-    for lo in range(0, len(final), MASK_CHUNK):
-        chunk = final[lo : lo + MASK_CHUNK]
-        rows = np.array([row for _, row, _ in chunk])
-        classes = np.array([k for k, _, _ in chunk])
-        feats = extract_roi_features(pyramid, rows, model.cfg.mask_resolution)
-        masks = paste_mask(mask_head_forward(model, feats, classes).data, rows, height, width)
-        for (k, row, score), mask in zip(chunk, masks):
-            det = Detection(image_id=image_id, class_id=k, box=Box(*row.tolist()), score=score)
-            preds.append(InstancePrediction(detection=det, mask=mask))
+    for lo in range(0, len(keep), MASK_CHUNK):
+        chunk = slice(lo, lo + MASK_CHUNK)
+        feats = extract_roi_features(pyramid, boxes[chunk], model.cfg.mask_resolution)
+        masks = paste_mask(mask_head_forward(model, feats, classes[chunk]).data, boxes[chunk], height, width)
+        for k, row, score, mask in zip(classes[chunk].tolist(), boxes[chunk], scores[chunk], masks):
+            preds.append(InstancePrediction(Detection(image_id, k, Box(*row.tolist()), score), mask))
     return preds
 
 

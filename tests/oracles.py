@@ -30,6 +30,32 @@ def nms_bruteforce(boxes_xyxy, scores, iou_threshold, score_threshold=0.5):
     return kept
 
 
+def nms_per_label_bruteforce(boxes_xyxy, scores, iou_threshold, labels):
+    """nms_bruteforce within each label, merged by descending score, then index."""
+    kept = []
+    for label in sorted(set(labels)):
+        rows = [i for i, lab in enumerate(labels) if lab == label]
+        picked = nms_bruteforce([boxes_xyxy[i] for i in rows], [scores[i] for i in rows],
+                                iou_threshold, score_threshold=0.0)
+        kept += [rows[j] for j in picked]
+    return sorted(kept, key=lambda i: (-scores[i], i))
+
+
+def detections_per_class(probs, boxes_xyxy, conf_threshold, iou_threshold):
+    """Per-class detection NMS: for each foreground class k (column k > 0 of
+    the (R, K+1) probs), the rows scoring at least conf_threshold go through
+    nms_bruteforce; the survivors of all classes are then stably sorted by
+    descending score. Uncapped (class, row, score) triples."""
+    final = []
+    for k in range(1, len(probs[0])):
+        fire = [i for i in range(len(probs)) if probs[i][k] >= conf_threshold]
+        picked = nms_bruteforce([boxes_xyxy[i] for i in fire], [probs[i][k] for i in fire],
+                                iou_threshold, score_threshold=0.0)
+        final += [(k, fire[j], probs[fire[j]][k]) for j in picked]
+    final.sort(key=lambda t: -t[2])
+    return final
+
+
 def bilinear_hat(feature, sy, sx):
     """Interpolate one point as the full hat-weighted sum over all cells."""
     c, h, w = feature.shape

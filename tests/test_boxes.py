@@ -23,7 +23,7 @@ from attnmask.boxes import (
     nms,
     pairwise_iou,
 )
-from oracles import nms_bruteforce
+from oracles import nms_bruteforce, nms_per_label_bruteforce
 
 
 def test_box_forms_roundtrip():
@@ -132,7 +132,7 @@ def test_nms_hand_case():
         Box.from_coco((0, 0, 10, 10)),  # kept: highest score
         Box.from_coco((1, 1, 10, 10)),  # suppressed by the first box
         Box.from_coco((30, 30, 10, 10)),  # kept: disjoint
-        Box.from_coco((0, 0, 10, 10)),  # below the score threshold
+        Box.from_coco((0, 0, 10, 10)),  # suppressed: a duplicate of the first box
     ]
     kept = nms(boxes, [0.9, 0.8, 0.7, 0.2], iou_threshold=0.5)
     assert kept == [0, 2]
@@ -147,6 +147,8 @@ def test_nms_empty_and_length_mismatch():
     assert nms([], [], 0.5) == []
     with pytest.raises(ValueError):
         nms([Box(1, 1, 1, 1)], [0.5, 0.6], 0.5)
+    with pytest.raises(ValueError, match="labels must have equal length"):
+        nms([Box(1, 1, 1, 1)] * 2, [0.5, 0.6], 0.5, labels=[0])
 
 
 @pytest.mark.parametrize(
@@ -185,8 +187,8 @@ def test_nms_matches_bruteforce_500_instances():
         boxes = [Box.from_coco((x1[i], y1[i], w[i], h[i])) for i in range(n)]
         xyxy = [(b.x1, b.y1, b.x2, b.y2) for b in boxes]
         thr = float(rng.uniform(0.2, 0.7))
-        got = nms(boxes, scores, thr, score_threshold=0.3)
-        want = nms_bruteforce(xyxy, scores, thr, score_threshold=0.3)
+        got = nms(boxes, scores, thr)
+        want = nms_bruteforce(xyxy, scores, thr, score_threshold=0.0)
         assert got == want, f"case {case}: {got} != {want}"
 
 
@@ -220,11 +222,18 @@ def test_array_nms_matches_bruteforce_with_ties(n, seed, grid, thr, k):
     rows = np.column_stack([xy + wh / 2.0, wh])
     scores = np.round(rng.uniform(0, 1, n), 2)
     boxes = [Box(*row) for row in rows.tolist()]
-    want = nms_bruteforce([(b.x1, b.y1, b.x2, b.y2) for b in boxes], scores, thr, 0.2)
-    assert nms(rows, scores, thr, score_threshold=0.2) == want
-    assert nms(boxes, scores, thr, score_threshold=0.2) == want
+    labels = rng.integers(0, 3, n)
+    xyxy = [(b.x1, b.y1, b.x2, b.y2) for b in boxes]
+    want = nms_bruteforce(xyxy, scores, thr, 0.0)
+    want_labelled = nms_per_label_bruteforce(xyxy, scores, thr, labels.tolist())
+    assert nms(rows, scores, thr) == want
+    assert nms(boxes, scores, thr) == want
+    assert nms(rows, scores, thr, labels=labels) == want_labelled
+    assert nms(boxes, scores, thr, labels=labels.tolist()) == want_labelled
     # a cap keeps the uncapped result's prefix, also where it splits tied
     # scores, lands on or past a block boundary or exceeds the kept count
-    for cap in {k, NMS_BLOCK, NMS_BLOCK + 1, len(want) + 1}:
-        assert nms(rows, scores, thr, score_threshold=0.2, max_keep=cap) == want[:cap]
-        assert nms(boxes, scores, thr, score_threshold=0.2, max_keep=cap) == want[:cap]
+    for cap in {k, NMS_BLOCK, NMS_BLOCK + 1, len(want) + 1, len(want_labelled) + 1}:
+        assert nms(rows, scores, thr, max_keep=cap) == want[:cap]
+        assert nms(boxes, scores, thr, max_keep=cap) == want[:cap]
+        assert nms(rows, scores, thr, max_keep=cap, labels=labels) == want_labelled[:cap]
+        assert nms(boxes, scores, thr, max_keep=cap, labels=labels.tolist()) == want_labelled[:cap]

@@ -13,6 +13,7 @@ from attnmask import model as model_mod
 from attnmask.backbone import StageConfig
 from attnmask.boxes import Box, box_array, generate_anchors, stride_of
 from attnmask.model import (
+    DET_NMS_IOU,
     MASK_CHUNK,
     MAX_DETS,
     MIN_SIZE,
@@ -32,7 +33,7 @@ from attnmask.model import (
 )
 from attnmask.roi_align import assign_level, roi_align
 from attnmask.tensor import Tensor, conv2d, grad_check, relu, sigmoid, upsample_nearest
-from oracles import paste_mask_reference
+from oracles import detections_per_class, paste_mask_reference
 
 
 def _toy_model(variant="none", seed=0):
@@ -372,6 +373,36 @@ def test_infer_structure_and_caps(monkeypatch):
 
     # stricter threshold than chance yields nothing on a fresh model
     assert infer(model, image, conf_threshold=0.9) == []
+
+
+# at conf 0 all 139 NMS survivors fire and the cap keeps 100; at 0.2, 71 of
+# three classes survive under the cap (at 0.3 nothing fires on this model)
+@pytest.mark.parametrize("conf, survivors", [(0.0, 139), (0.2, 71)])
+def test_infer_matches_per_class_reference(monkeypatch, conf, survivors):
+    model = _toy_model("cbam")
+    image = np.random.default_rng(5).uniform(size=(3, 64, 64))
+    seen = {}
+    for name in ("log_softmax", "_refine"):
+
+        def spy(*args, real=getattr(model_mod, name), name=name):
+            seen[name] = real(*args)
+            return seen[name]
+
+        monkeypatch.setattr(model_mod, name, spy)
+    preds = infer(model, image, conf_threshold=conf)
+    refined, kept = seen["_refine"]  # the last call refines the box head's boxes
+    probs = np.exp(seen["log_softmax"].data)[kept]
+    boxes = [Box(*row) for row in refined.tolist()]
+    want = detections_per_class(probs.tolist(), [(b.x1, b.y1, b.x2, b.y2) for b in boxes], conf, DET_NMS_IOU)
+    assert len(want) == survivors
+    got = [(p.detection.class_id, p.detection.score, p.detection.box) for p in preds]
+    assert got == [(k, score, boxes[i]) for k, i, score in want[:MAX_DETS]]
+
+
+@pytest.mark.parametrize("conf", [float("nan"), -0.1, 1.5], ids=["nan", "negative", "above-one"])
+def test_infer_rejects_bad_conf_threshold(conf):
+    with pytest.raises(ValueError, match=rf"conf_threshold must be in \[0, 1\], got {conf}"):
+        infer(_toy_model(), np.zeros((3, 64, 64)), conf_threshold=conf)
 
 
 def test_checkpoint_roundtrip(tmp_path):
