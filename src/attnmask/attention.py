@@ -2,12 +2,12 @@
 
 `GATES` maps each variant name to its parameter container, which builds
 itself through its `init` classmethod, and to its gates in the order they
-apply. A gate is a pure function of (input, params) that returns its
-multiplier, (C,1,1) over channels or (1,H,W) over positions, through a
-sigmoid so it lies strictly in (0,1); `apply_attention` alone multiplies
-the gates in. With all parameters zero each gate is exactly 0.5, which
-gives the handy closed forms 0.5*F for a single gate and 0.25*F for the
-channel+spatial cascade.
+apply. A gate is a pure function of (input, params) that returns the
+multiplier of an (N,C,H,W) input, (N,C,1,1) over channels or (N,1,H,W)
+over positions, through a sigmoid so it lies strictly in (0,1);
+`apply_attention` alone multiplies the gates in. With all parameters zero
+each gate is exactly 0.5, which gives the handy closed forms 0.5*F for a
+single gate and 0.25*F for the channel+spatial cascade.
 
 Defaults the surrounding literature settles and this config exposes:
 MLP reduction ratio r (default 16), ReLU between the MLP layers, and the
@@ -168,36 +168,37 @@ def _mlp(rows: Tensor, p: MLPParams) -> Tensor:
 
 
 def channel_gate(x: Tensor, params: CBAMParams) -> Tensor:
-    """CBAM's (C,1,1) gate: sigmoid(MLP(avg pool) + MLP(max pool)), the two
-    descriptors going through the shared MLP as one (2, C) batch."""
-    c = x.shape[0]
-    flat = x.reshape(c, -1)
-    pooled = concat([flat.mean(axis=1), flat.max(axis=1)]).reshape(2, c)
-    return sigmoid(_mlp(pooled, params.cam).sum(axis=0)).reshape(c, 1, 1)
+    """CBAM's (N,C,1,1) gate: sigmoid(MLP(avg pool) + MLP(max pool)), the 2N
+    descriptors going through the shared MLP as one batch, averages first."""
+    n, c = x.shape[:2]
+    flat = x.reshape(n, c, -1)
+    pooled = concat([flat.mean(axis=2), flat.max(axis=2)])
+    return sigmoid(_mlp(pooled, params.cam).reshape(2, n, c).sum(axis=0)).reshape(n, c, 1, 1)
 
 
 def spatial_gate(x: Tensor, params: CBAMParams) -> Tensor:
-    """CBAM's (1,H,W) gate: a 7x7 conv over the stacked channel avg/max maps."""
-    _, h, w = x.shape
-    stacked = concat([x.mean(axis=0), x.max(axis=0)]).reshape(2, h, w)
+    """CBAM's (N,1,H,W) gate: a 7x7 conv over the stacked channel avg/max maps."""
+    n, _, h, w = x.shape
+    stacked = concat([x.mean(axis=1), x.max(axis=1)], axis=1).reshape(n, 2, h, w)
     return sigmoid(conv2d(stacked, params.sam.w, params.sam.b, stride=1, padding=3))
 
 
 def se_gate(x: Tensor, params: MLPParams) -> Tensor:
-    """(C,1,1) gate from the spatially averaged descriptor alone."""
-    c = x.shape[0]
-    squeezed = x.reshape(c, -1).mean(axis=1).reshape(1, c)
-    return sigmoid(_mlp(squeezed, params)).reshape(c, 1, 1)
+    """(N,C,1,1) gate from the spatially averaged descriptor alone."""
+    n, c = x.shape[:2]
+    squeezed = x.reshape(n, c, -1).mean(axis=2)
+    return sigmoid(_mlp(squeezed, params)).reshape(n, c, 1, 1)
 
 
 def eca_gate(x: Tensor, params: ECAParams) -> Tensor:
-    """(C,1,1) gate from a k-tap correlation across the pooled channel
-    vector: its zero-padded (C, k) windows, gathered, times the kernel."""
-    c, k = x.shape[0], params.kernel
-    pad = Tensor(np.zeros(k // 2))
-    padded = concat([pad, x.reshape(c, -1).mean(axis=1), pad])
-    windows = gather_rows(padded, np.arange(c)[:, None] + np.arange(k))
-    return sigmoid(linear(windows, params.w.reshape(1, k), Tensor(np.zeros(1)))).reshape(c, 1, 1)
+    """(N,C,1,1) gate from a k-tap correlation across each pooled channel
+    vector: the (C, k) windows of its zero-padded row, gathered, times the kernel."""
+    n, c, k = *x.shape[:2], params.kernel
+    pad = Tensor(np.zeros((n, k // 2)))
+    rows = concat([pad, x.reshape(n, c, -1).mean(axis=2), pad], axis=1)
+    starts = np.arange(n)[:, None] * rows.shape[1] + np.arange(c)
+    windows = gather_rows(rows.reshape(-1), starts.reshape(-1, 1) + np.arange(k))
+    return sigmoid(linear(windows, params.w.reshape(1, k), Tensor(np.zeros(1)))).reshape(n, c, 1, 1)
 
 
 # -- the variant table -----------------------------------------------------------

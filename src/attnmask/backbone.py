@@ -161,8 +161,8 @@ def init_backbone(
 
 
 def backbone_forward(image: Tensor, params: BackboneParams) -> dict[int, Tensor]:
-    """Run the stem and all stages; returns {2: C2, ..., 5: C5}."""
-    _, h, w = image.shape
+    """Run the stem and all stages on an (N,3,H,W) batch; returns {2: C2, ..., 5: C5}."""
+    h, w = image.shape[-2:]
     if h % 32 or w % 32:
         raise ValueError(f"image extent {h}x{w} must be divisible by 32")
     x = relu(conv2d(image, params.stem.w, params.stem.b, stride=2, padding=3))

@@ -97,7 +97,7 @@ def _case(suite, name, seed, fn, x0, eps, tol) -> CheckCase:
 def _attention_cases(seed: int, eps: float, tol: float) -> list:
     rng = np.random.default_rng(np.random.PCG64(seed))
     c, h, w = 8, 5, 5
-    x = rng.standard_normal((c, h, w))
+    x = rng.standard_normal((1, c, h, w))
     cases = []
     for variant in GATES:
         prng = np.random.default_rng(np.random.PCG64(seed + 1))
@@ -105,7 +105,7 @@ def _attention_cases(seed: int, eps: float, tol: float) -> list:
             AttentionConfig(channels=c, reduction=4, variant=variant), prng
         )
         proj_rng = np.random.default_rng(np.random.PCG64(seed + 2))
-        pw = proj_rng.standard_normal((c, h, w))
+        pw = proj_rng.standard_normal((1, c, h, w))
 
         def fn(t, params=params, pw=pw):
             return (apply_attention(t, params) * pw).sum()
@@ -144,10 +144,10 @@ def _bottleneck_cases(seed: int, eps: float, tol: float) -> list:
     best = None
     for attempt in range(5):
         rng = np.random.default_rng(np.random.PCG64((seed, attempt)))
-        x = rng.standard_normal((8, 6, 6))
+        x = rng.standard_normal((1, 8, 6, 6))
         attn_cfg = AttentionConfig(channels=8, reduction=4, variant="cbam")
         params = init_bottleneck(8, 8, 1, attn_cfg, rng, scheme="fan_in_uniform")
-        pw = rng.standard_normal((8, 6, 6))
+        pw = rng.standard_normal((1, 8, 6, 6))
 
         def fn(t, params=params, pw=pw):
             return (bottleneck_forward(t, params) * pw).sum()
@@ -164,7 +164,7 @@ def _fpn_cases(seed: int, eps: float, tol: float) -> list:
     rng = np.random.default_rng(np.random.PCG64(seed))
     widths = (4, 6, 8, 10)
     shapes = {2: 8, 3: 4, 4: 2, 5: 1}
-    cmaps = {lvl: rng.standard_normal((widths[lvl - 2], s, s)) for lvl, s in shapes.items()}
+    cmaps = {lvl: rng.standard_normal((1, widths[lvl - 2], s, s)) for lvl, s in shapes.items()}
     prng = np.random.default_rng(np.random.PCG64(seed + 1))
     params = init_fpn(widths, 4, prng, scheme="fan_in_uniform")
     proj_rng = np.random.default_rng(np.random.PCG64(seed + 2))
@@ -191,7 +191,7 @@ def _fpn_cases(seed: int, eps: float, tol: float) -> list:
 
 def _roi_cases(seed: int, eps: float, tol: float) -> list:
     rng = np.random.default_rng(np.random.PCG64(seed))
-    feature = rng.standard_normal((6, 8, 8))
+    feature = rng.standard_normal((1, 6, 8, 8))
     # random box in a 32px image, at least 4px on a side
     x1 = rng.uniform(0, 20)
     y1 = rng.uniform(0, 20)

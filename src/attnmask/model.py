@@ -13,8 +13,9 @@ then 2x upsample to a 28x28 grid), each over a batch of regions. The mask
 loss in training and the pasted mask in inference both read one class
 channel per region: the target class and the predicted class.
 
-Regions travel as (N, 4) center-form rows from the anchors to the pasted
-masks; `infer` builds a `Box` only for each returned `Detection`.
+Maps are (N, C, H, W): N = 1 for an image's pyramid, the regions in the
+mask head. Regions travel as (N, 4) center-form rows from the anchors to
+the pasted masks; `infer` builds a `Box` only for each returned `Detection`.
 
 Parameters live in nested dataclasses; named_params walks them in a
 fixed order so training and checkpointing are deterministic.
@@ -224,9 +225,10 @@ def pyramid_forward(model: Model, image: Tensor) -> dict[int, Tensor]:
 
 
 def rpn_forward(model: Model, pyramid: dict[int, Tensor]) -> tuple[np.ndarray, Tensor, Tensor]:
-    """The RPN over the whole pyramid: anchors (A, 4) from generate_anchors,
-    foreground probabilities (A,) and offsets (A, 4). All three share one
-    row order: level by level ascending, then (row, col, anchor shape).
+    """The RPN over one image's pyramid of (1, C, H, W) maps: anchors (A, 4)
+    from generate_anchors, foreground probabilities (A,) and offsets (A, 4).
+    All three share one row order: level by level ascending, then (row,
+    col, anchor shape).
 
     An anchor's probability is the foreground coordinate of the softmax of
     its (background, foreground) logits, sigmoid(z_fg - z_bg)."""
@@ -236,28 +238,25 @@ def rpn_forward(model: Model, pyramid: dict[int, Tensor]) -> tuple[np.ndarray, T
         h = relu(conv2d(pyramid[level], model.rpn.conv.w, model.rpn.conv.b, padding=1))
         obj = conv2d(h, model.rpn.cls.w, model.rpn.cls.b)
         reg = conv2d(h, model.rpn.reg.w, model.rpn.reg.b)
-        fh, fw = obj.shape[1], obj.shape[2]
+        fh, fw = obj.shape[2:]
         logits.append(obj.reshape(a, 2, fh, fw).transpose((2, 3, 0, 1)).reshape(fh * fw * a, 2))
         offsets.append(reg.reshape(a, 4, fh, fw).transpose((2, 3, 0, 1)).reshape(fh * fw * a, 4))
-    anchors = generate_anchors({lvl: f.shape[1:] for lvl, f in pyramid.items()}, model.cfg.anchors)
+    anchors = generate_anchors({lvl: f.shape[2:] for lvl, f in pyramid.items()}, model.cfg.anchors)
     signs = np.tile([-1.0, 1.0], (anchors.shape[0], 1))
     return anchors, sigmoid((concat(logits, axis=0) * signs).sum(axis=1)), concat(offsets, axis=0)
 
 
 def extract_roi_features(pyramid: dict[int, Tensor], boxes: np.ndarray, resolution: int) -> Tensor:
     """Pool (R, 4) center-form rows into (R, C, p, p), each region from the
-    pyramid level chosen by its scale (clamped to the levels present, P6
-    excluded). Regions are pooled in one batch per level and returned in
-    input order.
+    pyramid level in P2-P5 that assign_level picks by its scale. Regions are
+    pooled in one batch per level and returned in input order.
     """
-    levels = [lvl for lvl in sorted(pyramid) if lvl <= 5]
-    routed = np.clip(assign_level(boxes), levels[0], levels[-1])
+    routed = assign_level(boxes)
     parts, order = [], []
-    for lvl in levels:
+    for lvl in np.unique(routed).tolist():
         idx = np.flatnonzero(routed == lvl)
-        if idx.size:
-            parts.append(roi_align(pyramid[lvl], float(stride_of(lvl)), boxes[idx], resolution))
-            order.append(idx)
+        parts.append(roi_align(pyramid[lvl], float(stride_of(lvl)), boxes[idx], resolution))
+        order.append(idx)
     if len(parts) == 1:
         return parts[0]
     return gather_rows(concat(parts, axis=0), np.argsort(np.concatenate(order)))
@@ -279,7 +278,7 @@ def mask_head_forward(model: Model, feats: Tensor, classes: np.ndarray) -> Tenso
     mask probabilities, each region's grid for its own class.
 
     The per-class 1x1 conv runs at p x p, the sigmoid and the 2x upsampling
-    on each region's class channel only. Both commute with nearest
+    on each region's (1, p, p) class channel only. Both commute with nearest
     upsampling, so this equals upsampling first up to the last-place
     rounding of the 1x1 product, which BLAS may block differently at 2p x 2p.
     """
@@ -287,9 +286,9 @@ def mask_head_forward(model: Model, feats: Tensor, classes: np.ndarray) -> Tenso
     h = relu(conv2d(h, model.mask_head.conv2.w, model.mask_head.conv2.b, padding=1))
     z = conv2d(h, model.mask_head.out.w, model.mask_head.out.b)
     r, k, p, _ = z.shape
-    # row i * K + class - 1 of the (R*K, p, p) logits is region i's class channel
-    z = gather_rows(z.reshape(r * k, p, p), np.arange(r) * k + classes - 1)
-    return upsample_nearest(sigmoid(z))
+    # row i * K + class - 1 of the (R*K, 1, p, p) logits is region i's class channel
+    z = gather_rows(z.reshape(r * k, 1, p, p), np.arange(r) * k + classes - 1)
+    return upsample_nearest(sigmoid(z)).reshape(r, 2 * p, 2 * p)
 
 
 # smallest side in pixels of a proposal or a refined detection, the IoU above
@@ -377,15 +376,17 @@ class InstancePrediction:
 
 @no_grad()
 def infer(model: Model, image, image_id: int = 0, conf_threshold: float = 0.5) -> list[InstancePrediction]:
-    """Full detection pass on one 3xHxW image in [0,1]: up to 100 proposals
-    from the 1000 best anchors, then at most MAX_DETS detections: the
-    (class, box) pairs scoring at least conf_threshold, which must be in
+    """Full detection pass on one (3, H, W) image array in [0,1]: up to 100
+    proposals from the 1000 best anchors, then at most MAX_DETS detections:
+    the (class, box) pairs scoring at least conf_threshold, which must be in
     [0, 1], after one NMS call that suppresses within each class only."""
     if not 0.0 <= conf_threshold <= 1.0:
         raise ValueError(f"conf_threshold must be in [0, 1], got {conf_threshold}")
-    x = image if isinstance(image, Tensor) else Tensor(np.asarray(image, dtype=np.float64))
-    height, width = x.shape[1], x.shape[2]
-    pyramid = pyramid_forward(model, x)
+    image = np.asarray(image, dtype=np.float64)
+    if image.ndim != 3 or image.shape[0] != 3:
+        raise ValueError(f"image must be (3, H, W), got shape {image.shape}")
+    height, width = image.shape[1:]
+    pyramid = pyramid_forward(model, Tensor(image[None]))
     anchors, scores, offsets = rpn_forward(model, pyramid)
     proposals = propose(anchors, scores, offsets, (height, width), pre_nms=1000, post_nms=100)
     if proposals.shape[0] == 0:

@@ -13,7 +13,7 @@ alone.
 
 Bilinear sampling is separable. Along each axis a region's 2p quarter
 points read the map through a (2p, L) interpolation matrix over all L
-cells of that axis, so its 2p x 2p sample grid of the (C, H, W) map F is
+cells of that axis, so its 2p x 2p sample grid of a (C, H, W) map F is
 Ay F Ax^T and its gradient is Ay^T G Ax. Per chunk of regions the forward
 is one product of the stacked Ay with the whole map, and the backward one
 product of their transpose with the stacked gradients. Every region reads
@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .boxes import corners
-from .tensor import Tensor, _accum
+from .tensor import Tensor, _accum, _map_shape
 
 __all__ = ["assign_level", "bilinear_weights", "roi_align"]
 
@@ -67,12 +67,15 @@ def bilinear_weights(coords: np.ndarray, n: int) -> np.ndarray:
 
 
 def roi_align(feature: Tensor, stride: float, boxes: np.ndarray, resolution: int) -> Tensor:
-    """Pool p x p grids (p = resolution) from a (C, H, W) feature map.
+    """Pool p x p grids (p = resolution) from a (1, C, H, W) feature map.
 
     boxes are (R, 4) center-form rows in image coordinates; stride converts
     them to feature coordinates. The result is (R, C, p, p) in row order.
+    Rows carry no image index, so a map of N > 1 images is a ValueError.
     """
-    c, h, w = feature.shape
+    n, c, h, w = _map_shape("roi_align", feature)
+    if n != 1:
+        raise ValueError(f"roi_align reads a (1,C,H,W) map, got shape {feature.shape}")
     p = resolution
     x1, y1, _, _ = corners(boxes)
     bw = boxes[:, 2] / stride / p
@@ -86,7 +89,7 @@ def roi_align(feature: Tensor, stride: float, boxes: np.ndarray, resolution: int
     ys = y1[:, None] / stride + frac * bh[:, None]
     xs = x1[:, None] / stride + frac * bw[:, None]
     # channels last, (H, W*C): one product reads every channel of a row
-    fmap = feature.data.transpose(1, 2, 0).reshape(h, w * c)
+    fmap = feature.data[0].transpose(1, 2, 0).reshape(h, w * c)
 
     n_roi = boxes.shape[0]
     out = np.empty((n_roi, p * c, p))
@@ -129,6 +132,6 @@ def roi_align(feature: Tensor, stride: float, boxes: np.ndarray, resolution: int
                 dpart[dy] += (gc * (arg[lo : lo + n] == s)) @ ax[:, dx]
             dpart = dpart.reshape(2, n, p, c, w).transpose(1, 0, 2, 4, 3).reshape(n * 2 * p, w * c)
             dmap += ay.transpose(2, 0, 1).reshape(h, n * 2 * p) @ dpart
-        _accum(feat, dmap.reshape(h, w, c).transpose(2, 0, 1))
+        _accum(feat, dmap.reshape(h, w, c).transpose(2, 0, 1)[None])
 
     return Tensor(result, _parents=(feature,), _backward=bwd)

@@ -15,6 +15,7 @@ for background in the detector heads).
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,6 +72,8 @@ class SynthSpec:
                 raise ValueError(f"{name} must be in [0,1], got {p}")
         if not 0.0 < self.size_range[0] <= self.size_range[1] < 1.0:
             raise ValueError(f"bad size_range {self.size_range}")
+        if not 0.0 <= self.noise < math.inf:
+            raise ValueError(f"noise must be finite and at least 0, got {self.noise}")
 
     @property
     def num_classes(self) -> int:

@@ -1,7 +1,7 @@
 """Dense float64 tensors with a taped reverse-mode gradient pass.
 
-Shapes follow channel-first conventions: feature maps are (C, H, W), or an
-(N, C, H, W) batch for `conv2d` and `upsample_nearest` (each sample gets a
+Shapes follow channel-first conventions: every feature map is an
+(N, C, H, W) batch, checked by the map ops in one place (each sample gets a
 single map's arithmetic), and flattened predictions are (N,) or (N, K). The
 op set is what the attention blocks, pyramid fusion and detector heads need;
 the gates pool with `Tensor.mean`/`Tensor.max`, and ECA's 1-D correlation
@@ -19,8 +19,8 @@ nothing. `Tensor.max` and `max_pool2d` send the gradient to the first
 maximal element in scan order.
 
 Elementwise multiplication broadcasts only the two gating patterns the
-attention blocks need, (C,1,1)x(C,H,W) and (1,H,W)x(C,H,W); anything
-else must be shape-identical.
+attention blocks need, (N,C,1,1)x(N,C,H,W) and (N,1,H,W)x(N,C,H,W);
+anything else must be shape-identical.
 """
 
 from __future__ import annotations
@@ -247,11 +247,11 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
 def _check_mul_shapes(a: tuple[int, ...], b: tuple[int, ...]) -> None:
     if a == b:
         return
-    if len(a) == 3 and len(b) == 3:
+    if len(a) == 4 and len(b) == 4:
         for small, big in ((a, b), (b, a)):
-            if small == (big[0], 1, 1):  # channel gate
+            if small == (*big[:2], 1, 1):  # channel gate
                 return
-            if small == (1, big[1], big[2]):  # spatial gate
+            if small == (big[0], 1, *big[2:]):  # spatial gate
                 return
     raise ValueError(f"unsupported multiply broadcast: {a} vs {b}")
 
@@ -325,6 +325,12 @@ def smooth_l1(x: Tensor) -> Tensor:
 # -- convolution / pooling ---------------------------------------------------
 
 
+def _map_shape(op: str, x: Tensor) -> tuple[int, int, int, int]:
+    if x.ndim != 4:
+        raise ValueError(f"{op} takes an (N,C,H,W) map, got shape {x.shape}")
+    return x.shape
+
+
 def _conv_out_extent(n: int, k: int, stride: int, padding: int) -> int:
     out = (n + 2 * padding - k) // stride + 1
     if out < 1:
@@ -342,9 +348,8 @@ def _windows(xp: np.ndarray, k: int, stride: int, ho: int, wo: int, start: int =
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D cross-correlation of a (C,H,W) map, or an (N,C,H,W) batch, with
-    an (O,C,k,k) kernel plus an (O,) bias; the weight and bias gradients
-    sum over the batch.
+    """2-D cross-correlation of an (N,C,H,W) batch with an (O,C,k,k) kernel
+    plus an (O,) bias; the weight and bias gradients sum over the batch.
 
     Zero padding; output extent floor((n + 2*pad - k)/stride) + 1 per axis.
     Kernel sizes are restricted to the 1/3/7 the model actually uses. The
@@ -352,8 +357,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
     does the input gradient, a stride-1 correlation of the dilated output
     gradient with the flipped, transposed kernel.
     """
-    lead = x.shape[:-3]
-    cin, h, wd = x.shape[-3:]
+    n, cin, h, wd = _map_shape("conv2d", x)
     cout, cin_w, k, kw = w.shape
     if k != kw or k not in (1, 3, 7):
         raise ValueError(f"unsupported kernel size {k}x{kw}")
@@ -366,23 +370,22 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
 
     # the batch folds into the channel axis for the window gathers; the zero
     # border is written by hand: np.pad adds 30-60 us per call at these sizes
-    xp = np.zeros((x.size // (h * wd), h + 2 * padding, wd + 2 * padding))
-    xp[:, padding : padding + h, padding : padding + wd] = x.data.reshape(-1, h, wd)
-    cols = _windows(xp, k, stride, ho, wo).reshape(*lead, cin * k * k, ho * wo)
-    out = (w.data.reshape(cout, cin * k * k) @ cols + b.data[:, None]).reshape(*lead, cout, ho, wo)
+    xp = np.zeros((n * cin, h + 2 * padding, wd + 2 * padding))
+    xp[:, padding : padding + h, padding : padding + wd] = x.data.reshape(n * cin, h, wd)
+    cols = _windows(xp, k, stride, ho, wo).reshape(n, cin * k * k, ho * wo)
+    out = (w.data.reshape(cout, cin * k * k) @ cols + b.data[:, None]).reshape(n, cout, ho, wo)
 
     def bwd(g, x=x, w=w, b=b, cols=cols):
-        gm = g.reshape(*lead, cout, ho * wo)
+        gm = g.reshape(n, cout, ho * wo)
         # one product per sample, summed over the batch in sample order
-        dw = gm @ np.swapaxes(cols, -1, -2)
-        _accum(w, dw.reshape(-1, cout, cin * k * k).sum(axis=0).reshape(w.shape))
-        _accum(b, gm.sum(axis=-1).reshape(-1, cout).sum(axis=0))
+        _accum(w, (gm @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape))
+        _accum(b, gm.sum(axis=-1).sum(axis=0))
         if x.requires_grad:
             # padded cell r gets the sum of g[i] * w[r - i*stride]: g dilated by the stride
             # at offset k-1, correlated with the flipped kernel from offset padding
-            gz = np.zeros((g.size // (ho * wo), h + 2 * padding + k - 1, wd + 2 * padding + k - 1))
-            gz[:, k - 1 :: stride, k - 1 :: stride][:, :ho, :wo] = g.reshape(-1, ho, wo)
-            gcols = _windows(gz, k, 1, h, wd, start=padding).reshape(*lead, cout * k * k, h * wd)
+            gz = np.zeros((n * cout, h + 2 * padding + k - 1, wd + 2 * padding + k - 1))
+            gz[:, k - 1 :: stride, k - 1 :: stride][:, :ho, :wo] = g.reshape(n * cout, ho, wo)
+            gcols = _windows(gz, k, 1, h, wd, start=padding).reshape(n, cout * k * k, h * wd)
             wflip = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, cout * k * k)
             _accum(x, (wflip @ gcols).reshape(x.shape))
 
@@ -404,37 +407,36 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def max_pool2d(x: Tensor, kernel: int, stride: int, padding: int = 0) -> Tensor:
-    """Windowed max pooling on (C,H,W) over a -inf border, through conv2d's
-    window gather; ties go to the first cell in scan order, and a cell that
-    wins several windows gets the sum of their gradients."""
-    c, h, w = x.shape
+    """Windowed max pooling of an (N,C,H,W) batch over a -inf border, through
+    conv2d's window gather; ties go to the first cell in scan order, and a
+    cell that wins several windows gets the sum of their gradients."""
+    n, c, h, w = _map_shape("max_pool2d", x)
     ho = _conv_out_extent(h, kernel, stride, padding)
     wo = _conv_out_extent(w, kernel, stride, padding)
     hp, wp = h + 2 * padding, w + 2 * padding
-    xp = np.full((c, hp, wp), -np.inf)
-    xp[:, padding : padding + h, padding : padding + w] = x.data
-    wins = _windows(xp, kernel, stride, ho, wo).reshape(c, kernel * kernel, ho, wo)
+    xp = np.full((n * c, hp, wp), -np.inf)
+    xp[:, padding : padding + h, padding : padding + w] = x.data.reshape(n * c, h, w)
+    wins = _windows(xp, kernel, stride, ho, wo).reshape(n * c, kernel * kernel, ho, wo)
     arg = wins.argmax(axis=1)
-    out = np.take_along_axis(wins, arg[:, None], axis=1)[:, 0]
+    out = np.take_along_axis(wins, arg[:, None], axis=1).reshape(n, c, ho, wo)
 
     def bwd(g, a=x, arg=arg):
         # one sum over the flat padded index of each window's winning cell
         rows = np.arange(ho)[:, None] * stride + arg // kernel
-        flat = (np.arange(c)[:, None, None] * hp + rows) * wp + np.arange(wo) * stride + arg % kernel
-        dxp = np.bincount(flat.ravel(), weights=g.ravel(), minlength=c * hp * wp).reshape(c, hp, wp)
-        _accum(a, dxp[:, padding : padding + h, padding : padding + w])
+        flat = (np.arange(n * c)[:, None, None] * hp + rows) * wp + np.arange(wo) * stride + arg % kernel
+        dxp = np.bincount(flat.ravel(), weights=g.ravel(), minlength=n * c * hp * wp).reshape(n, c, hp, wp)
+        _accum(a, dxp[:, :, padding : padding + h, padding : padding + w])
 
     return Tensor(out, _parents=(x,), _backward=bwd)
 
 
 def upsample_nearest(x: Tensor) -> Tensor:
-    """Replicate each pixel of a (C,H,W) map or (N,C,H,W) batch into a 2x2 block."""
-    lead = x.shape[:-3]
-    c, h, w = x.shape[-3:]
-    out = np.repeat(np.repeat(x.data, 2, axis=-2), 2, axis=-1)
+    """Replicate each pixel of an (N,C,H,W) batch into a 2x2 block."""
+    n, c, h, w = _map_shape("upsample_nearest", x)
+    out = np.repeat(np.repeat(x.data, 2, axis=2), 2, axis=3)
 
     def bwd(g, a=x):
-        _accum(a, g.reshape(*lead, c, h, 2, w, 2).sum(axis=(-3, -1)))
+        _accum(a, g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5)))
 
     return Tensor(out, _parents=(x,), _backward=bwd)
 

@@ -86,6 +86,9 @@ class TrainConfig:
     train_post_nms: int = 20
 
     def __post_init__(self):
+        for name in ("lr", "step_factor", "weight_decay", "rpn_reg_weight"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("lr", "step_factor"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
@@ -202,9 +205,8 @@ def _image_loss(
     cfg: TrainConfig,
 ) -> tuple[Tensor, np.ndarray]:
     """Differentiable total loss for one image plus its (cls, reg, mask) parts."""
-    x = Tensor(sample.image)
-    height, width = x.shape[1], x.shape[2]
-    pyramid = pyramid_forward(model, x)
+    height, width = sample.image.shape[1:]
+    pyramid = pyramid_forward(model, Tensor(sample.image[None]))
     anchors, scores, offsets = rpn_forward(model, pyramid)
     gt = box_array(sample.boxes)
 

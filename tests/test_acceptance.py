@@ -78,7 +78,7 @@ def test_criterion_02_closed_form_attention(capsys):
     gates_half = True
     for seed in range(5):
         rng = np.random.default_rng(seed)
-        x = rng.standard_normal((8, 6, 6))
+        x = rng.standard_normal((1, 8, 6, 6))
         zero = lambda v: make_attention(
             AttentionConfig(channels=8, reduction=4, variant=v, init="zeros"), rng
         )
@@ -131,17 +131,17 @@ def test_criterion_03_geometry_oracles(capsys):
 
 
 def test_criterion_04_roi_align(capsys):
-    const = roi_align(Tensor(np.full((2, 8, 8), 2.5)), 4.0, box_array([Box(12.0, 12.0, 16.0, 16.0)]), 3)
+    const = roi_align(Tensor(np.full((1, 2, 8, 8), 2.5)), 4.0, box_array([Box(12.0, 12.0, 16.0, 16.0)]), 3)
     const_err = np.abs(const.data - 2.5).max()
 
     rng = np.random.default_rng(11)
-    feat = rng.standard_normal((4, 8, 8))
+    feat = rng.standard_normal((1, 4, 8, 8))
     worst = 0.0
     for _ in range(200):
         res = int(rng.integers(2, 5))
         box = Box(rng.uniform(4, 28), rng.uniform(4, 28), rng.uniform(2, 20), rng.uniform(2, 20))
         got = roi_align(Tensor(feat), 4.0, box_array([box]), res).data[0]
-        want = roi_align_dense(feat, 4.0, (box.x1, box.y1, box.x2, box.y2), res)
+        want = roi_align_dense(feat[0], 4.0, (box.x1, box.y1, box.x2, box.y2), res)
         worst = max(worst, np.abs(got - want).max())
 
     grads = run_checks("roialign", seeds=5)

@@ -33,7 +33,7 @@ def _zero_params(variant, channels=8, reduction=4):
 def test_cbam_zero_params_quarter_identity(seed):
     # both gates sit at sigmoid(0) = 0.5, so the cascade is 0.25 * F
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((8, 6, 6))
+    x = rng.standard_normal((1, 8, 6, 6))
     out = apply_attention(Tensor(x), _zero_params("cbam"))
     assert np.allclose(out.data, 0.25 * x, atol=1e-15)
 
@@ -42,7 +42,7 @@ def test_cbam_zero_params_quarter_identity(seed):
 @pytest.mark.parametrize("seed", range(5))
 def test_single_gate_zero_params_half_identity(variant, block, seed):
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((8, 5, 7))
+    x = rng.standard_normal((1, 8, 5, 7))
     params = _zero_params(variant)
     (gate,) = GATES[variant][1]
     assert (gate(Tensor(x), params).data == 0.5).all(), f"{block} gate is not sigmoid(0)"
@@ -52,7 +52,7 @@ def test_single_gate_zero_params_half_identity(variant, block, seed):
 
 def test_gates_preserve_shape_and_bound_output():
     rng = np.random.default_rng(3)
-    x = rng.standard_normal((16, 4, 4))
+    x = rng.standard_normal((1, 16, 4, 4))
     for variant in GATES:
         params = make_attention(
             AttentionConfig(channels=16, reduction=4, variant=variant), np.random.default_rng(1)
@@ -65,14 +65,14 @@ def test_gates_preserve_shape_and_bound_output():
 
 def test_channel_then_spatial_composition():
     rng = np.random.default_rng(4)
-    x = rng.standard_normal((8, 5, 5))
+    x = rng.standard_normal((1, 8, 5, 5))
     params = make_attention(AttentionConfig(channels=8, reduction=4, variant="cbam"), np.random.default_rng(1))
     cgate = channel_gate(Tensor(x), params)
-    assert cgate.shape == (8, 1, 1)
+    assert cgate.shape == (1, 8, 1, 1)
     mid = Tensor(x) * cgate
     # the spatial gate reads the channel-gated map, not the input
     sgate = spatial_gate(mid, params)
-    assert sgate.shape == (1, 5, 5)
+    assert sgate.shape == (1, 1, 5, 5)
     assert not np.array_equal(sgate.data, spatial_gate(Tensor(x), params).data)
     np.testing.assert_array_equal(apply_attention(Tensor(x), params).data, (mid * sgate).data)
 
@@ -101,7 +101,7 @@ def test_make_attention_dispatch_and_none():
     assert isinstance(make_attention(AttentionConfig(channels=8, reduction=4, variant="cbam"), rng), CBAMParams)
     assert isinstance(make_attention(AttentionConfig(channels=8, reduction=4, variant="se"), rng), MLPParams)
     assert isinstance(make_attention(AttentionConfig(channels=8, reduction=4, variant="eca"), rng), ECAParams)
-    x = Tensor(np.ones((2, 2, 2)))
+    x = Tensor(np.ones((1, 2, 2, 2)))
     assert apply_attention(x, None) is x
     assert VARIANTS == ("none", "se", "eca", "cbam")
     with pytest.raises(TypeError):
@@ -120,7 +120,7 @@ _ATTN_KEYS = {
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_variant_table_builds_applies_and_names_params(variant):
     params = make_attention(AttentionConfig(channels=8, reduction=4, variant=variant), np.random.default_rng(0))
-    x = Tensor(np.random.default_rng(1).standard_normal((8, 5, 5)))
+    x = Tensor(np.random.default_rng(1).standard_normal((1, 8, 5, 5)))
     if variant == "none":
         assert params is None and apply_attention(x, params) is x
     else:
@@ -190,16 +190,16 @@ def test_gates_match_equation_oracle(variant, channels, eca_kernel):
     rng = np.random.default_rng(5)
     cfg = AttentionConfig(channels, reduction=2, variant=variant, eca_kernel=eca_kernel, init="he_uniform")
     params = make_attention(cfg, rng)
-    x = rng.standard_normal((channels, 6, 5))
+    x = rng.standard_normal((1, channels, 6, 5))
     got = apply_attention(Tensor(x), params).data
-    np.testing.assert_allclose(got, attention_reference(x, variant, params), rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(got[0], attention_reference(x[0], variant, params), rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("k,c", _ECA_SIZES, ids=[f"k{k}-c{c}" for k, c in _ECA_SIZES])
 def test_eca_gate_gradients(k, c):
     rng = np.random.default_rng(k * 10 + c)
-    x = rng.standard_normal((c, 3, 4))
+    x = rng.standard_normal((1, c, 3, 4))
     w = rng.uniform(-1.0, 1.0, k)
-    probe = Tensor(rng.standard_normal((c, 1, 1)))  # weights every gate entry differently
+    probe = Tensor(rng.standard_normal((1, c, 1, 1)))  # weights every gate entry differently
     assert grad_check(lambda t: (eca_gate(t, ECAParams(Tensor(w))) * probe).sum(), Tensor(x)) < 1e-6
     assert grad_check(lambda t: (eca_gate(Tensor(x), ECAParams(t)) * probe).sum(), Tensor(w)) < 1e-6

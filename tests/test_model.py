@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import re
 import warnings
 
 import numpy as np
@@ -101,8 +102,8 @@ def test_rpn_flatten_order_matches_anchor_order():
     shapes = {3: (2, 2), 2: (3, 4)}
     pyramid, level_of = {}, []
     for lvl, (fh, fw) in shapes.items():
-        feat = np.zeros((dim, fh, fw))
-        feat[0] = lvl + 0.1 * np.arange(fh)[:, None] + 0.01 * np.arange(fw)[None, :]
+        feat = np.zeros((1, dim, fh, fw))
+        feat[0, 0] = lvl + 0.1 * np.arange(fh)[:, None] + 0.01 * np.arange(fw)[None, :]
         pyramid[lvl] = Tensor(feat)
     for lvl in sorted(shapes):
         level_of += [lvl] * (shapes[lvl][0] * shapes[lvl][1] * a)
@@ -113,7 +114,7 @@ def test_rpn_flatten_order_matches_anchor_order():
     for n, ((cx, cy, _, _), lvl) in enumerate(zip(anchors, level_of)):
         row = int(cy / stride_of(lvl) - 0.5)
         col = int(cx / stride_of(lvl) - 0.5)
-        assert scores.data[n] == pytest.approx(1.0 / (1.0 + np.exp(-pyramid[lvl].data[0, row, col])))
+        assert scores.data[n] == pytest.approx(1.0 / (1.0 + np.exp(-pyramid[lvl].data[0, 0, row, col])))
 
 
 def test_objectness_equals_softmax_foreground():
@@ -121,13 +122,13 @@ def test_objectness_equals_softmax_foreground():
     a = model.cfg.num_anchor_shapes
     # logits of a few units, so scores spread over (0, 1)
     model.rpn.cls.w.data[:] = np.random.default_rng(0).normal(scale=0.5, size=model.rpn.cls.w.shape)
-    pyramid = pyramid_forward(model, Tensor(np.random.default_rng(1).uniform(size=(3, 64, 64))))
+    pyramid = pyramid_forward(model, Tensor(np.random.default_rng(1).uniform(size=(1, 3, 64, 64))))
     _, scores, _ = rpn_forward(model, pyramid)
     want = []
     for lvl in sorted(pyramid):
         h = relu(conv2d(pyramid[lvl], model.rpn.conv.w, model.rpn.conv.b, padding=1))
         z = conv2d(h, model.rpn.cls.w, model.rpn.cls.b).data
-        z = z.reshape(a, 2, *z.shape[1:]).transpose(2, 3, 0, 1)  # (row, col, shape, [bg, fg])
+        z = z.reshape(a, 2, *z.shape[2:]).transpose(2, 3, 0, 1)  # (row, col, shape, [bg, fg])
         e = np.exp(z - z.max(axis=-1, keepdims=True))
         want.append((e[..., 1] / e.sum(axis=-1)).ravel())
     want = np.concatenate(want)
@@ -137,7 +138,7 @@ def test_objectness_equals_softmax_foreground():
 
 def test_propose_respects_caps_and_bounds():
     model = _toy_model()
-    x = Tensor(np.random.default_rng(1).uniform(size=(3, 64, 64)))
+    x = Tensor(np.random.default_rng(1).uniform(size=(1, 3, 64, 64)))
     anchors, scores, offsets = rpn_forward(model, pyramid_forward(model, x))
     props = propose(anchors, scores, offsets, (64, 64), pre_nms=300, post_nms=12)
     assert 0 < len(props) <= 12
@@ -159,7 +160,7 @@ def test_propose_respects_caps_and_bounds():
 
 def test_propose_cap_keeps_the_uncapped_prefix():
     model = _toy_model()
-    x = Tensor(np.random.default_rng(1).uniform(size=(3, 64, 64)))
+    x = Tensor(np.random.default_rng(1).uniform(size=(1, 3, 64, 64)))
     anchors, scores, offsets = rpn_forward(model, pyramid_forward(model, x))
     full = propose(anchors, scores, offsets, (64, 64), pre_nms=300, post_nms=300)
     assert 100 < len(full) < 300
@@ -181,7 +182,7 @@ def test_propose_rejects_caps_below_one(caps):
 
 def test_propose_checks_anchor_alignment():
     model = _toy_model()
-    x = Tensor(np.zeros((3, 64, 64)))
+    x = Tensor(np.zeros((1, 3, 64, 64)))
     anchors, scores, offsets = rpn_forward(model, pyramid_forward(model, x))
     with pytest.raises(ValueError, match=f"{len(anchors) - 1} anchors vs {len(anchors)} RPN positions"):
         propose(anchors[1:], scores, offsets, (64, 64), pre_nms=1000, post_nms=100)
@@ -189,7 +190,7 @@ def test_propose_checks_anchor_alignment():
 
 def test_extract_roi_features_shapes_and_level_clamp():
     model = _toy_model()
-    x = Tensor(np.random.default_rng(2).uniform(size=(3, 64, 64)))
+    x = Tensor(np.random.default_rng(2).uniform(size=(1, 3, 64, 64)))
     pyramid = pyramid_forward(model, x)
     boxes = [Box(10.0, 10.0, 4.0, 4.0), Box(32.0, 32.0, 60.0, 60.0)]
     feats = extract_roi_features(pyramid, box_array(boxes), resolution=7)
@@ -197,7 +198,7 @@ def test_extract_roi_features_shapes_and_level_clamp():
 
 
 _PYRAMID = {
-    lvl: Tensor(np.random.default_rng(lvl).standard_normal((4, 64 >> lvl, 64 >> lvl)))
+    lvl: Tensor(np.random.default_rng(lvl).standard_normal((1, 4, 64 >> lvl, 64 >> lvl)))
     for lvl in (2, 3, 4, 5, 6)
 }
 # sides from 8 to 600 px route to every level from P2 to P5
@@ -269,7 +270,7 @@ def test_mask_head_tail_equals_upsampling_first():
 def test_fresh_model_class_probs_near_uniform():
     # near-zero head init keeps initial class scores at chance
     model = _toy_model("cbam")
-    x = Tensor(np.random.default_rng(4).uniform(size=(3, 64, 64)))
+    x = Tensor(np.random.default_rng(4).uniform(size=(1, 3, 64, 64)))
     pyramid = pyramid_forward(model, x)
     feats = extract_roi_features(pyramid, box_array([Box(20.0, 20.0, 12.0, 12.0)]), 7)
     logits, deltas = box_head_forward(model, feats)
@@ -403,6 +404,12 @@ def test_infer_matches_per_class_reference(monkeypatch, conf, survivors):
 def test_infer_rejects_bad_conf_threshold(conf):
     with pytest.raises(ValueError, match=rf"conf_threshold must be in \[0, 1\], got {conf}"):
         infer(_toy_model(), np.zeros((3, 64, 64)), conf_threshold=conf)
+
+
+@pytest.mark.parametrize("shape", [(64, 64), (64, 64, 3), (1, 3, 64, 64)], ids=["2d", "channels-last", "batch"])
+def test_infer_rejects_images_not_3hw(shape):
+    with pytest.raises(ValueError, match=rf"image must be \(3, H, W\), got shape {re.escape(str(shape))}"):
+        infer(_toy_model(), np.zeros(shape))
 
 
 def test_checkpoint_roundtrip(tmp_path):

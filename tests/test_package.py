@@ -39,3 +39,12 @@ def test_runtime_imports_are_numpy_or_stdlib(path):
             roots.add(node.module.split(".")[0])
     outside = sorted(r for r in roots if r != "numpy" and r not in sys.stdlib_module_names)
     assert not outside, f"{path.name} imports {outside}"
+
+
+def test_hypothesis_failure_reporter_imports_under_the_warning_filters(monkeypatch):
+    # hypothesis imports its reporter, and with it libcst, only once an example
+    # fails; a warning raised there under filterwarnings = error would end the
+    # whole run with an INTERNALERROR instead of reporting the failure
+    for name in [m for m in sys.modules if m.split(".")[0] == "libcst" or m == "hypothesis.extra._patching"]:
+        monkeypatch.delitem(sys.modules, name)
+    importlib.import_module("hypothesis.extra._patching")

@@ -1,5 +1,7 @@
 """ROI Align against the dense bilinear oracle; level routing."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from oracles import roi_align_dense
 
 
 def test_constant_map_is_exact():
-    feature = Tensor(np.full((3, 8, 8), 2.5))
+    feature = Tensor(np.full((1, 3, 8, 8), 2.5))
     box = Box.from_corners(3.1, 2.7, 17.4, 21.0)
     out = roi_align(feature, 4.0, box_array([box]), 7)
     assert out.shape == (1, 3, 7, 7)
@@ -23,18 +25,18 @@ def test_constant_map_is_exact():
 def test_matches_dense_oracle_200_rois():
     rng = np.random.default_rng(11)
     for case in range(200):
-        feature = rng.standard_normal((4, 10, 10))
+        feature = rng.standard_normal((1, 4, 10, 10))
         x1 = rng.uniform(-4, 30)
         y1 = rng.uniform(-4, 30)
         box = Box.from_corners(x1, y1, x1 + rng.uniform(2, 14), y1 + rng.uniform(2, 14))
         res = int(rng.integers(1, 6))
         got = roi_align(Tensor(feature), 4.0, box_array([box]), res).data[0]
-        want = roi_align_dense(feature, 4.0, (box.x1, box.y1, box.x2, box.y2), res)
+        want = roi_align_dense(feature[0], 4.0, (box.x1, box.y1, box.x2, box.y2), res)
         assert np.abs(got - want).max() < 1e-6, f"case {case}"
 
 
 def test_outside_samples_read_zero():
-    feature = Tensor(np.ones((1, 4, 4)))
+    feature = Tensor(np.ones((1, 1, 4, 4)))
     box = Box.from_corners(-64.0, -64.0, -32.0, -32.0)  # fully off the map
     out = roi_align(feature, 1.0, box_array([box]), 2)
     assert np.allclose(out.data, 0.0)
@@ -44,7 +46,16 @@ def test_zero_area_region_rejected():
     # Box already rejects nonpositive extents, so only underflow can
     # produce a zero feature-space bin; the guard must still catch it
     with pytest.raises(ValueError):
-        roi_align(Tensor(np.ones((1, 4, 4))), 1.0e9, box_array([Box(2, 2, 1e-320, 1e-320)]), 2)
+        roi_align(Tensor(np.ones((1, 1, 4, 4))), 1.0e9, box_array([Box(2, 2, 1e-320, 1e-320)]), 2)
+
+
+@pytest.mark.parametrize("shape, message", [((3, 8, 8), r"roi_align takes an \(N,C,H,W\) map"),
+                                            ((2, 3, 8, 8), r"roi_align reads a \(1,C,H,W\) map")],
+                         ids=["chw", "two-images"])
+def test_map_must_hold_one_image(shape, message):
+    # rows carry no image index, so a map of two images is ambiguous
+    with pytest.raises(ValueError, match=rf"{message}, got shape {re.escape(str(shape))}"):
+        roi_align(Tensor(np.ones(shape)), 4.0, box_array([Box(12.0, 12.0, 8.0, 8.0)]), 3)
 
 
 def test_assign_level_scale_rule():
@@ -59,7 +70,7 @@ def test_assign_level_scale_rule():
 @pytest.mark.parametrize("seed", range(5))
 def test_gradients_match_finite_differences(seed):
     rng = np.random.default_rng(seed)
-    feature = rng.standard_normal((3, 8, 8))
+    feature = rng.standard_normal((1, 3, 8, 8))
     box = box_array([Box.from_corners(2.0 + seed, 3.0, 20.0, 26.0)])
     pw = rng.standard_normal((1, 3, 3, 3))
 
@@ -70,11 +81,11 @@ def test_gradients_match_finite_differences(seed):
 
 
 def test_gradient_scatters_only_into_touched_cells():
-    feature = Tensor(np.zeros((1, 8, 8)), requires_grad=True)
+    feature = Tensor(np.zeros((1, 1, 8, 8)), requires_grad=True)
     box = Box.from_corners(0.0, 0.0, 8.0, 8.0)  # strides to cells (0..1)x(0..1)
     out = roi_align(feature, 4.0, box_array([box]), 1)
     out.sum().backward()
-    touched = np.abs(feature.grad[0]) > 0
+    touched = np.abs(feature.grad[0, 0]) > 0
     assert touched[:3, :3].any()
     assert not touched[3:, :].any() and not touched[:, 3:].any()
 
@@ -101,7 +112,7 @@ _roi = st.builds(lambda x, y, w, h: Box.from_corners(x, y, x + w, y + h), _corne
 def test_batched_equals_per_box_and_dense_oracle(extra, seed, res):
     boxes = _EDGE_BOXES + extra
     rng = np.random.default_rng(seed)
-    feature = rng.standard_normal((3, 6, 7))
+    feature = rng.standard_normal((1, 3, 6, 7))
     leaf = Tensor(feature, requires_grad=True)
     batched = roi_align(leaf, 4.0, box_array(boxes), res)
     assert batched.shape == (len(boxes), 3, res, res)
@@ -113,7 +124,7 @@ def test_batched_equals_per_box_and_dense_oracle(extra, seed, res):
         one_leaf = Tensor(feature, requires_grad=True)
         one = roi_align(one_leaf, 4.0, box_array([box]), res)
         np.testing.assert_array_equal(batched.data[i], one.data[0])
-        want = roi_align_dense(feature, 4.0, (box.x1, box.y1, box.x2, box.y2), res)
+        want = roi_align_dense(feature[0], 4.0, (box.x1, box.y1, box.x2, box.y2), res)
         assert np.abs(one.data[0] - want).max() < 1e-9
         (one * pw[i : i + 1]).sum().backward()
         grad_sum += one_leaf.grad
@@ -126,7 +137,7 @@ def test_values_do_not_depend_on_the_map_needing_a_gradient(res):
     # without a gradient the forward skips the winner bookkeeping; the
     # pooled values must stay the same bit for bit
     rng = np.random.default_rng(res)
-    feature = rng.standard_normal((3, 6, 7))
+    feature = rng.standard_normal((1, 3, 6, 7))
     drawn = [Box.from_corners(x, y, x + bw, y + bh)
              for x, y, bw, bh in zip(*rng.uniform(-10.0, 30.0, (2, CHUNK)), *rng.uniform(0.5, 20.0, (2, CHUNK)))]
     boxes = box_array(_EDGE_BOXES + drawn)
@@ -143,7 +154,7 @@ def test_values_do_not_depend_on_the_map_needing_a_gradient(res):
 @pytest.mark.parametrize("seed", range(3))
 def test_gradients_of_several_regions_on_one_map(seed):
     rng = np.random.default_rng(100 + seed)
-    feature = rng.standard_normal((2, 6, 7))
+    feature = rng.standard_normal((1, 2, 6, 7))
     boxes = box_array(_EDGE_BOXES + [Box.from_corners(3.0 + seed, 4.0, 19.0, 20.0)])
     pw = rng.standard_normal((len(boxes), 2, 3, 3))
 
@@ -157,7 +168,7 @@ def test_max_ties_send_gradient_to_first_sample():
     # quarter points at dyadic cell fractions read a constant map exactly,
     # so the four samples of the bin tie and the whole bin gradient goes to
     # the (0.25, 0.25) sample's bilinear neighbours
-    feature = Tensor(np.ones((1, 10, 10)), requires_grad=True)
+    feature = Tensor(np.ones((1, 1, 10, 10)), requires_grad=True)
     box = Box.from_corners(0.75, 1.25, 8.75, 9.25)
     out = roi_align(feature, 1.0, box_array([box]), 1)
     assert out.data[0, 0, 0, 0] == 1.0
@@ -165,7 +176,7 @@ def test_max_ties_send_gradient_to_first_sample():
     sy, sx = box.y1 + 0.25 * box.h, box.x1 + 0.25 * box.w
     hat_y = np.maximum(0.0, 1.0 - np.abs(sy - (np.arange(10) + 0.5)))
     hat_x = np.maximum(0.0, 1.0 - np.abs(sx - (np.arange(10) + 0.5)))
-    np.testing.assert_array_equal(feature.grad[0], np.outer(hat_y, hat_x))
+    np.testing.assert_array_equal(feature.grad[0, 0], np.outer(hat_y, hat_x))
 
 
 @pytest.mark.parametrize("with_wide", [False, True])
@@ -174,7 +185,7 @@ def test_small_regions_on_a_large_map(with_wide):
     # to every edge and past the far ones, with and without a region that
     # spans over half the map's width
     rng = np.random.default_rng(7)
-    feature = rng.standard_normal((2, 24, 28))
+    feature = rng.standard_normal((1, 2, 24, 28))
     boxes = [
         Box.from_corners(0.5, 0.5, 3.0, 2.5),
         Box.from_corners(52.0, 44.0, 57.0, 49.0),
@@ -184,7 +195,7 @@ def test_small_regions_on_a_large_map(with_wide):
     ] + ([Box.from_corners(10.0, 8.0, 42.0, 14.0)] if with_wide else [])
     out = roi_align(Tensor(feature), 2.0, box_array(boxes), 3)
     for got, box in zip(out.data, boxes):
-        want = roi_align_dense(feature, 2.0, (box.x1, box.y1, box.x2, box.y2), 3)
+        want = roi_align_dense(feature[0], 2.0, (box.x1, box.y1, box.x2, box.y2), 3)
         assert np.abs(got - want).max() < 1e-9
     pw = rng.standard_normal(out.shape)
 

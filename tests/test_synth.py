@@ -34,6 +34,12 @@ def test_spec_validation():
     assert SynthSpec(canvas=32).num_classes == 3
 
 
+@pytest.mark.parametrize("noise", [-0.5, float("nan"), float("inf")], ids=["negative", "nan", "inf"])
+def test_spec_rejects_bad_noise(noise):
+    with pytest.raises(ValueError, match=f"noise must be finite and at least 0, got {noise}"):
+        SynthSpec(noise=noise)
+
+
 def test_dataset_is_deterministic_and_seed_sensitive():
     spec = SynthSpec()
     a = synth_dataset(spec, 7, 6)

@@ -1,5 +1,6 @@
 """Autodiff core: forward values against numpy, gradients against FD."""
 
+import re
 import threading
 
 import numpy as np
@@ -65,22 +66,32 @@ def test_add_mul_same_shape_values():
 
 
 def test_broadcast_rules():
-    x = Tensor(np.ones((3, 4, 5)))
-    gate = Tensor(np.full((3, 1, 1), 0.5))
-    spatial = Tensor(np.full((1, 4, 5), 2.0))
-    assert (x * gate).data.shape == (3, 4, 5)
-    assert (x * spatial).data.shape == (3, 4, 5)
+    x = Tensor(np.ones((1, 3, 4, 5)))
+    gate = Tensor(np.full((1, 3, 1, 1), 0.5))
+    spatial = Tensor(np.full((1, 1, 4, 5), 2.0))
+    assert (x * gate).data.shape == (1, 3, 4, 5)
+    assert (x * spatial).data.shape == (1, 3, 4, 5)
     with pytest.raises(ValueError):
         _ = Tensor(np.ones((3, 4))) * Tensor(np.ones((4, 3)))
 
 
+@pytest.mark.parametrize(
+    "a, b",
+    [((3, 4, 5), (3, 1, 1)), ((3, 4, 5), (1, 4, 5)), ((1, 3, 4, 5), (2, 3, 1, 1)), ((2, 3, 4, 5), (1, 1, 4, 5))],
+    ids=["3d-channel", "3d-spatial", "channel-gate-of-2", "spatial-gate-of-1"],
+)
+def test_mul_broadcasts_only_per_sample_gates(a, b):
+    with pytest.raises(ValueError, match="unsupported multiply broadcast"):
+        _ = Tensor(np.ones(a)) * Tensor(np.ones(b))
+
+
 def test_broadcast_gradient_reduces():
     # d/dgate sum(x * gate) must sum over the broadcast axes
-    x = np.arange(24.0).reshape(2, 3, 4)
-    gate = Tensor(np.array([[[2.0]], [[3.0]]]), requires_grad=True)
+    x = np.arange(24.0).reshape(1, 2, 3, 4)
+    gate = Tensor(np.array([[[[2.0]], [[3.0]]]]), requires_grad=True)
     out = (Tensor(x) * gate).sum()
     out.backward()
-    assert np.allclose(gate.grad.reshape(2), x.sum(axis=(1, 2)))
+    assert np.allclose(gate.grad.reshape(2), x.sum(axis=(2, 3)))
 
 
 def test_backward_accumulates_through_reuse():
@@ -129,23 +140,23 @@ def test_smooth_l1_fixture_values():
 @pytest.mark.parametrize("padding", [0, 1, 3])
 def test_conv2d_matches_brute_force_correlation(k, stride, padding):
     rng = np.random.default_rng(k * 100 + stride * 10 + padding)
-    x = rng.standard_normal((2, 9, 8))
+    x = rng.standard_normal((1, 2, 9, 8))
     w = rng.standard_normal((3, 2, k, k))
     b = rng.standard_normal(3)
     out = conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=padding).data
     ho, wo = (9 + 2 * padding - k) // stride + 1, (8 + 2 * padding - k) // stride + 1
-    assert out.shape == (3, ho, wo)
+    assert out.shape == (1, 3, ho, wo)
     np.testing.assert_allclose(out, conv2d_reference(x, w, b, stride, padding), rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("k", [1, 3, 7])
 @pytest.mark.parametrize("stride", [1, 2])
 @pytest.mark.parametrize("padding", [0, 1, 3])
-@pytest.mark.parametrize("shape", [(2, 8, 9), (2, 2, 8, 9)])
+@pytest.mark.parametrize("shape", [(1, 2, 8, 9), (2, 2, 8, 9)])
 def test_conv2d_gradients_match_brute_force(k, stride, padding, shape):
     # H + 2*padding - k is odd, so at stride 2 the last row lies outside every
     # window and must get no input gradient; padding 3 exceeds k - 1 for k < 7
-    rng = np.random.default_rng(k * 100 + stride * 10 + padding + len(shape))
+    rng = np.random.default_rng(k * 100 + stride * 10 + padding + 2 + shape[0])
     x = rng.standard_normal(shape)
     w = rng.standard_normal((3, 2, k, k))
     b = rng.standard_normal(3)
@@ -158,9 +169,23 @@ def test_conv2d_gradients_match_brute_force(k, stride, padding, shape):
 
 
 def test_conv2d_stride_shape():
-    x = Tensor(np.zeros((1, 8, 8)))
+    x = Tensor(np.zeros((1, 1, 8, 8)))
     w = Tensor(np.zeros((4, 1, 3, 3)))
-    assert conv2d(x, w, Tensor(np.zeros(4)), stride=2, padding=1).shape == (4, 4, 4)
+    assert conv2d(x, w, Tensor(np.zeros(4)), stride=2, padding=1).shape == (1, 4, 4, 4)
+
+
+_MAP_OPS = {
+    "conv2d": lambda x: conv2d(x, Tensor(np.zeros((3, 2, 3, 3))), Tensor(np.zeros(3))),
+    "max_pool2d": lambda x: max_pool2d(x, kernel=3, stride=2, padding=1),
+    "upsample_nearest": upsample_nearest,
+}
+
+
+@pytest.mark.parametrize("op", _MAP_OPS)
+@pytest.mark.parametrize("shape", [(2, 8, 8), (1, 1, 2, 8, 8)], ids=["chw", "5d"])
+def test_map_ops_take_only_nchw(op, shape):
+    with pytest.raises(ValueError, match=rf"{op} takes an \(N,C,H,W\) map, got shape {re.escape(str(shape))}"):
+        _MAP_OPS[op](Tensor(np.zeros(shape)))
 
 
 def test_linear_matches_manual():
@@ -198,91 +223,91 @@ def test_mean_and_max_over_axis(axis):
 
 
 def global_pool(x: Tensor, axis: str, mode: str) -> Tensor:
-    """The attention gates' global descriptors of a (C,H,W) map, built from
-    Tensor.mean/max as the gates build them: axis="spatial" gives (C,1,1),
-    axis="channel" gives (1,H,W)."""
-    c, h, w = x.shape
+    """The attention gates' global descriptors of an (N,C,H,W) map, built from
+    Tensor.mean/max as the gates build them: axis="spatial" gives (N,C,1,1),
+    axis="channel" gives (N,1,H,W)."""
+    n, c, h, w = x.shape
     if axis == "spatial":
-        flat = x.reshape(c, -1)
-        return (flat.mean(axis=1) if mode == "avg" else flat.max(axis=1)).reshape(c, 1, 1)
-    return (x.mean(axis=0) if mode == "avg" else x.max(axis=0)).reshape(1, h, w)
+        flat = x.reshape(n, c, -1)
+        return (flat.mean(axis=2) if mode == "avg" else flat.max(axis=2)).reshape(n, c, 1, 1)
+    return (x.mean(axis=1) if mode == "avg" else x.max(axis=1)).reshape(n, 1, h, w)
 
 
 def test_pool_modes():
-    x = np.arange(24.0).reshape(2, 3, 4)
-    assert np.allclose(global_pool(Tensor(x), "spatial", "avg").data, x.mean(axis=(1, 2), keepdims=True))
-    assert np.allclose(global_pool(Tensor(x), "spatial", "max").data, x.max(axis=(1, 2), keepdims=True))
-    assert np.allclose(global_pool(Tensor(x), "channel", "avg").data, x.mean(axis=0, keepdims=True))
-    assert np.allclose(global_pool(Tensor(x), "channel", "max").data, x.max(axis=0, keepdims=True))
+    x = np.arange(24.0).reshape(1, 2, 3, 4)
+    assert np.allclose(global_pool(Tensor(x), "spatial", "avg").data, x.mean(axis=(2, 3), keepdims=True))
+    assert np.allclose(global_pool(Tensor(x), "spatial", "max").data, x.max(axis=(2, 3), keepdims=True))
+    assert np.allclose(global_pool(Tensor(x), "channel", "avg").data, x.mean(axis=1, keepdims=True))
+    assert np.allclose(global_pool(Tensor(x), "channel", "max").data, x.max(axis=1, keepdims=True))
 
 
 @pytest.mark.parametrize("axis", ["spatial", "channel"])
 @pytest.mark.parametrize("mode", ["avg", "max"])
 def test_pool_gradients(axis, mode):
     rng = np.random.default_rng(0)
-    x = rng.standard_normal((3, 4, 5))
+    x = rng.standard_normal((1, 3, 4, 5))
     pw = rng.standard_normal(global_pool(Tensor(x), axis, mode).shape)
     assert grad_check(lambda t: (global_pool(t, axis, mode) * pw).sum(), Tensor(x)) < 1e-3
 
 
 def test_pool_max_ties_go_to_first_element():
-    for axis, first in (("spatial", (slice(None), 0, 0)), ("channel", (0,))):
-        t = Tensor(np.ones((2, 3, 2)), requires_grad=True)
+    for axis, first in (("spatial", (0, slice(None), 0, 0)), ("channel", (0, 0))):
+        t = Tensor(np.ones((1, 2, 3, 2)), requires_grad=True)
         global_pool(t, axis, "max").sum().backward()
-        want = np.zeros((2, 3, 2))
+        want = np.zeros((1, 2, 3, 2))
         want[first] = 1.0
         assert np.array_equal(t.grad, want), axis
 
 
 def test_max_pool2d_values_and_tie_rule():
-    x = np.array([[[1.0, 2.0], [2.0, 0.0]]])
+    x = np.array([[[[1.0, 2.0], [2.0, 0.0]]]])
     t = Tensor(x, requires_grad=True)
     out = max_pool2d(t, kernel=2, stride=2)
     assert out.data.reshape(()) == 2.0
     out.sum().backward()
     # ties route the gradient to the first maximum in scan order
-    assert t.grad[0, 0, 1] == 1.0
-    assert t.grad[0, 1, 0] == 0.0
+    assert t.grad[0, 0, 0, 1] == 1.0
+    assert t.grad[0, 0, 1, 0] == 0.0
 
 
 @pytest.mark.parametrize("kernel, stride, padding", [(3, 2, 1), (1, 2, 0)])
 def test_max_pool2d_matches_brute_force(kernel, stride, padding):
     # the stem's pool and P6's subsampling over odd extents; small integers tie often
     rng = np.random.default_rng(kernel)
-    x = rng.integers(0, 3, (3, 9, 7)).astype(float)
+    x = rng.integers(0, 3, (1, 3, 9, 7)).astype(float)
     t = Tensor(x, requires_grad=True)
     out = max_pool2d(t, kernel, stride, padding)
     pw = rng.standard_normal(out.shape)
     (out * pw).sum().backward()
-    want, dx = max_pool2d_reference(x, kernel, stride, padding, pw)
-    assert np.array_equal(out.data, want)
-    np.testing.assert_allclose(t.grad, dx, rtol=0.0, atol=1e-12)
+    want, dx = max_pool2d_reference(x[0], kernel, stride, padding, pw[0])
+    assert np.array_equal(out.data[0], want)
+    np.testing.assert_allclose(t.grad[0], dx, rtol=0.0, atol=1e-12)
 
 
 def test_max_pool2d_overlapping_winner_and_ties():
     # 3x3, stride 2, padding 1 on a 3x3 map: all four windows hold the centre
-    x = np.zeros((1, 3, 3))
-    x[0, 1, 1] = 9.0
-    pw = np.array([[[1.0, 2.0], [4.0, 8.0]]])
+    x = np.zeros((1, 1, 3, 3))
+    x[0, 0, 1, 1] = 9.0
+    pw = np.array([[[[1.0, 2.0], [4.0, 8.0]]]])
     t = Tensor(x, requires_grad=True)
     out = max_pool2d(t, kernel=3, stride=2, padding=1)
-    assert np.array_equal(out.data, np.full((1, 2, 2), 9.0))
+    assert np.array_equal(out.data, np.full((1, 1, 2, 2), 9.0))
     (out * pw).sum().backward()
-    want = np.zeros((1, 3, 3))
-    want[0, 1, 1] = 15.0  # the gradients of every window it wins
+    want = np.zeros((1, 1, 3, 3))
+    want[0, 0, 1, 1] = 15.0  # the gradients of every window it wins
     assert np.array_equal(t.grad, want)
     # all cells tie: each window's first in-map cell in scan order wins
-    t = Tensor(np.ones((1, 3, 3)), requires_grad=True)
+    t = Tensor(np.ones((1, 1, 3, 3)), requires_grad=True)
     (max_pool2d(t, kernel=3, stride=2, padding=1) * pw).sum().backward()
-    assert np.array_equal(t.grad, [[[1.0, 2.0, 0.0], [4.0, 8.0, 0.0], [0.0, 0.0, 0.0]]])
+    assert np.array_equal(t.grad, [[[[1.0, 2.0, 0.0], [4.0, 8.0, 0.0], [0.0, 0.0, 0.0]]]])
 
 
 def test_upsample_nearest_repeats_cells():
-    x = np.array([[[1.0, 2.0], [3.0, 4.0]]])
+    x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
     up = upsample_nearest(Tensor(x)).data
-    assert up.shape == (1, 4, 4)
-    assert np.allclose(up[0, :2, :2], 1.0)
-    assert np.allclose(up[0, 2:, 2:], 4.0)
+    assert up.shape == (1, 1, 4, 4)
+    assert np.allclose(up[0, 0, :2, :2], 1.0)
+    assert np.allclose(up[0, 0, 2:, 2:], 4.0)
 
 
 def test_concat_and_gather_rows():
@@ -313,9 +338,9 @@ def test_grad_check_rejects_bad_eps_and_nonscalar():
 @pytest.mark.parametrize("seed", range(10))
 def test_composite_graph_gradients(seed):
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((2, 6, 6))
+    x = rng.standard_normal((1, 2, 6, 6))
     w = rng.standard_normal((3, 2, 3, 3)) * 0.5
-    pw = rng.standard_normal((3, 3, 3))
+    pw = rng.standard_normal((1, 3, 3, 3))
 
     def fn(t):
         h = conv2d(t, Tensor(w), Tensor(np.zeros(3)), stride=2, padding=1)
@@ -349,7 +374,7 @@ def _conv_grads(x, w, b, pw, stride, padding):
 @pytest.mark.parametrize("stride", [1, 2])
 @pytest.mark.parametrize("padding", [0, 1, 3])
 def test_batched_conv2d_equals_stacked_per_sample_calls(k, stride, padding):
-    # each sample gets a (C,H,W) call's arithmetic bit for bit, and the
+    # each sample gets a batch-of-one call's arithmetic bit for bit, and the
     # weight and bias gradients are the per-sample ones summed in order
     rng = np.random.default_rng(k * 100 + stride * 10 + padding)
     x = rng.standard_normal((3, 2, 9, 8))
@@ -357,9 +382,9 @@ def test_batched_conv2d_equals_stacked_per_sample_calls(k, stride, padding):
     b = rng.standard_normal(4)
     pw = rng.standard_normal(conv2d(Tensor(x), Tensor(w), Tensor(b), stride, padding).shape)
     out, (dx, dw, db) = _conv_grads(x, w, b, pw, stride, padding)
-    per = [_conv_grads(x[n], w, b, pw[n], stride, padding) for n in range(3)]
-    assert np.array_equal(out, np.stack([o for o, _ in per]))
-    assert np.array_equal(dx, np.stack([g[0] for _, g in per]))
+    per = [_conv_grads(x[n : n + 1], w, b, pw[n : n + 1], stride, padding) for n in range(3)]
+    assert np.array_equal(out, np.concatenate([o for o, _ in per]))
+    assert np.array_equal(dx, np.concatenate([g[0] for _, g in per]))
     assert np.array_equal(dw, np.stack([g[1] for _, g in per]).sum(axis=0))
     assert np.array_equal(db, np.stack([g[2] for _, g in per]).sum(axis=0))
 
@@ -383,7 +408,7 @@ def test_batched_conv2d_and_upsample_gradients(seed):
 def test_batched_upsample_repeats_each_sample():
     x = np.arange(12.0).reshape(3, 1, 2, 2)
     up = upsample_nearest(Tensor(x)).data
-    assert np.array_equal(up, np.stack([upsample_nearest(Tensor(s)).data for s in x]))
+    assert np.array_equal(up, np.concatenate([upsample_nearest(Tensor(x[n : n + 1])).data for n in range(3)]))
 
 
 def test_no_grad_records_nothing_nests_and_restores():
@@ -431,7 +456,7 @@ def _extent(n, k, stride, padding):
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(
-    n=st.integers(0, 2),  # 0: an unbatched (C,H,W) map
+    n=st.integers(0, 2),  # 0 and 1: a batch of one
     c=st.integers(1, 3),
     o=st.integers(1, 3),
     h=st.integers(1, 10),
@@ -444,7 +469,7 @@ def _extent(n, k, stride, padding):
 def test_conv2d_values_and_gradients_match_oracles(n, c, o, h, w, k, stride, padding, seed):
     assume(_extent(h, k, stride, padding) >= 1 and _extent(w, k, stride, padding) >= 1)
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n, c, h, w) if n else (c, h, w))
+    x = rng.standard_normal((max(n, 1), c, h, w))
     wt = rng.standard_normal((o, c, k, k))
     b = rng.standard_normal(o)
     pw = rng.standard_normal(conv2d_reference(x, wt, b, stride, padding).shape)
@@ -469,11 +494,11 @@ def test_max_pool2d_values_and_gradients_match_oracle(c, h, w, kernel, stride, p
     assume(2 * padding <= kernel)
     assume(_extent(h, kernel, stride, padding) >= 1 and _extent(w, kernel, stride, padding) >= 1)
     rng = np.random.default_rng(seed)
-    x = rng.integers(0, 3, (c, h, w)).astype(float)
+    x = rng.integers(0, 3, (1, c, h, w)).astype(float)
     t = Tensor(x, requires_grad=True)
     out = max_pool2d(t, kernel, stride, padding)
     pw = rng.standard_normal(out.shape)
     (out * pw).sum().backward()
-    want, dx = max_pool2d_reference(x, kernel, stride, padding, pw)
-    assert np.array_equal(out.data, want)
-    np.testing.assert_allclose(t.grad, dx, rtol=0.0, atol=1e-12)
+    want, dx = max_pool2d_reference(x[0], kernel, stride, padding, pw[0])
+    assert np.array_equal(out.data[0], want)
+    np.testing.assert_allclose(t.grad[0], dx, rtol=0.0, atol=1e-12)

@@ -35,6 +35,13 @@ def test_config_validation():
     TrainConfig(momentum=0.0, weight_decay=0.0, rpn_reg_weight=0.0, step_epochs=(0,))
 
 
+@pytest.mark.parametrize("name", ["lr", "step_factor", "weight_decay", "rpn_reg_weight"])
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")], ids=["inf", "-inf", "nan"])
+def test_config_rejects_non_finite_rates(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
+        TrainConfig(**{name: value})
+
+
 def test_lr_schedule_exact_literals():
     cfg = TrainConfig()
     assert lr_at(cfg, 0) == 0.002
@@ -133,7 +140,7 @@ def test_rpn_offsets_are_normalized_by_anchor_positions(monkeypatch):
 
     monkeypatch.setattr(train_mod, "total_loss", total_spy)
     _image_loss(model, sample, np.random.default_rng(0), TrainConfig.toy())
-    cells = sum(f.shape[1] * f.shape[2] for f in pyramid_forward(model, Tensor(sample.image)).values())
+    cells = sum(f.shape[2] * f.shape[3] for f in pyramid_forward(model, Tensor(sample.image[None])).values())
     assert calls[0][4] == cells
 
 
@@ -167,7 +174,7 @@ def test_mask_term_and_gradients_equal_a_per_region_loop(monkeypatch):
     assert seen["head_calls"] == 1 and pos.size >= 2
     rois = seen["proposals"][keep[pos]]
     m = model.cfg.mask_out
-    pyramid = pyramid_forward(model, Tensor(sample.image))
+    pyramid = pyramid_forward(model, Tensor(sample.image[None]))
     feats = extract_roi_features(pyramid, rois, model.cfg.mask_resolution).data
     terms = []
     for feat, label, gt_index, row in zip(feats, labels[pos], matched[pos], rois):
