@@ -8,15 +8,16 @@ ownership, so every ground-truth mask is the exact visible region of its
 object and every ground-truth box is the tight bounding box of that
 mask. Fully occluded objects are dropped.
 
-Class ids are 1-based indices into the spec's class tuple (0 is reserved
-for background in the detector heads).
+Scenes hold (N, 4) float64 center-form box rows and (N,) int64 class ids,
+1-based indices into the spec's class tuple (0 is background in the
+detector heads); only `to_ground_truth` makes `Box` records of them.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,6 +65,8 @@ class SynthSpec:
         bad = [c for c in self.classes if c not in SUPPORTED_SHAPES]
         if bad or not self.classes:
             raise ValueError(f"unsupported classes {bad}; choose from {SUPPORTED_SHAPES}")
+        if len(set(self.classes)) != len(self.classes):
+            raise ValueError(f"classes must not repeat a name, got {list(self.classes)}")
         lo, hi = self.n_objects
         if not 0 <= lo <= hi:
             raise ValueError(f"bad n_objects range {self.n_objects}")
@@ -82,29 +85,40 @@ class SynthSpec:
 
 @dataclass
 class Sample:
-    """One scene: 3xHxW image in [0,1], per-object boxes/classes/masks."""
+    """One scene: 3xHxW image in [0,1], (N, 4) box rows, (N,) class ids, (N, H, W) masks."""
 
     image: np.ndarray
-    boxes: list[Box]
-    class_ids: list[int]
+    boxes: np.ndarray
+    class_ids: np.ndarray
     masks: np.ndarray
 
     def __post_init__(self):
         if self.image.ndim != 3 or self.image.shape[0] != 3:
             raise ValueError(f"image must be 3xHxW, got {self.image.shape}")
-        if not (len(self.boxes) == len(self.class_ids) == len(self.masks)):
+        b, c = self.boxes, self.class_ids
+        if not (isinstance(b, np.ndarray) and b.dtype == np.float64 and b.ndim == 2 and b.shape[1] == 4):
+            raise ValueError(f"boxes must be an (N, 4) float64 array, got {_spelled(b)}")
+        if not (isinstance(c, np.ndarray) and c.dtype == np.int64 and c.shape == b.shape[:1]):
+            raise ValueError(f"class_ids must be a ({len(b)},) int64 array, got {_spelled(c)}")
+        if len(self.masks) != len(b):
             raise ValueError("boxes, class_ids, and masks must align")
 
 
-def tight_box(mask: np.ndarray) -> Box:
-    """The smallest pixel-aligned box covering a non-empty binary mask."""
+def _spelled(value) -> str:
+    if isinstance(value, np.ndarray):
+        return f"{value.dtype} array of shape {value.shape}"
+    return type(value).__name__
+
+
+def tight_box(mask: np.ndarray) -> tuple[float, float, float, float]:
+    """The smallest pixel-aligned (cx, cy, w, h) row covering a non-empty binary mask."""
     rows = np.flatnonzero(mask.any(axis=1))
     cols = np.flatnonzero(mask.any(axis=0))
     if rows.size == 0:
         raise ValueError("empty mask has no bounding box")
-    r0, r1 = int(rows[0]), int(rows[-1])
-    c0, c1 = int(cols[0]), int(cols[-1])
-    return Box.from_coco((float(c0), float(r0), float(c1 - c0 + 1), float(r1 - r0 + 1)))
+    x, y = float(cols[0]), float(rows[0])
+    w, h = float(cols[-1] - cols[0] + 1), float(rows[-1] - rows[0] + 1)
+    return (x + w / 2.0, y + h / 2.0, w, h)
 
 
 def _pixel_centers(h: int, w: int):
@@ -181,7 +195,7 @@ def _synth_one(rng: np.random.Generator, spec: SynthSpec) -> Sample:
     paint = np.full((3, canvas, canvas), _BACKGROUND)
 
     placed: list[Box] = []
-    shapes: list[tuple[str, Box, np.ndarray]] = []
+    shapes: list[tuple[int, Box]] = []
     n_obj = int(rng.integers(spec.n_objects[0], spec.n_objects[1] + 1))
     for k in range(n_obj):
         occlude = None
@@ -190,8 +204,7 @@ def _synth_one(rng: np.random.Generator, spec: SynthSpec) -> Sample:
         box = _place(rng, spec, placed, occlude)
         if box is None:
             continue
-        cls = int(rng.integers(spec.num_classes))
-        shapes.append((spec.classes[cls], box, np.array(_COLORS[spec.classes[cls]])))
+        shapes.append((int(rng.integers(spec.num_classes)), box))
         placed.append(box)
 
     # distractors render first so objects always sit on top of them
@@ -203,26 +216,25 @@ def _synth_one(rng: np.random.Generator, spec: SynthSpec) -> Sample:
             owner[m] = -2
             paint[:, m] = color[:, None]
 
-    class_ids: list[int] = []
-    for k, (shape_name, box, color) in enumerate(shapes):
-        m = _raster(shape_name, box.cx, box.cy, box.w, box.h, canvas)
+    for k, (cls, box) in enumerate(shapes):
+        m = _raster(spec.classes[cls], box.cx, box.cy, box.w, box.h, canvas)
         jitter = rng.uniform(-0.05, 0.05)
         owner[m] = k
-        paint[:, m] = np.clip(color + jitter, 0.0, 1.0)[:, None]
-        class_ids.append(spec.classes.index(shape_name) + 1)
+        paint[:, m] = np.clip(np.array(_COLORS[spec.classes[cls]]) + jitter, 0.0, 1.0)[:, None]
 
     image = np.clip(paint + spec.noise * rng.standard_normal(paint.shape), 0.0, 1.0)
 
     boxes, ids, masks = [], [], []
-    for k in range(len(shapes)):
+    for k, (cls, _) in enumerate(shapes):
         m = owner == k
         if not m.any():
             continue
         boxes.append(tight_box(m))
-        ids.append(class_ids[k])
+        ids.append(cls + 1)
         masks.append(m)
     mask_arr = np.stack(masks) if masks else np.zeros((0, canvas, canvas), dtype=bool)
-    return Sample(image=image, boxes=boxes, class_ids=ids, masks=mask_arr)
+    boxes = np.array(boxes, dtype=np.float64).reshape(-1, 4)
+    return Sample(image=image, boxes=boxes, class_ids=np.array(ids, dtype=np.int64), masks=mask_arr)
 
 
 def synth_dataset(spec: SynthSpec, seed: int, n: int) -> list[Sample]:
@@ -235,11 +247,12 @@ def synth_dataset(spec: SynthSpec, seed: int, n: int) -> list[Sample]:
 
 def hflip(sample: Sample) -> Sample:
     """Mirror a scene left to right; boxes and masks move with the image."""
-    w = sample.image.shape[2]
+    boxes = sample.boxes.copy()
+    boxes[:, 0] = sample.image.shape[2] - boxes[:, 0]
     return Sample(
         image=sample.image[:, :, ::-1].copy(),
-        boxes=[Box(w - b.cx, b.cy, b.w, b.h) for b in sample.boxes],
-        class_ids=list(sample.class_ids),
+        boxes=boxes,
+        class_ids=sample.class_ids.copy(),
         masks=sample.masks[:, :, ::-1].copy(),
     )
 
@@ -249,8 +262,8 @@ def dataset_hash(samples: list[Sample]) -> str:
     h = hashlib.sha256()
     for s in samples:
         h.update(np.ascontiguousarray(s.image).tobytes())
-        h.update(np.array(s.class_ids, dtype=np.int64).tobytes())
-        h.update(np.array([[b.cx, b.cy, b.w, b.h] for b in s.boxes], dtype=np.float64).tobytes())
+        h.update(s.class_ids.tobytes())
+        h.update(s.boxes.tobytes())
         h.update(np.ascontiguousarray(s.masks).astype(np.uint8).tobytes())
     return h.hexdigest()
 
@@ -261,7 +274,7 @@ def to_ground_truth(samples: list[Sample], classes: tuple[str, ...]) -> GroundTr
     images = {}
     for img_id, s in enumerate(samples):
         images[img_id] = (s.image.shape[2], s.image.shape[1])
-        for b, cid in zip(s.boxes, s.class_ids):
-            records.append(GTRecord(image_id=img_id, class_id=cid, box=b, iscrowd=False))
+        for row, cid in zip(s.boxes.tolist(), s.class_ids.tolist()):
+            records.append(GTRecord(image_id=img_id, class_id=cid, box=Box(*row), iscrowd=False))
     categories = {i + 1: name for i, name in enumerate(classes)}
     return GroundTruth(records=records, images=images, categories=categories)

@@ -12,7 +12,7 @@ by the total anchor-position count), and the region head's class and
 offset terms (normalized by the sampled region count) with the mean mask
 cross entropy over positive regions, from one mask-head call per image.
 Region proposals are treated as constants: no gradient flows through
-their coordinates, and ground-truth boxes are appended to the proposal
+their coordinates, and the scene's box rows are appended to the proposal
 set so the region heads always see positives once the dataset has them.
 
 Every consumed random draw comes from one seeded generator in a fixed
@@ -29,7 +29,7 @@ from decimal import Decimal
 
 import numpy as np
 
-from .boxes import box_array, clip_boxes, corners, encode_boxes, pairwise_iou
+from .boxes import clip_boxes, corners, encode_boxes, pairwise_iou
 from .losses import (
     assign_anchor_labels,
     cls_loss,
@@ -171,7 +171,7 @@ def mask_target_grid(masks: np.ndarray, boxes: np.ndarray, m: int) -> np.ndarray
 def _sample_rois(
     proposals: np.ndarray,
     gt_boxes: np.ndarray,
-    gt_classes: list[int],
+    gt_classes: np.ndarray,
     rng: np.random.Generator,
     cfg: TrainConfig,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -189,7 +189,7 @@ def _sample_rois(
         best = mat.max(axis=1)
         arg = mat.argmax(axis=1)
         fg = best >= cfg.roi_pos_iou
-        labels[fg] = np.array(gt_classes)[arg[fg]]
+        labels[fg] = gt_classes[arg[fg]]
         matched[fg] = arg[fg]
     max_pos = max(1, int(cfg.roi_batch * cfg.roi_pos_fraction))
     keep = np.concatenate(sample_minibatch(
@@ -208,7 +208,7 @@ def _image_loss(
     height, width = sample.image.shape[1:]
     pyramid = pyramid_forward(model, Tensor(sample.image[None]))
     anchors, scores, offsets = rpn_forward(model, pyramid)
-    gt = box_array(sample.boxes)
+    gt = sample.boxes
 
     asg = assign_anchor_labels(
         anchors, gt, rng,

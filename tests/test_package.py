@@ -41,6 +41,30 @@ def test_runtime_imports_are_numpy_or_stdlib(path):
     assert not outside, f"{path.name} imports {outside}"
 
 
+# losses binds boxes.iou without reading it: bench/layers.py wraps boxes.iou
+# in every module that binds it, so the binding keeps the benchmark's iou
+# span and call count unchanged
+UNREAD_IMPORTS = {("losses.py", "iou")}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            exported.update(ast.literal_eval(node.value))
+    unused = sorted(n for n in imported - read - exported if (path.name, n) not in UNREAD_IMPORTS)
+    assert not unused, f"{path.name} imports {unused} and never reads them"
+
+
 def test_hypothesis_failure_reporter_imports_under_the_warning_filters(monkeypatch):
     # hypothesis imports its reporter, and with it libcst, only once an example
     # fails; a warning raised there under filterwarnings = error would end the

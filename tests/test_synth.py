@@ -5,6 +5,7 @@ import pytest
 
 from attnmask.boxes import Box
 from attnmask.synth import (
+    Sample,
     SynthSpec,
     dataset_hash,
     hflip,
@@ -14,8 +15,9 @@ from attnmask.synth import (
 )
 
 
-def _boxes_close(a: Box, b: Box, tol=1e-9) -> bool:
-    return all(abs(x - y) < tol for x, y in zip((a.cx, a.cy, a.w, a.h), (b.cx, b.cy, b.w, b.h)))
+def _boxes_close(a, b, tol=1e-9) -> bool:
+    """Two center-form (cx, cy, w, h) rows agree entry by entry."""
+    return all(abs(x - y) < tol for x, y in zip(a, b))
 
 
 def test_spec_validation():
@@ -32,6 +34,12 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         SynthSpec(size_range=(0.0, 0.4))
     assert SynthSpec(canvas=32).num_classes == 3
+
+
+def test_spec_rejects_repeated_classes():
+    # a repeated name would give a class id that no object ever carries
+    with pytest.raises(ValueError, match=r"classes must not repeat a name, got \['disk', 'disk'\]"):
+        SynthSpec(classes=("disk", "disk"))
 
 
 @pytest.mark.parametrize("noise", [-0.5, float("nan"), float("inf")], ids=["negative", "nan", "inf"])
@@ -81,7 +89,7 @@ def test_no_occlusion_means_no_box_overlap():
     for s in synth_dataset(spec, 9, 12):
         for i in range(len(s.boxes)):
             for j in range(i + 1, len(s.boxes)):
-                a, b = s.boxes[i], s.boxes[j]
+                a, b = Box(*s.boxes[i]), Box(*s.boxes[j])
                 iw = min(a.x2, b.x2) - max(a.x1, b.x1)
                 ih = min(a.y2, b.y2) - max(a.y1, b.y1)
                 assert iw <= 0 or ih <= 0
@@ -93,7 +101,7 @@ def test_occlusion_produces_overlaps_somewhere():
     for s in synth_dataset(spec, 1, 20):
         for i in range(len(s.boxes)):
             for j in range(i + 1, len(s.boxes)):
-                a, b = s.boxes[i], s.boxes[j]
+                a, b = Box(*s.boxes[i]), Box(*s.boxes[j])
                 iw = min(a.x2, b.x2) - max(a.x1, b.x1)
                 ih = min(a.y2, b.y2) - max(a.y1, b.y1)
                 found = found or (iw > 0 and ih > 0)
@@ -109,6 +117,7 @@ def test_hflip_is_an_involution():
         assert all(_boxes_close(a, b) for a, b in zip(ff.boxes, s.boxes))
         w = s.image.shape[2]
         for orig, flip in zip(s.boxes, f.boxes):
+            orig, flip = Box(*orig), Box(*flip)
             assert flip.cx == pytest.approx(w - orig.cx)
             assert flip.cy == orig.cy and flip.w == orig.w and flip.h == orig.h
 
@@ -140,3 +149,66 @@ def test_tight_box_rejects_empty_mask():
 def test_hash_is_order_sensitive():
     ds = synth_dataset(SynthSpec(), 41, 3)
     assert dataset_hash(ds) != dataset_hash(ds[::-1])
+
+
+def test_dataset_stream_is_pinned():
+    # the train_dataset_sha256 recorded with the benchmark's frozen checkpoint
+    ds = synth_dataset(SynthSpec(), 1001, 24)
+    assert dataset_hash(ds) == "8613d054b6cdc5dc344f34b9c5b5a317ae11810049136827bdbef52cf9579b16"
+
+
+def test_scenes_hold_row_arrays():
+    for s in synth_dataset(SynthSpec(n_objects=(0, 3)), 13, 12):
+        assert s.boxes.dtype == np.float64 and s.boxes.shape == (len(s.masks), 4)
+        assert s.boxes.flags.c_contiguous
+        assert s.class_ids.dtype == np.int64 and s.class_ids.shape == (len(s.masks),)
+
+
+def _scene(boxes, class_ids, n_masks=2):
+    return Sample(np.zeros((3, 8, 8)), boxes, class_ids, np.zeros((n_masks, 8, 8), dtype=bool))
+
+
+_PAIR = np.array([1, 2], dtype=np.int64)
+
+
+@pytest.mark.parametrize(
+    "boxes, class_ids, message",
+    [
+        ([Box(4.0, 4.0, 2.0, 2.0)] * 2, _PAIR, r"boxes must be an \(N, 4\) float64 array, got list"),
+        (np.ones((2, 3)), _PAIR, r"boxes must be an \(N, 4\) float64 array, got float64 array of shape \(2, 3\)"),
+        (np.ones((2, 4), dtype=np.float32), _PAIR, r"boxes must be .*, got float32 array of shape \(2, 4\)"),
+        (np.ones((2, 4)), np.arange(3), r"class_ids must be a \(2,\) int64 array, got int64 array of shape \(3,\)"),
+        (np.ones((2, 4)), [1, 2], r"class_ids must be a \(2,\) int64 array, got list"),
+        (np.ones((2, 4)), _PAIR.astype(float), r"class_ids must be .*, got float64 array of shape \(2,\)"),
+    ],
+    ids=["box-list", "three-columns", "float32-boxes", "class-ids-too-long", "class-id-list", "float-class-ids"],
+)
+def test_sample_rejects_boxes_and_class_ids_that_are_not_row_arrays(boxes, class_ids, message):
+    with pytest.raises(ValueError, match=message):
+        _scene(boxes, class_ids)
+
+
+def test_sample_accepts_an_empty_scene_and_checks_masks_align():
+    assert _scene(np.zeros((0, 4)), np.zeros(0, dtype=np.int64), n_masks=0).boxes.shape == (0, 4)
+    with pytest.raises(ValueError, match="boxes, class_ids, and masks must align"):
+        _scene(np.ones((1, 4)), np.array([1]))
+
+
+def test_hflip_matches_the_box_formula_bit_for_bit():
+    # the flip of a list of Box: cx becomes w - cx in Python floats
+    for s in synth_dataset(SynthSpec(), 21, 4):
+        w = s.image.shape[2]
+        flipped = [Box(w - b.cx, b.cy, b.w, b.h) for b in (Box(*row) for row in s.boxes.tolist())]
+        want = np.array([(b.cx, b.cy, b.w, b.h) for b in flipped]).reshape(-1, 4)
+        got = hflip(s)
+        assert got.boxes.shape == want.shape and got.boxes.tobytes() == want.tobytes()
+        assert np.array_equal(got.class_ids, s.class_ids)
+
+
+def test_to_ground_truth_makes_box_records_with_int_class_ids():
+    spec = SynthSpec()
+    ds = synth_dataset(spec, 31, 5)
+    gt = to_ground_truth(ds, spec.classes)
+    rows = [row for s in ds for row in s.boxes.tolist()]
+    assert [r.box for r in gt.records] == [Box(*row) for row in rows]
+    assert all(type(r.box) is Box and type(r.class_id) is int for r in gt.records)

@@ -108,7 +108,7 @@ def test_image_loss_on_an_empty_scene():
     # no objects: neither the anchor nor the region batch has positives, so
     # both offset terms and the mask term are absent and contribute zero
     sample = synth_dataset(SynthSpec(n_objects=(0, 0)), 5, 1)[0]
-    assert sample.boxes == []
+    assert sample.boxes.shape == (0, 4)
     model = build_model(ModelConfig.toy("none"), seed=0)
     rng = np.random.default_rng(0)
     total, parts = _image_loss(model, sample, rng, TrainConfig.toy())
