@@ -11,7 +11,10 @@ plus class-agnostic offsets) and 14x14 for the mask head (two 3x3 convs and
 a per-class 1x1, of which each region keeps its class's channel; sigmoid,
 then 2x upsample to a 28x28 grid), each over a batch of regions. The mask
 loss in training and the pasted mask in inference both read one class
-channel per region: the target class and the predicted class.
+channel per region: the target class and the predicted class. Inference
+runs the mask head once per chunk of 16 distinct proposal rows, so a row
+detected in several classes is pooled and convolved once, and each of its
+detections reads its own class channel from that row's logits.
 
 Maps are (N, C, H, W): N = 1 for an image's pyramid, the regions in the
 mask head. Regions travel as (N, 4) center-form rows from the anchors to
@@ -273,12 +276,14 @@ def box_head_forward(model: Model, feats: Tensor) -> tuple[Tensor, Tensor]:
     return logits, deltas
 
 
-def mask_head_forward(model: Model, feats: Tensor, classes: np.ndarray) -> Tensor:
-    """(R, C, p, p) region features and (R,) classes in 1..K -> (R, 2p, 2p)
-    mask probabilities, each region's grid for its own class.
+def mask_head_forward(model: Model, feats: Tensor, regions: np.ndarray, classes: np.ndarray) -> Tensor:
+    """(R, C, p, p) region features, (D,) indices into them and (D,) classes
+    in 1..K -> (D, 2p, 2p) mask probabilities: row i is region regions[i]'s
+    grid for class classes[i]. Training passes np.arange(R); infer passes
+    each detection's proposal row, so the convs run once per distinct row.
 
     The per-class 1x1 conv runs at p x p, the sigmoid and the 2x upsampling
-    on each region's (1, p, p) class channel only. Both commute with nearest
+    on each output row's (1, p, p) class channel only. Both commute with nearest
     upsampling, so this equals upsampling first up to the last-place
     rounding of the 1x1 product, which BLAS may block differently at 2p x 2p.
     """
@@ -287,8 +292,8 @@ def mask_head_forward(model: Model, feats: Tensor, classes: np.ndarray) -> Tenso
     z = conv2d(h, model.mask_head.out.w, model.mask_head.out.b)
     r, k, p, _ = z.shape
     # row i * K + class - 1 of the (R*K, 1, p, p) logits is region i's class channel
-    z = gather_rows(z.reshape(r * k, 1, p, p), np.arange(r) * k + classes - 1)
-    return upsample_nearest(sigmoid(z)).reshape(r, 2 * p, 2 * p)
+    z = gather_rows(z.reshape(r * k, 1, p, p), regions * k + classes - 1)
+    return upsample_nearest(sigmoid(z)).reshape(len(regions), 2 * p, 2 * p)
 
 
 # smallest side in pixels of a proposal or a refined detection, the IoU above
@@ -363,8 +368,8 @@ def paste_mask(probs: np.ndarray, boxes: np.ndarray, height: int, width: int) ->
     return (wy @ probs @ wx.transpose(0, 2, 1) >= 0.5) & inside_y[:, :, None] & inside_x[:, None, :]
 
 
-# detections pooled and run through the mask head as one batch in inference;
-# with no chunks, infer_dense's peak RSS rose from about 79 to 122-126 MB
+# distinct proposal rows pooled and run through the mask head as one batch in
+# inference; with no chunks, infer_dense's peak RSS rose from about 79 to 122-126 MB
 MASK_CHUNK = 16
 
 
@@ -379,7 +384,11 @@ def infer(model: Model, image, image_id: int = 0, conf_threshold: float = 0.5) -
     """Full detection pass on one (3, H, W) image array in [0,1]: up to 100
     proposals from the 1000 best anchors, then at most MAX_DETS detections:
     the (class, box) pairs scoring at least conf_threshold, which must be in
-    [0, 1], after one NMS call that suppresses within each class only."""
+    [0, 1], after one NMS call that suppresses within each class only.
+
+    Masks come from one mask-head call per chunk of MASK_CHUNK distinct
+    proposal rows: a row kept in several classes is pooled and convolved
+    once, and each of its detections pastes its own class channel."""
     if not 0.0 <= conf_threshold <= 1.0:
         raise ValueError(f"conf_threshold must be in [0, 1], got {conf_threshold}")
     image = np.asarray(image, dtype=np.float64)
@@ -400,16 +409,21 @@ def infer(model: Model, image, image_id: int = 0, conf_threshold: float = 0.5) -
     classes, rows = np.nonzero(probs[kept, 1:].T >= conf_threshold)
     scores = probs[kept[rows], classes + 1]
     keep = nms(refined[rows], scores, DET_NMS_IOU, max_keep=MAX_DETS, labels=classes)
-    boxes, scores, classes = refined[rows[keep]], scores[keep].tolist(), classes[keep] + 1
+    rows, scores, classes = rows[keep], scores[keep].tolist(), classes[keep] + 1
 
-    preds = []
-    for lo in range(0, len(keep), MASK_CHUNK):
-        chunk = slice(lo, lo + MASK_CHUNK)
-        feats = extract_roi_features(pyramid, boxes[chunk], model.cfg.mask_resolution)
-        masks = paste_mask(mask_head_forward(model, feats, classes[chunk]).data, boxes[chunk], height, width)
-        for k, row, score, mask in zip(classes[chunk].tolist(), boxes[chunk], scores[chunk], masks):
-            preds.append(InstancePrediction(Detection(image_id, k, Box(*row.tolist()), score), mask))
-    return preds
+    # detection i reads the mask trunk's output for distinct[region[i]]
+    distinct, region = np.unique(rows, return_inverse=True)
+    masks = np.empty((len(rows), height, width), dtype=bool)
+    for lo in range(0, len(distinct), MASK_CHUNK):
+        dets = np.flatnonzero((region >= lo) & (region < lo + MASK_CHUNK))
+        chunk = refined[distinct[lo : lo + MASK_CHUNK]]
+        feats = extract_roi_features(pyramid, chunk, model.cfg.mask_resolution)
+        grids = mask_head_forward(model, feats, region[dets] - lo, classes[dets]).data
+        masks[dets] = paste_mask(grids, refined[rows[dets]], height, width)
+    return [
+        InstancePrediction(Detection(image_id, k, Box(*row), score), mask)
+        for k, row, score, mask in zip(classes.tolist(), refined[rows].tolist(), scores, masks)
+    ]
 
 
 def save_checkpoint(model: Model, path: str) -> None:

@@ -248,7 +248,7 @@ def _image_loss(
             roi_reg = reg_loss(pred, encode_boxes(rois[pos_rows], gt[matched[pos_rows]]))
 
             mfeats = extract_roi_features(pyramid, rois[pos_rows], model.cfg.mask_resolution)
-            grids = mask_head_forward(model, mfeats, labels[pos_rows])
+            grids = mask_head_forward(model, mfeats, np.arange(pos_rows.size), labels[pos_rows])
             targets = mask_target_grid(sample.masks[matched[pos_rows]], rois[pos_rows], model.cfg.mask_out)
             l_mask = mask_loss(grids, targets)
     roi_total, roi_parts = total_loss(roi_cls, roi_reg, l_mask, n_rois, n_rois)

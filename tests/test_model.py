@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import math
 import re
 import warnings
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from attnmask import model as model_mod
 from attnmask.backbone import StageConfig
-from attnmask.boxes import Box, box_array, generate_anchors, stride_of
+from attnmask.boxes import Box, box_array, generate_anchors, nms, stride_of
 from attnmask.model import (
     DET_NMS_IOU,
     MASK_CHUNK,
@@ -33,7 +34,7 @@ from attnmask.model import (
     save_checkpoint,
 )
 from attnmask.roi_align import assign_level, roi_align
-from attnmask.tensor import Tensor, conv2d, grad_check, relu, sigmoid, upsample_nearest
+from attnmask.tensor import Tensor, conv2d, grad_check, log_softmax, no_grad, relu, sigmoid, upsample_nearest
 from oracles import detections_per_class, paste_mask_reference
 
 
@@ -227,12 +228,13 @@ def test_head_output_shapes():
     assert deltas.shape == (5, 4)
     mfeats = rng.uniform(size=(5, model.cfg.fpn_dim, 14, 14))
     classes = np.array([1, 3, 2, 3, 1])
-    probs = mask_head_forward(model, Tensor(mfeats), classes)
+    probs = mask_head_forward(model, Tensor(mfeats), np.arange(5), classes)
     assert probs.shape == (5, 28, 28)
     assert probs.data.min() >= 0.0 and probs.data.max() <= 1.0
     # a batch of regions gets exactly the arithmetic of one call per region
     for feat, k, grid in zip(mfeats, classes, probs.data):
-        assert np.array_equal(mask_head_forward(model, Tensor(feat[None]), np.array([k])).data[0], grid)
+        one = mask_head_forward(model, Tensor(feat[None]), np.array([0]), np.array([k]))
+        assert np.array_equal(one.data[0], grid)
 
 
 def test_mask_head_tail_equals_upsampling_first():
@@ -252,11 +254,11 @@ def test_mask_head_tail_equals_upsampling_first():
     # than at 14 x 14, by at most a few units in the last place
     np.testing.assert_allclose(last, first, rtol=0.0, atol=1e-15)
     for cls in range(1, k + 1):
-        got = mask_head_forward(model, feats, np.full(5, cls)).data
+        got = mask_head_forward(model, feats, np.arange(5), np.full(5, cls)).data
         assert np.array_equal(got, last[:, cls - 1]), f"class {cls}"
         np.testing.assert_allclose(got, first[:, cls - 1], rtol=0.0, atol=1e-15, err_msg=f"class {cls}")
     mixed = np.array([3, 1, 2, 3, 3])
-    assert np.array_equal(mask_head_forward(model, feats, mixed).data, last[np.arange(5), mixed - 1])
+    assert np.array_equal(mask_head_forward(model, feats, np.arange(5), mixed).data, last[np.arange(5), mixed - 1])
 
     # the gradient with respect to the features flows through the class
     # gather, the sigmoid and the upsampling; a small head keeps it cheap
@@ -264,7 +266,32 @@ def test_mask_head_tail_equals_upsampling_first():
     small.mask_head.out.w.data = rng.standard_normal(small.mask_head.out.w.shape)
     x0 = rng.standard_normal((3, 3, 4, 4))
     pw = rng.standard_normal((3, 8, 8))
-    assert grad_check(lambda t: (mask_head_forward(small, t, np.array([2, 1, 2])) * pw).sum(), Tensor(x0)) < 1e-3
+    regions, classes = np.arange(3), np.array([2, 1, 2])
+    assert grad_check(lambda t: (mask_head_forward(small, t, regions, classes) * pw).sum(), Tensor(x0)) < 1e-3
+
+
+def test_mask_head_repeated_regions_equal_single_calls():
+    # infer passes each distinct proposal row once and repeats its index for
+    # every class the row is detected in
+    model = _toy_model()
+    rng = np.random.default_rng(12)
+    feats = rng.standard_normal((3, model.cfg.fpn_dim, 14, 14))
+    regions, classes = np.array([0, 2, 0, 1, 2]), np.array([1, 3, 2, 2, 1])
+    got = mask_head_forward(model, Tensor(feats), regions, classes).data
+    assert got.shape == (5, 28, 28)
+    for grid, i, k in zip(got, regions, classes):
+        one = mask_head_forward(model, Tensor(feats[i : i + 1]), np.array([0]), np.array([k])).data[0]
+        assert np.array_equal(grid, one), f"region {i}, class {k}"
+
+    # a repeated region's gradient sums over its rows, and a repeated
+    # (region, class) pair reads one logit row twice, which gather_rows'
+    # backward must accumulate
+    small = build_model(dataclasses.replace(ModelConfig.toy(), fpn_dim=3, mask_resolution=4, mask_out=8), seed=2)
+    small.mask_head.out.w.data = rng.standard_normal(small.mask_head.out.w.shape)
+    x0 = rng.standard_normal((2, 3, 4, 4))
+    pw = rng.standard_normal((4, 8, 8))
+    regions, classes = np.array([1, 0, 1, 1]), np.array([2, 1, 2, 3])
+    assert grad_check(lambda t: (mask_head_forward(small, t, regions, classes) * pw).sum(), Tensor(x0)) < 1e-3
 
 
 def test_fresh_model_class_probs_near_uniform():
@@ -348,11 +375,11 @@ def test_paste_mask_batch_equals_per_pixel_oracle():
 def test_infer_structure_and_caps(monkeypatch):
     model = _toy_model("cbam")
     image = np.random.default_rng(5).uniform(size=(3, 64, 64))
-    mask_outputs = []
+    mask_calls = []  # (feature rows, output grids) of each mask-head call
 
     def spy(*args):
-        mask_outputs.append(mask_head_forward(*args))
-        return mask_outputs[-1]
+        mask_calls.append((args[1].shape[0], mask_head_forward(*args)))
+        return mask_calls[-1][1]
 
     monkeypatch.setattr(model_mod, "mask_head_forward", spy)
     # fresh heads score every class near 1/4, so at conf 0 all of the
@@ -360,9 +387,16 @@ def test_infer_structure_and_caps(monkeypatch):
     preds = infer(model, image, image_id=9, conf_threshold=0.0)
     assert MAX_DETS == 100
     assert len(preds) == MAX_DETS
-    # one mask-head call per chunk, and inference records no graph
-    assert [out.shape[0] for out in mask_outputs] == [MASK_CHUNK] * 6 + [MAX_DETS - 6 * MASK_CHUNK]
-    assert not any(out.requires_grad for out in mask_outputs)
+    # one mask-head call per chunk of distinct proposal rows (a row's
+    # detections share its refined box), one grid per detection, and
+    # inference records no graph
+    distinct = len({p.detection.box for p in preds})
+    assert distinct < MAX_DETS
+    assert len(mask_calls) == math.ceil(distinct / MASK_CHUNK)
+    assert all(rows <= MASK_CHUNK for rows, _ in mask_calls)
+    assert sum(rows for rows, _ in mask_calls) == distinct
+    assert sum(out.shape[0] for _, out in mask_calls) == len(preds)
+    assert not any(out.requires_grad for _, out in mask_calls)
     assert all(t.grad is None and t.requires_grad for _, t in model.named_params())
     scores = [p.detection.score for p in preds]
     assert scores == sorted(scores, reverse=True)
@@ -372,8 +406,59 @@ def test_infer_structure_and_caps(monkeypatch):
         assert 1 <= p.detection.class_id <= model.cfg.num_classes
         assert p.mask.shape == (64, 64) and p.mask.dtype == bool
 
-    # stricter threshold than chance yields nothing on a fresh model
+    # stricter thresholds than chance yield nothing on a fresh model, and
+    # with no detection the mask head is not called
+    mask_calls.clear()
     assert infer(model, image, conf_threshold=0.9) == []
+    assert infer(model, image, conf_threshold=1.0) == []
+    assert mask_calls == []
+
+
+@no_grad()
+def _infer_per_detection(model, image, conf):
+    """infer with the mask head run on every detection's own row, in chunks
+    of MASK_CHUNK detections: the loop that the per-row path replaced."""
+    height, width = image.shape[1:]
+    pyramid = pyramid_forward(model, Tensor(image[None]))
+    proposals = propose(*rpn_forward(model, pyramid), (height, width), pre_nms=1000, post_nms=100)
+    logits, deltas = box_head_forward(model, extract_roi_features(pyramid, proposals, model.cfg.box_resolution))
+    probs = np.exp(log_softmax(logits).data)
+    refined, kept = model_mod._refine(proposals, deltas.data, float(width), float(height))
+    classes, rows = np.nonzero(probs[kept, 1:].T >= conf)
+    scores = probs[kept[rows], classes + 1]
+    keep = nms(refined[rows], scores, DET_NMS_IOU, max_keep=MAX_DETS, labels=classes)
+    boxes, scores, classes = refined[rows[keep]], scores[keep].tolist(), classes[keep] + 1
+    out = []
+    for lo in range(0, len(keep), MASK_CHUNK):
+        chunk = slice(lo, lo + MASK_CHUNK)
+        feats = extract_roi_features(pyramid, boxes[chunk], model.cfg.mask_resolution)
+        grids = mask_head_forward(model, feats, np.arange(feats.shape[0]), classes[chunk]).data
+        masks = paste_mask(grids, boxes[chunk], height, width)
+        for k, row, score, mask in zip(classes[chunk].tolist(), boxes[chunk], scores[chunk], masks):
+            out.append((k, score, Box(*row.tolist()), mask.tobytes()))
+    return out
+
+
+# a random class layer spreads the scores: at conf 0 the 100 detections
+# share 72 proposal rows, and at 0.5 each of 40 rows passes in one class
+@pytest.mark.parametrize("conf, dets, rows", [(0.0, 100, 72), (0.5, 40, 40)])
+def test_infer_equals_per_detection_mask_loop(monkeypatch, conf, dets, rows):
+    model = _toy_model("cbam")
+    model.box_head.cls_w.data = np.random.default_rng(3).standard_normal(model.box_head.cls_w.shape)
+    image = np.random.default_rng(5).uniform(size=(3, 64, 64))
+    want = _infer_per_detection(model, image, conf)
+    pooled = []
+
+    def spy(*args):
+        pooled.append(args[1].shape[0])
+        return mask_head_forward(*args)
+
+    monkeypatch.setattr(model_mod, "mask_head_forward", spy)
+    preds = infer(model, image, conf_threshold=conf)
+    assert len(want) == dets and sum(pooled) == rows
+    assert len({k for k, *_ in want}) > 1
+    got = [(p.detection.class_id, p.detection.score, p.detection.box, p.mask.tobytes()) for p in preds]
+    assert got == want
 
 
 # at conf 0 all 139 NMS survivors fire and the cap keeps 100; at 0.2, 71 of

@@ -178,7 +178,7 @@ def test_mask_term_and_gradients_equal_a_per_region_loop(monkeypatch):
     feats = extract_roi_features(pyramid, rois, model.cfg.mask_resolution).data
     terms = []
     for feat, label, gt_index, row in zip(feats, labels[pos], matched[pos], rois):
-        channel = mask_head_forward(model, Tensor(feat[None]), np.array([label])).reshape(m, m)
+        channel = mask_head_forward(model, Tensor(feat[None]), np.array([0]), np.array([label])).reshape(m, m)
         target = mask_target_grid(sample.masks[gt_index][None], row[None], m)[0]
         terms.append(mask_loss(channel, target))
     l_mask = concat([t.reshape(1) for t in terms], axis=0).mean()
