@@ -4,7 +4,9 @@ Matching is greedy per (image, class): detections are taken in descending
 score order (ties keep insertion order) and each grabs the unmatched
 ground-truth box of highest IoU if that IoU reaches the threshold.
 Crowd-flagged ground truth acts as an ignore region: a detection whose
-only qualifying overlap is a crowd box is dropped from scoring.
+only qualifying overlap is a crowd box is dropped from scoring. Each group
+is matched once per report: its order and its IoUs are computed once, and
+the greedy pass runs on them at every threshold.
 
 AP is the 101-point interpolation of the precision envelope. mAP averages
 AP over the classes that have at least one non-crowd ground-truth box; the
@@ -68,40 +70,52 @@ class GTRecord:
 
 @dataclass
 class MatchResult:
-    """Per-detection flags and scores, both in score-descending order."""
+    """(T, D) flags, one row per threshold, and the (D,) scores, both in
+    score-descending order."""
 
     flags: np.ndarray
     scores: np.ndarray
     n_gt: int
 
 
-def match(dets: list[Detection], gts: list[GTRecord], iou_thr: float) -> MatchResult:
-    """Greedily match one (image, class) group of detections to ground truth."""
+def match(dets: list[Detection], gts: list[GTRecord], thresholds) -> MatchResult:
+    """Greedily match one (image, class) group of detections to ground truth
+    at each of the given IoU thresholds.
+
+    The group is sorted once, and each detection's IoU with every real box
+    and its best crowd IoU are computed once; flags[t] is the greedy pass
+    at thresholds[t] on those values.
+    """
     keys = {(d.image_id, d.class_id) for d in dets} | {(g.image_id, g.class_id) for g in gts}
     if len(keys) > 1:
         raise ValueError(f"match expects a single (image, class) group, got {sorted(keys)}")
     scores = np.array([d.score for d in dets], dtype=np.float64)
     order = np.argsort(-scores, kind="stable")
-    real = [g for g in gts if not g.iscrowd]
-    crowd = [g for g in gts if g.iscrowd]
-    taken = np.zeros(len(real), dtype=bool)
-    flags = np.empty(len(dets), dtype=np.int8)
-    for rank, di in enumerate(order):
-        box = dets[di].box
-        best, best_gi = 0.0, -1
-        for gi, g in enumerate(real):
-            if taken[gi]:
-                continue
-            ov = iou(box, g.box)
-            if ov > best:
-                best, best_gi = ov, gi
-        if best >= iou_thr and best_gi >= 0:
-            taken[best_gi] = True
-            flags[rank] = TP
-        elif any(iou(box, c.box) >= iou_thr for c in crowd):
-            flags[rank] = CROWD_IGNORED
-        else:
-            flags[rank] = FP
+    real = [g.box for g in gts if not g.iscrowd]
+    crowd = [g.box for g in gts if g.iscrowd]
+    ious = [[iou(dets[di].box, g) for g in real] for di in order]
+    crowd_best = [max([iou(dets[di].box, c) for c in crowd], default=-math.inf) for di in order]
+    tops = [max(row, default=0.0) for row in ious]
+    flags = []
+    for thr in thresholds:
+        taken = [False] * len(real)
+        row_flags = []
+        for row, top, crowd_ov in zip(ious, tops, crowd_best):
+            best, best_gi = 0.0, -1
+            # below thr at its largest real IoU, a row cannot take a box
+            if top >= thr:
+                for gi, ov in enumerate(row):
+                    if ov > best and not taken[gi]:
+                        best, best_gi = ov, gi
+            if best >= thr and best_gi >= 0:
+                taken[best_gi] = True
+                row_flags.append(TP)
+            elif crowd_ov >= thr:
+                row_flags.append(CROWD_IGNORED)
+            else:
+                row_flags.append(FP)
+        flags.append(row_flags)
+    flags = np.array(flags, dtype=np.int8).reshape(len(flags), len(dets))
     return MatchResult(flags=flags, scores=scores[order], n_gt=len(real))
 
 
@@ -192,7 +206,8 @@ def map_report(
     from every mAP mean. The sweep aggregate is filled only when all 10
     sweep thresholds were evaluated; 0.5/0.75 aggregates only when those were.
     """
-    thresholds = tuple(round(float(t), 2) for t in (COCO_SWEEP if thresholds is None else thresholds))
+    # the first occurrence of each rounded value, so each is matched and reported once
+    thresholds = tuple(dict.fromkeys(round(float(t), 2) for t in (COCO_SWEEP if thresholds is None else thresholds)))
     if not thresholds or not all(0.0 < t < 1.0 for t in thresholds):
         raise ValueError(f"IoU thresholds must be a non-empty sequence in (0, 1), got {thresholds}")
     if max_dets < 1:
@@ -215,36 +230,23 @@ def map_report(
         by_group_g.setdefault((g.image_id, g.class_id), []).append(g)
 
     ap: dict[float, dict[int, float]] = {t: {} for t in thresholds}
-    map_by_thr: dict[float, float] = {}
-    counts: dict[float, tuple[int, int, int]] = {}
+    tp_all, fp_all = [0] * len(thresholds), [0] * len(thresholds)
     images = sorted({k[0] for k in by_group_d} | {k[0] for k in by_group_g})
-    for thr in thresholds:
-        tp_all = fp_all = 0
-        for cid in class_ids:
-            flag_parts, score_parts = [], []
-            for img in images:
-                d_grp = by_group_d.get((img, cid), [])
-                g_grp = by_group_g.get((img, cid), [])
-                if not d_grp and not g_grp:
-                    continue
-                res = match(d_grp, g_grp, thr)
-                keepm = res.flags != CROWD_IGNORED
-                flag_parts.append(res.flags[keepm])
-                score_parts.append(res.scores[keepm])
-            if flag_parts:
-                flags = np.concatenate(flag_parts)
-                scores = np.concatenate(score_parts)
-                rank = np.argsort(-scores, kind="stable")
-                flags = flags[rank]
-            else:
-                flags = np.zeros(0, dtype=np.int8)
-            curve = pr_curve(flags, class_gt_counts[cid])
+    for cid in class_ids:
+        groups = [(by_group_d.get((img, cid), []), by_group_g.get((img, cid), [])) for img in images]
+        results = [match(d_grp, g_grp, thresholds) for d_grp, g_grp in groups if d_grp or g_grp]
+        flags = np.concatenate([r.flags for r in results], axis=1)
+        # one stable score order for every threshold; pr_curve drops the
+        # crowd-ignored entries, which leaves the others in this order
+        rank = np.argsort(-np.concatenate([r.scores for r in results]), kind="stable")
+        for t, thr in enumerate(thresholds):
+            curve = pr_curve(flags[t, rank], class_gt_counts[cid])
             ap[thr][cid] = average_precision(curve)
-            tp_all += curve.tp
-            fp_all += curve.fp
-        n_gt_all = sum(class_gt_counts[c] for c in class_ids)
-        counts[thr] = (tp_all, fp_all, n_gt_all - tp_all)
-        map_by_thr[thr] = float(np.mean([ap[thr][c] for c in class_ids])) if class_ids else 0.0
+            tp_all[t] += curve.tp
+            fp_all[t] += curve.fp
+    n_gt_all = sum(class_gt_counts[c] for c in class_ids)
+    counts = {thr: (tp, fp, n_gt_all - tp) for thr, tp, fp in zip(thresholds, tp_all, fp_all)}
+    map_by_thr = {thr: float(np.mean([ap[thr][c] for c in class_ids])) if class_ids else 0.0 for thr in thresholds}
 
     sweep = all(t in map_by_thr for t in COCO_SWEEP)
     return EvalReport(

@@ -286,7 +286,15 @@ def mask_head_forward(model: Model, feats: Tensor, regions: np.ndarray, classes:
     on each output row's (1, p, p) class channel only. Both commute with nearest
     upsampling, so this equals upsampling first up to the last-place
     rounding of the 1x1 product, which BLAS may block differently at 2p x 2p.
+    A class outside 1..K, a region index outside [0, R) or a length mismatch
+    raises ValueError.
     """
+    if len(regions) != len(classes):
+        raise ValueError(f"{len(regions)} region indices vs {len(classes)} classes")
+    if np.any((classes < 1) | (classes > model.cfg.num_classes)):
+        raise ValueError(f"classes must lie in 1..{model.cfg.num_classes}, got {classes}")
+    if np.any((regions < 0) | (regions >= feats.shape[0])):
+        raise ValueError(f"region indices must lie in [0, {feats.shape[0]}), got {regions}")
     h = relu(conv2d(feats, model.mask_head.conv1.w, model.mask_head.conv1.b, padding=1))
     h = relu(conv2d(h, model.mask_head.conv2.w, model.mask_head.conv2.b, padding=1))
     z = conv2d(h, model.mask_head.out.w, model.mask_head.out.b)

@@ -1,8 +1,12 @@
 """Evaluator: matching semantics, AP fixtures, oracle agreement."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
+from attnmask import metrics
 from attnmask.boxes import Box
 from attnmask.metrics import (
     COCO_SWEEP,
@@ -15,7 +19,7 @@ from attnmask.metrics import (
     match,
     pr_curve,
 )
-from oracles import map_reference
+from oracles import map_reference, match_reference
 
 
 def _det(score, box, img=0, cid=1):
@@ -42,36 +46,67 @@ def test_match_greedy_prefers_higher_score():
         _det(0.6, B((1, 1, 10, 10))),      # IoU ~0.68, lower score
         _det(0.9, B((1.5, 1.5, 10, 10))),  # IoU ~0.57, higher score: wins
     ]
-    res = match(dets, gt, 0.5)
+    res = match(dets, gt, (0.5,))
     assert list(res.scores) == [0.9, 0.6]
     # flags follow score order: high scorer takes the box, other is FP
-    assert list(res.flags) == [1, 0]
+    assert list(res.flags[0]) == [1, 0]
     assert res.n_gt == 1
 
 
 def test_match_rejects_mixed_groups():
     with pytest.raises(ValueError):
-        match([_det(0.9, B((0, 0, 4, 4)), img=0)], [_gt(B((0, 0, 4, 4)), img=1)], 0.5)
+        match([_det(0.9, B((0, 0, 4, 4)), img=0)], [_gt(B((0, 0, 4, 4)), img=1)], (0.5,))
 
 
 def test_match_crowd_is_fallback_not_first_choice():
     # a real box and a crowd region overlap the detection; the real box wins
     gt = [_gt(B((0, 0, 10, 10))), _gt(B((0, 0, 14, 14)), crowd=True)]
-    res = match([_det(0.9, B((0, 0, 10, 10)))], gt, 0.5)
-    assert list(res.flags) == [1]
+    res = match([_det(0.9, B((0, 0, 10, 10)))], gt, (0.5,))
+    assert list(res.flags[0]) == [1]
     assert res.n_gt == 1  # crowd ground truth is not counted
 
     # with the real box taken, the next detection falls into the crowd
     dets = [_det(0.9, B((0, 0, 10, 10))), _det(0.8, B((2, 2, 10, 10)))]
-    res = match(dets, gt, 0.5)
-    assert list(res.flags) == [1, CROWD_IGNORED]
+    res = match(dets, gt, (0.5,))
+    assert list(res.flags[0]) == [1, CROWD_IGNORED]
 
 
 def test_match_only_crowd_gt():
     gt = [_gt(B((0, 0, 15, 15)), crowd=True)]  # IoU ~0.44 with the det
-    res = match([_det(0.9, B((1, 1, 10, 10)))], gt, 0.3)
-    assert list(res.flags) == [CROWD_IGNORED]
+    res = match([_det(0.9, B((1, 1, 10, 10)))], gt, (0.3,))
+    assert list(res.flags[0]) == [CROWD_IGNORED]
     assert res.n_gt == 0
+
+
+def test_match_threshold_is_inclusive_and_ties_take_the_first_box():
+    # IoU exactly 0.5 (a half-height box) qualifies at 0.5, against a real
+    # box and against a crowd region alike
+    half = _det(0.9, B((0, 0, 10, 5)))
+    assert list(match([half], [_gt(B((0, 0, 10, 10)))], (0.5, 0.55)).flags[:, 0]) == [1, 0]
+    crowd = [_gt(B((0, 0, 10, 10)), crowd=True)]
+    assert list(match([half], crowd, (0.5, 0.55)).flags[:, 0]) == [CROWD_IGNORED, 0]
+    # the first detection overlaps both boxes at IoU 1/3 and takes the first,
+    # so the second, a copy of that first box, finds nothing left
+    gt = [_gt(B((0, 0, 10, 10))), _gt(B((10, 0, 10, 10)))]
+    dets = [_det(0.9, B((5, 0, 10, 10))), _det(0.8, B((0, 0, 10, 10)))]
+    assert list(match(dets, gt, (0.3,)).flags[0]) == [1, 0]
+
+
+def test_match_runs_every_threshold_in_one_call():
+    # row t of one multi-threshold call is the oracle's pass at thresholds[t]
+    rng = np.random.default_rng(5)
+    gt = [_gt(B((x, y, 10, 10)), crowd=(k == 3)) for k, (x, y) in enumerate(rng.uniform(0, 12, (4, 2)))]
+    dets = [_det(round(float(s), 1), B((x, y, 10, 10))) for s, x, y in rng.uniform(0, 1, (9, 3)) * (1, 14, 14)]
+    thresholds = (0.3, 0.5, 0.75, 0.95)
+    res = match(dets, gt, thresholds)
+    assert res.flags.shape == (4, 9) and res.flags.dtype == np.int8
+    want_flags, n_gt = zip(*(match_reference(
+        [(d.score, (d.box.x1, d.box.y1, d.box.x2, d.box.y2)) for d in dets],
+        [((g.box.x1, g.box.y1, g.box.x2, g.box.y2), g.iscrowd) for g in gt], thr) for thr in thresholds))
+    assert [list(row) for row in res.flags] == [list(f) for f in want_flags]
+    assert res.n_gt == n_gt[0] == 3
+    assert list(res.scores) == sorted((d.score for d in dets), reverse=True)
+    assert match([], gt, thresholds).flags.shape == (4, 0)
 
 
 def test_pr_curve_drops_ignored_and_counts():
@@ -136,6 +171,18 @@ def test_map_report_threshold_argument():
     for bad in ((), [-2], [0.0], [1.0], [0.5, 1.5], [float("nan")]):
         with pytest.raises(ValueError, match="IoU thresholds"):
             map_report(det, gt, thresholds=bad)
+
+
+def test_map_report_drops_repeated_thresholds():
+    gt = [_gt(B((0, 0, 10, 10)))]
+    det = [_det(0.9, B((0, 0, 10, 6)))]  # IoU 0.6
+    rep = map_report(det, gt, thresholds=(0.5, 0.500001, 0.75, 0.5))
+    assert rep.thresholds == (0.5, 0.75)
+    payload = rep.to_json()
+    assert payload["thresholds"] == [0.5, 0.75]
+    assert list(payload["map_by_thr"]) == ["0.50", "0.75"] and list(payload["counts"]) == ["0.50", "0.75"]
+    assert rep.map_by_thr == {0.5: 1.0, 0.75: 0.0}
+    assert payload == map_report(det, gt, thresholds=(0.5, 0.75)).to_json()
 
 
 def test_map_coco_recomposes_from_thresholds():
@@ -221,6 +268,106 @@ def test_matches_exhaustive_reference_200_instances():
         want = map_reference(det_tuples, gt_tuples, thr)
         got = rep.map_by_thr[round(thr, 2)]
         assert abs(got - want) < 1e-9, f"case {case}: {got} vs {want}"
+
+
+def _random_case(rng, n_img):
+    """Up to 3 boxes per (image, class), one in five a crowd region, and up to
+    4 detections each: jittered copies of a box or random ones, with scores
+    on a 0.1 grid so ties are common. Returns attnmask records and the
+    oracle's tuples."""
+    gts, dets, gt_tuples, det_tuples = [], [], [], []
+    for img in range(n_img):
+        for cid in (1, 2):
+            boxes = []
+            for _ in range(int(rng.integers(0, 4))):
+                x, y = rng.uniform(0, 30, 2)
+                w, h = rng.uniform(4, 14, 2)
+                crowd = bool(rng.uniform() < 0.2)
+                box = B((x, y, w, h))
+                boxes.append((x, y, w, h))
+                gts.append(_gt(box, img=img, cid=cid, crowd=crowd))
+                gt_tuples.append((img, cid, (box.x1, box.y1, box.x2, box.y2), crowd))
+            for _ in range(int(rng.integers(0, 5))):
+                if boxes and rng.uniform() < 0.6:
+                    x, y, w, h = boxes[int(rng.integers(len(boxes)))]
+                    x, y = x + rng.uniform(-0.25, 0.25) * w, y + rng.uniform(-0.25, 0.25) * h
+                else:
+                    x, y = rng.uniform(0, 30, 2)
+                    w, h = rng.uniform(4, 14, 2)
+                score = round(float(rng.uniform(0, 1)), 1)
+                box = B((x, y, w, h))
+                dets.append(_det(score, box, img=img, cid=cid))
+                det_tuples.append((img, cid, score, (box.x1, box.y1, box.x2, box.y2)))
+    return gts, dets, gt_tuples, det_tuples
+
+
+def test_one_multi_threshold_call_matches_reference_200_instances():
+    # the CLI's default call passes all 10 sweep thresholds at once
+    rng = np.random.default_rng(29)
+    thresholds = COCO_SWEEP + (0.3,)
+    for case in range(200):
+        gts, dets, gt_tuples, det_tuples = _random_case(rng, int(rng.integers(1, 4)))
+        rep = map_report(dets, gts, thresholds=thresholds)
+        assert rep.thresholds == thresholds
+        for thr in thresholds:
+            want = map_reference(det_tuples, gt_tuples, thr)
+            got = rep.map_by_thr[thr]
+            assert abs(got - want) < 1e-9, f"case {case} at {thr}: {got} vs {want}"
+
+
+def test_iou_calls_do_not_grow_with_thresholds(monkeypatch):
+    # every IoU of a group is computed once, whatever the number of thresholds
+    real_iou, calls = metrics.iou, []
+
+    def counting_iou(a, b):
+        calls.append(1)
+        return real_iou(a, b)
+
+    monkeypatch.setattr(metrics, "iou", counting_iou)
+    gts, dets, _, _ = _random_case(np.random.default_rng(3), 6)
+    n_calls = []
+    for thresholds in ((0.5,), COCO_SWEEP):
+        calls.clear()
+        map_report(dets, gts, thresholds=thresholds)
+        n_calls.append(len(calls))
+    assert n_calls[0] > 0 and n_calls[0] == n_calls[1]
+
+
+# sha256 of json.dumps(map_report(...).to_json()) on _digest_scene() at
+# COCO_SWEEP, recorded with the matcher that ran once per threshold; a change
+# to any byte of a report changes it
+REPORT_DIGEST = "4d42abc7079689c65d67abd175a0c06b18b201d000a30e5825cc57beb6ebfe6b"
+
+
+def _digest_scene():
+    """20 images of 3 classes: boxes (one in seven a crowd region), jittered
+    copies at graded overlap, some with the wrong class, and random false
+    positives, all scored on a 0.1 grid so ties are common."""
+    rng = np.random.default_rng(2020)
+    gts, dets = [], []
+    for img in range(20):
+        for _ in range(int(rng.integers(1, 6))):
+            x, y = rng.uniform(0, 60, 2)
+            w, h = rng.uniform(6, 30, 2)
+            cid = int(rng.integers(1, 4))
+            gts.append(_gt(B((x, y, w, h)), img=img, cid=cid, crowd=bool(rng.uniform() < 1 / 7)))
+            for shift in rng.uniform(0.0, 0.5, int(rng.integers(0, 5))):
+                cls = cid if rng.uniform() < 0.85 else int(rng.integers(1, 4))
+                score = round(float(rng.uniform(0, 1)), 1)
+                dets.append(_det(score, B((x + shift * w, y + shift * h / 2, w, h)), img=img, cid=cls))
+        for _ in range(int(rng.integers(0, 4))):
+            x, y = rng.uniform(0, 60, 2)
+            w, h = rng.uniform(6, 30, 2)
+            dets.append(_det(round(float(rng.uniform(0, 0.6)), 1), B((x, y, w, h)), img=img,
+                             cid=int(rng.integers(1, 4))))
+    return gts, dets
+
+
+def test_report_digest_is_unchanged():
+    gts, dets = _digest_scene()
+    rep = map_report(dets, gts, thresholds=COCO_SWEEP)
+    assert any(g.iscrowd for g in gts) and 0.0 < rep.map_coco < 1.0
+    assert hashlib.sha256(json.dumps(rep.to_json()).encode()).hexdigest() == REPORT_DIGEST
 
 
 def test_format_table_shape():

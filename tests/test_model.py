@@ -294,6 +294,26 @@ def test_mask_head_repeated_regions_equal_single_calls():
     assert grad_check(lambda t: (mask_head_forward(small, t, regions, classes) * pw).sum(), Tensor(x0)) < 1e-3
 
 
+@pytest.mark.parametrize(
+    "regions, classes, message",
+    [
+        ([0], [0], r"classes must lie in 1\.\.3"),
+        ([1], [4], r"classes must lie in 1\.\.3"),
+        ([-1], [1], r"region indices must lie in \[0, 2\)"),
+        ([2], [1], r"region indices must lie in \[0, 2\)"),
+        ([0, 1], [1], "2 region indices vs 1 classes"),
+        ([0], [1, 2], "1 region indices vs 2 classes"),
+    ],
+)
+def test_mask_head_rejects_bad_regions_and_classes(regions, classes, message):
+    # class 0 would read the previous region's class-K channel, -1 would wrap
+    # around to the last region, and a length mismatch would broadcast
+    model = _toy_model()
+    feats = Tensor(np.zeros((2, model.cfg.fpn_dim, 14, 14)))
+    with pytest.raises(ValueError, match=message):
+        mask_head_forward(model, feats, np.array(regions), np.array(classes))
+
+
 def test_fresh_model_class_probs_near_uniform():
     # near-zero head init keeps initial class scores at chance
     model = _toy_model("cbam")
