@@ -143,18 +143,17 @@ def init_backbone(
     rng: np.random.Generator,
     reduction: int = 16,
     eca_kernel: int | str = "adaptive",
-    scheme: str = "he_uniform",
 ) -> BackboneParams:
-    """Build all backbone parameters; the gate variant applies to every block."""
-    stem = init_conv(cfg.stem_channels, 3, 7, rng, scheme)
+    """Build all backbone parameters, all "he_uniform"; the gate variant applies to every block."""
+    stem = init_conv(cfg.stem_channels, 3, 7, rng)
     stages = []
     cin = cfg.stem_channels
     for stage_idx, (n_blocks, width) in enumerate(zip(cfg.blocks, cfg.widths)):
         blocks = []
-        attn_cfg = AttentionConfig(width, reduction, variant, eca_kernel, init=scheme)
+        attn_cfg = AttentionConfig(width, reduction, variant, eca_kernel, init="he_uniform")
         for block_idx in range(n_blocks):
             stride = 2 if stage_idx > 0 and block_idx == 0 else 1
-            blocks.append(init_bottleneck(cin, width, stride, attn_cfg, rng, scheme))
+            blocks.append(init_bottleneck(cin, width, stride, attn_cfg, rng))
             cin = width
         stages.append(blocks)
     return BackboneParams(stem=stem, stages=stages)

@@ -129,6 +129,9 @@ def _self_evaluate(model: Model, val_ds, spec: SynthSpec, conf: float):
 def _train_one(variant: str, seed: int, path: str, spec, model_overrides, train_overrides, run):
     mcfg = ModelConfig.toy(variant, num_classes=spec.num_classes)
     mcfg = replace_checked(mcfg, model_overrides, f"config {path}: model")
+    if mcfg.num_classes < spec.num_classes:
+        raise InputError(f"config {path}: model: num_classes must be at least the scenes' "
+                         f"{spec.num_classes} classes, got {mcfg.num_classes}")
     tcfg = replace_checked(TrainConfig.toy(seed=seed), train_overrides, f"config {path}: train")
     train_ds = synth_dataset(spec, run.train_seed, run.train_images)
     val_ds = synth_dataset(spec, run.val_seed, run.val_images)

@@ -80,12 +80,13 @@ def parse_gt(doc) -> GroundTruth:
 
 
 def parse_detections(doc, categories: dict[int, str] | None = None) -> list[Detection]:
-    """Validate a parsed detection array; optionally check category ids."""
+    """Validate a parsed detection array. As in parse_gt, category ids are
+    checked only against a non-empty categories map."""
     dets: list[Detection] = []
     for where, rec in records(doc, "detections"):
         img_id = field(rec, "image_id", "int", where)
         cat_id = field(rec, "category_id", "int", where)
-        if categories is not None and cat_id not in categories:
+        if categories and cat_id not in categories:
             raise InputError(f"{where}: unknown category_id {cat_id}")
         score = field(rec, "score", "float", where)
         if not 0.0 <= score <= 1.0:

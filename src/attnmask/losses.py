@@ -149,8 +149,12 @@ def cls_loss(p: Tensor, p_star) -> Tensor:
 
 def softmax_ce(logits: Tensor, labels) -> Tensor:
     """Multi-class extension of cls_loss: -log softmax(logits)[label] per row
-    of (N, K) logits, read as entry i * K + label of the flattened rows."""
+    of (N, K) logits, read as entry i * K + label of the flattened rows.
+    Anything but N labels in [0, K) raises ValueError."""
     n, k = logits.shape
+    labels = np.asarray(labels)
+    if labels.shape != (n,) or np.any((labels < 0) | (labels >= k)):
+        raise ValueError(f"labels must be {n} values in [0, {k}), got {labels}")
     return -gather_rows(log_softmax(logits).reshape(n * k), np.arange(n) * k + labels)
 
 

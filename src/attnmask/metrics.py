@@ -1,4 +1,4 @@
-"""COCO-style detection evaluation: matching, P-R curves, AP and mAP.
+"""COCO-style detection evaluation: matching, AP and mAP.
 
 Matching is greedy per (image, class): detections are taken in descending
 score order (ties keep insertion order) and each grabs the unmatched
@@ -8,16 +8,18 @@ only qualifying overlap is a crowd box is dropped from scoring. Each group
 is matched once per report: its order and its IoUs are computed once, and
 the greedy pass runs on them at every threshold.
 
-AP is the 101-point interpolation of the precision envelope. mAP averages
-AP over the classes that have at least one non-crowd ground-truth box; the
-sweep aggregate averages the 10 thresholds 0.50, 0.55, ..., 0.95.
-Detections are capped at 100 per (image, class) by score before matching.
-Area-range breakdowns and mask overlap are not computed; only box mAP is
-reported.
+AP is the 101-point interpolation of the precision envelope, computed in
+one pass per class over every threshold's row of score-ranked flags. mAP
+averages AP over the classes that have at least one non-crowd ground-truth
+box; the sweep aggregate averages the 10 thresholds 0.50, 0.55, ..., 0.95.
+Detections are capped at MAX_DETS per (image, class) by score before
+matching. Area-range breakdowns and mask overlap are not computed; only box
+mAP is reported.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -27,14 +29,13 @@ from .boxes import Box, iou
 
 __all__ = [
     "COCO_SWEEP",
+    "MAX_DETS",
     "RECALL_POINTS",
     "Detection",
     "GTRecord",
     "MatchResult",
-    "PRCurve",
     "EvalReport",
     "match",
-    "pr_curve",
     "average_precision",
     "map_report",
     "format_table",
@@ -42,6 +43,7 @@ __all__ = [
 
 COCO_SWEEP = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
 RECALL_POINTS = np.linspace(0.0, 1.0, 101)
+MAX_DETS = 100
 
 TP = 1
 FP = 0
@@ -75,7 +77,6 @@ class MatchResult:
 
     flags: np.ndarray
     scores: np.ndarray
-    n_gt: int
 
 
 def match(dets: list[Detection], gts: list[GTRecord], thresholds) -> MatchResult:
@@ -116,54 +117,29 @@ def match(dets: list[Detection], gts: list[GTRecord], thresholds) -> MatchResult
                 row_flags.append(FP)
         flags.append(row_flags)
     flags = np.array(flags, dtype=np.int8).reshape(len(flags), len(dets))
-    return MatchResult(flags=flags, scores=scores[order], n_gt=len(real))
+    return MatchResult(flags=flags, scores=scores[order])
 
 
-@dataclass
-class PRCurve:
-    """Cumulative precision/recall over score-ranked detections."""
+def average_precision(flags: np.ndarray, n_gt: int) -> np.ndarray:
+    """The (T,) APs of a (T, D) flag matrix whose D columns are ranked by
+    score, one row per threshold: each row's precision envelope sampled at
+    RECALL_POINTS and averaged. A (T, 0) matrix scores zeros.
 
-    precision: np.ndarray
-    recall: np.ndarray
-    tp: int
-    fp: int
-    n_gt: int
-
-
-def pr_curve(flags: np.ndarray, n_gt: int) -> PRCurve:
-    """Build the cumulative P-R curve from score-sorted TP/FP flags.
-
-    Crowd-ignored entries (-1) are dropped first. With n_gt = 0 the recall
-    is identically zero and AP is meaningless; callers exclude such classes.
+    Crowd-ignored entries stay in place as neither TP nor FP. That moves no
+    sampled value: each repeats the (recall, precision) point before it, or
+    sits at (0, 0) ahead of every scored entry.
     """
-    if n_gt < 0:
-        raise ValueError("n_gt must be non-negative")
-    kept = np.asarray(flags)
-    kept = kept[kept != CROWD_IGNORED]
-    tp_cum = np.cumsum(kept == TP)
-    fp_cum = np.cumsum(kept == FP)
-    denom = tp_cum + fp_cum
-    precision = np.where(denom > 0, tp_cum / np.maximum(denom, 1), 0.0)
-    recall = tp_cum / n_gt if n_gt > 0 else np.zeros_like(precision)
-    tp_total = int(tp_cum[-1]) if tp_cum.size else 0
-    fp_total = int(fp_cum[-1]) if fp_cum.size else 0
-    return PRCurve(precision=precision, recall=recall, tp=tp_total, fp=fp_total, n_gt=n_gt)
-
-
-def _envelope(precision: np.ndarray) -> np.ndarray:
-    return np.maximum.accumulate(precision[::-1])[::-1]
-
-
-def average_precision(curve: PRCurve) -> float:
-    """Area under the P-R curve after taking the precision envelope: the
-    envelope sampled at recalls {0, 0.01, ..., 1.00} and averaged."""
-    if curve.recall.size == 0:
-        return 0.0
-    env = _envelope(curve.precision)
-    # precision at the first curve point whose recall reaches each sample
-    idx = np.searchsorted(curve.recall, RECALL_POINTS, side="left")
-    sampled = np.where(idx < env.size, env[np.minimum(idx, env.size - 1)], 0.0)
-    return float(sampled.mean())
+    if n_gt < 1:
+        raise ValueError(f"n_gt must be at least 1, got {n_gt}")
+    tp = np.cumsum(flags == TP, axis=1)
+    scored = tp + np.cumsum(flags == FP, axis=1)
+    # a trailing 0 is the precision at the recalls that no entry reaches
+    precision = np.zeros((tp.shape[0], tp.shape[1] + 1))
+    np.divide(tp, scored, out=precision[:, :-1], where=scored > 0)
+    envelope = np.maximum.accumulate(precision[:, ::-1], axis=1)[:, ::-1]
+    # the envelope at the first entry whose recall reaches each sample
+    return np.array([env[np.searchsorted(recall, RECALL_POINTS, side="left")].mean()
+                     for env, recall in zip(envelope, tp / n_gt)])
 
 
 @dataclass
@@ -192,60 +168,48 @@ class EvalReport:
         }
 
 
-def map_report(
-    dets: list[Detection],
-    gts: list[GTRecord],
-    thresholds=None,
-    max_dets: int = 100,
-) -> EvalReport:
+def map_report(dets: list[Detection], gts: list[GTRecord], thresholds=None) -> EvalReport:
     """Evaluate detections against ground truth at one or more IoU thresholds.
 
-    thresholds defaults (None) to COCO_SWEEP. An empty sequence, a value
-    that does not round to two places inside (0, 1), and max_dets < 1
-    raise ValueError. Classes with zero non-crowd ground truth are excluded
-    from every mAP mean. The sweep aggregate is filled only when all 10
-    sweep thresholds were evaluated; 0.5/0.75 aggregates only when those were.
+    thresholds defaults (None) to COCO_SWEEP. An empty sequence or a value
+    that does not round to two places inside (0, 1) raises ValueError.
+    Classes with zero non-crowd ground truth are excluded from every mAP
+    mean. The sweep aggregate is filled only when all 10 sweep thresholds
+    were evaluated; 0.5/0.75 aggregates only when those were.
     """
     # the first occurrence of each rounded value, so each is matched and reported once
     thresholds = tuple(dict.fromkeys(round(float(t), 2) for t in (COCO_SWEEP if thresholds is None else thresholds)))
     if not thresholds or not all(0.0 < t < 1.0 for t in thresholds):
         raise ValueError(f"IoU thresholds must be a non-empty sequence in (0, 1), got {thresholds}")
-    if max_dets < 1:
-        raise ValueError(f"max_dets must be at least 1, got {max_dets}")
+    # (class, image) -> the group's MAX_DETS best detections and its ground
+    # truth; the stable sort keeps score ties in input order
+    groups: dict[tuple[int, int], tuple[list[Detection], list[GTRecord]]] = {}
+    for d in sorted(dets, key=lambda d: -d.score):
+        top = groups.setdefault((d.class_id, d.image_id), ([], []))[0]
+        if len(top) < MAX_DETS:
+            top.append(d)
     class_gt_counts: dict[int, int] = {}
     for g in gts:
+        groups.setdefault((g.class_id, g.image_id), ([], []))[1].append(g)
         if not g.iscrowd:
             class_gt_counts[g.class_id] = class_gt_counts.get(g.class_id, 0) + 1
-    class_ids = tuple(sorted(c for c, n in class_gt_counts.items() if n > 0))
-
-    by_group_d: dict[tuple[int, int], list[Detection]] = {}
-    for d in dets:
-        by_group_d.setdefault((d.image_id, d.class_id), []).append(d)
-    # the max_dets best of each group; the stable sort keeps score ties in input order
-    for grp in by_group_d.values():
-        grp.sort(key=lambda d: -d.score)
-        del grp[max_dets:]
-    by_group_g: dict[tuple[int, int], list[GTRecord]] = {}
-    for g in gts:
-        by_group_g.setdefault((g.image_id, g.class_id), []).append(g)
+    class_ids = tuple(sorted(class_gt_counts))
 
     ap: dict[float, dict[int, float]] = {t: {} for t in thresholds}
-    tp_all, fp_all = [0] * len(thresholds), [0] * len(thresholds)
-    images = sorted({k[0] for k in by_group_d} | {k[0] for k in by_group_g})
-    for cid in class_ids:
-        groups = [(by_group_d.get((img, cid), []), by_group_g.get((img, cid), [])) for img in images]
-        results = [match(d_grp, g_grp, thresholds) for d_grp, g_grp in groups if d_grp or g_grp]
-        flags = np.concatenate([r.flags for r in results], axis=1)
-        # one stable score order for every threshold; pr_curve drops the
-        # crowd-ignored entries, which leaves the others in this order
+    tp_all = np.zeros(len(thresholds), dtype=np.int64)
+    fp_all = np.zeros_like(tp_all)
+    scored = sorted(k for k in groups if k[0] in class_gt_counts)
+    for cid, keys in itertools.groupby(scored, key=lambda k: k[0]):
+        results = [match(*groups[k], thresholds) for k in keys]
+        # one stable score order across the class's images, for every threshold
         rank = np.argsort(-np.concatenate([r.scores for r in results]), kind="stable")
-        for t, thr in enumerate(thresholds):
-            curve = pr_curve(flags[t, rank], class_gt_counts[cid])
-            ap[thr][cid] = average_precision(curve)
-            tp_all[t] += curve.tp
-            fp_all[t] += curve.fp
-    n_gt_all = sum(class_gt_counts[c] for c in class_ids)
-    counts = {thr: (tp, fp, n_gt_all - tp) for thr, tp, fp in zip(thresholds, tp_all, fp_all)}
+        flags = np.concatenate([r.flags for r in results], axis=1)[:, rank]
+        for thr, value in zip(thresholds, average_precision(flags, class_gt_counts[cid]).tolist()):
+            ap[thr][cid] = value
+        tp_all += (flags == TP).sum(axis=1)
+        fp_all += (flags == FP).sum(axis=1)
+    n_gt_all = sum(class_gt_counts.values())
+    counts = {thr: (tp, fp, n_gt_all - tp) for thr, tp, fp in zip(thresholds, tp_all.tolist(), fp_all.tolist())}
     map_by_thr = {thr: float(np.mean([ap[thr][c] for c in class_ids])) if class_ids else 0.0 for thr in thresholds}
 
     sweep = all(t in map_by_thr for t in COCO_SWEEP)

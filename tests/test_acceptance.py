@@ -17,7 +17,7 @@ from attnmask.boxes import AnchorConfig, Box, box_array, decode, encode, generat
 from attnmask.checks import run_checks
 from attnmask.cli import _self_evaluate, cli
 from attnmask.losses import cls_loss, mask_loss, reg_loss, total_loss
-from attnmask.metrics import COCO_SWEEP, Detection, GTRecord, average_precision, map_report, pr_curve
+from attnmask.metrics import COCO_SWEEP, Detection, GTRecord, average_precision, map_report
 from attnmask.model import ModelConfig, build_model
 from attnmask.roi_align import roi_align
 from attnmask.synth import SynthSpec, synth_dataset
@@ -153,8 +153,8 @@ def test_criterion_04_roi_align(capsys):
 
 
 def test_criterion_05_metric_suite(capsys):
-    ap_tp = average_precision(pr_curve(np.array([1, 0]), n_gt=1))
-    ap_fp = average_precision(pr_curve(np.array([0, 1]), n_gt=1))
+    ap_tp = average_precision(np.array([[1, 0]]), 1)[0]
+    ap_fp = average_precision(np.array([[0, 1]]), 1)[0]
     fixtures_ok = abs(ap_tp - 1.0) <= 1e-12 and abs(ap_fp - 0.5) <= 1e-12
 
     rng = np.random.default_rng(0)

@@ -61,6 +61,21 @@ def test_evaluate_rejects_unknown_category(tmp_path, capsys):
     assert "detections[0]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("categories", [None, []], ids=["absent", "empty"])
+def test_evaluate_without_categories_accepts_any_category_id(tmp_path, capsys, categories):
+    # ground truth and detections share one rule: no categories, no id check
+    gt = {"images": [{"id": 0, "width": 10, "height": 10}],
+          "annotations": [{"id": 1, "image_id": 0, "category_id": 1, "bbox": [0, 0, 4, 4]}]}
+    if categories is not None:
+        gt["categories"] = categories
+    gt_path, det_path, out = tmp_path / "gt.json", tmp_path / "det.json", tmp_path / "report.json"
+    gt_path.write_text(json.dumps(gt))
+    det_path.write_text(json.dumps([{"image_id": 0, "category_id": 1, "score": 0.9, "bbox": [0, 0, 4, 4]}]))
+    assert cli(["evaluate", "--gt", str(gt_path), "--det", str(det_path), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads(out.read_text())["map50"] == 1.0
+
+
 def test_evaluate_rejects_non_object_record(tmp_path, capsys):
     _, det = _write_eval_pair(tmp_path)
     gt = tmp_path / "badrecord.json"
@@ -202,6 +217,7 @@ def test_train_toy_rejects_unknown_config_field(tmp_path, capsys):
         ({"train": {"step_epochs": [-3]}}, r"train: step_epochs must be in \[0,26\), got \[-3\]"),
         ({"noise": -0.5}, "noise must be finite and at least 0, got -0.5"),
         ({"classes": ["disk", "disk"]}, r"classes must not repeat a name, got \['disk', 'disk'\]"),
+        ({"model": {"num_classes": 2}}, "model: num_classes must be at least the scenes' 3 classes, got 2"),
     ],
     ids=["text-int", "fractional-int", "text-run-knob", "nan-float", "object-stages", "object-anchors",
          "int-bool", "text-in-tuple", "zero-train-images", "conf-above-1", "zero-batch", "zero-epochs",
@@ -211,7 +227,7 @@ def test_train_toy_rejects_unknown_config_field(tmp_path, capsys):
          "rpn-pos-fraction-above-1", "negative-roi-pos-fraction", "zero-roi-pos-iou", "roi-pos-iou-above-1",
          "zero-step-factor", "negative-train-seed", "negative-val-seed", "negative-train-config-seed",
          "momentum-above-1", "negative-weight-decay", "negative-rpn-reg-weight", "negative-step-epoch",
-         "negative-noise", "repeated-class"],
+         "negative-noise", "repeated-class", "too-few-model-classes"],
 )
 def test_malformed_config_values_exit_2_naming_file_and_field(tmp_path, capsys, cfg, message):
     path = tmp_path / "bad.json"

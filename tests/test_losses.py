@@ -54,6 +54,13 @@ def test_softmax_ce_matches_log_softmax():
     assert out[1] == pytest.approx(math.log(3.0))  # uniform logits
 
 
+@pytest.mark.parametrize("labels", [[2, 0, 1], [0, -1, 1], [0, 1], [0, 1, 1, 0], [[0, 1, 1]]])
+def test_softmax_ce_rejects_labels_outside_rows_and_classes(labels):
+    # a label >= K would read the next row's logits and a negative one wrap
+    with pytest.raises(ValueError, match=r"labels must be 3 values in \[0, 2\)"):
+        softmax_ce(Tensor(np.zeros((3, 2))), labels)
+
+
 def _reg(*d: float) -> float:
     return reg_loss(Tensor(np.array(d)), np.zeros(4)).item()
 

@@ -11,15 +11,15 @@ from attnmask.boxes import Box
 from attnmask.metrics import (
     COCO_SWEEP,
     CROWD_IGNORED,
+    MAX_DETS,
     Detection,
     GTRecord,
     average_precision,
     format_table,
     map_report,
     match,
-    pr_curve,
 )
-from oracles import map_reference, match_reference
+from oracles import ap_reference, map_reference, match_reference
 
 
 def _det(score, box, img=0, cid=1):
@@ -50,7 +50,6 @@ def test_match_greedy_prefers_higher_score():
     assert list(res.scores) == [0.9, 0.6]
     # flags follow score order: high scorer takes the box, other is FP
     assert list(res.flags[0]) == [1, 0]
-    assert res.n_gt == 1
 
 
 def test_match_rejects_mixed_groups():
@@ -63,7 +62,6 @@ def test_match_crowd_is_fallback_not_first_choice():
     gt = [_gt(B((0, 0, 10, 10))), _gt(B((0, 0, 14, 14)), crowd=True)]
     res = match([_det(0.9, B((0, 0, 10, 10)))], gt, (0.5,))
     assert list(res.flags[0]) == [1]
-    assert res.n_gt == 1  # crowd ground truth is not counted
 
     # with the real box taken, the next detection falls into the crowd
     dets = [_det(0.9, B((0, 0, 10, 10))), _det(0.8, B((2, 2, 10, 10)))]
@@ -75,7 +73,6 @@ def test_match_only_crowd_gt():
     gt = [_gt(B((0, 0, 15, 15)), crowd=True)]  # IoU ~0.44 with the det
     res = match([_det(0.9, B((1, 1, 10, 10)))], gt, (0.3,))
     assert list(res.flags[0]) == [CROWD_IGNORED]
-    assert res.n_gt == 0
 
 
 def test_match_threshold_is_inclusive_and_ties_take_the_first_box():
@@ -100,43 +97,71 @@ def test_match_runs_every_threshold_in_one_call():
     thresholds = (0.3, 0.5, 0.75, 0.95)
     res = match(dets, gt, thresholds)
     assert res.flags.shape == (4, 9) and res.flags.dtype == np.int8
-    want_flags, n_gt = zip(*(match_reference(
+    want_flags = [match_reference(
         [(d.score, (d.box.x1, d.box.y1, d.box.x2, d.box.y2)) for d in dets],
-        [((g.box.x1, g.box.y1, g.box.x2, g.box.y2), g.iscrowd) for g in gt], thr) for thr in thresholds))
-    assert [list(row) for row in res.flags] == [list(f) for f in want_flags]
-    assert res.n_gt == n_gt[0] == 3
+        [((g.box.x1, g.box.y1, g.box.x2, g.box.y2), g.iscrowd) for g in gt], thr)[0] for thr in thresholds]
+    assert [list(row) for row in res.flags] == want_flags
     assert list(res.scores) == sorted((d.score for d in dets), reverse=True)
     assert match([], gt, thresholds).flags.shape == (4, 0)
 
 
-def test_pr_curve_drops_ignored_and_counts():
-    flags = np.array([1, CROWD_IGNORED, 0, 1])
-    curve = pr_curve(flags, n_gt=4)
-    assert curve.tp == 2 and curve.fp == 1
-    assert np.allclose(curve.precision, [1.0, 0.5, 2.0 / 3.0])
-    assert np.allclose(curve.recall, [0.25, 0.25, 0.5])
+@pytest.mark.parametrize("seed", range(20))
+def test_ap_ignores_crowd_entries_bit_for_bit(seed):
+    # crowd-ignored entries stay in the rows: adding 6 to each row at random
+    # places (row 0 always gets a leading one) or removing them again leaves
+    # every row's AP unchanged
+    rng = np.random.default_rng(seed)
+    t, d = int(rng.integers(1, 5)), int(rng.integers(0, 12))
+    scored = rng.integers(0, 2, (t, d)).astype(np.int8)
+    n_gt = int(scored.sum(axis=1).max(initial=0)) + int(rng.integers(1, 4))
+    mixed = np.full((t, d + 6), CROWD_IGNORED, dtype=np.int8)
+    for row in range(t):
+        mixed[row, np.sort(rng.choice(np.arange(row == 0, d + 6), d, replace=False))] = scored[row]
+    assert mixed[0, 0] == CROWD_IGNORED
+    want = average_precision(scored, n_gt)
+    np.testing.assert_array_equal(average_precision(mixed, n_gt), want)
+    for row in range(t):
+        kept = mixed[row][mixed[row] != CROWD_IGNORED]
+        np.testing.assert_array_equal(average_precision(kept[None], n_gt), want[row:row + 1])
 
 
 def test_ap_fixture_perfect_single():
-    curve = pr_curve(np.array([1]), n_gt=1)
-    assert average_precision(curve) == pytest.approx(1.0, abs=1e-12)
+    assert average_precision(np.array([[1]]), 1)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ap_fixture_envelope_saves_trailing_fp():
     # TP then FP, one GT: envelope precision is 1.0 at every recall point
-    curve = pr_curve(np.array([1, 0]), n_gt=1)
-    assert average_precision(curve) == pytest.approx(1.0, abs=1e-12)
+    assert average_precision(np.array([[1, 0]]), 1)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ap_fixture_half():
     # FP then TP, one GT: interpolated precision 0.5 at all recalls
-    curve = pr_curve(np.array([0, 1]), n_gt=1)
-    assert average_precision(curve) == pytest.approx(0.5, abs=1e-12)
+    assert average_precision(np.array([[0, 1]]), 1)[0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_ap_empty_curve_is_zero():
-    curve = pr_curve(np.array([], dtype=np.int8), n_gt=3)
-    assert average_precision(curve) == 0.0
+    ap = average_precision(np.zeros((3, 0), dtype=np.int8), 3)
+    assert ap.shape == (3,)
+    np.testing.assert_array_equal(ap, 0.0)
+
+
+def test_ap_rows_match_reference():
+    # with n_gt <= 9 no recall k/n lands on a k/100 point where the linspace
+    # grid overshoots k/100, so every row agrees with the loop oracle
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        n_gt = int(rng.integers(1, 10))
+        flags = rng.choice(np.array([1, 0, CROWD_IGNORED], dtype=np.int8), (4, int(rng.integers(0, 15))),
+                           p=(0.5, 0.35, 0.15))
+        flags[:, np.cumsum(flags == 1, axis=1).max(axis=0) > n_gt] = 0  # no more TPs than ground truth
+        got = average_precision(flags, n_gt)
+        want = [ap_reference(list(row), n_gt) for row in flags]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_ap_needs_ground_truth():
+    with pytest.raises(ValueError, match="n_gt must be at least 1, got 0"):
+        average_precision(np.array([[1]]), 0)
 
 
 def test_map_report_perfect_predictions_all_ones():
@@ -224,20 +249,16 @@ def test_crowd_only_class_is_excluded():
 
 def test_max_dets_cap_applies_per_image_and_class():
     gt = [_gt(B((0, 0, 10, 10)))]
-    # one perfect detection buried under 100 junk boxes with higher scores
-    dets = [_det(0.99, B((50, 50, 5, 5)))] * 100 + [_det(0.5, B((0, 0, 10, 10)))]
-    rep = map_report(dets, gt, max_dets=100)
-    assert rep.counts[0.5][0] == 0  # the true positive was capped away
-    rep_full = map_report(dets, gt, max_dets=101)
-    assert rep_full.counts[0.5][0] == 1
-
-
-@pytest.mark.parametrize("max_dets", [0, -1])
-def test_max_dets_must_keep_a_detection(max_dets):
-    # 0 would drop every detection and -1 each group's lowest-scored one
-    gt = [_gt(B((0, 0, 10, 10)))]
-    with pytest.raises(ValueError, match=f"max_dets must be at least 1, got {max_dets}"):
-        map_report([_det(0.9, B((0, 0, 10, 10)))], gt, max_dets=max_dets)
+    # one perfect detection, listed first, under MAX_DETS junk boxes with higher scores
+    hit = _det(0.5, B((0, 0, 10, 10)))
+    junk = [_det(0.99, B((50, 50, 5, 5)))] * MAX_DETS
+    assert map_report([hit] + junk, gt).counts[0.5] == (0, MAX_DETS, 1)  # capped away by score
+    # the cap is per group: the same junk in another image or class leaves it
+    for other in ({"img": 1}, {"cid": 2}):
+        moved = [_det(0.99, B((50, 50, 5, 5)), **other)] * MAX_DETS
+        assert map_report([hit] + moved, gt).counts[0.5][0] == 1
+    # one junk box fewer leaves room for the true positive
+    assert map_report([hit] + junk[1:], gt).counts[0.5][0] == 1
 
 
 def test_matches_exhaustive_reference_200_instances():
@@ -334,8 +355,10 @@ def test_iou_calls_do_not_grow_with_thresholds(monkeypatch):
 
 
 # sha256 of json.dumps(map_report(...).to_json()) on _digest_scene() at
-# COCO_SWEEP, recorded with the matcher that ran once per threshold; a change
-# to any byte of a report changes it
+# COCO_SWEEP, recorded with the matcher that ran once per threshold and the
+# AP that built one P-R curve per (class, threshold); the one-pass matcher
+# and the one AP pass per class reproduce it, and a change to any byte of a
+# report changes it
 REPORT_DIGEST = "4d42abc7079689c65d67abd175a0c06b18b201d000a30e5825cc57beb6ebfe6b"
 
 
