@@ -39,6 +39,7 @@ __all__ = [
     "make_attention",
     "apply_attention",
     "eca_kernel_size",
+    "check_eca_kernel",
     "init_uniform",
 ]
 
@@ -64,8 +65,13 @@ class AttentionConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        if isinstance(self.eca_kernel, int) and self.eca_kernel % 2 == 0:
-            raise ValueError("eca kernel must be odd")
+        check_eca_kernel(self.eca_kernel)
+
+
+def check_eca_kernel(k) -> None:
+    """The one eca_kernel rule: an odd positive int, never a bool, or "adaptive"."""
+    if k != "adaptive" and not (type(k) is int and k >= 1 and k % 2):
+        raise ValueError(f"eca_kernel must be an odd positive int or 'adaptive', got {k!r}")
 
 
 def init_uniform(shape: tuple[int, ...], fan_in: int, rng: np.random.Generator, scheme: str) -> Tensor:
@@ -156,7 +162,7 @@ class ECAParams:
 
     @classmethod
     def init(cls, cfg: AttentionConfig, rng: np.random.Generator) -> "ECAParams":
-        k = eca_kernel_size(cfg.channels) if cfg.eca_kernel == "adaptive" else int(cfg.eca_kernel)
+        k = eca_kernel_size(cfg.channels) if cfg.eca_kernel == "adaptive" else cfg.eca_kernel
         return cls(w=init_uniform((k,), k, rng, cfg.init))
 
 

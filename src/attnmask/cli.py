@@ -107,7 +107,7 @@ def _parse_thresholds(text: str) -> tuple[float, ...]:
 
 def _cmd_evaluate(args) -> int:
     gt = load_gt(args.gt)
-    dets = load_detections(args.det, categories=gt.categories)
+    dets = load_detections(args.det, gt)
     thresholds = _parse_thresholds(args.thresholds)
     report = map_report(dets, gt.records, thresholds=thresholds)
     print(format_table([(os.path.basename(args.det), report)]))

@@ -5,7 +5,7 @@ arrays; detections are one array of records. Boxes are COCO top-left
 `[x, y, w, h]` pixels, converted to center form. Every field goes through
 `inputs.field`: ids and sizes are ints (sizes positive), bbox components
 and scores finite numbers, names strings, and `iscrowd` (default 0) is 0,
-1, true or false.
+1, true or false. Annotations and detections share one id and bbox reader.
 Nothing here writes COCO files; `save_json` writes the CLI's reports.
 """
 
@@ -31,14 +31,22 @@ class GroundTruth:
     categories: dict[int, str]
 
 
-def _box(rec: dict, where: str) -> Box:
+def _placed(rec: dict, where: str, images: dict, categories: dict) -> tuple[int, int, Box]:
+    """The image_id, category_id and bbox fields annotations and detections
+    share; an id must be listed in its map when that map is non-empty."""
+    img_id = field(rec, "image_id", "int", where)
+    if images and img_id not in images:
+        raise InputError(f"{where}: unknown image_id {img_id}")
+    cat_id = field(rec, "category_id", "int", where)
+    if categories and cat_id not in categories:
+        raise InputError(f"{where}: unknown category_id {cat_id}")
     x, y, w, h = field(rec, "bbox", _BBOX, where)
     if w <= 0 or h <= 0:
         raise InputError(f"{where}: bbox extents must be positive, got w={w}, h={h}")
     # a far corner, or the union of two such areas in an IoU, must stay finite
     if not (math.isfinite(x + w) and math.isfinite(y + h) and math.isfinite(2.0 * (w * h))):
         raise InputError(f"{where}: bbox corner or area overflows, got {[x, y, w, h]}")
-    return Box.from_coco((x, y, w, h))
+    return img_id, cat_id, Box.from_coco((x, y, w, h))
 
 
 def parse_gt(doc) -> GroundTruth:
@@ -66,32 +74,25 @@ def parse_gt(doc) -> GroundTruth:
         if aid in seen_ann:
             raise InputError(f"{where}: duplicate annotation id")
         seen_ann.add(aid)
-        img_id = field(ann, "image_id", "int", where)
-        if images and img_id not in images:
-            raise InputError(f"{where}: unknown image_id {img_id}")
-        cat_id = field(ann, "category_id", "int", where)
-        if categories and cat_id not in categories:
-            raise InputError(f"{where}: unknown category_id {cat_id}")
+        img_id, cat_id, box = _placed(ann, where, images, categories)
         crowd = field(ann, "iscrowd", "int | bool", where, 0)
         if crowd not in (0, 1):
             raise InputError(f"{where}: iscrowd must be 0, 1, true or false, got {crowd!r}")
-        gts.append(GTRecord(image_id=img_id, class_id=cat_id, box=_box(ann, where), iscrowd=bool(crowd)))
+        gts.append(GTRecord(image_id=img_id, class_id=cat_id, box=box, iscrowd=bool(crowd)))
     return GroundTruth(records=gts, images=images, categories=categories)
 
 
-def parse_detections(doc, categories: dict[int, str] | None = None) -> list[Detection]:
-    """Validate a parsed detection array. As in parse_gt, category ids are
-    checked only against a non-empty categories map."""
+def parse_detections(doc, gt: GroundTruth | None = None) -> list[Detection]:
+    """Validate a parsed detection array. Image and category ids are checked
+    against gt's maps as annotations are, and not at all without gt."""
+    images, categories = (gt.images, gt.categories) if gt is not None else ({}, {})
     dets: list[Detection] = []
     for where, rec in records(doc, "detections"):
-        img_id = field(rec, "image_id", "int", where)
-        cat_id = field(rec, "category_id", "int", where)
-        if categories and cat_id not in categories:
-            raise InputError(f"{where}: unknown category_id {cat_id}")
+        img_id, cat_id, box = _placed(rec, where, images, categories)
         score = field(rec, "score", "float", where)
         if not 0.0 <= score <= 1.0:
             raise InputError(f"{where}: score must be in [0,1], got {score!r}")
-        dets.append(Detection(image_id=img_id, class_id=cat_id, box=_box(rec, where), score=score))
+        dets.append(Detection(image_id=img_id, class_id=cat_id, box=box, score=score))
     return dets
 
 
@@ -99,8 +100,8 @@ def load_gt(path: str) -> GroundTruth:
     return load_json(path, parse_gt)
 
 
-def load_detections(path: str, categories: dict[int, str] | None = None) -> list[Detection]:
-    return load_json(path, parse_detections, categories)
+def load_detections(path: str, gt: GroundTruth | None = None) -> list[Detection]:
+    return load_json(path, parse_detections, gt)
 
 
 def save_json(obj, path: str) -> None:

@@ -4,9 +4,10 @@ Matching is greedy per (image, class): detections are taken in descending
 score order (ties keep insertion order) and each grabs the unmatched
 ground-truth box of highest IoU if that IoU reaches the threshold.
 Crowd-flagged ground truth acts as an ignore region: a detection whose
-only qualifying overlap is a crowd box is dropped from scoring. Each group
-is matched once per report: its order and its IoUs are computed once, and
-the greedy pass runs on them at every threshold.
+only qualifying overlap is a crowd box is dropped from scoring. `match` is
+that rule alone, run at every threshold on one group's overlap matrices;
+`map_report` makes `box_array` rows once per report and one `pairwise_iou`
+matrix per group, its columns split into real boxes and crowd regions.
 
 AP is the 101-point interpolation of the precision envelope, computed in
 one pass per class over every threshold's row of score-ranked flags. mAP
@@ -21,11 +22,14 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import Box, iou
+# iou is not called here but stays bound: the benchmark's tracer
+# (bench/layers.py) wraps boxes.iou in every module that imports it
+from .boxes import Box, box_array, iou, pairwise_iou  # noqa: F401
 
 __all__ = [
     "COCO_SWEEP",
@@ -33,7 +37,6 @@ __all__ = [
     "RECALL_POINTS",
     "Detection",
     "GTRecord",
-    "MatchResult",
     "EvalReport",
     "match",
     "average_precision",
@@ -70,38 +73,22 @@ class GTRecord:
     iscrowd: bool = False
 
 
-@dataclass
-class MatchResult:
-    """(T, D) flags, one row per threshold, and the (D,) scores, both in
-    score-descending order."""
-
-    flags: np.ndarray
-    scores: np.ndarray
-
-
-def match(dets: list[Detection], gts: list[GTRecord], thresholds) -> MatchResult:
-    """Greedily match one (image, class) group of detections to ground truth
-    at each of the given IoU thresholds.
-
-    The group is sorted once, and each detection's IoU with every real box
-    and its best crowd IoU are computed once; flags[t] is the greedy pass
-    at thresholds[t] on those values.
-    """
-    keys = {(d.image_id, d.class_id) for d in dets} | {(g.image_id, g.class_id) for g in gts}
-    if len(keys) > 1:
-        raise ValueError(f"match expects a single (image, class) group, got {sorted(keys)}")
-    scores = np.array([d.score for d in dets], dtype=np.float64)
-    order = np.argsort(-scores, kind="stable")
-    real = [g.box for g in gts if not g.iscrowd]
-    crowd = [g.box for g in gts if g.iscrowd]
-    ious = [[iou(dets[di].box, g) for g in real] for di in order]
-    crowd_best = [max([iou(dets[di].box, c) for c in crowd], default=-math.inf) for di in order]
-    tops = [max(row, default=0.0) for row in ious]
+def match(ious: np.ndarray, crowd_ious: np.ndarray, thresholds) -> np.ndarray:
+    """The (T, D) greedy flags of one (image, class) group at each threshold,
+    from its (D, G) IoUs with the real boxes and (D, C) IoUs with the crowd
+    regions, rows in descending score order: each row in turn takes the
+    untaken real box of highest IoU (the first on ties) if that reaches the
+    threshold, else is crowd-ignored if its best crowd IoU does, else FP."""
+    if len(ious) != len(crowd_ious):
+        raise ValueError(f"match needs one row per detection in both matrices, got {len(ious)} and {len(crowd_ious)}")
+    rows = ious.tolist()
+    tops = ious.max(axis=1, initial=0.0).tolist()
+    crowd_best = crowd_ious.max(axis=1, initial=-math.inf).tolist()
     flags = []
     for thr in thresholds:
-        taken = [False] * len(real)
+        taken = [False] * ious.shape[1]
         row_flags = []
-        for row, top, crowd_ov in zip(ious, tops, crowd_best):
+        for row, top, crowd_ov in zip(rows, tops, crowd_best):
             best, best_gi = 0.0, -1
             # below thr at its largest real IoU, a row cannot take a box
             if top >= thr:
@@ -116,8 +103,7 @@ def match(dets: list[Detection], gts: list[GTRecord], thresholds) -> MatchResult
             else:
                 row_flags.append(FP)
         flags.append(row_flags)
-    flags = np.array(flags, dtype=np.int8).reshape(len(flags), len(dets))
-    return MatchResult(flags=flags, scores=scores[order])
+    return np.array(flags, dtype=np.int8).reshape(len(flags), len(rows))
 
 
 def average_precision(flags: np.ndarray, n_gt: int) -> np.ndarray:
@@ -181,18 +167,19 @@ def map_report(dets: list[Detection], gts: list[GTRecord], thresholds=None) -> E
     thresholds = tuple(dict.fromkeys(round(float(t), 2) for t in (COCO_SWEEP if thresholds is None else thresholds)))
     if not thresholds or not all(0.0 < t < 1.0 for t in thresholds):
         raise ValueError(f"IoU thresholds must be a non-empty sequence in (0, 1), got {thresholds}")
-    # (class, image) -> the group's MAX_DETS best detections and its ground
-    # truth; the stable sort keeps score ties in input order
-    groups: dict[tuple[int, int], tuple[list[Detection], list[GTRecord]]] = {}
-    for d in sorted(dets, key=lambda d: -d.score):
-        top = groups.setdefault((d.class_id, d.image_id), ([], []))[0]
+    det_rows, gt_rows = box_array([d.box for d in dets]), box_array([g.box for g in gts])
+    scores = np.array([d.score for d in dets], dtype=np.float64)
+    crowd = np.array([g.iscrowd for g in gts], dtype=bool)
+    # (class, image) -> the indices of the group's MAX_DETS best detections
+    # and of its ground truth; the stable sort keeps score ties in input order
+    groups: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
+    for i in np.argsort(-scores, kind="stable").tolist():
+        top = groups.setdefault((dets[i].class_id, dets[i].image_id), ([], []))[0]
         if len(top) < MAX_DETS:
-            top.append(d)
-    class_gt_counts: dict[int, int] = {}
-    for g in gts:
-        groups.setdefault((g.class_id, g.image_id), ([], []))[1].append(g)
-        if not g.iscrowd:
-            class_gt_counts[g.class_id] = class_gt_counts.get(g.class_id, 0) + 1
+            top.append(i)
+    for j, g in enumerate(gts):
+        groups.setdefault((g.class_id, g.image_id), ([], []))[1].append(j)
+    class_gt_counts = Counter(g.class_id for g in gts if not g.iscrowd)
     class_ids = tuple(sorted(class_gt_counts))
 
     ap: dict[float, dict[int, float]] = {t: {} for t in thresholds}
@@ -200,10 +187,14 @@ def map_report(dets: list[Detection], gts: list[GTRecord], thresholds=None) -> E
     fp_all = np.zeros_like(tp_all)
     scored = sorted(k for k in groups if k[0] in class_gt_counts)
     for cid, keys in itertools.groupby(scored, key=lambda k: k[0]):
-        results = [match(*groups[k], thresholds) for k in keys]
+        order, group_flags = [], []
+        for top, gt in map(groups.get, keys):
+            ious, is_crowd = pairwise_iou(det_rows[top], gt_rows[gt]), crowd[gt]
+            group_flags.append(match(ious[:, ~is_crowd], ious[:, is_crowd], thresholds))
+            order += top
         # one stable score order across the class's images, for every threshold
-        rank = np.argsort(-np.concatenate([r.scores for r in results]), kind="stable")
-        flags = np.concatenate([r.flags for r in results], axis=1)[:, rank]
+        rank = np.argsort(-scores[order], kind="stable")
+        flags = np.concatenate(group_flags, axis=1)[:, rank]
         for thr, value in zip(thresholds, average_precision(flags, class_gt_counts[cid]).tolist()):
             ap[thr][cid] = value
         tp_all += (flags == TP).sum(axis=1)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import VARIANTS, init_uniform
+from .attention import VARIANTS, check_eca_kernel, init_uniform
 from .backbone import (
     BackboneParams,
     ConvParams,
@@ -104,9 +104,7 @@ class ModelConfig:
         if self.mask_out != 2 * self.mask_resolution:
             raise ValueError(f"mask_out must be 2 * mask_resolution = {2 * self.mask_resolution}, "
                              f"got {self.mask_out}")
-        k = self.eca_kernel
-        if k != "adaptive" and not (type(k) is int and k >= 1 and k % 2):
-            raise ValueError(f"eca_kernel must be an odd positive int or 'adaptive', got {k!r}")
+        check_eca_kernel(self.eca_kernel)
 
     @classmethod
     def toy(cls, variant: str = "cbam", num_classes: int = 3) -> "ModelConfig":

@@ -95,6 +95,15 @@ def test_eca_fixed_kernel_config():
     assert params.kernel == 5
 
 
+@pytest.mark.parametrize("make", [lambda k: AttentionConfig(channels=8, reduction=4, variant="eca", eca_kernel=k),
+                                  lambda k: ModelConfig(eca_kernel=k)], ids=["AttentionConfig", "ModelConfig"])
+@pytest.mark.parametrize("kernel", [True, -3, 0, 4, "big"])
+def test_eca_kernel_has_one_rule(make, kernel):
+    # booleans are never kernel sizes, and a negative one fails here, not in init_uniform
+    with pytest.raises(ValueError, match=f"eca_kernel must be an odd positive int or 'adaptive', got {kernel!r}"):
+        make(kernel)
+
+
 def test_make_attention_dispatch_and_none():
     rng = np.random.default_rng(0)
     assert make_attention(AttentionConfig(channels=8, reduction=4, variant="none"), rng) is None

@@ -61,6 +61,17 @@ def test_evaluate_rejects_unknown_category(tmp_path, capsys):
     assert "detections[0]" in capsys.readouterr().err
 
 
+def test_evaluate_rejects_unlisted_image(tmp_path, capsys):
+    # a detection on an image the ground truth does not list is an input
+    # error, not a false positive that halves mAP@0.5
+    gt, det = _write_eval_pair(tmp_path)
+    path = tmp_path / "det.json"
+    dets = json.loads(path.read_text())
+    path.write_text(json.dumps(dets + [{**dets[0], "image_id": 2}]))
+    assert cli(["evaluate", "--gt", gt, "--det", det]) == 2
+    assert "det.json: detections[1]: unknown image_id 2" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("categories", [None, []], ids=["absent", "empty"])
 def test_evaluate_without_categories_accepts_any_category_id(tmp_path, capsys, categories):
     # ground truth and detections share one rule: no categories, no id check

@@ -82,9 +82,19 @@ def test_parse_detections_happy_path_and_checks():
     with pytest.raises(InputError, match=r"detections\[0\]: score must be in \[0,1\]"):
         parse_detections([{**doc[0], "score": 1.2}])
     with pytest.raises(InputError, match=r"detections\[0\]: unknown category_id 7"):
-        parse_detections([{**doc[0], "category_id": 7}], categories={1: "disk"})
+        parse_detections([{**doc[0], "category_id": 7}], parse_gt(_gt_doc()))
     with pytest.raises(InputError, match=r"detections\[1\] must be object, got 5"):
         parse_detections([doc[0], 5])
+
+
+def test_detection_ids_follow_the_annotation_rule():
+    # an id must be listed in the ground truth's map when that map is non-empty
+    gt = parse_gt(_gt_doc())
+    assert parse_detections([_DET], gt)[0].image_id == 0
+    with pytest.raises(InputError, match=r"^detections\[1\]: unknown image_id 2$"):
+        parse_detections([_DET, {**_DET, "image_id": 2}], gt)
+    unlisted = parse_gt({"annotations": [{"id": 1, "image_id": 5, "category_id": 7, "bbox": [1, 2, 3, 4]}]})
+    assert parse_detections([{**_DET, "image_id": 2, "category_id": 7}], unlisted)[0].image_id == 2
 
 
 _DET = {"image_id": 0, "category_id": 1, "score": 0.5, "bbox": [1, 2, 3, 4]}
@@ -160,7 +170,7 @@ def test_round_trip_through_disk(tmp_path):
 
     det_path = tmp_path / "det.json"
     save_json([{"image_id": 0, "category_id": 1, "bbox": [8.0, 7.0, 4.0, 6.0], "score": 0.5}], str(det_path))
-    again = load_detections(str(det_path), categories=gt.categories)
+    again = load_detections(str(det_path), gt)
     assert again[0].box.w == 4.0 and again[0].box.cy == 10.0
 
     # written files are plain JSON with a trailing newline

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attnmask.cli import RunConfig, _split_config
-from attnmask.coco_io import parse_detections, parse_gt
+from attnmask.coco_io import GroundTruth, parse_detections, parse_gt
 from attnmask.inputs import InputError, checked, field, load_json, replace_checked
 from attnmask.model import ModelConfig
 from attnmask.synth import SynthSpec
@@ -132,9 +132,10 @@ def test_fuzz_parse_gt(doc):
 
 
 @_FUZZ
-@given(_fuzzed(st.lists(_detection, max_size=4)), st.sampled_from([None, {1: "disk", 2: "box"}]))
-def test_fuzz_parse_detections(doc, categories):
-    _only_input_errors(parse_detections, doc, categories)
+@given(_fuzzed(st.lists(_detection, max_size=4)),
+       st.sampled_from([None, GroundTruth(records=[], images={0: (8, 8)}, categories={1: "disk", 2: "box"})]))
+def test_fuzz_parse_detections(doc, gt):
+    _only_input_errors(parse_detections, doc, gt)
 
 
 _value = (st.integers(-1, 3) | st.sampled_from([-1, 0, 1, 2, 3, 7, 28, 0.0, 0.5, 1.5, "2", "x", "adaptive"])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from attnmask import metrics
-from attnmask.boxes import Box
+from attnmask.boxes import Box, box_array, pairwise_iou
 from attnmask.metrics import (
     COCO_SWEEP,
     CROWD_IGNORED,
@@ -40,53 +40,55 @@ def test_detection_score_validation():
         _det(float("nan"), B((0, 0, 4, 4)))
 
 
+def _overlaps(boxes, gts):
+    """match's two matrices for one group: the IoUs of boxes, listed in
+    score order, with its real boxes and with its crowd regions."""
+    ious = pairwise_iou(box_array(boxes), box_array([g.box for g in gts]))
+    crowd = np.array([g.iscrowd for g in gts], dtype=bool)
+    return ious[:, ~crowd], ious[:, crowd]
+
+
 def test_match_greedy_prefers_higher_score():
     gt = [_gt(B((0, 0, 10, 10)))]
-    dets = [
-        _det(0.6, B((1, 1, 10, 10))),      # IoU ~0.68, lower score
-        _det(0.9, B((1.5, 1.5, 10, 10))),  # IoU ~0.57, higher score: wins
-    ]
-    res = match(dets, gt, (0.5,))
-    assert list(res.scores) == [0.9, 0.6]
-    # flags follow score order: high scorer takes the box, other is FP
-    assert list(res.flags[0]) == [1, 0]
+    low, high = B((1, 1, 10, 10)), B((1.5, 1.5, 10, 10))  # IoU ~0.68 and ~0.57
+    # rows in score order: the high scorer takes the box, the other is FP
+    assert list(match(*_overlaps([high, low], gt), (0.5,))[0]) == [1, 0]
+    # map_report ranks by score, not input order: a TP ahead of the FP is AP 1
+    rep = map_report([_det(0.6, low), _det(0.9, high)], gt, (0.5,))
+    assert rep.counts[0.5] == (1, 1, 0) and rep.ap[0.5][1] == 1.0
 
 
-def test_match_rejects_mixed_groups():
-    with pytest.raises(ValueError):
-        match([_det(0.9, B((0, 0, 4, 4)), img=0)], [_gt(B((0, 0, 4, 4)), img=1)], (0.5,))
+def test_match_rejects_row_mismatch():
+    with pytest.raises(ValueError, match="one row per detection in both matrices, got 2 and 1"):
+        match(np.zeros((2, 1)), np.zeros((1, 0)), (0.5,))
 
 
 def test_match_crowd_is_fallback_not_first_choice():
     # a real box and a crowd region overlap the detection; the real box wins
     gt = [_gt(B((0, 0, 10, 10))), _gt(B((0, 0, 14, 14)), crowd=True)]
-    res = match([_det(0.9, B((0, 0, 10, 10)))], gt, (0.5,))
-    assert list(res.flags[0]) == [1]
+    assert list(match(*_overlaps([B((0, 0, 10, 10))], gt), (0.5,))[0]) == [1]
 
     # with the real box taken, the next detection falls into the crowd
-    dets = [_det(0.9, B((0, 0, 10, 10))), _det(0.8, B((2, 2, 10, 10)))]
-    res = match(dets, gt, (0.5,))
-    assert list(res.flags[0]) == [1, CROWD_IGNORED]
+    flags = match(*_overlaps([B((0, 0, 10, 10)), B((2, 2, 10, 10))], gt), (0.5,))
+    assert list(flags[0]) == [1, CROWD_IGNORED]
 
 
 def test_match_only_crowd_gt():
     gt = [_gt(B((0, 0, 15, 15)), crowd=True)]  # IoU ~0.44 with the det
-    res = match([_det(0.9, B((1, 1, 10, 10)))], gt, (0.3,))
-    assert list(res.flags[0]) == [CROWD_IGNORED]
+    assert list(match(*_overlaps([B((1, 1, 10, 10))], gt), (0.3,))[0]) == [CROWD_IGNORED]
 
 
 def test_match_threshold_is_inclusive_and_ties_take_the_first_box():
     # IoU exactly 0.5 (a half-height box) qualifies at 0.5, against a real
     # box and against a crowd region alike
-    half = _det(0.9, B((0, 0, 10, 5)))
-    assert list(match([half], [_gt(B((0, 0, 10, 10)))], (0.5, 0.55)).flags[:, 0]) == [1, 0]
+    half = [B((0, 0, 10, 5))]
+    assert list(match(*_overlaps(half, [_gt(B((0, 0, 10, 10)))]), (0.5, 0.55))[:, 0]) == [1, 0]
     crowd = [_gt(B((0, 0, 10, 10)), crowd=True)]
-    assert list(match([half], crowd, (0.5, 0.55)).flags[:, 0]) == [CROWD_IGNORED, 0]
+    assert list(match(*_overlaps(half, crowd), (0.5, 0.55))[:, 0]) == [CROWD_IGNORED, 0]
     # the first detection overlaps both boxes at IoU 1/3 and takes the first,
     # so the second, a copy of that first box, finds nothing left
     gt = [_gt(B((0, 0, 10, 10))), _gt(B((10, 0, 10, 10)))]
-    dets = [_det(0.9, B((5, 0, 10, 10))), _det(0.8, B((0, 0, 10, 10)))]
-    assert list(match(dets, gt, (0.3,)).flags[0]) == [1, 0]
+    assert list(match(*_overlaps([B((5, 0, 10, 10)), B((0, 0, 10, 10))], gt), (0.3,))[0]) == [1, 0]
 
 
 def test_match_runs_every_threshold_in_one_call():
@@ -95,14 +97,13 @@ def test_match_runs_every_threshold_in_one_call():
     gt = [_gt(B((x, y, 10, 10)), crowd=(k == 3)) for k, (x, y) in enumerate(rng.uniform(0, 12, (4, 2)))]
     dets = [_det(round(float(s), 1), B((x, y, 10, 10))) for s, x, y in rng.uniform(0, 1, (9, 3)) * (1, 14, 14)]
     thresholds = (0.3, 0.5, 0.75, 0.95)
-    res = match(dets, gt, thresholds)
-    assert res.flags.shape == (4, 9) and res.flags.dtype == np.int8
+    flags = match(*_overlaps([d.box for d in sorted(dets, key=lambda d: -d.score)], gt), thresholds)
+    assert flags.shape == (4, 9) and flags.dtype == np.int8
     want_flags = [match_reference(
         [(d.score, (d.box.x1, d.box.y1, d.box.x2, d.box.y2)) for d in dets],
         [((g.box.x1, g.box.y1, g.box.x2, g.box.y2), g.iscrowd) for g in gt], thr)[0] for thr in thresholds]
-    assert [list(row) for row in res.flags] == want_flags
-    assert list(res.scores) == sorted((d.score for d in dets), reverse=True)
-    assert match([], gt, thresholds).flags.shape == (4, 0)
+    assert [list(row) for row in flags] == want_flags
+    assert match(*_overlaps([], gt), thresholds).shape == (4, 0)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -337,21 +338,23 @@ def test_one_multi_threshold_call_matches_reference_200_instances():
 
 
 def test_iou_calls_do_not_grow_with_thresholds(monkeypatch):
-    # every IoU of a group is computed once, whatever the number of thresholds
-    real_iou, calls = metrics.iou, []
+    # one IoU matrix per scored group, whatever the number of thresholds
+    real_pairwise_iou, calls = metrics.pairwise_iou, []
 
-    def counting_iou(a, b):
+    def counting_pairwise_iou(a, b):
         calls.append(1)
-        return real_iou(a, b)
+        return real_pairwise_iou(a, b)
 
-    monkeypatch.setattr(metrics, "iou", counting_iou)
+    monkeypatch.setattr(metrics, "pairwise_iou", counting_pairwise_iou)
     gts, dets, _, _ = _random_case(np.random.default_rng(3), 6)
+    classes = {g.class_id for g in gts if not g.iscrowd}
+    scored = {(r.class_id, r.image_id) for r in gts + dets if r.class_id in classes}
     n_calls = []
     for thresholds in ((0.5,), COCO_SWEEP):
         calls.clear()
         map_report(dets, gts, thresholds=thresholds)
         n_calls.append(len(calls))
-    assert n_calls[0] > 0 and n_calls[0] == n_calls[1]
+    assert scored and n_calls == [len(scored)] * 2
 
 
 # sha256 of json.dumps(map_report(...).to_json()) on _digest_scene() at
