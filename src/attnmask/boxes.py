@@ -1,16 +1,18 @@
 """Box algebra: IoU, offset encoding, anchor grids and non-maximum suppression.
 
 Coordinates are continuous pixels with the origin at the image's top-left
-corner. Boxes are closed regions in center form (cx, cy, w, h) with
-area = w * h (no +1 convention). The COCO top-left [x, y, w, h] layout is
-accepted and emitted only at module boundaries.
+corner, and areas carry no +1 convention.
 
-Inside the region path boxes travel as (N, 4) float64 arrays of the same
-center-form rows. Corners are always cx -/+ w/2 and areas w*h, the very
-expressions of the Box properties, so an array result equals the scalar
-one bit for bit. `box_array` turns a list of Box into rows and
-``Box(*row)`` turns a row back; the scalar `encode` and `decode` wrap the
-array code, so each formula exists once.
+Inside the region path boxes travel as (N, 4) float64 arrays of center-form
+rows (cx, cy, w, h). Their corners are always cx -/+ w/2 (`corners`), and
+`center_rows` is the inverse. `Box` is the corner record (x1, y1, x2, y2) of
+COCO files, ground truth and detections, made only at those boundaries from
+the file's `x, y, x + w, y + h` or from a row's `corners`.
+
+Every IoU goes through one intersection rule over corner columns and given
+areas: `pairwise_iou` on center rows with areas w*h, `corner_iou` on corner
+rows with areas (x2 - x1)(y2 - y1), as the evaluator's oracle computes them,
+and `nms` and the scalar `iou` on corners and corner areas.
 
 `nms` walks the sorted rows in blocks of NMS_BLOCK and tests each block
 only against the rows already kept, so its overlap blocks are bounded by
@@ -23,21 +25,21 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "Box",
-    "BoxDelta",
     "AnchorConfig",
     "box_array",
     "corners",
+    "center_rows",
     "iou",
     "pairwise_iou",
+    "corner_iou",
     "encode",
     "decode",
-    "encode_boxes",
-    "decode_boxes",
     "clip_boxes",
     "generate_anchors",
     "nms",
@@ -55,62 +57,14 @@ LOG_EXTENT_CAP = math.log(1000.0)
 NMS_BLOCK = 64
 
 
-@dataclass(frozen=True)
-class Box:
-    """Axis-aligned box in center form; extents must be positive."""
+class Box(NamedTuple):
+    """Axis-aligned box by its corners, with no check of its own: coco_io
+    and map_report reject boxes without x2 > x1 and y2 > y1."""
 
-    cx: float
-    cy: float
-    w: float
-    h: float
-
-    def __post_init__(self):
-        if not (self.w > 0 and self.h > 0):
-            raise ValueError(f"degenerate box extents w={self.w}, h={self.h}")
-
-    @property
-    def x1(self) -> float:
-        return self.cx - self.w / 2.0
-
-    @property
-    def y1(self) -> float:
-        return self.cy - self.h / 2.0
-
-    @property
-    def x2(self) -> float:
-        return self.cx + self.w / 2.0
-
-    @property
-    def y2(self) -> float:
-        return self.cy + self.h / 2.0
-
-    @property
-    def area(self) -> float:
-        return self.w * self.h
-
-    @classmethod
-    def from_corners(cls, x1: float, y1: float, x2: float, y2: float) -> "Box":
-        return cls((x1 + x2) / 2.0, (y1 + y2) / 2.0, x2 - x1, y2 - y1)
-
-    @classmethod
-    def from_coco(cls, xywh) -> "Box":
-        x, y, w, h = map(float, xywh)
-        return cls(x + w / 2.0, y + h / 2.0, w, h)
-
-
-@dataclass(frozen=True)
-class BoxDelta:
-    """Dimensionless center offsets plus log-scale extent ratios."""
-
-    tx: float
-    ty: float
-    tw: float
-    th: float
-
-    def __post_init__(self):
-        for v in (self.tx, self.ty, self.tw, self.th):
-            if not math.isfinite(v):
-                raise ValueError("non-finite box delta")
+    x1: float
+    y1: float
+    x2: float
+    y2: float
 
 
 @dataclass(frozen=True)
@@ -148,9 +102,7 @@ def stride_of(level: int) -> int:
 
 
 def box_array(boxes) -> np.ndarray:
-    """(N, 4) center-form rows from a sequence of Box or an (N, 4) array."""
-    if not isinstance(boxes, np.ndarray):
-        boxes = [(b.cx, b.cy, b.w, b.h) for b in boxes]
+    """(N, 4) float64 rows of an array or a sequence of 4-sequences."""
     arr = np.asarray(boxes, dtype=np.float64)
     if arr.size == 0:
         return np.zeros((0, 4))
@@ -165,28 +117,38 @@ def corners(boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     return cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0
 
 
+def center_rows(x1, y1, x2, y2) -> np.ndarray:
+    """(N, 4) center-form rows of corner columns or scalars; inverts corners."""
+    return np.column_stack([(x1 + x2) / 2.0, (y1 + y2) / 2.0, x2 - x1, y2 - y1])
+
+
+def _iou(a, b, area_a, area_b):
+    """IoU of corner columns a = (x1, y1, x2, y2) against b, broadcast
+    against each other, given each side's areas."""
+    ix = np.minimum(a[2], b[2]) - np.maximum(a[0], b[0])
+    iy = np.minimum(a[3], b[3]) - np.maximum(a[1], b[1])
+    inter = np.clip(ix, 0.0, None) * np.clip(iy, 0.0, None)
+    return inter / (area_a + area_b - inter)
+
+
 def iou(a: Box, b: Box) -> float:
-    """Intersection area over union area, in [0, 1]."""
-    ix = min(a.x2, b.x2) - max(a.x1, b.x1)
-    iy = min(a.y2, b.y2) - max(a.y1, b.y1)
-    if ix <= 0 or iy <= 0:
-        return 0.0
-    inter = ix * iy
-    return inter / (a.area + b.area - inter)
+    """Intersection area over union area of two corner boxes, in [0, 1]."""
+    return float(_iou(a, b, (a.x2 - a.x1) * (a.y2 - a.y1), (b.x2 - b.x1) * (b.y2 - b.y1)))
 
 
 def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(N, M) IoU of every row of a against every row of b, computed with
-    iou()'s expressions so each entry equals iou() exactly."""
-    ax1, ay1, ax2, ay2 = (c[:, None] for c in corners(a))
-    bx1, by1, bx2, by2 = corners(b)
-    ix = np.minimum(ax2, bx2) - np.maximum(ax1, bx1)
-    iy = np.minimum(ay2, by2) - np.maximum(ay1, by1)
-    inter = np.where((ix > 0) & (iy > 0), ix * iy, 0.0)
-    return inter / ((a[:, 2] * a[:, 3])[:, None] + b[:, 2] * b[:, 3] - inter)
+    """(N, M) IoU of every center-form row of a against every row of b."""
+    return _iou([c[:, None] for c in corners(a)], corners(b), (a[:, 2] * a[:, 3])[:, None], b[:, 2] * b[:, 3])
 
 
-def encode_boxes(anchors: np.ndarray, targets: np.ndarray) -> np.ndarray:
+def corner_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(N, M) IoU of every corner row (x1, y1, x2, y2) of a against every
+    row of b, with areas (x2 - x1)(y2 - y1)."""
+    area_a, area_b = ((r[:, 2] - r[:, 0]) * (r[:, 3] - r[:, 1]) for r in (a, b))
+    return _iou(a.T[:, :, None], b.T, area_a[:, None], area_b)
+
+
+def encode(anchors: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """(N, 4) offsets (tx, ty, tw, th) of each target row relative to its
     anchor row: centers are normalized by the anchor extents, extents
     become log ratios."""
@@ -195,23 +157,12 @@ def encode_boxes(anchors: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return np.stack([(cx - acx) / aw, (cy - acy) / ah, np.log(w / aw), np.log(h / ah)], axis=1)
 
 
-def decode_boxes(anchors: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-    """Inverse of encode_boxes; log-extent components are capped at log(1000)."""
+def decode(anchors: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """Inverse of encode; log-extent components are capped at log(1000)."""
     acx, acy, aw, ah = anchors.T
     tx, ty, tw, th = deltas.T
     tw, th = (np.clip(t, -LOG_EXTENT_CAP, LOG_EXTENT_CAP) for t in (tw, th))
     return np.stack([tx * aw + acx, ty * ah + acy, aw * np.exp(tw), ah * np.exp(th)], axis=1)
-
-
-def encode(anchor: Box, target: Box) -> BoxDelta:
-    """encode_boxes for one anchor and one target."""
-    return BoxDelta(*encode_boxes(box_array([anchor]), box_array([target]))[0].tolist())
-
-
-def decode(anchor: Box, delta: BoxDelta) -> Box:
-    """decode_boxes for one anchor and one delta."""
-    d = np.array([[delta.tx, delta.ty, delta.tw, delta.th]])
-    return Box(*decode_boxes(box_array([anchor]), d)[0].tolist())
 
 
 def clip_boxes(boxes: np.ndarray, width: float, height: float) -> tuple[np.ndarray, np.ndarray]:
@@ -223,8 +174,7 @@ def clip_boxes(boxes: np.ndarray, width: float, height: float) -> tuple[np.ndarr
     x1, y1, x2, y2 = corners(boxes)
     x1, x2 = np.clip(x1, 0.0, width), np.clip(x2, 0.0, width)
     y1, y2 = np.clip(y1, 0.0, height), np.clip(y2, 0.0, height)
-    clipped = np.stack([(x1 + x2) / 2.0, (y1 + y2) / 2.0, x2 - x1, y2 - y1], axis=1)
-    return clipped, (x2 > x1) & (y2 > y1)
+    return center_rows(x1, y1, x2, y2), (x2 > x1) & (y2 > y1)
 
 
 def generate_anchors(shapes: dict[int, tuple[int, int]], cfg: AnchorConfig) -> np.ndarray:
@@ -265,7 +215,7 @@ def nms(
     max_keep: int | None = None,
     labels=None,
 ) -> list[int]:
-    """Greedy non-maximum suppression over a list of Box or (N, 4) rows.
+    """Greedy non-maximum suppression over (N, 4) center-form rows.
 
     Repeatedly keeps the highest-scoring remaining box and suppresses the
     boxes overlapping it above iou_threshold; with per-row labels only
@@ -290,16 +240,13 @@ def nms(
 
     # stable sort on negated scores: ties keep original index order
     order = np.argsort(-scores, kind="stable")
-    x1, y1, x2, y2 = (c[order] for c in corners(boxes))
-    areas = (x2 - x1) * (y2 - y1)
+    cols = np.stack(corners(boxes))[:, order]
+    areas = (cols[2] - cols[0]) * (cols[3] - cols[1])
     labels = None if labels is None else np.asarray(labels)[order]
 
     def over(a, b):
         """(len(a), len(b)) mask: earlier sorted row a[i] overlaps later b[j]."""
-        ix = np.minimum(x2[a, None], x2[b]) - np.maximum(x1[a, None], x1[b])
-        iy = np.minimum(y2[a, None], y2[b]) - np.maximum(y1[a, None], y1[b])
-        inter = np.clip(ix, 0.0, None) * np.clip(iy, 0.0, None)
-        hit = inter / (areas[a, None] + areas[b] - inter) > iou_threshold
+        hit = _iou(cols[:, a, None], cols[:, b], areas[a, None], areas[b]) > iou_threshold
         return hit if labels is None else hit & (labels[a, None] == labels[b])
 
     cap = order.size if max_keep is None else max_keep

@@ -2,7 +2,8 @@
 
 Ground truth is an object with `images`, `annotations` and `categories`
 arrays; detections are one array of records. Boxes are COCO top-left
-`[x, y, w, h]` pixels, converted to center form. Every field goes through
+`[x, y, w, h]` pixels, read as the corners `Box(x, y, x + w, y + h)` that
+the evaluator's IoU uses. Every field goes through
 `inputs.field`: ids and sizes are ints (sizes positive), bbox components
 and scores finite numbers, names strings, and `iscrowd` (default 0) is 0,
 1, true or false. Annotations and detections share one id and bbox reader.
@@ -43,10 +44,14 @@ def _placed(rec: dict, where: str, images: dict, categories: dict) -> tuple[int,
     x, y, w, h = field(rec, "bbox", _BBOX, where)
     if w <= 0 or h <= 0:
         raise InputError(f"{where}: bbox extents must be positive, got w={w}, h={h}")
-    # a far corner, or the union of two such areas in an IoU, must stay finite
-    if not (math.isfinite(x + w) and math.isfinite(y + h) and math.isfinite(2.0 * (w * h))):
+    x2, y2 = x + w, y + h
+    # a far corner, or the union of two corner areas in an IoU, must stay finite
+    if not (math.isfinite(x2) and math.isfinite(y2) and math.isfinite(2.0 * ((x2 - x) * (y2 - y)))):
         raise InputError(f"{where}: bbox corner or area overflows, got {[x, y, w, h]}")
-    return img_id, cat_id, Box.from_coco((x, y, w, h))
+    # an extent lost in x + w would leave an empty box and a 0/0 IoU
+    if not (x2 > x and y2 > y):
+        raise InputError(f"{where}: bbox corners collapse in float, got {[x, y, w, h]}")
+    return img_id, cat_id, Box(x, y, x2, y2)
 
 
 def parse_gt(doc) -> GroundTruth:

@@ -6,16 +6,18 @@ ground-truth box of highest IoU if that IoU reaches the threshold.
 Crowd-flagged ground truth acts as an ignore region: a detection whose
 only qualifying overlap is a crowd box is dropped from scoring. `match` is
 that rule alone, run at every threshold on one group's overlap matrices;
-`map_report` makes `box_array` rows once per report and one `pairwise_iou`
-matrix per group, its columns split into real boxes and crowd regions.
+`map_report` makes corner rows of the records' `Box` once per report and
+one `corner_iou` matrix per group, its columns split into real boxes and
+crowd regions. The IoU reads the records' corners as they are, with areas
+(x2 - x1)(y2 - y1), so it equals the brute-force oracle's bit for bit.
 
-AP is the 101-point interpolation of the precision envelope, computed in
-one pass per class over every threshold's row of score-ranked flags. mAP
-averages AP over the classes that have at least one non-crowd ground-truth
-box; the sweep aggregate averages the 10 thresholds 0.50, 0.55, ..., 0.95.
-Detections are capped at MAX_DETS per (image, class) by score before
-matching. Area-range breakdowns and mask overlap are not computed; only box
-mAP is reported.
+AP is the 101-point interpolation of the precision envelope at the recalls
+k/100 (RECALL_POINTS), computed in one pass per class over every
+threshold's row of score-ranked flags. mAP averages AP over the classes
+that have at least one non-crowd ground-truth box; the sweep aggregate
+averages the 10 thresholds 0.50, 0.55, ..., 0.95. Detections are capped at
+MAX_DETS per (image, class) by score before matching. Area-range
+breakdowns and mask overlap are not computed; only box mAP is reported.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 
 # iou is not called here but stays bound: the benchmark's tracer
 # (bench/layers.py) wraps boxes.iou in every module that imports it
-from .boxes import Box, box_array, iou, pairwise_iou  # noqa: F401
+from .boxes import Box, box_array, corner_iou, iou  # noqa: F401
 
 __all__ = [
     "COCO_SWEEP",
@@ -45,7 +47,9 @@ __all__ = [
 ]
 
 COCO_SWEEP = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
-RECALL_POINTS = np.linspace(0.0, 1.0, 101)
+# each sample is k / 100 rounded once, as each curve recall tp / n_gt is,
+# so a recall that equals k / 100 in exact arithmetic reaches sample k
+RECALL_POINTS = np.arange(101) / 100
 MAX_DETS = 100
 
 TP = 1
@@ -161,13 +165,18 @@ def map_report(dets: list[Detection], gts: list[GTRecord], thresholds=None) -> E
     that does not round to two places inside (0, 1) raises ValueError.
     Classes with zero non-crowd ground truth are excluded from every mAP
     mean. The sweep aggregate is filled only when all 10 sweep thresholds
-    were evaluated; 0.5/0.75 aggregates only when those were.
+    were evaluated; 0.5/0.75 aggregates only when those were. A box with
+    x2 <= x1 or y2 <= y1 raises ValueError.
     """
     # the first occurrence of each rounded value, so each is matched and reported once
     thresholds = tuple(dict.fromkeys(round(float(t), 2) for t in (COCO_SWEEP if thresholds is None else thresholds)))
     if not thresholds or not all(0.0 < t < 1.0 for t in thresholds):
         raise ValueError(f"IoU thresholds must be a non-empty sequence in (0, 1), got {thresholds}")
     det_rows, gt_rows = box_array([d.box for d in dets]), box_array([g.box for g in gts])
+    rows = np.concatenate([det_rows, gt_rows])
+    bad = ~(rows[:, 2:] > rows[:, :2]).all(axis=1)
+    if bad.any():
+        raise ValueError(f"boxes need x2 > x1 and y2 > y1, got {rows[bad][0].tolist()}")
     scores = np.array([d.score for d in dets], dtype=np.float64)
     crowd = np.array([g.iscrowd for g in gts], dtype=bool)
     # (class, image) -> the indices of the group's MAX_DETS best detections
@@ -189,7 +198,7 @@ def map_report(dets: list[Detection], gts: list[GTRecord], thresholds=None) -> E
     for cid, keys in itertools.groupby(scored, key=lambda k: k[0]):
         order, group_flags = [], []
         for top, gt in map(groups.get, keys):
-            ious, is_crowd = pairwise_iou(det_rows[top], gt_rows[gt]), crowd[gt]
+            ious, is_crowd = corner_iou(det_rows[top], gt_rows[gt]), crowd[gt]
             group_flags.append(match(ious[:, ~is_crowd], ious[:, is_crowd], thresholds))
             order += top
         # one stable score order across the class's images, for every threshold

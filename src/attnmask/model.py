@@ -18,7 +18,8 @@ detections reads its own class channel from that row's logits.
 
 Maps are (N, C, H, W): N = 1 for an image's pyramid, the regions in the
 mask head. Regions travel as (N, 4) center-form rows from the anchors to
-the pasted masks; `infer` builds a `Box` only for each returned `Detection`.
+the pasted masks; `infer` makes each returned `Detection`'s corner `Box`
+from its row.
 
 Parameters live in nested dataclasses; named_params walks them in a
 fixed order so training and checkpointing are deterministic.
@@ -45,7 +46,7 @@ from .backbone import (
     init_fpn,
 )
 from .boxes import (
-    AnchorConfig, Box, clip_boxes, corners, decode_boxes, generate_anchors, nms, stride_of,
+    AnchorConfig, Box, clip_boxes, corners, decode, generate_anchors, nms, stride_of,
 )
 from .metrics import Detection
 from .roi_align import assign_level, bilinear_weights, roi_align
@@ -316,7 +317,7 @@ def _refine(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Apply offsets (each component capped at +-10), clip to the image and
     drop results under MIN_SIZE on a side: the kept boxes and their rows."""
-    refined, inside = clip_boxes(decode_boxes(boxes, np.clip(deltas, -10.0, 10.0)), width, height)
+    refined, inside = clip_boxes(decode(boxes, np.clip(deltas, -10.0, 10.0)), width, height)
     kept = np.flatnonzero(inside & (refined[:, 2] >= MIN_SIZE) & (refined[:, 3] >= MIN_SIZE))
     return refined[kept], kept
 
@@ -426,9 +427,10 @@ def infer(model: Model, image, image_id: int = 0, conf_threshold: float = 0.5) -
         feats = extract_roi_features(pyramid, chunk, model.cfg.mask_resolution)
         grids = mask_head_forward(model, feats, region[dets] - lo, classes[dets]).data
         masks[dets] = paste_mask(grids, refined[rows[dets]], height, width)
+    boxes = np.stack(corners(refined[rows]), axis=1).tolist()
     return [
-        InstancePrediction(Detection(image_id, k, Box(*row), score), mask)
-        for k, row, score, mask in zip(classes.tolist(), refined[rows].tolist(), scores, masks)
+        InstancePrediction(Detection(image_id, k, Box(*box), score), mask)
+        for k, box, score, mask in zip(classes.tolist(), boxes, scores, masks)
     ]
 
 

@@ -10,7 +10,9 @@ mask. Fully occluded objects are dropped.
 
 Scenes hold (N, 4) float64 center-form box rows and (N,) int64 class ids,
 1-based indices into the spec's class tuple (0 is background in the
-detector heads); only `to_ground_truth` makes `Box` records of them.
+detector heads); only `to_ground_truth` makes corner `Box` records of
+them. Placement tests plain (cx, cy, w, h) tuples in Python floats: an
+array op per try made generation a third slower.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import Box
+from .boxes import Box, corners
 from .coco_io import GroundTruth
 from .metrics import GTRecord
 
@@ -146,12 +148,14 @@ def _raster(shape: str, cx, cy, w, h, canvas: int) -> np.ndarray:
     raise ValueError(f"unknown shape {shape!r}")
 
 
-def _overlap_frac(a: Box, b: Box) -> float:
-    iw = min(a.x2, b.x2) - max(a.x1, b.x1)
-    ih = min(a.y2, b.y2) - max(a.y1, b.y1)
+def _overlap_frac(a: tuple, b: tuple) -> float:
+    """Intersection of two (cx, cy, w, h) tuples over the smaller area."""
+    (acx, acy, aw, ah), (bcx, bcy, bw, bh) = a, b
+    iw = min(acx + aw / 2.0, bcx + bw / 2.0) - max(acx - aw / 2.0, bcx - bw / 2.0)
+    ih = min(acy + ah / 2.0, bcy + bh / 2.0) - max(acy - ah / 2.0, bcy - bh / 2.0)
     if iw <= 0 or ih <= 0:
         return 0.0
-    return iw * ih / min(a.area, b.area)
+    return iw * ih / min(aw * ah, bw * bh)
 
 
 def _sample_dims(rng, spec: SynthSpec):
@@ -166,20 +170,21 @@ def _sample_center(rng, spec: SynthSpec, w, h):
     return cx, cy
 
 
-def _place(rng, spec: SynthSpec, existing: list[Box], occlude: Box | None, tries: int = 60):
-    """Find a box that either avoids all existing boxes or overlaps the
-    chosen target by a 20-60 percent fraction of the smaller box."""
+def _place(rng, spec: SynthSpec, existing: list[tuple], occlude: tuple | None, tries: int = 60):
+    """Find a (cx, cy, w, h) box that either avoids all existing boxes or
+    overlaps the chosen target by a 20-60 percent fraction of the smaller box."""
     for _ in range(tries):
         w, h = _sample_dims(rng, spec)
         if occlude is None:
             cx, cy = _sample_center(rng, spec, w, h)
         else:
-            span_x, span_y = (occlude.w + w) / 2, (occlude.h + h) / 2
-            cx = occlude.cx + rng.uniform(-0.9, 0.9) * span_x
-            cy = occlude.cy + rng.uniform(-0.9, 0.9) * span_y
+            ocx, ocy, ow, oh = occlude
+            span_x, span_y = (ow + w) / 2, (oh + h) / 2
+            cx = ocx + rng.uniform(-0.9, 0.9) * span_x
+            cy = ocy + rng.uniform(-0.9, 0.9) * span_y
             cx = min(max(cx, w / 2), spec.canvas - w / 2)
             cy = min(max(cy, h / 2), spec.canvas - h / 2)
-        box = Box(cx, cy, w, h)
+        box = (cx, cy, w, h)
         fracs = [_overlap_frac(box, b) for b in existing]
         if occlude is None:
             if all(f == 0.0 for f in fracs):
@@ -194,8 +199,8 @@ def _synth_one(rng: np.random.Generator, spec: SynthSpec) -> Sample:
     owner = np.full((canvas, canvas), -1, dtype=np.int64)
     paint = np.full((3, canvas, canvas), _BACKGROUND)
 
-    placed: list[Box] = []
-    shapes: list[tuple[int, Box]] = []
+    placed: list[tuple] = []
+    shapes: list[tuple[int, tuple]] = []
     n_obj = int(rng.integers(spec.n_objects[0], spec.n_objects[1] + 1))
     for k in range(n_obj):
         occlude = None
@@ -212,12 +217,12 @@ def _synth_one(rng: np.random.Generator, spec: SynthSpec) -> Sample:
         box = _place(rng, spec, placed, None)
         if box is not None:
             color = rng.uniform(0.3, 0.75, size=3)
-            m = _raster("ring", box.cx, box.cy, box.w, box.h, canvas)
+            m = _raster("ring", *box, canvas)
             owner[m] = -2
             paint[:, m] = color[:, None]
 
     for k, (cls, box) in enumerate(shapes):
-        m = _raster(spec.classes[cls], box.cx, box.cy, box.w, box.h, canvas)
+        m = _raster(spec.classes[cls], *box, canvas)
         jitter = rng.uniform(-0.05, 0.05)
         owner[m] = k
         paint[:, m] = np.clip(np.array(_COLORS[spec.classes[cls]]) + jitter, 0.0, 1.0)[:, None]
@@ -269,12 +274,13 @@ def dataset_hash(samples: list[Sample]) -> str:
 
 
 def to_ground_truth(samples: list[Sample], classes: tuple[str, ...]) -> GroundTruth:
-    """Express a dataset in the evaluator's ground-truth form (ids = index)."""
+    """Express a dataset in the evaluator's ground-truth form (ids = index),
+    each box the corners of its row."""
     records = []
     images = {}
     for img_id, s in enumerate(samples):
         images[img_id] = (s.image.shape[2], s.image.shape[1])
-        for row, cid in zip(s.boxes.tolist(), s.class_ids.tolist()):
-            records.append(GTRecord(image_id=img_id, class_id=cid, box=Box(*row), iscrowd=False))
+        for box, cid in zip(np.stack(corners(s.boxes), axis=1).tolist(), s.class_ids.tolist()):
+            records.append(GTRecord(image_id=img_id, class_id=cid, box=Box(*box), iscrowd=False))
     categories = {i + 1: name for i, name in enumerate(classes)}
     return GroundTruth(records=records, images=images, categories=categories)

@@ -29,7 +29,7 @@ from decimal import Decimal
 
 import numpy as np
 
-from .boxes import clip_boxes, corners, encode_boxes, pairwise_iou
+from .boxes import clip_boxes, corners, encode, pairwise_iou
 from .losses import (
     assign_anchor_labels,
     cls_loss,
@@ -220,7 +220,7 @@ def _image_loss(
     pos = asg.sampled_pos
     if pos.size:
         pred = gather_rows(offsets, pos)
-        rpn_reg = reg_loss(pred, encode_boxes(anchors[pos], gt[asg.matched_gt[pos]]))
+        rpn_reg = reg_loss(pred, encode(anchors[pos], gt[asg.matched_gt[pos]]))
     # position-count normalization leaves the offset term orders of magnitude
     # below the objectness term; the weight restores a comparable scale
     n_positions = anchors.shape[0] // model.cfg.num_anchor_shapes
@@ -245,7 +245,7 @@ def _image_loss(
         pos_rows = np.flatnonzero(labels > 0)
         if pos_rows.size:
             pred = gather_rows(deltas, pos_rows)
-            roi_reg = reg_loss(pred, encode_boxes(rois[pos_rows], gt[matched[pos_rows]]))
+            roi_reg = reg_loss(pred, encode(rois[pos_rows], gt[matched[pos_rows]]))
 
             mfeats = extract_roi_features(pyramid, rois[pos_rows], model.cfg.mask_resolution)
             grids = mask_head_forward(model, mfeats, np.arange(pos_rows.size), labels[pos_rows])

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from attnmask.attention import GATES, AttentionConfig, apply_attention, make_attention
-from attnmask.boxes import AnchorConfig, Box, box_array, decode, encode, generate_anchors, iou, nms
+from attnmask.boxes import AnchorConfig, Box, corners, decode, encode, generate_anchors, iou, nms
 from attnmask.checks import run_checks
 from attnmask.cli import _self_evaluate, cli
 from attnmask.losses import cls_loss, mask_loss, reg_loss, total_loss
@@ -99,22 +99,21 @@ def test_criterion_03_geometry_oracles(capsys):
         n = int(rng.integers(1, 201))
         coco = np.column_stack([rng.uniform(0, 80, (n, 2)), rng.uniform(1, 40, (n, 2))])
         scores = np.round(rng.uniform(0, 1, n), 2)
-        boxes = [Box.from_coco(row) for row in coco]
+        boxes = np.column_stack([coco[:, :2] + coco[:, 2:] / 2.0, coco[:, 2:]])
         thr = float(rng.uniform(0.2, 0.7))
         got = nms(boxes, scores, thr)
-        want = nms_bruteforce([(b.x1, b.y1, b.x2, b.y2) for b in boxes], scores, thr,
+        want = nms_bruteforce(np.stack(corners(boxes), axis=1).tolist(), scores, thr,
                               score_threshold=0.0)
         nms_agree = nms_agree and got == want
 
     round_err = 0.0
     for _ in range(200):
-        a = Box(rng.uniform(5, 50), rng.uniform(5, 50), rng.uniform(1, 30), rng.uniform(1, 30))
-        t = Box(rng.uniform(5, 50), rng.uniform(5, 50), rng.uniform(1, 30), rng.uniform(1, 30))
+        a, t = (np.array([[rng.uniform(5, 50), rng.uniform(5, 50), rng.uniform(1, 30), rng.uniform(1, 30)]])
+                for _ in range(2))
         back = decode(a, encode(a, t))
-        for got, want in zip((back.cx, back.cy, back.w, back.h), (t.cx, t.cy, t.w, t.h)):
-            round_err = max(round_err, abs(got - want) / max(1.0, abs(want)))
+        round_err = max(round_err, (np.abs(back - t) / np.maximum(1.0, np.abs(t))).max())
 
-    iou_err = abs(iou(Box.from_coco((0, 0, 10, 10)), Box.from_coco((5, 5, 10, 10))) - 1.0 / 7.0)
+    iou_err = abs(iou(Box(0, 0, 10, 10), Box(5, 5, 15, 15)) - 1.0 / 7.0)
 
     cfg = AnchorConfig()
     anchors = generate_anchors({2: (4, 6), 3: (2, 3)}, cfg)
@@ -131,7 +130,7 @@ def test_criterion_03_geometry_oracles(capsys):
 
 
 def test_criterion_04_roi_align(capsys):
-    const = roi_align(Tensor(np.full((1, 2, 8, 8), 2.5)), 4.0, box_array([Box(12.0, 12.0, 16.0, 16.0)]), 3)
+    const = roi_align(Tensor(np.full((1, 2, 8, 8), 2.5)), 4.0, np.array([[12.0, 12.0, 16.0, 16.0]]), 3)
     const_err = np.abs(const.data - 2.5).max()
 
     rng = np.random.default_rng(11)
@@ -139,9 +138,9 @@ def test_criterion_04_roi_align(capsys):
     worst = 0.0
     for _ in range(200):
         res = int(rng.integers(2, 5))
-        box = Box(rng.uniform(4, 28), rng.uniform(4, 28), rng.uniform(2, 20), rng.uniform(2, 20))
-        got = roi_align(Tensor(feat), 4.0, box_array([box]), res).data[0]
-        want = roi_align_dense(feat[0], 4.0, (box.x1, box.y1, box.x2, box.y2), res)
+        box = np.array([[rng.uniform(4, 28), rng.uniform(4, 28), rng.uniform(2, 20), rng.uniform(2, 20)]])
+        got = roi_align(Tensor(feat), 4.0, box, res).data[0]
+        want = roi_align_dense(feat[0], 4.0, [c[0] for c in corners(box)], res)
         worst = max(worst, np.abs(got - want).max())
 
     grads = run_checks("roialign", seeds=5)
@@ -161,7 +160,8 @@ def test_criterion_05_metric_suite(capsys):
     gts, dets = [], []
     for img in range(3):
         for cid in (1, 2):
-            box = Box.from_coco((rng.uniform(0, 40), rng.uniform(0, 40), 10.0, 8.0))
+            x, y = rng.uniform(0, 40), rng.uniform(0, 40)
+            box = Box(x, y, x + 10.0, y + 8.0)
             gts.append(GTRecord(image_id=img, class_id=cid, box=box, iscrowd=False))
             dets.append(Detection(image_id=img, class_id=cid, box=box, score=1.0))
     rep = map_report(dets, gts)
@@ -178,13 +178,13 @@ def test_criterion_05_metric_suite(capsys):
                 for _ in range(int(rng.integers(0, 4))):
                     x, y, w, h = rng.uniform(0, 30), rng.uniform(0, 30), *rng.uniform(4, 14, 2)
                     crowd = bool(rng.uniform() < 0.2)
-                    b = Box.from_coco((x, y, w, h))
+                    b = Box(x, y, x + w, y + h)
                     g_recs.append(GTRecord(image_id=img, class_id=cid, box=b, iscrowd=crowd))
                     gt_t.append((img, cid, (b.x1, b.y1, b.x2, b.y2), crowd))
                 for _ in range(int(rng.integers(0, 5))):
                     x, y, w, h = rng.uniform(0, 30), rng.uniform(0, 30), *rng.uniform(4, 14, 2)
                     s = round(float(rng.uniform(0, 1)), 2)
-                    b = Box.from_coco((x, y, w, h))
+                    b = Box(x, y, x + w, y + h)
                     d_recs.append(Detection(image_id=img, class_id=cid, box=b, score=s))
                     det_t.append((img, cid, s, (b.x1, b.y1, b.x2, b.y2)))
         thr = float(rng.choice([0.3, 0.5, 0.75]))

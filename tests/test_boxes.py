@@ -12,9 +12,10 @@ from attnmask.boxes import (
     NMS_BLOCK,
     AnchorConfig,
     Box,
-    BoxDelta,
     box_array,
+    center_rows,
     clip_boxes,
+    corner_iou,
     corners,
     decode,
     encode,
@@ -23,69 +24,54 @@ from attnmask.boxes import (
     nms,
     pairwise_iou,
 )
-from oracles import nms_bruteforce, nms_per_label_bruteforce
+from oracles import iou_xyxy, nms_bruteforce, nms_per_label_bruteforce
 
 
 def test_box_forms_roundtrip():
-    b = Box.from_corners(2.0, 3.0, 10.0, 7.0)
-    assert (b.cx, b.cy, b.w, b.h) == (6.0, 5.0, 8.0, 4.0)
-    assert Box.from_coco([2.0, 3.0, 8.0, 4.0]) == b
-    assert b.area == 32.0
-
-
-def test_degenerate_box_rejected():
-    with pytest.raises(ValueError):
-        Box(5.0, 5.0, 0.0, 3.0)
-    with pytest.raises(ValueError):
-        Box(5.0, 5.0, 2.0, -1.0)
+    rows = center_rows(2.0, 3.0, 10.0, 7.0)
+    assert rows.tolist() == [[6.0, 5.0, 8.0, 4.0]]
+    assert [c.tolist() for c in corners(rows)] == [[2.0], [3.0], [10.0], [7.0]]
 
 
 def test_clip_inside_and_outside():
-    rows = box_array([Box.from_corners(-5.0, -5.0, 5.0, 5.0), Box.from_corners(30.0, 30.0, 40.0, 40.0)])
+    rows = center_rows(*np.array([[-5.0, -5.0, 5.0, 5.0], [30.0, 30.0, 40.0, 40.0]]).T)
     clipped, inside = clip_boxes(rows, 20.0, 20.0)
     assert [c[0] for c in corners(clipped)] == [0.0, 0.0, 5.0, 5.0]
     assert inside.tolist() == [True, False]  # the second lies entirely outside
     # one row past the far edge, one crossing it
-    clipped, inside = clip_boxes(box_array([Box(100.0, 8.0, 4.0, 4.0), Box(63.0, 8.0, 6.0, 4.0)]), 64.0, 64.0)
+    clipped, inside = clip_boxes(np.array([[100.0, 8.0, 4.0, 4.0], [63.0, 8.0, 6.0, 4.0]]), 64.0, 64.0)
     assert inside.tolist() == [False, True]
     x1, _, x2, _ = corners(clipped)
     assert (x1[1], x2[1]) == (60.0, 64.0)
 
 
 def test_iou_fixture_one_seventh():
-    a = Box.from_coco((0, 0, 10, 10))
-    b = Box.from_coco((5, 5, 10, 10))
+    a = Box(0, 0, 10, 10)
+    b = Box(5, 5, 15, 15)
     assert iou(a, b) == pytest.approx(1.0 / 7.0, abs=1e-12)
     assert iou(a, a) == 1.0
-    assert iou(a, Box.from_coco((20, 20, 5, 5))) == 0.0
+    assert iou(a, Box(20, 20, 25, 25)) == 0.0
 
 
 def test_encode_decode_roundtrip():
     rng = np.random.default_rng(0)
     for _ in range(200):
-        a = Box(rng.uniform(5, 50), rng.uniform(5, 50), rng.uniform(1, 30), rng.uniform(1, 30))
-        t = Box(rng.uniform(5, 50), rng.uniform(5, 50), rng.uniform(1, 30), rng.uniform(1, 30))
+        a, t = (np.array([[rng.uniform(5, 50), rng.uniform(5, 50), rng.uniform(1, 30), rng.uniform(1, 30)]])
+                for _ in range(2))
         back = decode(a, encode(a, t))
-        for got, want in zip((back.cx, back.cy, back.w, back.h), (t.cx, t.cy, t.w, t.h)):
-            assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+        assert (np.abs(back - t) <= 1e-9 * np.maximum(1.0, np.abs(t))).all()
 
 
 def test_identity_delta_is_zero():
-    b = Box(10.0, 20.0, 8.0, 6.0)
-    d = encode(b, b)
-    assert (d.tx, d.ty, d.tw, d.th) == (0.0, 0.0, 0.0, 0.0)
+    b = np.array([[10.0, 20.0, 8.0, 6.0]])
+    assert encode(b, b).tolist() == [[0.0, 0.0, 0.0, 0.0]]
 
 
 def test_decode_caps_log_extents():
-    b = Box(0.0, 0.0, 2.0, 2.0)
-    huge = decode(b, BoxDelta(0.0, 0.0, 50.0, -50.0))
-    assert huge.w == pytest.approx(2.0 * math.exp(LOG_EXTENT_CAP))
-    assert huge.h == pytest.approx(2.0 * math.exp(-LOG_EXTENT_CAP))
-
-
-def test_delta_rejects_non_finite():
-    with pytest.raises(ValueError):
-        BoxDelta(0.0, float("nan"), 0.0, 0.0)
+    b = np.array([[0.0, 0.0, 2.0, 2.0]])
+    huge = decode(b, np.array([[0.0, 0.0, 50.0, -50.0]]))[0]
+    assert huge[2] == pytest.approx(2.0 * math.exp(LOG_EXTENT_CAP))
+    assert huge[3] == pytest.approx(2.0 * math.exp(-LOG_EXTENT_CAP))
 
 
 def test_generate_anchors_count_and_order():
@@ -129,26 +115,26 @@ def test_anchor_config_validation():
 
 def test_nms_hand_case():
     boxes = [
-        Box.from_coco((0, 0, 10, 10)),  # kept: highest score
-        Box.from_coco((1, 1, 10, 10)),  # suppressed by the first box
-        Box.from_coco((30, 30, 10, 10)),  # kept: disjoint
-        Box.from_coco((0, 0, 10, 10)),  # suppressed: a duplicate of the first box
+        (5, 5, 10, 10),  # kept: highest score
+        (6, 6, 10, 10),  # suppressed by the first box
+        (35, 35, 10, 10),  # kept: disjoint
+        (5, 5, 10, 10),  # suppressed: a duplicate of the first box
     ]
     kept = nms(boxes, [0.9, 0.8, 0.7, 0.2], iou_threshold=0.5)
     assert kept == [0, 2]
 
 
 def test_nms_score_tie_prefers_lower_index():
-    boxes = [Box.from_coco((0, 0, 10, 10)), Box.from_coco((0, 0, 10, 10))]
+    boxes = [(5, 5, 10, 10), (5, 5, 10, 10)]
     assert nms(boxes, [0.9, 0.9], iou_threshold=0.5) == [0]
 
 
 def test_nms_empty_and_length_mismatch():
     assert nms([], [], 0.5) == []
     with pytest.raises(ValueError):
-        nms([Box(1, 1, 1, 1)], [0.5, 0.6], 0.5)
+        nms([(1, 1, 1, 1)], [0.5, 0.6], 0.5)
     with pytest.raises(ValueError, match="labels must have equal length"):
-        nms([Box(1, 1, 1, 1)] * 2, [0.5, 0.6], 0.5, labels=[0])
+        nms([(1, 1, 1, 1)] * 2, [0.5, 0.6], 0.5, labels=[0])
 
 
 @pytest.mark.parametrize(
@@ -163,13 +149,13 @@ def test_nms_empty_and_length_mismatch():
     ids=["nan-threshold", "negative-threshold", "threshold-above-one", "zero-cap", "negative-cap"],
 )
 def test_nms_rejects_bad_threshold_and_cap(kwargs, message):
-    boxes = [Box(5.0, 5.0, 4.0, 4.0), Box(5.0, 5.0, 4.0, 4.0)]
+    boxes = [(5.0, 5.0, 4.0, 4.0), (5.0, 5.0, 4.0, 4.0)]
     with pytest.raises(ValueError, match=message):
         nms(boxes, [0.9, 0.8], **kwargs)
 
 
 def test_nms_threshold_bounds_are_valid():
-    boxes = [Box(5.0, 5.0, 4.0, 4.0), Box(5.0, 5.0, 4.0, 4.0), Box(20.0, 5.0, 4.0, 4.0)]
+    boxes = [(5.0, 5.0, 4.0, 4.0), (5.0, 5.0, 4.0, 4.0), (20.0, 5.0, 4.0, 4.0)]
     # at 0 any overlap suppresses; at 1 even identical boxes survive
     assert nms(boxes, [0.9, 0.8, 0.7], 0.0) == [0, 2]
     assert nms(boxes, [0.9, 0.8, 0.7], 1.0) == [0, 1, 2]
@@ -184,8 +170,8 @@ def test_nms_matches_bruteforce_500_instances():
         w = rng.uniform(1, 40, n)
         h = rng.uniform(1, 40, n)
         scores = np.round(rng.uniform(0, 1, n), 2)  # rounding forces ties
-        boxes = [Box.from_coco((x1[i], y1[i], w[i], h[i])) for i in range(n)]
-        xyxy = [(b.x1, b.y1, b.x2, b.y2) for b in boxes]
+        boxes = np.column_stack([x1 + w / 2.0, y1 + h / 2.0, w, h])
+        xyxy = np.stack(corners(boxes), axis=1).tolist()
         thr = float(rng.uniform(0.2, 0.7))
         got = nms(boxes, scores, thr)
         want = nms_bruteforce(xyxy, scores, thr, score_threshold=0.0)
@@ -196,14 +182,20 @@ def test_nms_matches_bruteforce_500_instances():
 # boxes common; the float draws cover everything in between
 _coord = st.one_of(st.integers(-20, 60).map(lambda v: v / 2.0), st.floats(-10.0, 30.0))
 _extent = st.one_of(st.integers(1, 40).map(lambda v: v / 2.0), st.floats(0.01, 20.0))
-_boxes = st.lists(st.builds(Box, _coord, _coord, _extent, _extent), min_size=1, max_size=12)
+_boxes = st.lists(st.builds(lambda x, y, w, h: Box(x, y, x + w, y + h), _coord, _coord, _extent, _extent),
+                  min_size=1, max_size=12)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(_boxes, _boxes)
-def test_pairwise_iou_equals_scalar_iou(a, b):
-    got = pairwise_iou(box_array(a), box_array(b))
-    assert got.tolist() == [[iou(x, y) for y in b] for x in a]
+def test_iou_forms_agree(a, b):
+    # the corner forms run one rule: the oracle's, bit for bit
+    want = [[iou_xyxy(x, y) for y in b] for x in a]
+    assert corner_iou(box_array(a), box_array(b)).tolist() == want
+    assert [[iou(x, y) for y in b] for x in a] == want
+    # center rows round their corners and w*h areas
+    rows_a, rows_b = (center_rows(*box_array(boxes).T) for boxes in (a, b))
+    np.testing.assert_allclose(pairwise_iou(rows_a, rows_b), want, rtol=0, atol=1e-9)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -221,9 +213,9 @@ def test_array_nms_matches_bruteforce_with_ties(n, seed, grid, thr, k):
     wh = np.round(rng.uniform(grid, 30, (n, 2)) / grid) * grid
     rows = np.column_stack([xy + wh / 2.0, wh])
     scores = np.round(rng.uniform(0, 1, n), 2)
-    boxes = [Box(*row) for row in rows.tolist()]
+    boxes = rows.tolist()
     labels = rng.integers(0, 3, n)
-    xyxy = [(b.x1, b.y1, b.x2, b.y2) for b in boxes]
+    xyxy = np.stack(corners(rows), axis=1).tolist()
     want = nms_bruteforce(xyxy, scores, thr, 0.0)
     want_labelled = nms_per_label_bruteforce(xyxy, scores, thr, labels.tolist())
     assert nms(rows, scores, thr) == want

@@ -9,6 +9,7 @@ import pytest
 from attnmask.cli import _parse_thresholds, _split_config, cli
 from attnmask.inputs import InputError
 from attnmask.metrics import COCO_SWEEP
+from oracles import map_reference
 
 
 def _write_eval_pair(tmp_path):
@@ -85,6 +86,46 @@ def test_evaluate_without_categories_accepts_any_category_id(tmp_path, capsys, c
     assert cli(["evaluate", "--gt", str(gt_path), "--det", str(det_path), "--out", str(out)]) == 0
     assert capsys.readouterr().err == ""
     assert json.loads(out.read_text())["map50"] == 1.0
+
+
+def test_evaluate_rejects_a_bbox_whose_corners_collapse(tmp_path, capsys):
+    # 1e17 + 1 == 1e17 in float: the box would have no width and a 0/0 IoU
+    gt, det = _write_eval_pair(tmp_path)
+    path = tmp_path / "det.json"
+    dets = json.loads(path.read_text())
+    path.write_text(json.dumps(dets + [{**dets[0], "bbox": [1e17, 0, 1, 1]}]))
+    assert cli(["evaluate", "--gt", gt, "--det", det]) == 2
+    assert "det.json: detections[1]: bbox corners collapse in float" in capsys.readouterr().err
+
+
+def test_evaluate_agrees_with_the_oracle_where_float_rounding_meets_a_threshold(tmp_path):
+    # each detection is its box shifted by 1/7 of its width: IoU 0.75 in
+    # decimal. In float the corner IoU of the first pair is exactly 0.75 and
+    # that of the second just below it, while the center form cx -/+ w/2
+    # rounds them the other way; a search over 2-decimal coordinates found
+    # both pairs
+    boxes = [([1.47, 0.0, 7.0, 10.0], [2.47, 0.0, 7.0, 10.0]), ([1.05, 0.0, 7.0, 10.0], [2.05, 0.0, 7.0, 10.0])]
+    gt = {"images": [{"id": 1, "width": 20, "height": 20}, {"id": 2, "width": 20, "height": 20}],
+          "categories": [{"id": 1, "name": "disk"}],
+          "annotations": [{"id": i, "image_id": i, "category_id": 1, "bbox": g} for i, (g, _) in enumerate(boxes, 1)]}
+    dets = [{"image_id": i, "category_id": 1, "score": s, "bbox": d}
+            for i, ((_, d), s) in enumerate(zip(boxes, (0.9, 0.8)), 1)]
+    gt_path, det_path, out = tmp_path / "gt.json", tmp_path / "det.json", tmp_path / "report.json"
+    gt_path.write_text(json.dumps(gt))
+    det_path.write_text(json.dumps(dets))
+    assert cli(["evaluate", "--gt", str(gt_path), "--det", str(det_path), "--thresholds", "0.5,0.75",
+                "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+
+    def xyxy(b):
+        return (b[0], b[1], b[0] + b[2], b[1] + b[3])
+
+    o_gts = [(a["image_id"], a["category_id"], xyxy(a["bbox"]), False) for a in gt["annotations"]]
+    o_dets = [(d["image_id"], d["category_id"], d["score"], xyxy(d["bbox"])) for d in dets]
+    for key, thr in (("0.50", 0.5), ("0.75", 0.75)):
+        assert abs(report["map_by_thr"][key] - map_reference(o_dets, o_gts, thr)) <= 1e-9
+    # at 0.75 the first detection is a hit and the second a miss
+    assert report["counts"]["0.75"] == {"tp": 1, "fp": 1, "fn": 1}
 
 
 def test_evaluate_rejects_non_object_record(tmp_path, capsys):

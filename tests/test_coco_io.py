@@ -27,7 +27,7 @@ def test_parse_gt_happy_path():
     assert gt.categories == {1: "disk"}
     assert len(gt.records) == 2
     r = gt.records[0]
-    assert (r.box.x1, r.box.y1, r.box.w, r.box.h) == (4.0, 6.0, 10.0, 8.0)
+    assert r.box == (4.0, 6.0, 14.0, 14.0)
     assert not r.iscrowd and gt.records[1].iscrowd
 
 
@@ -137,6 +137,12 @@ _DET = {"image_id": 0, "category_id": 1, "score": 0.5, "bbox": [1, 2, 3, 4]}
         (parse_detections, [{**_DET, "bbox": [0, 1e308, 1e-300, 1e308]}], r"detections\[0\]: bbox corner or area"),
         (parse_gt, {**_gt_doc(), "annotations": [{**_gt_doc()["annotations"][0], "bbox": [0, 0, 1e200, 1e200]}]},
          r"annotations\[0\] \(id=1\): bbox corner or area overflows, got \[0\.0, 0\.0, 1e\+200, 1e\+200\]"),
+        (parse_detections, [{**_DET, "bbox": [2**60, 0, 150, 4e305]}],
+         r"detections\[0\]: bbox corner or area overflows, got \[1\.152921504606847e\+18, 0\.0, 150\.0, 4e\+305\]"),
+        (parse_detections, [_DET, {**_DET, "bbox": [1e17, 0, 1, 1]}],
+         r"detections\[1\]: bbox corners collapse in float, got \[1e\+17, 0\.0, 1\.0, 1\.0\]"),
+        (parse_gt, {**_gt_doc(), "annotations": [{**_gt_doc()["annotations"][0], "bbox": [0, -1e17, 1, 1]}]},
+         r"annotations\[0\] \(id=1\): bbox corners collapse in float, got \[0\.0, -1e\+17, 1\.0, 1\.0\]"),
         (parse_gt, {**_gt_doc(), "images": [{"id": 0, "width": -5, "height": 48}]},
          r"images\[0\]: width and height must be positive, got \(-5, 48\)"),
         (parse_gt, {**_gt_doc(), "images": [{"id": 0, "width": 64, "height": 0}]},
@@ -145,7 +151,8 @@ _DET = {"image_id": 0, "category_id": 1, "score": 0.5, "bbox": [1, 2, 3, 4]}
     ids=["record-not-object", "section-not-array", "nan-bbox", "inf-bbox", "text-bbox", "text-id", "text-score",
          "fractional-id", "bool-id", "fractional-height", "bool-score", "bool-bbox", "numeric-text-bbox",
          "overflowing-bbox", "text-iscrowd", "two-iscrowd", "int-name", "overflowing-corner", "overflowing-x2",
-         "overflowing-y2", "overflowing-area", "negative-width", "zero-height"],
+         "overflowing-y2", "overflowing-area", "overflowing-corner-area", "collapsed-x", "collapsed-y",
+         "negative-width", "zero-height"],
 )
 def test_malformed_input_names_record_and_field(parse, doc, message):
     with pytest.raises(InputError, match=message):
@@ -171,7 +178,7 @@ def test_round_trip_through_disk(tmp_path):
     det_path = tmp_path / "det.json"
     save_json([{"image_id": 0, "category_id": 1, "bbox": [8.0, 7.0, 4.0, 6.0], "score": 0.5}], str(det_path))
     again = load_detections(str(det_path), gt)
-    assert again[0].box.w == 4.0 and again[0].box.cy == 10.0
+    assert again[0].box == (8.0, 7.0, 12.0, 13.0)
 
     # written files are plain JSON with a trailing newline
     text = det_path.read_text()

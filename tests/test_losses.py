@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from attnmask.boxes import Box, box_array, encode
+from attnmask.boxes import box_array, encode
 from attnmask.losses import (
     EPS,
     IGNORE,
@@ -225,13 +225,13 @@ def test_loss_gradients(seed):
 
 
 def test_assignment_thresholds_and_ignore_band():
-    gt = [Box(10.0, 10.0, 10.0, 10.0)]
+    gt = [(10.0, 10.0, 10.0, 10.0)]
     anchors = [
-        Box(10.0, 10.0, 10.0, 10.0),  # IoU 1.0 -> positive
-        Box(11.0, 10.0, 10.0, 10.0),  # IoU ~0.82 -> positive
-        Box(16.0, 10.0, 10.0, 10.0),  # IoU 0.25 -> negative
-        Box(10.0, 14.0, 10.0, 12.0),  # IoU ~0.47: the ignore band
-        Box(80.0, 80.0, 10.0, 10.0),  # IoU 0 -> negative
+        (10.0, 10.0, 10.0, 10.0),  # IoU 1.0 -> positive
+        (11.0, 10.0, 10.0, 10.0),  # IoU ~0.82 -> positive
+        (16.0, 10.0, 10.0, 10.0),  # IoU 0.25 -> negative
+        (10.0, 14.0, 10.0, 12.0),  # IoU ~0.47: the ignore band
+        (80.0, 80.0, 10.0, 10.0),  # IoU 0 -> negative
     ]
     out = assign_anchor_labels(box_array(anchors), box_array(gt), np.random.default_rng(0))
     assert out.labels[0] == POSITIVE
@@ -245,10 +245,10 @@ def test_assignment_thresholds_and_ignore_band():
 
 def test_assignment_rescue_low_iou_argmax():
     # nothing reaches 0.7, but the best anchor per box is still positive
-    gt = [Box(10.0, 10.0, 8.0, 8.0)]
+    gt = [(10.0, 10.0, 8.0, 8.0)]
     anchors = [
-        Box(17.0, 10.0, 8.0, 8.0),  # IoU ~0.067, the best available
-        Box(40.0, 40.0, 8.0, 8.0),  # zero overlap
+        (17.0, 10.0, 8.0, 8.0),  # IoU ~0.067, the best available
+        (40.0, 40.0, 8.0, 8.0),  # zero overlap
     ]
     out = assign_anchor_labels(box_array(anchors), box_array(gt), np.random.default_rng(0))
     assert out.labels[0] == POSITIVE
@@ -257,11 +257,11 @@ def test_assignment_rescue_low_iou_argmax():
 
 
 def test_assignment_rescue_includes_ties_but_never_zero_iou():
-    gt = [Box(10.0, 10.0, 8.0, 8.0), Box(100.0, 100.0, 8.0, 8.0)]
+    gt = [(10.0, 10.0, 8.0, 8.0), (100.0, 100.0, 8.0, 8.0)]
     anchors = [
-        Box(16.0, 10.0, 8.0, 8.0),  # ties with the next for box 0
-        Box(4.0, 10.0, 8.0, 8.0),
-        Box(50.0, 50.0, 8.0, 8.0),  # zero IoU with both boxes
+        (16.0, 10.0, 8.0, 8.0),  # ties with the next for box 0
+        (4.0, 10.0, 8.0, 8.0),
+        (50.0, 50.0, 8.0, 8.0),  # zero IoU with both boxes
     ]
     out = assign_anchor_labels(box_array(anchors), box_array(gt), np.random.default_rng(0))
     assert out.labels[0] == POSITIVE and out.labels[1] == POSITIVE
@@ -270,7 +270,7 @@ def test_assignment_rescue_includes_ties_but_never_zero_iou():
 
 
 def test_assignment_no_gt_all_negative():
-    anchors = [Box(5.0, 5.0, 4.0, 4.0) for _ in range(6)]
+    anchors = [(5.0, 5.0, 4.0, 4.0) for _ in range(6)]
     out = assign_anchor_labels(box_array(anchors), np.zeros((0, 4)), np.random.default_rng(0))
     assert (out.labels == NEGATIVE).all()
     assert out.sampled_pos.size == 0
@@ -279,10 +279,10 @@ def test_assignment_no_gt_all_negative():
 
 def test_minibatch_caps_and_composition():
     rng = np.random.default_rng(3)
-    gt = [Box(32.0, 32.0, 16.0, 16.0)]
+    gt = [(32.0, 32.0, 16.0, 16.0)]
     # a dense grid produces plenty of positives and negatives
     anchors = [
-        Box(32.0 + dx, 32.0 + dy, 16.0, 16.0)
+        (32.0 + dx, 32.0 + dy, 16.0, 16.0)
         for dx in np.linspace(-24, 24, 16)
         for dy in np.linspace(-24, 24, 16)
     ]
@@ -295,9 +295,9 @@ def test_minibatch_caps_and_composition():
 
 
 def test_minibatch_sampling_is_seeded():
-    gt = [Box(32.0, 32.0, 16.0, 16.0)]
+    gt = [(32.0, 32.0, 16.0, 16.0)]
     anchors = [
-        Box(32.0 + dx, 32.0 + dy, 16.0, 16.0)
+        (32.0 + dx, 32.0 + dy, 16.0, 16.0)
         for dx in range(-8, 9, 2)
         for dy in range(-8, 9, 2)
     ]
@@ -322,10 +322,10 @@ def test_sample_minibatch_pins_seeded_draws():
 
 
 def test_positive_targets_encode_against_matched_box():
-    gt = [Box(12.0, 10.0, 10.0, 10.0)]
-    anchors = [Box(10.0, 10.0, 10.0, 10.0)]
+    gt = [(12.0, 10.0, 10.0, 10.0)]
+    anchors = [(10.0, 10.0, 10.0, 10.0)]
     out = assign_anchor_labels(box_array(anchors), box_array(gt), np.random.default_rng(0))
     gi = out.matched_gt[0]
-    delta = encode(anchors[0], gt[gi])
-    assert delta.tx == pytest.approx(0.2)
-    assert delta.tw == pytest.approx(0.0)
+    tx, _, tw, _ = encode(box_array(anchors), box_array(gt)[[gi]])[0]
+    assert tx == pytest.approx(0.2)
+    assert tw == pytest.approx(0.0)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from attnmask import metrics
-from attnmask.boxes import Box, box_array, pairwise_iou
+from attnmask.boxes import Box, box_array, corner_iou
 from attnmask.metrics import (
     COCO_SWEEP,
     CROWD_IGNORED,
@@ -30,7 +30,10 @@ def _gt(box, img=0, cid=1, crowd=False):
     return GTRecord(image_id=img, class_id=cid, box=box, iscrowd=crowd)
 
 
-B = Box.from_coco
+def B(xywh):
+    """The Box of a COCO [x, y, w, h], as coco_io reads it."""
+    x, y, w, h = map(float, xywh)
+    return Box(x, y, x + w, y + h)
 
 
 def test_detection_score_validation():
@@ -43,7 +46,7 @@ def test_detection_score_validation():
 def _overlaps(boxes, gts):
     """match's two matrices for one group: the IoUs of boxes, listed in
     score order, with its real boxes and with its crowd regions."""
-    ious = pairwise_iou(box_array(boxes), box_array([g.box for g in gts]))
+    ious = corner_iou(box_array(boxes), box_array([g.box for g in gts]))
     crowd = np.array([g.iscrowd for g in gts], dtype=bool)
     return ious[:, ~crowd], ious[:, crowd]
 
@@ -146,12 +149,17 @@ def test_ap_empty_curve_is_zero():
     np.testing.assert_array_equal(ap, 0.0)
 
 
+def test_ap_samples_a_recall_that_lands_on_a_grid_point():
+    # 7 matches of 10 boxes reach recall 0.7 exactly: the curve holds
+    # precision 1 at the 71 samples 0, 0.01, ..., 0.70
+    flags = np.array([[1, 1, 1, 0, 1, 1, 1, 1, 0]])
+    assert average_precision(flags, 10)[0] == pytest.approx(ap_reference(list(flags[0]), 10), abs=1e-12)
+
+
 def test_ap_rows_match_reference():
-    # with n_gt <= 9 no recall k/n lands on a k/100 point where the linspace
-    # grid overshoots k/100, so every row agrees with the loop oracle
     rng = np.random.default_rng(31)
     for _ in range(300):
-        n_gt = int(rng.integers(1, 10))
+        n_gt = int(rng.integers(1, 31))
         flags = rng.choice(np.array([1, 0, CROWD_IGNORED], dtype=np.int8), (4, int(rng.integers(0, 15))),
                            p=(0.5, 0.35, 0.15))
         flags[:, np.cumsum(flags == 1, axis=1).max(axis=0) > n_gt] = 0  # no more TPs than ground truth
@@ -188,6 +196,17 @@ def test_map_report_localization_quality_splits_thresholds():
     rep = map_report(det, gt)
     assert rep.map50 == pytest.approx(1.0)
     assert rep.map75 == pytest.approx(0.0)
+
+
+@pytest.mark.parametrize("box", [Box(5.0, 5.0, 4.0, 9.0), Box(0.0, 3.0, 4.0, 3.0), Box(0.0, 0.0, float("nan"), 4.0)],
+                         ids=["inverted-x", "flat-y", "nan"])
+@pytest.mark.parametrize("side", ["det", "gt"])
+def test_map_report_rejects_empty_boxes(box, side):
+    good = B((0, 0, 10, 10))
+    dets, gts = [_det(0.9, good)], [_gt(good)]
+    (dets if side == "det" else gts).append(_det(0.5, box) if side == "det" else _gt(box))
+    with pytest.raises(ValueError, match=r"boxes need x2 > x1 and y2 > y1, got \["):
+        map_report(dets, gts)
 
 
 def test_map_report_threshold_argument():
@@ -339,13 +358,13 @@ def test_one_multi_threshold_call_matches_reference_200_instances():
 
 def test_iou_calls_do_not_grow_with_thresholds(monkeypatch):
     # one IoU matrix per scored group, whatever the number of thresholds
-    real_pairwise_iou, calls = metrics.pairwise_iou, []
+    real_corner_iou, calls = metrics.corner_iou, []
 
-    def counting_pairwise_iou(a, b):
+    def counting_corner_iou(a, b):
         calls.append(1)
-        return real_pairwise_iou(a, b)
+        return real_corner_iou(a, b)
 
-    monkeypatch.setattr(metrics, "pairwise_iou", counting_pairwise_iou)
+    monkeypatch.setattr(metrics, "corner_iou", counting_corner_iou)
     gts, dets, _, _ = _random_case(np.random.default_rng(3), 6)
     classes = {g.class_id for g in gts if not g.iscrowd}
     scored = {(r.class_id, r.image_id) for r in gts + dets if r.class_id in classes}
@@ -359,9 +378,9 @@ def test_iou_calls_do_not_grow_with_thresholds(monkeypatch):
 
 # sha256 of json.dumps(map_report(...).to_json()) on _digest_scene() at
 # COCO_SWEEP, recorded with the matcher that ran once per threshold and the
-# AP that built one P-R curve per (class, threshold); the one-pass matcher
-# and the one AP pass per class reproduce it, and a change to any byte of a
-# report changes it
+# AP that built one P-R curve per (class, threshold); a change to any byte of
+# a report changes it. The corner IoU and the k/100 recall grid reproduce it,
+# and every threshold's mAP equals map_reference within 1e-9, as the test checks
 REPORT_DIGEST = "4d42abc7079689c65d67abd175a0c06b18b201d000a30e5825cc57beb6ebfe6b"
 
 
@@ -393,6 +412,10 @@ def test_report_digest_is_unchanged():
     gts, dets = _digest_scene()
     rep = map_report(dets, gts, thresholds=COCO_SWEEP)
     assert any(g.iscrowd for g in gts) and 0.0 < rep.map_coco < 1.0
+    det_tuples = [(d.image_id, d.class_id, d.score, d.box) for d in dets]
+    gt_tuples = [(g.image_id, g.class_id, g.box, g.iscrowd) for g in gts]
+    for thr in COCO_SWEEP:
+        assert abs(rep.map_by_thr[thr] - map_reference(det_tuples, gt_tuples, thr)) <= 1e-9, thr
     assert hashlib.sha256(json.dumps(rep.to_json()).encode()).hexdigest() == REPORT_DIGEST
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from attnmask import model as model_mod
 from attnmask.backbone import StageConfig
-from attnmask.boxes import Box, box_array, generate_anchors, nms, stride_of
+from attnmask.boxes import Box, box_array, center_rows, corners, generate_anchors, nms, stride_of
 from attnmask.model import (
     DET_NMS_IOU,
     MASK_CHUNK,
@@ -143,14 +143,14 @@ def test_propose_respects_caps_and_bounds():
     anchors, scores, offsets = rpn_forward(model, pyramid_forward(model, x))
     props = propose(anchors, scores, offsets, (64, 64), pre_nms=300, post_nms=12)
     assert 0 < len(props) <= 12
-    for b in (Box(*row) for row in props):
-        assert 0.0 <= b.x1 <= b.x2 <= 64.0
-        assert 0.0 <= b.y1 <= b.y2 <= 64.0
-        assert b.w >= MIN_SIZE and b.h >= MIN_SIZE
+    x1, y1, x2, y2 = corners(props)
+    assert ((0.0 <= x1) & (x1 <= x2) & (x2 <= 64.0)).all()
+    assert ((0.0 <= y1) & (y1 <= y2) & (y2 <= 64.0)).all()
+    assert (props[:, 2:] >= MIN_SIZE).all()
 
     # the minimum side is 1 px: shrunk to 8*e^-3 = 0.40 px the best anchor
     # is dropped, at 8*e^-2 = 1.08 px the next one stays
-    anchors = box_array([Box(10.0, 10.0, 8.0, 8.0), Box(30.0, 30.0, 8.0, 8.0), Box(50.0, 50.0, 8.0, 8.0)])
+    anchors = np.array([[10.0, 10.0, 8.0, 8.0], [30.0, 30.0, 8.0, 8.0], [50.0, 50.0, 8.0, 8.0]])
     scores = Tensor(np.array([0.9, 0.8, 0.7]))
     reg = Tensor(np.array([[0.0, 0.0, -3.0, -3.0], [0.0, 0.0, -2.0, -2.0], [0.0, 0.0, 0.0, 0.0]]))
     props = propose(anchors, scores, reg, (64, 64), pre_nms=3, post_nms=3)
@@ -173,7 +173,7 @@ def test_propose_cap_keeps_the_uncapped_prefix():
 @pytest.mark.parametrize("caps", [{"pre_nms": 0}, {"pre_nms": -1}, {"post_nms": 0}, {"post_nms": -1}],
                          ids=["zero-pre", "negative-pre", "zero-post", "negative-post"])
 def test_propose_rejects_caps_below_one(caps):
-    anchors = box_array([Box(10.0, 10.0, 8.0, 8.0), Box(30.0, 30.0, 8.0, 8.0), Box(50.0, 50.0, 8.0, 8.0)])
+    anchors = np.array([[10.0, 10.0, 8.0, 8.0], [30.0, 30.0, 8.0, 8.0], [50.0, 50.0, 8.0, 8.0]])
     scores = Tensor(np.array([0.9, 0.8, 0.7]))
     offsets = Tensor(np.zeros((3, 4)))
     (name, value), = caps.items()
@@ -193,8 +193,8 @@ def test_extract_roi_features_shapes_and_level_clamp():
     model = _toy_model()
     x = Tensor(np.random.default_rng(2).uniform(size=(1, 3, 64, 64)))
     pyramid = pyramid_forward(model, x)
-    boxes = [Box(10.0, 10.0, 4.0, 4.0), Box(32.0, 32.0, 60.0, 60.0)]
-    feats = extract_roi_features(pyramid, box_array(boxes), resolution=7)
+    boxes = np.array([[10.0, 10.0, 4.0, 4.0], [32.0, 32.0, 60.0, 60.0]])
+    feats = extract_roi_features(pyramid, boxes, resolution=7)
     assert feats.shape == (2, model.cfg.fpn_dim, 7, 7)
 
 
@@ -203,9 +203,7 @@ _PYRAMID = {
     for lvl in (2, 3, 4, 5, 6)
 }
 # sides from 8 to 600 px route to every level from P2 to P5
-_region = st.builds(
-    Box, st.floats(0.0, 64.0), st.floats(0.0, 64.0), st.floats(8.0, 600.0), st.floats(8.0, 600.0)
-)
+_region = st.tuples(st.floats(0.0, 64.0), st.floats(0.0, 64.0), st.floats(8.0, 600.0), st.floats(8.0, 600.0))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -319,7 +317,7 @@ def test_fresh_model_class_probs_near_uniform():
     model = _toy_model("cbam")
     x = Tensor(np.random.default_rng(4).uniform(size=(1, 3, 64, 64)))
     pyramid = pyramid_forward(model, x)
-    feats = extract_roi_features(pyramid, box_array([Box(20.0, 20.0, 12.0, 12.0)]), 7)
+    feats = extract_roi_features(pyramid, np.array([[20.0, 20.0, 12.0, 12.0]]), 7)
     logits, deltas = box_head_forward(model, feats)
     probs = np.exp(logits.data - logits.data.max())
     probs /= probs.sum()
@@ -329,35 +327,35 @@ def test_fresh_model_class_probs_near_uniform():
     assert np.abs(deltas.data).max() < 1.0  # refinements start near identity
 
 
-def _paste_one(probs: np.ndarray, box: Box, height: int, width: int) -> np.ndarray:
-    return paste_mask(probs[None], box_array([box]), height, width)[0]
+def _paste_one(probs: np.ndarray, row: np.ndarray, height: int, width: int) -> np.ndarray:
+    return paste_mask(probs[None], row, height, width)[0]
 
 
 def test_paste_mask_full_grid_counts_inside_pixels():
     probs = np.ones((4, 4))
-    mask = _paste_one(probs, Box.from_corners(2.0, 2.0, 6.0, 6.0), 10, 10)
+    mask = _paste_one(probs, center_rows(2.0, 2.0, 6.0, 6.0), 10, 10)
     assert mask.sum() == 16
     assert mask[2:6, 2:6].all()
 
     # off-canvas box pastes nothing
-    assert _paste_one(probs, Box(200.0, 5.0, 4.0, 4.0), 10, 10).sum() == 0
+    assert _paste_one(probs, np.array([[200.0, 5.0, 4.0, 4.0]]), 10, 10).sum() == 0
 
     # sub-threshold probabilities paste nothing
-    assert _paste_one(np.full((4, 4), 0.4), Box.from_corners(2.0, 2.0, 6.0, 6.0), 10, 10).sum() == 0
+    assert _paste_one(np.full((4, 4), 0.4), center_rows(2.0, 2.0, 6.0, 6.0), 10, 10).sum() == 0
 
 
 def test_paste_mask_respects_grid_layout():
     # left half on, right half off: only the left half of the box fills
     probs = np.zeros((4, 4))
     probs[:, :2] = 1.0
-    mask = _paste_one(probs, Box.from_corners(0.0, 0.0, 8.0, 8.0), 8, 8)
+    mask = _paste_one(probs, center_rows(0.0, 0.0, 8.0, 8.0), 8, 8)
     assert mask[:, :3].all()      # grid centers land at x=1,3,5,7
     assert not mask[:, 4:].any()  # right half stays clear
 
 
 def test_paste_mask_clips_to_canvas():
     probs = np.ones((4, 4))
-    mask = _paste_one(probs, Box.from_corners(-4.0, 2.0, 4.0, 6.0), 10, 10)
+    mask = _paste_one(probs, center_rows(-4.0, 2.0, 4.0, 6.0), 10, 10)
     assert mask.sum() == 16  # 4 wide inside canvas x 4 tall
     assert mask[2:6, 0:4].all()
 
@@ -366,18 +364,18 @@ def test_paste_mask_batch_equals_per_pixel_oracle():
     height, width, m = 24, 32, 6
     rng = np.random.default_rng(11)
     special = [
-        Box.from_corners(-5.0, 3.0, 9.0, 15.0),     # crosses the left edge
-        Box.from_corners(25.0, 4.0, 40.0, 18.0),    # crosses the right edge
-        Box.from_corners(6.0, -7.0, 20.0, 5.0),     # crosses the top edge
-        Box.from_corners(3.0, 17.0, 14.0, 31.0),    # crosses the bottom edge
-        Box.from_corners(-3.0, -2.0, 36.0, 27.0),   # covers the whole canvas
-        Box(60.0, 10.0, 8.0, 8.0),                  # fully off the canvas
-        Box(10.5, 7.5, 0.5, 0.4),                   # sub-pixel, holds one pixel center
-        Box(10.0, 7.0, 0.6, 0.6),                   # sub-pixel, holds none
-        Box.from_corners(4.5, 5.5, 12.5, 14.5),     # edges on pixel centers
+        center_rows(-5.0, 3.0, 9.0, 15.0),          # crosses the left edge
+        center_rows(25.0, 4.0, 40.0, 18.0),         # crosses the right edge
+        center_rows(6.0, -7.0, 20.0, 5.0),          # crosses the top edge
+        center_rows(3.0, 17.0, 14.0, 31.0),         # crosses the bottom edge
+        center_rows(-3.0, -2.0, 36.0, 27.0),        # covers the whole canvas
+        np.array([[60.0, 10.0, 8.0, 8.0]]),         # fully off the canvas
+        np.array([[10.5, 7.5, 0.5, 0.4]]),          # sub-pixel, holds one pixel center
+        np.array([[10.0, 7.0, 0.6, 0.6]]),          # sub-pixel, holds none
+        center_rows(4.5, 5.5, 12.5, 14.5),          # edges on pixel centers
     ]
-    drawn = [Box(*rng.uniform(-4.0, 36.0, 2), *rng.uniform(1.0, 20.0, 2)) for _ in range(2 * MASK_CHUNK)]
-    boxes = box_array(special + drawn)
+    drawn = np.array([[*rng.uniform(-4.0, 36.0, 2), *rng.uniform(1.0, 20.0, 2)] for _ in range(2 * MASK_CHUNK)])
+    boxes = np.concatenate(special + [drawn])
     probs = rng.uniform(0.0, 1.0, (len(boxes), m, m))
     masks = paste_mask(probs, boxes, height, width)
     assert masks.shape == (len(boxes), height, width) and masks.dtype == bool
@@ -454,8 +452,9 @@ def _infer_per_detection(model, image, conf):
         feats = extract_roi_features(pyramid, boxes[chunk], model.cfg.mask_resolution)
         grids = mask_head_forward(model, feats, np.arange(feats.shape[0]), classes[chunk]).data
         masks = paste_mask(grids, boxes[chunk], height, width)
-        for k, row, score, mask in zip(classes[chunk].tolist(), boxes[chunk], scores[chunk], masks):
-            out.append((k, score, Box(*row.tolist()), mask.tobytes()))
+        for k, box, score, mask in zip(classes[chunk].tolist(), np.stack(corners(boxes[chunk]), axis=1).tolist(),
+                                       scores[chunk], masks):
+            out.append((k, score, Box(*box), mask.tobytes()))
     return out
 
 
@@ -498,8 +497,8 @@ def test_infer_matches_per_class_reference(monkeypatch, conf, survivors):
     preds = infer(model, image, conf_threshold=conf)
     refined, kept = seen["_refine"]  # the last call refines the box head's boxes
     probs = np.exp(seen["log_softmax"].data)[kept]
-    boxes = [Box(*row) for row in refined.tolist()]
-    want = detections_per_class(probs.tolist(), [(b.x1, b.y1, b.x2, b.y2) for b in boxes], conf, DET_NMS_IOU)
+    boxes = [Box(*box) for box in np.stack(corners(refined), axis=1).tolist()]
+    want = detections_per_class(probs.tolist(), boxes, conf, DET_NMS_IOU)
     assert len(want) == survivors
     got = [(p.detection.class_id, p.detection.score, p.detection.box) for p in preds]
     assert got == [(k, score, boxes[i]) for k, i, score in want[:MAX_DETS]]

@@ -65,6 +65,31 @@ def test_every_import_is_used(path):
     assert not unused, f"{path.name} imports {unused} and never reads them"
 
 
+# the corner Box record is made only where boxes cross a boundary: the COCO
+# reader, infer's detections and to_ground_truth's records; everything else
+# passes (N, 4) rows
+BOX_MAKERS = {("coco_io.py", "_placed"), ("model.py", "infer"), ("synth.py", "to_ground_truth")}
+
+
+def _box_calls(node, where):
+    """(file, innermost enclosing function) of every Box(...) call under node."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        where = (where[0], node.name)
+    found = set()
+    if isinstance(node, ast.Call) and "Box" in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+        found.add(where)
+    for child in ast.iter_child_nodes(node):
+        found |= _box_calls(child, where)
+    return found
+
+
+def test_box_records_are_made_only_at_the_boundaries():
+    makers = set()
+    for path in SRC.glob("*.py"):
+        makers |= _box_calls(ast.parse(path.read_text(), filename=str(path)), (path.name, None))
+    assert makers == BOX_MAKERS
+
+
 def test_hypothesis_failure_reporter_imports_under_the_warning_filters(monkeypatch):
     # hypothesis imports its reporter, and with it libcst, only once an example
     # fails; a warning raised there under filterwarnings = error would end the

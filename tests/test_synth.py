@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from attnmask.boxes import Box
+from attnmask.boxes import Box, corners
 from attnmask.synth import (
     Sample,
     SynthSpec,
@@ -89,9 +89,9 @@ def test_no_occlusion_means_no_box_overlap():
     for s in synth_dataset(spec, 9, 12):
         for i in range(len(s.boxes)):
             for j in range(i + 1, len(s.boxes)):
-                a, b = Box(*s.boxes[i]), Box(*s.boxes[j])
-                iw = min(a.x2, b.x2) - max(a.x1, b.x1)
-                ih = min(a.y2, b.y2) - max(a.y1, b.y1)
+                (ax1, bx1), (ay1, by1), (ax2, bx2), (ay2, by2) = corners(s.boxes[[i, j]])
+                iw = min(ax2, bx2) - max(ax1, bx1)
+                ih = min(ay2, by2) - max(ay1, by1)
                 assert iw <= 0 or ih <= 0
 
 
@@ -101,9 +101,9 @@ def test_occlusion_produces_overlaps_somewhere():
     for s in synth_dataset(spec, 1, 20):
         for i in range(len(s.boxes)):
             for j in range(i + 1, len(s.boxes)):
-                a, b = Box(*s.boxes[i]), Box(*s.boxes[j])
-                iw = min(a.x2, b.x2) - max(a.x1, b.x1)
-                ih = min(a.y2, b.y2) - max(a.y1, b.y1)
+                (ax1, bx1), (ay1, by1), (ax2, bx2), (ay2, by2) = corners(s.boxes[[i, j]])
+                iw = min(ax2, bx2) - max(ax1, bx1)
+                ih = min(ay2, by2) - max(ay1, by1)
                 found = found or (iw > 0 and ih > 0)
     assert found
 
@@ -116,10 +116,9 @@ def test_hflip_is_an_involution():
         assert np.array_equal(ff.masks, s.masks)
         assert all(_boxes_close(a, b) for a, b in zip(ff.boxes, s.boxes))
         w = s.image.shape[2]
-        for orig, flip in zip(s.boxes, f.boxes):
-            orig, flip = Box(*orig), Box(*flip)
-            assert flip.cx == pytest.approx(w - orig.cx)
-            assert flip.cy == orig.cy and flip.w == orig.w and flip.h == orig.h
+        for (cx, cy, bw, bh), (fcx, fcy, fw, fh) in zip(s.boxes, f.boxes):
+            assert fcx == pytest.approx(w - cx)
+            assert (fcy, fw, fh) == (cy, bw, bh)
 
 
 def test_hflip_keeps_boxes_tight():
@@ -174,7 +173,7 @@ _PAIR = np.array([1, 2], dtype=np.int64)
 @pytest.mark.parametrize(
     "boxes, class_ids, message",
     [
-        ([Box(4.0, 4.0, 2.0, 2.0)] * 2, _PAIR, r"boxes must be an \(N, 4\) float64 array, got list"),
+        ([(4.0, 4.0, 2.0, 2.0)] * 2, _PAIR, r"boxes must be an \(N, 4\) float64 array, got list"),
         (np.ones((2, 3)), _PAIR, r"boxes must be an \(N, 4\) float64 array, got float64 array of shape \(2, 3\)"),
         (np.ones((2, 4), dtype=np.float32), _PAIR, r"boxes must be .*, got float32 array of shape \(2, 4\)"),
         (np.ones((2, 4)), np.arange(3), r"class_ids must be a \(2,\) int64 array, got int64 array of shape \(3,\)"),
@@ -195,11 +194,10 @@ def test_sample_accepts_an_empty_scene_and_checks_masks_align():
 
 
 def test_hflip_matches_the_box_formula_bit_for_bit():
-    # the flip of a list of Box: cx becomes w - cx in Python floats
+    # the flip of each row in Python floats: cx becomes w - cx
     for s in synth_dataset(SynthSpec(), 21, 4):
         w = s.image.shape[2]
-        flipped = [Box(w - b.cx, b.cy, b.w, b.h) for b in (Box(*row) for row in s.boxes.tolist())]
-        want = np.array([(b.cx, b.cy, b.w, b.h) for b in flipped]).reshape(-1, 4)
+        want = np.array([(w - cx, cy, bw, bh) for cx, cy, bw, bh in s.boxes.tolist()]).reshape(-1, 4)
         got = hflip(s)
         assert got.boxes.shape == want.shape and got.boxes.tobytes() == want.tobytes()
         assert np.array_equal(got.class_ids, s.class_ids)
@@ -209,6 +207,7 @@ def test_to_ground_truth_makes_box_records_with_int_class_ids():
     spec = SynthSpec()
     ds = synth_dataset(spec, 31, 5)
     gt = to_ground_truth(ds, spec.classes)
+    # each record's corners are its row's, cx -/+ w/2, in Python floats
     rows = [row for s in ds for row in s.boxes.tolist()]
-    assert [r.box for r in gt.records] == [Box(*row) for row in rows]
+    assert [r.box for r in gt.records] == [(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2) for cx, cy, w, h in rows]
     assert all(type(r.box) is Box and type(r.class_id) is int for r in gt.records)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from attnmask import train as train_mod
-from attnmask.boxes import Box, box_array
+from attnmask.boxes import center_rows
 from attnmask.losses import mask_loss, total_loss
 from attnmask.model import ModelConfig, build_model, extract_roi_features, mask_head_forward, pyramid_forward
 from attnmask.synth import SynthSpec, synth_dataset
@@ -80,14 +80,14 @@ def test_sgd_step_rejects_non_finite_gradient():
 def test_mask_target_grid_nearest_sampling():
     mask = np.zeros((8, 8), dtype=bool)
     mask[0:4, 0:4] = True
-    full = box_array([Box.from_corners(0.0, 0.0, 8.0, 8.0)])
+    full = center_rows(0.0, 0.0, 8.0, 8.0)
     grid = mask_target_grid(mask[None], full, 4)[0]
     want = np.zeros((4, 4), dtype=np.int64)
     want[0:2, 0:2] = 1
     assert np.array_equal(grid, want)
 
     # box hanging off the image: outside cells read 0
-    hanging = box_array([Box.from_corners(-4.0, 0.0, 4.0, 8.0)])
+    hanging = center_rows(-4.0, 0.0, 4.0, 8.0)
     grid = mask_target_grid(mask[None], hanging, 4)[0]
     assert np.array_equal(grid[:, :2], np.zeros((4, 2), dtype=np.int64))
     assert np.array_equal(grid[0:2, 2:4], np.ones((2, 2), dtype=np.int64))
@@ -95,7 +95,7 @@ def test_mask_target_grid_nearest_sampling():
     # a batch: each row reads its own mask over its own (here flat) box
     other = np.zeros((8, 8), dtype=bool)
     other[4:8, :] = True
-    flat = box_array([Box.from_corners(0.0, 2.0, 8.0, 6.0)])
+    flat = center_rows(0.0, 2.0, 8.0, 6.0)
     grids = mask_target_grid(np.stack([mask, other]), np.concatenate([full, flat]), 4)
     assert grids.shape == (2, 4, 4)
     assert np.array_equal(grids[0], want)
