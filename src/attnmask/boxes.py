@@ -5,9 +5,10 @@ corner, and areas carry no +1 convention.
 
 Inside the region path boxes travel as (N, 4) float64 arrays of center-form
 rows (cx, cy, w, h). Their corners are always cx -/+ w/2 (`corners`), and
-`center_rows` is the inverse. `Box` is the corner record (x1, y1, x2, y2) of
-COCO files, ground truth and detections, made only at those boundaries from
-the file's `x, y, x + w, y + h` or from a row's `corners`.
+`center_rows` is the inverse. The evaluator reads (N, 4) corner rows
+(x1, y1, x2, y2); `Box` is that corner form as one record, made only for
+`infer`'s detections and for the rows a `metrics.GTTable` yields, from a
+row's `corners` or a table's corner rows.
 
 Every IoU goes through one intersection rule over corner columns and given
 areas: `pairwise_iou` on center rows with areas w*h, `corner_iou` on corner

@@ -19,7 +19,7 @@ from .attention import VARIANTS
 from .checks import MODULES, run_checks
 from .coco_io import load_detections, load_gt, save_json
 from .inputs import InputError, checked, field, load_json, replace_checked
-from .metrics import COCO_SWEEP, format_table, map_report
+from .metrics import COCO_SWEEP, DetTable, format_table, map_report
 from .model import Model, ModelConfig, build_model, infer, save_checkpoint
 from .synth import SynthSpec, dataset_hash, synth_dataset, to_ground_truth
 from .train import TrainConfig, train, write_trace_csv
@@ -118,12 +118,10 @@ def _cmd_evaluate(args) -> int:
 
 
 def _self_evaluate(model: Model, val_ds, spec: SynthSpec, conf: float):
-    dets = []
-    for img_id, sample in enumerate(val_ds):
-        preds = infer(model, sample.image, image_id=img_id, conf_threshold=conf)
-        dets.extend(p.detection for p in preds)
+    dets = [p.detection for img_id, sample in enumerate(val_ds)
+            for p in infer(model, sample.image, image_id=img_id, conf_threshold=conf)]
     gt = to_ground_truth(val_ds, spec.classes)
-    return map_report(dets, gt.records), len(dets)
+    return map_report(DetTable.of(dets), gt.records), len(dets)
 
 
 def _train_one(variant: str, seed: int, path: str, spec, model_overrides, train_overrides, run):

@@ -5,7 +5,9 @@ Kinds are spelled like annotations: "int", "float", "str", "bool", "None",
 ("tuple[int, ...]", "tuple[float, float]"), or a union ("int | None");
 any other name accepts nothing. One rule reads numbers: booleans are never
 numbers, an integral float reads as an int, and floats (ints read as floats
-too) are finite.
+too) are finite. `column` applies that rule to a whole list of values at
+once, checking each value's type and range in Python and the rest over
+one NumPy array.
 """
 
 from __future__ import annotations
@@ -16,7 +18,9 @@ import math
 import reprlib
 import sys
 
-__all__ = ["InputError", "load_json", "records", "field", "checked", "replace_checked"]
+import numpy as np
+
+__all__ = ["INT64", "InputError", "load_json", "records", "field", "checked", "column", "replace_checked"]
 
 
 class InputError(ValueError):
@@ -75,6 +79,7 @@ class _Checks(dict):
 
 
 _MAX_FLOAT = int(sys.float_info.max)
+INT64 = range(-2**63, 2**63)  # the ints an int64 array holds
 _CHECKS = _Checks({"int": _int, "float": _float, "str": _is(str), "bool": _is(bool), "None": _is(type(None)),
                    "object": _is(dict), "array": _is(list)})
 
@@ -95,6 +100,25 @@ def field(obj: dict, key: str, kind: str, where: str, default=dataclasses.MISSIN
     if (read := _CHECKS[kind](obj[key])) is _BAD:
         checked(kind, obj[key], f"{where}: {key}")  # raises the located error
     return read
+
+
+def column(values: list, kind: str) -> np.ndarray | None:
+    """values read as kind, "int" (an int64 array) or "float" (float64), by
+    the number rule; None if a value is not of kind or, for "int", is
+    outside INT64. field reads a rejected value with its location."""
+    kinds = set(map(type, values))
+    if not kinds <= {int, float}:
+        return None  # booleans, strings and the rest are never numbers
+    if kind == "int":
+        if float in kinds and not all(v.is_integer() for v in values if type(v) is float):
+            return None
+        if values and not (INT64.start <= min(values) and max(values) < INT64.stop):
+            return None
+        return np.array(values, dtype=np.int64)
+    if int in kinds and any(abs(v) > _MAX_FLOAT for v in values if type(v) is int):
+        return None
+    col = np.array(values, dtype=np.float64)
+    return col if np.isfinite(col).all() else None
 
 
 def records(items, name: str):

@@ -1,15 +1,22 @@
 """COCO-style detection evaluation: matching, AP and mAP.
 
+The evaluator reads two column tables: `DetTable` (image and class ids,
+corner boxes, scores) and `GTTable` (the same, with crowd flags in place
+of scores). Each checks its columns' shapes and dtypes when built;
+`coco_io` reads files into them, `DetTable.of` makes one of `infer`'s
+`Detection` records, and `synth.to_ground_truth` builds a `GTTable`.
+
 Matching is greedy per (image, class): detections are taken in descending
-score order (ties keep insertion order) and each grabs the unmatched
+score order (ties keep input order) and each grabs the unmatched
 ground-truth box of highest IoU if that IoU reaches the threshold.
 Crowd-flagged ground truth acts as an ignore region: a detection whose
 only qualifying overlap is a crowd box is dropped from scoring. `match` is
 that rule alone, run at every threshold on one group's overlap matrices;
-`map_report` makes corner rows of the records' `Box` once per report and
-one `corner_iou` matrix per group, its columns split into real boxes and
-crowd regions. The IoU reads the records' corners as they are, with areas
-(x2 - x1)(y2 - y1), so it equals the brute-force oracle's bit for bit.
+`map_report` groups both tables by one stable `np.lexsort` on (class,
+image), scores first within a detection group, and makes one `corner_iou`
+matrix per group, its columns split into real boxes and crowd regions.
+The IoU reads the corners as they are, with areas (x2 - x1)(y2 - y1), so
+it equals the brute-force oracle's bit for bit.
 
 AP is the 101-point interpolation of the precision envelope at the recalls
 k/100 (RECALL_POINTS), computed in one pass per class over every
@@ -24,21 +31,22 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 # iou is not called here but stays bound: the benchmark's tracer
 # (bench/layers.py) wraps boxes.iou in every module that imports it
-from .boxes import Box, box_array, corner_iou, iou  # noqa: F401
+from .boxes import Box, corner_iou, iou  # noqa: F401
 
 __all__ = [
     "COCO_SWEEP",
     "MAX_DETS",
     "RECALL_POINTS",
     "Detection",
-    "GTRecord",
+    "DetTable",
+    "GTTable",
     "EvalReport",
     "match",
     "average_precision",
@@ -59,22 +67,82 @@ CROWD_IGNORED = -1
 
 @dataclass(frozen=True)
 class Detection:
+    """One detection as `infer` returns it; `DetTable.of` checks it."""
+
     image_id: int
     class_id: int
     box: Box
     score: float
 
+
+def _spelled(value) -> str:
+    if isinstance(value, np.ndarray):
+        return f"{value.dtype} array of shape {value.shape}"
+    return type(value).__name__
+
+
+def _check_columns(table, last: str, dtype) -> None:
+    """Raise ValueError unless table.boxes is an (N, 4) float64 array and
+    image_id, class_id (int64) and the column called last (dtype) are (N,)."""
+    b = table.boxes
+    if not (isinstance(b, np.ndarray) and b.dtype == np.float64 and b.ndim == 2 and b.shape[1] == 4):
+        raise ValueError(f"boxes must be an (N, 4) float64 array, got {_spelled(b)}")
+    for name, kind in (("image_id", np.int64), ("class_id", np.int64), (last, dtype)):
+        col = getattr(table, name)
+        if not (isinstance(col, np.ndarray) and col.dtype == kind and col.shape == b.shape[:1]):
+            raise ValueError(f"{name} must be a ({len(b)},) {np.dtype(kind)} array, got {_spelled(col)}")
+
+
+@dataclass(frozen=True, eq=False)
+class DetTable:
+    """N detections as columns: image and class ids, (N, 4) corner rows
+    (x1, y1, x2, y2) and scores in [0, 1]."""
+
+    image_id: np.ndarray
+    class_id: np.ndarray
+    boxes: np.ndarray
+    score: np.ndarray
+
     def __post_init__(self):
-        if not (math.isfinite(self.score) and 0.0 <= self.score <= 1.0):
-            raise ValueError(f"score must be in [0,1], got {self.score}")
+        _check_columns(self, "score", np.float64)
+        bad = ~((self.score >= 0.0) & (self.score <= 1.0))  # NaN included
+        if bad.any():
+            raise ValueError(f"score must be in [0,1], got {self.score[bad][0]}")
+
+    def __len__(self) -> int:
+        return len(self.boxes)
+
+    @classmethod
+    def of(cls, dets: list[Detection]) -> DetTable:
+        """The table of a list of Detection records, in their order."""
+        return cls(np.array([d.image_id for d in dets], dtype=np.int64),
+                   np.array([d.class_id for d in dets], dtype=np.int64),
+                   np.array([d.box for d in dets], dtype=np.float64).reshape(-1, 4),
+                   np.array([d.score for d in dets], dtype=np.float64))
 
 
-@dataclass(frozen=True)
-class GTRecord:
-    image_id: int
-    class_id: int
-    box: Box
-    iscrowd: bool = False
+@dataclass(frozen=True, eq=False)
+class GTTable:
+    """N ground-truth boxes as columns: image and class ids, (N, 4) corner
+    rows (x1, y1, x2, y2) and crowd flags."""
+
+    image_id: np.ndarray
+    class_id: np.ndarray
+    boxes: np.ndarray
+    iscrowd: np.ndarray
+
+    def __post_init__(self):
+        _check_columns(self, "iscrowd", np.bool_)
+
+    def __len__(self) -> int:
+        return len(self.boxes)
+
+    def __iter__(self):
+        """One record per row, its box a corner Box, for readers outside the
+        evaluator: the benchmark's infer check reads `g.box.x1` and the rest."""
+        columns = (self.image_id.tolist(), self.class_id.tolist(), self.boxes.tolist(), self.iscrowd.tolist())
+        for image_id, class_id, box, iscrowd in zip(*columns):
+            yield SimpleNamespace(image_id=image_id, class_id=class_id, box=Box(*box), iscrowd=iscrowd)
 
 
 def match(ious: np.ndarray, crowd_ious: np.ndarray, thresholds) -> np.ndarray:
@@ -158,7 +226,18 @@ class EvalReport:
         }
 
 
-def map_report(dets: list[Detection], gts: list[GTRecord], thresholds=None) -> EvalReport:
+def _runs(table, order: np.ndarray) -> dict[tuple[int, int], tuple[int, int]]:
+    """(class, image) -> the (start, stop) of its run in order, an order of
+    the table's rows by class and then image."""
+    cls, img = table.class_id[order], table.image_id[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (cls[1:] != cls[:-1]) | (img[1:] != img[:-1])
+    starts = np.flatnonzero(new)
+    bounds = np.append(starts, len(order)).tolist()
+    return dict(zip(zip(cls[starts].tolist(), img[starts].tolist()), zip(bounds, bounds[1:])))
+
+
+def map_report(dets: DetTable, gts: GTTable, thresholds=None) -> EvalReport:
     """Evaluate detections against ground truth at one or more IoU thresholds.
 
     thresholds defaults (None) to COCO_SWEEP. An empty sequence or a value
@@ -172,37 +251,35 @@ def map_report(dets: list[Detection], gts: list[GTRecord], thresholds=None) -> E
     thresholds = tuple(dict.fromkeys(round(float(t), 2) for t in (COCO_SWEEP if thresholds is None else thresholds)))
     if not thresholds or not all(0.0 < t < 1.0 for t in thresholds):
         raise ValueError(f"IoU thresholds must be a non-empty sequence in (0, 1), got {thresholds}")
-    det_rows, gt_rows = box_array([d.box for d in dets]), box_array([g.box for g in gts])
-    rows = np.concatenate([det_rows, gt_rows])
+    rows = np.concatenate([dets.boxes, gts.boxes])
     bad = ~(rows[:, 2:] > rows[:, :2]).all(axis=1)
     if bad.any():
         raise ValueError(f"boxes need x2 > x1 and y2 > y1, got {rows[bad][0].tolist()}")
-    scores = np.array([d.score for d in dets], dtype=np.float64)
-    crowd = np.array([g.iscrowd for g in gts], dtype=bool)
-    # (class, image) -> the indices of the group's MAX_DETS best detections
-    # and of its ground truth; the stable sort keeps score ties in input order
-    groups: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
-    for i in np.argsort(-scores, kind="stable").tolist():
-        top = groups.setdefault((dets[i].class_id, dets[i].image_id), ([], []))[0]
-        if len(top) < MAX_DETS:
-            top.append(i)
-    for j, g in enumerate(gts):
-        groups.setdefault((g.class_id, g.image_id), ([], []))[1].append(j)
-    class_gt_counts = Counter(g.class_id for g in gts if not g.iscrowd)
-    class_ids = tuple(sorted(class_gt_counts))
+    # rows by (class, image), detections by descending score within each;
+    # the stable sort keeps score ties, and each group's boxes, in input order
+    det_order = np.lexsort((-dets.score, dets.image_id, dets.class_id))
+    gt_order = np.lexsort((gts.image_id, gts.class_id))
+    det_runs, gt_runs = _runs(dets, det_order), _runs(gts, gt_order)
+    counted, n_gts = np.unique(gts.class_id[~gts.iscrowd], return_counts=True)
+    class_gt_counts = dict(zip(counted.tolist(), n_gts.tolist()))
+    class_ids = tuple(class_gt_counts)
 
     ap: dict[float, dict[int, float]] = {t: {} for t in thresholds}
     tp_all = np.zeros(len(thresholds), dtype=np.int64)
     fp_all = np.zeros_like(tp_all)
-    scored = sorted(k for k in groups if k[0] in class_gt_counts)
+    scored = sorted(k for k in det_runs.keys() | gt_runs.keys() if k[0] in class_gt_counts)
     for cid, keys in itertools.groupby(scored, key=lambda k: k[0]):
         order, group_flags = [], []
-        for top, gt in map(groups.get, keys):
-            ious, is_crowd = corner_iou(det_rows[top], gt_rows[gt]), crowd[gt]
+        for key in keys:
+            start, stop = det_runs.get(key, (0, 0))
+            top = det_order[start:min(stop, start + MAX_DETS)]  # the group's MAX_DETS best
+            start, stop = gt_runs.get(key, (0, 0))
+            gt = gt_order[start:stop]
+            ious, is_crowd = corner_iou(dets.boxes[top], gts.boxes[gt]), gts.iscrowd[gt]
             group_flags.append(match(ious[:, ~is_crowd], ious[:, is_crowd], thresholds))
-            order += top
+            order.append(top)
         # one stable score order across the class's images, for every threshold
-        rank = np.argsort(-scores[order], kind="stable")
+        rank = np.argsort(-dets.score[np.concatenate(order)], kind="stable")
         flags = np.concatenate(group_flags, axis=1)[:, rank]
         for thr, value in zip(thresholds, average_precision(flags, class_gt_counts[cid]).tolist()):
             ap[thr][cid] = value

@@ -10,7 +10,7 @@ mask. Fully occluded objects are dropped.
 
 Scenes hold (N, 4) float64 center-form box rows and (N,) int64 class ids,
 1-based indices into the spec's class tuple (0 is background in the
-detector heads); only `to_ground_truth` makes corner `Box` records of
+detector heads); `to_ground_truth` makes the evaluator's corner rows of
 them. Placement tests plain (cx, cy, w, h) tuples in Python floats: an
 array op per try made generation a third slower.
 """
@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import Box, corners
+from .boxes import corners
 from .coco_io import GroundTruth
-from .metrics import GTRecord
+from .metrics import GTTable, _spelled
 
 __all__ = [
     "SUPPORTED_SHAPES",
@@ -104,12 +104,6 @@ class Sample:
             raise ValueError(f"class_ids must be a ({len(b)},) int64 array, got {_spelled(c)}")
         if len(self.masks) != len(b):
             raise ValueError("boxes, class_ids, and masks must align")
-
-
-def _spelled(value) -> str:
-    if isinstance(value, np.ndarray):
-        return f"{value.dtype} array of shape {value.shape}"
-    return type(value).__name__
 
 
 def tight_box(mask: np.ndarray) -> tuple[float, float, float, float]:
@@ -276,11 +270,13 @@ def dataset_hash(samples: list[Sample]) -> str:
 def to_ground_truth(samples: list[Sample], classes: tuple[str, ...]) -> GroundTruth:
     """Express a dataset in the evaluator's ground-truth form (ids = index),
     each box the corners of its row."""
-    records = []
-    images = {}
-    for img_id, s in enumerate(samples):
-        images[img_id] = (s.image.shape[2], s.image.shape[1])
-        for box, cid in zip(np.stack(corners(s.boxes), axis=1).tolist(), s.class_ids.tolist()):
-            records.append(GTRecord(image_id=img_id, class_id=cid, box=Box(*box), iscrowd=False))
+    rows = np.concatenate([np.zeros((0, 4))] + [s.boxes for s in samples])
+    records = GTTable(
+        image_id=np.repeat(np.arange(len(samples), dtype=np.int64), [len(s.boxes) for s in samples]),
+        class_id=np.concatenate([np.zeros(0, dtype=np.int64)] + [s.class_ids for s in samples]),
+        boxes=np.stack(corners(rows), axis=1),
+        iscrowd=np.zeros(len(rows), dtype=bool),
+    )
+    images = {img_id: (s.image.shape[2], s.image.shape[1]) for img_id, s in enumerate(samples)}
     categories = {i + 1: name for i, name in enumerate(classes)}
     return GroundTruth(records=records, images=images, categories=categories)

@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 
 from attnmask.attention import GATES, AttentionConfig, apply_attention, make_attention
-from attnmask.boxes import AnchorConfig, Box, corners, decode, encode, generate_anchors, iou, nms
+from attnmask.boxes import AnchorConfig, Box, box_array, corners, decode, encode, generate_anchors, iou, nms
 from attnmask.checks import run_checks
 from attnmask.cli import _self_evaluate, cli
 from attnmask.losses import cls_loss, mask_loss, reg_loss, total_loss
-from attnmask.metrics import COCO_SWEEP, Detection, GTRecord, average_precision, map_report
+from attnmask.metrics import COCO_SWEEP, DetTable, GTTable, average_precision, map_report
 from attnmask.model import ModelConfig, build_model
 from attnmask.roi_align import roi_align
 from attnmask.synth import SynthSpec, synth_dataset
@@ -151,6 +151,18 @@ def test_criterion_04_roi_align(capsys):
              f"grad worst {grads.worst().max_rel_err:.1e}")
 
 
+def _tables(dets, gts):
+    """map_report's tables of the oracle's (image, class, score, box) and
+    (image, class, box, crowd) tuples, with their values in their order."""
+    def ints(rows, k):
+        return np.array([r[k] for r in rows], dtype=np.int64)
+
+    return (DetTable(ints(dets, 0), ints(dets, 1), box_array([d[3] for d in dets]),
+                     np.array([d[2] for d in dets], dtype=np.float64)),
+            GTTable(ints(gts, 0), ints(gts, 1), box_array([g[2] for g in gts]),
+                    np.array([g[3] for g in gts], dtype=bool)))
+
+
 def test_criterion_05_metric_suite(capsys):
     ap_tp = average_precision(np.array([[1, 0]]), 1)[0]
     ap_fp = average_precision(np.array([[0, 1]]), 1)[0]
@@ -162,9 +174,9 @@ def test_criterion_05_metric_suite(capsys):
         for cid in (1, 2):
             x, y = rng.uniform(0, 40), rng.uniform(0, 40)
             box = Box(x, y, x + 10.0, y + 8.0)
-            gts.append(GTRecord(image_id=img, class_id=cid, box=box, iscrowd=False))
-            dets.append(Detection(image_id=img, class_id=cid, box=box, score=1.0))
-    rep = map_report(dets, gts)
+            gts.append((img, cid, box, False))
+            dets.append((img, cid, 1.0, box))
+    rep = map_report(*_tables(dets, gts))
     perfect_ok = rep.map50 == 1.0 and rep.map75 == 1.0 and rep.map_coco == 1.0
     mean = np.mean([rep.map_by_thr[t] for t in COCO_SWEEP])
     recompose_err = abs(rep.map_coco - mean)
@@ -172,23 +184,21 @@ def test_criterion_05_metric_suite(capsys):
     worst = 0.0
     rng = np.random.default_rng(23)
     for _ in range(200):
-        gt_t, det_t, g_recs, d_recs = [], [], [], []
+        gt_t, det_t = [], []
         for img in range(int(rng.integers(1, 3))):
             for cid in (1, 2):
                 for _ in range(int(rng.integers(0, 4))):
                     x, y, w, h = rng.uniform(0, 30), rng.uniform(0, 30), *rng.uniform(4, 14, 2)
                     crowd = bool(rng.uniform() < 0.2)
                     b = Box(x, y, x + w, y + h)
-                    g_recs.append(GTRecord(image_id=img, class_id=cid, box=b, iscrowd=crowd))
                     gt_t.append((img, cid, (b.x1, b.y1, b.x2, b.y2), crowd))
                 for _ in range(int(rng.integers(0, 5))):
                     x, y, w, h = rng.uniform(0, 30), rng.uniform(0, 30), *rng.uniform(4, 14, 2)
                     s = round(float(rng.uniform(0, 1)), 2)
                     b = Box(x, y, x + w, y + h)
-                    d_recs.append(Detection(image_id=img, class_id=cid, box=b, score=s))
                     det_t.append((img, cid, s, (b.x1, b.y1, b.x2, b.y2)))
         thr = float(rng.choice([0.3, 0.5, 0.75]))
-        got = map_report(d_recs, g_recs, thresholds=[thr]).map_by_thr[round(thr, 2)]
+        got = map_report(*_tables(det_t, gt_t), thresholds=[thr]).map_by_thr[round(thr, 2)]
         worst = max(worst, abs(got - map_reference(det_t, gt_t, thr)))
 
     ok = fixtures_ok and perfect_ok and recompose_err <= 1e-12 and worst <= 1e-9

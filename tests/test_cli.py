@@ -98,6 +98,25 @@ def test_evaluate_rejects_a_bbox_whose_corners_collapse(tmp_path, capsys):
     assert "det.json: detections[1]: bbox corners collapse in float" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value, shown", [("image_id", 2**64, "18446744073709551616"),
+                                               ("category_id", 1e300, "1e+300"),
+                                               ("image_id", -2**63 - 1, "-9223372036854775809")],
+                         ids=["huge-int", "huge-integral-float", "below-int64"])
+def test_evaluate_rejects_an_id_outside_int64(tmp_path, capsys, key, value, shown):
+    # without images or categories in the ground truth no id is looked up,
+    # yet an id that no int64 holds is still malformed input
+    gt_path, det_path = tmp_path / "gt.json", tmp_path / "det.json"
+    gt_path.write_text(json.dumps({"annotations": [{"id": 1, "image_id": 0, "category_id": 1, "bbox": [0, 0, 4, 4]}]}))
+    det = {"image_id": 0, "category_id": 1, "score": 0.9, "bbox": [0, 0, 4, 4]}
+    det_path.write_text(json.dumps([det, {**det, key: value}]))
+    assert cli(["evaluate", "--gt", str(gt_path), "--det", str(det_path)]) == 2
+    assert f"det.json: detections[1]: {key} must be within int64, got {shown}" in capsys.readouterr().err
+    gt_path.write_text(json.dumps({"annotations": [{"id": 1, "image_id": 0, "category_id": 1, "bbox": [0, 0, 4, 4],
+                                                    key: value}]}))
+    assert cli(["evaluate", "--gt", str(gt_path), "--det", str(det_path)]) == 2
+    assert f"gt.json: annotations[0] (id=1): {key} must be within int64, got {shown}" in capsys.readouterr().err
+
+
 def test_evaluate_agrees_with_the_oracle_where_float_rounding_meets_a_threshold(tmp_path):
     # each detection is its box shifted by 1/7 of its width: IoU 0.75 in
     # decimal. In float the corner IoU of the first pair is exactly 0.75 and

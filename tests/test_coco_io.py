@@ -1,9 +1,11 @@
 """JSON formats: validation diagnostics and reading files from disk."""
 
 import json
+import sys
 
 import pytest
 
+import attnmask
 from attnmask.coco_io import load_detections, load_gt, parse_detections, parse_gt, save_json
 from attnmask.inputs import InputError
 
@@ -26,9 +28,9 @@ def test_parse_gt_happy_path():
     assert gt.images == {0: (64, 48)}
     assert gt.categories == {1: "disk"}
     assert len(gt.records) == 2
-    r = gt.records[0]
-    assert r.box == (4.0, 6.0, 14.0, 14.0)
-    assert not r.iscrowd and gt.records[1].iscrowd
+    assert gt.records.boxes.tolist() == [[4.0, 6.0, 14.0, 14.0], [20.0, 20.0, 25.0, 25.0]]
+    assert gt.records.image_id.tolist() == [0, 0] and gt.records.class_id.tolist() == [1, 1]
+    assert gt.records.iscrowd.tolist() == [False, True]
 
 
 def test_parse_gt_diagnostics_name_the_record():
@@ -74,8 +76,9 @@ def test_parse_gt_rejects_bad_boxes():
 def test_parse_detections_happy_path_and_checks():
     doc = [{"image_id": 0, "category_id": 1, "score": 0.75, "bbox": [1, 2, 3, 4]}]
     dets = parse_detections(doc)
-    assert dets[0].score == 0.75 and dets[0].class_id == 1
-    assert parse_detections([{**doc[0], "image_id": 2.0}])[0].image_id == 2  # integral float
+    assert dets.score.tolist() == [0.75] and dets.class_id.tolist() == [1]
+    assert dets.boxes.tolist() == [[1.0, 2.0, 4.0, 6.0]]
+    assert parse_detections([{**doc[0], "image_id": 2.0}]).image_id.tolist() == [2]  # integral float
 
     with pytest.raises(InputError, match=r"detections must be array, got \{'a': 1\}"):
         parse_detections({"a": 1})
@@ -90,11 +93,11 @@ def test_parse_detections_happy_path_and_checks():
 def test_detection_ids_follow_the_annotation_rule():
     # an id must be listed in the ground truth's map when that map is non-empty
     gt = parse_gt(_gt_doc())
-    assert parse_detections([_DET], gt)[0].image_id == 0
+    assert parse_detections([_DET], gt).image_id.tolist() == [0]
     with pytest.raises(InputError, match=r"^detections\[1\]: unknown image_id 2$"):
         parse_detections([_DET, {**_DET, "image_id": 2}], gt)
     unlisted = parse_gt({"annotations": [{"id": 1, "image_id": 5, "category_id": 7, "bbox": [1, 2, 3, 4]}]})
-    assert parse_detections([{**_DET, "image_id": 2, "category_id": 7}], unlisted)[0].image_id == 2
+    assert parse_detections([{**_DET, "image_id": 2, "category_id": 7}], unlisted).image_id.tolist() == [2]
 
 
 _DET = {"image_id": 0, "category_id": 1, "score": 0.5, "bbox": [1, 2, 3, 4]}
@@ -159,6 +162,45 @@ def test_malformed_input_names_record_and_field(parse, doc, message):
         parse(doc)
 
 
+def _many_dets(n=2000):
+    return [{"image_id": i % 20, "category_id": 1 + i % 3, "score": (i % 100) / 100, "bbox": [i % 50, 3.5, 10, 8.25]}
+            for i in range(n)]
+
+
+def test_a_late_bad_record_is_named_by_its_index():
+    # the column checks find the bad score and the later unlisted image at
+    # once; the record rule then names the first of them, with today's text
+    dets = _many_dets()
+    dets[1500]["score"] = 1.5
+    dets[1700]["image_id"] = "7"
+    with pytest.raises(InputError, match=r"^detections\[1500\]: score must be in \[0,1\], got 1\.5$"):
+        parse_detections(dets)
+    dets[1500]["score"] = 0.5
+    with pytest.raises(InputError, match=r"^detections\[1700\]: image_id must be int, got '7'$"):
+        parse_detections(dets)
+
+
+def test_load_detections_builds_no_records(tmp_path, monkeypatch):
+    # the reader makes columns: no Detection and no Box per record
+    calls, records = [], {"Box": attnmask.boxes.Box, "Detection": attnmask.metrics.Detection}
+
+    def counting(cls):
+        return lambda *args, **kwargs: calls.append(cls.__name__) or cls(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "attnmask":
+            for record, cls in records.items():
+                if hasattr(mod, record):
+                    monkeypatch.setattr(mod, record, counting(cls))
+    path = tmp_path / "det.json"
+    path.write_text(json.dumps(_many_dets()))
+    dets = load_detections(str(path))
+    assert len(dets) == 2000 and dets.boxes.shape == (2000, 4)
+    assert calls == []
+    attnmask.metrics.Detection(0, 1, attnmask.boxes.Box(0.0, 0.0, 1.0, 1.0), 0.5)  # the patch counts
+    assert calls == ["Box", "Detection"]
+
+
 def test_load_reports_file_and_json_errors(tmp_path):
     with pytest.raises(InputError, match="nope.json"):
         load_gt(str(tmp_path / "nope.json"))
@@ -173,12 +215,13 @@ def test_round_trip_through_disk(tmp_path):
     save_json(_gt_doc(), str(gt_path))
     gt = load_gt(str(gt_path))
     assert gt.images == {0: (64, 48)} and gt.categories == {1: "disk"}
-    assert [(r.image_id, r.class_id, r.iscrowd) for r in gt.records] == [(0, 1, False), (0, 1, True)]
+    r = gt.records
+    assert list(zip(r.image_id.tolist(), r.class_id.tolist(), r.iscrowd.tolist())) == [(0, 1, False), (0, 1, True)]
 
     det_path = tmp_path / "det.json"
     save_json([{"image_id": 0, "category_id": 1, "bbox": [8.0, 7.0, 4.0, 6.0], "score": 0.5}], str(det_path))
     again = load_detections(str(det_path), gt)
-    assert again[0].box == (8.0, 7.0, 12.0, 13.0)
+    assert again.boxes.tolist() == [[8.0, 7.0, 12.0, 13.0]]
 
     # written files are plain JSON with a trailing newline
     text = det_path.read_text()

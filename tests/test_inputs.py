@@ -1,15 +1,18 @@
 """The shared JSON reader: its one number rule, and fuzzed COCO and config
 input that must either parse or fail with a located InputError."""
 
+import copy
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from attnmask import coco_io
 from attnmask.cli import RunConfig, _split_config
 from attnmask.coco_io import GroundTruth, parse_detections, parse_gt
-from attnmask.inputs import InputError, checked, field, load_json, replace_checked
+from attnmask.inputs import InputError, checked, field, load_json, records, replace_checked
 from attnmask.model import ModelConfig
 from attnmask.synth import SynthSpec
 from attnmask.train import TrainConfig
@@ -136,6 +139,117 @@ def test_fuzz_parse_gt(doc):
        st.sampled_from([None, GroundTruth(records=[], images={0: (8, 8)}, categories={1: "disk", 2: "box"})]))
 def test_fuzz_parse_detections(doc, gt):
     _only_input_errors(parse_detections, doc, gt)
+
+
+# -- the column reader agrees with the record rule -------------------------------
+
+# each mutation breaks, or keeps within, one clause of the record rule
+_mutant = st.sampled_from([
+    True, False, math.nan, math.inf, -math.inf,  # booleans and non-finite floats
+    2**63, -2**63 - 1, 2**63 - 1, 10**400, 1e300, 2.0**63,  # at and past int64 and float range
+    0, 1, 2, 3.0, 7, -1.5, 0.5, 1.5,  # integral floats, unlisted ids, scores outside [0, 1]
+    "1", None, {}, [],  # not numbers
+    [1, 2, 3], [1, 2, 3, 4, 5], [0, 0, 0, 4],  # bbox lengths other than 4, an empty extent
+    [1e17, 0, 1, 1], [0, -1e17, 1, 1],  # collapsing corners
+    [1e308, 0, 1e308, 1], [0, 0, 1e200, 1e200],  # overflowing corners and areas
+]).map(copy.deepcopy)
+
+
+@st.composite
+def _mutated(draw, valid):
+    """Valid records with up to two mutations: a field deleted, set to a
+    mutant, one bbox component set to one, or a whole record replaced."""
+    recs = draw(valid)
+    for _ in range(draw(st.integers(0, 2))):
+        if not recs:
+            break
+        i = draw(st.integers(0, len(recs) - 1))
+        rec = recs[i]
+        if type(rec) is not dict or not rec or draw(st.integers(0, 19)) == 0:
+            recs[i] = draw(_mutant)
+            continue
+        key = draw(st.sampled_from(sorted(rec)))
+        how = draw(st.integers(0, 3))
+        if how == 0:
+            del rec[key]
+        elif how == 1 and type(rec[key]) is list and rec[key]:
+            rec[key][draw(st.integers(0, len(rec[key]) - 1))] = draw(_mutant)
+        else:
+            rec[key] = draw(_mutant)
+    return recs
+
+
+def _agrees_with_the_record_rule(parse, doc, name, rule, maps, table_of):
+    """parse(doc) returns the columns of rule's reads of doc[name]'s
+    records, or raises the InputError that the rule raises first."""
+    items = doc if name == "detections" else doc["annotations"]
+    try:
+        reads = [rule(rec, where, *maps) for where, rec in records(items, name)]
+    except InputError as e:
+        with pytest.raises(InputError) as got:
+            parse(doc)
+        assert str(got.value) == str(e)
+        return
+    table = table_of(parse(doc))
+    img, cat, boxes, last = zip(*reads) if reads else ((), (), (), ())
+    assert table.image_id.dtype == table.class_id.dtype == np.int64
+    assert table.image_id.tolist() == list(img) and table.class_id.tolist() == list(cat)
+    assert table.boxes.dtype == np.float64 and table.boxes.shape == (len(reads), 4)
+    assert table.boxes.tobytes() == np.array(boxes, dtype=np.float64).reshape(-1, 4).tobytes()
+    got_last = table.score if name == "detections" else table.iscrowd
+    assert got_last.tobytes() == np.array(last, dtype=got_last.dtype).tobytes()
+
+
+_LISTED = GroundTruth(records=[], images={0: (8, 8), 1: (8, 8)}, categories={1: "disk", 2: "box"})
+_image_id, _category_id = st.sampled_from([0, 1, 1.0]), st.sampled_from([1, 2, 2.0])  # listed in _LISTED
+_fine_extent = st.floats(0.5, 60) | st.integers(1, 60)
+_fine_bbox = st.tuples(_coord, _coord, _fine_extent, _fine_extent).map(list)
+_scored = st.fixed_dictionaries({"image_id": _image_id, "category_id": _category_id,
+                                 "score": st.floats(0, 1) | st.sampled_from([0, 1]), "bbox": _fine_bbox})
+_crowded = st.fixed_dictionaries(
+    {"id": st.integers(0, 99), "image_id": _image_id, "category_id": _category_id, "bbox": _fine_bbox},
+    optional={"iscrowd": st.sampled_from([0, 1, True, False, 1.0, 0.0])},
+)
+
+
+_DET = {"image_id": 0, "category_id": 1, "score": 0.5, "bbox": [1, 2, 3, 4]}
+_ANN = {"id": 1, "image_id": 0, "category_id": 1, "bbox": [1, 2, 3, 4]}
+
+
+@_FUZZ
+@given(_mutated(st.lists(_scored, max_size=6)), st.sampled_from([None, _LISTED]))
+@example([_DET, {**_DET, "bbox": [1e17, 0, 1, 1]}], None)  # each clause alone, late in its column
+@example([_DET, {**_DET, "bbox": [0, 0, 1e200, 1e200]}], None)
+@example([_DET, {**_DET, "bbox": [0, 0, 0, 1]}], None)
+@example([_DET, {**_DET, "score": 1.5}], None)
+@example([_DET, {**_DET, "image_id": 2**63}], None)
+@example([_DET, {**_DET, "category_id": 1e300}], None)
+@example([_DET, {**_DET, "image_id": 2.0}], _LISTED)
+@example([_DET, {**_DET, "image_id": 1.5}], None)
+@example([_DET, {**_DET, "category_id": math.nan}], None)
+@example([_DET, {**_DET, "bbox": [0, 0, 10**400, 1]}], None)
+@example([_DET, {**_DET, "bbox": [0, 0, 2**1024 - 2**970 - 1, 1]}], None)  # rounds to the largest float
+def test_detection_columns_agree_with_the_record_rule(doc, gt):
+    maps = (gt.images, gt.categories) if gt is not None else ({}, {})
+    _agrees_with_the_record_rule(lambda d: parse_detections(d, gt), doc, "detections", coco_io._detection, maps,
+                                 lambda table: table)
+
+
+@_FUZZ
+@given(_mutated(st.lists(_crowded, max_size=6)), st.booleans())
+@example([_ANN, {**_ANN, "id": 2, "iscrowd": 2}], False)
+@example([_ANN, {**_ANN, "id": 2, "iscrowd": 0.5}], False)
+@example([_ANN, {**_ANN, "id": 2, "iscrowd": True}, {**_ANN, "id": 3.0, "iscrowd": 1.0}], True)
+@example([_ANN, {**_ANN, "id": 1.0}], False)
+@example([_ANN, {**_ANN, "id": 2**63}], False)
+@example([_ANN, {**_ANN, "id": 10**30, "image_id": 3}], True)
+def test_annotation_columns_agree_with_the_record_rule(anns, listed):
+    doc = {"annotations": anns}
+    if listed:
+        doc.update(images=[{"id": i, "width": 8, "height": 8} for i in _LISTED.images],
+                   categories=[{"id": c, "name": n} for c, n in _LISTED.categories.items()])
+    maps = (_LISTED.images, _LISTED.categories, set()) if listed else ({}, {}, set())
+    _agrees_with_the_record_rule(parse_gt, doc, "annotations", coco_io._annotation, maps, lambda gt: gt.records)
 
 
 _value = (st.integers(-1, 3) | st.sampled_from([-1, 0, 1, 2, 3, 7, 28, 0.0, 0.5, 1.5, "2", "x", "adaptive"])

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from attnmask.metrics import (
     CROWD_IGNORED,
     MAX_DETS,
     Detection,
-    GTRecord,
+    DetTable,
+    GTTable,
     average_precision,
     format_table,
     map_report,
@@ -22,12 +24,28 @@ from attnmask.metrics import (
 from oracles import ap_reference, map_reference, match_reference
 
 
+class GT(NamedTuple):
+    """One ground-truth box, as a row of GTTable."""
+
+    image_id: int
+    class_id: int
+    box: Box
+    iscrowd: bool
+
+
 def _det(score, box, img=0, cid=1):
     return Detection(image_id=img, class_id=cid, box=box, score=score)
 
 
 def _gt(box, img=0, cid=1, crowd=False):
-    return GTRecord(image_id=img, class_id=cid, box=box, iscrowd=crowd)
+    return GT(image_id=img, class_id=cid, box=box, iscrowd=crowd)
+
+
+def _tables(dets, gts):
+    """map_report's two tables of _det and _gt rows, with their values in their order."""
+    return DetTable.of(dets), GTTable(np.array([g.image_id for g in gts], dtype=np.int64),
+                                      np.array([g.class_id for g in gts], dtype=np.int64),
+                                      box_array([g.box for g in gts]), np.array([g.iscrowd for g in gts], dtype=bool))
 
 
 def B(xywh):
@@ -37,10 +55,49 @@ def B(xywh):
 
 
 def test_detection_score_validation():
-    with pytest.raises(ValueError):
-        _det(1.5, B((0, 0, 4, 4)))
-    with pytest.raises(ValueError):
-        _det(float("nan"), B((0, 0, 4, 4)))
+    with pytest.raises(ValueError, match=r"score must be in \[0,1\], got 1\.5"):
+        DetTable.of([_det(0.5, B((0, 0, 4, 4))), _det(1.5, B((0, 0, 4, 4)))])
+    with pytest.raises(ValueError, match=r"score must be in \[0,1\], got nan"):
+        DetTable.of([_det(float("nan"), B((0, 0, 4, 4)))])
+
+
+def _columns(n=2, **changed):
+    """The columns of an n-row table, with changed ones swapped in."""
+    cols = dict(image_id=np.zeros(n, dtype=np.int64), class_id=np.ones(n, dtype=np.int64),
+                boxes=np.tile([0.0, 0.0, 4.0, 4.0], (n, 1)))
+    return {**cols, **changed}
+
+
+@pytest.mark.parametrize("table, last", [(DetTable, {"score": np.full(2, 0.5)}),
+                                         (GTTable, {"iscrowd": np.zeros(2, dtype=bool)})], ids=["det", "gt"])
+@pytest.mark.parametrize("changed, message", [
+    ({"class_id": np.ones(3, dtype=np.int64)}, r"class_id must be a \(2,\) int64 array, got int64 array of shape \(3,\)"),
+    ({"boxes": np.zeros((2, 5))}, r"boxes must be an \(N, 4\) float64 array, got float64 array of shape \(2, 5\)"),
+    ({"boxes": np.zeros((2, 4), dtype=np.float32)}, r"boxes must be an \(N, 4\) float64 array, got float32"),
+    ({"boxes": [[0.0, 0.0, 4.0, 4.0]] * 2}, r"boxes must be an \(N, 4\) float64 array, got list"),
+    ({"image_id": np.zeros(2, dtype=np.int32)}, r"image_id must be a \(2,\) int64 array, got int32"),
+    ({"class_id": np.ones(2)}, r"class_id must be a \(2,\) int64 array, got float64"),
+], ids=["lengths-differ", "boxes-not-n-by-4", "boxes-not-float64", "boxes-not-array", "image-id-int32",
+        "class-id-float"])
+def test_tables_check_their_columns(table, last, changed, message):
+    table(**_columns(**last))  # the unchanged columns make a table
+    with pytest.raises(ValueError, match=message):
+        table(**_columns(**last, **changed))
+
+
+def test_table_last_columns_have_their_dtype_and_length():
+    with pytest.raises(ValueError, match=r"score must be a \(2,\) float64 array, got float32"):
+        DetTable(**_columns(score=np.full(2, 0.5, dtype=np.float32)))
+    with pytest.raises(ValueError, match=r"iscrowd must be a \(2,\) bool array, got int64 array of shape \(2,\)"):
+        GTTable(**_columns(iscrowd=np.zeros(2, dtype=np.int64)))
+    with pytest.raises(ValueError, match=r"score must be a \(2,\) float64 array, got float64 array of shape \(1,\)"):
+        DetTable(**_columns(score=np.full(1, 0.5)))
+
+
+@pytest.mark.parametrize("score", [-0.25, 1.5, float("inf"), float("nan")])
+def test_det_table_scores_are_finite_and_in_unit_range(score):
+    with pytest.raises(ValueError, match=r"score must be in \[0,1\], got "):
+        DetTable(**_columns(score=np.array([0.5, score])))
 
 
 def _overlaps(boxes, gts):
@@ -57,7 +114,7 @@ def test_match_greedy_prefers_higher_score():
     # rows in score order: the high scorer takes the box, the other is FP
     assert list(match(*_overlaps([high, low], gt), (0.5,))[0]) == [1, 0]
     # map_report ranks by score, not input order: a TP ahead of the FP is AP 1
-    rep = map_report([_det(0.6, low), _det(0.9, high)], gt, (0.5,))
+    rep = map_report(*_tables([_det(0.6, low), _det(0.9, high)], gt), (0.5,))
     assert rep.counts[0.5] == (1, 1, 0) and rep.ap[0.5][1] == 1.0
 
 
@@ -182,7 +239,7 @@ def test_map_report_perfect_predictions_all_ones():
             box = B((x, y, 10 + img, 8 + cid))
             gts.append(_gt(box, img=img, cid=cid))
             dets.append(_det(0.9, box, img=img, cid=cid))
-    rep = map_report(dets, gts)
+    rep = map_report(*_tables(dets, gts))
     assert rep.map50 == pytest.approx(1.0)
     assert rep.map75 == pytest.approx(1.0)
     assert rep.map_coco == pytest.approx(1.0)
@@ -193,7 +250,7 @@ def test_map_report_localization_quality_splits_thresholds():
     # IoU 0.6 detection: a hit at 0.5, a miss at 0.75
     gt = [_gt(B((0, 0, 10, 10)))]
     det = [_det(0.9, B((0, 0, 10, 6)))]
-    rep = map_report(det, gt)
+    rep = map_report(*_tables(det, gt))
     assert rep.map50 == pytest.approx(1.0)
     assert rep.map75 == pytest.approx(0.0)
 
@@ -206,28 +263,28 @@ def test_map_report_rejects_empty_boxes(box, side):
     dets, gts = [_det(0.9, good)], [_gt(good)]
     (dets if side == "det" else gts).append(_det(0.5, box) if side == "det" else _gt(box))
     with pytest.raises(ValueError, match=r"boxes need x2 > x1 and y2 > y1, got \["):
-        map_report(dets, gts)
+        map_report(*_tables(dets, gts))
 
 
 def test_map_report_threshold_argument():
     gt = [_gt(B((0, 0, 10, 10)))]
     det = [_det(0.9, B((0, 0, 10, 6)))]  # IoU 0.6
-    assert map_report(det, gt, thresholds=None).thresholds == COCO_SWEEP
+    assert map_report(*_tables(det, gt), thresholds=None).thresholds == COCO_SWEEP
     for bad in ((), [-2], [0.0], [1.0], [0.5, 1.5], [float("nan")]):
         with pytest.raises(ValueError, match="IoU thresholds"):
-            map_report(det, gt, thresholds=bad)
+            map_report(*_tables(det, gt), thresholds=bad)
 
 
 def test_map_report_drops_repeated_thresholds():
     gt = [_gt(B((0, 0, 10, 10)))]
     det = [_det(0.9, B((0, 0, 10, 6)))]  # IoU 0.6
-    rep = map_report(det, gt, thresholds=(0.5, 0.500001, 0.75, 0.5))
+    rep = map_report(*_tables(det, gt), thresholds=(0.5, 0.500001, 0.75, 0.5))
     assert rep.thresholds == (0.5, 0.75)
     payload = rep.to_json()
     assert payload["thresholds"] == [0.5, 0.75]
     assert list(payload["map_by_thr"]) == ["0.50", "0.75"] and list(payload["counts"]) == ["0.50", "0.75"]
     assert rep.map_by_thr == {0.5: 1.0, 0.75: 0.0}
-    assert payload == map_report(det, gt, thresholds=(0.5, 0.75)).to_json()
+    assert payload == map_report(*_tables(det, gt), thresholds=(0.5, 0.75)).to_json()
 
 
 def test_map_coco_recomposes_from_thresholds():
@@ -244,7 +301,7 @@ def test_map_coco_recomposes_from_thresholds():
                     _det(round(float(rng.uniform(0.3, 1.0)), 2),
                          B((x + jitter[0], y + jitter[1], w, h)), img=img, cid=1 + k % 2)
                 )
-    rep = map_report(dets, gts)
+    rep = map_report(*_tables(dets, gts))
     mean = np.mean([rep.map_by_thr[t] for t in COCO_SWEEP])
     assert rep.map_coco == pytest.approx(mean, abs=1e-12)
     assert rep.thresholds == COCO_SWEEP
@@ -256,14 +313,14 @@ def test_classes_without_gt_are_excluded():
         _det(0.9, B((0, 0, 10, 10)), cid=1),
         _det(0.8, B((20, 20, 10, 10)), cid=7),  # no GT for class 7
     ]
-    rep = map_report(dets, gts)
+    rep = map_report(*_tables(dets, gts))
     assert rep.class_ids == (1,)
     assert rep.map50 == pytest.approx(1.0)
 
 
 def test_crowd_only_class_is_excluded():
     gts = [_gt(B((0, 0, 30, 30)), cid=3, crowd=True), _gt(B((0, 0, 10, 10)), cid=1)]
-    rep = map_report([_det(0.9, B((0, 0, 10, 10)), cid=1)], gts)
+    rep = map_report(*_tables([_det(0.9, B((0, 0, 10, 10)), cid=1)], gts))
     assert rep.class_ids == (1,)
 
 
@@ -272,13 +329,13 @@ def test_max_dets_cap_applies_per_image_and_class():
     # one perfect detection, listed first, under MAX_DETS junk boxes with higher scores
     hit = _det(0.5, B((0, 0, 10, 10)))
     junk = [_det(0.99, B((50, 50, 5, 5)))] * MAX_DETS
-    assert map_report([hit] + junk, gt).counts[0.5] == (0, MAX_DETS, 1)  # capped away by score
+    assert map_report(*_tables([hit] + junk, gt)).counts[0.5] == (0, MAX_DETS, 1)  # capped away by score
     # the cap is per group: the same junk in another image or class leaves it
     for other in ({"img": 1}, {"cid": 2}):
         moved = [_det(0.99, B((50, 50, 5, 5)), **other)] * MAX_DETS
-        assert map_report([hit] + moved, gt).counts[0.5][0] == 1
+        assert map_report(*_tables([hit] + moved, gt)).counts[0.5][0] == 1
     # one junk box fewer leaves room for the true positive
-    assert map_report([hit] + junk[1:], gt).counts[0.5][0] == 1
+    assert map_report(*_tables([hit] + junk[1:], gt)).counts[0.5][0] == 1
 
 
 def test_matches_exhaustive_reference_200_instances():
@@ -305,7 +362,7 @@ def test_matches_exhaustive_reference_200_instances():
                     dets.append(_det(score, box, img=img, cid=cid))
                     det_tuples.append((img, cid, score, (box.x1, box.y1, box.x2, box.y2)))
         thr = float(rng.choice([0.3, 0.5, 0.75]))
-        rep = map_report(dets, gts, thresholds=[thr])
+        rep = map_report(*_tables(dets, gts), thresholds=[thr])
         want = map_reference(det_tuples, gt_tuples, thr)
         got = rep.map_by_thr[round(thr, 2)]
         assert abs(got - want) < 1e-9, f"case {case}: {got} vs {want}"
@@ -348,7 +405,7 @@ def test_one_multi_threshold_call_matches_reference_200_instances():
     thresholds = COCO_SWEEP + (0.3,)
     for case in range(200):
         gts, dets, gt_tuples, det_tuples = _random_case(rng, int(rng.integers(1, 4)))
-        rep = map_report(dets, gts, thresholds=thresholds)
+        rep = map_report(*_tables(dets, gts), thresholds=thresholds)
         assert rep.thresholds == thresholds
         for thr in thresholds:
             want = map_reference(det_tuples, gt_tuples, thr)
@@ -371,7 +428,7 @@ def test_iou_calls_do_not_grow_with_thresholds(monkeypatch):
     n_calls = []
     for thresholds in ((0.5,), COCO_SWEEP):
         calls.clear()
-        map_report(dets, gts, thresholds=thresholds)
+        map_report(*_tables(dets, gts), thresholds=thresholds)
         n_calls.append(len(calls))
     assert scored and n_calls == [len(scored)] * 2
 
@@ -410,7 +467,7 @@ def _digest_scene():
 
 def test_report_digest_is_unchanged():
     gts, dets = _digest_scene()
-    rep = map_report(dets, gts, thresholds=COCO_SWEEP)
+    rep = map_report(*_tables(dets, gts), thresholds=COCO_SWEEP)
     assert any(g.iscrowd for g in gts) and 0.0 < rep.map_coco < 1.0
     det_tuples = [(d.image_id, d.class_id, d.score, d.box) for d in dets]
     gt_tuples = [(g.image_id, g.class_id, g.box, g.iscrowd) for g in gts]
@@ -422,7 +479,7 @@ def test_report_digest_is_unchanged():
 def test_format_table_shape():
     gt = [_gt(B((0, 0, 10, 10)))]
     det = [_det(0.9, B((0, 0, 10, 10)))]
-    rep = map_report(det, gt)
+    rep = map_report(*_tables(det, gt))
     text = format_table([("cbam", rep), ("se", rep)])
     lines = text.splitlines()
     assert lines[0].split() == ["Model", "mAP@0.5", "mAP@0.75", "mAP@[0.5:0.95]"]
@@ -435,7 +492,7 @@ def test_report_json_roundtrips_through_builtin_types():
     import json
 
     gt = [_gt(B((0, 0, 10, 10)))]
-    rep = map_report([_det(0.9, B((0, 0, 10, 10)))], gt)
+    rep = map_report(*_tables([_det(0.9, B((0, 0, 10, 10)))], gt))
     payload = json.loads(json.dumps(rep.to_json()))
     assert payload["map50"] == pytest.approx(1.0)
     assert payload["ap"]["0.50"]["1"] == pytest.approx(1.0)

@@ -65,10 +65,10 @@ def test_every_import_is_used(path):
     assert not unused, f"{path.name} imports {unused} and never reads them"
 
 
-# the corner Box record is made only where boxes cross a boundary: the COCO
-# reader, infer's detections and to_ground_truth's records; everything else
-# passes (N, 4) rows
-BOX_MAKERS = {("coco_io.py", "_placed"), ("model.py", "infer"), ("synth.py", "to_ground_truth")}
+# the corner Box record is made only where boxes leave the package: infer's
+# detections and the row records a GTTable yields to readers outside the
+# evaluator; everything else, the COCO reader included, passes (N, 4) rows
+BOX_MAKERS = {("model.py", "infer"), ("metrics.py", "__iter__")}
 
 
 def _box_calls(node, where):

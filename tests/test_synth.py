@@ -136,8 +136,8 @@ def test_to_ground_truth_mapping():
     assert gt.images == {i: (64, 64) for i in range(5)}
     assert gt.categories == {1: "rectangle", 2: "disk", 3: "triangle"}
     flat = [(i, cid) for i, s in enumerate(ds) for cid in s.class_ids]
-    assert [(r.image_id, r.class_id) for r in gt.records] == flat
-    assert not any(r.iscrowd for r in gt.records)
+    assert list(zip(gt.records.image_id.tolist(), gt.records.class_id.tolist())) == flat
+    assert not gt.records.iscrowd.any()
 
 
 def test_tight_box_rejects_empty_mask():
@@ -203,11 +203,15 @@ def test_hflip_matches_the_box_formula_bit_for_bit():
         assert np.array_equal(got.class_ids, s.class_ids)
 
 
-def test_to_ground_truth_makes_box_records_with_int_class_ids():
+def test_to_ground_truth_makes_corner_rows_with_int64_class_ids():
     spec = SynthSpec()
     ds = synth_dataset(spec, 31, 5)
     gt = to_ground_truth(ds, spec.classes)
     # each record's corners are its row's, cx -/+ w/2, in Python floats
     rows = [row for s in ds for row in s.boxes.tolist()]
-    assert [r.box for r in gt.records] == [(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2) for cx, cy, w, h in rows]
+    assert gt.records.boxes.tolist() == [[cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2] for cx, cy, w, h in rows]
+    assert gt.records.class_id.dtype == np.int64 and gt.records.image_id.dtype == np.int64
+    # the row records the benchmark's infer check reads hold the same corners
+    assert [tuple(r.box) for r in gt.records] == [tuple(row) for row in gt.records.boxes.tolist()]
     assert all(type(r.box) is Box and type(r.class_id) is int for r in gt.records)
+    assert to_ground_truth([], spec.classes).records.boxes.shape == (0, 4)
