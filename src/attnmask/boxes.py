@@ -3,17 +3,17 @@
 Coordinates are continuous pixels with the origin at the image's top-left
 corner, and areas carry no +1 convention.
 
-Inside the region path boxes travel as (N, 4) float64 arrays of center-form
-rows (cx, cy, w, h). Their corners are always cx -/+ w/2 (`corners`), and
-`center_rows` is the inverse. The evaluator reads (N, 4) corner rows
-(x1, y1, x2, y2); `Box` is that corner form as one record, made only for
-`infer`'s detections and for the rows a `metrics.GTTable` yields, from a
-row's `corners` or a table's corner rows.
+Boxes travel as (N, 4) float64 arrays of corner rows (x1, y1, x2, y2),
+from the anchor grid through proposals, ROI pooling and pasted masks to
+the scenes and the evaluator. Only the offset parametrization reads
+centers and extents: `encode` and `decode` take them from the rows through
+one helper. `Box` is the corner row as one record, made only for `infer`'s
+detections and for the rows a `metrics.GTTable` yields.
 
-Every IoU goes through one intersection rule over corner columns and given
-areas: `pairwise_iou` on center rows with areas w*h, `corner_iou` on corner
-rows with areas (x2 - x1)(y2 - y1), as the evaluator's oracle computes them,
-and `nms` and the scalar `iou` on corners and corner areas.
+Every IoU goes through one intersection rule over corner columns with
+areas (x2 - x1)(y2 - y1), as the evaluator's oracle computes them:
+`pairwise_iou` on two row arrays, `nms` on the rows it keeps and the
+scalar `iou` on two `Box` records.
 
 `nms` walks the sorted rows in blocks of NMS_BLOCK and tests each block
 only against the rows already kept, so its overlap blocks are bounded by
@@ -34,11 +34,8 @@ __all__ = [
     "Box",
     "AnchorConfig",
     "box_array",
-    "corners",
-    "center_rows",
     "iou",
     "pairwise_iou",
-    "corner_iou",
     "encode",
     "decode",
     "clip_boxes",
@@ -112,17 +109,6 @@ def box_array(boxes) -> np.ndarray:
     return arr
 
 
-def corners(boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """x1, y1, x2, y2 columns of center-form rows."""
-    cx, cy, w, h = boxes.T
-    return cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0
-
-
-def center_rows(x1, y1, x2, y2) -> np.ndarray:
-    """(N, 4) center-form rows of corner columns or scalars; inverts corners."""
-    return np.column_stack([(x1 + x2) / 2.0, (y1 + y2) / 2.0, x2 - x1, y2 - y1])
-
-
 def _iou(a, b, area_a, area_b):
     """IoU of corner columns a = (x1, y1, x2, y2) against b, broadcast
     against each other, given each side's areas."""
@@ -138,32 +124,34 @@ def iou(a: Box, b: Box) -> float:
 
 
 def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(N, M) IoU of every center-form row of a against every row of b."""
-    return _iou([c[:, None] for c in corners(a)], corners(b), (a[:, 2] * a[:, 3])[:, None], b[:, 2] * b[:, 3])
-
-
-def corner_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(N, M) IoU of every corner row (x1, y1, x2, y2) of a against every
-    row of b, with areas (x2 - x1)(y2 - y1)."""
+    """(N, M) IoU of every corner row of a against every row of b."""
     area_a, area_b = ((r[:, 2] - r[:, 0]) * (r[:, 3] - r[:, 1]) for r in (a, b))
     return _iou(a.T[:, :, None], b.T, area_a[:, None], area_b)
+
+
+def _centers(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """cx, cy, w, h columns of corner rows: the offset parametrization's terms."""
+    x1, y1, x2, y2 = rows.T
+    return (x1 + x2) / 2.0, (y1 + y2) / 2.0, x2 - x1, y2 - y1
 
 
 def encode(anchors: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """(N, 4) offsets (tx, ty, tw, th) of each target row relative to its
     anchor row: centers are normalized by the anchor extents, extents
     become log ratios."""
-    acx, acy, aw, ah = anchors.T
-    cx, cy, w, h = targets.T
+    acx, acy, aw, ah = _centers(anchors)
+    cx, cy, w, h = _centers(targets)
     return np.stack([(cx - acx) / aw, (cy - acy) / ah, np.log(w / aw), np.log(h / ah)], axis=1)
 
 
 def decode(anchors: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-    """Inverse of encode; log-extent components are capped at log(1000)."""
-    acx, acy, aw, ah = anchors.T
+    """Inverse of encode, into corner rows; log-extent components are
+    capped at log(1000)."""
+    acx, acy, aw, ah = _centers(anchors)
     tx, ty, tw, th = deltas.T
     tw, th = (np.clip(t, -LOG_EXTENT_CAP, LOG_EXTENT_CAP) for t in (tw, th))
-    return np.stack([tx * aw + acx, ty * ah + acy, aw * np.exp(tw), ah * np.exp(th)], axis=1)
+    cx, cy, w, h = tx * aw + acx, ty * ah + acy, aw * np.exp(tw), ah * np.exp(th)
+    return np.stack([cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0], axis=1)
 
 
 def clip_boxes(boxes: np.ndarray, width: float, height: float) -> tuple[np.ndarray, np.ndarray]:
@@ -172,14 +160,12 @@ def clip_boxes(boxes: np.ndarray, width: float, height: float) -> tuple[np.ndarr
     Returns the clipped rows and a mask of the rows whose intersection has
     positive extent; the other rows are meaningless and must be dropped.
     """
-    x1, y1, x2, y2 = corners(boxes)
-    x1, x2 = np.clip(x1, 0.0, width), np.clip(x2, 0.0, width)
-    y1, y2 = np.clip(y1, 0.0, height), np.clip(y2, 0.0, height)
-    return center_rows(x1, y1, x2, y2), (x2 > x1) & (y2 > y1)
+    clipped = np.clip(boxes, 0.0, [width, height, width, height])
+    return clipped, (clipped[:, 2] > clipped[:, 0]) & (clipped[:, 3] > clipped[:, 1])
 
 
 def generate_anchors(shapes: dict[int, tuple[int, int]], cfg: AnchorConfig) -> np.ndarray:
-    """Tile anchors over feature grids as a read-only (N, 4) array.
+    """Tile anchors over feature grids as read-only (N, 4) corner rows.
 
     shapes maps pyramid level -> (H, W) of its feature map. Each cell
     centers len(ratios) anchors at ((col+0.5)*stride, (row+0.5)*stride);
@@ -198,11 +184,12 @@ def _anchor_grid(shapes: tuple, cfg: AnchorConfig) -> np.ndarray:
             raise ValueError(f"no anchor scale configured for level {level}")
         stride = stride_of(level)
         scale = cfg.scale_for(level)
+        cx = ((np.arange(w) + 0.5) * stride)[None, :, None]
+        cy = ((np.arange(h) + 0.5) * stride)[:, None, None]
+        half_w, half_h = scale / roots / 2.0, scale * roots / 2.0
         grid = np.empty((h, w, roots.size, 4))
-        grid[..., 0] = ((np.arange(w) + 0.5) * stride)[None, :, None]
-        grid[..., 1] = ((np.arange(h) + 0.5) * stride)[:, None, None]
-        grid[..., 2] = scale / roots
-        grid[..., 3] = scale * roots
+        grid[..., 0], grid[..., 2] = cx - half_w, cx + half_w
+        grid[..., 1], grid[..., 3] = cy - half_h, cy + half_h
         parts.append(grid.reshape(-1, 4))
     anchors = np.concatenate(parts)
     anchors.setflags(write=False)
@@ -216,7 +203,7 @@ def nms(
     max_keep: int | None = None,
     labels=None,
 ) -> list[int]:
-    """Greedy non-maximum suppression over (N, 4) center-form rows.
+    """Greedy non-maximum suppression over (N, 4) corner rows.
 
     Repeatedly keeps the highest-scoring remaining box and suppresses the
     boxes overlapping it above iou_threshold; with per-row labels only
@@ -241,7 +228,7 @@ def nms(
 
     # stable sort on negated scores: ties keep original index order
     order = np.argsort(-scores, kind="stable")
-    cols = np.stack(corners(boxes))[:, order]
+    cols = boxes.T[:, order]
     areas = (cols[2] - cols[0]) * (cols[3] - cols[1])
     labels = None if labels is None else np.asarray(labels)[order]
 

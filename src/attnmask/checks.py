@@ -23,7 +23,6 @@ import numpy as np
 
 from .attention import GATES, AttentionConfig, apply_attention, make_attention
 from .backbone import bottleneck_forward, fpn_fuse, init_bottleneck, init_fpn
-from .boxes import center_rows
 from .losses import cls_loss, mask_loss, reg_loss
 from .roi_align import roi_align
 from .tensor import Tensor, grad_check, sigmoid
@@ -195,7 +194,7 @@ def _roi_cases(seed: int, eps: float, tol: float) -> list:
     # random box in a 32px image, at least 4px on a side
     x1 = rng.uniform(0, 20)
     y1 = rng.uniform(0, 20)
-    box = center_rows(x1, y1, x1 + rng.uniform(4, 11), y1 + rng.uniform(4, 11))
+    box = np.array([[x1, y1, x1 + rng.uniform(4, 11), y1 + rng.uniform(4, 11)]])
     pw = np.random.default_rng(np.random.PCG64(seed + 2)).standard_normal((1, 6, 3, 3))
 
     def fn(t):

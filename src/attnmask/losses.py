@@ -6,8 +6,9 @@ multi-class region head), regression is a per-component smooth L1 over
 the four box offsets of positive samples, given as (N, 4) arrays, and the
 mask term is the mean of the same binary terms (`cls_loss`) over the
 p x p grids of each positive region's matched class channel. Anchor
-labelling and region sampling draw their minibatches through one sampler,
-`sample_minibatch`.
+labelling reads one `boxes.pairwise_iou` matrix of anchor and ground-truth
+corner rows. It and region sampling draw their minibatches through one
+sampler, `sample_minibatch`.
 
 The total is (1/N_cls) * sum(cls) + (lambda/N_reg) * sum(reg) + mask,
 and `total_loss` is the only place it is composed. Training calls it once
@@ -88,27 +89,19 @@ def assign_anchor_labels(
     best anchor for some ground-truth box; negative when its best IoU is
     at most NEG_IOU; ignored in between. At most batch*pos_fraction
     positives are sampled, negatives fill the rest of the batch. anchors
-    and gt_boxes are (N, 4) center-form rows.
+    and gt_boxes are (N, 4) corner rows.
     """
     n = anchors.shape[0]
     labels = np.full(n, IGNORE, dtype=np.int8)
     matched = np.full(n, -1, dtype=np.int64)
     if gt_boxes.shape[0]:
         mat = pairwise_iou(anchors, gt_boxes)
-        best = mat.max(axis=1)
-        arg = mat.argmax(axis=1)
+        best, top = mat.max(axis=1), mat.max(axis=0)
         labels[best <= NEG_IOU] = NEGATIVE
-        pos = best >= POS_IOU
         # rescue: every ground-truth box keeps its best-overlap anchor(s)
-        for gi in range(len(gt_boxes)):
-            col = mat[:, gi]
-            top = col.max()
-            if top > 0:
-                rescued = col == top
-                pos |= rescued
-                arg[rescued & (mat[np.arange(n), arg] < top)] = gi
+        pos = (best >= POS_IOU) | ((mat == top) & (top > 0)).any(axis=1)
         labels[pos] = POSITIVE
-        matched[pos] = arg[pos]
+        matched[pos] = mat.argmax(axis=1)[pos]
     else:
         labels[:] = NEGATIVE
 

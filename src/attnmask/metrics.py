@@ -13,10 +13,10 @@ Crowd-flagged ground truth acts as an ignore region: a detection whose
 only qualifying overlap is a crowd box is dropped from scoring. `match` is
 that rule alone, run at every threshold on one group's overlap matrices;
 `map_report` groups both tables by one stable `np.lexsort` on (class,
-image), scores first within a detection group, and makes one `corner_iou`
-matrix per group, its columns split into real boxes and crowd regions.
-The IoU reads the corners as they are, with areas (x2 - x1)(y2 - y1), so
-it equals the brute-force oracle's bit for bit.
+image), scores first within a detection group, and makes one
+`pairwise_iou` matrix per group, its columns split into real boxes and
+crowd regions. The IoU reads the corners as they are, with areas
+(x2 - x1)(y2 - y1), so it equals the brute-force oracle's bit for bit.
 
 AP is the 101-point interpolation of the precision envelope at the recalls
 k/100 (RECALL_POINTS), computed in one pass per class over every
@@ -38,7 +38,7 @@ import numpy as np
 
 # iou is not called here but stays bound: the benchmark's tracer
 # (bench/layers.py) wraps boxes.iou in every module that imports it
-from .boxes import Box, corner_iou, iou  # noqa: F401
+from .boxes import Box, iou, pairwise_iou  # noqa: F401
 
 __all__ = [
     "COCO_SWEEP",
@@ -275,7 +275,7 @@ def map_report(dets: DetTable, gts: GTTable, thresholds=None) -> EvalReport:
             top = det_order[start:min(stop, start + MAX_DETS)]  # the group's MAX_DETS best
             start, stop = gt_runs.get(key, (0, 0))
             gt = gt_order[start:stop]
-            ious, is_crowd = corner_iou(dets.boxes[top], gts.boxes[gt]), gts.iscrowd[gt]
+            ious, is_crowd = pairwise_iou(dets.boxes[top], gts.boxes[gt]), gts.iscrowd[gt]
             group_flags.append(match(ious[:, ~is_crowd], ious[:, is_crowd], thresholds))
             order.append(top)
         # one stable score order across the class's images, for every threshold

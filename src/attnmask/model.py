@@ -17,9 +17,9 @@ detected in several classes is pooled and convolved once, and each of its
 detections reads its own class channel from that row's logits.
 
 Maps are (N, C, H, W): N = 1 for an image's pyramid, the regions in the
-mask head. Regions travel as (N, 4) center-form rows from the anchors to
-the pasted masks; `infer` makes each returned `Detection`'s corner `Box`
-from its row.
+mask head. Regions travel as (N, 4) corner rows (x1, y1, x2, y2) from the
+anchors to the pasted masks; `infer` makes each returned `Detection`'s
+`Box` from its row.
 
 Parameters live in nested dataclasses; named_params walks them in a
 fixed order so training and checkpointing are deterministic.
@@ -45,9 +45,7 @@ from .backbone import (
     init_conv,
     init_fpn,
 )
-from .boxes import (
-    AnchorConfig, Box, clip_boxes, corners, decode, generate_anchors, nms, stride_of,
-)
+from .boxes import AnchorConfig, Box, clip_boxes, decode, generate_anchors, nms, stride_of
 from .metrics import Detection
 from .roi_align import assign_level, bilinear_weights, roi_align
 from .tensor import (
@@ -249,7 +247,7 @@ def rpn_forward(model: Model, pyramid: dict[int, Tensor]) -> tuple[np.ndarray, T
 
 
 def extract_roi_features(pyramid: dict[int, Tensor], boxes: np.ndarray, resolution: int) -> Tensor:
-    """Pool (R, 4) center-form rows into (R, C, p, p), each region from the
+    """Pool (R, 4) corner rows into (R, C, p, p), each region from the
     pyramid level in P2-P5 that assign_level picks by its scale. Regions are
     pooled in one batch per level and returned in input order.
     """
@@ -318,7 +316,8 @@ def _refine(
     """Apply offsets (each component capped at +-10), clip to the image and
     drop results under MIN_SIZE on a side: the kept boxes and their rows."""
     refined, inside = clip_boxes(decode(boxes, np.clip(deltas, -10.0, 10.0)), width, height)
-    kept = np.flatnonzero(inside & (refined[:, 2] >= MIN_SIZE) & (refined[:, 3] >= MIN_SIZE))
+    sides = refined[:, 2:] - refined[:, :2]
+    kept = np.flatnonzero(inside & (sides >= MIN_SIZE).all(axis=1))
     return refined[kept], kept
 
 
@@ -331,7 +330,7 @@ def propose(
     post_nms: int,
 ) -> np.ndarray:
     """Decode and filter RPN outputs into at most post_nms proposals, as
-    (N, 4) center-form rows in descending score order: the pre_nms best
+    (N, 4) corner rows in descending score order: the pre_nms best
     anchors are refined, and NMS at RPN_NMS_IOU picks among them, stopping
     once it has kept post_nms. Both caps must be at least 1.
 
@@ -353,8 +352,8 @@ def propose(
 
 
 def paste_mask(probs: np.ndarray, boxes: np.ndarray, height: int, width: int) -> np.ndarray:
-    """Resample (R, m, m) mask grids over the pixels of their (R, 4)
-    center-form box rows and threshold them at 0.5: (R, height, width) bool.
+    """Resample (R, m, m) mask grids over the pixels of their (R, 4) corner
+    rows and threshold them at 0.5: (R, height, width) bool.
 
     The grid cell (i, j) is centered at box fraction ((i+0.5)/m, (j+0.5)/m);
     pixel centers inside the clipped box sample the grid bilinearly with
@@ -364,12 +363,12 @@ def paste_mask(probs: np.ndarray, boxes: np.ndarray, height: int, width: int) ->
     """
     m = probs.shape[-1]
     clipped, _ = clip_boxes(boxes, float(width), float(height))
-    x1, y1, _, _ = corners(boxes)
-    cx1, cy1, cx2, cy2 = (v[:, None] for v in corners(clipped))
+    x1, y1, x2, y2 = (v[:, None] for v in boxes.T)
+    cx1, cy1, cx2, cy2 = (v[:, None] for v in clipped.T)
     ys = np.arange(height) + 0.5
     xs = np.arange(width) + 0.5
-    wy = bilinear_weights(np.clip((ys - y1[:, None]) / boxes[:, 3:] * m, 0.5, m - 0.5), m)
-    wx = bilinear_weights(np.clip((xs - x1[:, None]) / boxes[:, 2:3] * m, 0.5, m - 0.5), m)
+    wy = bilinear_weights(np.clip((ys - y1) / (y2 - y1) * m, 0.5, m - 0.5), m)
+    wx = bilinear_weights(np.clip((xs - x1) / (x2 - x1) * m, 0.5, m - 0.5), m)
     inside_y = (ys >= cy1) & (ys <= cy2)
     inside_x = (xs >= cx1) & (xs <= cx2)
     return (wy @ probs @ wx.transpose(0, 2, 1) >= 0.5) & inside_y[:, :, None] & inside_x[:, None, :]
@@ -427,10 +426,9 @@ def infer(model: Model, image, image_id: int = 0, conf_threshold: float = 0.5) -
         feats = extract_roi_features(pyramid, chunk, model.cfg.mask_resolution)
         grids = mask_head_forward(model, feats, region[dets] - lo, classes[dets]).data
         masks[dets] = paste_mask(grids, refined[rows[dets]], height, width)
-    boxes = np.stack(corners(refined[rows]), axis=1).tolist()
     return [
-        InstancePrediction(Detection(image_id, k, Box(*box), score), mask)
-        for k, box, score, mask in zip(classes.tolist(), boxes, scores, masks)
+        InstancePrediction(Detection(image_id, k, Box(*row), score), mask)
+        for k, row, score, mask in zip(classes.tolist(), refined[rows].tolist(), scores, masks)
     ]
 
 

@@ -1,15 +1,15 @@
 """Quantization-free region feature extraction via bilinear sampling.
 
-Regions are (R, 4) center-form rows. A region's box is mapped into feature coordinates by dividing by the
-feature stride -- never rounded -- and split into a p x p grid of bins.
-Each bin is read at its four quarter points, every sample bilinearly
-interpolated from the four surrounding cells (cell centers sit at
-integer + 0.5, reads outside the map return 0), and the bin keeps the max
-of its four samples, the one pooling rule of the detector. The backward
-follows the first-winner tie rule used by the rest of the tensor core; the
-winner of each bin and the interpolation matrices are kept only when the
-map needs a gradient, so inside `no_grad` the forward computes the maxima
-alone.
+Regions are (R, 4) corner rows (x1, y1, x2, y2). A region's box is mapped
+into feature coordinates by dividing by the feature stride -- never
+rounded -- and split into a p x p grid of bins. Each bin is read at its
+four quarter points, every sample bilinearly interpolated from the four
+surrounding cells (cell centers sit at integer + 0.5, reads outside the
+map return 0), and the bin keeps the max of its four samples, the one
+pooling rule of the detector. The backward follows the first-winner tie
+rule used by the rest of the tensor core; the winner of each bin and the
+interpolation matrices are kept only when the map needs a gradient, so
+inside `no_grad` the forward computes the maxima alone.
 
 Bilinear sampling is separable. Along each axis a region's 2p quarter
 points read the map through a (2p, L) interpolation matrix over all L
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .boxes import corners
 from .tensor import Tensor, _accum, _map_shape
 
 __all__ = ["assign_level", "bilinear_weights", "roi_align"]
@@ -43,12 +42,13 @@ CHUNK = 16
 
 
 def assign_level(boxes: np.ndarray) -> np.ndarray:
-    """Route (R, 4) center-form rows to pyramid levels by their scale.
+    """Route (R, 4) corner rows to pyramid levels by their scale.
 
     level = clamp(floor(4 + log2(sqrt(area)/224)), 2, 5): a 224-pixel
     square lands on level 4, halving the extent drops one level.
     """
-    level = np.floor(4 + np.log2(np.sqrt(boxes[:, 2] * boxes[:, 3]) / 224.0))
+    w, h = (boxes[:, 2:] - boxes[:, :2]).T
+    level = np.floor(4 + np.log2(np.sqrt(w * h) / 224.0))
     return np.clip(level, 2, 5).astype(np.intp)
 
 
@@ -69,7 +69,7 @@ def bilinear_weights(coords: np.ndarray, n: int) -> np.ndarray:
 def roi_align(feature: Tensor, stride: float, boxes: np.ndarray, resolution: int) -> Tensor:
     """Pool p x p grids (p = resolution) from a (1, C, H, W) feature map.
 
-    boxes are (R, 4) center-form rows in image coordinates; stride converts
+    boxes are (R, 4) corner rows in image coordinates; stride converts
     them to feature coordinates. The result is (R, C, p, p) in row order.
     Rows carry no image index, so a map of N > 1 images is a ValueError.
     """
@@ -77,9 +77,9 @@ def roi_align(feature: Tensor, stride: float, boxes: np.ndarray, resolution: int
     if n != 1:
         raise ValueError(f"roi_align reads a (1,C,H,W) map, got shape {feature.shape}")
     p = resolution
-    x1, y1, _, _ = corners(boxes)
-    bw = boxes[:, 2] / stride / p
-    bh = boxes[:, 3] / stride / p
+    x1, y1, x2, y2 = boxes.T
+    bw = (x2 - x1) / stride / p
+    bh = (y2 - y1) / stride / p
     if not ((bw > 0) & (bh > 0)).all():
         raise ValueError("zero-area region")
 

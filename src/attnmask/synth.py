@@ -8,11 +8,12 @@ ownership, so every ground-truth mask is the exact visible region of its
 object and every ground-truth box is the tight bounding box of that
 mask. Fully occluded objects are dropped.
 
-Scenes hold (N, 4) float64 center-form box rows and (N,) int64 class ids,
-1-based indices into the spec's class tuple (0 is background in the
-detector heads); `to_ground_truth` makes the evaluator's corner rows of
-them. Placement tests plain (cx, cy, w, h) tuples in Python floats: an
-array op per try made generation a third slower.
+Scenes hold (N, 4) float64 corner box rows (x1, y1, x2, y2) and (N,)
+int64 class ids, 1-based indices into the spec's class tuple (0 is
+background in the detector heads); `to_ground_truth` hands both to the
+evaluator as they are. Shapes are placed and rasterized from plain
+(cx, cy, w, h) tuples in Python floats, shape parameters rather than
+boxes: an array op per placement try made generation a third slower.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import corners
 from .coco_io import GroundTruth
 from .metrics import GTTable, _spelled
 
@@ -87,7 +87,7 @@ class SynthSpec:
 
 @dataclass
 class Sample:
-    """One scene: 3xHxW image in [0,1], (N, 4) box rows, (N,) class ids, (N, H, W) masks."""
+    """One scene: 3xHxW image in [0,1], (N, 4) corner rows, (N,) class ids, (N, H, W) masks."""
 
     image: np.ndarray
     boxes: np.ndarray
@@ -107,14 +107,12 @@ class Sample:
 
 
 def tight_box(mask: np.ndarray) -> tuple[float, float, float, float]:
-    """The smallest pixel-aligned (cx, cy, w, h) row covering a non-empty binary mask."""
+    """The smallest pixel-aligned (x1, y1, x2, y2) row covering a non-empty binary mask."""
     rows = np.flatnonzero(mask.any(axis=1))
     cols = np.flatnonzero(mask.any(axis=0))
     if rows.size == 0:
         raise ValueError("empty mask has no bounding box")
-    x, y = float(cols[0]), float(rows[0])
-    w, h = float(cols[-1] - cols[0] + 1), float(rows[-1] - rows[0] + 1)
-    return (x + w / 2.0, y + h / 2.0, w, h)
+    return (float(cols[0]), float(rows[0]), float(cols[-1] + 1), float(rows[-1] + 1))
 
 
 def _pixel_centers(h: int, w: int):
@@ -247,7 +245,7 @@ def synth_dataset(spec: SynthSpec, seed: int, n: int) -> list[Sample]:
 def hflip(sample: Sample) -> Sample:
     """Mirror a scene left to right; boxes and masks move with the image."""
     boxes = sample.boxes.copy()
-    boxes[:, 0] = sample.image.shape[2] - boxes[:, 0]
+    boxes[:, [0, 2]] = sample.image.shape[2] - sample.boxes[:, [2, 0]]
     return Sample(
         image=sample.image[:, :, ::-1].copy(),
         boxes=boxes,
@@ -268,13 +266,12 @@ def dataset_hash(samples: list[Sample]) -> str:
 
 
 def to_ground_truth(samples: list[Sample], classes: tuple[str, ...]) -> GroundTruth:
-    """Express a dataset in the evaluator's ground-truth form (ids = index),
-    each box the corners of its row."""
+    """Express a dataset in the evaluator's ground-truth form (ids = index)."""
     rows = np.concatenate([np.zeros((0, 4))] + [s.boxes for s in samples])
     records = GTTable(
         image_id=np.repeat(np.arange(len(samples), dtype=np.int64), [len(s.boxes) for s in samples]),
         class_id=np.concatenate([np.zeros(0, dtype=np.int64)] + [s.class_ids for s in samples]),
-        boxes=np.stack(corners(rows), axis=1),
+        boxes=rows,
         iscrowd=np.zeros(len(rows), dtype=bool),
     )
     images = {img_id: (s.image.shape[2], s.image.shape[1]) for img_id, s in enumerate(samples)}

@@ -14,6 +14,9 @@ cross entropy over positive regions, from one mask-head call per image.
 Region proposals are treated as constants: no gradient flows through
 their coordinates, and the scene's box rows are appended to the proposal
 set so the region heads always see positives once the dataset has them.
+Anchors, proposals and scene boxes are all (N, 4) corner rows; regions
+are labelled by one `pairwise_iou` of them, and `encode` alone reads
+their centers for the offset targets.
 
 Every consumed random draw comes from one seeded generator in a fixed
 order, so a rerun with the same (model seed, data, config) reproduces
@@ -29,7 +32,7 @@ from decimal import Decimal
 
 import numpy as np
 
-from .boxes import clip_boxes, corners, encode, pairwise_iou
+from .boxes import clip_boxes, encode, pairwise_iou
 from .losses import (
     assign_anchor_labels,
     cls_loss,
@@ -154,14 +157,14 @@ class TrainResult:
 
 
 def mask_target_grid(masks: np.ndarray, boxes: np.ndarray, m: int) -> np.ndarray:
-    """(R, m, m) binary targets of (R, H, W) masks over their (R, 4)
-    center-form box rows: each mask's value at each grid cell center of its
-    box (nearest pixel; cells outside the image read 0)."""
+    """(R, m, m) binary targets of (R, H, W) masks over their (R, 4) corner
+    rows: each mask's value at each grid cell center of its box (nearest
+    pixel; cells outside the image read 0)."""
     _, h, w = masks.shape
-    x1, y1, _, _ = corners(boxes)
+    x1, y1, x2, y2 = (v[:, None] for v in boxes.T)
     frac = (np.arange(m) + 0.5) / m
-    r = np.floor(y1[:, None] + frac * boxes[:, 3:]).astype(int)
-    c = np.floor(x1[:, None] + frac * boxes[:, 2:3]).astype(int)
+    r = np.floor(y1 + frac * (y2 - y1)).astype(int)
+    c = np.floor(x1 + frac * (x2 - x1)).astype(int)
     valid = ((r >= 0) & (r < h))[:, :, None] & ((c >= 0) & (c < w))[:, None, :]
     rows = np.arange(len(masks))[:, None, None]
     grid = masks[rows, np.clip(r, 0, h - 1)[:, :, None], np.clip(c, 0, w - 1)[:, None, :]]

@@ -41,6 +41,33 @@ def nms_per_label_bruteforce(boxes_xyxy, scores, iou_threshold, labels):
     return sorted(kept, key=lambda i: (-scores[i], i))
 
 
+def anchor_labels_reference(anchors_xyxy, gts_xyxy, pos_iou=0.7, neg_iou=0.3):
+    """Anchor labels (1 positive, 0 negative, -1 ignore) and matched
+    ground-truth indices (-1 unless positive), one anchor at a time.
+
+    An anchor is positive when its best IoU reaches pos_iou, or when some
+    ground-truth box overlaps no anchor more than it (ties included, zero
+    overlap never); it is then matched to the first box of its best IoU.
+    Otherwise it is negative at a best IoU of at most neg_iou, else ignored.
+    With no ground truth every anchor is negative.
+    """
+    if not gts_xyxy:
+        return [0] * len(anchors_xyxy), [-1] * len(anchors_xyxy)
+    ious = [[iou_xyxy(a, g) for g in gts_xyxy] for a in anchors_xyxy]
+    tops = [max(row[j] for row in ious) for j in range(len(gts_xyxy))]
+    labels, matched = [], []
+    for row in ious:
+        best = max(row)
+        rescued = any(top > 0 and row[j] == top for j, top in enumerate(tops))
+        if best >= pos_iou or rescued:
+            labels.append(1)
+            matched.append(row.index(best))
+        else:
+            labels.append(0 if best <= neg_iou else -1)
+            matched.append(-1)
+    return labels, matched
+
+
 def detections_per_class(probs, boxes_xyxy, conf_threshold, iou_threshold):
     """Per-class detection NMS: for each foreground class k (column k > 0 of
     the (R, K+1) probs), the rows scoring at least conf_threshold go through
@@ -89,7 +116,7 @@ def roi_align_dense(feature, stride, box_xyxy, resolution):
     return out
 
 
-def paste_mask_reference(probs, box_cxcywh, height, width):
+def paste_mask_reference(probs, box_xyxy, height, width):
     """Paste one m x m grid into a height x width canvas, pixel by pixel.
 
     Grid cell (i, j) is centered at box fraction ((i+0.5)/m, (j+0.5)/m).
@@ -97,8 +124,8 @@ def paste_mask_reference(probs, box_cxcywh, height, width):
     and the grid, bilinearly interpolated there with its coordinates
     clamped to the outermost cell centers, reaches 0.5.
     """
-    cx, cy, w, h = box_cxcywh
-    x1, y1, x2, y2 = cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0
+    x1, y1, x2, y2 = box_xyxy
+    w, h = x2 - x1, y2 - y1
     left, top = max(x1, 0.0), max(y1, 0.0)
     right, bottom = min(x2, float(width)), min(y2, float(height))
     m = probs.shape[0]

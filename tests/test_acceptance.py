@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from attnmask.attention import GATES, AttentionConfig, apply_attention, make_attention
-from attnmask.boxes import AnchorConfig, Box, box_array, corners, decode, encode, generate_anchors, iou, nms
+from attnmask.boxes import AnchorConfig, Box, box_array, decode, encode, generate_anchors, iou, nms
 from attnmask.checks import run_checks
 from attnmask.cli import _self_evaluate, cli
 from attnmask.losses import cls_loss, mask_loss, reg_loss, total_loss
@@ -99,17 +99,16 @@ def test_criterion_03_geometry_oracles(capsys):
         n = int(rng.integers(1, 201))
         coco = np.column_stack([rng.uniform(0, 80, (n, 2)), rng.uniform(1, 40, (n, 2))])
         scores = np.round(rng.uniform(0, 1, n), 2)
-        boxes = np.column_stack([coco[:, :2] + coco[:, 2:] / 2.0, coco[:, 2:]])
+        boxes = np.column_stack([coco[:, :2], coco[:, :2] + coco[:, 2:]])
         thr = float(rng.uniform(0.2, 0.7))
         got = nms(boxes, scores, thr)
-        want = nms_bruteforce(np.stack(corners(boxes), axis=1).tolist(), scores, thr,
-                              score_threshold=0.0)
+        want = nms_bruteforce(boxes.tolist(), scores, thr, score_threshold=0.0)
         nms_agree = nms_agree and got == want
 
     round_err = 0.0
     for _ in range(200):
-        a, t = (np.array([[rng.uniform(5, 50), rng.uniform(5, 50), rng.uniform(1, 30), rng.uniform(1, 30)]])
-                for _ in range(2))
+        a, t = ([rng.uniform(5, 50), rng.uniform(5, 50), rng.uniform(1, 30), rng.uniform(1, 30)] for _ in range(2))
+        a, t = (np.array([[x, y, x + w, y + h]]) for x, y, w, h in (a, t))
         back = decode(a, encode(a, t))
         round_err = max(round_err, (np.abs(back - t) / np.maximum(1.0, np.abs(t))).max())
 
@@ -120,8 +119,8 @@ def test_criterion_03_geometry_oracles(capsys):
     count_ok = len(anchors) == 3 * (4 * 6 + 2 * 3)
     levels = [2] * (3 * 4 * 6) + [3] * (3 * 2 * 3)
     area_err = max(
-        abs(w * h - cfg.scale_for(lvl) ** 2) / cfg.scale_for(lvl) ** 2
-        for (_, _, w, h), lvl in zip(anchors, levels)
+        abs((x2 - x1) * (y2 - y1) - cfg.scale_for(lvl) ** 2) / cfg.scale_for(lvl) ** 2
+        for (x1, y1, x2, y2), lvl in zip(anchors, levels)
     )
     ok = nms_agree and round_err < 1e-9 and iou_err <= 1e-12 and count_ok and area_err <= 1e-6
     _verdict(capsys, 3, "geometry oracles", ok,
@@ -130,7 +129,7 @@ def test_criterion_03_geometry_oracles(capsys):
 
 
 def test_criterion_04_roi_align(capsys):
-    const = roi_align(Tensor(np.full((1, 2, 8, 8), 2.5)), 4.0, np.array([[12.0, 12.0, 16.0, 16.0]]), 3)
+    const = roi_align(Tensor(np.full((1, 2, 8, 8), 2.5)), 4.0, np.array([[4.0, 4.0, 20.0, 20.0]]), 3)
     const_err = np.abs(const.data - 2.5).max()
 
     rng = np.random.default_rng(11)
@@ -138,9 +137,10 @@ def test_criterion_04_roi_align(capsys):
     worst = 0.0
     for _ in range(200):
         res = int(rng.integers(2, 5))
-        box = np.array([[rng.uniform(4, 28), rng.uniform(4, 28), rng.uniform(2, 20), rng.uniform(2, 20)]])
+        x, y, w, h = rng.uniform(4, 28), rng.uniform(4, 28), rng.uniform(2, 20), rng.uniform(2, 20)
+        box = np.array([[x, y, x + w, y + h]])
         got = roi_align(Tensor(feat), 4.0, box, res).data[0]
-        want = roi_align_dense(feat[0], 4.0, [c[0] for c in corners(box)], res)
+        want = roi_align_dense(feat[0], 4.0, box[0].tolist(), res)
         worst = max(worst, np.abs(got - want).max())
 
     grads = run_checks("roialign", seeds=5)

@@ -13,10 +13,7 @@ from attnmask.boxes import (
     AnchorConfig,
     Box,
     box_array,
-    center_rows,
     clip_boxes,
-    corner_iou,
-    corners,
     decode,
     encode,
     generate_anchors,
@@ -28,21 +25,22 @@ from oracles import iou_xyxy, nms_bruteforce, nms_per_label_bruteforce
 
 
 def test_box_forms_roundtrip():
-    rows = center_rows(2.0, 3.0, 10.0, 7.0)
-    assert rows.tolist() == [[6.0, 5.0, 8.0, 4.0]]
-    assert [c.tolist() for c in corners(rows)] == [[2.0], [3.0], [10.0], [7.0]]
+    # encode and decode read the center (6, 5) and extents (8, 4) of the
+    # corner row (2, 3, 10, 7); zero offsets give the row back exactly
+    rows = np.array([[2.0, 3.0, 10.0, 7.0]])
+    assert encode(rows, np.array([[4.0, 4.0, 12.0, 6.0]])).tolist() == [[0.25, 0.0, 0.0, math.log(0.5)]]
+    assert decode(rows, np.zeros((1, 4))).tolist() == rows.tolist()
 
 
 def test_clip_inside_and_outside():
-    rows = center_rows(*np.array([[-5.0, -5.0, 5.0, 5.0], [30.0, 30.0, 40.0, 40.0]]).T)
+    rows = np.array([[-5.0, -5.0, 5.0, 5.0], [30.0, 30.0, 40.0, 40.0]])
     clipped, inside = clip_boxes(rows, 20.0, 20.0)
-    assert [c[0] for c in corners(clipped)] == [0.0, 0.0, 5.0, 5.0]
+    assert clipped[0].tolist() == [0.0, 0.0, 5.0, 5.0]
     assert inside.tolist() == [True, False]  # the second lies entirely outside
     # one row past the far edge, one crossing it
-    clipped, inside = clip_boxes(np.array([[100.0, 8.0, 4.0, 4.0], [63.0, 8.0, 6.0, 4.0]]), 64.0, 64.0)
+    clipped, inside = clip_boxes(np.array([[98.0, 6.0, 102.0, 10.0], [60.0, 6.0, 66.0, 10.0]]), 64.0, 64.0)
     assert inside.tolist() == [False, True]
-    x1, _, x2, _ = corners(clipped)
-    assert (x1[1], x2[1]) == (60.0, 64.0)
+    assert clipped[1].tolist() == [60.0, 6.0, 64.0, 10.0]
 
 
 def test_iou_fixture_one_seventh():
@@ -56,22 +54,22 @@ def test_iou_fixture_one_seventh():
 def test_encode_decode_roundtrip():
     rng = np.random.default_rng(0)
     for _ in range(200):
-        a, t = (np.array([[rng.uniform(5, 50), rng.uniform(5, 50), rng.uniform(1, 30), rng.uniform(1, 30)]])
-                for _ in range(2))
+        a, t = ([rng.uniform(5, 50), rng.uniform(5, 50), rng.uniform(1, 30), rng.uniform(1, 30)] for _ in range(2))
+        a, t = (np.array([[x, y, x + w, y + h]]) for x, y, w, h in (a, t))
         back = decode(a, encode(a, t))
         assert (np.abs(back - t) <= 1e-9 * np.maximum(1.0, np.abs(t))).all()
 
 
 def test_identity_delta_is_zero():
-    b = np.array([[10.0, 20.0, 8.0, 6.0]])
+    b = np.array([[6.0, 17.0, 14.0, 23.0]])
     assert encode(b, b).tolist() == [[0.0, 0.0, 0.0, 0.0]]
 
 
 def test_decode_caps_log_extents():
-    b = np.array([[0.0, 0.0, 2.0, 2.0]])
+    b = np.array([[-1.0, -1.0, 1.0, 1.0]])
     huge = decode(b, np.array([[0.0, 0.0, 50.0, -50.0]]))[0]
-    assert huge[2] == pytest.approx(2.0 * math.exp(LOG_EXTENT_CAP))
-    assert huge[3] == pytest.approx(2.0 * math.exp(-LOG_EXTENT_CAP))
+    assert huge[2] - huge[0] == pytest.approx(2.0 * math.exp(LOG_EXTENT_CAP))
+    assert huge[3] - huge[1] == pytest.approx(2.0 * math.exp(-LOG_EXTENT_CAP))
 
 
 def test_generate_anchors_count_and_order():
@@ -79,14 +77,15 @@ def test_generate_anchors_count_and_order():
     shapes = {2: (3, 4), 3: (2, 2)}
     anchors = generate_anchors(shapes, cfg)
     assert len(anchors) == 3 * (3 * 4 + 2 * 2)
+    centers = (anchors[:, :2] + anchors[:, 2:]) / 2.0
+    areas = np.prod(anchors[:, 2:] - anchors[:, :2], axis=1)
     # one row per anchor: the three ratios of a cell, then the next column
-    assert (anchors[:3, :2] == anchors[0, :2]).all()
-    assert anchors[3, 0] == anchors[0, 0] + 4.0 and anchors[3, 1] == anchors[0, 1]
+    assert centers[:3] == pytest.approx(np.tile(centers[0], (3, 1)))
+    assert centers[3] == pytest.approx(centers[0] + [4.0, 0.0])
     # ascending level, then row-major cells, then ratios
-    assert anchors[0, 2] * anchors[0, 3] == pytest.approx(cfg.scale_for(2) ** 2)
-    assert anchors[3 * 12, 2] * anchors[3 * 12, 3] == pytest.approx(cfg.scale_for(3) ** 2)
-    first = anchors[0]
-    assert (first[0], first[1]) == (0.5 * 4, 0.5 * 4)  # stride 4 at level 2
+    assert areas[0] == pytest.approx(cfg.scale_for(2) ** 2)
+    assert areas[3 * 12] == pytest.approx(cfg.scale_for(3) ** 2)
+    assert centers[0] == pytest.approx([0.5 * 4, 0.5 * 4])  # stride 4 at level 2
 
 
 def test_anchor_areas_equal_scale_squared():
@@ -94,7 +93,8 @@ def test_anchor_areas_equal_scale_squared():
     anchors = generate_anchors({3: (2, 3), 5: (1, 1)}, cfg)
     assert len(anchors) == 5 * (6 + 1)
     levels = [3] * (5 * 6) + [5] * 5
-    for (_, _, w, h), level in zip(anchors, levels):
+    for (x1, y1, x2, y2), level in zip(anchors, levels):
+        w, h = x2 - x1, y2 - y1
         scale = cfg.scale_for(level)
         assert abs(w * h - scale * scale) <= 1e-6 * scale * scale
         want_ratio = h / w
@@ -115,26 +115,26 @@ def test_anchor_config_validation():
 
 def test_nms_hand_case():
     boxes = [
-        (5, 5, 10, 10),  # kept: highest score
-        (6, 6, 10, 10),  # suppressed by the first box
-        (35, 35, 10, 10),  # kept: disjoint
-        (5, 5, 10, 10),  # suppressed: a duplicate of the first box
+        (0, 0, 10, 10),  # kept: highest score
+        (1, 1, 11, 11),  # suppressed by the first box
+        (30, 30, 40, 40),  # kept: disjoint
+        (0, 0, 10, 10),  # suppressed: a duplicate of the first box
     ]
     kept = nms(boxes, [0.9, 0.8, 0.7, 0.2], iou_threshold=0.5)
     assert kept == [0, 2]
 
 
 def test_nms_score_tie_prefers_lower_index():
-    boxes = [(5, 5, 10, 10), (5, 5, 10, 10)]
+    boxes = [(0, 0, 10, 10), (0, 0, 10, 10)]
     assert nms(boxes, [0.9, 0.9], iou_threshold=0.5) == [0]
 
 
 def test_nms_empty_and_length_mismatch():
     assert nms([], [], 0.5) == []
     with pytest.raises(ValueError):
-        nms([(1, 1, 1, 1)], [0.5, 0.6], 0.5)
+        nms([(0.5, 0.5, 1.5, 1.5)], [0.5, 0.6], 0.5)
     with pytest.raises(ValueError, match="labels must have equal length"):
-        nms([(1, 1, 1, 1)] * 2, [0.5, 0.6], 0.5, labels=[0])
+        nms([(0.5, 0.5, 1.5, 1.5)] * 2, [0.5, 0.6], 0.5, labels=[0])
 
 
 @pytest.mark.parametrize(
@@ -149,13 +149,13 @@ def test_nms_empty_and_length_mismatch():
     ids=["nan-threshold", "negative-threshold", "threshold-above-one", "zero-cap", "negative-cap"],
 )
 def test_nms_rejects_bad_threshold_and_cap(kwargs, message):
-    boxes = [(5.0, 5.0, 4.0, 4.0), (5.0, 5.0, 4.0, 4.0)]
+    boxes = [(3.0, 3.0, 7.0, 7.0), (3.0, 3.0, 7.0, 7.0)]
     with pytest.raises(ValueError, match=message):
         nms(boxes, [0.9, 0.8], **kwargs)
 
 
 def test_nms_threshold_bounds_are_valid():
-    boxes = [(5.0, 5.0, 4.0, 4.0), (5.0, 5.0, 4.0, 4.0), (20.0, 5.0, 4.0, 4.0)]
+    boxes = [(3.0, 3.0, 7.0, 7.0), (3.0, 3.0, 7.0, 7.0), (18.0, 3.0, 22.0, 7.0)]
     # at 0 any overlap suppresses; at 1 even identical boxes survive
     assert nms(boxes, [0.9, 0.8, 0.7], 0.0) == [0, 2]
     assert nms(boxes, [0.9, 0.8, 0.7], 1.0) == [0, 1, 2]
@@ -170,11 +170,10 @@ def test_nms_matches_bruteforce_500_instances():
         w = rng.uniform(1, 40, n)
         h = rng.uniform(1, 40, n)
         scores = np.round(rng.uniform(0, 1, n), 2)  # rounding forces ties
-        boxes = np.column_stack([x1 + w / 2.0, y1 + h / 2.0, w, h])
-        xyxy = np.stack(corners(boxes), axis=1).tolist()
+        boxes = np.column_stack([x1, y1, x1 + w, y1 + h])
         thr = float(rng.uniform(0.2, 0.7))
         got = nms(boxes, scores, thr)
-        want = nms_bruteforce(xyxy, scores, thr, score_threshold=0.0)
+        want = nms_bruteforce(boxes.tolist(), scores, thr, score_threshold=0.0)
         assert got == want, f"case {case}: {got} != {want}"
 
 
@@ -189,13 +188,10 @@ _boxes = st.lists(st.builds(lambda x, y, w, h: Box(x, y, x + w, y + h), _coord, 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(_boxes, _boxes)
 def test_iou_forms_agree(a, b):
-    # the corner forms run one rule: the oracle's, bit for bit
+    # the row array and the record run one rule: the oracle's, bit for bit
     want = [[iou_xyxy(x, y) for y in b] for x in a]
-    assert corner_iou(box_array(a), box_array(b)).tolist() == want
+    assert pairwise_iou(box_array(a), box_array(b)).tolist() == want
     assert [[iou(x, y) for y in b] for x in a] == want
-    # center rows round their corners and w*h areas
-    rows_a, rows_b = (center_rows(*box_array(boxes).T) for boxes in (a, b))
-    np.testing.assert_allclose(pairwise_iou(rows_a, rows_b), want, rtol=0, atol=1e-9)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -211,13 +207,12 @@ def test_array_nms_matches_bruteforce_with_ties(n, seed, grid, thr, k):
     # coarse grids repeat boxes; two-decimal scores repeat scores
     xy = np.round(rng.uniform(0, 60, (n, 2)) / grid) * grid
     wh = np.round(rng.uniform(grid, 30, (n, 2)) / grid) * grid
-    rows = np.column_stack([xy + wh / 2.0, wh])
+    rows = np.column_stack([xy, xy + wh])
     scores = np.round(rng.uniform(0, 1, n), 2)
     boxes = rows.tolist()
     labels = rng.integers(0, 3, n)
-    xyxy = np.stack(corners(rows), axis=1).tolist()
-    want = nms_bruteforce(xyxy, scores, thr, 0.0)
-    want_labelled = nms_per_label_bruteforce(xyxy, scores, thr, labels.tolist())
+    want = nms_bruteforce(boxes, scores, thr, 0.0)
+    want_labelled = nms_per_label_bruteforce(boxes, scores, thr, labels.tolist())
     assert nms(rows, scores, thr) == want
     assert nms(boxes, scores, thr) == want
     assert nms(rows, scores, thr, labels=labels) == want_labelled

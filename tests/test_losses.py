@@ -10,6 +10,7 @@ from attnmask.losses import (
     EPS,
     IGNORE,
     NEGATIVE,
+    POS_IOU,
     POSITIVE,
     assign_anchor_labels,
     cls_loss,
@@ -20,6 +21,7 @@ from attnmask.losses import (
     total_loss,
 )
 from attnmask.tensor import Tensor, clamp, grad_check, log, log_softmax
+from oracles import anchor_labels_reference, iou_xyxy
 
 
 def _cls(p: float, y: float) -> float:
@@ -225,13 +227,13 @@ def test_loss_gradients(seed):
 
 
 def test_assignment_thresholds_and_ignore_band():
-    gt = [(10.0, 10.0, 10.0, 10.0)]
+    gt = [(5.0, 5.0, 15.0, 15.0)]
     anchors = [
-        (10.0, 10.0, 10.0, 10.0),  # IoU 1.0 -> positive
-        (11.0, 10.0, 10.0, 10.0),  # IoU ~0.82 -> positive
-        (16.0, 10.0, 10.0, 10.0),  # IoU 0.25 -> negative
-        (10.0, 14.0, 10.0, 12.0),  # IoU ~0.47: the ignore band
-        (80.0, 80.0, 10.0, 10.0),  # IoU 0 -> negative
+        (5.0, 5.0, 15.0, 15.0),  # IoU 1.0 -> positive
+        (6.0, 5.0, 16.0, 15.0),  # IoU ~0.82 -> positive
+        (11.0, 5.0, 21.0, 15.0),  # IoU 0.25 -> negative
+        (5.0, 8.0, 15.0, 20.0),  # IoU ~0.47: the ignore band
+        (75.0, 75.0, 85.0, 85.0),  # IoU 0 -> negative
     ]
     out = assign_anchor_labels(box_array(anchors), box_array(gt), np.random.default_rng(0))
     assert out.labels[0] == POSITIVE
@@ -243,12 +245,20 @@ def test_assignment_thresholds_and_ignore_band():
     assert out.matched_gt[4] == -1
 
 
+def test_assignment_bounds_are_inclusive():
+    # IoUs of exactly NEG_IOU and POS_IOU: 30/100 and 70/100 in float
+    gt = [(0.0, 0.0, 10.0, 10.0)]
+    anchors = [(0.0, 0.0, 10.0, 10.0), (0.0, 0.0, 10.0, 3.0), (0.0, 0.0, 10.0, 7.0)]
+    out = assign_anchor_labels(box_array(anchors), box_array(gt), np.random.default_rng(0))
+    assert out.labels.tolist() == [POSITIVE, NEGATIVE, POSITIVE]
+
+
 def test_assignment_rescue_low_iou_argmax():
     # nothing reaches 0.7, but the best anchor per box is still positive
-    gt = [(10.0, 10.0, 8.0, 8.0)]
+    gt = [(6.0, 6.0, 14.0, 14.0)]
     anchors = [
-        (17.0, 10.0, 8.0, 8.0),  # IoU ~0.067, the best available
-        (40.0, 40.0, 8.0, 8.0),  # zero overlap
+        (13.0, 6.0, 21.0, 14.0),  # IoU ~0.067, the best available
+        (36.0, 36.0, 44.0, 44.0),  # zero overlap
     ]
     out = assign_anchor_labels(box_array(anchors), box_array(gt), np.random.default_rng(0))
     assert out.labels[0] == POSITIVE
@@ -257,11 +267,11 @@ def test_assignment_rescue_low_iou_argmax():
 
 
 def test_assignment_rescue_includes_ties_but_never_zero_iou():
-    gt = [(10.0, 10.0, 8.0, 8.0), (100.0, 100.0, 8.0, 8.0)]
+    gt = [(6.0, 6.0, 14.0, 14.0), (96.0, 96.0, 104.0, 104.0)]
     anchors = [
-        (16.0, 10.0, 8.0, 8.0),  # ties with the next for box 0
-        (4.0, 10.0, 8.0, 8.0),
-        (50.0, 50.0, 8.0, 8.0),  # zero IoU with both boxes
+        (12.0, 6.0, 20.0, 14.0),  # ties with the next for box 0
+        (0.0, 6.0, 8.0, 14.0),
+        (46.0, 46.0, 54.0, 54.0),  # zero IoU with both boxes
     ]
     out = assign_anchor_labels(box_array(anchors), box_array(gt), np.random.default_rng(0))
     assert out.labels[0] == POSITIVE and out.labels[1] == POSITIVE
@@ -269,8 +279,34 @@ def test_assignment_rescue_includes_ties_but_never_zero_iou():
     assert out.labels[2] == NEGATIVE
 
 
+def _grid_rows(rng, n):
+    """n corner rows with small integer corners: repeated boxes and equal
+    overlaps are common."""
+    xy = rng.integers(0, 8, (n, 2))
+    return np.column_stack([xy, xy + rng.integers(2, 5, (n, 2))]).astype(np.float64)
+
+
+def test_assignment_equals_bruteforce_oracle():
+    # the IoUs are the oracle's bit for bit, so labels and matches agree
+    # exactly, also where several anchors tie as a box's best overlap
+    rng = np.random.default_rng(19)
+    tied_rescues = 0
+    for case in range(300):
+        anchors, gt = _grid_rows(rng, int(rng.integers(1, 40))), _grid_rows(rng, int(rng.integers(0, 5)))
+        labels, matched = anchor_labels_reference(anchors.tolist(), gt.tolist())
+        out = assign_anchor_labels(anchors, gt, np.random.default_rng(case))
+        assert out.labels.tolist() == labels, f"case {case}"
+        assert out.matched_gt.tolist() == matched, f"case {case}"
+        if len(gt):
+            ious = np.array([[iou_xyxy(a, g) for g in gt.tolist()] for a in anchors.tolist()])
+            top = ious.max(axis=0)
+            tied = ((ious == top) & (top > 0)).sum(axis=0) > 1
+            tied_rescues += int((tied & (top < POS_IOU)).sum())
+    assert tied_rescues > 40
+
+
 def test_assignment_no_gt_all_negative():
-    anchors = [(5.0, 5.0, 4.0, 4.0) for _ in range(6)]
+    anchors = [(3.0, 3.0, 7.0, 7.0) for _ in range(6)]
     out = assign_anchor_labels(box_array(anchors), np.zeros((0, 4)), np.random.default_rng(0))
     assert (out.labels == NEGATIVE).all()
     assert out.sampled_pos.size == 0
@@ -279,10 +315,10 @@ def test_assignment_no_gt_all_negative():
 
 def test_minibatch_caps_and_composition():
     rng = np.random.default_rng(3)
-    gt = [(32.0, 32.0, 16.0, 16.0)]
+    gt = [(24.0, 24.0, 40.0, 40.0)]
     # a dense grid produces plenty of positives and negatives
     anchors = [
-        (32.0 + dx, 32.0 + dy, 16.0, 16.0)
+        (24.0 + dx, 24.0 + dy, 40.0 + dx, 40.0 + dy)
         for dx in np.linspace(-24, 24, 16)
         for dy in np.linspace(-24, 24, 16)
     ]
@@ -295,9 +331,9 @@ def test_minibatch_caps_and_composition():
 
 
 def test_minibatch_sampling_is_seeded():
-    gt = [(32.0, 32.0, 16.0, 16.0)]
+    gt = [(24.0, 24.0, 40.0, 40.0)]
     anchors = [
-        (32.0 + dx, 32.0 + dy, 16.0, 16.0)
+        (24.0 + dx, 24.0 + dy, 40.0 + dx, 40.0 + dy)
         for dx in range(-8, 9, 2)
         for dy in range(-8, 9, 2)
     ]
@@ -322,8 +358,8 @@ def test_sample_minibatch_pins_seeded_draws():
 
 
 def test_positive_targets_encode_against_matched_box():
-    gt = [(12.0, 10.0, 10.0, 10.0)]
-    anchors = [(10.0, 10.0, 10.0, 10.0)]
+    gt = [(7.0, 5.0, 17.0, 15.0)]
+    anchors = [(5.0, 5.0, 15.0, 15.0)]
     out = assign_anchor_labels(box_array(anchors), box_array(gt), np.random.default_rng(0))
     gi = out.matched_gt[0]
     tx, _, tw, _ = encode(box_array(anchors), box_array(gt)[[gi]])[0]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from attnmask import metrics
-from attnmask.boxes import Box, box_array, corner_iou
+from attnmask.boxes import Box, box_array, pairwise_iou
 from attnmask.metrics import (
     COCO_SWEEP,
     CROWD_IGNORED,
@@ -103,7 +103,7 @@ def test_det_table_scores_are_finite_and_in_unit_range(score):
 def _overlaps(boxes, gts):
     """match's two matrices for one group: the IoUs of boxes, listed in
     score order, with its real boxes and with its crowd regions."""
-    ious = corner_iou(box_array(boxes), box_array([g.box for g in gts]))
+    ious = pairwise_iou(box_array(boxes), box_array([g.box for g in gts]))
     crowd = np.array([g.iscrowd for g in gts], dtype=bool)
     return ious[:, ~crowd], ious[:, crowd]
 
@@ -415,13 +415,13 @@ def test_one_multi_threshold_call_matches_reference_200_instances():
 
 def test_iou_calls_do_not_grow_with_thresholds(monkeypatch):
     # one IoU matrix per scored group, whatever the number of thresholds
-    real_corner_iou, calls = metrics.corner_iou, []
+    real_pairwise_iou, calls = metrics.pairwise_iou, []
 
-    def counting_corner_iou(a, b):
+    def counting_pairwise_iou(a, b):
         calls.append(1)
-        return real_corner_iou(a, b)
+        return real_pairwise_iou(a, b)
 
-    monkeypatch.setattr(metrics, "corner_iou", counting_corner_iou)
+    monkeypatch.setattr(metrics, "pairwise_iou", counting_pairwise_iou)
     gts, dets, _, _ = _random_case(np.random.default_rng(3), 6)
     classes = {g.class_id for g in gts if not g.iscrowd}
     scored = {(r.class_id, r.image_id) for r in gts + dets if r.class_id in classes}

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from attnmask import model as model_mod
 from attnmask.backbone import StageConfig
-from attnmask.boxes import Box, box_array, center_rows, corners, generate_anchors, nms, stride_of
+from attnmask.boxes import Box, box_array, generate_anchors, nms, stride_of
 from attnmask.model import (
     DET_NMS_IOU,
     MASK_CHUNK,
@@ -112,9 +112,9 @@ def test_rpn_flatten_order_matches_anchor_order():
     np.testing.assert_array_equal(anchors, generate_anchors(shapes, model.cfg.anchors))
     assert scores.shape == (len(level_of),) and offsets.shape == (len(level_of), 4)
 
-    for n, ((cx, cy, _, _), lvl) in enumerate(zip(anchors, level_of)):
-        row = int(cy / stride_of(lvl) - 0.5)
-        col = int(cx / stride_of(lvl) - 0.5)
+    for n, ((x1, y1, x2, y2), lvl) in enumerate(zip(anchors, level_of)):
+        row = round((y1 + y2) / 2.0 / stride_of(lvl) - 0.5)
+        col = round((x1 + x2) / 2.0 / stride_of(lvl) - 0.5)
         assert scores.data[n] == pytest.approx(1.0 / (1.0 + np.exp(-pyramid[lvl].data[0, 0, row, col])))
 
 
@@ -143,20 +143,20 @@ def test_propose_respects_caps_and_bounds():
     anchors, scores, offsets = rpn_forward(model, pyramid_forward(model, x))
     props = propose(anchors, scores, offsets, (64, 64), pre_nms=300, post_nms=12)
     assert 0 < len(props) <= 12
-    x1, y1, x2, y2 = corners(props)
+    x1, y1, x2, y2 = props.T
     assert ((0.0 <= x1) & (x1 <= x2) & (x2 <= 64.0)).all()
     assert ((0.0 <= y1) & (y1 <= y2) & (y2 <= 64.0)).all()
-    assert (props[:, 2:] >= MIN_SIZE).all()
+    assert (props[:, 2:] - props[:, :2] >= MIN_SIZE).all()
 
     # the minimum side is 1 px: shrunk to 8*e^-3 = 0.40 px the best anchor
     # is dropped, at 8*e^-2 = 1.08 px the next one stays
-    anchors = np.array([[10.0, 10.0, 8.0, 8.0], [30.0, 30.0, 8.0, 8.0], [50.0, 50.0, 8.0, 8.0]])
+    anchors = np.array([[6.0, 6.0, 14.0, 14.0], [26.0, 26.0, 34.0, 34.0], [46.0, 46.0, 54.0, 54.0]])
     scores = Tensor(np.array([0.9, 0.8, 0.7]))
     reg = Tensor(np.array([[0.0, 0.0, -3.0, -3.0], [0.0, 0.0, -2.0, -2.0], [0.0, 0.0, 0.0, 0.0]]))
     props = propose(anchors, scores, reg, (64, 64), pre_nms=3, post_nms=3)
     assert MIN_SIZE == 1.0
-    assert props[:, :2].tolist() == [[30.0, 30.0], [50.0, 50.0]]
-    assert props[0, 2] == pytest.approx(8.0 * np.exp(-2.0))
+    assert (props[:, :2] + props[:, 2:]) / 2.0 == pytest.approx(np.array([[30.0, 30.0], [50.0, 50.0]]))
+    assert props[0, 2] - props[0, 0] == pytest.approx(8.0 * np.exp(-2.0))
 
 
 def test_propose_cap_keeps_the_uncapped_prefix():
@@ -173,7 +173,7 @@ def test_propose_cap_keeps_the_uncapped_prefix():
 @pytest.mark.parametrize("caps", [{"pre_nms": 0}, {"pre_nms": -1}, {"post_nms": 0}, {"post_nms": -1}],
                          ids=["zero-pre", "negative-pre", "zero-post", "negative-post"])
 def test_propose_rejects_caps_below_one(caps):
-    anchors = np.array([[10.0, 10.0, 8.0, 8.0], [30.0, 30.0, 8.0, 8.0], [50.0, 50.0, 8.0, 8.0]])
+    anchors = np.array([[6.0, 6.0, 14.0, 14.0], [26.0, 26.0, 34.0, 34.0], [46.0, 46.0, 54.0, 54.0]])
     scores = Tensor(np.array([0.9, 0.8, 0.7]))
     offsets = Tensor(np.zeros((3, 4)))
     (name, value), = caps.items()
@@ -193,7 +193,7 @@ def test_extract_roi_features_shapes_and_level_clamp():
     model = _toy_model()
     x = Tensor(np.random.default_rng(2).uniform(size=(1, 3, 64, 64)))
     pyramid = pyramid_forward(model, x)
-    boxes = np.array([[10.0, 10.0, 4.0, 4.0], [32.0, 32.0, 60.0, 60.0]])
+    boxes = np.array([[8.0, 8.0, 12.0, 12.0], [2.0, 2.0, 62.0, 62.0]])
     feats = extract_roi_features(pyramid, boxes, resolution=7)
     assert feats.shape == (2, model.cfg.fpn_dim, 7, 7)
 
@@ -203,7 +203,8 @@ _PYRAMID = {
     for lvl in (2, 3, 4, 5, 6)
 }
 # sides from 8 to 600 px route to every level from P2 to P5
-_region = st.tuples(st.floats(0.0, 64.0), st.floats(0.0, 64.0), st.floats(8.0, 600.0), st.floats(8.0, 600.0))
+_region = st.builds(lambda x, y, w, h: (x, y, x + w, y + h),
+                    st.floats(0.0, 64.0), st.floats(0.0, 64.0), st.floats(8.0, 600.0), st.floats(8.0, 600.0))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -317,7 +318,7 @@ def test_fresh_model_class_probs_near_uniform():
     model = _toy_model("cbam")
     x = Tensor(np.random.default_rng(4).uniform(size=(1, 3, 64, 64)))
     pyramid = pyramid_forward(model, x)
-    feats = extract_roi_features(pyramid, np.array([[20.0, 20.0, 12.0, 12.0]]), 7)
+    feats = extract_roi_features(pyramid, np.array([[14.0, 14.0, 26.0, 26.0]]), 7)
     logits, deltas = box_head_forward(model, feats)
     probs = np.exp(logits.data - logits.data.max())
     probs /= probs.sum()
@@ -333,29 +334,29 @@ def _paste_one(probs: np.ndarray, row: np.ndarray, height: int, width: int) -> n
 
 def test_paste_mask_full_grid_counts_inside_pixels():
     probs = np.ones((4, 4))
-    mask = _paste_one(probs, center_rows(2.0, 2.0, 6.0, 6.0), 10, 10)
+    mask = _paste_one(probs, np.array([[2.0, 2.0, 6.0, 6.0]]), 10, 10)
     assert mask.sum() == 16
     assert mask[2:6, 2:6].all()
 
     # off-canvas box pastes nothing
-    assert _paste_one(probs, np.array([[200.0, 5.0, 4.0, 4.0]]), 10, 10).sum() == 0
+    assert _paste_one(probs, np.array([[198.0, 3.0, 202.0, 7.0]]), 10, 10).sum() == 0
 
     # sub-threshold probabilities paste nothing
-    assert _paste_one(np.full((4, 4), 0.4), center_rows(2.0, 2.0, 6.0, 6.0), 10, 10).sum() == 0
+    assert _paste_one(np.full((4, 4), 0.4), np.array([[2.0, 2.0, 6.0, 6.0]]), 10, 10).sum() == 0
 
 
 def test_paste_mask_respects_grid_layout():
     # left half on, right half off: only the left half of the box fills
     probs = np.zeros((4, 4))
     probs[:, :2] = 1.0
-    mask = _paste_one(probs, center_rows(0.0, 0.0, 8.0, 8.0), 8, 8)
+    mask = _paste_one(probs, np.array([[0.0, 0.0, 8.0, 8.0]]), 8, 8)
     assert mask[:, :3].all()      # grid centers land at x=1,3,5,7
     assert not mask[:, 4:].any()  # right half stays clear
 
 
 def test_paste_mask_clips_to_canvas():
     probs = np.ones((4, 4))
-    mask = _paste_one(probs, center_rows(-4.0, 2.0, 4.0, 6.0), 10, 10)
+    mask = _paste_one(probs, np.array([[-4.0, 2.0, 4.0, 6.0]]), 10, 10)
     assert mask.sum() == 16  # 4 wide inside canvas x 4 tall
     assert mask[2:6, 0:4].all()
 
@@ -364,18 +365,21 @@ def test_paste_mask_batch_equals_per_pixel_oracle():
     height, width, m = 24, 32, 6
     rng = np.random.default_rng(11)
     special = [
-        center_rows(-5.0, 3.0, 9.0, 15.0),          # crosses the left edge
-        center_rows(25.0, 4.0, 40.0, 18.0),         # crosses the right edge
-        center_rows(6.0, -7.0, 20.0, 5.0),          # crosses the top edge
-        center_rows(3.0, 17.0, 14.0, 31.0),         # crosses the bottom edge
-        center_rows(-3.0, -2.0, 36.0, 27.0),        # covers the whole canvas
-        np.array([[60.0, 10.0, 8.0, 8.0]]),         # fully off the canvas
-        np.array([[10.5, 7.5, 0.5, 0.4]]),          # sub-pixel, holds one pixel center
-        np.array([[10.0, 7.0, 0.6, 0.6]]),          # sub-pixel, holds none
-        center_rows(4.5, 5.5, 12.5, 14.5),          # edges on pixel centers
+        [-5.0, 3.0, 9.0, 15.0],         # crosses the left edge
+        [25.0, 4.0, 40.0, 18.0],        # crosses the right edge
+        [6.0, -7.0, 20.0, 5.0],         # crosses the top edge
+        [3.0, 17.0, 14.0, 31.0],        # crosses the bottom edge
+        [-3.0, -2.0, 36.0, 27.0],       # covers the whole canvas
+        [56.0, 6.0, 64.0, 14.0],        # fully off the canvas
+        [10.25, 7.3, 10.75, 7.7],       # sub-pixel, holds one pixel center
+        [9.7, 6.7, 10.3, 7.3],          # sub-pixel, holds none
+        [4.5, 5.5, 12.5, 14.5],         # edges on pixel centers
     ]
-    drawn = np.array([[*rng.uniform(-4.0, 36.0, 2), *rng.uniform(1.0, 20.0, 2)] for _ in range(2 * MASK_CHUNK)])
-    boxes = np.concatenate(special + [drawn])
+    drawn = []
+    for _ in range(2 * MASK_CHUNK):
+        xy, wh = rng.uniform(-4.0, 36.0, 2), rng.uniform(1.0, 20.0, 2)
+        drawn.append([*xy, *(xy + wh)])
+    boxes = np.array(special + drawn)
     probs = rng.uniform(0.0, 1.0, (len(boxes), m, m))
     masks = paste_mask(probs, boxes, height, width)
     assert masks.shape == (len(boxes), height, width) and masks.dtype == bool
@@ -452,8 +456,7 @@ def _infer_per_detection(model, image, conf):
         feats = extract_roi_features(pyramid, boxes[chunk], model.cfg.mask_resolution)
         grids = mask_head_forward(model, feats, np.arange(feats.shape[0]), classes[chunk]).data
         masks = paste_mask(grids, boxes[chunk], height, width)
-        for k, box, score, mask in zip(classes[chunk].tolist(), np.stack(corners(boxes[chunk]), axis=1).tolist(),
-                                       scores[chunk], masks):
+        for k, box, score, mask in zip(classes[chunk].tolist(), boxes[chunk].tolist(), scores[chunk], masks):
             out.append((k, score, Box(*box), mask.tobytes()))
     return out
 
@@ -497,7 +500,7 @@ def test_infer_matches_per_class_reference(monkeypatch, conf, survivors):
     preds = infer(model, image, conf_threshold=conf)
     refined, kept = seen["_refine"]  # the last call refines the box head's boxes
     probs = np.exp(seen["log_softmax"].data)[kept]
-    boxes = [Box(*box) for box in np.stack(corners(refined), axis=1).tolist()]
+    boxes = [Box(*box) for box in refined.tolist()]
     want = detections_per_class(probs.tolist(), boxes, conf, DET_NMS_IOU)
     assert len(want) == survivors
     got = [(p.detection.class_id, p.detection.score, p.detection.box) for p in preds]

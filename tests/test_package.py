@@ -1,17 +1,21 @@
-"""Package hygiene: every module imports, every exported name exists, and
-the runtime imports nothing outside NumPy and the standard library."""
+"""Package hygiene: every module imports, every exported name exists, the
+runtime imports nothing outside NumPy and the standard library, and the
+README's box example runs as written."""
 
 import ast
 import importlib
 import pkgutil
+import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import attnmask
 
 SRC = Path(attnmask.__file__).parent
+README = Path(__file__).resolve().parent.parent / "README.md"
 MODULES = sorted(m.name for m in pkgutil.iter_modules(attnmask.__path__))
 
 
@@ -97,3 +101,16 @@ def test_hypothesis_failure_reporter_imports_under_the_warning_filters(monkeypat
     for name in [m for m in sys.modules if m.split(".")[0] == "libcst" or m == "hypothesis.extra._patching"]:
         monkeypatch.delitem(sys.modules, name)
     importlib.import_module("hypothesis.extra._patching")
+
+
+def test_readme_box_example_runs_and_states_its_values():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), flags=re.S)
+    (example,) = [b for b in blocks if "from attnmask.boxes import" in b]
+    scope = {}
+    exec(compile(example, "README.md", "exec"), scope)
+    assert scope["overlap"].shape == (2, 2)
+    assert scope["overlap"][0, 1] == pytest.approx(0.45, abs=0.005)
+    assert scope["kept"] == [0] and scope["apart"] == [0, 1]
+    assert np.array_equal(scope["same"], scope["rows"])
+    assert scope["pooled"].shape == (2, 8, 7, 7)
+    assert scope["masks"].shape == (2, 64, 64) and scope["masks"].dtype == bool

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from attnmask.boxes import Box, corners
+from attnmask.boxes import Box
 from attnmask.synth import (
     Sample,
     SynthSpec,
@@ -16,7 +16,7 @@ from attnmask.synth import (
 
 
 def _boxes_close(a, b, tol=1e-9) -> bool:
-    """Two center-form (cx, cy, w, h) rows agree entry by entry."""
+    """Two corner rows (x1, y1, x2, y2) agree entry by entry."""
     return all(abs(x - y) < tol for x, y in zip(a, b))
 
 
@@ -89,7 +89,7 @@ def test_no_occlusion_means_no_box_overlap():
     for s in synth_dataset(spec, 9, 12):
         for i in range(len(s.boxes)):
             for j in range(i + 1, len(s.boxes)):
-                (ax1, bx1), (ay1, by1), (ax2, bx2), (ay2, by2) = corners(s.boxes[[i, j]])
+                (ax1, ay1, ax2, ay2), (bx1, by1, bx2, by2) = s.boxes[[i, j]]
                 iw = min(ax2, bx2) - max(ax1, bx1)
                 ih = min(ay2, by2) - max(ay1, by1)
                 assert iw <= 0 or ih <= 0
@@ -101,7 +101,7 @@ def test_occlusion_produces_overlaps_somewhere():
     for s in synth_dataset(spec, 1, 20):
         for i in range(len(s.boxes)):
             for j in range(i + 1, len(s.boxes)):
-                (ax1, bx1), (ay1, by1), (ax2, bx2), (ay2, by2) = corners(s.boxes[[i, j]])
+                (ax1, ay1, ax2, ay2), (bx1, by1, bx2, by2) = s.boxes[[i, j]]
                 iw = min(ax2, bx2) - max(ax1, bx1)
                 ih = min(ay2, by2) - max(ay1, by1)
                 found = found or (iw > 0 and ih > 0)
@@ -116,9 +116,9 @@ def test_hflip_is_an_involution():
         assert np.array_equal(ff.masks, s.masks)
         assert all(_boxes_close(a, b) for a, b in zip(ff.boxes, s.boxes))
         w = s.image.shape[2]
-        for (cx, cy, bw, bh), (fcx, fcy, fw, fh) in zip(s.boxes, f.boxes):
-            assert fcx == pytest.approx(w - cx)
-            assert (fcy, fw, fh) == (cy, bw, bh)
+        for (x1, y1, x2, y2), (fx1, fy1, fx2, fy2) in zip(s.boxes, f.boxes):
+            assert (fx1, fx2) == pytest.approx((w - x2, w - x1))
+            assert (fy1, fy2) == (y1, y2)
 
 
 def test_hflip_keeps_boxes_tight():
@@ -151,9 +151,16 @@ def test_hash_is_order_sensitive():
 
 
 def test_dataset_stream_is_pinned():
-    # the train_dataset_sha256 recorded with the benchmark's frozen checkpoint
     ds = synth_dataset(SynthSpec(), 1001, 24)
-    assert dataset_hash(ds) == "8613d054b6cdc5dc344f34b9c5b5a317ae11810049136827bdbef52cf9579b16"
+    assert dataset_hash(ds) == "fdaa0a197324c629781dd3c1f2437c73d099bfa72eeb8f0014ac615fbce4f273"
+    # the train_dataset_sha256 recorded with the benchmark's frozen checkpoint
+    # hashed center-form rows (cx, cy, w, h); pixel-aligned boxes convert exactly
+    centered = [
+        Sample(s.image, np.column_stack([(s.boxes[:, :2] + s.boxes[:, 2:]) / 2.0, s.boxes[:, 2:] - s.boxes[:, :2]]),
+               s.class_ids, s.masks)
+        for s in ds
+    ]
+    assert dataset_hash(centered) == "8613d054b6cdc5dc344f34b9c5b5a317ae11810049136827bdbef52cf9579b16"
 
 
 def test_scenes_hold_row_arrays():
@@ -173,7 +180,7 @@ _PAIR = np.array([1, 2], dtype=np.int64)
 @pytest.mark.parametrize(
     "boxes, class_ids, message",
     [
-        ([(4.0, 4.0, 2.0, 2.0)] * 2, _PAIR, r"boxes must be an \(N, 4\) float64 array, got list"),
+        ([(3.0, 3.0, 5.0, 5.0)] * 2, _PAIR, r"boxes must be an \(N, 4\) float64 array, got list"),
         (np.ones((2, 3)), _PAIR, r"boxes must be an \(N, 4\) float64 array, got float64 array of shape \(2, 3\)"),
         (np.ones((2, 4), dtype=np.float32), _PAIR, r"boxes must be .*, got float32 array of shape \(2, 4\)"),
         (np.ones((2, 4)), np.arange(3), r"class_ids must be a \(2,\) int64 array, got int64 array of shape \(3,\)"),
@@ -194,10 +201,10 @@ def test_sample_accepts_an_empty_scene_and_checks_masks_align():
 
 
 def test_hflip_matches_the_box_formula_bit_for_bit():
-    # the flip of each row in Python floats: cx becomes w - cx
+    # the flip of each row in Python floats: x1 becomes w - x2, x2 becomes w - x1
     for s in synth_dataset(SynthSpec(), 21, 4):
         w = s.image.shape[2]
-        want = np.array([(w - cx, cy, bw, bh) for cx, cy, bw, bh in s.boxes.tolist()]).reshape(-1, 4)
+        want = np.array([(w - x2, y1, w - x1, y2) for x1, y1, x2, y2 in s.boxes.tolist()]).reshape(-1, 4)
         got = hflip(s)
         assert got.boxes.shape == want.shape and got.boxes.tobytes() == want.tobytes()
         assert np.array_equal(got.class_ids, s.class_ids)
@@ -207,9 +214,8 @@ def test_to_ground_truth_makes_corner_rows_with_int64_class_ids():
     spec = SynthSpec()
     ds = synth_dataset(spec, 31, 5)
     gt = to_ground_truth(ds, spec.classes)
-    # each record's corners are its row's, cx -/+ w/2, in Python floats
-    rows = [row for s in ds for row in s.boxes.tolist()]
-    assert gt.records.boxes.tolist() == [[cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2] for cx, cy, w, h in rows]
+    # each record's corners are its scene row's, as they are
+    assert gt.records.boxes.tolist() == [row for s in ds for row in s.boxes.tolist()]
     assert gt.records.class_id.dtype == np.int64 and gt.records.image_id.dtype == np.int64
     # the row records the benchmark's infer check reads hold the same corners
     assert [tuple(r.box) for r in gt.records] == [tuple(row) for row in gt.records.boxes.tolist()]
