@@ -13,6 +13,9 @@ Defaults the surrounding literature settles and this config exposes:
 MLP reduction ratio r (default 16), ReLU between the MLP layers, and the
 adaptive kernel size of ECA's k-tap correlation across the channels, which
 `eca_gate` takes as a gather of (C, k) windows times the kernel.
+
+One init rule holds for the whole detector: gates and trunk convs draw
+"he_uniform", the heads' prediction layers "near_zero_uniform".
 """
 
 from __future__ import annotations
@@ -52,15 +55,12 @@ class AttentionConfig:
     reduction: bottleneck ratio r of the squeeze MLP; must divide C.
     variant: one of VARIANTS; "none" builds no gate.
     eca_kernel: odd kernel size for the cross-channel conv, or "adaptive".
-    init: any `init_uniform` scheme; "fan_in_uniform" keeps the sigmoid
-    pre-activations near 0, and `init_backbone` passes "he_uniform".
     """
 
     channels: int
     reduction: int = 16
     variant: str = "cbam"
     eca_kernel: int | str = "adaptive"
-    init: str = "fan_in_uniform"
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -75,11 +75,8 @@ def check_eca_kernel(k) -> None:
 
 
 def init_uniform(shape: tuple[int, ...], fan_in: int, rng: np.random.Generator, scheme: str) -> Tensor:
-    if scheme == "zeros":
-        return Tensor(np.zeros(shape), requires_grad=True)
-    if scheme == "fan_in_uniform":
-        bound = 1.0 / math.sqrt(max(fan_in, 1))
-    elif scheme == "he_uniform":
+    """A trainable uniform draw under "he_uniform" or "near_zero_uniform"."""
+    if scheme == "he_uniform":
         # variance 2/fan_in keeps activation scale steady across relu convs
         bound = math.sqrt(6.0 / max(fan_in, 1))
     elif scheme == "near_zero_uniform":
@@ -118,10 +115,10 @@ class MLPParams:
         if c % r or mid < 1:
             raise ValueError(f"reduction {r} must divide channels {c} and leave hidden units")
         return cls(
-            init_uniform((mid, c), c, rng, cfg.init),
-            init_uniform((mid,), c, rng, cfg.init),
-            init_uniform((c, mid), mid, rng, cfg.init),
-            init_uniform((c,), mid, rng, cfg.init),
+            init_uniform((mid, c), c, rng, "he_uniform"),
+            init_uniform((mid,), c, rng, "he_uniform"),
+            init_uniform((c, mid), mid, rng, "he_uniform"),
+            init_uniform((c,), mid, rng, "he_uniform"),
         )
 
 
@@ -135,8 +132,8 @@ class SpatialAttentionParams:
     @classmethod
     def init(cls, cfg: AttentionConfig, rng: np.random.Generator) -> "SpatialAttentionParams":
         return cls(
-            w=init_uniform((1, 2, 7, 7), 2 * 49, rng, cfg.init),
-            b=init_uniform((1,), 2 * 49, rng, cfg.init),
+            w=init_uniform((1, 2, 7, 7), 2 * 49, rng, "he_uniform"),
+            b=init_uniform((1,), 2 * 49, rng, "he_uniform"),
         )
 
 
@@ -163,7 +160,7 @@ class ECAParams:
     @classmethod
     def init(cls, cfg: AttentionConfig, rng: np.random.Generator) -> "ECAParams":
         k = eca_kernel_size(cfg.channels) if cfg.eca_kernel == "adaptive" else cfg.eca_kernel
-        return cls(w=init_uniform((k,), k, rng, cfg.init))
+        return cls(w=init_uniform((k,), k, rng, "he_uniform"))
 
 
 # -- gates ---------------------------------------------------------------------

@@ -77,10 +77,6 @@ class StageConfig:
         return self.widths[0] // 4
 
     @classmethod
-    def reference(cls) -> "StageConfig":
-        return cls()
-
-    @classmethod
     def toy(cls) -> "StageConfig":
         return cls(blocks=(1, 1, 1, 1), widths=(8, 16, 32, 64))
 
@@ -101,21 +97,15 @@ class BottleneckParams:
     stride: int
 
 
-def init_bottleneck(
-    cin: int,
-    cout: int,
-    stride: int,
-    attn_cfg: AttentionConfig,
-    rng: np.random.Generator,
-    scheme: str = "he_uniform",
-) -> BottleneckParams:
+def init_bottleneck(cin: int, cout: int, stride: int, attn_cfg: AttentionConfig,
+                    rng: np.random.Generator) -> BottleneckParams:
     mid = cout // 4
     needs_proj = stride != 1 or cin != cout
     return BottleneckParams(
-        conv1=init_conv(mid, cin, 1, rng, scheme),
-        conv2=init_conv(mid, mid, 3, rng, scheme),
-        conv3=init_conv(cout, mid, 1, rng, scheme),
-        proj=init_conv(cout, cin, 1, rng, scheme) if needs_proj else None,
+        conv1=init_conv(mid, cin, 1, rng),
+        conv2=init_conv(mid, mid, 3, rng),
+        conv3=init_conv(cout, mid, 1, rng),
+        proj=init_conv(cout, cin, 1, rng) if needs_proj else None,
         attn=make_attention(attn_cfg, rng),
         stride=stride,
     )
@@ -150,7 +140,7 @@ def init_backbone(
     cin = cfg.stem_channels
     for stage_idx, (n_blocks, width) in enumerate(zip(cfg.blocks, cfg.widths)):
         blocks = []
-        attn_cfg = AttentionConfig(width, reduction, variant, eca_kernel, init="he_uniform")
+        attn_cfg = AttentionConfig(width, reduction, variant, eca_kernel)
         for block_idx in range(n_blocks):
             stride = 2 if stage_idx > 0 and block_idx == 0 else 1
             blocks.append(init_bottleneck(cin, width, stride, attn_cfg, rng))
@@ -180,10 +170,9 @@ class FPNParams:
     smooths: dict  # level -> ConvParams, 3x3
 
 
-def init_fpn(widths: tuple[int, int, int, int], dim: int, rng: np.random.Generator,
-             scheme: str = "he_uniform") -> FPNParams:
-    laterals = {lvl: init_conv(dim, w, 1, rng, scheme) for lvl, w in zip((2, 3, 4, 5), widths)}
-    smooths = {lvl: init_conv(dim, dim, 3, rng, scheme) for lvl in (2, 3, 4, 5)}
+def init_fpn(widths: tuple[int, int, int, int], dim: int, rng: np.random.Generator) -> FPNParams:
+    laterals = {lvl: init_conv(dim, w, 1, rng) for lvl, w in zip((2, 3, 4, 5), widths)}
+    smooths = {lvl: init_conv(dim, dim, 3, rng) for lvl in (2, 3, 4, 5)}
     return FPNParams(laterals=laterals, smooths=smooths)
 
 

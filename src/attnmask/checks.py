@@ -1,16 +1,15 @@
 """Finite-difference verification suites for every differentiable block.
 
-Each suite builds a tiny randomized instance, reduces the block output to
-a scalar through a fixed random projection (so transposed or permuted
-gradients cannot cancel out), and compares the taped gradient against
-central differences. Sizes are chosen small enough that the whole battery
-stays well under the advertised two-minute budget.
+Each suite builds a tiny randomized instance, with the detector's own
+init, reduces the block output to a scalar through a fixed random
+projection (so transposed or permuted gradients cannot cancel out), and
+compares the taped gradient against central differences. Sizes are chosen
+small enough that the whole battery stays well under the advertised
+two-minute budget.
 
-Inputs are drawn from continuous distributions, with two guards against
-finite differences straddling a kink: smooth-L1 inputs stay 0.01 away from
-its |d| = 1 curvature switch, and the bottleneck case (three relus) is
-redrawn up to five times, keeping its best attempt. Neither guard hides a
-real gradient bug, which fails every attempt alike.
+Inputs are drawn from continuous distributions, and one guard keeps finite
+differences off a kink: smooth-L1 inputs stay 0.01 away from its |d| = 1
+curvature switch. Every instance is drawn once per seed.
 """
 
 from __future__ import annotations
@@ -137,26 +136,15 @@ def _swap_first_weight(params, t: Tensor):
 
 
 def _bottleneck_cases(seed: int, eps: float, tol: float) -> list:
-    # the three relus make kink straddles likely at this size; resampling
-    # the instance steps off the measure-zero kink set, while a systematic
-    # gradient bug would fail every attempt identically
-    best = None
-    for attempt in range(5):
-        rng = np.random.default_rng(np.random.PCG64((seed, attempt)))
-        x = rng.standard_normal((1, 8, 6, 6))
-        attn_cfg = AttentionConfig(channels=8, reduction=4, variant="cbam")
-        params = init_bottleneck(8, 8, 1, attn_cfg, rng, scheme="fan_in_uniform")
-        pw = rng.standard_normal((1, 8, 6, 6))
+    rng = np.random.default_rng(np.random.PCG64((seed, 0)))
+    x = rng.standard_normal((1, 8, 6, 6))
+    params = init_bottleneck(8, 8, 1, AttentionConfig(channels=8, reduction=4, variant="cbam"), rng)
+    pw = rng.standard_normal((1, 8, 6, 6))
 
-        def fn(t, params=params, pw=pw):
-            return (bottleneck_forward(t, params) * pw).sum()
+    def fn(t):
+        return (bottleneck_forward(t, params) * pw).sum()
 
-        case = _case("backbone", "bottleneck", seed, fn, Tensor(x), eps, tol)
-        if best is None or case.max_rel_err < best.max_rel_err:
-            best = case
-        if best.ok:
-            break
-    return [best]
+    return [_case("backbone", "bottleneck", seed, fn, Tensor(x), eps, tol)]
 
 
 def _fpn_cases(seed: int, eps: float, tol: float) -> list:
@@ -165,7 +153,7 @@ def _fpn_cases(seed: int, eps: float, tol: float) -> list:
     shapes = {2: 8, 3: 4, 4: 2, 5: 1}
     cmaps = {lvl: rng.standard_normal((1, widths[lvl - 2], s, s)) for lvl, s in shapes.items()}
     prng = np.random.default_rng(np.random.PCG64(seed + 1))
-    params = init_fpn(widths, 4, prng, scheme="fan_in_uniform")
+    params = init_fpn(widths, 4, prng)
     proj_rng = np.random.default_rng(np.random.PCG64(seed + 2))
 
     cases = []

@@ -78,7 +78,7 @@ class ModelConfig:
     """Everything that determines the parameter shapes and forward graph."""
 
     variant: str = "cbam"
-    stages: StageConfig = StageConfig.reference()
+    stages: StageConfig = StageConfig()
     fpn_dim: int = 256
     with_p6: bool = True
     anchors: AnchorConfig = AnchorConfig()

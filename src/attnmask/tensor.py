@@ -18,9 +18,11 @@ created with ``requires_grad=True``; inside ``no_grad()`` ops record
 nothing. `Tensor.max` and `max_pool2d` send the gradient to the first
 maximal element in scan order.
 
-Elementwise multiplication broadcasts only the two gating patterns the
-attention blocks need, (N,C,1,1)x(N,C,H,W) and (N,1,H,W)x(N,C,H,W);
-anything else must be shape-identical.
+`+` takes a Tensor or an array of the same shape, and there is no `-`
+(negate, then add). Elementwise multiplication takes a float, or an array or
+Tensor that broadcasts only in the two gating patterns the attention blocks
+need, (N,C,1,1)x(N,C,H,W) and (N,1,H,W)x(N,C,H,W); anything else must be
+shape-identical. `reshape` takes the new extents as separate arguments.
 """
 
 from __future__ import annotations
@@ -122,37 +124,22 @@ class Tensor:
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, np.ndarray):
+        if not isinstance(other, Tensor):
             other = Tensor(other)
-        if isinstance(other, Tensor):
-            if self.shape != other.shape:
-                raise ValueError(f"add shape mismatch: {self.shape} vs {other.shape}")
+        if self.shape != other.shape:
+            raise ValueError(f"add shape mismatch: {self.shape} vs {other.shape}")
 
-            def bwd(g, a=self, b=other):
-                _accum(a, g)
-                _accum(b, g)
-
-            return Tensor(self.data + other.data, _parents=(self, other), _backward=bwd)
-        other = float(other)
-
-        def bwd(g, a=self):
+        def bwd(g, a=self, b=other):
             _accum(a, g)
+            _accum(b, g)
 
-        return Tensor(self.data + other, _parents=(self,), _backward=bwd)
-
-    __radd__ = __add__
+        return Tensor(self.data + other.data, _parents=(self, other), _backward=bwd)
 
     def __neg__(self):
         def bwd(g, a=self):
             _accum(a, -g)
 
         return Tensor(-self.data, _parents=(self,), _backward=bwd)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, Tensor):
@@ -172,14 +159,9 @@ class Tensor:
 
         return Tensor(self.data * other, _parents=(self,), _backward=bwd)
 
-    __rmul__ = __mul__
-
     # -- shape ops ------------------------------------------------------------
 
     def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-
         def bwd(g, a=self):
             _accum(a, g.reshape(a.shape))
 

@@ -3,7 +3,11 @@
 Everything here is written with plain Python loops and explicit formulas,
 on purpose: no code is shared with the package beyond the Box container,
 so an indexing or vectorization bug in the package cannot cancel out here.
+`zero_params` is the one helper: it zeroes a built container for the
+zero-parameter closed forms.
 """
+
+import dataclasses
 
 import numpy as np
 
@@ -308,6 +312,18 @@ def max_pool2d_reference(x, kernel, stride, padding, g):
         out[ch, i, j] = best
         dx[ch][at] += g[ch, i, j]
     return out, dx
+
+
+def zero_params(container):
+    """Set every array of a built parameter container to zeros, in place, and
+    return the container: the zero-parameter closed forms read built blocks
+    this way. Walks dataclass fields down to the objects that hold `.data`."""
+    if hasattr(container, "data"):
+        container.data = np.zeros_like(container.data)
+    elif dataclasses.is_dataclass(container):
+        for f in dataclasses.fields(container):
+            zero_params(getattr(container, f.name))
+    return container
 
 
 def _logistic(z):

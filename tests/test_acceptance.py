@@ -23,7 +23,7 @@ from attnmask.roi_align import roi_align
 from attnmask.synth import SynthSpec, synth_dataset
 from attnmask.tensor import Tensor
 from attnmask.train import TrainConfig, lr_at, train
-from oracles import map_reference, nms_bruteforce, roi_align_dense
+from oracles import map_reference, nms_bruteforce, roi_align_dense, zero_params
 
 
 def _verdict(capsys, num: int, name: str, ok: bool, detail: str = ""):
@@ -79,9 +79,7 @@ def test_criterion_02_closed_form_attention(capsys):
     for seed in range(5):
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((1, 8, 6, 6))
-        zero = lambda v: make_attention(
-            AttentionConfig(channels=8, reduction=4, variant=v, init="zeros"), rng
-        )
+        zero = lambda v: zero_params(make_attention(AttentionConfig(channels=8, reduction=4, variant=v), rng))
         for variant, closed_form in (("cbam", 0.25), ("se", 0.5), ("eca", 0.5)):
             params = zero(variant)
             out = apply_attention(Tensor(x), params).data

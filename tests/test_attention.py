@@ -20,13 +20,13 @@ from attnmask.attention import (
 )
 from attnmask.model import ModelConfig, build_model
 from attnmask.tensor import Tensor, grad_check
-from oracles import attention_reference
+from oracles import attention_reference, zero_params
 
 
 def _zero_params(variant, channels=8, reduction=4):
     rng = np.random.default_rng(0)
-    cfg = AttentionConfig(channels=channels, reduction=reduction, variant=variant, init="zeros")
-    return make_attention(cfg, rng)
+    cfg = AttentionConfig(channels=channels, reduction=reduction, variant=variant)
+    return zero_params(make_attention(cfg, rng))
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -165,18 +165,15 @@ def test_reduction_must_leave_hidden_units():
 def test_init_uniform_schemes():
     rng = np.random.default_rng(0)
     fan = 64
-    w = init_uniform((100, fan), fan, rng, "fan_in_uniform")
-    assert w.requires_grad
-    assert np.abs(w.data).max() <= 1.0 / np.sqrt(fan)
     he = init_uniform((100, fan), fan, rng, "he_uniform")
+    assert he.requires_grad
     assert np.abs(he.data).max() <= np.sqrt(6.0 / fan)
     assert np.abs(he.data).max() > 1.0 / np.sqrt(fan)  # wider than fan-in scaling
     tiny = init_uniform((100, fan), fan, rng, "near_zero_uniform")
     assert np.abs(tiny.data).max() <= 0.01
-    zeros = init_uniform((5,), fan, rng, "zeros")
-    assert not zeros.data.any()
-    with pytest.raises(ValueError):
-        init_uniform((2, 2), 4, rng, "xavier")
+    for unknown in ("xavier", "fan_in_uniform", "zeros"):
+        with pytest.raises(ValueError, match=f"unknown init scheme '{unknown}'"):
+            init_uniform((2, 2), 4, rng, unknown)
 
 
 def test_config_rejects_unknown_variant():
@@ -197,7 +194,7 @@ _ECA_SIZES = [(k, c) for k in (1, 3, 5, 7) for c in (4, 8)]
 def test_gates_match_equation_oracle(variant, channels, eca_kernel):
     # he_uniform weights push the gates well away from their 0.5 midpoint
     rng = np.random.default_rng(5)
-    cfg = AttentionConfig(channels, reduction=2, variant=variant, eca_kernel=eca_kernel, init="he_uniform")
+    cfg = AttentionConfig(channels, reduction=2, variant=variant, eca_kernel=eca_kernel)
     params = make_attention(cfg, rng)
     x = rng.standard_normal((1, channels, 6, 5))
     got = apply_attention(Tensor(x), params).data

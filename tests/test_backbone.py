@@ -15,6 +15,7 @@ from attnmask.backbone import (
 )
 from attnmask.model import _walk
 from attnmask.tensor import Tensor, max_pool2d
+from oracles import zero_params
 
 
 def _no_gate(channels):
@@ -28,7 +29,7 @@ def test_stage_config_validation():
         StageConfig(widths=(64, 32, 16, 8))  # must increase
     with pytest.raises(ValueError):
         StageConfig(widths=(6, 10, 14, 18))  # not divisible by 4
-    assert StageConfig.reference().stem_channels == 64
+    assert StageConfig().stem_channels == 64
     assert StageConfig.toy().stem_channels == 2
 
 
@@ -56,11 +57,8 @@ def test_bottleneck_shapes_and_nonnegative_output():
 def test_bottleneck_attention_gate_attenuates():
     rng = np.random.default_rng(3)
     x = Tensor(np.abs(np.random.default_rng(4).standard_normal((1, 8, 6, 6))))
-    plain = init_bottleneck(8, 8, 1, _no_gate(8), rng, scheme="zeros")
-    gated = init_bottleneck(
-        8, 8, 1, AttentionConfig(channels=8, reduction=4, variant="cbam", init="zeros"), rng,
-        scheme="zeros",
-    )
+    plain = zero_params(init_bottleneck(8, 8, 1, _no_gate(8), rng))
+    gated = zero_params(init_bottleneck(8, 8, 1, AttentionConfig(channels=8, reduction=4, variant="cbam"), rng))
     assert isinstance(gated.attn, CBAMParams)
     # zero convs: residual branch is zero either way, skip passes through
     assert np.allclose(bottleneck_forward(x, plain).data, x.data)
@@ -141,7 +139,7 @@ def test_batch_of_two_equals_stacked_batches_of_one(op, seed):
         params = init_bottleneck(8, 16, 2, AttentionConfig(16, reduction=4, variant="cbam"), rng)
         fn = lambda t: bottleneck_forward(t, params)
     else:
-        params = make_attention(AttentionConfig(8, reduction=4, variant=op, init="he_uniform"), rng)
+        params = make_attention(AttentionConfig(8, reduction=4, variant=op), rng)
         fn = lambda t: apply_attention(t, params)
     leaves = []
     _walk(params, op, leaves)

@@ -6,6 +6,7 @@ import warnings
 
 import pytest
 
+from attnmask import cli as cli_mod
 from attnmask.cli import _parse_thresholds, _split_config, cli
 from attnmask.inputs import InputError
 from attnmask.metrics import COCO_SWEEP
@@ -321,7 +322,7 @@ def test_diverged_training_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err == "error: training diverged: tensor holds non-finite values\n"
 
 
-def test_compare_writes_all_variants(tmp_path, capsys):
+def _micro_config(tmp_path):
     cfg = tmp_path / "micro.json"
     cfg.write_text(json.dumps({
         "train_images": 2, "val_images": 1,
@@ -329,6 +330,11 @@ def test_compare_writes_all_variants(tmp_path, capsys):
         "train": {"epochs": 1, "step_epochs": [], "rpn_batch": 16,
                   "roi_batch": 4, "train_post_nms": 4},
     }))
+    return cfg
+
+
+def test_compare_writes_all_variants(tmp_path, capsys):
+    cfg = _micro_config(tmp_path)
     out_dir = tmp_path / "cmp"
     assert cli(["compare", "--config", str(cfg), "--out", str(out_dir)]) == 0
     table = (out_dir / "compare.md").read_text().splitlines()
@@ -339,6 +345,26 @@ def test_compare_writes_all_variants(tmp_path, capsys):
     assert len(summary["dataset_sha256"]) == 64
     # every variant trained on identical scenes, so one hash for all
     assert capsys.readouterr().out.count("Model") == 1
+
+
+def test_compare_builds_its_scenes_once(tmp_path, monkeypatch, capsys):
+    # the train and val scenes are made once, and every variant trains on the same list
+    made, trained_on = [], []
+    real_synth, real_train = cli_mod.synth_dataset, cli_mod.train
+
+    def synth(*args):
+        made.append(real_synth(*args))
+        return made[-1]
+
+    def train(model, dataset, cfg):
+        trained_on.append(dataset)
+        return real_train(model, dataset, cfg)
+
+    monkeypatch.setattr(cli_mod, "synth_dataset", synth)
+    monkeypatch.setattr(cli_mod, "train", train)
+    assert cli(["compare", "--config", str(_micro_config(tmp_path)), "--out", str(tmp_path / "cmp")]) == 0
+    assert len(made) == 2
+    assert len(trained_on) == 4 and all(ds is made[0] for ds in trained_on)
 
 
 def test_unknown_subcommand_exits_via_argparse():

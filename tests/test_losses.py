@@ -120,7 +120,7 @@ def test_mask_loss_log_complement_variant_differs():
 # gather_rows; the rewrites keep every value and gradient bit for bit
 def _mask_loss_two_logs(y, ys):
     yc = clamp(y, EPS, 1.0 - EPS)
-    return -((log(yc) * ys + log(1.0 - yc) * (1.0 - ys)).mean())
+    return -((log(yc) * ys + log((-yc) + np.ones(yc.shape)) * (1.0 - ys)).mean())
 
 
 def _softmax_ce_onehot(logits, labels):

@@ -60,9 +60,22 @@ def test_add_mul_same_shape_values():
     a, b = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
     assert np.allclose((Tensor(a) + Tensor(b)).data, a + b)
     assert np.allclose((Tensor(a) * Tensor(b)).data, a * b)
-    assert np.allclose((Tensor(a) - Tensor(b)).data, a - b)
+    assert np.allclose((Tensor(a) + (-Tensor(b))).data, a - b)
     assert np.allclose((Tensor(a) * 2.0).data, a * 2)
     assert np.allclose((Tensor(a) + b).data, a + b)  # ndarray operand
+
+
+def test_operator_forms_are_the_ones_the_detector_uses():
+    # + takes a Tensor or an equal-shape array on the right; * also takes a
+    # float; there is no -, and neither operator is reflected
+    t = Tensor(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="add shape mismatch"):
+        t + 1.0
+    for op in (lambda: t - t, lambda: 1.0 + t, lambda: 2.0 * t, lambda: 1.0 - t):
+        with pytest.raises(TypeError):
+            op()
+    with pytest.raises(TypeError):
+        t.reshape((3, 2))
 
 
 def test_broadcast_rules():

@@ -8,7 +8,7 @@ import pytest
 from attnmask import train as train_mod
 from attnmask.losses import mask_loss, total_loss
 from attnmask.model import ModelConfig, build_model, extract_roi_features, mask_head_forward, pyramid_forward
-from attnmask.synth import SynthSpec, synth_dataset
+from attnmask.synth import SynthSpec, dataset_hash, synth_dataset
 from attnmask.tensor import Tensor, concat
 from attnmask.train import (
     StepRecord,
@@ -214,6 +214,17 @@ def test_run_records_schedule_and_finite_losses():
     for r in result.records:
         assert r.l_total == pytest.approx(r.l_cls + r.l_reg + r.l_mask, abs=1e-12)
         assert r.l_cls >= 0.0 and r.l_reg >= 0.0 and r.l_mask >= 0.0
+
+
+def test_train_leaves_its_dataset_unchanged():
+    # train-toy and compare hand one scene list to every variant they train,
+    # which holds only while training (flips included) writes into no sample
+    data = synth_dataset(SynthSpec(), 100, 4)
+    before = dataset_hash(data)
+    cfg = TrainConfig(seed=0, epochs=2, step_epochs=(1,), rpn_batch=32, roi_batch=8,
+                      train_pre_nms=100, train_post_nms=8, hflip_prob=0.5)
+    train(build_model(ModelConfig.toy("cbam"), seed=0), data, cfg)
+    assert dataset_hash(data) == before
 
 
 def test_train_rejects_empty_dataset():
