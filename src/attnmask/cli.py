@@ -19,7 +19,7 @@ from .attention import VARIANTS
 from .checks import MODULES, run_checks
 from .coco_io import load_detections, load_gt, save_json
 from .inputs import InputError, checked, field, load_json, replace_checked
-from .metrics import COCO_SWEEP, DetTable, format_table, map_report
+from .metrics import COCO_SWEEP, DetTable, GTTable, format_table, map_report
 from .model import Model, ModelConfig, build_model, infer, save_checkpoint
 from .synth import SynthSpec, dataset_hash, synth_dataset, to_ground_truth
 from .train import TrainConfig, train, write_trace_csv
@@ -117,18 +117,19 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-def _self_evaluate(model: Model, val_ds, spec: SynthSpec, conf: float):
+def _self_evaluate(model: Model, val_ds, val_gt: GTTable, conf: float):
     dets = [p.detection for img_id, sample in enumerate(val_ds)
             for p in infer(model, sample.image, image_id=img_id, conf_threshold=conf)]
-    gt = to_ground_truth(val_ds, spec.classes)
-    return map_report(DetTable.of(dets), gt.records), len(dets)
+    return map_report(DetTable.of(dets), val_gt), len(dets)
 
 
-def _scenes(spec: SynthSpec, run: RunConfig) -> tuple[list, list]:
-    """The train and val scenes of one command; every variant it trains reads
-    these same lists, which `train` and `infer` leave unchanged."""
-    return (synth_dataset(spec, run.train_seed, run.train_images),
-            synth_dataset(spec, run.val_seed, run.val_images))
+def _scenes(spec: SynthSpec, run: RunConfig) -> tuple[list, list, GTTable]:
+    """The train and val scenes of one command and the val scenes' ground
+    truth; every variant it trains reads these same lists and table, which
+    `train` and `infer` leave unchanged."""
+    train_ds = synth_dataset(spec, run.train_seed, run.train_images)
+    val_ds = synth_dataset(spec, run.val_seed, run.val_images)
+    return train_ds, val_ds, to_ground_truth(val_ds, spec.classes).records
 
 
 def _train_one(variant: str, seed: int, path: str, spec, model_overrides, train_overrides, run, scenes):
@@ -138,10 +139,10 @@ def _train_one(variant: str, seed: int, path: str, spec, model_overrides, train_
         raise InputError(f"config {path}: model: num_classes must be at least the scenes' "
                          f"{spec.num_classes} classes, got {mcfg.num_classes}")
     tcfg = replace_checked(TrainConfig.toy(seed=seed), train_overrides, f"config {path}: train")
-    train_ds, val_ds = scenes
+    train_ds, val_ds, val_gt = scenes
     model = build_model(mcfg, seed=seed)
     result = train(model, train_ds, tcfg)
-    report, n_dets = _self_evaluate(model, val_ds, spec, run.conf_threshold)
+    report, n_dets = _self_evaluate(model, val_ds, val_gt, run.conf_threshold)
     return model, result, report, n_dets
 
 

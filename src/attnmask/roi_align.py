@@ -14,11 +14,14 @@ inside `no_grad` the forward computes the maxima alone.
 Bilinear sampling is separable. Along each axis a region's 2p quarter
 points read the map through a (2p, L) interpolation matrix over all L
 cells of that axis, so its 2p x 2p sample grid of a (C, H, W) map F is
-Ay F Ax^T and its gradient is Ay^T G Ax. Per chunk of regions the forward
-is one product of the stacked Ay with the whole map, and the backward one
-product of their transpose with the stacked gradients. Every region reads
-the map the same way, so its pooled values do not depend on the other
-regions of its chunk.
+Ay F Ax^T and its gradient is Ay^T G Ax. A call builds Ay and Ax once
+for all its regions and reads the map channel-major, as (H, C*W). Per
+chunk of CHUNK regions the forward is one product of the stacked Ay with
+the whole map, whose rows reshape to each region's (2p*C, W) block without
+a copy, then one product per x half with a contiguous stack of Ax^T. The
+backward sums GRAD_CHUNK regions per product of the stacked Ay^T with
+their gradients. Every region reads the map the same way, so its pooled
+values do not depend on the other regions of its chunk.
 
 `bilinear_weights` is the detector's one bilinear rule: `model.paste_mask`
 resamples mask grids over the image with the same weights.
@@ -37,8 +40,15 @@ __all__ = ["assign_level", "bilinear_weights", "roi_align"]
 # the max tie rule.
 _SAMPLES = ((0, 0), (0, 1), (1, 0), (1, 1))
 
-# regions per batched product; bounds the four (R, p*C, p) sample grids
-CHUNK = 16
+# regions per forward chunk; bounds the per-chunk arrays, the (n, 2p*C, W)
+# row product and the sample grids. On the 16 x 16 P2 map 4 was the fastest
+# at p = 7 and p = 14; at 16 the row product no longer fits in L2.
+CHUNK = 4
+# regions per backward product Ay^T dpart. The map's gradient sums a group's
+# samples in one product, so the group sets the order of the float sums: 16
+# gives the gradients the digests in tests/test_roi_align.py pin, and groups
+# of 4, 8 or 40 moved them by up to 5e-15.
+GRAD_CHUNK = 16
 
 
 def assign_level(boxes: np.ndarray) -> np.ndarray:
@@ -88,50 +98,51 @@ def roi_align(feature: Tensor, stride: float, boxes: np.ndarray, resolution: int
     frac = np.tile(np.arange(p), 2) + np.repeat([0.25, 0.75], p)
     ys = y1[:, None] / stride + frac * bh[:, None]
     xs = x1[:, None] / stride + frac * bw[:, None]
-    # channels last, (H, W*C): one product reads every channel of a row
-    fmap = feature.data[0].transpose(1, 2, 0).reshape(h, w * c)
-
     n_roi = boxes.shape[0]
+    # (R, 2p, L) per axis, for all regions of the call
+    ay = bilinear_weights(ys, h)
+    ax = bilinear_weights(xs, w).reshape(n_roi, 2, p, w)
+    # Ax^T per half, (2, R, W, p): one contiguous operand per column product
+    axt = ax.transpose(1, 0, 3, 2).copy()
+    # channel-major, (H, C*W): one product reads every channel of a row
+    fmap = feature.data[0].transpose(1, 0, 2).reshape(h, c * w)
+
     out = np.empty((n_roi, p * c, p))
     # which sample won each bin: only a backward reads it
     arg = np.zeros((n_roi, p * c, p), dtype=np.int8) if feature.requires_grad else None
-    chunks = []
     for lo in range(0, n_roi, CHUNK):
-        n = min(CHUNK, n_roi - lo)
-        ay = bilinear_weights(ys[lo : lo + n], h)
-        ax = bilinear_weights(xs[lo : lo + n], w).reshape(n, 2, p, w)
-        if arg is not None:
-            chunks.append((ay, ax))
-        # rows (half, region, bin row) x cols (channel, x): (2, n, p*C, W)
-        part = ay.reshape(n * 2 * p, h) @ fmap
-        part = part.reshape(n, 2, p, w, c).transpose(1, 0, 2, 4, 3).reshape(2, n, p * c, w)
-        # one (n, p*C, p) grid per sample: (bin row, channel, bin col)
-        cols = [part @ ax[:, dx].transpose(0, 2, 1) for dx in (0, 1)]
-        samples = [cols[dx][dy] for dy, dx in _SAMPLES]
+        hi = min(lo + CHUNK, n_roi)
+        n = hi - lo
+        # rows (half, bin row, channel) of each region x cols x: (n, 2p*C, W)
+        part = (ay[lo:hi].reshape(n * 2 * p, h) @ fmap).reshape(n, 2 * p * c, w)
+        # per x half, (n, 2, p*C, p): (y half, (bin row, channel), bin col)
+        cols = [(part @ axt[dx, lo:hi]).reshape(n, 2, p * c, p) for dx in (0, 1)]
+        samples = [cols[dx][:, dy] for dy, dx in _SAMPLES]
         best = samples[0]
         for s in range(1, 4):
             if arg is not None:
                 # first winner on ties; arithmetic instead of masked writes,
                 # which are several times slower on a random mask
-                arg[lo : lo + n] += (samples[s] > best) * (s - arg[lo : lo + n])
+                arg[lo:hi] += (samples[s] > best) * (s - arg[lo:hi])
             best = np.maximum(best, samples[s])
-        out[lo : lo + n] = best
+        out[lo:hi] = best
 
     result = out.reshape(n_roi, p, c, p).transpose(0, 2, 1, 3)
     if arg is None:
         return Tensor(result)
 
-    def bwd(g, feat=feature, chunks=chunks, arg=arg):
+    def bwd(g, feat=feature, ay=ay, ax=ax, arg=arg):
         g = g.transpose(0, 2, 1, 3).reshape(n_roi, p * c, p)
-        dmap = np.zeros((h, w * c))
-        for lo, (ay, ax) in zip(range(0, n_roi, CHUNK), chunks):
-            n = ay.shape[0]
-            gc = g[lo : lo + n]
+        dmap = np.zeros((h, c * w))
+        for lo in range(0, n_roi, GRAD_CHUNK):
+            hi = min(lo + GRAD_CHUNK, n_roi)
+            n = hi - lo
             dpart = np.zeros((2, n, p * c, w))
             for s, (dy, dx) in enumerate(_SAMPLES):
-                dpart[dy] += (gc * (arg[lo : lo + n] == s)) @ ax[:, dx]
-            dpart = dpart.reshape(2, n, p, c, w).transpose(1, 0, 2, 4, 3).reshape(n * 2 * p, w * c)
-            dmap += ay.transpose(2, 0, 1).reshape(h, n * 2 * p) @ dpart
-        _accum(feat, dmap.reshape(h, w, c).transpose(2, 0, 1)[None])
+                dpart[dy] += (g[lo:hi] * (arg[lo:hi] == s)) @ ax[lo:hi, dx]
+            # rows (region, half, bin row) x cols (channel, x), as ay's rows
+            dpart = dpart.transpose(1, 0, 2, 3).reshape(n * 2 * p, c * w)
+            dmap += ay[lo:hi].reshape(n * 2 * p, h).T @ dpart
+        _accum(feat, dmap.reshape(h, c, w).transpose(1, 0, 2)[None])
 
     return Tensor(result, _parents=(feature,), _backward=bwd)

@@ -20,7 +20,7 @@ from attnmask.losses import cls_loss, mask_loss, reg_loss, total_loss
 from attnmask.metrics import COCO_SWEEP, DetTable, GTTable, average_precision, map_report
 from attnmask.model import ModelConfig, build_model
 from attnmask.roi_align import roi_align
-from attnmask.synth import SynthSpec, synth_dataset
+from attnmask.synth import SynthSpec, synth_dataset, to_ground_truth
 from attnmask.tensor import Tensor
 from attnmask.train import TrainConfig, lr_at, train
 from oracles import map_reference, nms_bruteforce, roi_align_dense, zero_params
@@ -270,7 +270,8 @@ def test_criterion_08_training_smoke(capsys, reference_run):
 
 def test_criterion_09_end_to_end_map(capsys, reference_run):
     r = reference_run
-    report, n_dets = _self_evaluate(r["model_a"], r["val"], r["spec"], CONF_THRESHOLD)
+    val_gt = to_ground_truth(r["val"], r["spec"].classes).records
+    report, n_dets = _self_evaluate(r["model_a"], r["val"], val_gt, CONF_THRESHOLD)
     ok = report.map50 >= 0.5
     _verdict(capsys, 9, "end-to-end mAP@0.5", ok,
              f"mAP@0.5 {report.map50:.4f} >= 0.5 with {n_dets} detections at "

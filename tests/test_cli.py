@@ -348,9 +348,11 @@ def test_compare_writes_all_variants(tmp_path, capsys):
 
 
 def test_compare_builds_its_scenes_once(tmp_path, monkeypatch, capsys):
-    # the train and val scenes are made once, and every variant trains on the same list
-    made, trained_on = [], []
+    # the train and val scenes and the val ground truth are made once, every
+    # variant trains on the same list and is scored against the same table
+    made, trained_on, truths, scored_on = [], [], [], []
     real_synth, real_train = cli_mod.synth_dataset, cli_mod.train
+    real_truth, real_report = cli_mod.to_ground_truth, cli_mod.map_report
 
     def synth(*args):
         made.append(real_synth(*args))
@@ -360,11 +362,23 @@ def test_compare_builds_its_scenes_once(tmp_path, monkeypatch, capsys):
         trained_on.append(dataset)
         return real_train(model, dataset, cfg)
 
+    def to_ground_truth(*args):
+        truths.append(real_truth(*args))
+        return truths[-1]
+
+    def map_report(dets, gt, **kwargs):
+        scored_on.append(gt)
+        return real_report(dets, gt, **kwargs)
+
     monkeypatch.setattr(cli_mod, "synth_dataset", synth)
     monkeypatch.setattr(cli_mod, "train", train)
+    monkeypatch.setattr(cli_mod, "to_ground_truth", to_ground_truth)
+    monkeypatch.setattr(cli_mod, "map_report", map_report)
     assert cli(["compare", "--config", str(_micro_config(tmp_path)), "--out", str(tmp_path / "cmp")]) == 0
     assert len(made) == 2
     assert len(trained_on) == 4 and all(ds is made[0] for ds in trained_on)
+    assert len(truths) == 1
+    assert len(scored_on) == 4 and all(gt is truths[0].records for gt in scored_on)
 
 
 def test_unknown_subcommand_exits_via_argparse():

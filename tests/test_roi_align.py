@@ -1,5 +1,7 @@
-"""ROI Align against the dense bilinear oracle; level routing."""
+"""ROI Align against the dense bilinear oracle and its recorded digests;
+level routing."""
 
+import hashlib
 import re
 
 import numpy as np
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attnmask.boxes import box_array
-from attnmask.roi_align import CHUNK, assign_level, roi_align
+from attnmask.roi_align import CHUNK, GRAD_CHUNK, assign_level, roi_align
 from attnmask.tensor import Tensor, grad_check, no_grad
 from oracles import roi_align_dense
 
@@ -96,33 +98,52 @@ _side = st.floats(0.5, 20.0)
 _roi = st.builds(lambda x, y, w, h: (x, y, x + w, y + h), _corner, _corner, _side, _side)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(
-    extra=st.lists(_roi, max_size=CHUNK + 4),
-    seed=st.integers(0, 2**32 - 1),
-    res=st.integers(1, 5),
-)
-def test_batched_equals_per_box_and_dense_oracle(extra, seed, res):
-    boxes = box_array(_EDGE_BOXES + extra)
-    rng = np.random.default_rng(seed)
-    feature = rng.standard_normal((1, 3, 6, 7))
+def _check_batched(feature, stride, boxes, res, rng):
+    """Each region of one batched call equals its batch-of-one call bit for
+    bit and the dense oracle, and the batched gradient is the sum of the
+    per-region backwards."""
     leaf = Tensor(feature, requires_grad=True)
-    batched = roi_align(leaf, 4.0, boxes, res)
-    assert batched.shape == (len(boxes), 3, res, res)
+    batched = roi_align(leaf, stride, boxes, res)
+    assert batched.shape == (len(boxes), feature.shape[1], res, res)
     pw = rng.standard_normal(batched.shape)
     (batched * pw).sum().backward()
 
     grad_sum = np.zeros_like(feature)
     for i, xyxy in enumerate(boxes.tolist()):
         one_leaf = Tensor(feature, requires_grad=True)
-        one = roi_align(one_leaf, 4.0, boxes[i : i + 1], res)
+        one = roi_align(one_leaf, stride, boxes[i : i + 1], res)
         np.testing.assert_array_equal(batched.data[i], one.data[0])
-        want = roi_align_dense(feature[0], 4.0, xyxy, res)
+        want = roi_align_dense(feature[0], stride, xyxy, res)
         assert np.abs(one.data[0] - want).max() < 1e-9
         (one * pw[i : i + 1]).sum().backward()
         grad_sum += one_leaf.grad
     # the batched backward is the sum of the per-region backwards
     assert np.allclose(leaf.grad, grad_sum, rtol=0.0, atol=1e-12)
+
+
+# at least 2 * CHUNK + 4 regions: three forward chunks or more
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    extra=st.lists(_roi, min_size=2 * CHUNK, max_size=3 * CHUNK + 4),
+    seed=st.integers(0, 2**32 - 1),
+    res=st.integers(1, 5),
+)
+def test_batched_equals_per_box_and_dense_oracle(extra, seed, res):
+    boxes = box_array(_EDGE_BOXES + extra)
+    assert len(boxes) > 2 * CHUNK
+    rng = np.random.default_rng(seed)
+    _check_batched(rng.standard_normal((1, 3, 6, 7)), 4.0, boxes, res, rng)
+
+
+@pytest.mark.parametrize("res", [7, 14])
+def test_batched_equals_per_box_on_the_p2_shape(res):
+    # the detector's box and mask resolutions on P2's (24, 16, 16) map at
+    # stride 4, over three forward chunks and two backward groups or more
+    rng = np.random.default_rng(27 + res)
+    n = max(3 * CHUNK, GRAD_CHUNK) + 2
+    corner = rng.uniform(-8.0, 60.0, (n, 2))
+    boxes = np.concatenate([corner, corner + rng.uniform(1.0, 40.0, (n, 2))], axis=1)
+    _check_batched(rng.standard_normal((1, 24, 16, 16)), 4.0, boxes, res, rng)
 
 
 @pytest.mark.parametrize("res", [7, 14])
@@ -197,3 +218,41 @@ def test_small_regions_on_a_large_map(with_wide):
         return (roi_align(t, 2.0, boxes, 3) * pw).sum()
 
     assert grad_check(fn, Tensor(feature)) < 1e-3
+
+
+# sha256 of the (R, C, p, p) values and of the map's gradient under a fixed
+# projection, on _digest_case() at p = 7 and p = 14. Recorded with the form
+# that built the weights per chunk of 16 regions and read the map channels
+# last; any change to the last bit of a pooled value or of the gradient
+# changes them.
+ROI_DIGESTS = {
+    7: ("8bdd9bc5209d5361831c33d26762bf5e5c96f9ff89ba1caf87996734d4ee3b8a",
+        "4bd9372c938ba2bd2414887099dd0cb6f970a4e01a9409c6360a63ce9fb1878d"),
+    14: ("38d62856e00593202a5021507fbf5cd75ab6df481e22d32a0b0e94e51880efb8",
+         "adb65fc29255b2e0e7b2acf395dfe0bf08ebfd4a2330f25865dcac8f1360faeb"),
+}
+
+
+def _digest_case():
+    """A seeded (1, 24, 16, 16) map, P2's shape at stride 4, and 40 regions
+    of its 64-pixel image, some past its edges: several chunks each way."""
+    rng = np.random.default_rng(2727)
+    feature = rng.standard_normal((1, 24, 16, 16))
+    corner = rng.uniform(-8.0, 60.0, (40, 2))
+    side = rng.uniform(1.0, 40.0, (40, 2))
+    return feature, np.concatenate([corner, corner + side], axis=1)
+
+
+def _sha(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("res", sorted(ROI_DIGESTS))
+def test_values_and_gradient_match_their_digests(res):
+    feature, boxes = _digest_case()
+    assert len(boxes) > 2 * max(CHUNK, GRAD_CHUNK)
+    leaf = Tensor(feature, requires_grad=True)
+    out = roi_align(leaf, 4.0, boxes, res)
+    # the projection: one fixed weight per output value
+    (out * np.random.default_rng(res).standard_normal(out.shape)).sum().backward()
+    assert (_sha(out.data), _sha(leaf.grad)) == ROI_DIGESTS[res]
