@@ -55,9 +55,6 @@ class CheckRun:
     def ok(self) -> bool:
         return all(c.ok for c in self.cases)
 
-    def worst(self) -> "CheckCase":
-        return max(self.cases, key=lambda c: c.max_rel_err)
-
     def summary_lines(self) -> list:
         lines = []
         by_name: dict[str, list] = {}

@@ -8,10 +8,12 @@ mask term is the mean of the same binary terms (`cls_loss`) over the
 p x p grids of each positive region's matched class channel. Anchor
 labelling reads one `boxes.pairwise_iou` matrix of anchor and ground-truth
 corner rows. It and region sampling draw their minibatches through one
-sampler, `sample_minibatch`.
+sampler, `sample_minibatch`, and both return one array triple: the
+sampled indices, their labels and their matched ground-truth indices.
 
 The total is (1/N_cls) * sum(cls) + (lambda/N_reg) * sum(reg) + mask,
-and `total_loss` is the only place it is composed. Training calls it once
+and `total_loss` is the only place it is composed; it returns the total
+with the (cls, reg, mask) array of its parts. Training calls it once
 for the RPN terms, with N_cls the sampled anchors, N_reg the anchor
 positions and lambda the configured offset weight, and once for the
 region heads, with both counts the sampled regions and lambda 1.
@@ -21,8 +23,6 @@ and catastrophic predictions both stay finite.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,8 +36,6 @@ __all__ = [
     "POSITIVE",
     "NEGATIVE",
     "IGNORE",
-    "AnchorAssignment",
-    "LossReport",
     "assign_anchor_labels",
     "sample_minibatch",
     "cls_loss",
@@ -57,39 +55,24 @@ POS_IOU = 0.7
 NEG_IOU = 0.3
 
 
-@dataclass
-class AnchorAssignment:
-    """Per-anchor labels plus the sampled training minibatch.
-
-    labels: 1 positive, 0 negative, -1 ignore (ignored anchors never enter
-    a loss sum). matched_gt holds the ground-truth index for positives and
-    -1 elsewhere. sampled_pos/sampled_neg are the minibatch indices.
-    """
-
-    labels: np.ndarray
-    matched_gt: np.ndarray
-    sampled_pos: np.ndarray
-    sampled_neg: np.ndarray
-
-    @property
-    def sampled(self) -> np.ndarray:
-        return np.concatenate([self.sampled_pos, self.sampled_neg])
-
-
 def assign_anchor_labels(
     anchors: np.ndarray,
     gt_boxes: np.ndarray,
     rng: np.random.Generator,
     batch: int = 256,
     pos_fraction: float = 0.5,
-) -> AnchorAssignment:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Label anchors against ground truth and sample a training minibatch.
 
     An anchor is positive when its best IoU reaches POS_IOU or it is the
     best anchor for some ground-truth box; negative when its best IoU is
-    at most NEG_IOU; ignored in between. At most batch*pos_fraction
-    positives are sampled, negatives fill the rest of the batch. anchors
-    and gt_boxes are (N, 4) corner rows.
+    at most NEG_IOU; ignored in between, and never sampled. At most
+    batch*pos_fraction positives are sampled, negatives fill the rest of
+    the batch. anchors and gt_boxes are (N, 4) corner rows.
+
+    Returns (sampled anchor indices, their labels, their matched
+    ground-truth index or -1), positives first and each part ascending,
+    the form `sample_minibatch` draws and region sampling returns.
     """
     n = anchors.shape[0]
     labels = np.full(n, IGNORE, dtype=np.int8)
@@ -105,11 +88,11 @@ def assign_anchor_labels(
     else:
         labels[:] = NEGATIVE
 
-    pos_idx, neg_idx = sample_minibatch(
+    sampled = np.concatenate(sample_minibatch(
         np.flatnonzero(labels == POSITIVE), np.flatnonzero(labels == NEGATIVE),
         int(batch * pos_fraction), batch, rng,
-    )
-    return AnchorAssignment(labels=labels, matched_gt=matched, sampled_pos=pos_idx, sampled_neg=neg_idx)
+    ))
+    return sampled, labels[sampled], matched[sampled]
 
 
 def sample_minibatch(
@@ -178,16 +161,6 @@ def mask_loss(y: Tensor, y_star: np.ndarray) -> Tensor:
     return cls_loss(y, y_star).mean()
 
 
-@dataclass
-class LossReport:
-    """Normalized components and their sum; all finite and non-negative."""
-
-    l_cls: float
-    l_reg: float
-    l_mask: float
-    l_total: float
-
-
 def total_loss(
     cls_terms: Tensor | None,
     reg_terms: Tensor | None,
@@ -195,11 +168,11 @@ def total_loss(
     n_cls: int,
     n_reg: int,
     reg_weight: float = 1.0,
-) -> tuple[Tensor, LossReport]:
+) -> tuple[Tensor, np.ndarray]:
     """Compose (1/N_cls)*sum(cls) + (reg_weight/N_reg)*sum(reg) + mask.
 
-    Returns the differentiable total plus a report of the three normalized
-    components. Missing parts contribute exactly zero.
+    Returns the differentiable total plus the (cls, reg, mask) array of its
+    three normalized parts. Missing parts contribute exactly zero.
     """
     zero = Tensor(np.zeros(()))
     cls_part = cls_terms.sum() * (1.0 / n_cls) if cls_terms is not None and cls_terms.size else zero
@@ -208,4 +181,4 @@ def total_loss(
     )
     mask_part = mask_term if mask_term is not None else zero
     total = cls_part + reg_part + mask_part
-    return total, LossReport(cls_part.item(), reg_part.item(), mask_part.item(), total.item())
+    return total, np.array([cls_part.item(), reg_part.item(), mask_part.item()])

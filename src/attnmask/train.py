@@ -16,7 +16,10 @@ their coordinates, and the scene's box rows are appended to the proposal
 set so the region heads always see positives once the dataset has them.
 Anchors, proposals and scene boxes are all (N, 4) corner rows; regions
 are labelled by one `pairwise_iou` of them, and `encode` alone reads
-their centers for the offset targets.
+their centers for the offset targets. Anchor and region sampling both
+hand over (sampled indices, labels, matched ground-truth index) arrays,
+and the two compositions' (cls, reg, mask) part arrays add up to the
+parts a step records.
 
 Every consumed random draw comes from one seeded generator in a fixed
 order, so a rerun with the same (model seed, data, config) reproduces
@@ -213,17 +216,15 @@ def _image_loss(
     anchors, scores, offsets = rpn_forward(model, pyramid)
     gt = sample.boxes
 
-    asg = assign_anchor_labels(
-        anchors, gt, rng,
-        batch=cfg.rpn_batch, pos_fraction=cfg.rpn_pos_fraction,
+    sampled, anchor_labels, anchor_matched = assign_anchor_labels(
+        anchors, gt, rng, batch=cfg.rpn_batch, pos_fraction=cfg.rpn_pos_fraction
     )
-    sampled = asg.sampled
-    rpn_cls = cls_loss(gather_rows(scores, sampled), asg.labels[sampled])
+    rpn_cls = cls_loss(gather_rows(scores, sampled), anchor_labels)
     rpn_reg = None
-    pos = asg.sampled_pos
-    if pos.size:
-        pred = gather_rows(offsets, pos)
-        rpn_reg = reg_loss(pred, encode(anchors[pos], gt[asg.matched_gt[pos]]))
+    pos = anchor_labels > 0
+    if pos.any():
+        pred = gather_rows(offsets, sampled[pos])
+        rpn_reg = reg_loss(pred, encode(anchors[sampled[pos]], gt[anchor_matched[pos]]))
     # position-count normalization leaves the offset term orders of magnitude
     # below the objectness term; the weight restores a comparable scale
     n_positions = anchors.shape[0] // model.cfg.num_anchor_shapes
@@ -256,8 +257,7 @@ def _image_loss(
             l_mask = mask_loss(grids, targets)
     roi_total, roi_parts = total_loss(roi_cls, roi_reg, l_mask, n_rois, n_rois)
 
-    parts = np.array([[r.l_cls, r.l_reg, r.l_mask] for r in (rpn_parts, roi_parts)]).sum(axis=0)
-    return rpn_total + roi_total, parts
+    return rpn_total + roi_total, rpn_parts + roi_parts
 
 
 def _sgd_step(params, velocities, lr: float, cfg: TrainConfig) -> None:

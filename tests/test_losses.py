@@ -172,11 +172,13 @@ def test_total_loss_hand_composition():
     cls_terms = cls_loss(Tensor(np.array([0.5, 0.5])), np.array([1.0, 0.0]))
     reg_terms = reg_loss(Tensor(np.array([[0.5, 0, 0, 0]])), np.zeros((1, 4)))
     mask_term = mask_loss(Tensor(np.full((2, 2), 0.5)), np.ones((2, 2)))
-    total, report = total_loss(cls_terms, reg_terms, mask_term, n_cls=2, n_reg=100)
+    total, parts = total_loss(cls_terms, reg_terms, mask_term, n_cls=2, n_reg=100)
     want = math.log(2.0) + 0.00125 + math.log(2.0)
     assert total.item() == pytest.approx(want, abs=1e-12)
     assert total.item() == pytest.approx(1.38754, abs=1e-5)
-    assert report.l_total == pytest.approx(report.l_cls + report.l_reg + report.l_mask)
+    assert parts.shape == (3,)
+    assert parts == pytest.approx([math.log(2.0), 0.00125, math.log(2.0)], abs=1e-12)
+    assert parts.sum() == pytest.approx(total.item(), abs=1e-12)
 
 
 def test_total_loss_mask_linearity():
@@ -187,11 +189,13 @@ def test_total_loss_mask_linearity():
 
 
 def test_total_loss_missing_parts_and_weight():
-    total, report = total_loss(None, None, None, n_cls=1, n_reg=1)
+    total, parts = total_loss(None, None, None, n_cls=1, n_reg=1)
     assert total.item() == 0.0
+    assert parts.tolist() == [0.0, 0.0, 0.0]
     reg_terms = reg_loss(Tensor(np.array([[2.0, 0, 0, 0]])), np.zeros((1, 4)))
-    weighted, _ = total_loss(None, reg_terms, None, n_cls=1, n_reg=1, reg_weight=10.0)
+    weighted, parts = total_loss(None, reg_terms, None, n_cls=1, n_reg=1, reg_weight=10.0)
     assert weighted.item() == pytest.approx(15.0)
+    assert parts.tolist() == [0.0, weighted.item(), 0.0]
 
 
 def test_total_loss_backward_flows_to_all_parts():
@@ -226,6 +230,19 @@ def test_loss_gradients(seed):
 # -- anchor labeling ----------------------------------------------------------
 
 
+def _per_anchor(anchors, gt, seed=0):
+    """assign_anchor_labels' sample spread back over every anchor: each
+    sampled anchor's label and match, IGNORE and -1 elsewhere. With at most
+    128 anchors the default batch of 256 samples every anchor that is not
+    ignored, so these are the per-anchor labels and matches."""
+    assert len(anchors) <= 128
+    sampled, labels, matched = assign_anchor_labels(anchors, gt, np.random.default_rng(seed))
+    per_label = np.full(len(anchors), IGNORE)
+    per_match = np.full(len(anchors), -1)
+    per_label[sampled], per_match[sampled] = labels, matched
+    return per_label, per_match
+
+
 def test_assignment_thresholds_and_ignore_band():
     gt = [(5.0, 5.0, 15.0, 15.0)]
     anchors = [
@@ -235,22 +252,22 @@ def test_assignment_thresholds_and_ignore_band():
         (5.0, 8.0, 15.0, 20.0),  # IoU ~0.47: the ignore band
         (75.0, 75.0, 85.0, 85.0),  # IoU 0 -> negative
     ]
-    out = assign_anchor_labels(box_array(anchors), box_array(gt), np.random.default_rng(0))
-    assert out.labels[0] == POSITIVE
-    assert out.labels[1] == POSITIVE
-    assert out.labels[2] == NEGATIVE
-    assert out.labels[3] == IGNORE
-    assert out.labels[4] == NEGATIVE
-    assert out.matched_gt[0] == 0
-    assert out.matched_gt[4] == -1
+    labels, matched = _per_anchor(box_array(anchors), box_array(gt))
+    assert labels[0] == POSITIVE
+    assert labels[1] == POSITIVE
+    assert labels[2] == NEGATIVE
+    assert labels[3] == IGNORE
+    assert labels[4] == NEGATIVE
+    assert matched[0] == 0
+    assert matched[4] == -1
 
 
 def test_assignment_bounds_are_inclusive():
     # IoUs of exactly NEG_IOU and POS_IOU: 30/100 and 70/100 in float
     gt = [(0.0, 0.0, 10.0, 10.0)]
     anchors = [(0.0, 0.0, 10.0, 10.0), (0.0, 0.0, 10.0, 3.0), (0.0, 0.0, 10.0, 7.0)]
-    out = assign_anchor_labels(box_array(anchors), box_array(gt), np.random.default_rng(0))
-    assert out.labels.tolist() == [POSITIVE, NEGATIVE, POSITIVE]
+    labels, _ = _per_anchor(box_array(anchors), box_array(gt))
+    assert labels.tolist() == [POSITIVE, NEGATIVE, POSITIVE]
 
 
 def test_assignment_rescue_low_iou_argmax():
@@ -260,10 +277,10 @@ def test_assignment_rescue_low_iou_argmax():
         (13.0, 6.0, 21.0, 14.0),  # IoU ~0.067, the best available
         (36.0, 36.0, 44.0, 44.0),  # zero overlap
     ]
-    out = assign_anchor_labels(box_array(anchors), box_array(gt), np.random.default_rng(0))
-    assert out.labels[0] == POSITIVE
-    assert out.matched_gt[0] == 0
-    assert out.labels[1] == NEGATIVE
+    labels, matched = _per_anchor(box_array(anchors), box_array(gt))
+    assert labels[0] == POSITIVE
+    assert matched[0] == 0
+    assert labels[1] == NEGATIVE
 
 
 def test_assignment_rescue_includes_ties_but_never_zero_iou():
@@ -273,10 +290,10 @@ def test_assignment_rescue_includes_ties_but_never_zero_iou():
         (0.0, 6.0, 8.0, 14.0),
         (46.0, 46.0, 54.0, 54.0),  # zero IoU with both boxes
     ]
-    out = assign_anchor_labels(box_array(anchors), box_array(gt), np.random.default_rng(0))
-    assert out.labels[0] == POSITIVE and out.labels[1] == POSITIVE
+    labels, _ = _per_anchor(box_array(anchors), box_array(gt))
+    assert labels[0] == POSITIVE and labels[1] == POSITIVE
     # the zero-overlap anchor must not be rescued for the far-away box
-    assert out.labels[2] == NEGATIVE
+    assert labels[2] == NEGATIVE
 
 
 def _grid_rows(rng, n):
@@ -294,9 +311,9 @@ def test_assignment_equals_bruteforce_oracle():
     for case in range(300):
         anchors, gt = _grid_rows(rng, int(rng.integers(1, 40))), _grid_rows(rng, int(rng.integers(0, 5)))
         labels, matched = anchor_labels_reference(anchors.tolist(), gt.tolist())
-        out = assign_anchor_labels(anchors, gt, np.random.default_rng(case))
-        assert out.labels.tolist() == labels, f"case {case}"
-        assert out.matched_gt.tolist() == matched, f"case {case}"
+        got_labels, got_matched = _per_anchor(anchors, gt, seed=case)
+        assert got_labels.tolist() == labels, f"case {case}"
+        assert got_matched.tolist() == matched, f"case {case}"
         if len(gt):
             ious = np.array([[iou_xyxy(a, g) for g in gt.tolist()] for a in anchors.tolist()])
             top = ious.max(axis=0)
@@ -307,14 +324,13 @@ def test_assignment_equals_bruteforce_oracle():
 
 def test_assignment_no_gt_all_negative():
     anchors = [(3.0, 3.0, 7.0, 7.0) for _ in range(6)]
-    out = assign_anchor_labels(box_array(anchors), np.zeros((0, 4)), np.random.default_rng(0))
-    assert (out.labels == NEGATIVE).all()
-    assert out.sampled_pos.size == 0
-    assert out.sampled_neg.size == 6
+    sampled, labels, matched = assign_anchor_labels(box_array(anchors), np.zeros((0, 4)), np.random.default_rng(0))
+    assert sampled.tolist() == [0, 1, 2, 3, 4, 5]
+    assert (labels == NEGATIVE).all()
+    assert (matched == -1).all()
 
 
 def test_minibatch_caps_and_composition():
-    rng = np.random.default_rng(3)
     gt = [(24.0, 24.0, 40.0, 40.0)]
     # a dense grid produces plenty of positives and negatives
     anchors = [
@@ -322,12 +338,27 @@ def test_minibatch_caps_and_composition():
         for dx in np.linspace(-24, 24, 16)
         for dy in np.linspace(-24, 24, 16)
     ]
-    out = assign_anchor_labels(box_array(anchors), box_array(gt), rng, batch=32, pos_fraction=0.5)
-    assert out.sampled_pos.size <= 16
-    assert out.sampled_pos.size + out.sampled_neg.size <= 32
-    assert set(out.labels[out.sampled_pos]) == {POSITIVE}
-    assert set(out.labels[out.sampled_neg]) == {NEGATIVE}
-    assert np.intersect1d(out.sampled_pos, out.sampled_neg).size == 0
+    sampled, labels, matched = assign_anchor_labels(
+        box_array(anchors), box_array(gt), np.random.default_rng(3), batch=32, pos_fraction=0.5
+    )
+    pos, neg = sampled[labels == POSITIVE], sampled[labels == NEGATIVE]
+    assert 0 < pos.size <= 16
+    assert sampled.size <= 32
+    assert pos.size + neg.size == sampled.size
+    assert np.intersect1d(pos, neg).size == 0
+    # positives first, each part ascending
+    assert sampled.tolist() == pos.tolist() + neg.tolist()
+    assert (np.diff(pos) > 0).all() and (np.diff(neg) > 0).all()
+    # every sampled anchor carries its own label and match
+    want_labels, want_matched = anchor_labels_reference(anchors, gt)
+    assert labels.tolist() == np.array(want_labels)[sampled].tolist()
+    assert matched.tolist() == np.array(want_matched)[sampled].tolist()
+    # the sample is sample_minibatch's draw over the labelled sets
+    ref = np.array(want_labels)
+    want_pos, want_neg = sample_minibatch(
+        np.flatnonzero(ref == POSITIVE), np.flatnonzero(ref == NEGATIVE), 16, 32, np.random.default_rng(3)
+    )
+    assert sampled.tolist() == want_pos.tolist() + want_neg.tolist()
 
 
 def test_minibatch_sampling_is_seeded():
@@ -339,7 +370,9 @@ def test_minibatch_sampling_is_seeded():
     ]
     a = assign_anchor_labels(box_array(anchors), box_array(gt), np.random.default_rng(5), batch=8)
     b = assign_anchor_labels(box_array(anchors), box_array(gt), np.random.default_rng(5), batch=8)
-    assert np.array_equal(a.sampled, b.sampled)
+    assert a[0].size == 8
+    for x, y in zip(a, b):
+        assert np.array_equal(x, y)
 
 
 def test_sample_minibatch_pins_seeded_draws():
@@ -360,8 +393,9 @@ def test_sample_minibatch_pins_seeded_draws():
 def test_positive_targets_encode_against_matched_box():
     gt = [(7.0, 5.0, 17.0, 15.0)]
     anchors = [(5.0, 5.0, 15.0, 15.0)]
-    out = assign_anchor_labels(box_array(anchors), box_array(gt), np.random.default_rng(0))
-    gi = out.matched_gt[0]
+    sampled, labels, matched = assign_anchor_labels(box_array(anchors), box_array(gt), np.random.default_rng(0))
+    assert sampled.tolist() == [0] and labels.tolist() == [POSITIVE]
+    gi = matched[0]
     tx, _, tw, _ = encode(box_array(anchors), box_array(gt)[[gi]])[0]
     assert tx == pytest.approx(0.2)
     assert tw == pytest.approx(0.0)

@@ -1,15 +1,23 @@
-"""Training loop: schedule exactness, determinism, mask targets, SGD math."""
+"""Training loop: schedule exactness, determinism, mask targets, SGD math,
+the loss path's digest and the whole detector against central differences."""
 
 import csv
+import hashlib
+import re
 
 import numpy as np
 import pytest
 
+from attnmask import attention as attention_mod
+from attnmask import losses as losses_mod
+from attnmask import model as model_mod
+from attnmask import tensor as tensor_mod
 from attnmask import train as train_mod
+from attnmask.attention import VARIANTS
 from attnmask.losses import mask_loss, total_loss
 from attnmask.model import ModelConfig, build_model, extract_roi_features, mask_head_forward, pyramid_forward
 from attnmask.synth import SynthSpec, dataset_hash, synth_dataset
-from attnmask.tensor import Tensor, concat
+from attnmask.tensor import Tensor, concat, no_grad
 from attnmask.train import (
     StepRecord,
     TrainConfig,
@@ -185,6 +193,143 @@ def test_mask_term_and_gradients_equal_a_per_region_loop(monkeypatch):
     assert parts[2] == pytest.approx(l_mask.item(), rel=0.0, abs=1e-12)
     for name, t in head:
         np.testing.assert_allclose(batched[name], t.grad, rtol=0.0, atol=1e-12, err_msg=name)
+
+
+# -- the whole detector against central differences ---------------------------
+
+GROUPS = ("backbone", "fpn", "rpn", "box_head", "mask_head")
+DETECTOR_EPS = 1e-6
+DETECTOR_TOL = 1e-5
+
+
+def _detector_errors(monkeypatch, variant, seed):
+    """Per parameter group, the relative disagreement |a - n| / max(|a|, |n|)
+    between _image_loss's taped derivative along a random unit direction
+    over the group and its central difference at DETECTOR_EPS.
+
+    Every evaluation reseeds the rng and reuses the first evaluation's
+    proposals, so the anchor and region samples stay fixed and the loss is
+    a smooth function of the parameters. Biases are redrawn from +-0.05:
+    build_model's zero biases put relus on their kinks, where the two
+    disagree by up to 7e-2."""
+    first = []
+
+    def frozen_propose(*args, **kwargs):
+        if not first:
+            first.append(model_mod.propose(*args, **kwargs))
+        return first[0]
+
+    monkeypatch.setattr(train_mod, "propose", frozen_propose)
+    model = build_model(ModelConfig.toy(variant), seed=seed)
+    sample = synth_dataset(SynthSpec(n_objects=(2, 3)), 100 + seed, 1)[0]
+    rng = np.random.default_rng(seed)
+    params = model.named_params()
+    for name, p in params:
+        if re.search(r"(^|[._])b\d?$", name):
+            p.data = rng.uniform(-0.05, 0.05, p.shape)
+
+    def loss():
+        return _image_loss(model, sample, np.random.default_rng(seed), TrainConfig.toy())[0]
+
+    loss().backward()
+    errors = {}
+    for group in GROUPS:
+        members = [p for name, p in params if name.startswith(group + ".")]
+        dirs = [rng.standard_normal(p.shape) for p in members]
+        norm = np.sqrt(sum((d * d).sum() for d in dirs))
+        dirs = [d / norm for d in dirs]
+        taped = sum(float((p.grad * d).sum()) for p, d in zip(members, dirs) if p.grad is not None)
+        base = [p.data for p in members]
+        sides = []
+        for sign in (1.0, -1.0):
+            for p, b, d in zip(members, base, dirs):
+                p.data = b + sign * DETECTOR_EPS * d
+            with no_grad():
+                sides.append(loss().item())
+        for p, b in zip(members, base):
+            p.data = b
+        numeric = (sides[0] - sides[1]) / (2.0 * DETECTOR_EPS)
+        errors[group] = abs(taped - numeric) / max(abs(taped), abs(numeric))
+    return errors
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_detector_gradient_matches_central_differences(monkeypatch, variant, seed):
+    errors = _detector_errors(monkeypatch, variant, seed)
+    assert max(errors.values()) < DETECTOR_TOL, errors
+
+
+def _linear_without_input_grad(x, w, b):
+    def bwd(g):
+        tensor_mod._accum(w, g.T @ x.data)
+        tensor_mod._accum(b, g.sum(axis=0))
+
+    return Tensor(x.data @ w.data.T + b.data, _parents=(x, w, b), _backward=bwd)
+
+
+def _gather_rows_overwriting(x, indices):
+    idx = np.asarray(indices, dtype=np.intp)
+
+    def bwd(g):
+        d = np.zeros_like(x.data)
+        d[idx] = g  # a repeated row keeps one of its gradients, not their sum
+        tensor_mod._accum(x, d)
+
+    return Tensor(x.data[idx], _parents=(x,), _backward=bwd)
+
+
+@pytest.mark.parametrize("fault, variant", [("linear", v) for v in VARIANTS] + [("gather_rows", "eca")])
+def test_detector_check_catches_backward_faults(monkeypatch, fault, variant):
+    faulty = {"linear": _linear_without_input_grad, "gather_rows": _gather_rows_overwriting}[fault]
+    for module in (model_mod, attention_mod, losses_mod, train_mod):
+        if hasattr(module, fault):
+            monkeypatch.setattr(module, fault, faulty)
+    errors = _detector_errors(monkeypatch, variant, 0)
+    assert max(errors.values()) > DETECTOR_TOL, errors
+
+
+# sha256 of _image_loss's total, its parts and every parameter gradient on
+# each case of _loss_path_cases(), then of a 4-step train trace and the
+# parameters it leaves. Recorded with the form that carried the anchor
+# sample and the loss parts in record types; any change to the last bit of
+# a loss, a part, a gradient or a step changes it.
+LOSS_PATH_DIGEST = "e3574fbc61c60b59be7cc5ff15977a23607074997240afd88c16fcc90b40bae7"
+
+
+def _loss_path_cases():
+    """Every variant at two model seeds, on one empty scene and two with
+    objects, each scene under its own rng seed."""
+    scenes = synth_dataset(SynthSpec(n_objects=(0, 0)), 5, 1) + synth_dataset(SynthSpec(), 28, 2)
+    for variant in VARIANTS:
+        for model_seed in (0, 1):
+            model = build_model(ModelConfig.toy(variant), seed=model_seed)
+            for rng_seed, sample in enumerate(scenes):
+                yield model, sample, np.random.default_rng(rng_seed)
+
+
+def _loss_path_digest():
+    h = hashlib.sha256()
+    for model, sample, rng in _loss_path_cases():
+        total, parts = _image_loss(model, sample, rng, TrainConfig.toy())
+        total.backward()
+        h.update(total.data.tobytes() + parts.tobytes())
+        for name, p in model.named_params():
+            h.update(name.encode() + (b"none" if p.grad is None else p.grad.tobytes()))
+            p.grad = None
+    data = synth_dataset(SynthSpec(), 28, 4)
+    model = build_model(ModelConfig.toy("eca"), seed=2)
+    cfg = TrainConfig(seed=3, epochs=2, step_epochs=(1,), rpn_batch=32, roi_batch=8,
+                      train_pre_nms=100, train_post_nms=8, hflip_prob=0.5)
+    for r in train(model, data, cfg).records:
+        h.update(repr(r).encode())
+    for name, p in model.named_params():
+        h.update(name.encode() + p.data.tobytes())
+    return h.hexdigest()
+
+
+def test_loss_path_matches_its_digest():
+    assert _loss_path_digest() == LOSS_PATH_DIGEST
 
 
 def _short_run(seed=0, epochs=2):
