@@ -6,10 +6,17 @@ rounded -- and split into a p x p grid of bins. Each bin is read at its
 four quarter points, every sample bilinearly interpolated from the four
 surrounding cells (cell centers sit at integer + 0.5, reads outside the
 map return 0), and the bin keeps the max of its four samples, the one
-pooling rule of the detector. The backward follows the first-winner tie
-rule used by the rest of the tensor core; the winner of each bin and the
-interpolation matrices are kept only when the map needs a gradient, so
-inside `no_grad` the forward computes the maxima alone.
+pooling rule of the detector. The max is taken in one order with or
+without a gradient: first across the x halves of each y half, then across
+the y halves, each a `np.maximum` pass over contiguous blocks (a per-cell
+select on a random mask cost 8-12x such a pass on a 2-core x86 host). The
+backward follows the first-winner tie rule used by the rest of the tensor
+core: a bin's winner is its right sample only if that is strictly larger
+than the left, and its bottom row's winner only if that row's max is
+strictly larger than the top's, which is the first maximal sample in the
+scan order (0.25, 0.25), (0.25, 0.75), (0.75, 0.25), (0.75, 0.75). The
+winners and the interpolation matrices are kept only when the map needs a
+gradient, so inside `no_grad` the forward computes the maxima alone.
 
 Bilinear sampling is separable. Along each axis a region's 2p quarter
 points read the map through a (2p, L) interpolation matrix over all L
@@ -68,12 +75,23 @@ def bilinear_weights(coords: np.ndarray, n: int) -> np.ndarray:
 
     Row s of a region's (S, n) matrix A reads a length-n axis at its s-th
     coordinate, so A F B^T samples a map F at every coordinate pair.
+    A coordinate v + 0.5 with v = i + f (i = floor(v)) gives cell i the
+    weight 1 - f and cell i + 1 the weight f, written by index into rows
+    of zeros with two pad cells on each side, where reads off the map land.
     """
     v = coords - 0.5
-    i0 = np.floor(v)[..., None]
-    f = v[..., None] - i0
-    cells = np.arange(n)
-    return (cells == i0) * (1.0 - f) + (cells == i0 + 1.0) * f
+    i0 = np.floor(v)
+    f = v - i0
+    m = n + 4
+    # flat index of cell i0 in its row, with i0 clipped into the pads (fmax
+    # sends a NaN coordinate there too: it reads nothing)
+    cell = np.fmin(np.fmax(i0, -2.0), n)
+    idx = (cell + np.arange(2.0, coords.size * m, m).reshape(coords.shape)).astype(np.intp)
+    rows = np.zeros((*coords.shape, m))
+    flat = rows.reshape(-1)
+    flat[idx] = 1.0 - f
+    flat[idx + 1] = f
+    return np.ascontiguousarray(rows[..., 2 : n + 2])
 
 
 def roi_align(feature: Tensor, stride: float, boxes: np.ndarray, resolution: int) -> Tensor:
@@ -116,16 +134,15 @@ def roi_align(feature: Tensor, stride: float, boxes: np.ndarray, resolution: int
         # rows (half, bin row, channel) of each region x cols x: (n, 2p*C, W)
         part = (ay[lo:hi].reshape(n * 2 * p, h) @ fmap).reshape(n, 2 * p * c, w)
         # per x half, (n, 2, p*C, p): (y half, (bin row, channel), bin col)
-        cols = [(part @ axt[dx, lo:hi]).reshape(n, 2, p * c, p) for dx in (0, 1)]
-        samples = [cols[dx][:, dy] for dy, dx in _SAMPLES]
-        best = samples[0]
-        for s in range(1, 4):
-            if arg is not None:
-                # first winner on ties; arithmetic instead of masked writes,
-                # which are several times slower on a random mask
-                arg[lo:hi] += (samples[s] > best) * (s - arg[lo:hi])
-            best = np.maximum(best, samples[s])
-        out[lo:hi] = best
+        left, right = ((part @ axt[dx, lo:hi]).reshape(n, 2, p * c, p) for dx in (0, 1))
+        rows = np.maximum(left, right)
+        np.maximum(rows[:, 0], rows[:, 1], out=out[lo:hi])
+        if arg is not None:
+            # the first winner: the right half only if strictly larger, then
+            # the bottom row's winner only if its max is strictly larger
+            dx = (right > left).view(np.int8)
+            dy = (rows[:, 1] > rows[:, 0]).view(np.int8)
+            arg[lo:hi] = dx[:, 0] + dy * (2 + dx[:, 1] - dx[:, 0])
 
     result = out.reshape(n_roi, p, c, p).transpose(0, 2, 1, 3)
     if arg is None:

@@ -3,6 +3,13 @@
 import json
 
 import pytest
+from hypothesis import settings
+
+# every property test replays the same examples on every run and host: no
+# deadline, a fixed derandomized stream and no example database; each test
+# sets its own max_examples
+settings.register_profile("attnmask", deadline=None, derandomize=True, database=None)
+settings.load_profile("attnmask")
 
 
 @pytest.fixture

@@ -185,7 +185,7 @@ _boxes = st.lists(st.builds(lambda x, y, w, h: Box(x, y, x + w, y + h), _coord, 
                   min_size=1, max_size=12)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(_boxes, _boxes)
 def test_iou_forms_agree(a, b):
     # the row array and the record run one rule: the oracle's, bit for bit
@@ -194,7 +194,7 @@ def test_iou_forms_agree(a, b):
     assert [[iou(x, y) for y in b] for x in a] == want
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(
     n=st.integers(1, 3 * NMS_BLOCK),
     seed=st.integers(0, 2**32 - 1),

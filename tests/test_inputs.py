@@ -118,7 +118,7 @@ _gt_doc = st.fixed_dictionaries({}, optional={
 _detection = st.fixed_dictionaries({"image_id": st.integers(0, 1), "category_id": st.integers(1, 3),
                                     "score": st.floats(0, 1.05), "bbox": _bbox})
 
-_FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+_FUZZ = settings(max_examples=150)
 
 
 def _only_input_errors(fn, *args):
@@ -276,7 +276,7 @@ def test_fuzz_split_config(cfg):
     [pytest.param(base, name, id=f"{type(base).__name__}.{name}")
      for base in (TrainConfig.toy(), ModelConfig.toy()) for name in base.__dataclass_fields__],
 )
-@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@settings(max_examples=25)
 @given(value=_value)
 def test_fuzz_replace_checked(base, name, value):
     _only_input_errors(replace_checked, base, {name: value}, "config c.json: section")

@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import hashlib
 import math
 import re
 import warnings
@@ -34,6 +35,7 @@ from attnmask.model import (
     save_checkpoint,
 )
 from attnmask.roi_align import assign_level, roi_align
+from attnmask.synth import SynthSpec, synth_dataset
 from attnmask.tensor import Tensor, conv2d, grad_check, log_softmax, no_grad, relu, sigmoid, upsample_nearest
 from oracles import detections_per_class, paste_mask_reference
 
@@ -207,7 +209,7 @@ _region = st.builds(lambda x, y, w, h: (x, y, x + w, y + h),
                     st.floats(0.0, 64.0), st.floats(0.0, 64.0), st.floats(8.0, 600.0), st.floats(8.0, 600.0))
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(st.lists(_region, min_size=1, max_size=12))
 def test_extract_roi_features_keeps_input_order_across_levels(boxes):
     feats = extract_roi_features(_PYRAMID, box_array(boxes), 3)
@@ -505,6 +507,29 @@ def test_infer_matches_per_class_reference(monkeypatch, conf, survivors):
     assert len(want) == survivors
     got = [(p.detection.class_id, p.detection.score, p.detection.box) for p in preds]
     assert got == [(k, score, boxes[i]) for k, i, score in want[:MAX_DETS]]
+
+
+# sha256 of every detection's class id, score, box corners and mask bytes
+# from infer at conf 0.0 (100 per scene, masks from the mask head) on
+# _INFER_DIGEST_SCENES. Recorded with the form whose relu selected with
+# np.where, whose sigmoid gathered each sign's cells and whose ROI Align
+# max chained four samples; any change to the last bit of a score or box,
+# or to a mask pixel, changes it.
+INFER_DIGEST = "d64cba5bb0896027b7d9bd194bdeba06161428d5ccaebfd2bead00ab1be96266"
+_INFER_DIGEST_SCENES = (29, 3)  # synth_dataset seed and count
+
+
+def test_infer_matches_its_digest():
+    model = build_model(ModelConfig.toy("cbam"), seed=0)
+    h = hashlib.sha256()
+    count = 0
+    for image_id, sample in enumerate(synth_dataset(SynthSpec(), *_INFER_DIGEST_SCENES)):
+        for p in infer(model, sample.image, image_id=image_id, conf_threshold=0.0):
+            d = p.detection
+            h.update(np.int64(d.class_id).tobytes() + np.array([d.score, *d.box]).tobytes() + p.mask.tobytes())
+            count += 1
+    assert count == 3 * MAX_DETS
+    assert h.hexdigest() == INFER_DIGEST
 
 
 @pytest.mark.parametrize("conf", [float("nan"), -0.1, 1.5], ids=["nan", "negative", "above-one"])

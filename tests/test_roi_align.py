@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attnmask.boxes import box_array
-from attnmask.roi_align import CHUNK, GRAD_CHUNK, assign_level, roi_align
+from attnmask.roi_align import CHUNK, GRAD_CHUNK, assign_level, bilinear_weights, roi_align
 from attnmask.tensor import Tensor, grad_check, no_grad
 from oracles import roi_align_dense
 
@@ -122,7 +122,7 @@ def _check_batched(feature, stride, boxes, res, rng):
 
 
 # at least 2 * CHUNK + 4 regions: three forward chunks or more
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(
     extra=st.lists(_roi, min_size=2 * CHUNK, max_size=3 * CHUNK + 4),
     seed=st.integers(0, 2**32 - 1),
@@ -149,20 +149,22 @@ def test_batched_equals_per_box_on_the_p2_shape(res):
 @pytest.mark.parametrize("res", [7, 14])
 def test_values_do_not_depend_on_the_map_needing_a_gradient(res):
     # without a gradient the forward skips the winner bookkeeping; the
-    # pooled values must stay the same bit for bit
+    # pooled values must stay the same bit for bit, signs of zeros included
     rng = np.random.default_rng(res)
     feature = rng.standard_normal((1, 3, 6, 7))
     drawn = [(x, y, x + bw, y + bh)
              for x, y, bw, bh in zip(*rng.uniform(-10.0, 30.0, (2, CHUNK)), *rng.uniform(0.5, 20.0, (2, CHUNK)))]
     boxes = box_array(_EDGE_BOXES + drawn)
-    want = roi_align(Tensor(feature, requires_grad=True), 4.0, boxes, res)
-    assert want.requires_grad
-    plain = roi_align(Tensor(feature), 4.0, boxes, res)
-    with no_grad():
-        scoped = roi_align(Tensor(feature), 4.0, boxes, res)
-    for got in (plain, scoped):
-        assert not got.requires_grad
-        np.testing.assert_array_equal(got.data, want.data)
+    # the second map is all zeros whose cells carry random signs: every bin ties
+    for fmap in (feature, np.copysign(0.0, feature)):
+        want = roi_align(Tensor(fmap, requires_grad=True), 4.0, boxes, res)
+        assert want.requires_grad
+        plain = roi_align(Tensor(fmap), 4.0, boxes, res)
+        with no_grad():
+            scoped = roi_align(Tensor(fmap), 4.0, boxes, res)
+        for got in (plain, scoped):
+            assert not got.requires_grad
+            assert got.data.tobytes() == want.data.tobytes()
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -192,6 +194,61 @@ def test_max_ties_send_gradient_to_first_sample():
     hat_y = np.maximum(0.0, 1.0 - np.abs(sy - (np.arange(10) + 0.5)))
     hat_x = np.maximum(0.0, 1.0 - np.abs(sx - (np.arange(10) + 0.5)))
     np.testing.assert_array_equal(feature.grad[0, 0], np.outer(hat_y, hat_x))
+
+
+# (row, col) slopes of a 10 x 10 ramp map, each with the (y half, x half)
+# of the bin sample that should take the gradient: a ramp along one axis
+# ties the two samples across the other, and the first of them wins
+_RAMPS = {
+    "right": ((0.0, 1.0), (0, 1)),
+    "left": ((0.0, -1.0), (0, 0)),
+    "down": ((1.0, 0.0), (1, 0)),
+    "down-right": ((1.0, 1.0), (1, 1)),
+    "up-right": ((-1.0, 1.0), (0, 1)),
+}
+
+
+@pytest.mark.parametrize("ramp", _RAMPS)
+def test_bin_gradient_goes_to_the_first_maximal_sample(ramp):
+    # the same dyadic box reads a ramp of small integers exactly
+    (ky, kx), (dy, dx) = _RAMPS[ramp]
+    cells = np.arange(10.0)
+    feature = Tensor((ky * cells[:, None] + kx * cells[None, :])[None, None], requires_grad=True)
+    box = np.array([[0.75, 1.25, 8.75, 9.25]])
+    out = roi_align(feature, 1.0, box, 1)
+    out.sum().backward()
+    x1, y1, x2, y2 = box[0]
+    sy, sx = y1 + (0.25 + 0.5 * dy) * (y2 - y1), x1 + (0.25 + 0.5 * dx) * (x2 - x1)
+    assert out.data[0, 0, 0, 0] == ky * (sy - 0.5) + kx * (sx - 0.5)
+    hat_y = np.maximum(0.0, 1.0 - np.abs(sy - (cells + 0.5)))
+    hat_x = np.maximum(0.0, 1.0 - np.abs(sx - (cells + 0.5)))
+    np.testing.assert_array_equal(feature.grad[0, 0], np.outer(hat_y, hat_x))
+
+
+def _bilinear_compare_rule(coords, n):
+    """The compare-and-multiply form: weight 1 - f where a cell is floor(v),
+    f where it is floor(v) + 1, for v = coords - 0.5 and f = v - floor(v)."""
+    v = coords - 0.5
+    i0 = np.floor(v)[..., None]
+    f = v[..., None] - i0
+    cells = np.arange(n)
+    return (cells == i0) * (1.0 - f) + (cells == i0 + 1.0) * f
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 16])
+def test_bilinear_weights_equal_the_compare_rule_bit_for_bit(n):
+    centers = np.arange(n) + 0.5
+    edges = [-0.5, 0.0, 0.5, n - 0.5, n, n + 0.5, n + 1.5, -1.5, -2.5, -1e9, 1e9, -1e300, 1e300]
+    rng = np.random.default_rng(n)
+    for coords in (np.array([np.concatenate([centers, edges])]),
+                   rng.uniform(-3.0, n + 3.0, (5, 14)),
+                   np.round(rng.uniform(-3.0, n + 3.0, (3, 6)) * 4) / 4):
+        got = bilinear_weights(coords, n)
+        want = _bilinear_compare_rule(coords, n)
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+    # a NaN coordinate lands in the pads and reads nothing
+    assert bilinear_weights(np.array([[np.nan, 0.5]]), n)[0, 0].tobytes() == np.zeros(n).tobytes()
 
 
 @pytest.mark.parametrize("with_wide", [False, True])

@@ -139,6 +139,40 @@ def test_relu_sigmoid_log_clamp_values():
     assert np.allclose(log(Tensor(pos)).data, np.log(pos))
 
 
+def _same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_relu_equals_the_select_rule_bit_for_bit():
+    # np.where(x > 0, x, 0.0) writes +0.0 for both zeros: a kept -0.0 would differ in its sign bit
+    edge = np.array([-0.0, 0.0, 1e308, -1e308, 5e-324, -5e-324, 1.0, -1.0])
+    rand = np.random.default_rng(0).standard_normal((2, 3, 5, 5))
+    rand[0, 0, 0] = -0.0
+    for x in (edge, rand):
+        _same_bytes(relu(Tensor(x)).data, np.where(x > 0, x, 0.0))
+    assert np.signbit(relu(Tensor(edge)).data).sum() == 0
+
+
+def _sigmoid_two_branch(d):
+    """1/(1+exp(-d)) on the cells with d >= 0, exp(d)/(1+exp(d)) on the rest."""
+    out = np.empty_like(d)
+    pos = d >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
+    e = np.exp(d[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def test_sigmoid_equals_the_two_branch_formula_bit_for_bit():
+    mags = np.array([0.0, 1e-300, 36.0, 709.0, 745.0, 800.0])
+    edge = np.concatenate([mags, -mags])
+    assert np.signbit(edge[len(mags)])  # -0.0 takes the x >= 0 branch
+    rng = np.random.default_rng(1)
+    for x in (edge, rng.standard_normal((3, 4, 6, 6)) * 8.0, rng.standard_normal((16, 1, 14, 14))):
+        _same_bytes(sigmoid(Tensor(x)).data, _sigmoid_two_branch(x))
+
+
 def test_smooth_l1_fixture_values():
     d = Tensor(np.array([0.5, 2.0, -2.0, 1.0]))
     out = smooth_l1(d).data
@@ -467,7 +501,7 @@ def _extent(n, k, stride, padding):
     return (n + 2 * padding - k) // stride + 1
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(
     n=st.integers(0, 2),  # 0 and 1: a batch of one
     c=st.integers(1, 3),
@@ -492,7 +526,7 @@ def test_conv2d_values_and_gradients_match_oracles(n, c, o, h, w, k, stride, pad
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(
     c=st.integers(1, 3),
     h=st.integers(1, 9),
