@@ -12,8 +12,8 @@ detections and for the rows a `metrics.GTTable` yields.
 
 Every IoU goes through one intersection rule over corner columns with
 areas (x2 - x1)(y2 - y1), as the evaluator's oracle computes them:
-`pairwise_iou` on two row arrays, `nms` on the rows it keeps and the
-scalar `iou` on two `Box` records.
+`pairwise_iou` on two row arrays or two stacks of them, `nms` on the rows
+it keeps and the scalar `iou` on two `Box` records.
 
 `nms` walks the sorted rows in blocks of NMS_BLOCK and tests each block
 only against the rows already kept, so its overlap blocks are bounded by
@@ -124,9 +124,13 @@ def iou(a: Box, b: Box) -> float:
 
 
 def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(N, M) IoU of every corner row of a against every row of b."""
-    area_a, area_b = ((r[:, 2] - r[:, 0]) * (r[:, 3] - r[:, 1]) for r in (a, b))
-    return _iou(a.T[:, :, None], b.T, area_a[:, None], area_b)
+    """(..., N, M) IoU of every corner row of a against every row of b,
+    for a of shape (..., N, 4) and b of shape (..., M, 4) whose leading
+    batch axes broadcast. Each value is the same elementwise formula of
+    its two rows, so a stack gives each slice the bytes of a 2-D call."""
+    area_a, area_b = ((r[..., 2] - r[..., 0]) * (r[..., 3] - r[..., 1]) for r in (a, b))
+    cols_a, cols_b = np.moveaxis(a, -1, 0), np.moveaxis(b, -1, 0)
+    return _iou(cols_a[..., :, None], cols_b[..., None, :], area_a[..., :, None], area_b[..., None, :])
 
 
 def _centers(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

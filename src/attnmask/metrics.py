@@ -11,12 +11,15 @@ score order (ties keep input order) and each grabs the unmatched
 ground-truth box of highest IoU if that IoU reaches the threshold.
 Crowd-flagged ground truth acts as an ignore region: a detection whose
 only qualifying overlap is a crowd box is dropped from scoring. `match` is
-that rule alone, run at every threshold on one group's overlap matrices;
-`map_report` groups both tables by one stable `np.lexsort` on (class,
-image), scores first within a detection group, and makes one
-`pairwise_iou` matrix per group, its columns split into real boxes and
-crowd regions. The IoU reads the corners as they are, with areas
-(x2 - x1)(y2 - y1), so it equals the brute-force oracle's bit for bit.
+that rule alone, run at every threshold on a padded stack of groups at
+once, one loop over row rank for all of them. `map_report` groups both
+tables by one stable `np.lexsort` on (class, image), scores first within a
+detection group, pads consecutive groups into batches of at most
+MATCH_CELLS cells, and makes one `pairwise_iou` stack per batch; `match`
+reads it twice, its crowd columns zeroed as the real stack and its real
+columns zeroed as the crowd stack. The IoU reads the corners as they are,
+with areas (x2 - x1)(y2 - y1), so it equals the brute-force oracle's bit
+for bit.
 
 AP is the 101-point interpolation of the precision envelope at the recalls
 k/100 (RECALL_POINTS), computed in one pass per class over every
@@ -29,8 +32,6 @@ breakdowns and mask overlap are not computed; only box mAP is reported.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -59,6 +60,12 @@ COCO_SWEEP = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
 # so a recall that equals k / 100 in exact arithmetic reaches sample k
 RECALL_POINTS = np.arange(101) / 100
 MAX_DETS = 100
+# the most padded cells, thresholds x groups x rows x columns, that one
+# match call reads: it bounds the IoU stacks, the free masks and the flags
+# of a batch, which would otherwise pad every group of a file to its
+# largest, as one image of thousands of boxes among thousands of small
+# groups would
+MATCH_CELLS = 1 << 18
 
 TP = 1
 FP = 0
@@ -146,36 +153,42 @@ class GTTable:
 
 
 def match(ious: np.ndarray, crowd_ious: np.ndarray, thresholds) -> np.ndarray:
-    """The (T, D) greedy flags of one (image, class) group at each threshold,
-    from its (D, G) IoUs with the real boxes and (D, C) IoUs with the crowd
-    regions, rows in descending score order: each row in turn takes the
-    untaken real box of highest IoU (the first on ties) if that reaches the
-    threshold, else is crowd-ignored if its best crowd IoU does, else FP."""
-    if len(ious) != len(crowd_ious):
-        raise ValueError(f"match needs one row per detection in both matrices, got {len(ious)} and {len(crowd_ious)}")
-    rows = ious.tolist()
-    tops = ious.max(axis=1, initial=0.0).tolist()
-    crowd_best = crowd_ious.max(axis=1, initial=-math.inf).tolist()
-    flags = []
-    for thr in thresholds:
-        taken = [False] * ious.shape[1]
-        row_flags = []
-        for row, top, crowd_ov in zip(rows, tops, crowd_best):
-            best, best_gi = 0.0, -1
-            # below thr at its largest real IoU, a row cannot take a box
-            if top >= thr:
-                for gi, ov in enumerate(row):
-                    if ov > best and not taken[gi]:
-                        best, best_gi = ov, gi
-            if best >= thr and best_gi >= 0:
-                taken[best_gi] = True
-                row_flags.append(TP)
-            elif crowd_ov >= thr:
-                row_flags.append(CROWD_IGNORED)
-            else:
-                row_flags.append(FP)
-        flags.append(row_flags)
-    return np.array(flags, dtype=np.int8).reshape(len(flags), len(rows))
+    """The (T, B, D) greedy flags of B (image, class) groups at each
+    threshold in (0, 1), from their padded (B, D, G) IoUs with the real
+    boxes and (B, D, C) IoUs with the crowd regions, each group's rows in
+    descending score order: each row in turn takes the untaken real box of
+    highest IoU (the first on ties) if that reaches the threshold, else is
+    crowd-ignored if its best crowd IoU does, else FP.
+
+    One loop over row rank serves every (threshold, group) pair: row r's
+    IoUs times a "still free" mask, whose argmax is the first free box of
+    the highest IoU, is a TP where it reaches the threshold, and that box
+    is then taken. Padding needs no mask: a padded column must read 0.0,
+    which never beats another box or reaches a threshold, and a group's
+    padded rows must follow its real ones, whose flags they cannot change;
+    the caller drops their flags.
+    """
+    if ious.ndim != 3 or crowd_ious.ndim != 3 or ious.shape[:2] != crowd_ious.shape[:2]:
+        raise ValueError(f"match needs (B, D, G) and (B, D, C) stacks with the same groups and rows, "
+                         f"got shapes {ious.shape} and {crowd_ious.shape}")
+    thr = np.asarray(thresholds, dtype=np.float64)
+    n_b, n_d, n_g = ious.shape
+    n_tb = len(thr) * n_b
+    tp = np.zeros((n_d, n_tb), dtype=bool)
+    if n_g:
+        rows = np.ascontiguousarray(ious.transpose(1, 0, 2))  # (D, B, G): one rank of every group
+        free = np.ones((len(thr), n_b, n_g))
+        free_flat, avail = free.reshape(-1), np.empty_like(free)
+        avail_flat = avail.reshape(-1)
+        need, base = np.repeat(thr, n_b), np.arange(n_tb) * n_g
+        for r in range(n_d):
+            np.multiply(free, rows[r], out=avail)
+            pick = base + avail.reshape(n_tb, n_g).argmax(axis=1)
+            tp[r] = hit = avail_flat[pick] >= need
+            free_flat[pick[hit]] = 0.0
+    tp = tp.reshape(n_d, len(thr), n_b).transpose(1, 2, 0)
+    crowd = crowd_ious.max(axis=2, initial=0.0) >= thr[:, None, None]
+    return np.where(tp, TP, np.where(crowd, CROWD_IGNORED, FP)).astype(np.int8)
 
 
 def average_precision(flags: np.ndarray, n_gt: int) -> np.ndarray:
@@ -237,6 +250,27 @@ def _runs(table, order: np.ndarray) -> dict[tuple[int, int], tuple[int, int]]:
     return dict(zip(zip(cls[starts].tolist(), img[starts].tolist()), zip(bounds, bounds[1:])))
 
 
+def _batches(n_det: np.ndarray, n_gt: np.ndarray, n_thr: int) -> list[tuple[int, int]]:
+    """The (lo, hi) slices of consecutive groups that match in one call,
+    given each group's detection and ground-truth counts: a batch takes the
+    next group while its padded n_thr x groups x rows x columns stay within
+    MATCH_CELLS, so a group that alone exceeds it is a batch of its own."""
+    cuts, lo, d_max, g_max = [0], 0, 0, 1
+    for b, (d, g) in enumerate(zip(n_det.tolist(), n_gt.tolist())):
+        d_max, g_max = max(d_max, d), max(g_max, g)
+        if b > lo and n_thr * (b + 1 - lo) * d_max * g_max > MATCH_CELLS:
+            cuts.append(b)
+            lo, d_max, g_max = b, d, max(g, 1)
+    return list(zip(cuts, cuts[1:] + [len(n_det)])) if len(n_det) else []
+
+
+def _padded(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """(B, max count) positions start + k of each group's first count
+    slots, and -1 after them."""
+    k = np.arange(count.max())
+    return np.where(k < count[:, None], start[:, None] + k, -1)
+
+
 def map_report(dets: DetTable, gts: GTTable, thresholds=None) -> EvalReport:
     """Evaluate detections against ground truth at one or more IoU thresholds.
 
@@ -264,27 +298,39 @@ def map_report(dets: DetTable, gts: GTTable, thresholds=None) -> EvalReport:
     class_gt_counts = dict(zip(counted.tolist(), n_gts.tolist()))
     class_ids = tuple(class_gt_counts)
 
-    ap: dict[float, dict[int, float]] = {t: {} for t in thresholds}
-    tp_all = np.zeros(len(thresholds), dtype=np.int64)
-    fp_all = np.zeros_like(tp_all)
+    # the scored groups in key order, each a run of det_order capped at its
+    # MAX_DETS best and a run of gt_order
     scored = sorted(k for k in det_runs.keys() | gt_runs.keys() if k[0] in class_gt_counts)
-    for cid, keys in itertools.groupby(scored, key=lambda k: k[0]):
-        order, group_flags = [], []
-        for key in keys:
-            start, stop = det_runs.get(key, (0, 0))
-            top = det_order[start:min(stop, start + MAX_DETS)]  # the group's MAX_DETS best
-            start, stop = gt_runs.get(key, (0, 0))
-            gt = gt_order[start:stop]
-            ious, is_crowd = pairwise_iou(dets.boxes[top], gts.boxes[gt]), gts.iscrowd[gt]
-            group_flags.append(match(ious[:, ~is_crowd], ious[:, is_crowd], thresholds))
-            order.append(top)
+    det_start, det_stop = np.array([det_runs.get(k, (0, 0)) for k in scored], dtype=np.intp).reshape(-1, 2).T
+    gt_start, gt_stop = np.array([gt_runs.get(k, (0, 0)) for k in scored], dtype=np.intp).reshape(-1, 2).T
+    n_det, n_gt = np.minimum(det_stop - det_start, MAX_DETS), gt_stop - gt_start
+    # position -1 is padding: a unit-box row, whose flags are dropped, or an
+    # empty real box at the origin, which overlaps every detection at 0.0
+    det_rows = np.concatenate([dets.boxes[det_order], [[0.0, 0.0, 1.0, 1.0]]])
+    gt_rows = np.concatenate([gts.boxes[gt_order], np.zeros((1, 4))])
+    gt_crowd = np.append(gts.iscrowd[gt_order], False)
+
+    # every group's flags at its unpadded rows, in key order and then score order
+    flags, pos = [np.zeros((len(thresholds), 0), dtype=np.int8)], [np.zeros(0, dtype=np.intp)]
+    for lo, hi in _batches(n_det, n_gt, len(thresholds)):
+        det_pos, gt_pos = _padded(det_start[lo:hi], n_det[lo:hi]), _padded(gt_start[lo:hi], n_gt[lo:hi])
+        ious, crowd = pairwise_iou(det_rows[det_pos], gt_rows[gt_pos]), gt_crowd[gt_pos][:, None]
+        valid = det_pos >= 0
+        # each kind of column reads 0.0 in the other kind's stack
+        flags.append(match(np.where(crowd, 0.0, ious), np.where(crowd, ious, 0.0), thresholds)[:, valid])
+        pos.append(det_pos[valid])
+    flags, pos = np.concatenate(flags, axis=1), np.concatenate(pos)
+
+    # each class's rows are one run, as its groups are consecutive keys
+    cuts = np.searchsorted(dets.class_id[det_order][pos], counted).tolist() + [len(pos)]
+    neg_score = -dets.score[det_order][pos]
+    ap: dict[float, dict[int, float]] = {t: {} for t in thresholds}
+    for cid, lo, hi in zip(class_ids, cuts, cuts[1:]):
         # one stable score order across the class's images, for every threshold
-        rank = np.argsort(-dets.score[np.concatenate(order)], kind="stable")
-        flags = np.concatenate(group_flags, axis=1)[:, rank]
-        for thr, value in zip(thresholds, average_precision(flags, class_gt_counts[cid]).tolist()):
+        rank = np.argsort(neg_score[lo:hi], kind="stable")
+        for thr, value in zip(thresholds, average_precision(flags[:, lo:hi][:, rank], class_gt_counts[cid]).tolist()):
             ap[thr][cid] = value
-        tp_all += (flags == TP).sum(axis=1)
-        fp_all += (flags == FP).sum(axis=1)
+    tp_all, fp_all = (flags == TP).sum(axis=1), (flags == FP).sum(axis=1)
     n_gt_all = sum(class_gt_counts.values())
     counts = {thr: (tp, fp, n_gt_all - tp) for thr, tp, fp in zip(thresholds, tp_all.tolist(), fp_all.tolist())}
     map_by_thr = {thr: float(np.mean([ap[thr][c] for c in class_ids])) if class_ids else 0.0 for thr in thresholds}

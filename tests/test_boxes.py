@@ -194,6 +194,27 @@ def test_iou_forms_agree(a, b):
     assert [[iou(x, y) for y in b] for x in a] == want
 
 
+@pytest.mark.parametrize("a_shape, b_shape", [((3, 5), (3, 2)), ((2, 3, 5), (3, 4)), ((1, 4, 6), (2, 1, 3)),
+                                              ((3, 0), (3, 2)), ((2, 4), (2, 0))])
+def test_stacked_iou_is_each_slice_bit_for_bit(a_shape, b_shape):
+    # leading batch axes broadcast, and every (N, M) slice of the stack has
+    # the bytes of a 2-D call on its two row arrays
+    rng = np.random.default_rng(sum(a_shape) + 7 * sum(b_shape))
+
+    def rows(shape):
+        corner = rng.uniform(-10.0, 30.0, shape + (2,))
+        return np.concatenate([corner, corner + rng.uniform(0.5, 20.0, shape + (2,))], axis=-1)
+
+    a, b = rows(a_shape), rows(b_shape)
+    a[..., :1, :] = 0.0  # an empty box at the origin overlaps nothing
+    stack = pairwise_iou(a, b)
+    batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    assert stack.shape == batch + (a.shape[-2], b.shape[-2])
+    a, b = np.broadcast_to(a, batch + a.shape[-2:]), np.broadcast_to(b, batch + b.shape[-2:])
+    for index in np.ndindex(batch):
+        assert stack[index].tobytes() == pairwise_iou(a[index], b[index]).tobytes()
+
+
 @settings(max_examples=60)
 @given(
     n=st.integers(1, 3 * NMS_BLOCK),

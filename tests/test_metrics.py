@@ -101,54 +101,59 @@ def test_det_table_scores_are_finite_and_in_unit_range(score):
 
 
 def _overlaps(boxes, gts):
-    """match's two matrices for one group: the IoUs of boxes, listed in
-    score order, with its real boxes and with its crowd regions."""
+    """match's two stacks for one group: the (1, D, G) IoUs of boxes, listed
+    in score order, with its real boxes and the (1, D, C) IoUs with its
+    crowd regions."""
     ious = pairwise_iou(box_array(boxes), box_array([g.box for g in gts]))
     crowd = np.array([g.iscrowd for g in gts], dtype=bool)
-    return ious[:, ~crowd], ious[:, crowd]
+    return ious[None, :, ~crowd], ious[None, :, crowd]
 
 
 def test_match_greedy_prefers_higher_score():
     gt = [_gt(B((0, 0, 10, 10)))]
     low, high = B((1, 1, 10, 10)), B((1.5, 1.5, 10, 10))  # IoU ~0.68 and ~0.57
     # rows in score order: the high scorer takes the box, the other is FP
-    assert list(match(*_overlaps([high, low], gt), (0.5,))[0]) == [1, 0]
+    assert list(match(*_overlaps([high, low], gt), (0.5,))[0, 0]) == [1, 0]
     # map_report ranks by score, not input order: a TP ahead of the FP is AP 1
     rep = map_report(*_tables([_det(0.6, low), _det(0.9, high)], gt), (0.5,))
     assert rep.counts[0.5] == (1, 1, 0) and rep.ap[0.5][1] == 1.0
 
 
 def test_match_rejects_row_mismatch():
-    with pytest.raises(ValueError, match="one row per detection in both matrices, got 2 and 1"):
-        match(np.zeros((2, 1)), np.zeros((1, 0)), (0.5,))
+    with pytest.raises(ValueError, match=r"same groups and rows, got shapes \(1, 2, 1\) and \(1, 1, 0\)"):
+        match(np.zeros((1, 2, 1)), np.zeros((1, 1, 0)), (0.5,))
+    with pytest.raises(ValueError, match=r"same groups and rows, got shapes \(2, 1, 1\) and \(1, 1, 0\)"):
+        match(np.zeros((2, 1, 1)), np.zeros((1, 1, 0)), (0.5,))
+    with pytest.raises(ValueError, match=r"\(B, D, G\) and \(B, D, C\) stacks"):
+        match(np.zeros((2, 1)), np.zeros((2, 0)), (0.5,))
 
 
 def test_match_crowd_is_fallback_not_first_choice():
     # a real box and a crowd region overlap the detection; the real box wins
     gt = [_gt(B((0, 0, 10, 10))), _gt(B((0, 0, 14, 14)), crowd=True)]
-    assert list(match(*_overlaps([B((0, 0, 10, 10))], gt), (0.5,))[0]) == [1]
+    assert list(match(*_overlaps([B((0, 0, 10, 10))], gt), (0.5,))[0, 0]) == [1]
 
     # with the real box taken, the next detection falls into the crowd
     flags = match(*_overlaps([B((0, 0, 10, 10)), B((2, 2, 10, 10))], gt), (0.5,))
-    assert list(flags[0]) == [1, CROWD_IGNORED]
+    assert list(flags[0, 0]) == [1, CROWD_IGNORED]
 
 
 def test_match_only_crowd_gt():
     gt = [_gt(B((0, 0, 15, 15)), crowd=True)]  # IoU ~0.44 with the det
-    assert list(match(*_overlaps([B((1, 1, 10, 10))], gt), (0.3,))[0]) == [CROWD_IGNORED]
+    assert list(match(*_overlaps([B((1, 1, 10, 10))], gt), (0.3,))[0, 0]) == [CROWD_IGNORED]
 
 
 def test_match_threshold_is_inclusive_and_ties_take_the_first_box():
     # IoU exactly 0.5 (a half-height box) qualifies at 0.5, against a real
     # box and against a crowd region alike
     half = [B((0, 0, 10, 5))]
-    assert list(match(*_overlaps(half, [_gt(B((0, 0, 10, 10)))]), (0.5, 0.55))[:, 0]) == [1, 0]
+    assert list(match(*_overlaps(half, [_gt(B((0, 0, 10, 10)))]), (0.5, 0.55))[:, 0, 0]) == [1, 0]
     crowd = [_gt(B((0, 0, 10, 10)), crowd=True)]
-    assert list(match(*_overlaps(half, crowd), (0.5, 0.55))[:, 0]) == [CROWD_IGNORED, 0]
+    assert list(match(*_overlaps(half, crowd), (0.5, 0.55))[:, 0, 0]) == [CROWD_IGNORED, 0]
     # the first detection overlaps both boxes at IoU 1/3 and takes the first,
     # so the second, a copy of that first box, finds nothing left
     gt = [_gt(B((0, 0, 10, 10))), _gt(B((10, 0, 10, 10)))]
-    assert list(match(*_overlaps([B((5, 0, 10, 10)), B((0, 0, 10, 10))], gt), (0.3,))[0]) == [1, 0]
+    assert list(match(*_overlaps([B((5, 0, 10, 10)), B((0, 0, 10, 10))], gt), (0.3,))[0, 0]) == [1, 0]
 
 
 def test_match_runs_every_threshold_in_one_call():
@@ -158,12 +163,54 @@ def test_match_runs_every_threshold_in_one_call():
     dets = [_det(round(float(s), 1), B((x, y, 10, 10))) for s, x, y in rng.uniform(0, 1, (9, 3)) * (1, 14, 14)]
     thresholds = (0.3, 0.5, 0.75, 0.95)
     flags = match(*_overlaps([d.box for d in sorted(dets, key=lambda d: -d.score)], gt), thresholds)
-    assert flags.shape == (4, 9) and flags.dtype == np.int8
+    assert flags.shape == (4, 1, 9) and flags.dtype == np.int8
     want_flags = [match_reference(
         [(d.score, (d.box.x1, d.box.y1, d.box.x2, d.box.y2)) for d in dets],
         [((g.box.x1, g.box.y1, g.box.x2, g.box.y2), g.iscrowd) for g in gt], thr)[0] for thr in thresholds]
-    assert [list(row) for row in flags] == want_flags
-    assert match(*_overlaps([], gt), thresholds).shape == (4, 0)
+    assert [list(row) for row in flags[:, 0]] == want_flags
+    assert match(*_overlaps([], gt), thresholds).shape == (4, 1, 0)
+
+
+def test_padded_stack_matches_reference_per_group():
+    # groups of unequal rows and boxes in one stack: padded columns read 0.0
+    # and padded rows, after each group's own, hold random IoUs; each group's
+    # flags are the oracle's at every threshold
+    rng = np.random.default_rng(41)
+    thresholds = COCO_SWEEP + (0.3,)
+    groups = []
+    for k in range(16):
+        # group 0 has no detections, 1 only crowd regions, 2 no boxes at all
+        n_real = 0 if k in (1, 2) else int(rng.integers(1, 6))
+        n_crowd = 2 if k == 1 else 0 if k == 2 else int(rng.integers(0, 3))
+        gts = [(tuple(B((*rng.uniform(0, 40, 2), *rng.uniform(6, 16, 2)))), kind)
+               for kind in [False] * n_real + [True] * n_crowd]
+        dets = []
+        for _ in range(0 if k == 0 else int(rng.integers(1, 9))):
+            if gts and rng.uniform() < 0.7:
+                x1, y1, x2, y2 = gts[int(rng.integers(len(gts)))][0]
+                dx, dy = rng.uniform(-0.3, 0.3, 2) * (x2 - x1, y2 - y1)
+                box = (x1 + dx, y1 + dy, x2 + dx, y2 + dy)
+            else:  # far from every box: a row of zero IoUs
+                box = tuple(B((*rng.uniform(100, 140, 2), *rng.uniform(6, 16, 2))))
+            dets.append((round(float(rng.uniform(0, 1)), 1), box))  # a 0.1 grid, so scores tie
+        groups.append((dets, gts))
+    d_max, g_max, c_max = (max(len(x) for x in sizes) for sizes in zip(*(
+        (dets, [g for g in gts if not g[1]], [g for g in gts if g[1]]) for dets, gts in groups)))
+    ious, crowd = rng.uniform(0, 1, (len(groups), d_max, g_max)), rng.uniform(0, 1, (len(groups), d_max, c_max))
+    zero_rows = 0
+    for b, (dets, gts) in enumerate(groups):
+        rows = box_array([box for _, box in sorted(dets, key=lambda d: -d[0])])  # stable: ties keep their order
+        for stack, kind in ((ious, False), (crowd, True)):
+            cols = box_array([box for box, is_crowd in gts if is_crowd == kind])
+            stack[b, :len(rows)] = 0.0
+            stack[b, :len(rows), :len(cols)] = pairwise_iou(rows, cols)
+        zero_rows += int((ious[b, :len(rows)].max(axis=1, initial=0.0) == 0.0).sum())
+    assert zero_rows > 0
+    flags = match(ious, crowd, thresholds)
+    assert flags.shape == (len(thresholds), len(groups), d_max)
+    for b, (dets, gts) in enumerate(groups):
+        for t, thr in enumerate(thresholds):
+            assert list(flags[t, b, :len(dets)]) == match_reference(dets, gts, thr)[0], (b, thr)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -413,24 +460,62 @@ def test_one_multi_threshold_call_matches_reference_200_instances():
             assert abs(got - want) < 1e-9, f"case {case} at {thr}: {got} vs {want}"
 
 
+def _recording(monkeypatch, name):
+    """Swap metrics.<name> for a wrapper that appends each call's arguments
+    to the returned list, and calls the original."""
+    real, calls = getattr(metrics, name), []
+
+    def recorded(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(metrics, name, recorded)
+    return calls
+
+
 def test_iou_calls_do_not_grow_with_thresholds(monkeypatch):
-    # one IoU matrix per scored group, whatever the number of thresholds
-    real_pairwise_iou, calls = metrics.pairwise_iou, []
-
-    def counting_pairwise_iou(a, b):
-        calls.append(1)
-        return real_pairwise_iou(a, b)
-
-    monkeypatch.setattr(metrics, "pairwise_iou", counting_pairwise_iou)
+    # one IoU stack per batch of groups, whatever the number of thresholds:
+    # this file's groups fit in one batch at one threshold and at ten
+    iou_calls, match_calls = _recording(monkeypatch, "pairwise_iou"), _recording(monkeypatch, "match")
     gts, dets, _, _ = _random_case(np.random.default_rng(3), 6)
     classes = {g.class_id for g in gts if not g.iscrowd}
     scored = {(r.class_id, r.image_id) for r in gts + dets if r.class_id in classes}
     n_calls = []
     for thresholds in ((0.5,), COCO_SWEEP):
-        calls.clear()
+        iou_calls.clear(), match_calls.clear()
         map_report(*_tables(dets, gts), thresholds=thresholds)
-        n_calls.append(len(calls))
-    assert scored and n_calls == [len(scored)] * 2
+        n_calls.append((len(iou_calls), len(match_calls)))
+        assert len(match_calls[0][0]) == len(scored)  # every scored group in the one batch
+    assert n_calls == [(1, 1)] * 2
+
+
+def test_batches_stay_within_match_cells(monkeypatch):
+    # one image with many boxes among many small groups: padding every group
+    # to the big one would take far more than MATCH_CELLS, so the groups are
+    # matched in several batches, each within it unless it is one group
+    match_calls = _recording(monkeypatch, "match")
+    rng = np.random.default_rng(17)
+    gts, dets, gt_tuples, det_tuples = _random_case(rng, 150)
+    for k in range(120):
+        x, y = rng.uniform(0, 300, 2)
+        w, h = rng.uniform(4, 30, 2)
+        box = B((x, y, w, h))
+        gts.append(_gt(box, img=0, cid=1, crowd=k % 9 == 0))
+        gt_tuples.append((0, 1, (box.x1, box.y1, box.x2, box.y2), k % 9 == 0))
+        if k % 2:
+            jittered = B((x + rng.uniform(-2, 2), y + rng.uniform(-2, 2), w, h))
+            score = round(float(rng.uniform(0, 1)), 1)
+            dets.append(_det(score, jittered, img=0, cid=1))
+            det_tuples.append((0, 1, score, (jittered.x1, jittered.y1, jittered.x2, jittered.y2)))
+    thresholds = (0.5, 0.75)
+    rep = map_report(*_tables(dets, gts), thresholds=thresholds)
+    assert all(ious.shape == crowd.shape for ious, crowd, _ in match_calls)
+    cells = [len(thresholds) * ious.shape[0] * ious.shape[1] * max(ious.shape[2], 1) for ious, _, _ in match_calls]
+    assert len(cells) > 1 and max(ious.shape[2] for ious, _, _ in match_calls) >= 100
+    assert all(c <= metrics.MATCH_CELLS or len(ious) == 1 for c, (ious, _, _) in zip(cells, match_calls))
+    assert sum(len(ious) for ious, _, _ in match_calls) == len({(d.class_id, d.image_id) for d in dets + gts})
+    for thr in thresholds:
+        assert abs(rep.map_by_thr[thr] - map_reference(det_tuples, gt_tuples, thr)) < 1e-9, thr
 
 
 # sha256 of json.dumps(map_report(...).to_json()) on _digest_scene() at

@@ -146,6 +146,15 @@ def test_batched_equals_per_box_on_the_p2_shape(res):
     _check_batched(rng.standard_normal((1, 24, 16, 16)), 4.0, boxes, res, rng)
 
 
+# sha256 of np.signbit of the pooled output on the signed-zero map below,
+# recorded with the two-pass max: every pooled zero is +0.0 there, as the
+# interpolation products sum their zeros to +0.0 whatever the map's signs
+SIGNED_ZERO_SIGNS = {
+    7: "d0be9e4963d7b27d1e138c17b2c1726169bfd5d450dc9c06df167a9c8b535ade",
+    14: "2b59c3dc353d8dc0b81e3d88dbc92c2301d686b96c02bc2fb0f2e5be037b3d5a",
+}
+
+
 @pytest.mark.parametrize("res", [7, 14])
 def test_values_do_not_depend_on_the_map_needing_a_gradient(res):
     # without a gradient the forward skips the winner bookkeeping; the
@@ -165,6 +174,7 @@ def test_values_do_not_depend_on_the_map_needing_a_gradient(res):
         for got in (plain, scoped):
             assert not got.requires_grad
             assert got.data.tobytes() == want.data.tobytes()
+    assert hashlib.sha256(np.signbit(want.data).tobytes()).hexdigest() == SIGNED_ZERO_SIGNS[res]
 
 
 @pytest.mark.parametrize("seed", range(3))
