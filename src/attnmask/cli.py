@@ -1,5 +1,9 @@
 """Command-line front end: evaluate, train-toy, compare, gradcheck.
 
+`train-toy` (one attention variant) and `compare` (all four) run on one
+path, `_run`: the scenes and the validation ground truth are built once per
+command, and every variant is trained and scored the same way on them.
+
 Exit codes: 0 success, 1 failed checks or diverged training, 2 malformed
 input. Config files and COCO files are read by `inputs`, so every
 diagnostic names the file, the record or section, the field and the value.
@@ -55,7 +59,7 @@ def _load_config(path: str | None) -> dict:
 
 def _split_config(cfg: dict, path: str) -> tuple[SynthSpec, dict, dict, RunConfig]:
     """A config file holds SynthSpec and RunConfig fields at top level plus
-    optional "model"/"train" sections, which _train_one applies."""
+    optional "model"/"train" sections, which _run applies."""
     where = f"config {path}"
     model_overrides = field(cfg, "model", "object", where, {})
     train_overrides = field(cfg, "train", "object", where, {})
@@ -123,81 +127,71 @@ def _self_evaluate(model: Model, val_ds, val_gt: GTTable, conf: float):
     return map_report(DetTable.of(dets), val_gt), len(dets)
 
 
-def _scenes(spec: SynthSpec, run: RunConfig) -> tuple[list, list, GTTable]:
-    """The train and val scenes of one command and the val scenes' ground
-    truth; every variant it trains reads these same lists and table, which
-    `train` and `infer` leave unchanged."""
-    train_ds = synth_dataset(spec, run.train_seed, run.train_images)
-    val_ds = synth_dataset(spec, run.val_seed, run.val_images)
-    return train_ds, val_ds, to_ground_truth(val_ds, spec.classes).records
-
-
-def _train_one(variant: str, seed: int, path: str, spec, model_overrides, train_overrides, run, scenes):
-    mcfg = ModelConfig.toy(variant, num_classes=spec.num_classes)
-    mcfg = replace_checked(mcfg, model_overrides, f"config {path}: model")
-    if mcfg.num_classes < spec.num_classes:
-        raise InputError(f"config {path}: model: num_classes must be at least the scenes' "
-                         f"{spec.num_classes} classes, got {mcfg.num_classes}")
-    tcfg = replace_checked(TrainConfig.toy(seed=seed), train_overrides, f"config {path}: train")
-    train_ds, val_ds, val_gt = scenes
-    model = build_model(mcfg, seed=seed)
-    result = train(model, train_ds, tcfg)
-    report, n_dets = _self_evaluate(model, val_ds, val_gt, run.conf_threshold)
-    return model, result, report, n_dets
-
-
-def _cmd_train_toy(args) -> int:
+def _run(args, variants: tuple[str, ...]):
+    """The one run path of `train-toy` and `compare`: resolve the seed, read
+    the config, make `--out` and build the scenes and the val ground truth
+    once. Returns the seed, the train scenes' hash and a generator that trains
+    and scores each variant in turn on those same scenes (`train` and `infer`
+    leave them unchanged), yielding (variant, model, train result, report,
+    detections, seconds)."""
     seed = _resolve_seed(args.seed)
     path = args.config or "<default>"
     spec, model_overrides, train_overrides, run = _split_config(_load_config(args.config), path)
     os.makedirs(args.out, exist_ok=True)
-    scenes = _scenes(spec, run)
-    t0 = time.perf_counter()
-    model, result, report, n_dets = _train_one(
-        args.attention, seed, path, spec, model_overrides, train_overrides, run, scenes
-    )
-    elapsed = time.perf_counter() - t0
+    train_ds = synth_dataset(spec, run.train_seed, run.train_images)
+    val_ds = synth_dataset(spec, run.val_seed, run.val_images)
+    val_gt = to_ground_truth(val_ds, spec.classes).records
 
+    def rows():
+        for variant in variants:
+            t0 = time.perf_counter()
+            mcfg = ModelConfig.toy(variant, num_classes=spec.num_classes)
+            mcfg = replace_checked(mcfg, model_overrides, f"config {path}: model")
+            if mcfg.num_classes < spec.num_classes:
+                raise InputError(f"config {path}: model: num_classes must be at least the scenes' "
+                                 f"{spec.num_classes} classes, got {mcfg.num_classes}")
+            tcfg = replace_checked(TrainConfig.toy(seed=seed), train_overrides, f"config {path}: train")
+            model = build_model(mcfg, seed=seed)
+            result = train(model, train_ds, tcfg)
+            report, n_dets = _self_evaluate(model, val_ds, val_gt, run.conf_threshold)
+            yield variant, model, result, report, n_dets, time.perf_counter() - t0
+
+    return seed, dataset_hash(train_ds), rows()
+
+
+def _cmd_train_toy(args) -> int:
+    seed, train_sha, rows = _run(args, (args.attention,))
+    [(variant, model, result, report, n_dets, elapsed)] = rows
     save_checkpoint(model, os.path.join(args.out, "model.npz"))
     write_trace_csv(result.records, os.path.join(args.out, "loss_trace.csv"))
     payload = report.to_json()
     payload.update({
-        "variant": args.attention, "seed": seed, "detections": n_dets,
-        "train_dataset_sha256": dataset_hash(scenes[0]), "train_seconds": round(elapsed, 2),
+        "variant": variant, "seed": seed, "detections": n_dets,
+        "train_dataset_sha256": train_sha, "train_seconds": round(elapsed, 2),
     })
     save_json(payload, os.path.join(args.out, "eval.json"))
 
-    print(format_table([(args.attention, report)]))
+    print(format_table([(variant, report)]))
     print(f"{len(result.records)} steps in {elapsed:.1f}s; artifacts in {args.out}")
     return 0
 
 
 def _cmd_compare(args) -> int:
-    seed = _resolve_seed(args.seed)
-    path = args.config or "<default>"
-    spec, model_overrides, train_overrides, run = _split_config(_load_config(args.config), path)
-    os.makedirs(args.out, exist_ok=True)
-    scenes = _scenes(spec, run)
-    rows = []
-    summary = {}
-    for variant in VARIANTS:
-        t0 = time.perf_counter()
-        model, result, report, n_dets = _train_one(
-            variant, seed, path, spec, model_overrides, train_overrides, run, scenes
-        )
-        elapsed = time.perf_counter() - t0
-        rows.append((variant, report))
+    seed, train_sha, rows = _run(args, VARIANTS)
+    reports, summary = [], {}
+    for variant, _, _, report, n_dets, elapsed in rows:
+        reports.append((variant, report))
         summary[variant] = {
             "map50": report.map50, "map75": report.map75, "map_coco": report.map_coco,
             "detections": n_dets, "train_seconds": round(elapsed, 2),
         }
         print(f"[{variant}] done in {elapsed:.1f}s ({n_dets} detections)", file=sys.stderr)
 
-    table = format_table(rows)
+    table = format_table(reports)
     print(table)
     with open(os.path.join(args.out, "compare.md"), "w", encoding="utf-8") as fh:
         fh.write(table + "\n")
-    save_json({"dataset_sha256": dataset_hash(scenes[0]), "seed": seed, "variants": summary},
+    save_json({"dataset_sha256": train_sha, "seed": seed, "variants": summary},
               os.path.join(args.out, "compare.json"))
     print(f"artifacts in {args.out}")
     return 0

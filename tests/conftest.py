@@ -5,11 +5,19 @@ import json
 import pytest
 from hypothesis import settings
 
+from numeric_env import DIGEST_THREADS, pin_threads
+
 # every property test replays the same examples on every run and host: no
 # deadline, a fixed derandomized stream and no example database; each test
 # sets its own max_examples
 settings.register_profile("attnmask", deadline=None, derandomize=True, database=None)
 settings.load_profile("attnmask")
+
+
+def pytest_configure(config):
+    # the digests hold only at the BLAS thread count they were recorded at;
+    # pinning it here holds whatever OPENBLAS_NUM_THREADS or import order say
+    pin_threads(DIGEST_THREADS)
 
 
 @pytest.fixture

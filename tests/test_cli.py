@@ -7,9 +7,10 @@ import warnings
 import pytest
 
 from attnmask import cli as cli_mod
-from attnmask.cli import _parse_thresholds, _split_config, cli
+from attnmask.cli import RunConfig, _parse_thresholds, _split_config, cli
 from attnmask.inputs import InputError
 from attnmask.metrics import COCO_SWEEP
+from attnmask.synth import SynthSpec, dataset_hash, synth_dataset
 from oracles import map_reference
 
 
@@ -290,6 +291,7 @@ def test_train_toy_rejects_unknown_config_field(tmp_path, capsys):
         ({"noise": -0.5}, "noise must be finite and at least 0, got -0.5"),
         ({"classes": ["disk", "disk"]}, r"classes must not repeat a name, got \['disk', 'disk'\]"),
         ({"model": {"num_classes": 2}}, "model: num_classes must be at least the scenes' 3 classes, got 2"),
+        ({"model": {"fpn_dim": 0}, "train": {"batch_size": 0}}, "model: fpn_dim must be at least 1, got 0"),
     ],
     ids=["text-int", "fractional-int", "text-run-knob", "nan-float", "object-stages", "object-anchors",
          "int-bool", "text-in-tuple", "zero-train-images", "conf-above-1", "zero-batch", "zero-epochs",
@@ -299,7 +301,7 @@ def test_train_toy_rejects_unknown_config_field(tmp_path, capsys):
          "rpn-pos-fraction-above-1", "negative-roi-pos-fraction", "zero-roi-pos-iou", "roi-pos-iou-above-1",
          "zero-step-factor", "negative-train-seed", "negative-val-seed", "negative-train-config-seed",
          "momentum-above-1", "negative-weight-decay", "negative-rpn-reg-weight", "negative-step-epoch",
-         "negative-noise", "repeated-class", "too-few-model-classes"],
+         "negative-noise", "repeated-class", "too-few-model-classes", "model-before-train"],
 )
 def test_malformed_config_values_exit_2_naming_file_and_field(tmp_path, capsys, cfg, message):
     path = tmp_path / "bad.json"
@@ -342,12 +344,22 @@ def test_compare_writes_all_variants(tmp_path, capsys):
     assert [row.split()[0] for row in table[2:6]] == ["none", "se", "eca", "cbam"]
     summary = json.loads((out_dir / "compare.json").read_text())
     assert set(summary["variants"]) == {"none", "se", "eca", "cbam"}
-    assert len(summary["dataset_sha256"]) == 64
+    assert summary["dataset_sha256"] == dataset_hash(synth_dataset(SynthSpec(), RunConfig.train_seed, 2))
     # every variant trained on identical scenes, so one hash for all
     assert capsys.readouterr().out.count("Model") == 1
+    # train-toy runs the same path: at the same config and seed its one
+    # variant trains on the same scenes and scores the same as in compare
+    one_dir = tmp_path / "one"
+    assert cli(["train-toy", "--config", str(cfg), "--attention", "cbam", "--out", str(one_dir)]) == 0
+    single = json.loads((one_dir / "eval.json").read_text())
+    keys = ("map50", "map75", "map_coco", "detections")
+    assert {k: single[k] for k in keys} == {k: summary["variants"]["cbam"][k] for k in keys}
+    assert single["train_dataset_sha256"] == summary["dataset_sha256"]
 
 
-def test_compare_builds_its_scenes_once(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("argv, variants", [(["compare"], 4), (["train-toy", "--attention", "eca"], 1)],
+                         ids=["compare", "train-toy"])
+def test_each_command_builds_its_scenes_once(tmp_path, monkeypatch, capsys, argv, variants):
     # the train and val scenes and the val ground truth are made once, every
     # variant trains on the same list and is scored against the same table
     made, trained_on, truths, scored_on = [], [], [], []
@@ -374,11 +386,11 @@ def test_compare_builds_its_scenes_once(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli_mod, "train", train)
     monkeypatch.setattr(cli_mod, "to_ground_truth", to_ground_truth)
     monkeypatch.setattr(cli_mod, "map_report", map_report)
-    assert cli(["compare", "--config", str(_micro_config(tmp_path)), "--out", str(tmp_path / "cmp")]) == 0
+    assert cli(argv + ["--config", str(_micro_config(tmp_path)), "--out", str(tmp_path / "run")]) == 0
     assert len(made) == 2
-    assert len(trained_on) == 4 and all(ds is made[0] for ds in trained_on)
+    assert len(trained_on) == variants and all(ds is made[0] for ds in trained_on)
     assert len(truths) == 1
-    assert len(scored_on) == 4 and all(gt is truths[0].records for gt in scored_on)
+    assert len(scored_on) == variants and all(gt is truths[0].records for gt in scored_on)
 
 
 def test_unknown_subcommand_exits_via_argparse():

@@ -21,6 +21,7 @@ from attnmask.metrics import (
     map_report,
     match,
 )
+from numeric_env import digest_context
 from oracles import ap_reference, map_reference, match_reference
 
 
@@ -524,6 +525,7 @@ def test_batches_stay_within_match_cells(monkeypatch):
 # a report changes it. The corner IoU and the k/100 recall grid reproduce it,
 # and every threshold's mAP equals map_reference within 1e-9, as the test checks
 REPORT_DIGEST = "4d42abc7079689c65d67abd175a0c06b18b201d000a30e5825cc57beb6ebfe6b"
+REPORT_DIGEST_ENV = {"numpy": "2.4.6", "blas_core": "SkylakeX", "blas_threads": 2}
 
 
 def _digest_scene():
@@ -558,7 +560,8 @@ def test_report_digest_is_unchanged():
     gt_tuples = [(g.image_id, g.class_id, g.box, g.iscrowd) for g in gts]
     for thr in COCO_SWEEP:
         assert abs(rep.map_by_thr[thr] - map_reference(det_tuples, gt_tuples, thr)) <= 1e-9, thr
-    assert hashlib.sha256(json.dumps(rep.to_json()).encode()).hexdigest() == REPORT_DIGEST
+    assert hashlib.sha256(json.dumps(rep.to_json()).encode()).hexdigest() == REPORT_DIGEST, \
+        digest_context(REPORT_DIGEST_ENV)
 
 
 def test_format_table_shape():

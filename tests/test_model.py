@@ -37,6 +37,7 @@ from attnmask.model import (
 from attnmask.roi_align import assign_level, roi_align
 from attnmask.synth import SynthSpec, synth_dataset
 from attnmask.tensor import Tensor, conv2d, grad_check, log_softmax, no_grad, relu, sigmoid, upsample_nearest
+from numeric_env import digest_context
 from oracles import detections_per_class, paste_mask_reference
 
 
@@ -516,6 +517,7 @@ def test_infer_matches_per_class_reference(monkeypatch, conf, survivors):
 # max chained four samples; any change to the last bit of a score or box,
 # or to a mask pixel, changes it.
 INFER_DIGEST = "d64cba5bb0896027b7d9bd194bdeba06161428d5ccaebfd2bead00ab1be96266"
+INFER_DIGEST_ENV = {"numpy": "2.4.6", "blas_core": "SkylakeX", "blas_threads": 2}
 _INFER_DIGEST_SCENES = (29, 3)  # synth_dataset seed and count
 
 
@@ -529,7 +531,7 @@ def test_infer_matches_its_digest():
             h.update(np.int64(d.class_id).tobytes() + np.array([d.score, *d.box]).tobytes() + p.mask.tobytes())
             count += 1
     assert count == 3 * MAX_DETS
-    assert h.hexdigest() == INFER_DIGEST
+    assert h.hexdigest() == INFER_DIGEST, digest_context(INFER_DIGEST_ENV)
 
 
 @pytest.mark.parametrize("conf", [float("nan"), -0.1, 1.5], ids=["nan", "negative", "above-one"])

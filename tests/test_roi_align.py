@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from attnmask.boxes import box_array
 from attnmask.roi_align import CHUNK, GRAD_CHUNK, assign_level, bilinear_weights, roi_align
 from attnmask.tensor import Tensor, grad_check, no_grad
+from numeric_env import digest_context
 from oracles import roi_align_dense
 
 
@@ -153,6 +154,7 @@ SIGNED_ZERO_SIGNS = {
     7: "d0be9e4963d7b27d1e138c17b2c1726169bfd5d450dc9c06df167a9c8b535ade",
     14: "2b59c3dc353d8dc0b81e3d88dbc92c2301d686b96c02bc2fb0f2e5be037b3d5a",
 }
+SIGNED_ZERO_SIGNS_ENV = {"numpy": "2.4.6", "blas_core": "SkylakeX", "blas_threads": 2}
 
 
 @pytest.mark.parametrize("res", [7, 14])
@@ -174,7 +176,8 @@ def test_values_do_not_depend_on_the_map_needing_a_gradient(res):
         for got in (plain, scoped):
             assert not got.requires_grad
             assert got.data.tobytes() == want.data.tobytes()
-    assert hashlib.sha256(np.signbit(want.data).tobytes()).hexdigest() == SIGNED_ZERO_SIGNS[res]
+    assert hashlib.sha256(np.signbit(want.data).tobytes()).hexdigest() == SIGNED_ZERO_SIGNS[res], \
+        digest_context(SIGNED_ZERO_SIGNS_ENV)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -298,6 +301,7 @@ ROI_DIGESTS = {
     14: ("38d62856e00593202a5021507fbf5cd75ab6df481e22d32a0b0e94e51880efb8",
          "adb65fc29255b2e0e7b2acf395dfe0bf08ebfd4a2330f25865dcac8f1360faeb"),
 }
+ROI_DIGESTS_ENV = {"numpy": "2.4.6", "blas_core": "SkylakeX", "blas_threads": 2}
 
 
 def _digest_case():
@@ -322,4 +326,4 @@ def test_values_and_gradient_match_their_digests(res):
     out = roi_align(leaf, 4.0, boxes, res)
     # the projection: one fixed weight per output value
     (out * np.random.default_rng(res).standard_normal(out.shape)).sum().backward()
-    assert (_sha(out.data), _sha(leaf.grad)) == ROI_DIGESTS[res]
+    assert (_sha(out.data), _sha(leaf.grad)) == ROI_DIGESTS[res], digest_context(ROI_DIGESTS_ENV)

@@ -28,6 +28,7 @@ from attnmask.train import (
     train,
     write_trace_csv,
 )
+from numeric_env import digest_context
 
 
 def test_config_validation():
@@ -295,6 +296,7 @@ def test_detector_check_catches_backward_faults(monkeypatch, fault, variant):
 # sample and the loss parts in record types; any change to the last bit of
 # a loss, a part, a gradient or a step changes it.
 LOSS_PATH_DIGEST = "e3574fbc61c60b59be7cc5ff15977a23607074997240afd88c16fcc90b40bae7"
+LOSS_PATH_DIGEST_ENV = {"numpy": "2.4.6", "blas_core": "SkylakeX", "blas_threads": 2}
 
 
 def _loss_path_cases():
@@ -329,7 +331,7 @@ def _loss_path_digest():
 
 
 def test_loss_path_matches_its_digest():
-    assert _loss_path_digest() == LOSS_PATH_DIGEST
+    assert _loss_path_digest() == LOSS_PATH_DIGEST, digest_context(LOSS_PATH_DIGEST_ENV)
 
 
 def _short_run(seed=0, epochs=2):
