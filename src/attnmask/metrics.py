@@ -286,7 +286,7 @@ def map_report(dets: DetTable, gts: GTTable, thresholds=None) -> EvalReport:
     if not thresholds or not all(0.0 < t < 1.0 for t in thresholds):
         raise ValueError(f"IoU thresholds must be a non-empty sequence in (0, 1), got {thresholds}")
     rows = np.concatenate([dets.boxes, gts.boxes])
-    bad = ~(rows[:, 2:] > rows[:, :2]).all(axis=1)
+    bad = ~((rows[:, 2] > rows[:, 0]) & (rows[:, 3] > rows[:, 1]))
     if bad.any():
         raise ValueError(f"boxes need x2 > x1 and y2 > y1, got {rows[bad][0].tolist()}")
     # rows by (class, image), detections by descending score within each;

@@ -6,24 +6,25 @@ a 26-epoch run. The schedule is evaluated in decimal arithmetic so the
 recorded rates are exactly the literals 0.002, 0.0002, and 0.00002.
 
 Each step accumulates gradients over a small image batch. Per image the
-loss is the sum of two `losses.total_loss` compositions: the anchor-level
-objectness and offset terms (normalized by the sampled anchor count and
-by the total anchor-position count), and the region head's class and
-offset terms (normalized by the sampled region count) with the mean mask
-cross entropy over positive regions, from one mask-head call per image.
-Region proposals are treated as constants: no gradient flows through
-their coordinates, and the scene's box rows are appended to the proposal
-set so the region heads always see positives once the dataset has them.
-Anchors, proposals and scene boxes are all (N, 4) corner rows; regions
-are labelled by one `pairwise_iou` of them, and `encode` alone reads
-their centers for the offset targets. Anchor and region sampling both
-hand over (sampled indices, labels, matched ground-truth index) arrays,
-and the two compositions' (cls, reg, mask) part arrays add up to the
-parts a step records.
+loss is a forward pass, a plan and the loss under that plan. The plan
+holds, as arrays, every choice that no gradient flows through: the
+anchor sample (indices, labels, the positives' encoded targets), then
+the region sample, drawn from the proposals plus the scene's clipped box
+rows so the region heads see positives once the dataset has them (rows,
+classes, the positives' encoded and mask targets). Anchors, proposals
+and scene boxes are all (N, 4) corner rows, regions are labelled by one
+`pairwise_iou` of them, and `encode` alone reads their centers. The loss
+adds two `losses.total_loss` compositions: the anchor-level objectness
+and offset terms (normalized by the sampled anchor count and by the
+total anchor-position count), and the region head's class and offset
+terms (normalized by the sampled region count) with the mean mask cross
+entropy over positive regions, from one mask-head call per image. Their
+(cls, reg, mask) part arrays add up to the parts a step records.
 
 Every consumed random draw comes from one seeded generator in a fixed
-order, so a rerun with the same (model seed, data, config) reproduces
-the loss trace bit for bit.
+order (each epoch's shuffle, then per image its flip and its plan), so a
+rerun with the same (model seed, data, config) reproduces the loss trace
+bit for bit.
 """
 
 from __future__ import annotations
@@ -174,90 +175,89 @@ def mask_target_grid(masks: np.ndarray, boxes: np.ndarray, m: int) -> np.ndarray
     return (grid & valid).astype(np.int64)
 
 
-def _sample_rois(
-    proposals: np.ndarray,
-    gt_boxes: np.ndarray,
-    gt_classes: np.ndarray,
-    rng: np.random.Generator,
-    cfg: TrainConfig,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Label proposal rows against ground-truth rows and pick the training
-    subset.
+def _plan_image(anchors: np.ndarray, scores: Tensor, offsets: Tensor, sample: Sample, rng: np.random.Generator,
+                cfg: TrainConfig, mask_size: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """Every choice of one image's loss that no gradient flows through, from
+    rpn_forward's rows: the anchor sample, then the region sample, each
+    drawn from rng in that order with its positives first.
 
-    Returns (kept indices, class labels with 0 = background, matched
-    ground-truth index or -1) all aligned with the kept subset.
+    Returns ((anchor indices, labels, the positives' encoded targets),
+    (region rows, classes with 0 = background, the positives' encoded
+    targets and (P, mask_size, mask_size) mask targets)). Regions are drawn
+    from the proposals plus the scene's clipped rows.
     """
-    n = proposals.shape[0]
-    labels = np.zeros(n, dtype=np.int64)
-    matched = np.full(n, -1, dtype=np.int64)
-    if gt_boxes.shape[0]:
-        mat = pairwise_iou(proposals, gt_boxes)
-        best = mat.max(axis=1)
-        arg = mat.argmax(axis=1)
-        fg = best >= cfg.roi_pos_iou
-        labels[fg] = gt_classes[arg[fg]]
-        matched[fg] = arg[fg]
-    max_pos = max(1, int(cfg.roi_batch * cfg.roi_pos_fraction))
-    keep = np.concatenate(sample_minibatch(
-        np.flatnonzero(labels > 0), np.flatnonzero(labels == 0), max_pos, cfg.roi_batch, rng
-    ))
-    return keep, labels[keep], matched[keep]
-
-
-def _image_loss(
-    model: Model,
-    sample: Sample,
-    rng: np.random.Generator,
-    cfg: TrainConfig,
-) -> tuple[Tensor, np.ndarray]:
-    """Differentiable total loss for one image plus its (cls, reg, mask) parts."""
     height, width = sample.image.shape[1:]
-    pyramid = pyramid_forward(model, Tensor(sample.image[None]))
-    anchors, scores, offsets = rpn_forward(model, pyramid)
     gt = sample.boxes
-
     sampled, anchor_labels, anchor_matched = assign_anchor_labels(
         anchors, gt, rng, batch=cfg.rpn_batch, pos_fraction=cfg.rpn_pos_fraction
     )
-    rpn_cls = cls_loss(gather_rows(scores, sampled), anchor_labels)
-    rpn_reg = None
     pos = anchor_labels > 0
-    if pos.any():
-        pred = gather_rows(offsets, sampled[pos])
-        rpn_reg = reg_loss(pred, encode(anchors[sampled[pos]], gt[anchor_matched[pos]]))
-    # position-count normalization leaves the offset term orders of magnitude
-    # below the objectness term; the weight restores a comparable scale
-    n_positions = anchors.shape[0] // model.cfg.num_anchor_shapes
-    rpn_total, rpn_parts = total_loss(
-        rpn_cls, rpn_reg, None, sampled.size, n_positions, cfg.rpn_reg_weight
-    )
+    anchor_targets = encode(anchors[sampled[pos]], gt[anchor_matched[pos]])
 
     proposals = propose(
         anchors, scores, offsets, (height, width), pre_nms=cfg.train_pre_nms, post_nms=cfg.train_post_nms
     )
     gt_clipped, inside = clip_boxes(gt, float(width), float(height))
     proposals = np.concatenate([proposals, gt_clipped[inside]])
+    labels = np.zeros(proposals.shape[0], dtype=np.int64)
+    matched = np.full(proposals.shape[0], -1, dtype=np.int64)
+    if gt.shape[0]:
+        mat = pairwise_iou(proposals, gt)
+        arg = mat.argmax(axis=1)
+        fg = mat.max(axis=1) >= cfg.roi_pos_iou
+        labels[fg] = sample.class_ids[arg[fg]]
+        matched[fg] = arg[fg]
+    max_pos = max(1, int(cfg.roi_batch * cfg.roi_pos_fraction))
+    keep = np.concatenate(sample_minibatch(
+        np.flatnonzero(labels > 0), np.flatnonzero(labels == 0), max_pos, cfg.roi_batch, rng
+    ))
+    rois, classes, matched = proposals[keep], labels[keep], matched[keep]
+    pos = classes > 0
+    roi_targets = encode(rois[pos], gt[matched[pos]])
+    mask_targets = mask_target_grid(sample.masks[matched[pos]], rois[pos], mask_size)
+    return (sampled, anchor_labels, anchor_targets), (rois, classes, roi_targets, mask_targets)
+
+
+def _detector_loss(model: Model, pyramid: dict[int, Tensor], scores: Tensor, offsets: Tensor,
+                   plan: tuple, cfg: TrainConfig) -> tuple[Tensor, np.ndarray]:
+    """Differentiable total loss of one image from its pyramid and RPN
+    scores and offsets under a `_plan_image` plan, plus the (cls, reg, mask)
+    parts. It draws and chooses nothing, so a plan fixes what it computes."""
+    (sampled, anchor_labels, anchor_targets), (rois, classes, roi_targets, mask_targets) = plan
+    rpn_cls = cls_loss(gather_rows(scores, sampled), anchor_labels)
+    rpn_reg = None
+    if anchor_targets.shape[0]:
+        rpn_reg = reg_loss(gather_rows(offsets, sampled[anchor_labels > 0]), anchor_targets)
+    # position-count normalization leaves the offset term orders of magnitude
+    # below the objectness term; the weight restores a comparable scale
+    n_positions = scores.shape[0] // model.cfg.num_anchor_shapes
+    rpn_total, rpn_parts = total_loss(
+        rpn_cls, rpn_reg, None, sampled.size, n_positions, cfg.rpn_reg_weight
+    )
+
     roi_cls = roi_reg = l_mask = None
-    n_rois = 0
-    if proposals.shape[0]:
-        keep, labels, matched = _sample_rois(proposals, gt, sample.class_ids, rng, cfg)
-        rois = proposals[keep]
-        n_rois = len(rois)
+    if rois.shape[0]:
         feats = extract_roi_features(pyramid, rois, model.cfg.box_resolution)
         logits, deltas = box_head_forward(model, feats)
-        roi_cls = softmax_ce(logits, labels)
-        pos_rows = np.flatnonzero(labels > 0)
+        roi_cls = softmax_ce(logits, classes)
+        pos_rows = np.flatnonzero(classes > 0)
         if pos_rows.size:
-            pred = gather_rows(deltas, pos_rows)
-            roi_reg = reg_loss(pred, encode(rois[pos_rows], gt[matched[pos_rows]]))
-
+            roi_reg = reg_loss(gather_rows(deltas, pos_rows), roi_targets)
             mfeats = extract_roi_features(pyramid, rois[pos_rows], model.cfg.mask_resolution)
-            grids = mask_head_forward(model, mfeats, np.arange(pos_rows.size), labels[pos_rows])
-            targets = mask_target_grid(sample.masks[matched[pos_rows]], rois[pos_rows], model.cfg.mask_out)
-            l_mask = mask_loss(grids, targets)
-    roi_total, roi_parts = total_loss(roi_cls, roi_reg, l_mask, n_rois, n_rois)
+            grids = mask_head_forward(model, mfeats, np.arange(pos_rows.size), classes[pos_rows])
+            l_mask = mask_loss(grids, mask_targets)
+    roi_total, roi_parts = total_loss(roi_cls, roi_reg, l_mask, rois.shape[0], rois.shape[0])
 
     return rpn_total + roi_total, rpn_parts + roi_parts
+
+
+def _image_loss(model: Model, sample: Sample, rng: np.random.Generator, cfg: TrainConfig) -> tuple[Tensor, np.ndarray]:
+    """Differentiable total loss for one image plus its (cls, reg, mask)
+    parts: the forward pass, its plan, then the loss under that plan."""
+    pyramid = pyramid_forward(model, Tensor(sample.image[None]))
+    anchors, scores, offsets = rpn_forward(model, pyramid)
+    plan = _plan_image(anchors, scores, offsets, sample, rng, cfg, model.cfg.mask_out)
+    return _detector_loss(model, pyramid, scores, offsets, plan, cfg)
 
 
 def _sgd_step(params, velocities, lr: float, cfg: TrainConfig) -> None:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 from typing import NamedTuple
 
 import numpy as np
@@ -307,10 +308,13 @@ def test_map_report_localization_quality_splits_thresholds():
                          ids=["inverted-x", "flat-y", "nan"])
 @pytest.mark.parametrize("side", ["det", "gt"])
 def test_map_report_rejects_empty_boxes(box, side):
+    # a second bad row after the first: the message names the first
     good = B((0, 0, 10, 10))
     dets, gts = [_det(0.9, good)], [_gt(good)]
-    (dets if side == "det" else gts).append(_det(0.5, box) if side == "det" else _gt(box))
-    with pytest.raises(ValueError, match=r"boxes need x2 > x1 and y2 > y1, got \["):
+    for bad in (box, Box(2.0, 2.0, 1.0, 1.0)):
+        (dets if side == "det" else gts).append(_det(0.5, bad) if side == "det" else _gt(bad))
+    first = re.escape(str([box.x1, box.y1, box.x2, box.y2]))
+    with pytest.raises(ValueError, match=rf"boxes need x2 > x1 and y2 > y1, got {first}$"):
         map_report(*_tables(dets, gts))
 
 

@@ -1,7 +1,9 @@
 """Training loop: schedule exactness, determinism, mask targets, SGD math,
-the loss path's digest and the whole detector against central differences."""
+the plan and the loss under it, the loss path's digest and the whole
+detector against central differences."""
 
 import csv
+import dataclasses
 import hashlib
 import re
 
@@ -15,13 +17,22 @@ from attnmask import tensor as tensor_mod
 from attnmask import train as train_mod
 from attnmask.attention import VARIANTS
 from attnmask.losses import mask_loss, total_loss
-from attnmask.model import ModelConfig, build_model, extract_roi_features, mask_head_forward, pyramid_forward
+from attnmask.model import (
+    ModelConfig,
+    build_model,
+    extract_roi_features,
+    mask_head_forward,
+    pyramid_forward,
+    rpn_forward,
+)
 from attnmask.synth import SynthSpec, dataset_hash, synth_dataset
 from attnmask.tensor import Tensor, concat, no_grad
 from attnmask.train import (
     StepRecord,
     TrainConfig,
+    _detector_loss,
     _image_loss,
+    _plan_image,
     _sgd_step,
     lr_at,
     mask_target_grid,
@@ -152,48 +163,79 @@ def test_rpn_offsets_are_normalized_by_anchor_positions(monkeypatch):
     assert calls[0][4] == cells
 
 
+def _forward(model, sample):
+    """The pyramid and rpn_forward's anchors, scores and offsets of one scene."""
+    pyramid = pyramid_forward(model, Tensor(sample.image[None]))
+    return (pyramid, *rpn_forward(model, pyramid))
+
+
+def _plan(model, sample, anchors, scores, offsets, seed):
+    return _plan_image(anchors, scores, offsets, sample, np.random.default_rng(seed), TrainConfig.toy(),
+                       model.cfg.mask_out)
+
+
 def test_mask_term_and_gradients_equal_a_per_region_loop(monkeypatch):
     # the one mask-head call over an image's positives gives the mean of the
     # per-region mask losses and the same mask-head weight gradients
     sample = synth_dataset(SynthSpec(n_objects=(2, 3)), 6, 1)[0]
     model = build_model(ModelConfig.toy("cbam"), seed=0)
-    seen = {"head_calls": 0}
-    sample_rois = train_mod._sample_rois
-
-    def sample_spy(proposals, *args):
-        seen["proposals"], seen["picked"] = proposals, sample_rois(proposals, *args)
-        return seen["picked"]
+    head_calls = []
 
     def head_spy(*args):
-        seen["head_calls"] += 1
+        head_calls.append(args)
         return mask_head_forward(*args)
 
-    monkeypatch.setattr(train_mod, "_sample_rois", sample_spy)
     monkeypatch.setattr(train_mod, "mask_head_forward", head_spy)
-    total, parts = _image_loss(model, sample, np.random.default_rng(0), TrainConfig.toy())
+    pyramid, anchors, scores, offsets = _forward(model, sample)
+    plan = _plan(model, sample, anchors, scores, offsets, 0)
+    total, parts = _detector_loss(model, pyramid, scores, offsets, plan, TrainConfig.toy())
     total.backward()
     head = [(name, t) for name, t in model.named_params() if name.startswith("mask_head.")]
     batched = {name: t.grad for name, t in head}
     for _, t in head:
         t.grad = None
 
-    keep, labels, matched = seen["picked"]
-    pos = np.flatnonzero(labels > 0)
-    assert seen["head_calls"] == 1 and pos.size >= 2
-    rois = seen["proposals"][keep[pos]]
+    _, (rois, classes, _, targets) = plan
+    pos = np.flatnonzero(classes > 0)
+    assert len(head_calls) == 1 and pos.size >= 2 and len(targets) == pos.size
     m = model.cfg.mask_out
-    pyramid = pyramid_forward(model, Tensor(sample.image[None]))
-    feats = extract_roi_features(pyramid, rois, model.cfg.mask_resolution).data
+    feats = extract_roi_features(pyramid, rois[pos], model.cfg.mask_resolution).data
     terms = []
-    for feat, label, gt_index, row in zip(feats, labels[pos], matched[pos], rois):
+    for feat, label, target in zip(feats, classes[pos], targets):
         channel = mask_head_forward(model, Tensor(feat[None]), np.array([0]), np.array([label])).reshape(m, m)
-        target = mask_target_grid(sample.masks[gt_index][None], row[None], m)[0]
         terms.append(mask_loss(channel, target))
     l_mask = concat([t.reshape(1) for t in terms], axis=0).mean()
     l_mask.backward()
     assert parts[2] == pytest.approx(l_mask.item(), rel=0.0, abs=1e-12)
     for name, t in head:
         np.testing.assert_allclose(batched[name], t.grad, rtol=0.0, atol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_the_loss_reads_only_its_plan(variant):
+    # a plan rebuilt from an untaped forward and an equal-seeded generator is
+    # byte-equal, and the loss under it is the taped loss bit for bit, total
+    # and parts: what a held-out loss under no_grad rests on. A region batch
+    # of 4 makes the region sample draw, where the toy recipe's 24 takes all.
+    model = build_model(ModelConfig.toy(variant), seed=0)
+    cfg = dataclasses.replace(TrainConfig.toy(), roi_batch=4)
+    m = model.cfg.mask_out
+    for sample in synth_dataset(SynthSpec(n_objects=(0, 0)), 5, 1) + synth_dataset(SynthSpec(n_objects=(3, 3)), 6, 1):
+        pyramid, anchors, scores, offsets = _forward(model, sample)
+        plan = _plan_image(anchors, scores, offsets, sample, np.random.default_rng(4), cfg, m)
+        total, parts = _detector_loss(model, pyramid, scores, offsets, plan, cfg)
+        with no_grad():
+            pyramid, anchors, scores, offsets = _forward(model, sample)
+            again = _plan_image(anchors, scores, offsets, sample, np.random.default_rng(4), cfg, m)
+            quiet_total, quiet_parts = _detector_loss(model, pyramid, scores, offsets, again, cfg)
+        arrays, rebuilt = plan[0] + plan[1], again[0] + again[1]
+        assert [(a.dtype, a.shape, a.tobytes()) for a in arrays] == [(a.dtype, a.shape, a.tobytes()) for a in rebuilt]
+        assert total.data.tobytes() == quiet_total.data.tobytes() and parts.tobytes() == quiet_parts.tobytes()
+        (_, anchor_labels, anchor_targets), (rois, classes, roi_targets, mask_targets) = plan
+        n_pos = int((classes > 0).sum())
+        assert anchor_targets.shape == ((anchor_labels > 0).sum(), 4) and roi_targets.shape == (n_pos, 4)
+        assert mask_targets.shape == (n_pos, m, m) and len(rois) == 4
+        assert n_pos == (2 if len(sample.boxes) else 0)
 
 
 # -- the whole detector against central differences ---------------------------
@@ -203,24 +245,15 @@ DETECTOR_EPS = 1e-6
 DETECTOR_TOL = 1e-5
 
 
-def _detector_errors(monkeypatch, variant, seed):
+def _detector_errors(variant, seed):
     """Per parameter group, the relative disagreement |a - n| / max(|a|, |n|)
-    between _image_loss's taped derivative along a random unit direction
+    between the loss's taped derivative along a random unit direction
     over the group and its central difference at DETECTOR_EPS.
 
-    Every evaluation reseeds the rng and reuses the first evaluation's
-    proposals, so the anchor and region samples stay fixed and the loss is
-    a smooth function of the parameters. Biases are redrawn from +-0.05:
-    build_model's zero biases put relus on their kinks, where the two
-    disagree by up to 7e-2."""
-    first = []
-
-    def frozen_propose(*args, **kwargs):
-        if not first:
-            first.append(model_mod.propose(*args, **kwargs))
-        return first[0]
-
-    monkeypatch.setattr(train_mod, "propose", frozen_propose)
+    Every evaluation reads the plan of the first forward pass, so the
+    anchor and region samples stay fixed and the loss is a smooth function
+    of the parameters. Biases are redrawn from +-0.05: build_model's zero
+    biases put relus on their kinks, where the two disagree by up to 7e-2."""
     model = build_model(ModelConfig.toy(variant), seed=seed)
     sample = synth_dataset(SynthSpec(n_objects=(2, 3)), 100 + seed, 1)[0]
     rng = np.random.default_rng(seed)
@@ -229,10 +262,14 @@ def _detector_errors(monkeypatch, variant, seed):
         if re.search(r"(^|[._])b\d?$", name):
             p.data = rng.uniform(-0.05, 0.05, p.shape)
 
-    def loss():
-        return _image_loss(model, sample, np.random.default_rng(seed), TrainConfig.toy())[0]
+    pyramid, anchors, scores, offsets = _forward(model, sample)
+    plan = _plan(model, sample, anchors, scores, offsets, seed)
 
-    loss().backward()
+    def loss():
+        pyramid, _, scores, offsets = _forward(model, sample)
+        return _detector_loss(model, pyramid, scores, offsets, plan, TrainConfig.toy())[0]
+
+    _detector_loss(model, pyramid, scores, offsets, plan, TrainConfig.toy())[0].backward()
     errors = {}
     for group in GROUPS:
         members = [p for name, p in params if name.startswith(group + ".")]
@@ -256,8 +293,8 @@ def _detector_errors(monkeypatch, variant, seed):
 
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_detector_gradient_matches_central_differences(monkeypatch, variant, seed):
-    errors = _detector_errors(monkeypatch, variant, seed)
+def test_detector_gradient_matches_central_differences(variant, seed):
+    errors = _detector_errors(variant, seed)
     assert max(errors.values()) < DETECTOR_TOL, errors
 
 
@@ -286,7 +323,7 @@ def test_detector_check_catches_backward_faults(monkeypatch, fault, variant):
     for module in (model_mod, attention_mod, losses_mod, train_mod):
         if hasattr(module, fault):
             monkeypatch.setattr(module, fault, faulty)
-    errors = _detector_errors(monkeypatch, variant, 0)
+    errors = _detector_errors(variant, 0)
     assert max(errors.values()) > DETECTOR_TOL, errors
 
 
