@@ -1,18 +1,20 @@
 """Channel and spatial feature gating blocks, listed once in `GATES`.
 
 `GATES` maps each variant name to its parameter container, which builds
-itself through its `init` classmethod, and to its gates in the order they
-apply. A gate is a pure function of (input, params) that returns the
-multiplier of an (N,C,H,W) input, (N,C,1,1) over channels or (N,1,H,W)
-over positions, through a sigmoid so it lies strictly in (0,1);
-`apply_attention` alone multiplies the gates in. With all parameters zero
-each gate is exactly 0.5, which gives the handy closed forms 0.5*F for a
-single gate and 0.25*F for the channel+spatial cascade.
+itself through its `init(channels, reduction, eca_kernel, rng)` classmethod,
+and to its gates in the order they apply. A gate is a pure function of
+(input, params) that returns the multiplier of an (N,C,H,W) input,
+(N,C,1,1) over channels or (N,1,H,W) over positions, through a sigmoid so
+it lies strictly in (0,1); `apply_attention` alone multiplies the gates in.
+With all parameters zero each gate is exactly 0.5, which gives the handy
+closed forms 0.5*F for a single gate and 0.25*F for the channel+spatial
+cascade.
 
-Defaults the surrounding literature settles and this config exposes:
-MLP reduction ratio r (default 16), ReLU between the MLP layers, and the
-adaptive kernel size of ECA's k-tap correlation across the channels, which
-`eca_gate` takes as a gather of (C, k) windows times the kernel.
+Defaults the surrounding literature settles and `model.ModelConfig`
+exposes: MLP reduction ratio r (default 16), ReLU between the MLP layers,
+and the adaptive kernel size of ECA's k-tap correlation across the
+channels, which `eca_gate` takes as a gather of (C, k) windows times the
+kernel. `make_attention` takes them as plain values, one block at a time.
 
 One init rule holds for the whole detector: gates and trunk convs draw
 "he_uniform", the heads' prediction layers "near_zero_uniform".
@@ -30,7 +32,6 @@ from .tensor import Tensor, concat, conv2d, gather_rows, linear, relu, sigmoid
 __all__ = [
     "GATES",
     "VARIANTS",
-    "AttentionConfig",
     "MLPParams",
     "SpatialAttentionParams",
     "CBAMParams",
@@ -45,27 +46,6 @@ __all__ = [
     "check_eca_kernel",
     "init_uniform",
 ]
-
-
-@dataclass(frozen=True)
-class AttentionConfig:
-    """Per-block gating configuration.
-
-    channels: C of the map the block gates.
-    reduction: bottleneck ratio r of the squeeze MLP; must divide C.
-    variant: one of VARIANTS; "none" builds no gate.
-    eca_kernel: odd kernel size for the cross-channel conv, or "adaptive".
-    """
-
-    channels: int
-    reduction: int = 16
-    variant: str = "cbam"
-    eca_kernel: int | str = "adaptive"
-
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
-        check_eca_kernel(self.eca_kernel)
 
 
 def check_eca_kernel(k) -> None:
@@ -109,8 +89,8 @@ class MLPParams:
     b2: Tensor
 
     @classmethod
-    def init(cls, cfg: AttentionConfig, rng: np.random.Generator) -> "MLPParams":
-        c, r = cfg.channels, cfg.reduction
+    def init(cls, channels: int, reduction: int, eca_kernel: int | str, rng: np.random.Generator) -> "MLPParams":
+        c, r = channels, reduction
         mid = c // r
         if c % r or mid < 1:
             raise ValueError(f"reduction {r} must divide channels {c} and leave hidden units")
@@ -130,7 +110,7 @@ class SpatialAttentionParams:
     b: Tensor  # (1,)
 
     @classmethod
-    def init(cls, cfg: AttentionConfig, rng: np.random.Generator) -> "SpatialAttentionParams":
+    def init(cls, rng: np.random.Generator) -> "SpatialAttentionParams":
         return cls(
             w=init_uniform((1, 2, 7, 7), 2 * 49, rng, "he_uniform"),
             b=init_uniform((1,), 2 * 49, rng, "he_uniform"),
@@ -143,8 +123,8 @@ class CBAMParams:
     sam: SpatialAttentionParams
 
     @classmethod
-    def init(cls, cfg: AttentionConfig, rng: np.random.Generator) -> "CBAMParams":
-        return cls(MLPParams.init(cfg, rng), SpatialAttentionParams.init(cfg, rng))
+    def init(cls, channels: int, reduction: int, eca_kernel: int | str, rng: np.random.Generator) -> "CBAMParams":
+        return cls(MLPParams.init(channels, reduction, eca_kernel, rng), SpatialAttentionParams.init(rng))
 
 
 @dataclass
@@ -153,13 +133,9 @@ class ECAParams:
 
     w: Tensor
 
-    @property
-    def kernel(self) -> int:
-        return self.w.shape[0]
-
     @classmethod
-    def init(cls, cfg: AttentionConfig, rng: np.random.Generator) -> "ECAParams":
-        k = eca_kernel_size(cfg.channels) if cfg.eca_kernel == "adaptive" else cfg.eca_kernel
+    def init(cls, channels: int, reduction: int, eca_kernel: int | str, rng: np.random.Generator) -> "ECAParams":
+        k = eca_kernel_size(channels) if eca_kernel == "adaptive" else eca_kernel
         return cls(w=init_uniform((k,), k, rng, "he_uniform"))
 
 
@@ -196,7 +172,7 @@ def se_gate(x: Tensor, params: MLPParams) -> Tensor:
 def eca_gate(x: Tensor, params: ECAParams) -> Tensor:
     """(N,C,1,1) gate from a k-tap correlation across each pooled channel
     vector: the (C, k) windows of its zero-padded row, gathered, times the kernel."""
-    n, c, k = *x.shape[:2], params.kernel
+    n, c, k = *x.shape[:2], params.w.shape[0]
     pad = Tensor(np.zeros((n, k // 2)))
     rows = concat([pad, x.reshape(n, c, -1).mean(axis=2), pad], axis=1)
     starts = np.arange(n)[:, None] * rows.shape[1] + np.arange(c)
@@ -217,10 +193,16 @@ GATES = {
 VARIANTS = ("none",) + tuple(GATES)
 
 
-def make_attention(cfg: AttentionConfig, rng: np.random.Generator):
-    """Build the parameter container for cfg.variant; None when it has no gate."""
-    entry = GATES.get(cfg.variant)
-    return None if entry is None else entry[0].init(cfg, rng)
+def make_attention(variant: str, channels: int, reduction: int, eca_kernel: int | str, rng: np.random.Generator):
+    """Build the parameter container of a variant's gate over a map of
+    `channels` channels, with MLP ratio `reduction` (it must divide
+    `channels`) and ECA kernel `eca_kernel` (odd, or "adaptive"); None for
+    "none"."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    check_eca_kernel(eca_kernel)
+    entry = GATES.get(variant)
+    return None if entry is None else entry[0].init(channels, reduction, eca_kernel, rng)
 
 
 def apply_attention(x: Tensor, params) -> Tensor:

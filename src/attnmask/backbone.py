@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attention import AttentionConfig, apply_attention, init_uniform, make_attention
+from .attention import apply_attention, init_uniform, make_attention
 from .tensor import Tensor, conv2d, max_pool2d, relu, upsample_nearest
 
 __all__ = [
@@ -97,7 +97,7 @@ class BottleneckParams:
     stride: int
 
 
-def init_bottleneck(cin: int, cout: int, stride: int, attn_cfg: AttentionConfig,
+def init_bottleneck(cin: int, cout: int, stride: int, variant: str, reduction: int, eca_kernel: int | str,
                     rng: np.random.Generator) -> BottleneckParams:
     mid = cout // 4
     needs_proj = stride != 1 or cin != cout
@@ -106,7 +106,7 @@ def init_bottleneck(cin: int, cout: int, stride: int, attn_cfg: AttentionConfig,
         conv2=init_conv(mid, mid, 3, rng),
         conv3=init_conv(cout, mid, 1, rng),
         proj=init_conv(cout, cin, 1, rng) if needs_proj else None,
-        attn=make_attention(attn_cfg, rng),
+        attn=make_attention(variant, cout, reduction, eca_kernel, rng),
         stride=stride,
     )
 
@@ -127,23 +127,17 @@ class BackboneParams:
     stages: list = field(default_factory=list)  # list of lists of BottleneckParams
 
 
-def init_backbone(
-    cfg: StageConfig,
-    variant: str,
-    rng: np.random.Generator,
-    reduction: int = 16,
-    eca_kernel: int | str = "adaptive",
-) -> BackboneParams:
+def init_backbone(cfg: StageConfig, variant: str, reduction: int, eca_kernel: int | str,
+                  rng: np.random.Generator) -> BackboneParams:
     """Build all backbone parameters, all "he_uniform"; the gate variant applies to every block."""
     stem = init_conv(cfg.stem_channels, 3, 7, rng)
     stages = []
     cin = cfg.stem_channels
     for stage_idx, (n_blocks, width) in enumerate(zip(cfg.blocks, cfg.widths)):
         blocks = []
-        attn_cfg = AttentionConfig(width, reduction, variant, eca_kernel)
         for block_idx in range(n_blocks):
             stride = 2 if stage_idx > 0 and block_idx == 0 else 1
-            blocks.append(init_bottleneck(cin, width, stride, attn_cfg, rng))
+            blocks.append(init_bottleneck(cin, width, stride, variant, reduction, eca_kernel, rng))
             cin = width
         stages.append(blocks)
     return BackboneParams(stem=stem, stages=stages)

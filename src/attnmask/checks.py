@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import GATES, AttentionConfig, apply_attention, make_attention
+from .attention import GATES, apply_attention, make_attention
 from .backbone import bottleneck_forward, fpn_fuse, init_bottleneck, init_fpn
 from .losses import cls_loss, mask_loss, reg_loss
 from .roi_align import roi_align
@@ -96,9 +96,7 @@ def _attention_cases(seed: int, eps: float, tol: float) -> list:
     cases = []
     for variant in GATES:
         prng = np.random.default_rng(np.random.PCG64(seed + 1))
-        params = make_attention(
-            AttentionConfig(channels=c, reduction=4, variant=variant), prng
-        )
+        params = make_attention(variant, c, 4, "adaptive", prng)
         proj_rng = np.random.default_rng(np.random.PCG64(seed + 2))
         pw = proj_rng.standard_normal((1, c, h, w))
 
@@ -135,7 +133,7 @@ def _swap_first_weight(params, t: Tensor):
 def _bottleneck_cases(seed: int, eps: float, tol: float) -> list:
     rng = np.random.default_rng(np.random.PCG64((seed, 0)))
     x = rng.standard_normal((1, 8, 6, 6))
-    params = init_bottleneck(8, 8, 1, AttentionConfig(channels=8, reduction=4, variant="cbam"), rng)
+    params = init_bottleneck(8, 8, 1, "cbam", 4, "adaptive", rng)
     pw = rng.standard_normal((1, 8, 6, 6))
 
     def fn(t):

@@ -59,9 +59,13 @@ def _load_config(path: str | None) -> dict:
 
 def _split_config(cfg: dict, path: str) -> tuple[SynthSpec, dict, dict, RunConfig]:
     """A config file holds SynthSpec and RunConfig fields at top level plus
-    optional "model"/"train" sections, which _run applies."""
+    optional "model"/"train" sections, which _run applies; the variant is
+    never the file's, so every row keeps the label it was trained under."""
     where = f"config {path}"
     model_overrides = field(cfg, "model", "object", where, {})
+    if "variant" in model_overrides:
+        raise InputError(f"{where}: model: variant comes from the command (train-toy --attention, or all four "
+                         f"in compare), not the config, got {model_overrides['variant']!r}")
     train_overrides = field(cfg, "train", "object", where, {})
     run_keys = {f.name for f in dataclasses.fields(RunConfig)}
     run = replace_checked(RunConfig(), {k: v for k, v in cfg.items() if k in run_keys}, where)

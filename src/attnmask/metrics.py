@@ -2,9 +2,10 @@
 
 The evaluator reads two column tables: `DetTable` (image and class ids,
 corner boxes, scores) and `GTTable` (the same, with crowd flags in place
-of scores). Each checks its columns' shapes and dtypes when built;
-`coco_io` reads files into them, `DetTable.of` makes one of `infer`'s
-`Detection` records, and `synth.to_ground_truth` builds a `GTTable`.
+of scores). Each checks its columns' shapes and dtypes when built, with
+`check_columns`, the one column rule that `synth.Sample` shares; `coco_io`
+reads files into them, `DetTable.of` makes one of `infer`'s `Detection`
+records, and `synth.to_ground_truth` builds a `GTTable`.
 
 Matching is greedy per (image, class): detections are taken in descending
 score order (ties keep input order) and each grabs the unmatched
@@ -48,6 +49,7 @@ __all__ = [
     "Detection",
     "DetTable",
     "GTTable",
+    "check_columns",
     "EvalReport",
     "match",
     "average_precision",
@@ -88,13 +90,14 @@ def _spelled(value) -> str:
     return type(value).__name__
 
 
-def _check_columns(table, last: str, dtype) -> None:
-    """Raise ValueError unless table.boxes is an (N, 4) float64 array and
-    image_id, class_id (int64) and the column called last (dtype) are (N,)."""
+def check_columns(table, **dtypes) -> None:
+    """The one column rule of box tables and scenes: raise ValueError unless
+    table.boxes is an (N, 4) float64 array and each named column is an (N,)
+    array of its dtype, checked in the order given."""
     b = table.boxes
     if not (isinstance(b, np.ndarray) and b.dtype == np.float64 and b.ndim == 2 and b.shape[1] == 4):
         raise ValueError(f"boxes must be an (N, 4) float64 array, got {_spelled(b)}")
-    for name, kind in (("image_id", np.int64), ("class_id", np.int64), (last, dtype)):
+    for name, kind in dtypes.items():
         col = getattr(table, name)
         if not (isinstance(col, np.ndarray) and col.dtype == kind and col.shape == b.shape[:1]):
             raise ValueError(f"{name} must be a ({len(b)},) {np.dtype(kind)} array, got {_spelled(col)}")
@@ -111,7 +114,7 @@ class DetTable:
     score: np.ndarray
 
     def __post_init__(self):
-        _check_columns(self, "score", np.float64)
+        check_columns(self, image_id=np.int64, class_id=np.int64, score=np.float64)
         bad = ~((self.score >= 0.0) & (self.score <= 1.0))  # NaN included
         if bad.any():
             raise ValueError(f"score must be in [0,1], got {self.score[bad][0]}")
@@ -139,7 +142,7 @@ class GTTable:
     iscrowd: np.ndarray
 
     def __post_init__(self):
-        _check_columns(self, "iscrowd", np.bool_)
+        check_columns(self, image_id=np.int64, class_id=np.int64, iscrowd=np.bool_)
 
     def __len__(self) -> int:
         return len(self.boxes)

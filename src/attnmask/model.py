@@ -193,9 +193,7 @@ def _init_linear(
 def build_model(cfg: ModelConfig, seed: int) -> Model:
     """Initialize all parameters deterministically from (cfg, seed)."""
     rng = np.random.default_rng(np.random.PCG64(seed))
-    backbone = init_backbone(
-        cfg.stages, cfg.variant, rng, reduction=cfg.reduction, eca_kernel=cfg.eca_kernel
-    )
+    backbone = init_backbone(cfg.stages, cfg.variant, cfg.reduction, cfg.eca_kernel, rng)
     fpn = init_fpn(cfg.stages.widths, cfg.fpn_dim, rng)
     a = cfg.num_anchor_shapes
     # trunk layers keep relu-preserving init; the final prediction layers

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coco_io import GroundTruth
-from .metrics import GTTable, _spelled
+from .metrics import GTTable, check_columns
 
 __all__ = [
     "SUPPORTED_SHAPES",
@@ -75,8 +75,11 @@ class SynthSpec:
         for name, p in (("distractor_prob", self.distractor_prob), ("occlusion_prob", self.occlusion_prob)):
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be in [0,1], got {p}")
-        if not 0.0 < self.size_range[0] <= self.size_range[1] < 1.0:
-            raise ValueError(f"bad size_range {self.size_range}")
+        # _sample_center keeps a 1 px margin on each side of a shape
+        top = (self.canvas - 2) / self.canvas
+        if not 0.0 < self.size_range[0] <= self.size_range[1] <= top:
+            raise ValueError(f"size_range must satisfy 0 < low <= high <= {top} (canvas {self.canvas} "
+                             f"less a 1 px margin on each side), got {self.size_range}")
         if not 0.0 <= self.noise < math.inf:
             raise ValueError(f"noise must be finite and at least 0, got {self.noise}")
 
@@ -97,12 +100,8 @@ class Sample:
     def __post_init__(self):
         if self.image.ndim != 3 or self.image.shape[0] != 3:
             raise ValueError(f"image must be 3xHxW, got {self.image.shape}")
-        b, c = self.boxes, self.class_ids
-        if not (isinstance(b, np.ndarray) and b.dtype == np.float64 and b.ndim == 2 and b.shape[1] == 4):
-            raise ValueError(f"boxes must be an (N, 4) float64 array, got {_spelled(b)}")
-        if not (isinstance(c, np.ndarray) and c.dtype == np.int64 and c.shape == b.shape[:1]):
-            raise ValueError(f"class_ids must be a ({len(b)},) int64 array, got {_spelled(c)}")
-        if len(self.masks) != len(b):
+        check_columns(self, class_ids=np.int64)
+        if len(self.masks) != len(self.boxes):
             raise ValueError("boxes, class_ids, and masks must align")
 
 

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from attnmask.attention import GATES, AttentionConfig, apply_attention, make_attention
+from attnmask.attention import GATES, apply_attention, make_attention
 from attnmask.boxes import AnchorConfig, Box, box_array, decode, encode, generate_anchors, iou, nms
 from attnmask.checks import run_checks
 from attnmask.cli import _self_evaluate, cli
@@ -79,7 +79,7 @@ def test_criterion_02_closed_form_attention(capsys):
     for seed in range(5):
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((1, 8, 6, 6))
-        zero = lambda v: zero_params(make_attention(AttentionConfig(channels=8, reduction=4, variant=v), rng))
+        zero = lambda v: zero_params(make_attention(v, 8, 4, "adaptive", rng))
         for variant, closed_form in (("cbam", 0.25), ("se", 0.5), ("eca", 0.5)):
             params = zero(variant)
             out = apply_attention(Tensor(x), params).data

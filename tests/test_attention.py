@@ -6,7 +6,6 @@ import pytest
 from attnmask.attention import (
     GATES,
     VARIANTS,
-    AttentionConfig,
     CBAMParams,
     ECAParams,
     MLPParams,
@@ -25,8 +24,7 @@ from oracles import attention_reference, zero_params
 
 def _zero_params(variant, channels=8, reduction=4):
     rng = np.random.default_rng(0)
-    cfg = AttentionConfig(channels=channels, reduction=reduction, variant=variant)
-    return zero_params(make_attention(cfg, rng))
+    return zero_params(make_attention(variant, channels, reduction, "adaptive", rng))
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -54,9 +52,7 @@ def test_gates_preserve_shape_and_bound_output():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((1, 16, 4, 4))
     for variant in GATES:
-        params = make_attention(
-            AttentionConfig(channels=16, reduction=4, variant=variant), np.random.default_rng(1)
-        )
+        params = make_attention(variant, 16, 4, "adaptive", np.random.default_rng(1))
         out = apply_attention(Tensor(x), params)
         assert out.shape == x.shape
         # multiplicative gates in (0,1) can never grow a magnitude
@@ -66,7 +62,7 @@ def test_gates_preserve_shape_and_bound_output():
 def test_channel_then_spatial_composition():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((1, 8, 5, 5))
-    params = make_attention(AttentionConfig(channels=8, reduction=4, variant="cbam"), np.random.default_rng(1))
+    params = make_attention("cbam", 8, 4, "adaptive", np.random.default_rng(1))
     cgate = channel_gate(Tensor(x), params)
     assert cgate.shape == (1, 8, 1, 1)
     mid = Tensor(x) * cgate
@@ -88,15 +84,12 @@ def test_eca_kernel_adaptive_rule():
 
 
 def test_eca_fixed_kernel_config():
-    params = make_attention(
-        AttentionConfig(channels=8, reduction=4, variant="eca", eca_kernel=5),
-        np.random.default_rng(0),
-    )
-    assert params.kernel == 5
+    params = make_attention("eca", 8, 4, 5, np.random.default_rng(0))
+    assert params.w.shape == (5,)
 
 
-@pytest.mark.parametrize("make", [lambda k: AttentionConfig(channels=8, reduction=4, variant="eca", eca_kernel=k),
-                                  lambda k: ModelConfig(eca_kernel=k)], ids=["AttentionConfig", "ModelConfig"])
+@pytest.mark.parametrize("make", [lambda k: make_attention("eca", 8, 4, k, np.random.default_rng(0)),
+                                  lambda k: ModelConfig(eca_kernel=k)], ids=["make_attention", "ModelConfig"])
 @pytest.mark.parametrize("kernel", [True, -3, 0, 4, "big"])
 def test_eca_kernel_has_one_rule(make, kernel):
     # booleans are never kernel sizes, and a negative one fails here, not in init_uniform
@@ -106,10 +99,10 @@ def test_eca_kernel_has_one_rule(make, kernel):
 
 def test_make_attention_dispatch_and_none():
     rng = np.random.default_rng(0)
-    assert make_attention(AttentionConfig(channels=8, reduction=4, variant="none"), rng) is None
-    assert isinstance(make_attention(AttentionConfig(channels=8, reduction=4, variant="cbam"), rng), CBAMParams)
-    assert isinstance(make_attention(AttentionConfig(channels=8, reduction=4, variant="se"), rng), MLPParams)
-    assert isinstance(make_attention(AttentionConfig(channels=8, reduction=4, variant="eca"), rng), ECAParams)
+    assert make_attention("none", 8, 4, "adaptive", rng) is None
+    assert isinstance(make_attention("cbam", 8, 4, "adaptive", rng), CBAMParams)
+    assert isinstance(make_attention("se", 8, 4, "adaptive", rng), MLPParams)
+    assert isinstance(make_attention("eca", 8, 4, "adaptive", rng), ECAParams)
     x = Tensor(np.ones((1, 2, 2, 2)))
     assert apply_attention(x, None) is x
     assert VARIANTS == ("none", "se", "eca", "cbam")
@@ -128,7 +121,7 @@ _ATTN_KEYS = {
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_variant_table_builds_applies_and_names_params(variant):
-    params = make_attention(AttentionConfig(channels=8, reduction=4, variant=variant), np.random.default_rng(0))
+    params = make_attention(variant, 8, 4, "adaptive", np.random.default_rng(0))
     x = Tensor(np.random.default_rng(1).standard_normal((1, 8, 5, 5)))
     if variant == "none":
         assert params is None and apply_attention(x, params) is x
@@ -153,13 +146,13 @@ def test_variant_table_builds_applies_and_names_params(variant):
 
 def test_reduction_must_leave_hidden_units():
     with pytest.raises(ValueError):
-        make_attention(AttentionConfig(channels=4, reduction=8, variant="se"), np.random.default_rng(0))
+        make_attention("se", 4, 8, "adaptive", np.random.default_rng(0))
     # 12 channels leave a hidden unit at r=8, but r must also divide C; the
     # cross-channel conv has no MLP, so the same reduction is fine there
     for variant in ("se", "cbam"):
         with pytest.raises(ValueError, match="must divide channels 12"):
-            make_attention(AttentionConfig(channels=12, reduction=8, variant=variant), np.random.default_rng(0))
-    make_attention(AttentionConfig(channels=12, reduction=8, variant="eca"), np.random.default_rng(0))
+            make_attention(variant, 12, 8, "adaptive", np.random.default_rng(0))
+    make_attention("eca", 12, 8, "adaptive", np.random.default_rng(0))
 
 
 def test_init_uniform_schemes():
@@ -177,8 +170,10 @@ def test_init_uniform_schemes():
 
 
 def test_config_rejects_unknown_variant():
-    with pytest.raises(ValueError):
-        AttentionConfig(channels=8, reduction=4, variant="senet")
+    with pytest.raises(ValueError, match="unknown variant 'senet'"):
+        make_attention("senet", 8, 4, "adaptive", np.random.default_rng(0))
+    with pytest.raises(ValueError, match=r"variant must be one of \('none', 'se', 'eca', 'cbam'\), got 'senet'"):
+        ModelConfig(variant="senet")
 
 
 # ECA kernels 1-7 over 4 and 8 channels; k = 7 over 4 channels pads wider
@@ -194,8 +189,7 @@ _ECA_SIZES = [(k, c) for k in (1, 3, 5, 7) for c in (4, 8)]
 def test_gates_match_equation_oracle(variant, channels, eca_kernel):
     # he_uniform weights push the gates well away from their 0.5 midpoint
     rng = np.random.default_rng(5)
-    cfg = AttentionConfig(channels, reduction=2, variant=variant, eca_kernel=eca_kernel)
-    params = make_attention(cfg, rng)
+    params = make_attention(variant, channels, 2, eca_kernel, rng)
     x = rng.standard_normal((1, channels, 6, 5))
     got = apply_attention(Tensor(x), params).data
     np.testing.assert_allclose(got[0], attention_reference(x[0], variant, params), rtol=0.0, atol=1e-12)

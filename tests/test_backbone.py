@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from attnmask.attention import GATES, AttentionConfig, CBAMParams, apply_attention, make_attention
+from attnmask.attention import GATES, CBAMParams, apply_attention, make_attention
 from attnmask.backbone import (
     StageConfig,
     backbone_forward,
@@ -16,10 +16,6 @@ from attnmask.backbone import (
 from attnmask.model import _walk
 from attnmask.tensor import Tensor, max_pool2d
 from oracles import zero_params
-
-
-def _no_gate(channels):
-    return AttentionConfig(channels=channels, variant="none")
 
 
 def test_stage_config_validation():
@@ -35,20 +31,20 @@ def test_stage_config_validation():
 
 def test_bottleneck_identity_skip_vs_projection():
     rng = np.random.default_rng(0)
-    same = init_bottleneck(8, 8, 1, _no_gate(8), rng)
+    same = init_bottleneck(8, 8, 1, "none", 4, "adaptive", rng)
     assert same.proj is None  # identity skip when shape is preserved
-    strided = init_bottleneck(8, 8, 2, _no_gate(8), rng)
+    strided = init_bottleneck(8, 8, 2, "none", 4, "adaptive", rng)
     assert strided.proj is not None
-    widened = init_bottleneck(8, 16, 1, _no_gate(16), rng)
+    widened = init_bottleneck(8, 16, 1, "none", 4, "adaptive", rng)
     assert widened.proj is not None
 
 
 def test_bottleneck_shapes_and_nonnegative_output():
     rng = np.random.default_rng(1)
     x = Tensor(np.random.default_rng(2).standard_normal((1, 8, 8, 8)))
-    p1 = init_bottleneck(8, 16, 1, _no_gate(16), rng)
+    p1 = init_bottleneck(8, 16, 1, "none", 4, "adaptive", rng)
     assert bottleneck_forward(x, p1).shape == (1, 16, 8, 8)
-    p2 = init_bottleneck(8, 16, 2, _no_gate(16), rng)
+    p2 = init_bottleneck(8, 16, 2, "none", 4, "adaptive", rng)
     out = bottleneck_forward(x, p2)
     assert out.shape == (1, 16, 4, 4)
     assert (out.data >= 0).all()  # final relu
@@ -57,8 +53,8 @@ def test_bottleneck_shapes_and_nonnegative_output():
 def test_bottleneck_attention_gate_attenuates():
     rng = np.random.default_rng(3)
     x = Tensor(np.abs(np.random.default_rng(4).standard_normal((1, 8, 6, 6))))
-    plain = zero_params(init_bottleneck(8, 8, 1, _no_gate(8), rng))
-    gated = zero_params(init_bottleneck(8, 8, 1, AttentionConfig(channels=8, reduction=4, variant="cbam"), rng))
+    plain = zero_params(init_bottleneck(8, 8, 1, "none", 4, "adaptive", rng))
+    gated = zero_params(init_bottleneck(8, 8, 1, "cbam", 4, "adaptive", rng))
     assert isinstance(gated.attn, CBAMParams)
     # zero convs: residual branch is zero either way, skip passes through
     assert np.allclose(bottleneck_forward(x, plain).data, x.data)
@@ -67,7 +63,7 @@ def test_bottleneck_attention_gate_attenuates():
 
 def test_backbone_emits_c2_to_c5_with_halving():
     cfg = StageConfig.toy()
-    params = init_backbone(cfg, "cbam", np.random.default_rng(0), reduction=4)
+    params = init_backbone(cfg, "cbam", 4, "adaptive", np.random.default_rng(0))
     image = Tensor(np.random.default_rng(1).standard_normal((1, 3, 64, 64)))
     cmaps = backbone_forward(image, params)
     assert sorted(cmaps) == [2, 3, 4, 5]
@@ -76,13 +72,13 @@ def test_backbone_emits_c2_to_c5_with_halving():
 
 
 def test_backbone_rejects_indivisible_extent():
-    params = init_backbone(StageConfig.toy(), "none", np.random.default_rng(0))
+    params = init_backbone(StageConfig.toy(), "none", 4, "adaptive", np.random.default_rng(0))
     with pytest.raises(ValueError):
         backbone_forward(Tensor(np.zeros((1, 3, 60, 64))), params)
 
 
 def test_backbone_variant_none_has_no_gates():
-    params = init_backbone(StageConfig.toy(), "none", np.random.default_rng(0))
+    params = init_backbone(StageConfig.toy(), "none", 4, "adaptive", np.random.default_rng(0))
     assert all(b.attn is None for stage in params.stages for b in stage)
 
 
@@ -136,10 +132,10 @@ def test_batch_of_two_equals_stacked_batches_of_one(op, seed):
     if op == "max_pool2d":
         params, fn = None, lambda t: max_pool2d(t, kernel=3, stride=2, padding=1)
     elif op == "bottleneck":
-        params = init_bottleneck(8, 16, 2, AttentionConfig(16, reduction=4, variant="cbam"), rng)
+        params = init_bottleneck(8, 16, 2, "cbam", 4, "adaptive", rng)
         fn = lambda t: bottleneck_forward(t, params)
     else:
-        params = make_attention(AttentionConfig(8, reduction=4, variant=op), rng)
+        params = make_attention(op, 8, 4, "adaptive", rng)
         fn = lambda t: apply_attention(t, params)
     leaves = []
     _walk(params, op, leaves)

@@ -271,8 +271,7 @@ def test_train_toy_rejects_unknown_config_field(tmp_path, capsys):
         ({"model": {"mask_out": 20}}, "model: mask_out must be 2 \\* mask_resolution = 28, got 20"),
         ({"model": {"eca_kernel": "foo"}}, "model: eca_kernel must be an odd positive int or 'adaptive', got 'foo'"),
         ({"model": {"reduction": 3}}, r"model: reduction 3 must divide every stage width \(8, 16, 32, 64\)"),
-        ({"model": {"variant": "none", "reduction": 128}},
-         r"model: reduction 128 must divide every stage width \(8, 16, 32, 64\)"),
+        ({"model": {"reduction": 128}}, r"model: reduction 128 must divide every stage width \(8, 16, 32, 64\)"),
         ({"train": {"roi_batch": 0}}, "train: roi_batch must be at least 1, got 0"),
         ({"train": {"train_pre_nms": 0}}, "train: train_pre_nms must be at least 1, got 0"),
         ({"train": {"train_post_nms": -1}}, "train: train_post_nms must be at least 1, got -1"),
@@ -290,6 +289,7 @@ def test_train_toy_rejects_unknown_config_field(tmp_path, capsys):
         ({"train": {"step_epochs": [-3]}}, r"train: step_epochs must be in \[0,26\), got \[-3\]"),
         ({"noise": -0.5}, "noise must be finite and at least 0, got -0.5"),
         ({"classes": ["disk", "disk"]}, r"classes must not repeat a name, got \['disk', 'disk'\]"),
+        ({"size_range": [0.9, 0.99]}, r"size_range must satisfy 0 < low <= high <= 0.96875 \(canvas 64 .*\(0.9, 0.99\)"),
         ({"model": {"num_classes": 2}}, "model: num_classes must be at least the scenes' 3 classes, got 2"),
         ({"model": {"fpn_dim": 0}, "train": {"batch_size": 0}}, "model: fpn_dim must be at least 1, got 0"),
     ],
@@ -301,15 +301,33 @@ def test_train_toy_rejects_unknown_config_field(tmp_path, capsys):
          "rpn-pos-fraction-above-1", "negative-roi-pos-fraction", "zero-roi-pos-iou", "roi-pos-iou-above-1",
          "zero-step-factor", "negative-train-seed", "negative-val-seed", "negative-train-config-seed",
          "momentum-above-1", "negative-weight-decay", "negative-rpn-reg-weight", "negative-step-epoch",
-         "negative-noise", "repeated-class", "too-few-model-classes", "model-before-train"],
+         "negative-noise", "repeated-class", "size-range-past-margin", "too-few-model-classes",
+         "model-before-train"],
 )
 def test_malformed_config_values_exit_2_naming_file_and_field(tmp_path, capsys, cfg, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))  # json writes nan as NaN, which json.load reads back
-    assert cli(["train-toy", "--config", str(path), "--out", str(tmp_path / "y")]) == 2
+    # "none" builds no gate, and every model rule still holds without one
+    argv = ["train-toy", "--attention", "none", "--config", str(path), "--out", str(tmp_path / "y")]
+    assert cli(argv) == 2
     err = capsys.readouterr().err
     assert f"config {path}: " in err
     assert re.search(message, err), err
+
+
+@pytest.mark.parametrize("argv", [["compare"], ["train-toy", "--attention", "cbam"]], ids=["compare", "train-toy"])
+def test_config_cannot_set_the_variant(tmp_path, monkeypatch, capsys, argv):
+    # the command names the variants, so a row is never labelled with one
+    # variant while holding a model of another
+    built = []
+    monkeypatch.setattr(cli_mod, "build_model", lambda cfg, seed: built.append(cfg.variant))
+    path = tmp_path / "se.json"
+    path.write_text(json.dumps({"model": {"variant": "se"}}))
+    out = tmp_path / "run"
+    assert cli(argv + ["--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: config {path}: model: variant comes from the command "
+                                       "(train-toy --attention, or all four in compare), not the config, got 'se'\n")
+    assert built == [] and not out.exists()
 
 
 def test_diverged_training_exits_1(tmp_path, capsys):

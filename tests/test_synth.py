@@ -36,6 +36,16 @@ def test_spec_validation():
     assert SynthSpec(canvas=32).num_classes == 3
 
 
+@pytest.mark.parametrize("canvas, top", [(64, 0.96875), (32, 0.9375)])
+def test_spec_keeps_shapes_inside_the_placement_margin(canvas, top):
+    # a shape is placed 1 px clear of each edge, so the widest size a canvas
+    # takes is (canvas - 2) / canvas; past it the center draw has no room
+    with pytest.raises(ValueError, match=rf"size_range must satisfy 0 < low <= high <= {top} \(canvas {canvas} "):
+        SynthSpec(canvas=canvas, size_range=(0.9, 0.99))
+    for s in synth_dataset(SynthSpec(canvas=canvas, size_range=(top, top)), 3, 4):
+        assert (s.boxes >= 0.0).all() and (s.boxes <= canvas).all()
+
+
 def test_spec_rejects_repeated_classes():
     # a repeated name would give a class id that no object ever carries
     with pytest.raises(ValueError, match=r"classes must not repeat a name, got \['disk', 'disk'\]"):
@@ -161,6 +171,9 @@ def test_dataset_stream_is_pinned():
         for s in ds
     ]
     assert dataset_hash(centered) == "8613d054b6cdc5dc344f34b9c5b5a317ae11810049136827bdbef52cf9579b16"
+    # the default validation scenes of train-toy and compare
+    val = synth_dataset(SynthSpec(), 2002, 8)
+    assert dataset_hash(val) == "53539b497bc6807df6ae47ebc5179d3426fe265e9ea0121af3618ad1532fa818"
 
 
 def test_scenes_hold_row_arrays():
