@@ -7,6 +7,8 @@ command, and every variant is trained and scored the same way on them.
 Exit codes: 0 success, 1 failed checks or diverged training, 2 malformed
 input. Config files and COCO files are read by `inputs`, so every
 diagnostic names the file, the record or section, the field and the value.
+A malformed config exits 2 before `--out` is made or any scene is built,
+and `evaluate` checks `--thresholds` before it reads either file.
 The ATTNMASK_SEED environment variable overrides any --seed flag.
 """
 
@@ -53,14 +55,10 @@ class RunConfig:
             raise ValueError(f"conf_threshold must be in [0,1], got {self.conf_threshold}")
 
 
-def _load_config(path: str | None) -> dict:
-    return {} if path is None else load_json(path, lambda doc: checked("object", doc, "top level"))
-
-
-def _split_config(cfg: dict, path: str) -> tuple[SynthSpec, dict, dict, RunConfig]:
-    """A config file holds SynthSpec and RunConfig fields at top level plus
-    optional "model"/"train" sections, which _run applies; the variant is
-    never the file's, so every row keeps the label it was trained under."""
+def _split_config(cfg: dict, path: str, variants: tuple[str, ...], seed: int):
+    """The one reader of a run's settings, before anything is made: SynthSpec and RunConfig fields at
+    top level, optional "model"/"train" sections, never the variant (every row keeps the label it was
+    trained under). No model rule reads the variant, so one checked ModelConfig is copied per variant."""
     where = f"config {path}"
     model_overrides = field(cfg, "model", "object", where, {})
     if "variant" in model_overrides:
@@ -70,7 +68,14 @@ def _split_config(cfg: dict, path: str) -> tuple[SynthSpec, dict, dict, RunConfi
     run_keys = {f.name for f in dataclasses.fields(RunConfig)}
     run = replace_checked(RunConfig(), {k: v for k, v in cfg.items() if k in run_keys}, where)
     rest = {k: v for k, v in cfg.items() if k not in run_keys and k not in ("model", "train")}
-    return replace_checked(SynthSpec(), rest, where), model_overrides, train_overrides, run
+    spec = replace_checked(SynthSpec(), rest, where)
+    mcfg = replace_checked(ModelConfig.toy(num_classes=spec.num_classes), model_overrides, f"{where}: model")
+    if mcfg.num_classes < spec.num_classes:
+        raise InputError(f"{where}: model: num_classes must be at least the scenes' "
+                         f"{spec.num_classes} classes, got {mcfg.num_classes}")
+    models = tuple(dataclasses.replace(mcfg, variant=variant) for variant in variants)
+    tcfg = replace_checked(TrainConfig.toy(seed=seed), train_overrides, f"{where}: train")
+    return spec, run, models, tcfg
 
 
 def _resolve_seed(flag_seed: int) -> int:
@@ -114,9 +119,9 @@ def _parse_thresholds(text: str) -> tuple[float, ...]:
 
 
 def _cmd_evaluate(args) -> int:
+    thresholds = _parse_thresholds(args.thresholds)
     gt = load_gt(args.gt)
     dets = load_detections(args.det, gt)
-    thresholds = _parse_thresholds(args.thresholds)
     report = map_report(dets, gt.records, thresholds=thresholds)
     print(format_table([(os.path.basename(args.det), report)]))
     if args.out:
@@ -132,33 +137,27 @@ def _self_evaluate(model: Model, val_ds, val_gt: GTTable, conf: float):
 
 
 def _run(args, variants: tuple[str, ...]):
-    """The one run path of `train-toy` and `compare`: resolve the seed, read
-    the config, make `--out` and build the scenes and the val ground truth
-    once. Returns the seed, the train scenes' hash and a generator that trains
-    and scores each variant in turn on those same scenes (`train` and `infer`
-    leave them unchanged), yielding (variant, model, train result, report,
-    detections, seconds)."""
+    """The one run path of `train-toy` and `compare`: resolve the seed and
+    read every setting of the config, then make `--out` and build the scenes
+    and the val ground truth once. Returns the seed, the train scenes' hash
+    and a generator that trains and scores each variant in turn on those
+    same scenes (`train` and `infer` leave them unchanged), yielding
+    (variant, model, train result, report, detections, seconds)."""
     seed = _resolve_seed(args.seed)
-    path = args.config or "<default>"
-    spec, model_overrides, train_overrides, run = _split_config(_load_config(args.config), path)
+    cfg = {} if args.config is None else load_json(args.config, lambda doc: checked("object", doc, "top level"))
+    spec, run, models, tcfg = _split_config(cfg, args.config or "<default>", variants, seed)
     os.makedirs(args.out, exist_ok=True)
     train_ds = synth_dataset(spec, run.train_seed, run.train_images)
     val_ds = synth_dataset(spec, run.val_seed, run.val_images)
     val_gt = to_ground_truth(val_ds, spec.classes).records
 
     def rows():
-        for variant in variants:
+        for mcfg in models:
             t0 = time.perf_counter()
-            mcfg = ModelConfig.toy(variant, num_classes=spec.num_classes)
-            mcfg = replace_checked(mcfg, model_overrides, f"config {path}: model")
-            if mcfg.num_classes < spec.num_classes:
-                raise InputError(f"config {path}: model: num_classes must be at least the scenes' "
-                                 f"{spec.num_classes} classes, got {mcfg.num_classes}")
-            tcfg = replace_checked(TrainConfig.toy(seed=seed), train_overrides, f"config {path}: train")
             model = build_model(mcfg, seed=seed)
             result = train(model, train_ds, tcfg)
             report, n_dets = _self_evaluate(model, val_ds, val_gt, run.conf_threshold)
-            yield variant, model, result, report, n_dets, time.perf_counter() - t0
+            yield mcfg.variant, model, result, report, n_dets, time.perf_counter() - t0
 
     return seed, dataset_hash(train_ds), rows()
 

@@ -1,9 +1,10 @@
 """Deterministic SGD training for the toy detector.
 
-The optimizer is SGD with momentum 0.9 and weight decay 0.0001 at base
-learning rate 0.002, dropped by 0.1 at the start of epochs 16 and 22 of
-a 26-epoch run. The schedule is evaluated in decimal arithmetic so the
-recorded rates are exactly the literals 0.002, 0.0002, and 0.00002.
+SGD with momentum 0.9 and weight decay 0.0001 at base learning rate 0.002,
+dropped by 0.1 at epochs 16 and 22 of 26 in `TrainConfig()`. Every command
+and the benchmark run `TrainConfig.toy`: drops at 18 and 23, no flips, 64
+sampled anchors, 24 regions and 12 proposals after NMS. Rates are computed
+in decimal, so they are exactly the literals 0.002, 0.0002 and 0.00002.
 
 Each step accumulates gradients over a small image batch. Per image the
 loss is a forward pass, a plan and the loss under that plan. The plan

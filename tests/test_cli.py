@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, diagnostics, artifacts."""
 
+import dataclasses
 import json
 import re
 import warnings
@@ -10,7 +11,9 @@ from attnmask import cli as cli_mod
 from attnmask.cli import RunConfig, _parse_thresholds, _split_config, cli
 from attnmask.inputs import InputError
 from attnmask.metrics import COCO_SWEEP
+from attnmask.model import ModelConfig
 from attnmask.synth import SynthSpec, dataset_hash, synth_dataset
+from attnmask.train import TrainConfig
 from oracles import map_reference
 
 
@@ -163,6 +166,10 @@ def test_evaluate_rejects_bad_thresholds(tmp_path, capsys):
     assert "'high'" in capsys.readouterr().err
     assert cli(["evaluate", "--gt", gt, "--det", det, "--thresholds", "1.5"]) == 2
     assert "outside" in capsys.readouterr().err
+    # the thresholds are read before either file
+    absent = str(tmp_path / "absent.json")
+    assert cli(["evaluate", "--gt", absent, "--det", absent, "--thresholds", "0.999"]) == 2
+    assert capsys.readouterr().err == "error: --thresholds: 0.999 rounds to 1.0, outside (0, 1)\n"
     # the range check reads the rounded value that map_report would score
     for token, rounded in (("0.999", "1.0"), ("0.001", "0.0"), ("0.004", "0.0")):
         assert cli(["evaluate", "--gt", gt, "--det", det, "--thresholds", token]) == 2
@@ -181,16 +188,18 @@ def test_parse_thresholds_expands_coco():
 def test_split_config_routes_sections(tmp_path):
     cfg = {"canvas": 32, "train_images": 4, "model": {"fpn_dim": 16},
            "train": {"epochs": 2, "step_epochs": [1]}}
-    spec, model_ov, train_ov, run = _split_config(cfg, "x.json")
+    spec, run, models, tcfg = _split_config(cfg, "x.json", ("none", "cbam"), 7)
     assert spec.canvas == 32
-    assert model_ov == {"fpn_dim": 16}
-    assert train_ov == {"epochs": 2, "step_epochs": [1]}
     assert run.train_images == 4 and run.val_images == 8
+    # one model config per variant, each with its own variant and the override
+    assert models == (dataclasses.replace(ModelConfig.toy("none"), fpn_dim=16),
+                      dataclasses.replace(ModelConfig.toy("cbam"), fpn_dim=16))
+    assert tcfg == dataclasses.replace(TrainConfig.toy(seed=7), epochs=2, step_epochs=(1,))
 
     with pytest.raises(InputError, match="unknown field 'max_boxes'"):
-        _split_config({"max_boxes": 3}, "x.json")
+        _split_config({"max_boxes": 3}, "x.json", ("none",), 0)
     with pytest.raises(InputError, match="x.json: model must be object, got 5"):
-        _split_config({"model": 5}, "x.json")
+        _split_config({"model": 5}, "x.json", ("none",), 0)
 
 
 def test_gradcheck_subcommand_passes(capsys):
@@ -313,6 +322,7 @@ def test_malformed_config_values_exit_2_naming_file_and_field(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert f"config {path}: " in err
     assert re.search(message, err), err
+    assert not (tmp_path / "y").exists()  # every setting is read before --out is made
 
 
 @pytest.mark.parametrize("argv", [["compare"], ["train-toy", "--attention", "cbam"]], ids=["compare", "train-toy"])
@@ -328,6 +338,29 @@ def test_config_cannot_set_the_variant(tmp_path, monkeypatch, capsys, argv):
     assert capsys.readouterr().err == (f"error: config {path}: model: variant comes from the command "
                                        "(train-toy --attention, or all four in compare), not the config, got 'se'\n")
     assert built == [] and not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["compare"], ["train-toy", "--attention", "cbam"]], ids=["compare", "train-toy"])
+@pytest.mark.parametrize(
+    "text, message",
+    [('{"model": {"num_classes": 2}}', "model: num_classes must be at least the scenes' 3 classes, got 2"),
+     ('{"model": {"eca_kernel": 2}}', "model: eca_kernel must be an odd positive int or 'adaptive', got 2"),
+     ('{"train": {"batch_size": 0}}', "train: batch_size must be at least 1, got 0"),
+     ('{"train": {"lr": Infinity}}', "train: lr must be float, got inf")],
+    ids=["too-few-classes", "even-eca-kernel", "zero-batch", "infinite-lr"],
+)
+def test_bad_sections_fail_before_anything_is_made(tmp_path, monkeypatch, capsys, argv, text, message):
+    # the model and train sections are read with the rest of the config, so
+    # a bad one leaves no --out and builds no scene and no model
+    calls = []
+    monkeypatch.setattr(cli_mod, "synth_dataset", lambda *args: calls.append("synth_dataset"))
+    monkeypatch.setattr(cli_mod, "build_model", lambda cfg, seed: calls.append("build_model"))
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    out = tmp_path / "run"
+    assert cli(argv + ["--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: config {path}: {message}\n"
+    assert calls == [] and not out.exists()
 
 
 def test_diverged_training_exits_1(tmp_path, capsys):

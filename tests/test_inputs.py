@@ -10,11 +10,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from attnmask import coco_io
+from attnmask.attention import VARIANTS
 from attnmask.cli import RunConfig, _split_config
 from attnmask.coco_io import GroundTruth, parse_detections, parse_gt
 from attnmask.inputs import InputError, checked, field, load_json, records, replace_checked
 from attnmask.model import ModelConfig
-from attnmask.synth import SynthSpec
+from attnmask.synth import SUPPORTED_SHAPES, SynthSpec
 from attnmask.train import TrainConfig
 
 
@@ -262,13 +263,20 @@ def _overrides(names):
     return st.fixed_dictionaries({}, optional={name: _value for name in names + ["unknown"]})
 
 
-_CONFIG_KEYS = [*SynthSpec.__dataclass_fields__, *RunConfig.__dataclass_fields__, "model", "train"]
+# top-level fields, scene classes that set the scenes' num_classes, and
+# model and train sections of their own fields or of any value
+_CONFIG = st.fixed_dictionaries({}, optional={
+    **{name: _value for name in [*SynthSpec.__dataclass_fields__, *RunConfig.__dataclass_fields__, "unknown"]},
+    "classes": st.lists(st.sampled_from(SUPPORTED_SHAPES + ("star",)), max_size=4) | _value,
+    "model": _overrides([*ModelConfig.__dataclass_fields__]) | _value,
+    "train": _overrides([*TrainConfig.__dataclass_fields__]) | _value,
+})
 
 
 @_FUZZ
-@given(_overrides(_CONFIG_KEYS))
-def test_fuzz_split_config(cfg):
-    _only_input_errors(_split_config, cfg, "c.json")
+@given(_CONFIG, st.integers(0, 2**32))
+def test_fuzz_split_config(cfg, seed):
+    _only_input_errors(_split_config, cfg, "c.json", VARIANTS, seed)
 
 
 @pytest.mark.parametrize(
