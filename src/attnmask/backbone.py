@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attention import apply_attention, init_uniform, make_attention
+from .inputs import require
 from .tensor import Tensor, conv2d, max_pool2d, relu, upsample_nearest
 
 __all__ = [
@@ -65,12 +66,9 @@ class StageConfig:
     widths: tuple[int, int, int, int] = (256, 512, 1024, 2048)
 
     def __post_init__(self):
-        if len(self.blocks) != 4 or len(self.widths) != 4:
-            raise ValueError("exactly four stages required")
-        if list(self.widths) != sorted(set(self.widths)):
-            raise ValueError("stage widths must be strictly increasing")
-        if any(w % 4 for w in self.widths):
-            raise ValueError("stage widths must be divisible by 4")
+        require(self, "of length 4", lambda v: len(v) == 4, "blocks", "widths")
+        require(self, "strictly increasing", lambda v: list(v) == sorted(set(v)), "widths")
+        require(self, "divisible by 4", lambda v: not any(w % 4 for w in v), "widths")
 
     @property
     def stem_channels(self) -> int:

@@ -30,6 +30,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .inputs import require
+
 __all__ = [
     "Box",
     "AnchorConfig",
@@ -82,10 +84,8 @@ class AnchorConfig:
     EXTENDED_RATIOS = (1.0 / 3.0, 0.5, 1.0, 2.0, 3.0)
 
     def __post_init__(self):
-        if len(self.scales) != len(self.levels):
-            raise ValueError("need exactly one scale per level")
-        if any(r <= 0 for r in self.ratios):
-            raise ValueError("ratios must be positive")
+        require(self, f"one per level of {self.levels}", lambda v: len(v) == len(self.levels), "scales")
+        require(self, "positive", lambda v: all(r > 0 for r in v), "ratios")
 
     def effective_ratios(self) -> tuple[float, ...]:
         return self.EXTENDED_RATIOS if self.extended_ratios else self.ratios

@@ -70,18 +70,6 @@ class CheckRun:
         return lines
 
 
-def _project(out, rng: np.random.Generator) -> Tensor:
-    """Reduce a Tensor or {level: Tensor} dict to a scalar via fixed weights."""
-    if isinstance(out, dict):
-        total = None
-        for lvl in sorted(out):
-            term = _project(out[lvl], rng)
-            total = term if total is None else total + term
-        return total
-    w = rng.standard_normal(out.shape)
-    return (out * w).sum()
-
-
 def _case(suite, name, seed, fn, x0, eps, tol) -> CheckCase:
     return CheckCase(suite=suite, name=name, seed=seed, max_rel_err=grad_check(fn, x0, eps=eps), tol=tol)
 
@@ -149,7 +137,9 @@ def _fpn_cases(seed: int, eps: float, tol: float) -> list:
     cmaps = {lvl: rng.standard_normal((1, widths[lvl - 2], s, s)) for lvl, s in shapes.items()}
     prng = np.random.default_rng(np.random.PCG64(seed + 1))
     params = init_fpn(widths, 4, prng)
-    proj_rng = np.random.default_rng(np.random.PCG64(seed + 2))
+    # fixed weights for P2..P6 (P6 subsamples the 1x1 P5 to 1x1), in level order
+    proj_rng = np.random.default_rng(np.random.PCG64(seed + 3))
+    pws = {lvl: proj_rng.standard_normal((1, 4, s, s)) for lvl, s in {**shapes, 6: 1}.items()}
 
     cases = []
     for probe_lvl in (2, 3, 4, 5):
@@ -159,8 +149,10 @@ def _fpn_cases(seed: int, eps: float, tol: float) -> list:
                 lvl: t if lvl == probe_lvl else Tensor(arr) for lvl, arr in cmaps.items()
             }
             out = fpn_fuse(feed, params, with_p6=True)
-            rng_local = np.random.default_rng(np.random.PCG64(seed + 3))
-            return _project(out, rng_local)
+            total = (out[2] * pws[2]).sum()
+            for lvl in (3, 4, 5, 6):
+                total = total + (out[lvl] * pws[lvl]).sum()
+            return total
 
         cases.append(
             _case("backbone", f"fpn-c{probe_lvl}", seed, fn, Tensor(cmaps[probe_lvl]), eps, tol)

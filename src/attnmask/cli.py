@@ -9,7 +9,9 @@ input. Config files and COCO files are read by `inputs`, so every
 diagnostic names the file, the record or section, the field and the value.
 A malformed config exits 2 before `--out` is made or any scene is built,
 and `evaluate` checks `--thresholds` before it reads either file.
-The ATTNMASK_SEED environment variable overrides any --seed flag.
+The command owns the attention variant and the seed: a config that sets
+`model.variant` or `train.seed` exits 2. The ATTNMASK_SEED environment
+variable overrides any --seed flag.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from .attention import VARIANTS
 from .checks import MODULES, run_checks
 from .coco_io import load_detections, load_gt, save_json
-from .inputs import InputError, checked, field, load_json, replace_checked
+from .inputs import InputError, checked, field, load_json, replace_checked, require
 from .metrics import COCO_SWEEP, DetTable, GTTable, format_table, map_report
 from .model import Model, ModelConfig, build_model, infer, save_checkpoint
 from .synth import SynthSpec, dataset_hash, synth_dataset, to_ground_truth
@@ -48,33 +50,38 @@ class RunConfig:
     conf_threshold: float = 0.5
 
     def __post_init__(self):
-        for name, least in (("train_images", 1), ("val_images", 1), ("train_seed", 0), ("val_seed", 0)):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
-        if not 0.0 <= self.conf_threshold <= 1.0:
-            raise ValueError(f"conf_threshold must be in [0,1], got {self.conf_threshold}")
+        require(self, "at least 1", lambda v: v >= 1, "train_images", "val_images")
+        require(self, "at least 0", lambda v: v >= 0, "train_seed", "val_seed")
+        require(self, "in [0,1]", lambda v: 0.0 <= v <= 1.0, "conf_threshold")
+
+
+# section -> (field, where the command takes it from): what a config may not set
+_COMMAND_OWNS = {"model": ("variant", "train-toy --attention, or all four in compare"),
+                 "train": ("seed", "--seed or ATTNMASK_SEED")}
 
 
 def _split_config(cfg: dict, path: str, variants: tuple[str, ...], seed: int):
     """The one reader of a run's settings, before anything is made: SynthSpec and RunConfig fields at
-    top level, optional "model"/"train" sections, never the variant (every row keeps the label it was
-    trained under). No model rule reads the variant, so one checked ModelConfig is copied per variant."""
+    top level, optional "model"/"train" sections, never what the command owns (every row keeps the
+    variant it was trained under, and the recorded seed is the one training used). No model rule
+    reads the variant, so one checked ModelConfig is copied per variant."""
     where = f"config {path}"
-    model_overrides = field(cfg, "model", "object", where, {})
-    if "variant" in model_overrides:
-        raise InputError(f"{where}: model: variant comes from the command (train-toy --attention, or all four "
-                         f"in compare), not the config, got {model_overrides['variant']!r}")
-    train_overrides = field(cfg, "train", "object", where, {})
+    sections = {}
+    for name, (key, source) in _COMMAND_OWNS.items():
+        sections[name] = field(cfg, name, "object", where, {})
+        if key in sections[name]:
+            raise InputError(f"{where}: {name}: {key} comes from the command ({source}), not the config, "
+                             f"got {sections[name][key]!r}")
     run_keys = {f.name for f in dataclasses.fields(RunConfig)}
     run = replace_checked(RunConfig(), {k: v for k, v in cfg.items() if k in run_keys}, where)
-    rest = {k: v for k, v in cfg.items() if k not in run_keys and k not in ("model", "train")}
+    rest = {k: v for k, v in cfg.items() if k not in run_keys and k not in sections}
     spec = replace_checked(SynthSpec(), rest, where)
-    mcfg = replace_checked(ModelConfig.toy(num_classes=spec.num_classes), model_overrides, f"{where}: model")
+    mcfg = replace_checked(ModelConfig.toy(num_classes=spec.num_classes), sections["model"], f"{where}: model")
     if mcfg.num_classes < spec.num_classes:
         raise InputError(f"{where}: model: num_classes must be at least the scenes' "
                          f"{spec.num_classes} classes, got {mcfg.num_classes}")
     models = tuple(dataclasses.replace(mcfg, variant=variant) for variant in variants)
-    tcfg = replace_checked(TrainConfig.toy(seed=seed), train_overrides, f"{where}: train")
+    tcfg = replace_checked(TrainConfig.toy(seed=seed), sections["train"], f"{where}: train")
     return spec, run, models, tcfg
 
 

@@ -7,7 +7,9 @@ any other name accepts nothing. One rule reads numbers: booleans are never
 numbers, an integral float reads as an int, and floats (ints read as floats
 too) are finite. `column` applies that rule to a whole list of values at
 once, checking each value's type and range in Python and the rest over
-one NumPy array.
+one NumPy array. `require` is the one range rule of the settings
+dataclasses: each states a field's bound once, and the diagnostic names the
+field, the bound and the value.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ import sys
 
 import numpy as np
 
-__all__ = ["INT64", "InputError", "load_json", "records", "field", "checked", "column", "replace_checked"]
+__all__ = ["INT64", "InputError", "load_json", "records", "field", "checked", "column", "replace_checked",
+           "require"]
 
 
 class InputError(ValueError):
@@ -128,6 +131,14 @@ def records(items, name: str):
         if type(rec) is not dict:
             checked("object", rec, where)  # raises the located error
         yield where, rec
+
+
+def require(obj, bound: str, ok, *names: str) -> None:
+    """Raise ValueError("<name> must be <bound>, got <value>") at the first
+    of obj's named fields whose value fails ok."""
+    for name in names:
+        if not ok(value := getattr(obj, name)):
+            raise ValueError(f"{name} must be {bound}, got {value}")
 
 
 def replace_checked(obj, overrides: dict, where: str):

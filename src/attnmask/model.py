@@ -46,6 +46,7 @@ from .backbone import (
     init_fpn,
 )
 from .boxes import AnchorConfig, Box, clip_boxes, decode, generate_anchors, nms, stride_of
+from .inputs import require
 from .metrics import Detection
 from .roi_align import assign_level, bilinear_weights, roi_align
 from .tensor import (
@@ -93,16 +94,12 @@ class ModelConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.num_classes < 1:
-            raise ValueError("need at least one foreground class")
-        for name in ("fpn_dim", "box_resolution", "mask_resolution", "head_width", "reduction"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        require(self, "at least 1", lambda v: v >= 1,
+                "num_classes", "fpn_dim", "box_resolution", "mask_resolution", "head_width", "reduction")
         if any(w % self.reduction for w in self.stages.widths):
             raise ValueError(f"reduction {self.reduction} must divide every stage width {self.stages.widths}")
-        if self.mask_out != 2 * self.mask_resolution:
-            raise ValueError(f"mask_out must be 2 * mask_resolution = {2 * self.mask_resolution}, "
-                             f"got {self.mask_out}")
+        require(self, f"2 * mask_resolution = {2 * self.mask_resolution}", lambda v: v == 2 * self.mask_resolution,
+                "mask_out")
         check_eca_kernel(self.eca_kernel)
 
     @classmethod

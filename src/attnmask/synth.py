@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coco_io import GroundTruth
+from .inputs import require
 from .metrics import GTTable, check_columns
 
 __all__ = [
@@ -62,26 +63,21 @@ class SynthSpec:
     noise: float = 0.02
 
     def __post_init__(self):
-        if self.canvas < 32 or self.canvas % 32:
-            raise ValueError(f"canvas must be a positive multiple of 32, got {self.canvas}")
+        require(self, "a positive multiple of 32", lambda v: v >= 32 and v % 32 == 0, "canvas")
+        require(self, "at least one shape name", len, "classes")
         bad = [c for c in self.classes if c not in SUPPORTED_SHAPES]
-        if bad or not self.classes:
+        if bad:
             raise ValueError(f"unsupported classes {bad}; choose from {SUPPORTED_SHAPES}")
         if len(set(self.classes)) != len(self.classes):
             raise ValueError(f"classes must not repeat a name, got {list(self.classes)}")
-        lo, hi = self.n_objects
-        if not 0 <= lo <= hi:
-            raise ValueError(f"bad n_objects range {self.n_objects}")
-        for name, p in (("distractor_prob", self.distractor_prob), ("occlusion_prob", self.occlusion_prob)):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must be in [0,1], got {p}")
+        require(self, "a pair 0 <= low <= high", lambda v: 0 <= v[0] <= v[1], "n_objects")
+        require(self, "in [0,1]", lambda v: 0.0 <= v <= 1.0, "distractor_prob", "occlusion_prob")
         # _sample_center keeps a 1 px margin on each side of a shape
         top = (self.canvas - 2) / self.canvas
         if not 0.0 < self.size_range[0] <= self.size_range[1] <= top:
             raise ValueError(f"size_range must satisfy 0 < low <= high <= {top} (canvas {self.canvas} "
                              f"less a 1 px margin on each side), got {self.size_range}")
-        if not 0.0 <= self.noise < math.inf:
-            raise ValueError(f"noise must be finite and at least 0, got {self.noise}")
+        require(self, "finite and at least 0", lambda v: 0.0 <= v < math.inf, "noise")
 
     @property
     def num_classes(self) -> int:
@@ -236,7 +232,7 @@ def _synth_one(rng: np.random.Generator, spec: SynthSpec) -> Sample:
 def synth_dataset(spec: SynthSpec, seed: int, n: int) -> list[Sample]:
     """Generate n deterministic scenes from (spec, seed)."""
     if n < 1:
-        raise ValueError("n must be at least 1")
+        raise ValueError(f"n must be at least 1, got {n}")
     rng = np.random.default_rng(np.random.PCG64(seed))
     return [_synth_one(rng, spec) for _ in range(n)]
 

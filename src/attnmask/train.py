@@ -38,6 +38,7 @@ from decimal import Decimal
 import numpy as np
 
 from .boxes import clip_boxes, encode, pairwise_iou
+from .inputs import require
 from .losses import (
     assign_anchor_labels,
     cls_loss,
@@ -94,29 +95,16 @@ class TrainConfig:
     train_post_nms: int = 20
 
     def __post_init__(self):
-        for name in ("lr", "step_factor", "weight_decay", "rpn_reg_weight"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        for name in ("lr", "step_factor"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("epochs", "batch_size", "rpn_batch", "roi_batch", "train_pre_nms", "train_post_nms"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be at least 0, got {self.seed}")
-        if self.steps_per_epoch is not None and self.steps_per_epoch < 1:
-            raise ValueError(f"steps_per_epoch must be null or at least 1, got {self.steps_per_epoch}")
-        for name in ("hflip_prob", "rpn_pos_fraction", "roi_pos_fraction"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must be in [0,1], got {getattr(self, name)}")
-        if not 0.0 < self.roi_pos_iou <= 1.0:
-            raise ValueError(f"roi_pos_iou must be in (0,1], got {self.roi_pos_iou}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"momentum must be in [0,1), got {self.momentum}")
-        for name in ("weight_decay", "rpn_reg_weight"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be at least 0, got {getattr(self, name)}")
+        require(self, "finite", math.isfinite, "lr", "step_factor", "weight_decay", "rpn_reg_weight")
+        require(self, "positive", lambda v: v > 0, "lr", "step_factor")
+        require(self, "at least 1", lambda v: v >= 1,
+                "epochs", "batch_size", "rpn_batch", "roi_batch", "train_pre_nms", "train_post_nms")
+        require(self, "at least 0", lambda v: v >= 0, "seed")
+        require(self, "null or at least 1", lambda v: v is None or v >= 1, "steps_per_epoch")
+        require(self, "in [0,1]", lambda v: 0.0 <= v <= 1.0, "hflip_prob", "rpn_pos_fraction", "roi_pos_fraction")
+        require(self, "in (0,1]", lambda v: 0.0 < v <= 1.0, "roi_pos_iou")
+        require(self, "in [0,1)", lambda v: 0.0 <= v < 1.0, "momentum")
+        require(self, "at least 0", lambda v: v >= 0, "weight_decay", "rpn_reg_weight")
         if not all(0 <= e < self.epochs for e in self.step_epochs):
             raise ValueError(f"step_epochs must be in [0,{self.epochs}), got {list(self.step_epochs)}")
 

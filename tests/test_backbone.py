@@ -19,12 +19,12 @@ from oracles import zero_params
 
 
 def test_stage_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"blocks must be of length 4, got \(1, 1, 1\)"):
         StageConfig(blocks=(1, 1, 1), widths=(8, 16, 32, 64))
-    with pytest.raises(ValueError):
-        StageConfig(widths=(64, 32, 16, 8))  # must increase
-    with pytest.raises(ValueError):
-        StageConfig(widths=(6, 10, 14, 18))  # not divisible by 4
+    with pytest.raises(ValueError, match=r"widths must be strictly increasing, got \(64, 32, 16, 8\)"):
+        StageConfig(widths=(64, 32, 16, 8))
+    with pytest.raises(ValueError, match=r"widths must be divisible by 4, got \(6, 10, 14, 18\)"):
+        StageConfig(widths=(6, 10, 14, 18))
     assert StageConfig().stem_channels == 64
     assert StageConfig.toy().stem_channels == 2
 

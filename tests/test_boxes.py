@@ -107,9 +107,9 @@ def test_generate_anchors_unknown_level():
 
 
 def test_anchor_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"scales must be one per level of \(2, 3\), got \(32.0,\)"):
         AnchorConfig(scales=(32.0,), levels=(2, 3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"ratios must be positive, got \(0.5, -1.0\)"):
         AnchorConfig(ratios=(0.5, -1.0))
 
 

@@ -291,7 +291,8 @@ def test_train_toy_rejects_unknown_config_field(tmp_path, capsys):
         ({"train": {"step_factor": 0}}, "train: step_factor must be positive, got 0"),
         ({"train_seed": -5}, "train_seed must be at least 0, got -5"),
         ({"val_seed": -1}, "val_seed must be at least 0, got -1"),
-        ({"train": {"seed": -3}}, "train: seed must be at least 0, got -3"),
+        ({"train": {"seed": -3}},
+         r"train: seed comes from the command \(--seed or ATTNMASK_SEED\), not the config, got -3"),
         ({"train": {"momentum": 1.5}}, r"train: momentum must be in \[0,1\), got 1.5"),
         ({"train": {"weight_decay": -0.1}}, "train: weight_decay must be at least 0, got -0.1"),
         ({"train": {"rpn_reg_weight": -1}}, "train: rpn_reg_weight must be at least 0, got -1"),
@@ -301,6 +302,9 @@ def test_train_toy_rejects_unknown_config_field(tmp_path, capsys):
         ({"size_range": [0.9, 0.99]}, r"size_range must satisfy 0 < low <= high <= 0.96875 \(canvas 64 .*\(0.9, 0.99\)"),
         ({"model": {"num_classes": 2}}, "model: num_classes must be at least the scenes' 3 classes, got 2"),
         ({"model": {"fpn_dim": 0}, "train": {"batch_size": 0}}, "model: fpn_dim must be at least 1, got 0"),
+        ({"model": {"num_classes": 0}}, "model: num_classes must be at least 1, got 0"),
+        ({"classes": []}, r"classes must be at least one shape name, got \(\)"),
+        ({"n_objects": [3, 1]}, r"n_objects must be a pair 0 <= low <= high, got \(3, 1\)"),
     ],
     ids=["text-int", "fractional-int", "text-run-knob", "nan-float", "object-stages", "object-anchors",
          "int-bool", "text-in-tuple", "zero-train-images", "conf-above-1", "zero-batch", "zero-epochs",
@@ -311,7 +315,7 @@ def test_train_toy_rejects_unknown_config_field(tmp_path, capsys):
          "zero-step-factor", "negative-train-seed", "negative-val-seed", "negative-train-config-seed",
          "momentum-above-1", "negative-weight-decay", "negative-rpn-reg-weight", "negative-step-epoch",
          "negative-noise", "repeated-class", "size-range-past-margin", "too-few-model-classes",
-         "model-before-train"],
+         "model-before-train", "zero-model-classes", "no-classes", "reversed-n-objects"],
 )
 def test_malformed_config_values_exit_2_naming_file_and_field(tmp_path, capsys, cfg, message):
     path = tmp_path / "bad.json"
@@ -326,17 +330,24 @@ def test_malformed_config_values_exit_2_naming_file_and_field(tmp_path, capsys, 
 
 
 @pytest.mark.parametrize("argv", [["compare"], ["train-toy", "--attention", "cbam"]], ids=["compare", "train-toy"])
-def test_config_cannot_set_the_variant(tmp_path, monkeypatch, capsys, argv):
-    # the command names the variants, so a row is never labelled with one
-    # variant while holding a model of another
+@pytest.mark.parametrize(
+    "section, key, value, source",
+    [("model", "variant", "se", "the command (train-toy --attention, or all four in compare)"),
+     ("train", "seed", 7, "the command (--seed or ATTNMASK_SEED)")],
+    ids=["model.variant", "train.seed"],
+)
+def test_config_cannot_set_what_the_command_owns(tmp_path, monkeypatch, capsys, argv, section, key, value, source):
+    # the command names the variants and the seed, so a row is never labelled
+    # with one variant while holding a model of another, and eval.json and
+    # compare.json record the seed that training used
     built = []
     monkeypatch.setattr(cli_mod, "build_model", lambda cfg, seed: built.append(cfg.variant))
-    path = tmp_path / "se.json"
-    path.write_text(json.dumps({"model": {"variant": "se"}}))
+    path = tmp_path / "owned.json"
+    path.write_text(json.dumps({section: {key: value}}))
     out = tmp_path / "run"
     assert cli(argv + ["--config", str(path), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == (f"error: config {path}: model: variant comes from the command "
-                                       "(train-toy --attention, or all four in compare), not the config, got 'se'\n")
+    assert capsys.readouterr().err == (f"error: config {path}: {section}: {key} comes from {source}, "
+                                       f"not the config, got {value!r}\n")
     assert built == [] and not out.exists()
 
 

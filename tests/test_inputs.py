@@ -13,7 +13,7 @@ from attnmask import coco_io
 from attnmask.attention import VARIANTS
 from attnmask.cli import RunConfig, _split_config
 from attnmask.coco_io import GroundTruth, parse_detections, parse_gt
-from attnmask.inputs import InputError, checked, field, load_json, records, replace_checked
+from attnmask.inputs import InputError, checked, field, load_json, records, replace_checked, require
 from attnmask.model import ModelConfig
 from attnmask.synth import SUPPORTED_SHAPES, SynthSpec
 from attnmask.train import TrainConfig
@@ -64,6 +64,13 @@ def test_field_and_replace_checked_locate_their_errors():
         replace_checked(TrainConfig.toy(), {"epoch": 3}, "config c.json: train")
     with pytest.raises(InputError, match=r"config c.json: train: step_epochs must be in \[0,3\), got \[18, 23\]"):
         replace_checked(TrainConfig.toy(), {"epochs": 3}, "config c.json: train")
+
+
+def test_require_names_the_first_failing_field():
+    spec = SynthSpec()
+    require(spec, "at least 0", lambda v: v >= 0, "canvas", "noise")  # both hold
+    with pytest.raises(ValueError, match=r"^canvas must be at most 1, got 64$"):
+        require(spec, "at most 1", lambda v: v <= 1, "noise", "canvas", "n_objects")  # a pair, never compared
 
 
 def test_load_json_names_the_file(tmp_path):
@@ -282,9 +289,14 @@ def test_fuzz_split_config(cfg, seed):
 @pytest.mark.parametrize(
     "base, name",
     [pytest.param(base, name, id=f"{type(base).__name__}.{name}")
-     for base in (TrainConfig.toy(), ModelConfig.toy()) for name in base.__dataclass_fields__],
+     for base in (TrainConfig.toy(), ModelConfig.toy(), SynthSpec(), RunConfig())
+     for name in base.__dataclass_fields__],
 )
 @settings(max_examples=25)
 @given(value=_value)
 def test_fuzz_replace_checked(base, name, value):
-    _only_input_errors(replace_checked, base, {name: value}, "config c.json: section")
+    # every diagnostic names the field it rejects
+    try:
+        replace_checked(base, {name: value}, "config c.json: section")
+    except InputError as e:
+        assert name in str(e), str(e)

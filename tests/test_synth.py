@@ -64,7 +64,7 @@ def test_dataset_is_deterministic_and_seed_sensitive():
     b = synth_dataset(spec, 7, 6)
     assert dataset_hash(a) == dataset_hash(b)
     assert dataset_hash(a) != dataset_hash(synth_dataset(spec, 8, 6))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n must be at least 1, got 0"):
         synth_dataset(spec, 7, 0)
 
 

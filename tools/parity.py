@@ -61,6 +61,7 @@ ERROR_RUNS = (
     ("bad-model-and-train", {"model": {"fpn_dim": 0}, "train": {"batch_size": 0}}, None, []),
     ("diverged", {"train_images": 2, "val_images": 1, "model": {"fpn_dim": 16},
                   "train": {"lr": 1e6, "epochs": 3, "step_epochs": []}}, None, []),
+    ("seed-in-config", {**RUN_CONFIG, "train": {**RUN_CONFIG["train"], "seed": 7}}, None, []),
 )
 EVAL_SEEDS = (0, 1, 2)
 EVAL_THRESHOLDS = ("coco", "0.5", "0.75,0.3")
