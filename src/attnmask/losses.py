@@ -144,7 +144,7 @@ def reg_loss(t: Tensor, t_star) -> Tensor:
     target = np.asarray(t_star, dtype=np.float64)
     if target.shape != t.shape:
         raise ValueError(f"target shape {target.shape} != prediction shape {t.shape}")
-    return smooth_l1(t + Tensor(-target)).sum(axis=-1)
+    return smooth_l1(t + -target).sum(axis=-1)
 
 
 def mask_loss(y: Tensor, y_star: np.ndarray) -> Tensor:

@@ -49,6 +49,10 @@ _COLORS = {
 
 _BACKGROUND = 0.12
 
+# the widest canvas a spec takes: one 1024 px scene's float64 image is 24 MiB,
+# and each shape's raster builds a few more canvas-sized arrays
+MAX_CANVAS = 1024
+
 
 @dataclass(frozen=True)
 class SynthSpec:
@@ -63,7 +67,8 @@ class SynthSpec:
     noise: float = 0.02
 
     def __post_init__(self):
-        require(self, "a positive multiple of 32", lambda v: v >= 32 and v % 32 == 0, "canvas")
+        require(self, f"a multiple of 32 in [32, {MAX_CANVAS}]", lambda v: 32 <= v <= MAX_CANVAS and v % 32 == 0,
+                "canvas")
         require(self, "at least one shape name", len, "classes")
         bad = [c for c in self.classes if c not in SUPPORTED_SHAPES]
         if bad:
@@ -71,6 +76,9 @@ class SynthSpec:
         if len(set(self.classes)) != len(self.classes):
             raise ValueError(f"classes must not repeat a name, got {list(self.classes)}")
         require(self, "a pair 0 <= low <= high", lambda v: 0 <= v[0] <= v[1], "n_objects")
+        cells = self.canvas * self.canvas  # every kept object owns a pixel of its own
+        require(self, f"a pair whose high is at most {cells} (one object per pixel of canvas {self.canvas})",
+                lambda v: v[1] <= cells, "n_objects")
         require(self, "in [0,1]", lambda v: 0.0 <= v <= 1.0, "distractor_prob", "occlusion_prob")
         # _sample_center keeps a 1 px margin on each side of a shape
         top = (self.canvas - 2) / self.canvas

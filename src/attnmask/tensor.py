@@ -30,7 +30,18 @@ maximal element in scan order.
 (negate, then add). Elementwise multiplication takes a float, or an array or
 Tensor that broadcasts only in the two gating patterns the attention blocks
 need, (N,C,1,1)x(N,C,H,W) and (N,1,H,W)x(N,C,H,W); anything else must be
-shape-identical. `reshape` takes the new extents as separate arguments.
+shape-identical. An array operand is a constant, not a graph node. `reshape`
+takes the new extents as separate arguments.
+
+Every Tensor holds finite values. A Tensor built from an array, and the
+output of every op that can overflow or take a non-finite constant (`+`,
+`*`, `sum`, `mean`, `conv2d`, `linear`, `log`, `clamp`, `smooth_l1`,
+`log_softmax`, and `roi_align` outside this module), is scanned and raises
+FloatingPointError. The other ops hold it by construction and skip the scan:
+`reshape`, `transpose`, `-x`, `Tensor.max`, `concat`, `gather_rows`,
+`upsample_nearest` and `max_pool2d` (whose padding stays below its kernel,
+so every window holds a map cell) select or negate finite inputs, `relu`
+is max(x, 0), and `sigmoid` lies in [0, 1].
 """
 
 from __future__ import annotations
@@ -85,16 +96,19 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, _parents=(), _backward=None):
+    def __init__(self, data, requires_grad: bool = False, _parents=(), _backward=None, _finite: bool = False):
         arr = np.asarray(data, dtype=np.float64)
-        if not np.isfinite(arr).all():
+        # _finite: the op's output is finite by construction (module docstring)
+        if not (_finite or np.isfinite(arr).all()):
             raise FloatingPointError("tensor holds non-finite values")
-        if not _recording.get():
+        if not (_parents and _recording.get()):
             _parents, _backward = (), None
+        for p in _parents:
+            requires_grad = requires_grad or p.requires_grad
         self.data = arr
         self.grad: np.ndarray | None = None
-        self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in _parents)
-        self._parents = tuple(_parents)
+        self.requires_grad = bool(requires_grad)
+        self._parents = _parents
         self._backward = _backward
 
     # -- basic introspection -------------------------------------------------
@@ -132,40 +146,39 @@ class Tensor:
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other):
-        if not isinstance(other, Tensor):
-            other = Tensor(other)
-        if self.shape != other.shape:
-            raise ValueError(f"add shape mismatch: {self.shape} vs {other.shape}")
+        is_node = isinstance(other, Tensor)
+        b = other.data if is_node else np.asarray(other, dtype=np.float64)
+        if self.shape != b.shape:
+            raise ValueError(f"add shape mismatch: {self.shape} vs {b.shape}")
+        parents = (self, other) if is_node else (self,)
 
-        def bwd(g, a=self, b=other):
-            _accum(a, g)
-            _accum(b, g)
+        def bwd(g, parents=parents):
+            for p in parents:
+                _accum(p, g)
 
-        return Tensor(self.data + other.data, _parents=(self, other), _backward=bwd)
+        return Tensor(self.data + b, _parents=parents, _backward=bwd)
 
     def __neg__(self):
         def bwd(g, a=self):
             _accum(a, -g)
 
-        return Tensor(-self.data, _parents=(self,), _backward=bwd)
+        return Tensor(-self.data, _parents=(self,), _backward=bwd, _finite=True)
 
     def __mul__(self, other):
-        if isinstance(other, Tensor):
-            _check_mul_shapes(self.shape, other.shape)
+        is_node = isinstance(other, Tensor)
+        if is_node or isinstance(other, np.ndarray):
+            b = other.data if is_node else np.asarray(other, dtype=np.float64)
+            _check_mul_shapes(self.shape, b.shape)
+        else:
+            b = float(other)
+        parents = (self, other) if is_node else (self,)
 
-            def bwd(g, a=self, b=other):
-                _accum(a, _reduce_to(g * b.data, a.shape))
-                _accum(b, _reduce_to(g * a.data, b.shape))
+        def bwd(g, a=self, b=b):
+            _accum(a, _reduce_to(g * b, a.shape))
+            if is_node:
+                _accum(other, _reduce_to(g * a.data, other.shape))
 
-            return Tensor(self.data * other.data, _parents=(self, other), _backward=bwd)
-        if isinstance(other, np.ndarray):
-            return self * Tensor(other)
-        other = float(other)
-
-        def bwd(g, a=self, c=other):
-            _accum(a, g * c)
-
-        return Tensor(self.data * other, _parents=(self,), _backward=bwd)
+        return Tensor(self.data * b, _parents=parents, _backward=bwd)
 
     # -- shape ops ------------------------------------------------------------
 
@@ -173,7 +186,7 @@ class Tensor:
         def bwd(g, a=self):
             _accum(a, g.reshape(a.shape))
 
-        return Tensor(self.data.reshape(shape), _parents=(self,), _backward=bwd)
+        return Tensor(self.data.reshape(shape), _parents=(self,), _backward=bwd, _finite=True)
 
     def transpose(self, axes: Sequence[int]) -> "Tensor":
         axes = tuple(axes)
@@ -182,18 +195,24 @@ class Tensor:
         def bwd(g, a=self, inv=inv):
             _accum(a, g.transpose(inv))
 
-        return Tensor(self.data.transpose(axes), _parents=(self,), _backward=bwd)
+        return Tensor(self.data.transpose(axes), _parents=(self,), _backward=bwd, _finite=True)
 
     # -- reductions -----------------------------------------------------------
 
     def sum(self, axis: int | None = None) -> "Tensor":
         def bwd(g, a=self, axis=axis):
-            _accum(a, np.broadcast_to(g if axis is None else np.expand_dims(g, axis), a.shape).copy())
+            _accum(a, _spread(g, axis, a.shape))
 
         return Tensor(self.data.sum(axis=axis), _parents=(self,), _backward=bwd)
 
     def mean(self, axis: int | None = None) -> "Tensor":
-        return self.sum(axis) * (1.0 / (self.size if axis is None else self.shape[axis]))
+        """sum(axis) * (1/n) as one node, with the same bits as those two ops."""
+        c = 1.0 / (self.size if axis is None else self.shape[axis])
+
+        def bwd(g, a=self, axis=axis, c=c):
+            _accum(a, _spread(g * c, axis, a.shape))
+
+        return Tensor(self.data.sum(axis=axis) * c, _parents=(self,), _backward=bwd)
 
     def max(self, axis: int) -> "Tensor":
         """Maximum along axis; the gradient goes to the first maximal element."""
@@ -204,7 +223,7 @@ class Tensor:
             np.put_along_axis(d, arg, np.expand_dims(g, axis), axis=axis)
             _accum(a, d)
 
-        return Tensor(self.data.max(axis=axis), _parents=(self,), _backward=bwd)
+        return Tensor(self.data.max(axis=axis), _parents=(self,), _backward=bwd, _finite=True)
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
@@ -246,6 +265,11 @@ def _check_mul_shapes(a: tuple[int, ...], b: tuple[int, ...]) -> None:
     raise ValueError(f"unsupported multiply broadcast: {a} vs {b}")
 
 
+def _spread(g: np.ndarray, axis: int | None, shape: tuple[int, ...]) -> np.ndarray:
+    """The gradient of a sum over axis (None: all): g copied back across it."""
+    return np.broadcast_to(g if axis is None else np.expand_dims(g, axis), shape).copy()
+
+
 def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if g.shape == shape:
         return g
@@ -267,7 +291,7 @@ def sigmoid(x: Tensor) -> Tensor:
     def bwd(g, a=x, s=out):
         _accum(a, g * s * (1.0 - s))
 
-    return Tensor(out, _parents=(x,), _backward=bwd)
+    return Tensor(out, _parents=(x,), _backward=bwd, _finite=True)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -279,7 +303,7 @@ def relu(x: Tensor) -> Tensor:
     def bwd(g, a=x):
         _accum(a, g * (a.data > 0))
 
-    return Tensor(out, _parents=(x,), _backward=bwd)
+    return Tensor(out, _parents=(x,), _backward=bwd, _finite=True)
 
 
 def log(x: Tensor) -> Tensor:
@@ -413,8 +437,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 def max_pool2d(x: Tensor, kernel: int, stride: int, padding: int = 0) -> Tensor:
     """Windowed max pooling of an (N,C,H,W) batch over a -inf border, through
     conv2d's window gather; ties go to the first cell in scan order, and a
-    cell that wins several windows gets the sum of their gradients."""
+    cell that wins several windows gets the sum of their gradients. Padding
+    below the kernel size puts a map cell in every window."""
     n, c, h, w = _map_shape("max_pool2d", x)
+    if padding >= kernel:
+        raise ValueError(f"max_pool2d padding {padding} must be below the kernel size {kernel}")
     ho = _conv_out_extent(h, kernel, stride, padding)
     wo = _conv_out_extent(w, kernel, stride, padding)
     hp, wp = h + 2 * padding, w + 2 * padding
@@ -431,7 +458,7 @@ def max_pool2d(x: Tensor, kernel: int, stride: int, padding: int = 0) -> Tensor:
         dxp = np.bincount(flat.ravel(), weights=g.ravel(), minlength=n * c * hp * wp).reshape(n, c, hp, wp)
         _accum(a, dxp[:, :, padding : padding + h, padding : padding + w])
 
-    return Tensor(out, _parents=(x,), _backward=bwd)
+    return Tensor(out, _parents=(x,), _backward=bwd, _finite=True)
 
 
 def upsample_nearest(x: Tensor) -> Tensor:
@@ -442,7 +469,7 @@ def upsample_nearest(x: Tensor) -> Tensor:
     def bwd(g, a=x):
         _accum(a, g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5)))
 
-    return Tensor(out, _parents=(x,), _backward=bwd)
+    return Tensor(out, _parents=(x,), _backward=bwd, _finite=True)
 
 
 # -- structural ops ----------------------------------------------------------
@@ -451,17 +478,17 @@ def upsample_nearest(x: Tensor) -> Tensor:
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     if not tensors:
         raise ValueError("concat of no tensors")
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    parts = tuple(tensors)
+    out = np.concatenate([t.data for t in parts], axis=axis)
+    offsets = np.cumsum([0] + [t.shape[axis] for t in parts])
 
-    def bwd(g, parts=tuple(tensors), offsets=offsets, axis=axis):
+    def bwd(g, parts=parts, offsets=offsets, axis=axis):
         for t, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
             idx = [slice(None)] * g.ndim
             idx[axis] = slice(lo, hi)
             _accum(t, g[tuple(idx)])
 
-    return Tensor(out, _parents=tuple(tensors), _backward=bwd)
+    return Tensor(out, _parents=parts, _backward=bwd, _finite=True)
 
 
 def gather_rows(x: Tensor, indices: np.ndarray) -> Tensor:
@@ -474,7 +501,7 @@ def gather_rows(x: Tensor, indices: np.ndarray) -> Tensor:
         np.add.at(d, idx, g)
         _accum(a, d)
 
-    return Tensor(out, _parents=(x,), _backward=bwd)
+    return Tensor(out, _parents=(x,), _backward=bwd, _finite=True)
 
 
 def log_softmax(x: Tensor) -> Tensor:

@@ -305,6 +305,10 @@ def test_train_toy_rejects_unknown_config_field(tmp_path, capsys):
         ({"model": {"num_classes": 0}}, "model: num_classes must be at least 1, got 0"),
         ({"classes": []}, r"classes must be at least one shape name, got \(\)"),
         ({"n_objects": [3, 1]}, r"n_objects must be a pair 0 <= low <= high, got \(3, 1\)"),
+        ({"n_objects": [0, 9223372036854775808]},
+         r"n_objects must be a pair whose high is at most 4096 \(one object per pixel of canvas 64\), "
+         r"got \(0, 9223372036854775808\)"),
+        ({"canvas": 1099511627776}, r"canvas must be a multiple of 32 in \[32, 1024\], got 1099511627776"),
     ],
     ids=["text-int", "fractional-int", "text-run-knob", "nan-float", "object-stages", "object-anchors",
          "int-bool", "text-in-tuple", "zero-train-images", "conf-above-1", "zero-batch", "zero-epochs",
@@ -315,7 +319,8 @@ def test_train_toy_rejects_unknown_config_field(tmp_path, capsys):
          "zero-step-factor", "negative-train-seed", "negative-val-seed", "negative-train-config-seed",
          "momentum-above-1", "negative-weight-decay", "negative-rpn-reg-weight", "negative-step-epoch",
          "negative-noise", "repeated-class", "size-range-past-margin", "too-few-model-classes",
-         "model-before-train", "zero-model-classes", "no-classes", "reversed-n-objects"],
+         "model-before-train", "zero-model-classes", "no-classes", "reversed-n-objects", "n-objects-past-the-canvas",
+         "canvas-past-the-cap"],
 )
 def test_malformed_config_values_exit_2_naming_file_and_field(tmp_path, capsys, cfg, message):
     path = tmp_path / "bad.json"

@@ -46,6 +46,20 @@ def test_spec_keeps_shapes_inside_the_placement_margin(canvas, top):
         assert (s.boxes >= 0.0).all() and (s.boxes <= canvas).all()
 
 
+def test_spec_bounds_canvas_and_object_count():
+    # a scene keeps at most one object per pixel, and the canvas has a stated cap;
+    # past either bound scene generation used to fail inside numpy
+    with pytest.raises(ValueError, match=r"canvas must be a multiple of 32 in \[32, 1024\], got 1056"):
+        SynthSpec(canvas=1056)
+    with pytest.raises(ValueError, match=r"n_objects must be a pair whose high is at most 1024 \(one object per "
+                                         r"pixel of canvas 32\), got \(0, 1025\)"):
+        SynthSpec(canvas=32, n_objects=(0, 1025))
+    with pytest.raises(ValueError, match="high is at most 4096"):
+        SynthSpec(n_objects=(0, 2**63))
+    assert SynthSpec(canvas=1024).canvas == 1024
+    assert SynthSpec(canvas=32, n_objects=(1024, 1024)).n_objects == (1024, 1024)
+
+
 def test_spec_rejects_repeated_classes():
     # a repeated name would give a class id that no object ever carries
     with pytest.raises(ValueError, match=r"classes must not repeat a name, got \['disk', 'disk'\]"):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from attnmask.tensor import (
     Tensor,
@@ -53,6 +54,81 @@ def test_op_whose_result_overflows_is_rejected():
         big * 10.0
     with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
         big + big
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("op", ["add", "mul"])
+def test_non_finite_array_operand_is_rejected(op, bad):
+    # an array operand is a constant, never a Tensor, so the output's scan is
+    # what catches it: against a 0.0 of the Tensor, inf * 0.0 is nan
+    x = np.array([[[[1.0]], [[0.0]]]])  # (1, 2, 1, 1): a channel gate's shape
+    for shape, cell in (((1, 2, 1, 1), (0, 0, 0, 0)), ((1, 2, 1, 1), (0, 1, 0, 0)), ((1, 2, 3, 3), (0, 1, 2, 1))):
+        if op == "add" and shape != x.shape:
+            continue
+        arr = np.ones(shape)
+        arr[cell] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError, match="non-finite"):
+            Tensor(x) + arr if op == "add" else Tensor(x) * arr
+
+
+def test_array_operand_is_a_constant_not_a_node():
+    t = Tensor(np.ones((1, 2, 3, 3)), requires_grad=True)
+    gate = np.array([[[[2.0]], [[3.0]]]])
+    for out in (t + np.full((1, 2, 3, 3), 2.0), t * gate, t * 2.0):
+        assert out._parents == (t,) and out.requires_grad
+    (t * gate).sum().backward()
+    assert np.array_equal(t.grad, np.broadcast_to(gate, t.shape))
+
+
+@pytest.mark.parametrize("axis", [None, 0, 1, 2, -1])
+def test_mean_is_one_node_bit_equal_to_sum_times_reciprocal(axis):
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((3, 4, 7)) * 3.0
+    c = 1.0 / (x.size if axis is None else x.shape[axis])
+    t, ref = Tensor(x, requires_grad=True), Tensor(x, requires_grad=True)
+    out, ref_out = t.mean(axis), ref.sum(axis) * c
+    assert out._parents == (t,)
+    pw = rng.standard_normal(out.shape)
+    (out * pw).sum().backward()
+    (ref_out * pw).sum().backward()
+    _same_bytes(out.data, ref_out.data)
+    _same_bytes(out.data, np.asarray(x.sum(axis=axis) * c))
+    _same_bytes(t.grad, ref.grad)
+
+
+# finite extremes: the largest magnitudes, the smallest subnormals, the smallest normal and both zeros
+_FINITE_EDGES = (1.79e308, -1.79e308, 5e-324, -5e-324, 2.2250738585072014e-308, 0.0, -0.0)
+
+
+@settings(max_examples=80)
+@given(
+    x=hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=4, max_dims=4, min_side=1, max_side=4),
+        elements=st.one_of(st.sampled_from(_FINITE_EDGES), st.floats(allow_nan=False, allow_infinity=False)),
+    ),
+    kernel=st.integers(1, 3),
+    stride=st.integers(1, 2),
+    data=st.data(),
+)
+def test_scan_free_ops_keep_finite_inputs_finite(x, kernel, stride, data):
+    # these ops skip the finiteness scan: their outputs are finite by construction
+    padding = data.draw(st.integers(0, kernel - 1))
+    n, _, h, w = x.shape
+    t = Tensor(x)
+    outs = [t.reshape(-1), t.transpose((3, 1, 2, 0)), -t, t.max(1), relu(t), sigmoid(t),
+            upsample_nearest(t), concat([t, -t], axis=1), gather_rows(t, np.array([n - 1, 0, n - 1]))]
+    if _extent(h, kernel, stride, padding) >= 1 and _extent(w, kernel, stride, padding) >= 1:
+        outs.append(max_pool2d(t, kernel, stride, padding))
+    for out in outs:
+        assert np.isfinite(out.data).all()
+
+
+@pytest.mark.parametrize("kernel, padding", [(1, 1), (3, 3), (2, 5)])
+def test_max_pool2d_rejects_padding_at_or_above_the_kernel(kernel, padding):
+    # such padding leaves a window of border cells alone, whose max is -inf
+    with pytest.raises(ValueError, match=f"padding {padding} must be below the kernel size {kernel}"):
+        max_pool2d(Tensor(np.ones((1, 1, 4, 4))), kernel, 1, padding)
 
 
 def test_add_mul_same_shape_values():

@@ -1,12 +1,17 @@
 """Print sha256 digests of the package's product outputs, so that "byte for
 byte the same as another tree" is a `diff` of two runs.
 
-    PYTHONPATH=src python tools/parity.py > parity.txt
+    PYTHONPATH=src python tools/parity.py > tools/parity.txt
+    PYTHONPATH=src python tools/parity.py --check
 
-Run it in two checkouts on one host and diff the files. The first line is
-the numeric environment (NumPy version, OpenBLAS core and thread count),
-since a float64 GEMM's last bits depend on it; then one `sha256  name` line
-per output:
+The first line is the numeric environment (NumPy version, OpenBLAS core and
+thread count), since a float64 GEMM's last bits depend on it; then one
+`sha256  name` line per output. `tools/parity.txt` is the committed record;
+a change that means to move an output rewrites it in the same diff.
+`--check` compares this tree with the record: it exits 0 when every line
+matches, 1 after printing the lines that differ (`-` recorded, `+` now), and
+2 without running anything when the environment line differs, since the
+record then says nothing about this host. The outputs are:
 
 - `train-toy` and `compare` on a small fixed config: every artifact, with
   the `train_seconds` fields dropped, and stdout and stderr with printed
@@ -26,6 +31,7 @@ Nothing is pinned: compare runs whose environment lines agree.
 from __future__ import annotations
 
 import contextlib
+import difflib
 import hashlib
 import io
 import itertools
@@ -66,6 +72,7 @@ ERROR_RUNS = (
 EVAL_SEEDS = (0, 1, 2)
 EVAL_THRESHOLDS = ("coco", "0.5", "0.75,0.3")
 FIXTURE = os.path.join(ROOT, "bench", "fixtures", "cbam_toy.json")
+RECORD = os.path.join(ROOT, "tools", "parity.txt")
 INFER_SCENES = (7, 32)  # synth_dataset seed and count
 INFER_CONFS = (0.0, 0.5)
 
@@ -205,13 +212,40 @@ def inferences():
         yield f"infer fixture at conf {conf} ({len(rows)} detections)", b"".join(rows)
 
 
-def main() -> int:
-    print(f"# environment {environment()}")
+def lines():
+    """The environment line, then one `sha256  name` line per output."""
+    yield f"# environment {environment()}"
     with tempfile.TemporaryDirectory() as tmp:
         for name, data in itertools.chain(runs(tmp), error_runs(tmp), evaluations(tmp), gradchecks(), inferences()):
-            print(f"{_sha(data)}  {name}", flush=True)
+            yield f"{_sha(data)}  {name}"
+
+
+def check() -> int:
+    """Compare this tree's lines with RECORD; see the module docstring."""
+    with open(RECORD, encoding="utf-8") as fh:
+        recorded = fh.read().splitlines()
+    now = lines()
+    here = next(now)  # the environment line; no output is made before the second
+    if recorded[:1] != [here]:
+        print(f"not checked: {RECORD} was recorded in\n  {recorded[0] if recorded else '(empty)'}\n"
+              f"and this host is\n  {here}", file=sys.stderr)
+        return 2
+    diff = [d for d in difflib.unified_diff(recorded[1:], list(now), lineterm="", n=0)
+            if d.startswith(("+", "-")) and not d.startswith(("+++", "---"))]
+    print("\n".join(diff) if diff else f"all {len(recorded)} lines match {RECORD}")
+    return 1 if diff else 0
+
+
+def main(argv: list[str]) -> int:
+    if argv == ["--check"]:
+        return check()
+    if argv:
+        print("usage: tools/parity.py [--check]", file=sys.stderr)
+        return 2
+    for line in lines():
+        print(line, flush=True)
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
