@@ -73,6 +73,15 @@ __all__ = [
     "load_checkpoint",
 ]
 
+# the largest detector a run config can ask for (it cannot set `stages`): the
+# full-size widths of ModelConfig(), twice its pooled resolutions and COCO's 80
+# classes. Its largest array is a 3x3 conv's columns over P2 of a
+# synth.MAX_CANVAS scene, 9 * fpn_dim x (1024 / 4)**2 float64s (1.1 GiB), and
+# its largest parameter the box head's first layer, 1024 x 256 * 14**2 (392 MiB,
+# tripled by its gradient and momentum); each region adds 9 * 256 x 28**2
+# (14 MiB) of mask-head columns.
+MODEL_CAPS = {"fpn_dim": 256, "head_width": 1024, "num_classes": 80, "box_resolution": 14, "mask_resolution": 28}
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -96,11 +105,18 @@ class ModelConfig:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         require(self, "at least 1", lambda v: v >= 1,
                 "num_classes", "fpn_dim", "box_resolution", "mask_resolution", "head_width", "reduction")
+        for name, cap in MODEL_CAPS.items():
+            require(self, f"at most {cap}", lambda v, cap=cap: v <= cap, name)
         if any(w % self.reduction for w in self.stages.widths):
             raise ValueError(f"reduction {self.reduction} must divide every stage width {self.stages.widths}")
         require(self, f"2 * mask_resolution = {2 * self.mask_resolution}", lambda v: v == 2 * self.mask_resolution,
                 "mask_out")
         check_eca_kernel(self.eca_kernel)
+        # a wider window's extra taps read only zero padding; at ModelConfig()'s
+        # 2048 channels ECA's windows are then at most 2048 x 4095 (64 MiB)
+        taps = 2 * max(self.stages.widths) - 1
+        require(self, f"'adaptive' or at most {taps} (twice the widest stage less 1)",
+                lambda v: v == "adaptive" or v <= taps, "eca_kernel")
 
     @classmethod
     def toy(cls, variant: str = "cbam", num_classes: int = 3) -> "ModelConfig":

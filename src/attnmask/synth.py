@@ -33,7 +33,6 @@ __all__ = [
     "SynthSpec",
     "Sample",
     "synth_dataset",
-    "hflip",
     "tight_box",
     "dataset_hash",
     "to_ground_truth",
@@ -243,18 +242,6 @@ def synth_dataset(spec: SynthSpec, seed: int, n: int) -> list[Sample]:
         raise ValueError(f"n must be at least 1, got {n}")
     rng = np.random.default_rng(np.random.PCG64(seed))
     return [_synth_one(rng, spec) for _ in range(n)]
-
-
-def hflip(sample: Sample) -> Sample:
-    """Mirror a scene left to right; boxes and masks move with the image."""
-    boxes = sample.boxes.copy()
-    boxes[:, [0, 2]] = sample.image.shape[2] - sample.boxes[:, [2, 0]]
-    return Sample(
-        image=sample.image[:, :, ::-1].copy(),
-        boxes=boxes,
-        class_ids=sample.class_ids.copy(),
-        masks=sample.masks[:, :, ::-1].copy(),
-    )
 
 
 def dataset_hash(samples: list[Sample]) -> str:

@@ -2,8 +2,8 @@
 
 SGD with momentum 0.9 and weight decay 0.0001 at base learning rate 0.002,
 dropped by 0.1 at epochs 16 and 22 of 26 in `TrainConfig()`. Every command
-and the benchmark run `TrainConfig.toy`: drops at 18 and 23, no flips, 64
-sampled anchors, 24 regions and 12 proposals after NMS. Rates are computed
+and the benchmark run `TrainConfig.toy`: drops at 18 and 23, 64 sampled
+anchors, 24 regions and 12 proposals after NMS. Rates are computed
 in decimal, so they are exactly the literals 0.002, 0.0002 and 0.00002.
 
 Each step accumulates gradients over a small image batch. Per image the
@@ -23,9 +23,10 @@ entropy over positive regions, from one mask-head call per image. Their
 (cls, reg, mask) part arrays add up to the parts a step records.
 
 Every consumed random draw comes from one seeded generator in a fixed
-order (each epoch's shuffle, then per image its flip and its plan), so a
-rerun with the same (model seed, data, config) reproduces the loss trace
-bit for bit.
+order (each epoch's shuffle, then per image its plan), so a rerun with
+the same (model seed, data, config) reproduces the loss trace bit for
+bit. Slot j of an epoch trains on the scene at position j mod n of that
+epoch's shuffle of the n scenes, so every batch is full.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from .model import (
     pyramid_forward,
     rpn_forward,
 )
-from .synth import Sample, hflip
+from .synth import Sample
 from .tensor import Tensor, gather_rows
 
 __all__ = [
@@ -84,7 +85,6 @@ class TrainConfig:
     step_factor: float = 0.1
     seed: int = 0
     steps_per_epoch: int | None = None
-    hflip_prob: float = 0.5
     rpn_batch: int = 256
     rpn_pos_fraction: float = 0.5
     rpn_reg_weight: float = 10.0
@@ -101,7 +101,7 @@ class TrainConfig:
                 "epochs", "batch_size", "rpn_batch", "roi_batch", "train_pre_nms", "train_post_nms")
         require(self, "at least 0", lambda v: v >= 0, "seed")
         require(self, "null or at least 1", lambda v: v is None or v >= 1, "steps_per_epoch")
-        require(self, "in [0,1]", lambda v: 0.0 <= v <= 1.0, "hflip_prob", "rpn_pos_fraction", "roi_pos_fraction")
+        require(self, "in [0,1]", lambda v: 0.0 <= v <= 1.0, "rpn_pos_fraction", "roi_pos_fraction")
         require(self, "in (0,1]", lambda v: 0.0 < v <= 1.0, "roi_pos_iou")
         require(self, "in [0,1)", lambda v: 0.0 <= v < 1.0, "momentum")
         require(self, "at least 0", lambda v: v >= 0, "weight_decay", "rpn_reg_weight")
@@ -111,7 +111,7 @@ class TrainConfig:
     @classmethod
     def toy(cls, seed: int = 0) -> "TrainConfig":
         """Smoke-scale recipe: a tiny memorizable set converges fastest with
-        no flip augmentation, a rich positive fraction, and late lr drops."""
+        a rich positive fraction and late lr drops."""
         return cls(
             seed=seed,
             rpn_batch=64,
@@ -119,7 +119,6 @@ class TrainConfig:
             roi_pos_fraction=0.5,
             train_post_nms=12,
             step_epochs=(18, 23),
-            hflip_prob=0.0,
         )
 
 
@@ -272,8 +271,7 @@ def train(model: Model, dataset: list[Sample], cfg: TrainConfig) -> TrainResult:
     velocities = {name: np.zeros_like(p.data) for name, p in params}
     result = TrainResult()
     n = len(dataset)
-    default_batches = math.ceil(n / cfg.batch_size)
-    batches_per_epoch = cfg.steps_per_epoch or default_batches
+    batches_per_epoch = cfg.steps_per_epoch or math.ceil(n / cfg.batch_size)
     step = 0
     # a diverging run overflows before Tensor's finite check stops it, and
     # that check's FloatingPointError alone reports it
@@ -281,20 +279,13 @@ def train(model: Model, dataset: list[Sample], cfg: TrainConfig) -> TrainResult:
         for epoch in range(cfg.epochs):
             lr = lr_at(cfg, epoch)
             order = rng.permutation(n)
-            if batches_per_epoch * cfg.batch_size > n:
-                reps = math.ceil(batches_per_epoch * cfg.batch_size / n)
-                order = np.tile(order, reps)
             for b in range(batches_per_epoch):
-                idxs = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
                 parts = np.zeros(3)
-                for i in idxs:
-                    s = dataset[int(i)]
-                    if rng.random() < cfg.hflip_prob:
-                        s = hflip(s)
-                    loss, p3 = _image_loss(model, s, rng, cfg)
-                    (loss * (1.0 / idxs.size)).backward()
+                for j in range(b * cfg.batch_size, (b + 1) * cfg.batch_size):
+                    loss, p3 = _image_loss(model, dataset[order[j % n]], rng, cfg)
+                    (loss * (1.0 / cfg.batch_size)).backward()
                     del loss  # free this image's graph before the next image builds its own
-                    parts += p3 / idxs.size
+                    parts += p3 / cfg.batch_size
                 _sgd_step(params, velocities, lr, cfg)
                 result.records.append(
                     StepRecord(

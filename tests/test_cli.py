@@ -261,7 +261,7 @@ def test_train_toy_rejects_unknown_config_field(tmp_path, capsys):
         ({"train": {"batch_size": "2"}}, "train: batch_size must be int, got '2'"),
         ({"model": {"fpn_dim": 24.5}}, "model: fpn_dim must be int, got 24.5"),
         ({"train_images": "2"}, "train_images must be int, got '2'"),
-        ({"train": {"hflip_prob": float("nan")}}, "train: hflip_prob must be float, got nan"),
+        ({"train": {"rpn_pos_fraction": float("nan")}}, "train: rpn_pos_fraction must be float, got nan"),
         ({"model": {"stages": {"blocks": [1, 1, 1, 1]}}}, r"model: stages must be StageConfig, got \{'blocks'"),
         ({"model": {"anchors": {"ratios": [1.0]}}}, r"model: anchors must be AnchorConfig, got \{'ratios'"),
         ({"model": {"with_p6": 1}}, "model: with_p6 must be bool, got 1"),
@@ -272,7 +272,7 @@ def test_train_toy_rejects_unknown_config_field(tmp_path, capsys):
         ({"train": {"epochs": 0, "step_epochs": []}}, "train: epochs must be at least 1, got 0"),
         ({"train": {"rpn_batch": 0}}, "train: rpn_batch must be at least 1, got 0"),
         ({"train": {"steps_per_epoch": 0}}, "train: steps_per_epoch must be null or at least 1, got 0"),
-        ({"train": {"hflip_prob": 7}}, r"train: hflip_prob must be in \[0,1\], got 7"),
+        ({"train": {"hflip_prob": 0.5}}, "train: unknown field 'hflip_prob'"),
         ({"model": {"reduction": 0}}, "model: reduction must be at least 1, got 0"),
         ({"model": {"box_resolution": 0}}, "model: box_resolution must be at least 1, got 0"),
         ({"model": {"fpn_dim": 0}}, "model: fpn_dim must be at least 1, got 0"),
@@ -309,10 +309,18 @@ def test_train_toy_rejects_unknown_config_field(tmp_path, capsys):
          r"n_objects must be a pair whose high is at most 4096 \(one object per pixel of canvas 64\), "
          r"got \(0, 9223372036854775808\)"),
         ({"canvas": 1099511627776}, r"canvas must be a multiple of 32 in \[32, 1024\], got 1099511627776"),
+        ({"model": {"head_width": 10**12}}, "model: head_width must be at most 1024, got 1000000000000"),
+        ({"model": {"fpn_dim": 10**12}}, "model: fpn_dim must be at most 256, got 1000000000000"),
+        ({"model": {"num_classes": 10**12}}, "model: num_classes must be at most 80, got 1000000000000"),
+        ({"model": {"box_resolution": 10**12}}, "model: box_resolution must be at most 14, got 1000000000000"),
+        ({"model": {"mask_resolution": 10**12, "mask_out": 2 * 10**12}},
+         "model: mask_resolution must be at most 28, got 1000000000000"),
+        ({"model": {"eca_kernel": 10**12 + 1}},
+         r"model: eca_kernel must be 'adaptive' or at most 127 \(twice the widest stage less 1\), got 1000000000001"),
     ],
     ids=["text-int", "fractional-int", "text-run-knob", "nan-float", "object-stages", "object-anchors",
          "int-bool", "text-in-tuple", "zero-train-images", "conf-above-1", "zero-batch", "zero-epochs",
-         "zero-rpn-batch", "zero-steps-per-epoch", "hflip-above-1", "zero-reduction", "zero-box-resolution",
+         "zero-rpn-batch", "zero-steps-per-epoch", "hflip-prob-unknown", "zero-reduction", "zero-box-resolution",
          "zero-fpn-dim", "zero-head-width", "mask-out-mismatch", "text-eca-kernel", "reduction-not-dividing",
          "reduction-too-wide-for-none", "zero-roi-batch", "zero-pre-nms", "negative-post-nms",
          "rpn-pos-fraction-above-1", "negative-roi-pos-fraction", "zero-roi-pos-iou", "roi-pos-iou-above-1",
@@ -320,7 +328,8 @@ def test_train_toy_rejects_unknown_config_field(tmp_path, capsys):
          "momentum-above-1", "negative-weight-decay", "negative-rpn-reg-weight", "negative-step-epoch",
          "negative-noise", "repeated-class", "size-range-past-margin", "too-few-model-classes",
          "model-before-train", "zero-model-classes", "no-classes", "reversed-n-objects", "n-objects-past-the-canvas",
-         "canvas-past-the-cap"],
+         "canvas-past-the-cap", "head-width-past-the-cap", "fpn-dim-past-the-cap", "num-classes-past-the-cap",
+         "box-resolution-past-the-cap", "mask-resolution-past-the-cap", "eca-kernel-past-the-widest-stage"],
 )
 def test_malformed_config_values_exit_2_naming_file_and_field(tmp_path, capsys, cfg, message):
     path = tmp_path / "bad.json"

@@ -59,6 +59,23 @@ def test_config_validation():
     assert ModelConfig(stages=stages, reduction=4).reduction == 4
 
 
+def test_config_caps_hold_both_recipes_and_reject_one_past():
+    caps = model_mod.MODEL_CAPS
+    for cfg in (ModelConfig(), ModelConfig.toy()):
+        assert all(getattr(cfg, name) <= cap for name, cap in caps.items())
+    at_caps = {**caps, "mask_out": 2 * caps["mask_resolution"]}
+    assert dataclasses.replace(ModelConfig(), **at_caps).head_width == caps["head_width"]
+    for name, cap in caps.items():
+        past = {name: cap + 1, "mask_out": 2 * (cap + 1)} if name == "mask_resolution" else {name: cap + 1}
+        with pytest.raises(ValueError, match=f"^{name} must be at most {cap}, got {cap + 1}$"):
+            dataclasses.replace(ModelConfig(), **past)
+    # ECA's taps stop at twice the widest stage less 1: 2 * 2048 - 1 and 2 * 64 - 1
+    for cfg, taps in ((ModelConfig(), 4095), (ModelConfig.toy("eca"), 127)):
+        assert dataclasses.replace(cfg, eca_kernel=taps).eca_kernel == taps
+        with pytest.raises(ValueError, match=rf"^eca_kernel must be 'adaptive' or at most {taps} .*got {taps + 2}$"):
+            dataclasses.replace(cfg, eca_kernel=taps + 2)
+
+
 def test_named_params_unique_and_counted():
     model = _toy_model("cbam")
     names = [n for n, _ in model.named_params()]

@@ -1,4 +1,4 @@
-"""Synthetic scenes: determinism, geometry invariants, horizontal flip."""
+"""Synthetic scenes: determinism, geometry invariants, row arrays."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from attnmask.synth import (
     Sample,
     SynthSpec,
     dataset_hash,
-    hflip,
     synth_dataset,
     tight_box,
     to_ground_truth,
@@ -132,26 +131,6 @@ def test_occlusion_produces_overlaps_somewhere():
     assert found
 
 
-def test_hflip_is_an_involution():
-    for s in synth_dataset(SynthSpec(), 21, 4):
-        f = hflip(s)
-        ff = hflip(f)
-        assert np.array_equal(ff.image, s.image)
-        assert np.array_equal(ff.masks, s.masks)
-        assert all(_boxes_close(a, b) for a, b in zip(ff.boxes, s.boxes))
-        w = s.image.shape[2]
-        for (x1, y1, x2, y2), (fx1, fy1, fx2, fy2) in zip(s.boxes, f.boxes):
-            assert (fx1, fx2) == pytest.approx((w - x2, w - x1))
-            assert (fy1, fy2) == (y1, y2)
-
-
-def test_hflip_keeps_boxes_tight():
-    for s in synth_dataset(SynthSpec(), 22, 4):
-        f = hflip(s)
-        for box, mask in zip(f.boxes, f.masks):
-            assert _boxes_close(box, tight_box(mask))
-
-
 def test_to_ground_truth_mapping():
     spec = SynthSpec()
     ds = synth_dataset(spec, 31, 5)
@@ -225,16 +204,6 @@ def test_sample_accepts_an_empty_scene_and_checks_masks_align():
     assert _scene(np.zeros((0, 4)), np.zeros(0, dtype=np.int64), n_masks=0).boxes.shape == (0, 4)
     with pytest.raises(ValueError, match="boxes, class_ids, and masks must align"):
         _scene(np.ones((1, 4)), np.array([1]))
-
-
-def test_hflip_matches_the_box_formula_bit_for_bit():
-    # the flip of each row in Python floats: x1 becomes w - x2, x2 becomes w - x1
-    for s in synth_dataset(SynthSpec(), 21, 4):
-        w = s.image.shape[2]
-        want = np.array([(w - x2, y1, w - x1, y2) for x1, y1, x2, y2 in s.boxes.tolist()]).reshape(-1, 4)
-        got = hflip(s)
-        assert got.boxes.shape == want.shape and got.boxes.tobytes() == want.tobytes()
-        assert np.array_equal(got.class_ids, s.class_ids)
 
 
 def test_to_ground_truth_makes_corner_rows_with_int64_class_ids():

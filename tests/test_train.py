@@ -329,10 +329,10 @@ def test_detector_check_catches_backward_faults(monkeypatch, fault, variant):
 
 # sha256 of _image_loss's total, its parts and every parameter gradient on
 # each case of _loss_path_cases(), then of a 4-step train trace and the
-# parameters it leaves. Recorded with the form that carried the anchor
-# sample and the loss parts in record types; any change to the last bit of
+# parameters it leaves. Re-recorded when training stopped drawing a flip
+# per image, which moved only the trace half; any change to the last bit of
 # a loss, a part, a gradient or a step changes it.
-LOSS_PATH_DIGEST = "e3574fbc61c60b59be7cc5ff15977a23607074997240afd88c16fcc90b40bae7"
+LOSS_PATH_DIGEST = "c5a77073ac4a1e5446d34c2d2ca3120be997616a3d4017086b0668dd829af31c"
 LOSS_PATH_DIGEST_ENV = {"numpy": "2.4.6", "blas_core": "SkylakeX", "blas_threads": 2}
 
 
@@ -359,7 +359,7 @@ def _loss_path_digest():
     data = synth_dataset(SynthSpec(), 28, 4)
     model = build_model(ModelConfig.toy("eca"), seed=2)
     cfg = TrainConfig(seed=3, epochs=2, step_epochs=(1,), rpn_batch=32, roi_batch=8,
-                      train_pre_nms=100, train_post_nms=8, hflip_prob=0.5)
+                      train_pre_nms=100, train_post_nms=8)
     for r in train(model, data, cfg).records:
         h.update(repr(r).encode())
     for name, p in model.named_params():
@@ -377,7 +377,7 @@ def _short_run(seed=0, epochs=2):
     model = build_model(ModelConfig.toy("none"), seed=seed)
     cfg = TrainConfig(
         seed=seed, epochs=epochs, step_epochs=(1,), rpn_batch=32, roi_batch=8,
-        train_pre_nms=100, train_post_nms=8, hflip_prob=0.5,
+        train_pre_nms=100, train_post_nms=8,
     )
     return model, train(model, data, cfg)
 
@@ -402,13 +402,79 @@ def test_run_records_schedule_and_finite_losses():
 
 def test_train_leaves_its_dataset_unchanged():
     # train-toy and compare hand one scene list to every variant they train,
-    # which holds only while training (flips included) writes into no sample
+    # which holds only while training writes into no sample
     data = synth_dataset(SynthSpec(), 100, 4)
     before = dataset_hash(data)
     cfg = TrainConfig(seed=0, epochs=2, step_epochs=(1,), rpn_batch=32, roi_batch=8,
-                      train_pre_nms=100, train_post_nms=8, hflip_prob=0.5)
+                      train_pre_nms=100, train_post_nms=8)
     train(build_model(ModelConfig.toy("cbam"), seed=0), data, cfg)
     assert dataset_hash(data) == before
+
+
+def test_nothing_is_drawn_between_the_shuffle_and_the_plan(monkeypatch):
+    seen = []
+    real = train_mod._image_loss
+
+    def spy(model, sample, rng, cfg):
+        seen.append(rng.bit_generator.state)
+        return real(model, sample, rng, cfg)
+
+    monkeypatch.setattr(train_mod, "_image_loss", spy)
+    cfg = dataclasses.replace(TrainConfig.toy(seed=5), epochs=1, batch_size=1, step_epochs=())
+    train(build_model(ModelConfig.toy("none"), seed=0), synth_dataset(SynthSpec(), 100, 1), cfg)
+    want = np.random.default_rng(np.random.PCG64(5))
+    want.permutation(1)
+    assert seen == [want.bit_generator.state]
+
+
+class _RecordingRng:
+    """A generator that records each permutation it draws."""
+
+    def __init__(self, gen):
+        self.gen, self.perms = gen, []
+
+    def permutation(self, n):
+        self.perms.append(self.gen.permutation(n))
+        return self.perms[-1]
+
+    def __getattr__(self, name):
+        return getattr(self.gen, name)
+
+
+@pytest.mark.parametrize("n, batch_size, steps_per_epoch", [(5, 2, None), (3, 2, 7)],
+                         ids=["last-batch-wraps", "steps-past-the-dataset"])
+def test_epoch_slots_follow_the_tiled_shuffle(monkeypatch, n, batch_size, steps_per_epoch):
+    data = synth_dataset(SynthSpec(), 100, n)
+    model = build_model(ModelConfig.toy("none"), seed=0)
+    index = {id(s): i for i, s in enumerate(data)}
+    rngs, slots = [], []
+
+    def recording_rng(bit_generator):
+        rngs.append(_RecordingRng(np.random.Generator(bit_generator)))
+        return rngs[-1]
+
+    def slot_loss(model, sample, rng, cfg):
+        # draws nothing and skips the model: only the slot's scene matters
+        slots.append(index[id(sample)])
+        return Tensor(0.0), np.zeros(3)
+
+    monkeypatch.setattr(np.random, "default_rng", recording_rng)
+    monkeypatch.setattr(train_mod, "_image_loss", slot_loss)
+    cfg = dataclasses.replace(TrainConfig.toy(seed=4), epochs=2, step_epochs=(), batch_size=batch_size,
+                              steps_per_epoch=steps_per_epoch)
+    records = train(model, data, cfg).records
+
+    batches = steps_per_epoch or -(-n // batch_size)
+    assert len(records) == 2 * batches
+    (rng,) = rngs
+    assert [sorted(p) for p in rng.perms] == [list(range(n))] * 2
+    # one epoch under the tiled rule: the shuffle repeated to cover every
+    # batch, read in batch_size slices
+    want = []
+    for perm in rng.perms:
+        tiled = np.tile(perm, -(-batches * batch_size // n))
+        want += [int(i) for b in range(batches) for i in tiled[b * batch_size : (b + 1) * batch_size]]
+    assert slots == want
 
 
 def test_train_rejects_empty_dataset():

@@ -68,6 +68,8 @@ ERROR_RUNS = (
     ("diverged", {"train_images": 2, "val_images": 1, "model": {"fpn_dim": 16},
                   "train": {"lr": 1e6, "epochs": 3, "step_epochs": []}}, None, []),
     ("seed-in-config", {**RUN_CONFIG, "train": {**RUN_CONFIG["train"], "seed": 7}}, None, []),
+    ("hflip-prob", {"train": {"hflip_prob": 0.5}}, None, []),
+    ("oversized-model", {"model": {"head_width": 10**12}}, None, []),
 )
 EVAL_SEEDS = (0, 1, 2)
 EVAL_THRESHOLDS = ("coco", "0.5", "0.75,0.3")
