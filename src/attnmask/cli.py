@@ -12,16 +12,24 @@ and `evaluate` checks `--thresholds` before it reads either file.
 The command owns the attention variant and the seed: a config that sets
 `model.variant` or `train.seed` exits 2. The ATTNMASK_SEED environment
 variable overrides any --seed flag.
+
+The console script (`main`) runs NumPy's OpenBLAS at BLAS_THREADS threads,
+whatever OPENBLAS_NUM_THREADS or the host's core count say, so a run's last
+bits do not depend on the host; `cli` leaves its caller's setting alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
+import glob
 import os
 import sys
 import time
 from dataclasses import dataclass
+
+import numpy as np
 
 from .attention import VARIANTS
 from .checks import MODULES, run_checks
@@ -32,10 +40,16 @@ from .model import Model, ModelConfig, build_model, infer, save_checkpoint
 from .synth import SynthSpec, dataset_hash, synth_dataset, to_ground_truth
 from .train import TrainConfig, train, write_trace_csv
 
-__all__ = ["cli", "main"]
+__all__ = ["BLAS_THREADS", "cli", "main", "pin_blas_threads"]
 
 
 # -- config plumbing -----------------------------------------------------------
+
+
+# the most scenes a run config can ask for: 1000 default 64 px scenes hold
+# about 100 MB (a 96 KiB float64 image each, plus masks), while at
+# synth.MAX_CANVAS each image alone is 24 MiB
+RUN_CAPS = {"train_images": 1000, "val_images": 1000}
 
 
 @dataclass(frozen=True)
@@ -51,6 +65,8 @@ class RunConfig:
 
     def __post_init__(self):
         require(self, "at least 1", lambda v: v >= 1, "train_images", "val_images")
+        for name, cap in RUN_CAPS.items():
+            require(self, f"at most {cap}", lambda v, cap=cap: v <= cap, name)
         require(self, "at least 0", lambda v: v >= 0, "train_seed", "val_seed")
         require(self, "in [0,1]", lambda v: 0.0 <= v <= 1.0, "conf_threshold")
 
@@ -263,7 +279,35 @@ def cli(argv=None) -> int:
         return 2
 
 
+# every console-script run does its float64 arithmetic at this OpenBLAS thread
+# count: a threaded GEMM's last bits depend on the count, and the toy model's
+# matrices are too small for a second thread to help
+BLAS_THREADS = 1
+
+
+def _openblas():
+    """The OpenBLAS that NumPy loaded, or None under another BLAS build.
+    NumPy's wheels bundle it as numpy.libs/libscipy_openblas64_*; loading
+    that file again returns the loaded library, so its thread pool is NumPy's."""
+    found = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas64_*"))
+    if not found:
+        return None
+    lib = ctypes.CDLL(found[0])
+    lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+    lib.scipy_openblas_set_num_threads64_.restype = None
+    return lib
+
+
+def pin_blas_threads() -> None:
+    """Set NumPy's OpenBLAS to BLAS_THREADS threads, whatever
+    OPENBLAS_NUM_THREADS said when it loaded; a no-op under another BLAS."""
+    lib = _openblas()
+    if lib is not None:
+        lib.scipy_openblas_set_num_threads64_(BLAS_THREADS)
+
+
 def main() -> None:
+    pin_blas_threads()
     sys.exit(cli())
 
 

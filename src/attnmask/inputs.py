@@ -166,5 +166,9 @@ def load_json(path: str, parse, *args):
         raise InputError(f"{path}: {e.strerror or e}") from e
     except json.JSONDecodeError as e:
         raise InputError(f"{path}: invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from e
+    except UnicodeDecodeError as e:
+        raise InputError(f"{path}: not UTF-8 text: {e.reason} at byte {e.start}") from e
+    except RecursionError as e:
+        raise InputError(f"{path}: invalid JSON: nested too deeply to read") from e
     except InputError as e:
         raise InputError(f"{path}: {e}") from None

@@ -72,6 +72,15 @@ __all__ = [
 ]
 
 
+# the longest schedule and the largest samples a run config can ask for: 200
+# epochs of at most 1000 steps of 16 images, and per image Mask R-CNN's own
+# training budgets: 256 sampled anchors, 512 regions, and NMS over 12000
+# proposals keeping 2000. A run at the caps trains on 3.2M images, about a day
+# at the toy model's 25 ms an image.
+TRAIN_CAPS = {"epochs": 200, "steps_per_epoch": 1000, "batch_size": 16, "rpn_batch": 256, "roi_batch": 512,
+              "train_pre_nms": 12000, "train_post_nms": 2000}
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Optimization schedule plus the per-image sampling budgets."""
@@ -101,6 +110,8 @@ class TrainConfig:
                 "epochs", "batch_size", "rpn_batch", "roi_batch", "train_pre_nms", "train_post_nms")
         require(self, "at least 0", lambda v: v >= 0, "seed")
         require(self, "null or at least 1", lambda v: v is None or v >= 1, "steps_per_epoch")
+        for name, cap in TRAIN_CAPS.items():
+            require(self, f"at most {cap}", lambda v, cap=cap: v is None or v <= cap, name)
         require(self, "in [0,1]", lambda v: 0.0 <= v <= 1.0, "rpn_pos_fraction", "roi_pos_fraction")
         require(self, "in (0,1]", lambda v: 0.0 < v <= 1.0, "roi_pos_iou")
         require(self, "in [0,1)", lambda v: 0.0 <= v < 1.0, "momentum")

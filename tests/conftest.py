@@ -5,7 +5,7 @@ import json
 import pytest
 from hypothesis import settings
 
-from numeric_env import DIGEST_THREADS, pin_threads
+from attnmask.cli import pin_blas_threads
 
 # every property test replays the same examples on every run and host: no
 # deadline, a fixed derandomized stream and no example database; each test
@@ -15,9 +15,9 @@ settings.load_profile("attnmask")
 
 
 def pytest_configure(config):
-    # the digests hold only at the BLAS thread count they were recorded at;
-    # pinning it here holds whatever OPENBLAS_NUM_THREADS or import order say
-    pin_threads(DIGEST_THREADS)
+    # the console script's BLAS thread count, at which the digests were
+    # recorded, whatever OPENBLAS_NUM_THREADS or import order say
+    pin_blas_threads()
 
 
 @pytest.fixture

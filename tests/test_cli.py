@@ -3,17 +3,19 @@
 import dataclasses
 import json
 import re
+import sys
 import warnings
 
 import pytest
 
 from attnmask import cli as cli_mod
-from attnmask.cli import RunConfig, _parse_thresholds, _split_config, cli
+from attnmask.cli import BLAS_THREADS, RunConfig, _openblas, _parse_thresholds, _split_config, cli, pin_blas_threads
 from attnmask.inputs import InputError
 from attnmask.metrics import COCO_SWEEP
 from attnmask.model import ModelConfig
 from attnmask.synth import SynthSpec, dataset_hash, synth_dataset
 from attnmask.train import TrainConfig
+from numeric_env import RECORDED, digest_context, environment
 from oracles import map_reference
 
 
@@ -55,6 +57,24 @@ def test_evaluate_reports_missing_file(tmp_path, capsys):
     gt, det = _write_eval_pair(tmp_path)
     assert cli(["evaluate", "--gt", str(tmp_path / "absent.json"), "--det", det]) == 2
     assert "absent.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "train-toy"])
+@pytest.mark.parametrize(
+    "data, message",
+    [(b"\xff{}", "not UTF-8 text: invalid start byte at byte 0"),
+     (b"[" * 100_000, "invalid JSON: nested too deeply to read")],
+    ids=["not-utf8", "nested-too-deeply"],
+)
+def test_unreadable_json_exits_2_naming_the_file(tmp_path, capsys, command, data, message):
+    gt, det = _write_eval_pair(tmp_path)
+    path, out = tmp_path / "bad.json", tmp_path / "out"
+    path.write_bytes(data)
+    argv = {"evaluate": ["evaluate", "--gt", str(path), "--det", det, "--out", str(out)],
+            "train-toy": ["train-toy", "--config", str(path), "--out", str(out)]}[command]
+    assert cli(argv) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert not out.exists()
 
 
 def test_evaluate_rejects_unknown_category(tmp_path, capsys):
@@ -248,6 +268,13 @@ def test_negative_seed_exits_2_naming_its_source(tmp_path, monkeypatch, capsys, 
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_run_caps_hold_at_the_cap_and_reject_one_past():
+    assert dataclasses.replace(RunConfig(), **cli_mod.RUN_CAPS).train_images == cli_mod.RUN_CAPS["train_images"]
+    for name, cap in cli_mod.RUN_CAPS.items():
+        with pytest.raises(ValueError, match=f"^{name} must be at most {cap}, got {cap + 1}$"):
+            dataclasses.replace(RunConfig(), **{name: cap + 1})
+
+
 def test_train_toy_rejects_unknown_config_field(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"n_object": [1, 2]}))
@@ -317,6 +344,15 @@ def test_train_toy_rejects_unknown_config_field(tmp_path, capsys):
          "model: mask_resolution must be at most 28, got 1000000000000"),
         ({"model": {"eca_kernel": 10**12 + 1}},
          r"model: eca_kernel must be 'adaptive' or at most 127 \(twice the widest stage less 1\), got 1000000000001"),
+        ({"train_images": 10**12}, "train_images must be at most 1000, got 1000000000000"),
+        ({"val_images": 10**12}, "val_images must be at most 1000, got 1000000000000"),
+        ({"train": {"epochs": 10**12}}, "train: epochs must be at most 200, got 1000000000000"),
+        ({"train": {"steps_per_epoch": 10**12}}, "train: steps_per_epoch must be at most 1000, got 1000000000000"),
+        ({"train": {"batch_size": 10**12}}, "train: batch_size must be at most 16, got 1000000000000"),
+        ({"train": {"rpn_batch": 10**12}}, "train: rpn_batch must be at most 256, got 1000000000000"),
+        ({"train": {"roi_batch": 10**12}}, "train: roi_batch must be at most 512, got 1000000000000"),
+        ({"train": {"train_pre_nms": 10**12}}, "train: train_pre_nms must be at most 12000, got 1000000000000"),
+        ({"train": {"train_post_nms": 10**12}}, "train: train_post_nms must be at most 2000, got 1000000000000"),
     ],
     ids=["text-int", "fractional-int", "text-run-knob", "nan-float", "object-stages", "object-anchors",
          "int-bool", "text-in-tuple", "zero-train-images", "conf-above-1", "zero-batch", "zero-epochs",
@@ -329,7 +365,10 @@ def test_train_toy_rejects_unknown_config_field(tmp_path, capsys):
          "negative-noise", "repeated-class", "size-range-past-margin", "too-few-model-classes",
          "model-before-train", "zero-model-classes", "no-classes", "reversed-n-objects", "n-objects-past-the-canvas",
          "canvas-past-the-cap", "head-width-past-the-cap", "fpn-dim-past-the-cap", "num-classes-past-the-cap",
-         "box-resolution-past-the-cap", "mask-resolution-past-the-cap", "eca-kernel-past-the-widest-stage"],
+         "box-resolution-past-the-cap", "mask-resolution-past-the-cap", "eca-kernel-past-the-widest-stage",
+         "train-images-past-the-cap", "val-images-past-the-cap", "epochs-past-the-cap", "steps-past-the-cap",
+         "batch-size-past-the-cap", "rpn-batch-past-the-cap", "roi-batch-past-the-cap", "pre-nms-past-the-cap",
+         "post-nms-past-the-cap"],
 )
 def test_malformed_config_values_exit_2_naming_file_and_field(tmp_path, capsys, cfg, message):
     path = tmp_path / "bad.json"
@@ -474,3 +513,52 @@ def test_unknown_subcommand_exits_via_argparse():
         cli(["frobnicate"])
     with pytest.raises(SystemExit):
         cli(["train-toy"])  # --out is required
+
+
+# -- the numeric environment -----------------------------------------------------
+
+
+@pytest.fixture
+def blas_at_2():
+    """NumPy's OpenBLAS at 2 threads for one test, then back at the session's pin."""
+    lib = _openblas()
+    if lib is None:
+        pytest.skip("NumPy runs on another BLAS, which the pin leaves alone")
+    lib.scipy_openblas_set_num_threads64_(2)
+    yield
+    pin_blas_threads()
+
+
+def _spy_blas_threads(monkeypatch) -> list:
+    """The BLAS thread count at each run_checks call of a command."""
+    seen, real = [], cli_mod.run_checks
+
+    def run_checks(module):
+        seen.append(environment()["blas_threads"])
+        return real(module)
+
+    monkeypatch.setattr(cli_mod, "run_checks", run_checks)
+    return seen
+
+
+def test_console_script_runs_at_one_blas_thread(blas_at_2, monkeypatch, capsys):
+    seen = _spy_blas_threads(monkeypatch)
+    monkeypatch.setattr(sys, "argv", ["attnmask", "gradcheck", "--module", "losses"])
+    with pytest.raises(SystemExit) as done:
+        cli_mod.main()
+    assert done.value.code == 0
+    assert seen == [BLAS_THREADS] == [1]
+
+
+def test_cli_leaves_the_callers_blas_threads(blas_at_2, monkeypatch, capsys):
+    seen = _spy_blas_threads(monkeypatch)
+    assert cli(["gradcheck", "--module", "losses"]) == 0
+    assert seen == [2] and environment()["blas_threads"] == 2
+
+
+def test_digest_failure_names_the_recorded_environment():
+    # the tests run at the console script's count, and the digests were recorded there
+    assert RECORDED["blas_threads"] == BLAS_THREADS
+    with pytest.raises(AssertionError) as failure:
+        assert "0" * 64 == "1" * 64, digest_context()
+    assert str(failure.value).startswith(f"digest recorded in {RECORDED}, checked in {environment()}")

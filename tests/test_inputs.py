@@ -79,6 +79,12 @@ def test_load_json_names_the_file(tmp_path):
     assert load_json(str(path), len) == 1
     with pytest.raises(InputError, match=rf"^{path}: top must be object, got \[1\]$"):
         load_json(str(path), lambda doc: checked("object", doc, "top"))
+    path.write_bytes(b'["\xff"]')
+    with pytest.raises(InputError, match=rf"^{path}: not UTF-8 text: invalid start byte at byte 2$"):
+        load_json(str(path), len)
+    path.write_text("[" * 100_000)
+    with pytest.raises(InputError, match=rf"^{path}: invalid JSON: nested too deeply to read$"):
+        load_json(str(path), len)
 
 
 # -- fuzzing: every input parses or raises InputError ----------------------------

@@ -28,6 +28,7 @@ from attnmask.model import (
 from attnmask.synth import SynthSpec, dataset_hash, synth_dataset
 from attnmask.tensor import Tensor, concat, no_grad
 from attnmask.train import (
+    TRAIN_CAPS,
     StepRecord,
     TrainConfig,
     _detector_loss,
@@ -59,6 +60,16 @@ def test_config_validation():
 def test_config_rejects_non_finite_rates(name, value):
     with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
         TrainConfig(**{name: value})
+
+
+def test_config_caps_hold_every_recipe_and_reject_one_past():
+    # TrainConfig() and TrainConfig.toy() are built on import; the benchmark
+    # trains on this recipe
+    dataclasses.replace(TrainConfig.toy(), epochs=1, step_epochs=(), steps_per_epoch=6)
+    assert dataclasses.replace(TrainConfig(), **TRAIN_CAPS).batch_size == TRAIN_CAPS["batch_size"]
+    for name, cap in TRAIN_CAPS.items():
+        with pytest.raises(ValueError, match=f"^{name} must be at most {cap}, got {cap + 1}$"):
+            dataclasses.replace(TrainConfig(), **{name: cap + 1})
 
 
 def test_lr_schedule_exact_literals():
@@ -330,10 +341,10 @@ def test_detector_check_catches_backward_faults(monkeypatch, fault, variant):
 # sha256 of _image_loss's total, its parts and every parameter gradient on
 # each case of _loss_path_cases(), then of a 4-step train trace and the
 # parameters it leaves. Re-recorded when training stopped drawing a flip
-# per image, which moved only the trace half; any change to the last bit of
-# a loss, a part, a gradient or a step changes it.
-LOSS_PATH_DIGEST = "c5a77073ac4a1e5446d34c2d2ca3120be997616a3d4017086b0668dd829af31c"
-LOSS_PATH_DIGEST_ENV = {"numpy": "2.4.6", "blas_core": "SkylakeX", "blas_threads": 2}
+# per image, which moved only the trace half, and at one BLAS thread, which
+# moved gradients by at most 1.8e-15 and the trace by at most 4.4e-16; any
+# change to the last bit of a loss, a part, a gradient or a step changes it.
+LOSS_PATH_DIGEST = "bea224cec51262d22fa28dd5716da088d9ca8a511352a651f08131f06512a885"
 
 
 def _loss_path_cases():
@@ -368,7 +379,7 @@ def _loss_path_digest():
 
 
 def test_loss_path_matches_its_digest():
-    assert _loss_path_digest() == LOSS_PATH_DIGEST, digest_context(LOSS_PATH_DIGEST_ENV)
+    assert _loss_path_digest() == LOSS_PATH_DIGEST, digest_context()
 
 
 def _short_run(seed=0, epochs=2):

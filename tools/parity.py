@@ -6,7 +6,9 @@ byte the same as another tree" is a `diff` of two runs.
 
 The first line is the numeric environment (NumPy version, OpenBLAS core and
 thread count), since a float64 GEMM's last bits depend on it; then one
-`sha256  name` line per output. `tools/parity.txt` is the committed record;
+`sha256  name` line per output. The command pins NumPy's OpenBLAS to the
+console script's count (`cli.BLAS_THREADS`) first, so OPENBLAS_NUM_THREADS
+moves neither line. `tools/parity.txt` is the committed record;
 a change that means to move an output rewrites it in the same diff.
 `--check` compares this tree with the record: it exits 0 when every line
 matches, 1 after printing the lines that differ (`-` recorded, `+` now), and
@@ -17,7 +19,7 @@ record then says nothing about this host. The outputs are:
   the `train_seconds` fields dropped, and stdout and stderr with printed
   timings and the temporary paths masked;
 - the exit code and diagnostic of each malformed `train-toy` or `compare`
-  run in `ERROR_RUNS`;
+  run in `ERROR_RUNS`, budget caps and unreadable config files included;
 - `attnmask evaluate` reports and stdout on seeded COCO files at three
   threshold sets;
 - the gradcheck battery's errors;
@@ -25,7 +27,6 @@ record then says nothing about this host. The outputs are:
 
 It uses the standard library, NumPy, the package and the tests' environment
 record, reads `bench/fixtures` and writes only into a temporary directory.
-Nothing is pinned: compare runs whose environment lines agree.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "tests"))
 
 from attnmask.checks import run_checks  # noqa: E402
-from attnmask.cli import cli  # noqa: E402
+from attnmask.cli import cli, pin_blas_threads  # noqa: E402
 from attnmask.model import ModelConfig, build_model, infer, load_checkpoint  # noqa: E402
 from attnmask.synth import SynthSpec, synth_dataset  # noqa: E402
 from numeric_env import environment  # noqa: E402
@@ -57,7 +58,8 @@ SEED = "3"
 # the tests' tiny config: 3 epochs of 3 steps, 2 validation images
 RUN_CONFIG = {"train_images": 6, "val_images": 2, "train": {"epochs": 3, "step_epochs": [1, 2]},
               "model": {"fpn_dim": 16}}
-# name, config written to a file (None: no --config), ATTNMASK_SEED, extra flags
+# name, config written to a file (None: no --config; bytes: written as they
+# are), ATTNMASK_SEED, extra flags
 ERROR_RUNS = (
     ("seed-env-text", None, "twelve", []),
     ("seed-flag-negative", None, None, ["--seed", "-1"]),
@@ -70,6 +72,10 @@ ERROR_RUNS = (
     ("seed-in-config", {**RUN_CONFIG, "train": {**RUN_CONFIG["train"], "seed": 7}}, None, []),
     ("hflip-prob", {"train": {"hflip_prob": 0.5}}, None, []),
     ("oversized-model", {"model": {"head_width": 10**12}}, None, []),
+    ("oversized-batch", {"train_images": 2, "model": {"fpn_dim": 16}, "train": {"batch_size": 10**12}}, None, []),
+    ("oversized-train-images", {"train_images": 10**12}, None, []),
+    ("not-utf8", b"\xff{}", None, []),
+    ("nested-too-deeply", b"[" * 100_000, None, []),
 )
 EVAL_SEEDS = (0, 1, 2)
 EVAL_THRESHOLDS = ("coco", "0.5", "0.75,0.3")
@@ -106,8 +112,9 @@ def _cli(argv: list[str], tmp: str, seed_env: str | None = None) -> tuple[int, s
 
 
 def _write_json(path: str, doc) -> str:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+    """doc as JSON, or as it is if it is bytes."""
+    with open(path, "wb") as fh:
+        fh.write(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
     return path
 
 
@@ -239,6 +246,7 @@ def check() -> int:
 
 
 def main(argv: list[str]) -> int:
+    pin_blas_threads()
     if argv == ["--check"]:
         return check()
     if argv:
